@@ -36,9 +36,15 @@ __all__ = [
     "target_fingerprint",
 ]
 
-# Gram-solve residuals bottom out near sqrt(machine eps); anything below
+# Projection residuals bottom out near sqrt(machine eps); anything below
 # this squared threshold is re-scored exactly before the witness decision.
 _CANDIDATE_RES2 = 1e-12
+
+# A state whose squared distance from the span of the others is below this
+# (relative to the largest direction) counts as dependent on them.  Distinct
+# catalog states that are independent sit far above it; exact dependence
+# leaves only rounding error, near 1e-16.
+_DEPENDENT_RES2 = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -266,13 +272,30 @@ class _SearchContext:
         self.prune_bound = float(nonzero.min()) if nonzero.size else 0.0
 
 
+def _suffix_basis(V_S: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of span(V_S) as columns; rows of V_S are the suffix states.
+
+    An SVD with a relative singular-value cutoff drops the directions of a
+    rank-deficient suffix, so dependent suffix states add no column.
+    """
+    U, sv, _ = np.linalg.svd(V_S.T, full_matrices=False)
+    return U[:, sv**2 > _DEPENDENT_RES2 * sv.max(initial=0.0) ** 2]
+
+
 def _score_block(
     ctx: _SearchContext,
-    xs: np.ndarray,
+    x_lo: int,
+    x_hi: int,
     suffix: tuple[int, ...],
     tol: float,
 ):
-    """Residuals for tuples (x, *suffix); returns per-tuple stats.
+    """Residuals for tuples (x, *suffix) with x_lo <= x < x_hi; returns per-tuple stats.
+
+    With Q an orthonormal basis of span(V_S) for the suffix states S, t_perp
+    the part of the target outside it and a = Q^dagger v_x, adding the unit
+    vector v_x removes |<v_x, t_perp>|^2 / (1 - |a|^2) from |t_perp|^2, where
+    <v_x, t_perp> = <v_x, t> - a^dagger Q^dagger t.  Q is computed once per
+    block, so each x costs one (r-1)-column projection.
 
     Returns (pruned_count, min_nonwitness_residual, witness_list).
     """
@@ -283,46 +306,32 @@ def _score_block(
     witnesses: list[tuple[int, ...]] = []
     min_res = math.inf
     pruned = 0
+    xs = None  # the scored x when some are pruned; otherwise all of [x_lo, x_hi)
+    Vx, t_ov = ctx.V[x_lo:x_hi], ctx.t_ov[x_lo:x_hi]
     if needed:
-        covered = (masks[xs] & needed) == needed
-        pruned = int(xs.size - covered.sum())
+        covered = (masks[x_lo:x_hi] & needed) == needed
+        kept = int(np.count_nonzero(covered))
+        pruned = covered.size - kept
         if pruned:
             min_res = ctx.prune_bound
-        xs = xs[covered]
-    if xs.size == 0:
-        return pruned, min_res, witnesses
+            if not kept:
+                return pruned, min_res, witnesses
+            xs = x_lo + np.flatnonzero(covered)
+            Vx, t_ov = ctx.V[xs], ctx.t_ov[xs]
 
-    r = len(suffix) + 1
-    if r == 1:
-        res2 = ctx.tnorm2 - np.abs(ctx.t_ov[xs]) ** 2
-    else:
-        Vs = ctx.V[list(suffix)]
-        g = ctx.V[xs].conj() @ Vs.T  # (B, r-1) entries <v_x, v_s>
-        B = xs.size
-        G = np.empty((B, r, r), dtype=np.complex128)
-        G[:, 0, 0] = 1.0
-        G[:, 0, 1:] = g
-        G[:, 1:, 0] = g.conj()
-        G[:, 1:, 1:] = Vs.conj() @ Vs.T
-        b = np.empty((B, r), dtype=np.complex128)
-        b[:, 0] = ctx.t_ov[xs]
-        b[:, 1:] = ctx.t_ov[list(suffix)]
-        try:
-            c = np.linalg.solve(G, b[..., None])[..., 0]
-            res2 = ctx.tnorm2 - np.einsum("bi,bi->b", b.conj(), c).real
-        except np.linalg.LinAlgError:
-            # some tuple in the block is linearly dependent: score one by one
-            res2 = np.empty(B)
-            for row, x in enumerate(xs):
-                A = np.column_stack([ctx.V[x], *ctx.V[list(suffix)]])
-                _, res = best_fit(A, ctx.t)
-                res2[row] = res**2
-    res2 = np.clip(res2, 0.0, None)
+    Q = _suffix_basis(ctx.V[list(suffix)])
+    q_t = Q.conj().T @ ctx.t
+    t_perp2 = ctx.tnorm2 - float(np.vdot(q_t, q_t).real)
+    a_conj = (Vx @ Q.conj()).conj()  # rows conj(Q^dagger v_x), with no (B, dim) temporary
+    denom = 1.0 - (a_conj.real**2 + a_conj.imag**2).sum(axis=1)
+    overlap = t_ov - a_conj @ q_t
+    denom[denom <= _DEPENDENT_RES2] = np.inf  # a dependent x leaves res2 = |t_perp|^2
+    res2 = np.maximum(t_perp2 - (overlap.real**2 + overlap.imag**2) / denom, 0.0)
 
-    # exact re-score below the Gram floating-point floor
+    # exact re-score below the projection floating-point floor
     cand = np.flatnonzero(res2 <= _CANDIDATE_RES2)
     for row in cand:
-        x = int(xs[row])
+        x = x_lo + int(row) if xs is None else int(xs[row])
         A = np.column_stack([ctx.V[x]] + [ctx.V[s] for s in suffix])
         _, res = best_fit(A, ctx.t)
         if res <= tol:
@@ -351,13 +360,12 @@ def _certify_range(ctx, lo, hi, r, tol, progress=None, progress_base=0):
     while done < hi:
         bound = suffix[0] if suffix else ctx.count
         x_hi = min(bound, x_lo + (hi - done))
-        xs = np.arange(x_lo, x_hi, dtype=np.int64)
-        p, m, w = _score_block(ctx, xs, suffix, tol)
+        p, m, w = _score_block(ctx, x_lo, x_hi, suffix, tol)
         pruned += p
         min_res = min(min_res, m)
         witnesses.extend(w)
-        tested += xs.size
-        done += xs.size
+        tested += x_hi - x_lo
+        done += x_hi - x_lo
         if progress is not None:
             progress(progress_base + done - lo)
         if done < hi and x_hi == bound:
@@ -383,11 +391,17 @@ def certify_rank(
     """Exhaustively test every r-tuple in the shard against the target.
 
     A tuple is a witness when its least-squares residual is at most tol.
-    With checkpoint set, progress is persisted so an interrupted run can
-    resume; the resulting certificate is identical either way.
+    Only tuples scored below sqrt(_CANDIDATE_RES2) are re-scored exactly, so
+    a larger tol is refused.  With checkpoint set, progress is persisted so
+    an interrupted run can resume; the resulting certificate is identical
+    either way.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
+    if not tol <= math.sqrt(_CANDIDATE_RES2):
+        raise ValueError(
+            "tol %g exceeds the exact re-score threshold %g" % (tol, math.sqrt(_CANDIDATE_RES2))
+        )
     count = len(catalog)
     total = math.comb(count, r)
     if shard is None:

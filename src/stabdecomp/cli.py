@@ -14,7 +14,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from .anneal import AnnealConfig, anneal_search
 from .asymptotics import exp_subsequence, find_ratio_witness, moulton_bound
@@ -207,35 +206,20 @@ def cmd_certify(args) -> int:
     idx, cnt = _parse_shard(args.shard)
     shard = ShardSpec.of(idx, cnt, total)
 
-    if args.threads > 1 and args.checkpoint:
-        print("--threads and --checkpoint are mutually exclusive", file=sys.stderr)
-        return 2
     checkpoint = args.checkpoint
     if checkpoint and os.path.exists(checkpoint) and not args.resume:
         print("checkpoint %s exists; pass --resume to continue it" % checkpoint, file=sys.stderr)
         return 2
 
-    progress = _progress_printer(shard.hi - shard.lo)
-    if args.threads > 1:
-        span = shard.hi - shard.lo
-        cuts = [shard.lo + i * span // args.threads for i in range(args.threads + 1)]
-        parts = [ShardSpec(lo=a, hi=b) for a, b in zip(cuts, cuts[1:]) if a < b]
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            certs = list(
-                pool.map(lambda s: certify_rank(target, args.r, catalog, shard=s, tol=args.tol), parts)
-            )
-        cert = merge_certificates(certs)
-        cert.shard = shard
-    else:
-        cert = certify_rank(
-            target,
-            args.r,
-            catalog,
-            shard=shard,
-            tol=args.tol,
-            progress=progress,
-            checkpoint=checkpoint,
-        )
+    cert = certify_rank(
+        target,
+        args.r,
+        catalog,
+        shard=shard,
+        tol=args.tol,
+        progress=_progress_printer(shard.hi - shard.lo),
+        checkpoint=checkpoint,
+    )
     path = _out_path(
         args,
         "cert-%s-r%d-shard%dof%d.json" % (target.name.replace("^", "m"), args.r, idx, cnt),
@@ -449,7 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shard", default="0/1", help="shard i/N of the tuple space")
     p.add_argument("--tol", type=float, default=WITNESS_TOL)
     p.add_argument("--mode", choices=("raw", "dedupe"), default="raw")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--checkpoint", help="checkpoint file for interruptible runs")
     p.add_argument("--resume", action="store_true", help="continue from an existing checkpoint")
     p.add_argument("--out")
@@ -470,7 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="exhaustive two-qutrit Clifford protocol sweeps")
     p.add_argument("kind", choices=("twocopy", "injection"))
     p.add_argument("--state", required=True)
-    p.add_argument("--threads", type=int, default=1, help="accepted for symmetry; the sweep is vectorized")
     p.add_argument("--out")
     p.set_defaults(func=cmd_sweep)
 

@@ -249,7 +249,7 @@ def _clifford_group_stack():
     return _SWEEP_CACHE["c216"]
 
 
-def sweep_two_copy(magic: str, progress=None) -> SweepResult:
+def sweep_two_copy(magic: str) -> SweepResult:
     """Classify E_k(C_sp, M)|M> over all of Sp(4,3) x F_3.
 
     Returns every phase-state hit; Weyl prefactors are quotiented out by the

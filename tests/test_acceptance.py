@@ -14,7 +14,14 @@ import pytest
 from stabdecomp import known
 from stabdecomp.anneal import AnnealConfig, anneal_search
 from stabdecomp.asymptotics import find_ratio_witness
-from stabdecomp.certify import ShardSpec, audit, certify_rank, merge_certificates
+from stabdecomp.certify import (
+    ShardSpec,
+    audit,
+    certify_rank,
+    merge_certificates,
+    rank_tuple,
+    unrank_tuple,
+)
 from stabdecomp.clifford import generate_clifford_group, orbit_closure, weyl_matrix
 from stabdecomp.decomposition import exponent_from_bound
 from stabdecomp.gadget import (
@@ -288,6 +295,26 @@ def test_qutrit_triple_shard_certificates(name):
     cert = certify_rank(target, 3, catalog, shard=shard, tol=WITNESS_TOL)
     assert cert.tuples_tested == shard.hi - shard.lo
     assert cert.witnesses == []
+    report = audit(cert, catalog, target, samples=200, seed=0)
+    assert report.passed, report.failures
+
+
+def test_qutrit_triple_unpruned_range_certificate():
+    # Shard 0 holds only low-support states and is pruned whole.  Here every
+    # tuple's largest index is a full-support state (k = 3; the catalog lists
+    # them from index 10,557 on), so nothing is pruned and all 1e6 tuples go
+    # through the projection kernel.
+    catalog = build_catalog(3, 3, "raw")
+    target = magic_power("S", 3)
+    lo = rank_tuple((0, 20_000, 30_000))
+    shard = ShardSpec(lo, lo + 10**6)
+    largest = unrank_tuple(shard.lo, 3)[2]
+    assert largest >= 10_557 and catalog.get(largest).k == 3
+    cert = certify_rank(target, 3, catalog, shard=shard, tol=WITNESS_TOL)
+    assert cert.tuples_tested == 10**6
+    assert cert.tuples_pruned == 0
+    assert cert.witnesses == []
+    assert cert.min_nonwitness_residual >= 1e-7
     report = audit(cert, catalog, target, samples=200, seed=0)
     assert report.passed, report.failures
 

@@ -138,21 +138,55 @@ def test_completeness_against_projective_equality(cat1):
         assert cert.witnesses == [(idx,)]
 
 
-def test_gram_scores_match_direct_lstsq(cat1):
-    cert = certify_rank(magic_state("S"), 2, cat1)
-    t = magic_state("S").complex_vector()
+def _assert_matches_direct_lstsq(cert, catalog, target):
+    """Witnesses and min residual of cert equal best_fit on every tuple it covers."""
+    t = target.complex_vector()
+    V = np.array([catalog.get(i).complex_vector() for i in range(len(catalog))])
     best = math.inf
     wits = []
-    for rank in range(66):
-        tup = unrank_tuple(rank, 2)
-        A = np.column_stack([cat1.get(i).complex_vector() for i in tup])
+    for rank in range(cert.shard.lo, cert.shard.hi):
+        tup = unrank_tuple(rank, cert.r)
+        A = V[list(tup)].T
         _, res = best_fit(A, t)
         if res <= 1e-10:
             wits.append(tup)
         else:
             best = min(best, res)
+    if cert.tuples_pruned:
+        # a pruned tuple's residual is at least the smallest target amplitude
+        best = min(best, float(np.abs(t[np.abs(t) > 0]).min()))
     assert sorted(wits) == cert.witnesses
     assert cert.min_nonwitness_residual == pytest.approx(best, abs=1e-9)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", ["S", "T3"])
+def test_gram_scores_match_direct_lstsq(cat1, name, r):
+    # r=3 and r=4 reach suffixes spanning C^3 (every x dependent) and, at
+    # r=4, rank-deficient suffixes
+    target = magic_state(name)
+    _assert_matches_direct_lstsq(certify_rank(target, r, cat1), cat1, target)
+
+
+def test_rank_deficient_suffix_in_larger_space():
+    # two-qubit states 8, 28 and 30 span a plane of C^4; a suffix basis that
+    # kept a third direction would misscore the tuples (x, 8, 28, 30)
+    catalog = build_catalog(2, 2)
+    target = magic_power("H", 2)
+    states = np.array([catalog.get(i).complex_vector() for i in (8, 28, 30)])
+    assert np.linalg.matrix_rank(states) == 2
+    lo = rank_tuple((0, 8, 28, 30))
+    cert = certify_rank(target, 4, catalog, shard=ShardSpec(lo, lo + 8))
+    assert cert.tuples_pruned < cert.tuples_tested
+    _assert_matches_direct_lstsq(cert, catalog, target)
+
+
+def test_tol_above_rescore_threshold_rejected(cat1):
+    # a residual in (1e-6, tol] would skip the exact re-score and be
+    # recorded as a non-witness: 18 pairs sit at or below 0.282 here
+    with pytest.raises(ValueError, match="re-score threshold"):
+        certify_rank(magic_power("T3", 1), 2, cat1, tol=0.282)
+    assert certify_rank(magic_power("T3", 1), 2, cat1, tol=1e-6).rules_out()
 
 
 def test_shard_out_of_range(cat1):

@@ -118,27 +118,8 @@ def test_merge_inconsistent_usage_error(tmp_path):
     assert main(["merge", str(a), str(b), "--out", str(tmp_path / "m.json")]) == 2
 
 
-def test_certify_threads_matches_serial(tmp_path):
-    serial, threaded = tmp_path / "s.json", tmp_path / "t.json"
-    assert main(["certify", "--target", "S", "--m", "2", "--r", "2", "--out", str(serial)]) == 0
-    assert main(["certify", "--target", "S", "--m", "2", "--r", "2", "--threads", "3", "--out", str(threaded)]) == 0
-    cs, ct = Certificate.load(str(serial)), Certificate.load(str(threaded))
-    assert ct.witnesses == cs.witnesses
-    assert len(cs.witnesses) == 12
-    assert ct.tuples_tested == cs.tuples_tested
-    assert ct.tuples_pruned == cs.tuples_pruned
-    assert ct.min_nonwitness_residual == pytest.approx(cs.min_nonwitness_residual, abs=1e-9)
-    assert ct.shard.to_payload() == cs.shard.to_payload()
-
-
 def test_certify_checkpoint_flag_guards(tmp_path):
     chk = tmp_path / "chk.json"
-    assert (
-        main(
-            ["certify", "--target", "T3", "--m", "1", "--r", "2", "--threads", "2", "--checkpoint", str(chk), "--out", str(tmp_path / "c.json")]
-        )
-        == 2
-    )
     chk.write_text("{}")
     assert (
         main(["certify", "--target", "T3", "--m", "1", "--r", "2", "--checkpoint", str(chk), "--out", str(tmp_path / "c.json")])
@@ -150,6 +131,12 @@ def test_certify_checkpoint_flag_guards(tmp_path):
         == 0
     )
     assert not chk.exists()
+
+
+def test_certify_tol_above_rescore_threshold_usage_error(tmp_path):
+    out = tmp_path / "c.json"
+    assert main(["certify", "--target", "T3", "--m", "1", "--r", "2", "--tol", "0.3", "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_audit_detects_tampering(tmp_path):
