@@ -49,6 +49,10 @@ class AnnealConfig:
             raise ValueError("rank must be smaller than the catalog")
 
 
+# catalogs up to this size are decoded once, densely; larger ones one state per use
+_DENSE_LIMIT = 100_000
+
+
 @dataclass
 class AnnealResult:
     subset: tuple[int, ...]
@@ -56,31 +60,6 @@ class AnnealResult:
     success: bool
     decomposition: Decomposition | None
     chain_traces: list[dict]
-
-
-class _VectorCache:
-    """Catalog state vectors, eager for small catalogs, on demand for large."""
-
-    def __init__(self, catalog: Catalog, eager_limit: int = 100_000):
-        self._catalog = catalog
-        if len(catalog) <= eager_limit:
-            dim = catalog.p**catalog.n
-            self._all = np.empty((len(catalog), dim), dtype=np.complex128)
-            for i in range(len(catalog)):
-                self._all[i] = catalog.get(i).complex_vector()
-            self._lazy = None
-        else:
-            self._all = None
-            self._lazy: dict[int, np.ndarray] = {}
-
-    def __call__(self, i: int) -> np.ndarray:
-        if self._all is not None:
-            return self._all[i]
-        v = self._lazy.get(i)
-        if v is None:
-            v = self._catalog.get(i).complex_vector()
-            self._lazy[i] = v
-        return v
 
 
 class _WeylNeighbours:
@@ -227,7 +206,11 @@ def anneal_search(cfg: AnnealConfig) -> AnnealResult:
     """
     catalog = cfg.catalog
     count = len(catalog)
-    vec_of = _VectorCache(catalog)
+    if count <= _DENSE_LIMIT:
+        vec_of = catalog.vectors().__getitem__
+    else:
+        def vec_of(i):
+            return catalog.vectors([i])[0]
     neighbours = _WeylNeighbours(catalog)
     target_vec = cfg.target.complex_vector()
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.chains)

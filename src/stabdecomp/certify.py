@@ -46,6 +46,14 @@ _CANDIDATE_RES2 = 1e-12
 # leaves only rounding error, near 1e-16.
 _DEPENDENT_RES2 = 1e-10
 
+# support masks are int64 bitsets, one bit per basis state; the sign bit stays clear
+_MASK_BITS = 63
+
+# x rows scored at once within a block.  Blocks reach 2e4 rows; scored whole,
+# their ~0.3-0.6 MB temporaries go back to the system after every block and
+# are faulted in again for the next one.
+_SCORE_ROWS = 2048
+
 
 # ---------------------------------------------------------------------------
 # colexicographic tuple ranking
@@ -246,22 +254,16 @@ class _SearchContext:
     def __init__(self, target: TargetState, catalog: Catalog):
         if (catalog.p, catalog.n) != (target.p, target.n):
             raise ValueError("catalog does not match the target dimensions")
-        count = len(catalog)
-        dim = catalog.p**catalog.n
-        self.count = count
-        self.V = np.empty((count, dim), dtype=np.complex128)
-        masks = np.empty(count, dtype=np.int64)
-        for i in range(count):
-            st = catalog.get(i)
-            self.V[i] = st.complex_vector()
-            m = 0
-            for idx in st.support_indices():
-                m |= 1 << int(idx)
-            masks[i] = m
+        self.V = catalog.vectors()
+        self.count = len(self.V)
+        # bit j of a state's mask is set when basis state j is in its support
+        masks = np.zeros(self.count, dtype=np.int64)
+        for j in range(self.V.shape[1]):
+            masks[self.V[:, j] != 0] |= 1 << j
         self.masks = masks
         self.t = target.complex_vector()
         self.tnorm2 = float(np.linalg.norm(self.t) ** 2)
-        self.t_ov = self.V.conj() @ self.t
+        self.t_ov = (self.V @ self.t.conj()).conj()  # <v_x, t>, with no conjugated copy of V
         tmask = 0
         for idx in np.flatnonzero(np.abs(self.t) > 0):
             tmask |= 1 << int(idx)
@@ -322,11 +324,15 @@ def _score_block(
     Q = _suffix_basis(ctx.V[list(suffix)])
     q_t = Q.conj().T @ ctx.t
     t_perp2 = ctx.tnorm2 - float(np.vdot(q_t, q_t).real)
-    a_conj = (Vx @ Q.conj()).conj()  # rows conj(Q^dagger v_x), with no (B, dim) temporary
-    denom = 1.0 - (a_conj.real**2 + a_conj.imag**2).sum(axis=1)
-    overlap = t_ov - a_conj @ q_t
-    denom[denom <= _DEPENDENT_RES2] = np.inf  # a dependent x leaves res2 = |t_perp|^2
-    res2 = np.maximum(t_perp2 - (overlap.real**2 + overlap.imag**2) / denom, 0.0)
+    Q_conj = Q.conj()
+    res2 = np.empty(len(t_ov))
+    for lo in range(0, len(t_ov), _SCORE_ROWS):
+        hi = lo + _SCORE_ROWS
+        a_conj = (Vx[lo:hi] @ Q_conj).conj()  # rows conj(Q^dagger v_x), with no (B, dim) temporary
+        denom = 1.0 - (a_conj.real**2 + a_conj.imag**2).sum(axis=1)
+        overlap = t_ov[lo:hi] - a_conj @ q_t
+        denom[denom <= _DEPENDENT_RES2] = np.inf  # a dependent x leaves res2 = |t_perp|^2
+        res2[lo:hi] = np.maximum(t_perp2 - (overlap.real**2 + overlap.imag**2) / denom, 0.0)
 
     # exact re-score below the projection floating-point floor
     cand = np.flatnonzero(res2 <= _CANDIDATE_RES2)
@@ -401,6 +407,10 @@ def certify_rank(
     if not tol <= math.sqrt(_CANDIDATE_RES2):
         raise ValueError(
             "tol %g exceeds the exact re-score threshold %g" % (tol, math.sqrt(_CANDIDATE_RES2))
+        )
+    if target.p**target.n > _MASK_BITS:
+        raise ValueError(
+            "%d basis states exceed the %d bits of a support mask" % (target.p**target.n, _MASK_BITS)
         )
     count = len(catalog)
     total = math.comb(count, r)
@@ -592,6 +602,11 @@ def audit(
     Re-derives the catalog and target hashes, replays every listed witness,
     re-scores a random sample of non-witness tuples with the exact fitter,
     and checks the coverage arithmetic and the residual-gap invariant.
+
+    Witnesses and samples are deliberately re-decoded one state at a time
+    through :class:`CanonicalStabilizer`, independently of the block decoder
+    (``Catalog.vectors``) that ``certify_rank`` scores with; each re-decoded
+    tuple is also compared bit for bit with the block decoder's vectors.
     """
     failures: list[str] = []
 
@@ -619,6 +634,8 @@ def audit(
 
     def residual_of(tup):
         A = np.column_stack([catalog.get(i).complex_vector() for i in tup])
+        if "block-decoder" not in failures and not np.array_equal(A.T, catalog.vectors(tup)):
+            failures.append("block-decoder")
         _, res = best_fit(A, t)
         return res
 
@@ -642,6 +659,8 @@ def audit(
         res = residual_of(unrank_tuple(rank, cert.r))
         min_sample = min(min_sample, res)
         tested += 1
+        if failures:  # the block decoder disagreed
+            break
         if res <= cert.tol:
             failures.append("sample-below-tolerance")
             break

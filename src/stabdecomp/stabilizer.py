@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations
 
@@ -341,9 +341,13 @@ def _echelon_bases(p: int, n: int, k: int):
 
 
 class _Block:
-    """A contiguous catalog range sharing (k, W, x0); forms vary within."""
+    """A contiguous catalog range sharing (k, W, x0); forms vary within.
 
-    __slots__ = ("start", "nforms", "k", "W", "x0")
+    ``points`` (the support's basis indices in y-lex order) is filled in by
+    ``Catalog._build_tables``.
+    """
+
+    __slots__ = ("start", "nforms", "k", "W", "x0", "points")
 
     def __init__(self, start: int, nforms: int, k: int, W: np.ndarray, x0: np.ndarray) -> None:
         self.start = start
@@ -351,10 +355,18 @@ class _Block:
         self.k = k
         self.W = W
         self.x0 = x0
+        self.points: np.ndarray | None = None
 
 
 # relative tolerance on amplitudes when ``Catalog.index_of`` reads a vector
 _INDEX_TOL = 1e-6
+
+# forms decoded at once by the block decoder; bounds its temporaries
+_FORM_CHUNK = 256
+
+
+def _json(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
 class _FormTables:
@@ -363,11 +375,14 @@ class _FormTables:
     ``decode`` maps the exponents at every y (y-lex order) to the form digits of
     ``Catalog._decode_form`` once divided by ``scale``; it reads only y = e_i,
     2 e_i (qutrits) and e_i + e_j.  ``monomials`` maps digits back to the
-    exponents at every y, and ``place`` gives each digit's weight in the form
-    index.
+    exponents at every y; digit t of form f is ``f // place[t] % radix[t]``.
+    ``amps[e]`` is the amplitude with phase exponent e, as ``complex_vector``
+    computes it.  ``template % tuple(digits[slots])`` is the JSON of the
+    form's phase payload, as ``record`` gives it.
     """
 
-    __slots__ = ("nforms", "decode", "scale", "monomials", "place")
+    __slots__ = ("nforms", "order", "decode", "scale", "monomials", "place", "radix", "amps",
+                 "template", "slots")
 
     def __init__(self, p: int, k: int, nforms: int) -> None:
         Y = _all_points(p, k)
@@ -380,19 +395,25 @@ class _FormTables:
             return out
 
         dec, mono = [], []
+        digit = {}  # (i, j) -> index of the digit of that quadratic coefficient
         if p == 3:
             # Q(y) = sum_i A_ii y_i^2 + sum_{i<j} 2 A_ij y_i y_j + b.y; digits A (i <= j), then b
             for i in range(k):
+                digit[i, i] = len(dec)
                 dec.append(row((2, unit[i]), (-1, 2 * unit[i])))
                 mono.append(Y[:, i] ** 2)
                 for j in range(i + 1, k):
+                    digit[i, j] = digit[j, i] = len(dec)
                     dec.append(row((2, unit[i] + unit[j]), (-2, unit[i]), (-2, unit[j])))
                     mono.append(2 * Y[:, i] * Y[:, j])
             for i in range(k):
                 dec.append(row((1, 2 * unit[i]), (-1, unit[i])))
                 mono.append(Y[:, i])
+            order = 3
             scale = [1] * len(dec)
             place = [3**t for t in range(len(dec) - 1, -1, -1)]
+            payload = {"A": [["%d"] * k] * k, "b": ["%d"] * k, "c": 0}
+            slots = [digit[i, j] for i in range(k) for j in range(k)] + [len(dec) - k + i for i in range(k)]
         else:
             # e(y) = a.y + 2 y^T B y mod 4; digits a (Z_4), then B (i < j, F_2)
             pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
@@ -400,18 +421,27 @@ class _FormTables:
                 dec.append(row((1, unit[i])))
                 mono.append(Y[:, i])
             for i, j in pairs:
+                digit[i, j] = len(dec)
                 dec.append(row((1, unit[i] + unit[j]), (-1, unit[i]), (-1, unit[j])))
                 mono.append(2 * Y[:, i] * Y[:, j])
             nb = len(pairs)
+            order = 4
             scale = [1] * k + [2] * nb
             place = [4 ** (k - 1 - t) * 2**nb for t in range(k)] + [2 ** (nb - 1 - t) for t in range(nb)]
+            payload = {"B": [["%d" if j > i else 0 for j in range(k)] for i in range(k)], "a": ["%d"] * k, "c": 0}
+            slots = [digit[i, j] for i, j in pairs] + list(range(k))
         # the two maps hold small integers as floats: exact, and products run through BLAS
         ndig = len(dec)
         self.nforms = nforms
+        self.order = order
         self.decode = np.array(dec, dtype=np.float64).reshape(ndig, len(Y))
         self.scale = np.array(scale, dtype=np.int64)
         self.monomials = np.array(mono, dtype=np.float64).reshape(ndig, len(Y)).T.copy()
         self.place = np.array(place, dtype=np.int64)
+        self.radix = order // self.scale
+        self.amps = np.exp(2j * np.pi * np.arange(order) / order) * p ** (-k / 2)
+        self.template = _json(payload).replace('"%d"', "%d")
+        self.slots = np.array(slots, dtype=np.int64)
 
 
 class Catalog:
@@ -446,10 +476,10 @@ class Catalog:
                     self._starts.append(total)
                     total += nforms
         self._total = total
-        self._unique: list[int] | None = None
+        self._unique: np.ndarray | None = None  # dedupe mode: the kept raw indices, ascending
         self._hash: str | None = None
-        # inverse-lookup tables, built by the first ``index_of``
-        self._cosets: dict[bytes, tuple[int, int, np.ndarray]] | None = None
+        # decoding and inverse-lookup tables, built on first use
+        self._cosets: dict[bytes, _Block] | None = None
         self._forms: list[_FormTables] = []
         if mode == "dedupe":
             self._dedupe()
@@ -529,16 +559,16 @@ class Catalog:
 
     def get(self, i: int) -> CanonicalStabilizer:
         if self._unique is not None:
-            i = self._unique[i]
+            i = int(self._unique[i])
         return self._get_raw(i)
 
     def __iter__(self):
         for i in range(len(self)):
             yield self.get(i)
 
-    # -- inverse lookup ------------------------------------------------------------
-
-    def _build_index_tables(self) -> None:
+    def _build_tables(self) -> None:
+        if self._cosets is not None:
+            return
         p, n = self.p, self.n
         weights = p ** np.arange(n - 1, -1, -1, dtype=np.int64)
         self._forms = [_FormTables(p, k, self._forms_per_state(k)) for k in range(n + 1)]
@@ -546,13 +576,64 @@ class Catalog:
         # in the y-lex order of the phase function
         cosets = {}
         for blk in self._blocks:
-            points = ((blk.x0 + _all_points(p, blk.k) @ blk.W.T) % p) @ weights
-            cosets[np.sort(points).tobytes()] = (blk.start, blk.k, points)
+            blk.points = ((blk.x0 + _all_points(p, blk.k) @ blk.W.T) % p) @ weights
+            cosets[np.sort(blk.points).tobytes()] = blk
         self._cosets = cosets
 
+    def _block_forms(self):
+        """(block, form indices) in catalog order, at most ``_FORM_CHUNK`` forms at a time."""
+        for blk in self._blocks:
+            if self._unique is None:
+                forms = np.arange(blk.nforms, dtype=np.int64)
+            else:
+                lo, hi = np.searchsorted(self._unique, [blk.start, blk.start + blk.nforms])
+                forms = self._unique[lo:hi] - blk.start
+            for lo in range(0, forms.size, _FORM_CHUNK):
+                yield blk, forms[lo : lo + _FORM_CHUNK]
+
+    def _digits(self, blk: _Block, forms: np.ndarray) -> np.ndarray:
+        """Form digits, one row per form index of the block."""
+        tables = self._forms[blk.k]
+        return forms[:, None] // tables.place % tables.radix
+
+    def _decode_into(self, out: np.ndarray, blk: _Block, forms: np.ndarray) -> None:
+        """Write the vectors of the block's forms into the zeroed rows ``out``."""
+        tables = self._forms[blk.k]
+        exps = (self._digits(blk, forms) @ tables.monomials.T % tables.order).astype(np.uint8)
+        out[:, blk.points] = tables.amps[exps]
+
+    def vectors(self, indices=None) -> np.ndarray:
+        """Complex amplitude vectors, one row per index: bitwise ``get(i).complex_vector()``.
+
+        With no indices, every entry in catalog order, as a dense (len, p^n)
+        array; otherwise the given indices only, in the given order.  Decodes a
+        block at a time: a block's support points are computed once, and the
+        phase exponents of its forms come from one product with the monomials.
+        """
+        self._build_tables()
+        dim = self.p**self.n
+        if indices is None:
+            out = np.zeros((len(self), dim), dtype=np.complex128)
+            row = 0
+            for blk, forms in self._block_forms():
+                self._decode_into(out[row : row + forms.size], blk, forms)
+                row += forms.size
+            return out
+        indices = np.asarray(indices, dtype=np.int64).reshape(-1)
+        out = np.zeros((indices.size, dim), dtype=np.complex128)
+        for row, i in enumerate(indices.tolist()):
+            if not 0 <= i < len(self):
+                raise IndexError(i)
+            if self._unique is not None:
+                i = int(self._unique[i])
+            blk = self._blocks[bisect_right(self._starts, i) - 1]
+            self._decode_into(out[row : row + 1], blk, np.array([i - blk.start]))
+        return out
+
+    # -- inverse lookup ------------------------------------------------------------
+
     def _raw_index_of_vector(self, vec) -> int:
-        if self._cosets is None:
-            self._build_index_tables()
+        self._build_tables()
         p = self.p
         vec = np.asarray(vec, dtype=np.complex128).reshape(-1)
         if vec.size != p**self.n:
@@ -562,13 +643,12 @@ class Catalog:
         if not 0.0 < top < math.inf:
             raise ValueError("not a nonzero finite vector")
         support = np.flatnonzero(mag > top * _INDEX_TOL).astype(np.int64, copy=False)
-        block = self._cosets.get(support.tobytes())
-        if block is None:
+        blk = self._cosets.get(support.tobytes())
+        if blk is None:
             raise ValueError("support is not a coset of a subspace of F_%d^%d" % (p, self.n))
-        start, k, points = block
-        forms = self._forms[k]
-        order = 3 if p == 3 else 4
-        amps = vec[points]
+        forms = self._forms[blk.k]
+        order = forms.order
+        amps = vec[blk.points]
         turns = np.angle(amps * amps[0].conjugate()) * (order / (2 * np.pi))
         exps = np.rint(turns)
         digits = (forms.decode @ exps).astype(np.int64) % order // forms.scale
@@ -578,7 +658,7 @@ class Catalog:
             or ((forms.monomials @ digits - exps).astype(np.int64) % order).any()
         ):
             raise ValueError("amplitudes are not those of a stabilizer state")
-        return start + int(digits @ forms.place)
+        return blk.start + int(digits @ forms.place)
 
     def index_of(self, state) -> int:
         """The catalog index of a state: the inverse of :meth:`get`.
@@ -598,7 +678,7 @@ class Catalog:
             raw = self._raw_index_of_vector(state)
         if self._unique is None:
             return raw
-        i = bisect_left(self._unique, raw)
+        i = int(np.searchsorted(self._unique, raw))
         if i == len(self._unique) or self._unique[i] != raw:
             raise ValueError("state was removed as a duplicate")
         return i
@@ -613,19 +693,31 @@ class Catalog:
             if key not in seen:
                 seen.add(key)
                 unique.append(i)
-        self._unique = unique
+        self._unique = np.array(unique, dtype=np.int64)
 
     # -- hashing / export --------------------------------------------------------
 
     def entry_line(self, i: int) -> str:
-        return json.dumps(self.get(i).record(), sort_keys=True, separators=(",", ":"))
+        """The serialization of entry i, from its record; ``_lines`` gives the same text in bulk."""
+        return _json(self.get(i).record())
+
+    def _lines(self):
+        """``entry_line(i)`` for every index in order, formatted from one template per block."""
+        self._build_tables()
+        for blk, forms in self._block_forms():
+            tables = self._forms[blk.k]
+            template = '{"W":%s,"k":%d,"n":%d,"p":%d,"phase":%s,"x0":%s}' % (
+                _json(blk.W.tolist()), blk.k, self.n, self.p, tables.template, _json(blk.x0.tolist()),
+            )
+            for digits in self._digits(blk, forms)[:, tables.slots].tolist():
+                yield template % tuple(digits)
 
     def content_hash(self) -> str:
         """SHA-256 over the ordered entry serializations (computed lazily)."""
         if self._hash is None:
             h = hashlib.sha256()
-            for i in range(len(self)):
-                h.update(self.entry_line(i).encode())
+            for line in self._lines():
+                h.update(line.encode())
                 h.update(b"\n")
             self._hash = h.hexdigest()
         return self._hash
@@ -642,8 +734,8 @@ class Catalog:
         }
         with open(path, "w") as fh:
             fh.write(json.dumps(header, sort_keys=True) + "\n")
-            for i in range(len(self)):
-                fh.write(self.entry_line(i) + "\n")
+            for line in self._lines():
+                fh.write(line + "\n")
         return header
 
 

@@ -1,0 +1,78 @@
+"""The block decoder (``Catalog.vectors``), the block line generator behind
+``content_hash`` and ``write_jsonl``, and the search context built from them,
+each checked against the per-index reference path."""
+
+import hashlib
+from functools import lru_cache
+
+import numpy as np
+import pytest
+
+from stabdecomp.certify import _SearchContext
+from stabdecomp.stabilizer import build_catalog, magic_power
+
+CASES = [
+    (p, n, mode)
+    for p, n in [(3, 1), (3, 2), (3, 3), (2, 1), (2, 2), (2, 3), (2, 4)]
+    for mode in ("raw", "dedupe")
+]
+
+
+@lru_cache(maxsize=None)
+def _catalog(p, n, mode):
+    return build_catalog(p, n, mode)
+
+
+@pytest.mark.parametrize("p,n,mode", CASES)
+def test_vectors_bitwise_equal_to_complex_vector(p, n, mode):
+    cat = _catalog(p, n, mode)
+    ref = np.array([cat.get(i).complex_vector() for i in range(len(cat))])
+    V = cat.vectors()
+    assert V.shape == (len(cat), p**n)
+    assert np.array_equal(V, ref)
+    assert V.tobytes() == ref.tobytes()
+    picks = np.random.default_rng(5).integers(0, len(cat), size=40)
+    assert cat.vectors(picks).tobytes() == ref[picks].tobytes()
+
+
+@pytest.mark.parametrize("p,n,mode", CASES)
+def test_block_lines_equal_entry_lines(p, n, mode):
+    cat = _catalog(p, n, mode)
+    want = [cat.entry_line(i) for i in range(len(cat))]
+    assert list(cat._lines()) == want
+    h = hashlib.sha256()
+    for line in want:
+        h.update(line.encode())
+        h.update(b"\n")
+    assert cat.content_hash() == h.hexdigest()
+
+
+def test_vectors_of_a_four_qutrit_sample():
+    cat = build_catalog(3, 4, "raw")
+    picks = np.random.default_rng(17).integers(0, len(cat), size=2000)
+    ref = np.array([cat.get(int(i)).complex_vector() for i in picks])
+    assert cat.vectors(picks).tobytes() == ref.tobytes()
+    assert cat.vectors([len(cat) - 1]).tobytes() == cat.get(len(cat) - 1).complex_vector().tobytes()
+
+
+def test_vectors_rejects_out_of_range_indices():
+    cat = build_catalog(3, 1, "dedupe")
+    for bad in (-1, len(cat)):
+        with pytest.raises(IndexError):
+            cat.vectors([0, bad])
+    assert cat.vectors([]).shape == (0, 3)
+
+
+@pytest.mark.parametrize("name,m", [("S", 3), ("H", 4), ("T3", 2)])
+def test_search_context_masks_match_support_bits(name, m):
+    target = magic_power(name, m)
+    cat = _catalog(target.p, target.n, "raw")
+    ctx = _SearchContext(target, cat)
+    want = np.empty(len(cat), dtype=np.int64)
+    for i in range(len(cat)):
+        bits = 0
+        for idx in cat.get(i).support_indices():
+            bits |= 1 << int(idx)
+        want[i] = bits
+    assert np.array_equal(ctx.masks, want)
+    assert np.array_equal(ctx.t_ov, ctx.V.conj() @ ctx.t)

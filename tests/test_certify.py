@@ -16,6 +16,7 @@ from stabdecomp.certify import (
 )
 from stabdecomp.decomposition import best_fit
 from stabdecomp.stabilizer import (
+    Catalog,
     ScaledCyclo,
     TargetState,
     build_catalog,
@@ -187,6 +188,28 @@ def test_tol_above_rescore_threshold_rejected(cat1):
     with pytest.raises(ValueError, match="re-score threshold"):
         certify_rank(magic_power("T3", 1), 2, cat1, tol=0.282)
     assert certify_rank(magic_power("T3", 1), 2, cat1, tol=1e-6).rules_out()
+
+
+def test_dimension_above_mask_bits_rejected(monkeypatch):
+    # int64 support masks hold 63 basis states; check before decoding anything
+    def refuse(*args, **kwargs):
+        raise AssertionError("decoded a catalog")
+
+    monkeypatch.setattr(Catalog, "vectors", refuse)
+    for name, m, p in (("N", 4, 3), ("H", 6, 2)):
+        with pytest.raises(ValueError, match="support mask"):
+            certify_rank(magic_power(name, m), 1, build_catalog(p, m, mode="raw"))
+
+
+def test_audit_detects_a_block_decoder_mismatch(cat1, monkeypatch):
+    t3 = magic_state("T3")
+    cert = certify_rank(t3, 2, cat1)
+    assert audit(cert, cat1, t3).passed
+    decode = Catalog.vectors
+    monkeypatch.setattr(Catalog, "vectors", lambda self, indices=None: -decode(self, indices))
+    report = audit(cert, cat1, t3)
+    assert report.failures == ["block-decoder"]
+    assert report.samples_tested == 1
 
 
 def test_shard_out_of_range(cat1):

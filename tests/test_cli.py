@@ -139,6 +139,12 @@ def test_certify_tol_above_rescore_threshold_usage_error(tmp_path):
     assert not out.exists()
 
 
+def test_certify_dimension_above_mask_bits_usage_error(tmp_path):
+    out = tmp_path / "c.json"
+    assert main(["certify", "--target", "N", "--m", "4", "--r", "1", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_audit_detects_tampering(tmp_path):
     out = tmp_path / "cert.json"
     assert main(["certify", "--target", "T3", "--m", "1", "--r", "2", "--out", str(out)]) == 0
