@@ -384,6 +384,23 @@ def _certify_range(ctx, lo, hi, r, tol, progress=None, progress_base=0):
     return tested, pruned, min_res, witnesses
 
 
+def check_request(target, r: int, tol: float) -> None:
+    """Raise ValueError for a certify request the kernel cannot run.
+
+    Needs no catalog, so callers can refuse before building one.
+    """
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    if not tol <= math.sqrt(_CANDIDATE_RES2):
+        raise ValueError(
+            "tol %g exceeds the exact re-score threshold %g" % (tol, math.sqrt(_CANDIDATE_RES2))
+        )
+    if target.p**target.n > _MASK_BITS:
+        raise ValueError(
+            "%d basis states exceed the %d bits of a support mask" % (target.p**target.n, _MASK_BITS)
+        )
+
+
 def certify_rank(
     target: TargetState,
     r: int,
@@ -402,16 +419,7 @@ def certify_rank(
     an interrupted run can resume; the resulting certificate is identical
     either way.
     """
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    if not tol <= math.sqrt(_CANDIDATE_RES2):
-        raise ValueError(
-            "tol %g exceeds the exact re-score threshold %g" % (tol, math.sqrt(_CANDIDATE_RES2))
-        )
-    if target.p**target.n > _MASK_BITS:
-        raise ValueError(
-            "%d basis states exceed the %d bits of a support mask" % (target.p**target.n, _MASK_BITS)
-        )
+    check_request(target, r, tol)
     count = len(catalog)
     total = math.comb(count, r)
     if shard is None:

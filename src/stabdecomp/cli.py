@@ -17,7 +17,7 @@ import time
 
 from .anneal import AnnealConfig, anneal_search
 from .asymptotics import exp_subsequence, find_ratio_witness, moulton_bound
-from .certify import Certificate, ShardSpec, audit, certify_rank, merge_certificates
+from .certify import Certificate, ShardSpec, audit, certify_rank, check_request, merge_certificates
 from .clifford import generate_clifford_group, orbit_closure
 from .decomposition import Decomposition, exponent_from_bound
 from .gadget import sweep_injection, sweep_two_copy
@@ -201,6 +201,7 @@ def _progress_printer(total: int):
 
 def cmd_certify(args) -> int:
     target = _target(args.target, args.m)
+    check_request(target, args.r, args.tol)
     catalog = build_catalog(target.p, target.n, args.mode)
     total = math.comb(len(catalog), args.r)
     idx, cnt = _parse_shard(args.shard)

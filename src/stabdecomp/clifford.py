@@ -218,30 +218,39 @@ def symplectic_image(U: np.ndarray, n: int, tol: float = 1e-8) -> np.ndarray:
     return M
 
 
-def enumerate_symplectic(n: int) -> list[np.ndarray]:
-    """All of Sp(2n, 3) by breadth-first closure of the generator images."""
+def _matrix_keys(Ms: np.ndarray) -> np.ndarray:
+    """One int64 key per matrix of a stack over F_3: its entries as base-3 digits."""
+    flat = Ms.reshape(len(Ms), -1)
+    if flat.shape[1] > 39:  # 3**40 overflows int64
+        raise ValueError("%d entries over F_3 do not fit an int64 key" % flat.shape[1])
+    return flat @ 3 ** np.arange(flat.shape[1], dtype=np.int64)
+
+
+def enumerate_symplectic(n: int) -> np.ndarray:
+    """All of Sp(2n, 3), shape (N, 2n, 2n), by breadth-first closure of the generator images.
+
+    Each level applies every generator to the whole frontier in one product;
+    new elements keep their first-occurrence order (frontier-major,
+    generator-minor), so element indices are stable.
+    """
     gens = [_gen_image("S", n, (i,)) for i in range(n)]
     gens += [_gen_image("H", n, (i,)) for i in range(n)]
     for c in range(n):
         for t in range(n):
             if c != t:
                 gens.append(_gen_image("SUM", n, (c, t)))
-    start = np.eye(2 * n, dtype=np.int64)
-    seen = {start.tobytes(): 0}
-    order = [start]
-    frontier = [start]
-    while frontier:
-        new = []
-        for M in frontier:
-            for G in gens:
-                cand = (G @ M) % 3
-                key = cand.tobytes()
-                if key not in seen:
-                    seen[key] = len(order)
-                    order.append(cand)
-                    new.append(cand)
-        frontier = new
-    return order
+    gens = np.stack(gens)
+    frontier = np.eye(2 * n, dtype=np.int64)[None]
+    levels = [frontier]
+    seen = _matrix_keys(frontier)  # sorted
+    while len(frontier):
+        cand = ((gens[None] @ frontier[:, None]) % 3).reshape(-1, 2 * n, 2 * n)
+        keys, first = np.unique(_matrix_keys(cand), return_index=True)
+        fresh = ~np.isin(keys, seen, assume_unique=True)
+        frontier = cand[np.sort(first[fresh])]
+        levels.append(frontier)
+        seen = np.union1d(seen, keys[fresh])
+    return np.concatenate(levels)
 
 
 # ---------------------------------------------------------------------------
@@ -249,78 +258,93 @@ def enumerate_symplectic(n: int) -> list[np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def synthesize(M: np.ndarray) -> list:
-    """A gate word (H/S/SUM tokens) whose unitary has symplectic image M.
+class GateWords:
+    """The gate words of a stack of matrices, stored by slot.
 
-    Deterministic row reduction: for each qudit i the X-image column is
-    steered to the unit vector e_{a_i} using single-qudit moves and SUM
-    gathers, then the Z-image column is cleaned with the X-shear
-    H_i^-1 S_i^-nu H_i = [[1, nu], [0, 1]] and SUM transfers; symplectic
-    orthogonality keeps finished qudits untouched.
+    ``slots[s]`` is a (name, legs) gate and ``powers[e, s]`` its power in
+    word e, 0 where word e skips it; word e is its nonzero slots in slot
+    order, and ``words[e]`` lists them as (name, legs, power) tokens.
+    """
+
+    def __init__(self, slots: list, powers: np.ndarray):
+        self.slots = slots
+        self.powers = powers
+
+    def __len__(self) -> int:
+        return len(self.powers)
+
+    def __getitem__(self, e: int) -> list:
+        return [(name, legs, int(pw)) for (name, legs), pw in zip(self.slots, self.powers[e]) if pw]
+
+
+def synthesize(M: np.ndarray):
+    """Gate words (H/S/SUM tokens) whose unitaries have symplectic image M.
+
+    One matrix in Sp(2n, 3) gives one word; a stack of shape (N, 2n, 2n)
+    gives a ``GateWords`` of N words.  Words are in operator-product order
+    (index 0 is the leftmost factor), as ``word_to_matrix`` reads them.
+
+    Deterministic row reduction, run on the whole stack at once: for each
+    qudit i the X-image column is steered to the unit vector e_{a_i} using
+    single-qudit moves and SUM gathers, then the Z-image column is cleaned
+    with the X-shear H_i^-1 S_i^-nu H_i = [[1, nu], [0, 1]] and SUM
+    transfers; symplectic orthogonality keeps finished qudits untouched.
+    Each step is a slot, one gate whose power every matrix reads off its
+    own entries (power 0 skips the gate).
     """
     M = np.asarray(M, dtype=np.int64) % 3
-    n = M.shape[0] // 2
-    if not is_symplectic(M, n):
+    n = M.shape[-1] // 2
+    work = M.reshape(-1, 2 * n, 2 * n).copy()
+    J = symplectic_form(n)
+    if not ((work.transpose(0, 2, 1) @ J @ work) % 3 == J).all():
         raise ValueError("not a symplectic matrix")
-    work = M.copy()
-    applied: list[tuple] = []
+    slots: list[tuple] = []
+    applied: list[np.ndarray] = []
 
-    def apply(name, legs, power=1):
-        nonlocal work
-        power %= GATE_ORDER[name]
-        if power == 0:
-            return
-        applied.append((name, tuple(legs), power))
-        work = (_gen_image(name, n, tuple(legs), power) @ work) % 3
+    def apply(name, legs, power):
+        order = GATE_ORDER[name]
+        power = np.asarray(power, dtype=np.int64) % order
+        slots.append((name, legs))
+        applied.append(power)
+        rows = np.nonzero(power)[0]
+        if len(rows):
+            images = np.stack([_gen_image(name, n, legs, p) for p in range(order)])
+            work[rows] = (images[power[rows]] @ work[rows]) % 3
 
+    # a nonzero entry mod 3 is its own inverse, so -b / a is -b * a
     for i in range(n):
         # --- phase 1: X column -> e_{a_i} ---------------------------------
         for j in range(i, n):
-            alpha, beta = work[j, i], work[n + j, i]
-            if beta:
-                if alpha:
-                    # S_j^t sends (a, b) to (a, b + t a): kill b
-                    apply("S", (j,), (-beta * _inv3(alpha)) % 3)
-                else:
-                    apply("H", (j,))  # (0, beta) -> (-beta, 0)
-        if work[i, i] == 0:
-            j = next(j for j in range(i + 1, n) if work[j, i])
-            apply("SUM", (j, i))  # a_i += a_j
+            alpha, beta = work[:, j, i], work[:, n + j, i]
+            flip = (beta != 0) & (alpha == 0)
+            apply("S", (j,), -beta * alpha)  # S_j^t: (a, b) -> (a, b + t a), kills b
+            apply("H", (j,), flip)  # (0, beta) -> (-beta, 0)
+        gather = work[:, i, i] == 0
         for j in range(i + 1, n):
-            if work[j, i]:
-                t = (-work[j, i] * _inv3(work[i, i])) % 3
-                apply("SUM", (i, j), t)  # a_j += t a_i
-        if work[i, i] == 2:
-            apply("H", (i,), 2)  # parity flips the scale
+            first = gather & (work[:, j, i] != 0)
+            apply("SUM", (j, i), first)  # a_i += a_j for the first nonzero a_j
+            gather &= ~first
+        for j in range(i + 1, n):
+            apply("SUM", (i, j), -work[:, j, i] * work[:, i, i])  # a_j += t a_i
+        apply("H", (i,), 2 * (work[:, i, i] == 2))  # parity flips the scale
         # --- phase 2: Z column -> e_{b_i} ----------------------------------
         zc = n + i
         for j in range(i + 1, n):
-            gam, dlt = work[j, zc], work[n + j, zc]
-            if gam and dlt:
-                apply("S", (j,), (-dlt * _inv3(gam)) % 3)
-            gam = work[j, zc]
-            if gam:
-                apply("H", (j,))  # move to pure b_j
-            bj = work[n + j, zc]
-            if bj:
-                apply("SUM", (j, i), bj)  # b_j -= power * b_i, b_i = 1
-        if work[i, zc]:
-            nu = (-work[i, zc]) % 3
-            # X-shear [[1, nu], [0, 1]] at qudit i
-            apply("H", (i,))
-            apply("S", (i,), (-nu) % 3)
-            apply("H", (i,), 3)
-    assert np.array_equal(work, np.eye(2 * n, dtype=np.int64) % 3)
+            apply("S", (j,), -work[:, n + j, zc] * work[:, j, zc])
+            apply("H", (j,), work[:, j, zc] != 0)  # move to pure b_j
+            apply("SUM", (j, i), work[:, n + j, zc])  # b_j -= power * b_i, b_i = 1
+        # X-shear [[1, nu], [0, 1]] at qudit i, nu = -work[i, zc]
+        nu = -work[:, i, zc]
+        apply("H", (i,), nu != 0)
+        apply("S", (i,), -nu)
+        apply("H", (i,), 3 * (nu != 0))
+    assert (work == np.eye(2 * n, dtype=np.int64)).all()
     # work = img(g_K) ... img(g_1) M = I, so M = img(g_1^-1) ... img(g_K^-1):
-    # invert each applied gate but keep the chronological order
-    return [(name, legs, -power % GATE_ORDER[name]) for name, legs, power in applied]
-
-
-def _inv3(a) -> int:
-    a = int(a) % 3
-    if a == 0:
-        raise ZeroDivisionError
-    return a  # 1 and 2 are self-inverse mod 3
+    # the word lists the inverse gates in the order they were applied
+    orders = np.array([GATE_ORDER[name] for name, _ in slots])
+    powers = (-np.stack(applied, axis=1) % orders).astype(np.int8)
+    words = GateWords(slots, powers)
+    return words[0] if M.ndim == 2 else words
 
 
 def clifford_from_symplectic(M: np.ndarray) -> np.ndarray:

@@ -23,6 +23,7 @@ import json
 import numpy as np
 
 from .clifford import (
+    GATE_ORDER,
     enumerate_symplectic,
     format_word,
     gate_matrix,
@@ -221,23 +222,33 @@ class GadgetReport:
 _SWEEP_CACHE: dict = {}
 
 
+# table rows built per step: small enough to keep the product temporaries at a few MB
+_TABLE_CHUNK = 4096
+
+
 def _symplectic_unitaries():
-    """All Sp(4,3) elements with one synthesized unitary each (cached, ~67 MB)."""
+    """All Sp(4,3) elements with one synthesized unitary each (cached, ~67 MB).
+
+    Row e is the operator product of word e; the table multiplies slot by
+    slot, each slot's gate into the rows whose word holds it.
+    """
     if "sp4" not in _SWEEP_CACHE:
         sp = enumerate_symplectic(2)
-        mats: dict[tuple, np.ndarray] = {}
-
-        def gmat(token):
-            if token not in mats:
-                mats[token] = gate_matrix(token[0], 2, token[1], token[2])
-            return mats[token]
-
+        words = synthesize(sp)
+        gates = [
+            [gate_matrix(name, 2, legs, p) for p in range(GATE_ORDER[name])]
+            for name, legs in words.slots
+        ]
         U = np.empty((len(sp), 9, 9), dtype=np.complex128)
-        for e, M in enumerate(sp):
-            acc = np.eye(9, dtype=np.complex128)
-            for token in synthesize(M):
-                acc = acc @ gmat(token)
-            U[e] = acc
+        for lo in range(0, len(sp), _TABLE_CHUNK):
+            powers = words.powers[lo : lo + _TABLE_CHUNK]
+            Uc = np.repeat(np.eye(9, dtype=np.complex128)[None], len(powers), axis=0)
+            for slot, mats in enumerate(gates):
+                for p in range(1, len(mats)):
+                    mask = powers[:, slot] == p
+                    if mask.any():
+                        Uc[mask] = Uc[mask] @ mats[p]
+            U[lo : lo + len(powers)] = Uc
         _SWEEP_CACHE["sp4"] = (sp, U)
     return _SWEEP_CACHE["sp4"]
 
@@ -291,19 +302,30 @@ def sweep_two_copy(magic: str) -> SweepResult:
     return SweepResult(magic, "two-copy", hits, counts, V.shape[0] * 3)
 
 
-def _proportional_to_clifford(M: np.ndarray, group: np.ndarray, atol: float = ATOL_CLIFFORD):
-    """Index of a 216-group element with M = scalar * G, or None."""
-    fro = float(np.linalg.norm(M))
-    if fro < 1e-12:
-        return None
-    # |tr(G^dag M)| = sqrt(3) * ||M||_F exactly when M is proportional to G
-    overlaps = np.einsum("gxy,xy->g", group.conj(), M)
-    cand = np.nonzero(np.abs(np.abs(overlaps) / (np.sqrt(3) * fro) - 1) < 1e-3)[0]
-    for g in cand:
-        mu = overlaps[g] / 3.0
-        if np.abs(M - mu * group[g]).max() <= atol * max(1.0, abs(mu)):
-            return int(g)
-    return None
+# operators screened against the 216 group per product: keeps the overlaps at ~3.5 MB
+_OVERLAP_CHUNK = 1024
+
+
+def _proportional_to_clifford(M: np.ndarray, group: np.ndarray, atol: float = ATOL_CLIFFORD) -> np.ndarray:
+    """For each operator of the stack M, the index of a 216-group element G
+    with M = scalar * G, or -1 when there is none."""
+    out = np.full(len(M), -1, dtype=np.int64)
+    fro = np.linalg.norm(M, axis=(1, 2))
+    group_dag = group.reshape(len(group), -1).conj().T
+    for lo in range(0, len(M), _OVERLAP_CHUNK):
+        Mc, fc = M[lo : lo + _OVERLAP_CHUNK], fro[lo : lo + _OVERLAP_CHUNK]
+        # |tr(G^dag M)| = sqrt(3) * ||M||_F exactly when M is proportional to G
+        overlaps = Mc.reshape(len(Mc), -1) @ group_dag
+        with np.errstate(divide="ignore", invalid="ignore"):
+            screen = np.abs(np.abs(overlaps) / (np.sqrt(3) * fc[:, None]) - 1) < 1e-3
+        screen &= (fc >= 1e-12)[:, None]
+        ks, gs = np.nonzero(screen)  # ascending g within each k
+        mu = overlaps[ks, gs] / 3.0
+        err = np.abs(Mc[ks] - mu[:, None, None] * group[gs]).max(axis=(1, 2))
+        ok = err <= atol * np.maximum(1.0, np.abs(mu))
+        hit, first = np.unique(ks[ok], return_index=True)  # the lowest matching g per k
+        out[lo + hit] = gs[ok][first]
+    return out
 
 
 def _pauli_diagonal_phases(Ug: np.ndarray, atol: float = 1e-8):
@@ -339,39 +361,30 @@ def sweep_injection(magic: str) -> SweepResult:
     dev = G - tr[..., None, None] * np.eye(3)
     unitary_mask = (np.abs(dev).max(axis=(2, 3)) <= ATOL_UNITARY) & (tr > 1e-12)
     group = _clifford_group_stack()
-    gadgets: list[GadgetReport] = []
-    counts = {"unitary-branches": int(unitary_mask.sum()), "gadgets": 0}
-    for e in np.nonzero(unitary_mask.any(axis=1))[0]:
-        for k_star in np.nonzero(unitary_mask[e])[0]:
-            Ug = E[e, k_star] / np.sqrt(tr[e, k_star])
-            if _proportional_to_clifford(Ug, group) is not None:
-                continue  # injected gate must be non-Clifford
-            corrections = {}
-            ok = True
-            Uinv = Ug.conj().T
-            for k in range(3):
-                if k == k_star:
-                    continue
-                if np.linalg.norm(E[e, k]) < 1e-10:
-                    corrections[int(k)] = None  # outcome never occurs
-                    continue
-                g = _proportional_to_clifford(E[e, k] @ Uinv, group)
-                if g is None:
-                    ok = False
-                    break
-                corrections[int(k)] = g
-            if ok:
-                counts["gadgets"] += 1
-                gadgets.append(
-                    GadgetReport(
-                        magic,
-                        int(e),
-                        int(k_star),
-                        Ug,
-                        _pauli_diagonal_phases(Ug),
-                        corrections,
-                    )
-                )
+    es, ks = np.nonzero(unitary_mask)  # (e, k*) in sweep order
+    Ug = E[es, ks] / np.sqrt(tr[es, ks])[:, None, None]
+    # the injected gate must be non-Clifford
+    keep = _proportional_to_clifford(Ug, group) < 0
+    es, ks, Ug = es[keep], ks[keep], Ug[keep]
+    # every other branch k must be a Clifford correction of Ug, or never occur
+    absent = np.linalg.norm(E, axis=(2, 3)) < 1e-10
+    fixes = np.full((len(es), 3), -1, dtype=np.int64)
+    for k in range(3):
+        rows = np.nonzero((ks != k) & ~absent[es, k])[0]
+        fixes[rows, k] = _proportional_to_clifford(
+            E[es[rows], k] @ Ug[rows].conj().transpose(0, 2, 1), group
+        )
+    ok = ((fixes >= 0) | absent[es] | (ks[:, None] == np.arange(3))).all(axis=1)
+    gadgets = []
+    for idx in np.nonzero(ok)[0]:
+        e, k_star = int(es[idx]), int(ks[idx])
+        corrections = {
+            k: (None if absent[e, k] else int(fixes[idx, k])) for k in range(3) if k != k_star
+        }
+        gadgets.append(
+            GadgetReport(magic, e, k_star, Ug[idx], _pauli_diagonal_phases(Ug[idx]), corrections)
+        )
+    counts = {"unitary-branches": int(unitary_mask.sum()), "gadgets": len(gadgets)}
     result = SweepResult(magic, "injection", gadgets, counts, E.shape[0] * 3)
     return result
 

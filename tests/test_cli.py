@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from stabdecomp import known
+from stabdecomp import cli, known
 from stabdecomp.certify import Certificate
 from stabdecomp.cli import main
 from stabdecomp.decomposition import Decomposition
@@ -142,6 +142,17 @@ def test_certify_tol_above_rescore_threshold_usage_error(tmp_path):
 def test_certify_dimension_above_mask_bits_usage_error(tmp_path):
     out = tmp_path / "c.json"
     assert main(["certify", "--target", "N", "--m", "4", "--r", "1", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_certify_refuses_before_building_the_catalog(tmp_path, monkeypatch):
+    def no_catalog(*args, **kwargs):
+        raise AssertionError("build_catalog called for a request certify refuses")
+
+    monkeypatch.setattr(cli, "build_catalog", no_catalog)
+    out = tmp_path / "c.json"
+    for extra in (["--target", "N", "--m", "4", "--r", "1"], ["--target", "S", "--m", "3", "--r", "2", "--tol", "0.3"]):
+        assert main(["certify", *extra, "--mode", "dedupe", "--out", str(out)]) == 2
     assert not out.exists()
 
 

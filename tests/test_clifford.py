@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -221,3 +223,75 @@ def test_strange_state_orbit_is_nine(group216):
         assert abs(-ratio - OMEGA**c) < 1e-9
         seen.add((a, b, c))
     assert len(seen) == 9
+
+
+# ---------------------------------------------------------------------------
+# batched enumeration and synthesis, and the Sp(4,3) unitary table
+# ---------------------------------------------------------------------------
+
+
+def test_enumerate_symplectic_is_one_array(sp4):
+    assert sp4.shape == (51840, 4, 4)
+    assert sp4.dtype == np.int64
+    assert np.array_equal(sp4[0], np.eye(4, dtype=np.int64))
+    J = np.array([[0, 0, 1, 0], [0, 0, 0, 1], [2, 0, 0, 0], [0, 2, 0, 0]])
+    assert ((sp4.transpose(0, 2, 1) @ J @ sp4) % 3 == J).all()
+    keys = sp4.reshape(len(sp4), -1) @ 3 ** np.arange(16)
+    assert len(np.unique(keys)) == len(sp4)
+    # sweep artifacts name elements by index, so the BFS order is pinned
+    digest = hashlib.sha256(sp4.tobytes()).hexdigest()
+    assert digest == "a95087ef53cb47a863e65b28a099a8d2d32d51b7eda1fa41ce77a2f1fb652d36"
+
+
+def test_synthesize_stack_words_realize_their_matrices(sp4):
+    sp2 = enumerate_symplectic(1)
+    words = synthesize(sp2)
+    assert len(words) == 24
+    for e, M in enumerate(sp2):
+        assert np.array_equal(word_image(words[e], 1), M)
+    words = synthesize(sp4)
+    assert len(words) == len(sp4)
+    for e in np.random.default_rng(97).integers(0, len(sp4), size=300):
+        assert np.array_equal(word_image(words[int(e)], 2), sp4[int(e)])
+        assert words[int(e)] == synthesize(sp4[int(e)])
+
+
+def test_synthesize_stack_rejects_any_non_symplectic_member(sp4):
+    stack = sp4[:5].copy()
+    stack[3, 0] = 2 * stack[3, 0] % 3  # diag(2, 1, 1, 1) is not symplectic
+    with pytest.raises(ValueError):
+        synthesize(stack)
+
+
+@pytest.fixture(scope="module")
+def table():
+    from stabdecomp.gadget import _symplectic_unitaries
+
+    return _symplectic_unitaries()
+
+
+def test_table_rows_are_synthesized_words(table):
+    # words are in operator-product order, index 0 the leftmost factor
+    sp, U = table
+    for e in np.random.default_rng(101).integers(0, len(sp), size=40):
+        row = word_to_matrix(synthesize(sp[int(e)]), 2)
+        assert np.array_equal(row.view(np.uint8), U[int(e)].view(np.uint8))
+
+
+def test_every_table_row_conjugates_weyls_through_its_image(table):
+    # U W_(e_c) U^dag = phase * W(column c of M) for all 51,840 rows and c = 0..3
+    sp, U = table
+    digits = np.array([[(v // 3 ** (3 - i)) % 3 for i in range(4)] for v in range(81)])
+    weyls = np.stack([weyl_matrix(2, d[:2], d[2:]) for d in digits])  # label a1 a2 b1 b2
+    for col in range(4):
+        unit = np.zeros(4, dtype=np.int64)
+        unit[col] = 1
+        W = weyl_matrix(2, unit[:2], unit[2:])
+        labels = sp[:, :, col] @ 3 ** np.arange(3, -1, -1)
+        for lo in range(0, len(sp), 4096):
+            Uc = U[lo : lo + 4096]
+            V = Uc @ W @ Uc.conj().transpose(0, 2, 1)
+            want = weyls[labels[lo : lo + 4096]]
+            phase = np.einsum("kxy,kxy->k", want.conj(), V) / 9
+            assert np.abs(np.abs(phase) - 1).max() < 1e-10
+            assert np.abs(V - phase[:, None, None] * want).max() < 1e-10

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from stabdecomp import gadget
 from stabdecomp.algebra import CycloNumber, omega
-from stabdecomp.clifford import gate_matrix, weyl_matrix
+from stabdecomp.clifford import gate_matrix, generate_clifford_group, weyl_matrix
 from stabdecomp.gadget import (
     CLASS_CLIFFORD,
     CLASS_NONCLIFFORD,
@@ -260,3 +261,59 @@ def test_sweep_injection_t3_positive_control():
 def test_sweep_injection_other_states_have_no_gadget(name):
     res = sweep_injection(name)
     assert res.hits == []
+
+
+SWEEP_COUNTS = {
+    ("injection", "S"): {"unitary-branches": 10368, "gadgets": 0},
+    ("injection", "N"): {"unitary-branches": 14256, "gadgets": 0},
+    ("injection", "H3"): {"unitary-branches": 15552, "gadgets": 0},
+    ("injection", "T3"): {"unitary-branches": 46656, "gadgets": 31104},
+    ("two-copy", "S"): {CLASS_NONCLIFFORD: 0, CLASS_CLIFFORD: 62208, CLASS_NONE: 93312},
+    ("two-copy", "N"): {CLASS_NONCLIFFORD: 11664, CLASS_CLIFFORD: 3888, CLASS_NONE: 139968},
+    ("two-copy", "H3"): {CLASS_NONCLIFFORD: 10368, CLASS_CLIFFORD: 0, CLASS_NONE: 145152},
+    ("two-copy", "T3"): {CLASS_NONCLIFFORD: 8748, CLASS_CLIFFORD: 2916, CLASS_NONE: 143856},
+}
+
+
+@pytest.mark.parametrize("kind,name", sorted(SWEEP_COUNTS))
+def test_sweep_counts_pinned(kind, name):
+    res = (sweep_injection if kind == "injection" else sweep_two_copy)(name)
+    assert res.total == 51840 * 3
+    assert res.counts == SWEEP_COUNTS[kind, name]
+    if kind == "injection":
+        assert len(res.hits) == res.counts["gadgets"]
+        ks = [(g.clifford, g.k_star) for g in res.hits]
+        assert ks == sorted(ks)
+    if (kind, name) == ("injection", "T3"):
+        first = [(g.clifford, g.k_star, g.corrections) for g in res.hits[:3]]
+        assert first == [(5, 0, {1: 69, 2: 27}), (5, 1, {0: 10, 2: 13}), (5, 2, {0: 30, 1: 3})]
+        assert res.hits[-1].clifford == 51825
+
+
+def test_proportional_to_clifford_batched():
+    group = np.stack([U for U, _ in generate_clifford_group(1)])
+    rng = np.random.default_rng(103)
+    picks = rng.integers(0, 216, size=50)
+    scales = rng.uniform(0.2, 3, size=50) * np.exp(2j * np.pi * rng.random(50))
+    clifford = scales[:, None, None] * group[picks]
+    t9 = np.diag(np.exp(2j * np.pi * np.array([0, 1, 2]) / 9))
+    # group[0] is the identity; the check allows 1e-5 per entry
+    others = np.stack([t9, group[7] @ t9, np.zeros((3, 3)), np.eye(3) + 1e-4 * t9, np.eye(3) + 1e-6 * t9])
+    got = gadget._proportional_to_clifford(np.concatenate([others, clifford]), group)
+    assert list(got[:5]) == [-1, -1, -1, -1, 0]
+    assert np.array_equal(got[5:], picks)
+
+
+def test_sweep_injection_branch_that_never_occurs(monkeypatch):
+    # C = D x V with V|T3> = |0>: branch 0 injects D = diag(1, w9, w9^2), branches 1
+    # and 2 never occur; the identity row's branches are all Clifford
+    m = magic_state("T3").complex_vector()
+    Q, _ = np.linalg.qr(np.column_stack([m, np.eye(3)[:, 1:]]))
+    D = np.diag(np.exp(2j * np.pi * np.arange(3) / 9))
+    table = np.stack([np.kron(D, Q.conj().T), np.eye(9)])
+    monkeypatch.setitem(gadget._SWEEP_CACHE, "sp4", (None, table))
+    res = sweep_injection("T3")
+    assert res.counts == {"unitary-branches": 4, "gadgets": 1}
+    (g,) = res.hits
+    assert (g.clifford, g.k_star, g.corrections) == (0, 0, {1: None, 2: None})
+    assert g.diagonal_phases == pytest.approx((2 * np.pi / 9, 4 * np.pi / 9), abs=1e-12)
