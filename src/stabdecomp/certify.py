@@ -8,6 +8,16 @@ merge into one certificate.  Tuples whose combined support cannot cover
 the target's support are pruned before any linear algebra; a pruned tuple's
 residual is bounded below by the smallest nonzero target amplitude, which
 keeps the recorded minimum residual sound.
+
+The tuples (x, s1, *tail) with x < s1 form one scoring block per suffix
+(s1, *tail); the blocks with one tail and consecutive s1 form a run.  Let
+needed be the points of supp(t) that s1 and every tail state miss.  A tuple
+of the block is pruned exactly when supp(v_x) does not contain needed, so
+when needed is not empty and no x < s1 contains it, all s1 tuples of the
+block are pruned, each with residual at least the prune bound.  That is
+exactly what the block scorer would return for the block, so such a block is
+ruled out whole, unscored; a run's blocks are screened for it in one
+vectorized pass.  Every other block goes to the block scorer.
 """
 
 from __future__ import annotations
@@ -53,6 +63,17 @@ _MASK_BITS = 63
 # their ~0.3-0.6 MB temporaries go back to the system after every block and
 # are faulted in again for the next one.
 _SCORE_ROWS = 2048
+
+# catalog rows whose support bits are packed at once: a whole-catalog boolean
+# temporary would raise the certify peak RSS by about 0.5 MB at (2,4)
+_MASK_ROWS = 4096
+
+# (block, x) pairs tested for coverage at once when a run is screened: the
+# int64 temporary stays near 1 MB
+_COVER_PAIRS = 1 << 17
+
+# set bits of each byte value (np.bitwise_count needs numpy >= 2.0)
+_BYTE_BITS = np.array([bin(b).count("1") for b in range(256)], dtype=np.int8)
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +269,23 @@ def target_fingerprint(target: TargetState) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _support_masks(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Support masks of the rows of A as int64 (bit j set when A[:, j] is nonzero), and their sizes as int8."""
+    packed = np.zeros((len(A), 8), dtype=np.uint8)
+    sizes = np.empty(len(A), dtype=np.int8)
+    for lo in range(0, len(A), _MASK_ROWS):
+        support = A[lo : lo + _MASK_ROWS] != 0
+        bits = np.packbits(support, axis=1, bitorder="little")
+        packed[lo : lo + _MASK_ROWS, : bits.shape[1]] = bits
+        sizes[lo : lo + _MASK_ROWS] = support.sum(axis=1)
+    return packed.view("<i8").reshape(-1).astype(np.int64, copy=False), sizes
+
+
+def _popcount(masks: np.ndarray) -> np.ndarray:
+    """Number of set bits of each int64 mask, as int8."""
+    return _BYTE_BITS[masks.view(np.uint8)].reshape(-1, 8).sum(axis=1, dtype=np.int8)
+
+
 class _SearchContext:
     """Shared per-catalog precomputation for one certify run."""
 
@@ -256,18 +294,13 @@ class _SearchContext:
             raise ValueError("catalog does not match the target dimensions")
         self.V = catalog.vectors()
         self.count = len(self.V)
-        # bit j of a state's mask is set when basis state j is in its support
-        masks = np.zeros(self.count, dtype=np.int64)
-        for j in range(self.V.shape[1]):
-            masks[self.V[:, j] != 0] |= 1 << j
-        self.masks = masks
+        self.masks, sizes = _support_masks(self.V)
+        # cover_max[i]: the largest support among states 0..i
+        self.cover_max = np.maximum.accumulate(sizes)
         self.t = target.complex_vector()
         self.tnorm2 = float(np.linalg.norm(self.t) ** 2)
         self.t_ov = (self.V @ self.t.conj()).conj()  # <v_x, t>, with no conjugated copy of V
-        tmask = 0
-        for idx in np.flatnonzero(np.abs(self.t) > 0):
-            tmask |= 1 << int(idx)
-        self.target_mask = int(tmask)
+        self.target_mask = int(_support_masks(self.t[None])[0][0])
         nonzero = np.abs(self.t[np.abs(self.t) > 0])
         # a pruned tuple misses at least one support point, so its residual
         # is at least the smallest amplitude sitting there
@@ -351,37 +384,97 @@ def _score_block(
     return pruned, min_res, witnesses
 
 
+def _covered_below(masks: np.ndarray, needed: np.ndarray, s1: np.ndarray) -> np.ndarray:
+    """True where some x < s1[i] has masks[x] containing needed[i]; s1 ascending."""
+    covered = np.zeros(len(s1), dtype=bool)
+    if not len(s1):
+        return covered
+    step = max(1, _COVER_PAIRS // int(s1[-1]))
+    for lo in range(0, len(s1), step):
+        need, below = needed[lo : lo + step, None], s1[lo : lo + step]
+        hit = (masks[None, : below[-1]] & need) == need
+        first = hit.argmax(axis=1)  # the first covering x, or 0 when none covers
+        covered[lo : lo + step] = hit[np.arange(len(below)), first] & (first < below)
+    return covered
+
+
+def _ruled_out(ctx: _SearchContext, a: int, b: int, tail: tuple[int, ...]) -> np.ndarray:
+    """For the blocks of suffixes (s1, *tail), a <= s1 < b: True where no x < s1 covers.
+
+    needed[s1] is the part of the target's support that s1 and the tail
+    miss.  When it is nonzero and no x < s1 has a support containing it,
+    every tuple of the block is pruned.  A support with fewer points than
+    needed cannot contain it, which decides most blocks from ``cover_max``
+    alone; the rest are tested against every x < s1.
+    """
+    masks = ctx.masks
+    missed = ctx.target_mask
+    for s in tail:
+        missed &= ~int(masks[s])
+    needed = np.int64(missed) & ~masks[a:b]
+    ruled = _popcount(needed) > ctx.cover_max[a - 1 : b - 1]
+    check = np.flatnonzero(~ruled & (needed != 0))
+    ruled[check] = ~_covered_below(masks, needed[check], a + check)
+    return ruled
+
+
+def _whole_blocks_end(s1: int, room: int) -> int:
+    """The largest e such that the blocks s1..e-1, C(e, 2) - C(s1, 2) tuples, fit in room."""
+    return (1 + math.isqrt(1 + 8 * (room + math.comb(s1, 2)))) // 2
+
+
 def _certify_range(ctx, lo, hi, r, tol, progress=None, progress_base=0):
-    """Stream ranks [lo, hi) through the block scorer."""
-    tested = 0
+    """Stream ranks [lo, hi) through the run screen and the block scorer.
+
+    At a block boundary the whole blocks of the current run that fit in the
+    range are screened by ``_ruled_out``.  A block ruled out has no x whose
+    support, joined with the suffix's, covers the target's support, so all
+    its s1 tuples are pruned and each residual is at least ``prune_bound``:
+    exactly what ``_score_block`` returns for it.  The blocks that are not
+    ruled out, and the partial blocks at the range edges, are scored by
+    ``_score_block``.  ``progress`` is called after each run and each
+    partial block.
+    """
     pruned = 0
     min_res = math.inf
     witnesses: list[tuple[int, ...]] = []
     if lo >= hi:
-        return tested, pruned, min_res, witnesses
+        return 0, pruned, min_res, witnesses
     tup = unrank_tuple(lo, r)
     x_lo = tup[0]
     suffix = tup[1:]
     done = lo
     while done < hi:
-        bound = suffix[0] if suffix else ctx.count
-        x_hi = min(bound, x_lo + (hi - done))
-        p, m, w = _score_block(ctx, x_lo, x_hi, suffix, tol)
-        pruned += p
-        min_res = min(min_res, m)
-        witnesses.extend(w)
-        tested += x_hi - x_lo
-        done += x_hi - x_lo
+        s1, tail = (suffix[0], suffix[1:]) if suffix else (ctx.count, ())
+        b = s1
+        if suffix and x_lo == 0:
+            b = min(tail[0] if tail else ctx.count, _whole_blocks_end(s1, hi - done))
+        if b > s1:  # the whole blocks s1..b-1 of a run
+            ruled = _ruled_out(ctx, s1, b, tail)
+            if ruled.any():
+                pruned += int((s1 + np.flatnonzero(ruled)).sum())
+                min_res = min(min_res, ctx.prune_bound)
+            blocks = [(0, s, (s, *tail)) for s in (s1 + np.flatnonzero(~ruled)).tolist()]
+            done += math.comb(b, 2) - math.comb(s1, 2)
+            last = (b - 1, *tail)
+        else:  # a partial block, or the one block of r = 1
+            x_hi = min(s1, x_lo + (hi - done))
+            blocks = [(x_lo, x_hi, suffix)]
+            done += x_hi - x_lo
+            last = suffix
+        for x_a, x_b, suf in blocks:
+            p, m, w = _score_block(ctx, x_a, x_b, suf, tol)
+            pruned += p
+            min_res = min(min_res, m)
+            witnesses.extend(w)
         if progress is not None:
             progress(progress_base + done - lo)
-        if done < hi and x_hi == bound:
-            suffix = _next_suffix(suffix, ctx.count)
+        if done < hi:  # the last block ended at its bound
+            suffix = _next_suffix(last, ctx.count)
             if suffix is None:
                 raise RuntimeError("ran past the final tuple; shard range invalid")
             x_lo = 0
-        else:
-            x_lo = x_hi
-    return tested, pruned, min_res, witnesses
+    return done - lo, pruned, min_res, witnesses
 
 
 def check_request(target, r: int, tol: float) -> None:

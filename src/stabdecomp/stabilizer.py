@@ -701,24 +701,34 @@ class Catalog:
         """The serialization of entry i, from its record; ``_lines`` gives the same text in bulk."""
         return _json(self.get(i).record())
 
-    def _lines(self):
-        """``entry_line(i)`` for every index in order, formatted from one template per block."""
+    def _text_chunks(self):
+        """``entry_line(i) + "\\n"`` for every index in order, joined per ``_block_forms`` step.
+
+        Each block's line template is formatted once, and each step fills the
+        digits of all its forms into the repeated template at once.
+        """
         self._build_tables()
+        last = None
         for blk, forms in self._block_forms():
             tables = self._forms[blk.k]
-            template = '{"W":%s,"k":%d,"n":%d,"p":%d,"phase":%s,"x0":%s}' % (
-                _json(blk.W.tolist()), blk.k, self.n, self.p, tables.template, _json(blk.x0.tolist()),
-            )
-            for digits in self._digits(blk, forms)[:, tables.slots].tolist():
-                yield template % tuple(digits)
+            if blk is not last:
+                last = blk
+                template = '{"W":%s,"k":%d,"n":%d,"p":%d,"phase":%s,"x0":%s}\n' % (
+                    _json(blk.W.tolist()), blk.k, self.n, self.p, tables.template, _json(blk.x0.tolist()),
+                )
+            yield template * forms.size % tuple(self._digits(blk, forms)[:, tables.slots].ravel().tolist())
+
+    def _lines(self):
+        """``entry_line(i)`` for every index in order."""
+        for text in self._text_chunks():
+            yield from text.splitlines()
 
     def content_hash(self) -> str:
-        """SHA-256 over the ordered entry serializations (computed lazily)."""
+        """SHA-256 over the ordered entry serializations, each ending in a newline (computed lazily)."""
         if self._hash is None:
             h = hashlib.sha256()
-            for line in self._lines():
-                h.update(line.encode())
-                h.update(b"\n")
+            for text in self._text_chunks():
+                h.update(text.encode())
             self._hash = h.hexdigest()
         return self._hash
 
@@ -734,8 +744,8 @@ class Catalog:
         }
         with open(path, "w") as fh:
             fh.write(json.dumps(header, sort_keys=True) + "\n")
-            for line in self._lines():
-                fh.write(line + "\n")
+            for text in self._text_chunks():
+                fh.write(text)
         return header
 
 

@@ -1,0 +1,250 @@
+"""The run screen of the certify kernel against the per-block walk it replaces.
+
+``_certify_range`` rules out whole blocks of a run (one tail, consecutive s1)
+in one vectorized pass and sends every other block to ``_score_block``.
+``_per_block`` below is the walk without the screen: every block goes
+through ``_score_block``.  The two must agree exactly on the tuples tested,
+the tuples pruned, the witnesses and the minimum residual.
+"""
+
+import itertools
+import math
+from dataclasses import replace
+from functools import lru_cache
+
+import numpy as np
+import pytest
+
+from stabdecomp.certify import (
+    ShardSpec,
+    _certify_range,
+    _covered_below,
+    _next_suffix,
+    _score_block,
+    _SearchContext,
+    certify_rank,
+    rank_tuple,
+    unrank_tuple,
+)
+from stabdecomp.stabilizer import build_catalog, magic_power
+
+TOL = 1e-10
+
+
+@lru_cache(maxsize=None)
+def _catalog(p, n):
+    return build_catalog(p, n, "raw")
+
+
+@lru_cache(maxsize=None)
+def _context(name, m):
+    target = magic_power(name, m)
+    return _SearchContext(target, _catalog(target.p, target.n))
+
+
+def _per_block(ctx, lo, hi, r, tol):
+    """Ranks [lo, hi) one colex block at a time, each through ``_score_block``."""
+    tested = pruned = 0
+    min_res = math.inf
+    witnesses = []
+    if lo >= hi:
+        return tested, pruned, min_res, witnesses
+    tup = unrank_tuple(lo, r)
+    x_lo, suffix = tup[0], tup[1:]
+    done = lo
+    while done < hi:
+        bound = suffix[0] if suffix else ctx.count
+        x_hi = min(bound, x_lo + (hi - done))
+        p, m, w = _score_block(ctx, x_lo, x_hi, suffix, tol)
+        pruned += p
+        min_res = min(min_res, m)
+        witnesses.extend(w)
+        tested += x_hi - x_lo
+        done += x_hi - x_lo
+        if done < hi and x_hi == bound:
+            suffix = _next_suffix(suffix, ctx.count)
+            x_lo = 0
+        else:
+            x_lo = x_hi
+    return tested, pruned, min_res, witnesses
+
+
+def _assert_same(name, m, r, lo, hi):
+    ctx = _context(name, m)
+    got = _certify_range(ctx, lo, hi, r, TOL)
+    want = _per_block(ctx, lo, hi, r, TOL)
+    assert got[:2] == want[:2]
+    assert got[2] == want[2]  # the same floats, not merely close ones
+    assert got[3] == want[3]
+    return got
+
+
+def _support_pruned(ctx, r, below):
+    """Tuples with every index < below whose joined supports miss the target's, one at a time."""
+    masks = ctx.masks.tolist()
+    count = 0
+    for suffix in itertools.combinations(range(1, below), r - 1):
+        joined = 0
+        for s in suffix:
+            joined |= masks[s]
+        count += sum(1 for x in range(suffix[0]) if (masks[x] | joined) & ctx.target_mask != ctx.target_mask)
+    return count
+
+
+# ---------------------------------------------------------------------------
+# equality with the per-block walk
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["T3", "N"])
+def test_two_qutrit_pairs_full_space(name):
+    ctx = _context(name, 2)
+    total = math.comb(ctx.count, 2)
+    tested, pruned, _, _ = _assert_same(name, 2, 2, 0, total)
+    assert tested == total
+    assert pruned == _support_pruned(ctx, 2, ctx.count) > 0
+
+
+# ranges of the N⊗2 r=3 space (7,711,320 tuples, 48 witnesses) that hold
+# witnesses; each starts inside a block, and all but the last end inside one
+N2_WITNESS_RANGES = [(262_001, 270_003), (1_829_001, 1_831_007), (2_950_001, 2_960_003), (7_640_007, 7_711_320)]
+
+
+@pytest.mark.parametrize("lo,hi", N2_WITNESS_RANGES)
+def test_two_qutrit_triples_with_witnesses(lo, hi):
+    assert unrank_tuple(lo, 3)[0] > 0
+    _, _, _, witnesses = _assert_same("N", 2, 3, lo, hi)
+    assert witnesses
+    assert all(lo <= rank_tuple(w) < hi for w in witnesses)
+
+
+def test_two_qutrit_triples_prefix_matches_support_oracle():
+    # every s2 < 60: the low-support states, where the exact cover test decides
+    ctx = _context("N", 2)
+    _, pruned, _, _ = _assert_same("N", 2, 3, 0, math.comb(60, 3))
+    assert pruned == _support_pruned(ctx, 3, 60) > 0
+
+
+@pytest.mark.parametrize("name", ["S", "T3"])
+def test_one_qutrit_quadruples_full_space(name):
+    ctx = _context(name, 1)
+    _assert_same(name, 1, 4, 0, math.comb(ctx.count, 4))
+
+
+@pytest.mark.parametrize("lo,hi", [(0, 3_001), (7_003, 10_010), (19_017, 21_999)])
+def test_two_qubit_quadruples(lo, hi):
+    # the two-qubit catalog has 60 states; its low-support ones, where pruning
+    # happens, fill the ranks below about 21,000
+    _, pruned, _, witnesses = _assert_same("H", 2, 4, lo, hi)
+    assert pruned and witnesses
+
+
+def test_ranges_start_and_end_mid_block_and_mid_run():
+    rng = np.random.default_rng(11)
+    total = math.comb(_context("N", 2).count, 3)
+    for _ in range(12):
+        lo = int(rng.integers(0, total - 1))
+        hi = min(total, lo + int(rng.integers(1, 60_000)))
+        _assert_same("N", 2, 3, lo, hi)
+    # a block start that is not the first block of its run, to the middle of a later run
+    lo = rank_tuple((0, 40, 90))
+    hi = rank_tuple((17, 95, 97))
+    _assert_same("N", 2, 3, lo, hi)
+    # one tuple, and the last tuple of a block
+    _assert_same("N", 2, 3, lo + 5, lo + 6)
+    _assert_same("N", 2, 3, rank_tuple((39, 40, 90)), rank_tuple((39, 40, 90)) + 1)
+    _assert_same("N", 2, 3, lo, lo)
+
+
+def test_low_support_prefixes():
+    # every block here is pruned whole
+    for name, m in (("S", 3), ("H", 4)):
+        tested, pruned, min_res, witnesses = _assert_same(name, m, 3, 3, 5_000_003)
+        assert tested == pruned == 5_000_000
+        assert min_res == _context(name, m).prune_bound and not witnesses
+
+
+def test_single_state_range():
+    ctx = _context("S", 2)
+    _assert_same("S", 2, 1, 0, ctx.count)
+    _assert_same("S", 2, 1, 7, 200)
+
+
+def test_covered_below_matches_brute_force():
+    rng = np.random.default_rng(3)
+    masks = rng.integers(0, 1 << 12, size=300).astype(np.int64)
+    s1 = np.sort(rng.integers(0, 300, size=400))
+    # needed values drawn from the masks at s1 itself and around it, and random ones
+    needed = np.where(rng.random(400) < 0.5, masks[np.minimum(s1, 299)], rng.integers(0, 1 << 6, size=400))
+    needed = needed.astype(np.int64)
+    want = [any(masks[x] & need == need for x in range(s)) for need, s in zip(needed.tolist(), s1.tolist())]
+    assert _covered_below(masks, needed, s1).tolist() == want
+    assert any(want) and not all(want)
+    assert _covered_below(masks, needed[:0], s1[:0]).size == 0
+
+
+def test_cover_test_sees_only_open_blocks(monkeypatch):
+    # blocks that miss nothing (needed == 0) or that the support-size bound
+    # already rules out never reach the pairwise cover test
+    asked = []
+
+    def recording(masks, needed, s1):
+        asked.append((needed.copy(), s1.copy()))
+        return _covered_below(masks, needed, s1)
+
+    monkeypatch.setattr("stabdecomp.certify._covered_below", recording)
+    ctx = _context("N", 2)
+    _assert_same("N", 2, 3, 0, math.comb(120, 3))
+    needed = np.concatenate([n for n, _ in asked])
+    s1 = np.concatenate([s for _, s in asked])
+    assert needed.size and (needed != 0).all()
+    sizes = [bin(v).count("1") for v in needed.tolist()]
+    assert (np.array(sizes) <= ctx.cover_max[s1 - 1]).all()
+    assert (np.array(sizes) == ctx.cover_max[s1 - 1]).any()
+
+
+# ---------------------------------------------------------------------------
+# progress
+# ---------------------------------------------------------------------------
+
+
+def _recording():
+    seen = []
+    return seen, seen.append
+
+
+def test_progress_once_per_run_on_a_pruned_shard():
+    target = magic_power("H", 4)
+    catalog = _catalog(2, 4)
+    total = math.comb(len(catalog), 3)
+    shard = ShardSpec.of(0, 200_000, total)
+    seen, progress = _recording()
+    cert = certify_rank(target, 3, catalog, shard=shard, progress=progress)
+    size = shard.hi - shard.lo
+    assert cert.tuples_pruned == cert.tuples_tested == size
+    assert seen[-1] == size
+    assert all(a < b for a, b in zip(seen, seen[1:]))
+    # one call per largest index s2 (one run each), and one per partial block at the end
+    runs = unrank_tuple(shard.hi - 1, 3)[2] - unrank_tuple(shard.lo, 3)[2] + 1
+    assert runs <= len(seen) <= runs + 1
+
+
+def test_progress_and_certificate_across_checkpoints_that_split_runs(tmp_path):
+    target = magic_power("N", 2)
+    catalog = _catalog(3, 2)
+    total = math.comb(len(catalog), 3)
+    shard = ShardSpec(1_000_003, 1_300_007)
+    straight_seen, progress = _recording()
+    straight = certify_rank(target, 3, catalog, shard=shard, progress=progress)
+    seen, progress = _recording()
+    ck = str(tmp_path / "ck.json")
+    # 7,919 tuples between checkpoints: they fall inside blocks and inside runs
+    split = certify_rank(target, 3, catalog, shard=shard, progress=progress, checkpoint=ck, checkpoint_every=7_919)
+    size = shard.hi - shard.lo
+    for values in (straight_seen, seen):
+        assert values[-1] == size
+        assert all(a < b for a, b in zip(values, values[1:]))
+    assert set(range(7_919, size, 7_919)) <= set(seen)
+    assert len(seen) > len(straight_seen)
+    assert replace(split, wall_time=0.0) == replace(straight, wall_time=0.0)
+    assert straight.tuples_tested == size < total
