@@ -521,7 +521,7 @@ def certify_rank(
         raise ValueError("shard range exceeds the tuple space")
 
     ctx = _SearchContext(target, catalog)
-    t_start = time.time()
+    t_start = time.perf_counter()
     wall_prev = 0.0
 
     start = shard.lo
@@ -559,7 +559,7 @@ def certify_rank(
                     "tuples_pruned": pruned,
                     "min_residual": min_res,
                     "witnesses": [list(w) for w in witnesses],
-                    "wall_time": wall_prev + time.time() - t_start,
+                    "wall_time": wall_prev + time.perf_counter() - t_start,
                 },
             )
 
@@ -580,7 +580,7 @@ def certify_rank(
         tuples_pruned=pruned,
         witnesses=sorted(witnesses),
         min_nonwitness_residual=min_res,
-        wall_time=wall_prev + time.time() - t_start,
+        wall_time=wall_prev + time.perf_counter() - t_start,
         full_coverage=(shard.lo == 0 and shard.hi == total),
     )
     if checkpoint and os.path.exists(checkpoint):

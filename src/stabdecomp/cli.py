@@ -20,7 +20,7 @@ from .asymptotics import exp_subsequence, find_ratio_witness, moulton_bound
 from .certify import Certificate, ShardSpec, audit, certify_rank, check_request, merge_certificates
 from .clifford import generate_clifford_group, orbit_closure
 from .decomposition import Decomposition, exponent_from_bound
-from .gadget import sweep_injection, sweep_two_copy
+from .gadget import CLASS_NONCLIFFORD, sweep_injection, sweep_two_copy
 from . import known
 from .stabilizer import MAGIC_NAMES, build_catalog, magic_power, magic_state
 
@@ -37,11 +37,14 @@ def _out_path(args, default_name: str) -> str:
     return os.path.join(base, default_name)
 
 
-def _write_json(path: str, payload: dict) -> None:
+def _write_text(path: str, chunks) -> None:
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+        fh.writelines(chunks)
+
+
+def _write_json(path: str, payload: dict) -> None:
+    _write_text(path, [json.dumps(payload, indent=1), "\n"])
 
 
 def _target(name: str, m: int):
@@ -148,9 +151,9 @@ def cmd_search(args) -> int:
         tol=args.tol,
         seed=args.seed,
     )
-    t0 = time.time()
+    t0 = time.perf_counter()
     res = anneal_search(cfg)
-    wall = time.time() - t0
+    wall = time.perf_counter() - t0
     payload = {
         "format": "stabdecomp-search",
         "version": 1,
@@ -183,10 +186,10 @@ def cmd_search(args) -> int:
 
 
 def _progress_printer(total: int):
-    state = {"t": time.time(), "start": time.time()}
+    state = {"t": time.perf_counter(), "start": time.perf_counter()}
 
     def cb(done: int):
-        now = time.time()
+        now = time.perf_counter()
         if now - state["t"] >= 2.0:
             state["t"] = now
             rate = done / max(now - state["start"], 1e-9)
@@ -288,24 +291,21 @@ def cmd_sweep(args) -> int:
     if args.state not in _QUTRIT:
         print("sweeps cover the qutrit states: %s" % ", ".join(_QUTRIT), file=sys.stderr)
         return 2
-    t0 = time.time()
+    t0 = time.perf_counter()
     if args.kind == "twocopy":
         res = sweep_two_copy(args.state)
     else:
         res = sweep_injection(args.state)
-    wall = time.time() - t0
-    payload = res.to_json()
-    payload["wall_time"] = wall
+    wall = time.perf_counter() - t0
     path = _out_path(args, "sweep-%s-%s.json" % (args.kind, args.state))
-    _write_json(path, payload)
+    _write_text(path, res.json_chunks(wall_time=wall))
     print("sweep %s %s: %d branches" % (args.kind, args.state, res.total))
     for key in sorted(res.counts):
         print("  %-24s %d" % (key, res.counts[key]))
     if args.kind == "twocopy":
-        nc = res.nonclifford_hits()
-        print("  non-Clifford conversion hits: %d" % len(nc))
+        print("  non-Clifford conversion hits: %d" % res.counts[CLASS_NONCLIFFORD])
     else:
-        print("  deterministic gadgets: %d" % len(res.hits))
+        print("  deterministic gadgets: %d" % res.counts["gadgets"])
     print("wrote %s" % path)
     return 0
 

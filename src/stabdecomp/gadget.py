@@ -11,14 +11,18 @@ permute k and add phases (``check_reduction``), so exhaustive sweeps run
 over the 51,840 symplectic classes of Sp(4, 3) with one synthesized unitary
 per class.
 
-Gate-word convention (fixed by reproducing the published branch outputs):
+Protocol words (fixed by reproducing the published branch outputs):
 subscript 1 is the data leg (most significant tensor factor), subscript 2
-the ancilla, and words read chronologically, leftmost gate applied first.
+the ancilla, and a protocol word reads chronologically, leftmost gate
+applied first.  ``replay_protocol`` reverses it into the one gate-word
+convention of the library, the operator product of ``clifford.word_to_matrix``.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import re
 
 import numpy as np
 
@@ -31,6 +35,7 @@ from .clifford import (
     parse_word,
     synthesize,
     weyl_matrix,
+    word_to_matrix,
 )
 from .stabilizer import magic_state
 
@@ -40,16 +45,6 @@ ATOL_CLIFFORD = 1e-5
 CLASS_NONCLIFFORD = "phase-state-nonclifford"
 CLASS_CLIFFORD = "phase-state-clifford"
 CLASS_NONE = "not-phase-state"
-
-
-def circuit_matrix(word, n: int) -> np.ndarray:
-    """Unitary of a chronological gate word (leftmost gate applied first)."""
-    if isinstance(word, str):
-        word = parse_word(word, n)
-    U = np.eye(3**n, dtype=np.complex128)
-    for name, legs, power in word:
-        U = gate_matrix(name, n, tuple(legs), power) @ U
-    return U
 
 
 def branch_operator(C: np.ndarray, ancilla: np.ndarray, k: int) -> np.ndarray:
@@ -166,26 +161,166 @@ class ProtocolReport:
 
 
 class SweepResult:
-    """Hits plus aggregate counts from an exhaustive protocol sweep."""
+    """Hits plus aggregate counts from an exhaustive protocol sweep.
 
-    def __init__(self, magic: str, kind: str, hits: list, counts: dict, total: int):
+    The hits are kept as columns, one row per hit in sweep order; ``hits``
+    builds the report objects from them on first read.  Injection columns:
+    ``clifford`` and ``k_star`` (int), ``gate`` (n, 3, 3), ``diagonal_phases``
+    (n, 2) with the mask ``diagonal_known`` (False where the report holds
+    None), and ``corrections`` (n, 3), -1 marking a branch that never occurs
+    (the k_star entry is not read).  Two-copy columns: ``clifford`` and ``k``
+    (int), ``vector`` (n, 3), ``probability`` (n,), ``phases`` (n, 2) and
+    ``nonclifford`` (bool).
+    """
+
+    def __init__(self, magic: str, kind: str, columns: dict, counts: dict, total: int):
         self.magic = magic
         self.kind = kind
-        self.hits = hits
+        self.columns = columns
         self.counts = counts
         self.total = total
+
+    @functools.cached_property
+    def hits(self) -> list:
+        """GadgetReport or ProtocolReport objects, one per hit, built from the columns once."""
+        c = self.columns
+        if self.kind == "injection":
+            return [
+                GadgetReport(
+                    self.magic,
+                    e,
+                    k_star,
+                    gate,
+                    tuple(phases) if known else None,
+                    {k: (None if fix[k] < 0 else fix[k]) for k in range(3) if k != k_star},
+                )
+                for e, k_star, gate, phases, known, fix in zip(
+                    c["clifford"].tolist(),
+                    c["k_star"].tolist(),
+                    c["gate"],
+                    c["diagonal_phases"].tolist(),
+                    c["diagonal_known"].tolist(),
+                    c["corrections"].tolist(),
+                )
+            ]
+        return [
+            ProtocolReport(
+                self.magic, e, k, vector, p, tuple(phases), CLASS_NONCLIFFORD if nc else CLASS_CLIFFORD
+            )
+            for e, k, vector, p, phases, nc in zip(
+                c["clifford"].tolist(),
+                c["k"].tolist(),
+                c["vector"],
+                c["probability"].tolist(),
+                c["phases"].tolist(),
+                c["nonclifford"].tolist(),
+            )
+        ]
 
     def nonclifford_hits(self):
         return [r for r in self.hits if r.classification == CLASS_NONCLIFFORD]
 
+    def _header(self) -> dict:
+        return {"magic": self.magic, "kind": self.kind, "total": self.total, "counts": self.counts}
+
     def to_json(self) -> dict:
-        return {
+        """The artifact payload, one report object per hit (the reference for ``json_chunks``)."""
+        return {**self._header(), "hits": [r.to_json() for r in self.hits]}
+
+    def json_chunks(self, **extra):
+        """The text of ``json.dumps({**self.to_json(), **extra}, indent=1) + "\\n"``,
+        straight from the columns, ``_HIT_CHUNK`` hits per chunk.
+
+        Each hit fills one template with the json text of its values; each
+        distinct value is formatted once.
+        """
+        head, tail = json.dumps({**self._header(), "hits": [], **extra}, indent=1).split('"hits": []')
+        proto, fields = self._hit_layout()
+        if not len(fields):
+            yield head + '"hits": []' + tail + "\n"
+            return
+        hit = ",\n  " + _template(proto, 2)
+        yield head + '"hits": ['
+        for lo in range(0, len(fields), _HIT_CHUNK):
+            rows = fields[lo : lo + _HIT_CHUNK]
+            text = hit * len(rows) % tuple(rows.ravel().tolist())
+            yield text[1:] if lo == 0 else text
+        yield "\n ]" + tail + "\n"
+
+    def _hit_layout(self) -> tuple[dict, np.ndarray]:
+        """One hit's ``to_json`` layout, "@" standing for each json value the
+        columns fill, and the (hits, slots) object array of those values' text."""
+        c = self.columns
+        n = len(c["clifford"])
+        if self.kind == "injection":
+            ints = _json_texts(np.column_stack([c["clifford"], c["k_star"]]))
+            floats = _json_texts(np.concatenate([_re_im(c["gate"]).reshape(n, 18), c["diagonal_phases"]], axis=1))
+            # diagonal_phases is a list two levels below the hit, or null
+            pre, mid, post = _template(["@", "@"], 3).split("%s")
+            phases = np.full((n, 1), "null", dtype=object)
+            known = c["diagonal_known"]
+            phases[known, 0] = pre + floats[known, 18] + mid + floats[known, 19] + post
+            # the corrections dict: the branches other than k_star, ascending
+            others = _OTHER_BRANCHES[c["k_star"]]
+            fixes = np.take_along_axis(c["corrections"], others, axis=1)
+            fix_text = np.where(fixes < 0, "null", _json_texts(fixes))
+            keys = np.array([json.dumps(str(k)) for k in range(3)], dtype=object)[others]
+            corrections = np.stack([keys[:, 0], fix_text[:, 0], keys[:, 1], fix_text[:, 1]], axis=1)
+            proto = {
+                "magic": self.magic,
+                "clifford": "@",
+                "k_star": "@",
+                "gate": [[["@", "@"]] * 3] * 3,
+                "diagonal_phases": "@",
+                "corrections": {"@": "@", "@@": "@"},
+            }
+            return proto, np.concatenate([ints, floats[:, :18], phases, corrections], axis=1)
+        ints = _json_texts(np.column_stack([c["clifford"], c["k"]]))
+        floats = _json_texts(
+            np.concatenate([_re_im(c["vector"]).reshape(n, 6), c["probability"][:, None], c["phases"]], axis=1)
+        )
+        classes = np.array([json.dumps(CLASS_CLIFFORD), json.dumps(CLASS_NONCLIFFORD)], dtype=object)
+        proto = {
             "magic": self.magic,
-            "kind": self.kind,
-            "total": self.total,
-            "counts": self.counts,
-            "hits": [r.to_json() for r in self.hits],
+            "clifford": "@",
+            "k": "@",
+            "vector": [["@", "@"]] * 3,
+            "probability": "@",
+            "phases": ["@", "@"],
+            "classification": "@",
         }
+        return proto, np.concatenate([ints, floats, classes[c["nonclifford"].astype(np.int64)][:, None]], axis=1)
+
+
+# hits per template fill in SweepResult.json_chunks: a few MB of text per chunk
+_HIT_CHUNK = 2048
+# the branches other than k_star, in the order the corrections dict lists them
+_OTHER_BRANCHES = np.array([[1, 2], [0, 2], [0, 1]])
+
+
+def _re_im(z: np.ndarray) -> np.ndarray:
+    return np.stack([z.real, z.imag], axis=-1)
+
+
+def _json_texts(x: np.ndarray) -> np.ndarray:
+    """``json.dumps`` of every element of x, as an object array of x's shape.
+
+    Each distinct value is formatted once; floats are told apart by their
+    bits, so -0.0 keeps its sign.
+    """
+    x = np.asarray(x)
+    flat = x.ravel()
+    keys = flat.view(np.uint64) if flat.dtype == np.float64 else flat
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    texts = np.array([json.dumps(v) for v in uniq.view(flat.dtype).tolist()], dtype=object)
+    return texts[inverse.reshape(-1)].reshape(x.shape)
+
+
+def _template(value, depth: int) -> str:
+    """``json.dumps(value, indent=1)`` as it reads ``depth`` levels into a
+    document, each "@" or "@@" string in it (key or value) made a %s slot."""
+    text = json.dumps(value, indent=1).replace("%", "%%").replace("\n", "\n" + " " * depth)
+    return re.sub(r'"@@?"', "%s", text)
 
 
 class GadgetReport:
@@ -276,30 +411,25 @@ def sweep_two_copy(magic: str) -> SweepResult:
     phase_mask = (mods.max(axis=2) - mods.min(axis=2) <= ATOL_UNITARY) & (
         mods.max(axis=2) > 10 * ATOL_UNITARY
     )
-    hits = []
-    counts = {CLASS_NONCLIFFORD: 0, CLASS_CLIFFORD: 0, CLASS_NONE: 0}
     third = 2 * np.pi / 3
     es, ks = np.nonzero(phase_mask)
     rel = np.angle(V[es, ks, 1:] / V[es, ks, :1])
     rem = rel % third
     noncliff = (np.minimum(rem, third - rem) > ATOL_CLIFFORD).any(axis=1)
-    for idx in range(len(es)):
-        e, k = int(es[idx]), int(ks[idx])
-        cls = CLASS_NONCLIFFORD if noncliff[idx] else CLASS_CLIFFORD
-        counts[cls] += 1
-        hits.append(
-            ProtocolReport(
-                magic,
-                e,
-                k,
-                V[e, k],
-                norm2[e, k],
-                (float(rel[idx, 0]), float(rel[idx, 1])),
-                cls,
-            )
-        )
-    counts[CLASS_NONE] = int(V.shape[0] * 3 - len(es))
-    return SweepResult(magic, "two-copy", hits, counts, V.shape[0] * 3)
+    counts = {
+        CLASS_NONCLIFFORD: int(noncliff.sum()),
+        CLASS_CLIFFORD: int(len(es) - noncliff.sum()),
+        CLASS_NONE: int(V.shape[0] * 3 - len(es)),
+    }
+    columns = {
+        "clifford": es,
+        "k": ks,
+        "vector": V[es, ks],
+        "probability": norm2[es, ks],
+        "phases": rel,
+        "nonclifford": noncliff,
+    }
+    return SweepResult(magic, "two-copy", columns, counts, V.shape[0] * 3)
 
 
 # operators screened against the 216 group per product: keeps the overlaps at ~3.5 MB
@@ -329,19 +459,16 @@ def _proportional_to_clifford(M: np.ndarray, group: np.ndarray, atol: float = AT
 
 
 def _pauli_diagonal_phases(Ug: np.ndarray, atol: float = 1e-8):
-    """For a monomial unitary Ug = phase * W_(a,b) D, the diagonal phases of D."""
-    col_rows = []
-    for j in range(3):
-        nz = np.nonzero(np.abs(Ug[:, j]) > atol)[0]
-        if len(nz) != 1:
-            return None
-        col_rows.append(int(nz[0]))
-    shift = col_rows[0]
-    if [(j + shift) % 3 for j in range(3)] != col_rows:
-        return None
-    diag = np.array([Ug[(j + shift) % 3, j] for j in range(3)])
-    rel = np.angle(diag[1:] / diag[0])
-    return (float(rel[0]), float(rel[1]))
+    """For each unitary of the stack Ug of the form phase * W_(a,b) D, the two
+    relative diagonal phases of D, and the mask of the stack members of that form
+    (their phases rows are the only ones to read)."""
+    nz = np.abs(Ug) > atol
+    rows = nz.argmax(axis=1)  # the first nonzero row of each column
+    ok = (nz.sum(axis=1) == 1).all(axis=1) & (rows == (rows[:, :1] + np.arange(3)) % 3).all(axis=1)
+    diag = np.take_along_axis(Ug, rows[:, None, :], axis=1)[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.angle(diag[:, 1:] / diag[:, :1])
+    return rel, ok
 
 
 def sweep_injection(magic: str) -> SweepResult:
@@ -375,31 +502,25 @@ def sweep_injection(magic: str) -> SweepResult:
             E[es[rows], k] @ Ug[rows].conj().transpose(0, 2, 1), group
         )
     ok = ((fixes >= 0) | absent[es] | (ks[:, None] == np.arange(3))).all(axis=1)
-    gadgets = []
-    for idx in np.nonzero(ok)[0]:
-        e, k_star = int(es[idx]), int(ks[idx])
-        corrections = {
-            k: (None if absent[e, k] else int(fixes[idx, k])) for k in range(3) if k != k_star
-        }
-        gadgets.append(
-            GadgetReport(magic, e, k_star, Ug[idx], _pauli_diagonal_phases(Ug[idx]), corrections)
-        )
-    counts = {"unitary-branches": int(unitary_mask.sum()), "gadgets": len(gadgets)}
-    result = SweepResult(magic, "injection", gadgets, counts, E.shape[0] * 3)
-    return result
+    phases, known = _pauli_diagonal_phases(Ug[ok])
+    columns = {
+        "clifford": es[ok],
+        "k_star": ks[ok],
+        "gate": Ug[ok],
+        "diagonal_phases": phases,
+        "diagonal_known": known,
+        "corrections": fixes[ok],  # -1 exactly where a branch k != k* never occurs
+    }
+    counts = {"unitary-branches": int(unitary_mask.sum()), "gadgets": int(ok.sum())}
+    return SweepResult(magic, "injection", columns, counts, E.shape[0] * 3)
 
 
 def replay_protocol(word, magic: str, k: int) -> ProtocolReport:
     """Run a named protocol word on M x M and project ancilla outcome k."""
     parsed = parse_word(word, 2) if isinstance(word, str) else word
-    C = circuit_matrix(parsed, 2)
+    C = word_to_matrix(parsed[::-1], 2)
     m = magic_state(magic).complex_vector()
     v = branch_operator(C, m, k) @ m
     cls, phases, norm2 = _classify(v)
     return ProtocolReport(magic, format_word(parsed), k, v, norm2, phases, cls)
 
-
-def write_report(result: SweepResult, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(result.to_json(), fh, indent=1, sort_keys=True)
-        fh.write("\n")

@@ -22,12 +22,11 @@ from stabdecomp.certify import (
     rank_tuple,
     unrank_tuple,
 )
-from stabdecomp.clifford import generate_clifford_group, orbit_closure, weyl_matrix
+from stabdecomp.clifford import generate_clifford_group, orbit_closure, weyl_matrix, word_to_matrix
 from stabdecomp.decomposition import exponent_from_bound
 from stabdecomp.gadget import (
     CLASS_NONCLIFFORD,
     check_reduction,
-    circuit_matrix,
     sweep_injection,
     sweep_two_copy,
 )
@@ -207,7 +206,7 @@ def test_reduction_identity_hundred_random_trials():
     rng = np.random.default_rng(2026)
     states = [magic_state(n).complex_vector() for n in ("S", "N", "H3", "T3")]
     for trial in range(100):
-        C = circuit_matrix(rand_word(rng, 2, 6), 2)
+        C = word_to_matrix(rand_word(rng, 2, 6), 2)
         D = weyl_matrix(1, [rng.integers(0, 3)], [rng.integers(0, 3)])
         a, b = int(rng.integers(0, 3)), int(rng.integers(0, 3))
         m = states[trial % 4]

@@ -1,16 +1,18 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from stabdecomp import gadget
 from stabdecomp.algebra import CycloNumber, omega
-from stabdecomp.clifford import gate_matrix, generate_clifford_group, weyl_matrix
+from stabdecomp.clifford import gate_matrix, generate_clifford_group, parse_word, weyl_matrix, word_to_matrix
 from stabdecomp.gadget import (
     CLASS_CLIFFORD,
     CLASS_NONCLIFFORD,
     CLASS_NONE,
     branch_operator,
     check_reduction,
-    circuit_matrix,
     is_nonclifford_diagonal,
     is_phase_state,
     replay_protocol,
@@ -71,7 +73,7 @@ def test_check_reduction_random():
     rng = np.random.default_rng(79)
     m = magic_state("H3").complex_vector()
     for _ in range(110):
-        C = circuit_matrix(rand_word(rng, 2, 6), 2)
+        C = word_to_matrix(rand_word(rng, 2, 6), 2)
         D = weyl_matrix(1, [rng.integers(0, 3)], [rng.integers(0, 3)])
         a, b = int(rng.integers(0, 3)), int(rng.integers(0, 3))
         assert check_reduction(D, a, b, C, m, tol=1e-12)
@@ -116,7 +118,7 @@ def test_branch_probabilities_sum_to_one():
     for name in ("S", "N", "H3", "T3"):
         m = magic_state(name).complex_vector()
         for _ in range(5):
-            C = circuit_matrix(rand_word(rng, 2, 7), 2)
+            C = word_to_matrix(rand_word(rng, 2, 7), 2)
             total = sum(
                 float(np.linalg.norm(branch_operator(C, m, k) @ m) ** 2) for k in range(3)
             )
@@ -145,7 +147,7 @@ def test_weyl_prefactor_preserves_classifications():
         return sorted(out)
 
     for _ in range(20):
-        C = circuit_matrix(rand_word(rng, 2, 6), 2)
+        C = word_to_matrix(rand_word(rng, 2, 6), 2)
         W = np.kron(
             weyl_matrix(1, [rng.integers(0, 3)], [rng.integers(0, 3)]),
             weyl_matrix(1, [rng.integers(0, 3)], [rng.integers(0, 3)]),
@@ -164,7 +166,7 @@ def test_norrell_fourier_component_vanishes():
     # numerically: after the first gate of the N protocol (H on the data leg)
     # the data-digit-0 block of the two-copy state vanishes
     m = magic_state("N").complex_vector()
-    state = circuit_matrix("H1", 2) @ np.kron(m, m)
+    state = word_to_matrix(parse_word("H1", 2), 2) @ np.kron(m, m)
     assert np.abs(state[:3]).max() < 1e-15
 
 
@@ -317,3 +319,185 @@ def test_sweep_injection_branch_that_never_occurs(monkeypatch):
     (g,) = res.hits
     assert (g.clifford, g.k_star, g.corrections) == (0, 0, {1: None, 2: None})
     assert g.diagonal_phases == pytest.approx((2 * np.pi / 9, 4 * np.pi / 9), abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# columnar hits and the artifact writer
+# ---------------------------------------------------------------------------
+
+# sha256 of the `sweep injection --state T3` artifact without its wall_time line
+T3_INJECTION_SHA256 = "24379653eb87d5aa247b0de8d2443f761103337760821c00113ad87e1fc2aa09"
+
+
+def _assert_writes_reference(res, **extra):
+    """json_chunks gives json.dumps(payload, indent=1) + "\\n"; a mismatch is shown around its first byte."""
+    text = "".join(res.json_chunks(**extra))
+    want = json.dumps({**res.to_json(), **extra}, indent=1) + "\n"
+    if text != want:
+        at = next((i for i, (a, b) in enumerate(zip(text, want)) if a != b), min(len(text), len(want)))
+        lo = max(at - 200, 0)
+        assert text[lo : at + 200] == want[lo : at + 200], (len(text), len(want))
+    return text
+
+
+@pytest.mark.parametrize("kind,name", sorted(SWEEP_COUNTS))
+def test_json_chunks_equal_the_json_module(kind, name):
+    res = (sweep_injection if kind == "injection" else sweep_two_copy)(name)
+    _assert_writes_reference(res, wall_time=0.1 + 0.2)
+    hits = len(res.columns["clifford"])
+    assert len(list(res.json_chunks(wall_time=1.0))) == (2 + -(-hits // gadget._HIT_CHUNK) if hits else 1)
+
+
+def test_json_chunks_never_occurring_branch(monkeypatch):
+    m = magic_state("T3").complex_vector()
+    Q, _ = np.linalg.qr(np.column_stack([m, np.eye(3)[:, 1:]]))
+    D = np.diag(np.exp(2j * np.pi * np.arange(3) / 9))
+    table = np.stack([np.kron(D, Q.conj().T), np.eye(9)])
+    monkeypatch.setitem(gadget._SWEEP_CACHE, "sp4", (None, table))
+    res = sweep_injection("T3")
+    (g,) = res.hits
+    assert g.corrections == {1: None, 2: None} and g.diagonal_phases is not None
+    _assert_writes_reference(res, wall_time=2.0)
+
+
+# -0.0 next to 0.0, the smallest subnormal and every non-finite float
+EDGE_FLOATS = np.array([0.0, -0.0, 5e-324, -2.5e-310, np.nan, np.inf, -np.inf, 1 / 3, -1e300])
+
+
+def _edge_complex(rng, shape):
+    z = np.empty(shape, dtype=np.complex128)
+    z.real, z.imag = rng.choice(EDGE_FLOATS, size=shape), rng.choice(EDGE_FLOATS, size=shape)
+    return z
+
+
+def test_json_chunks_edge_values_injection():
+    rng = np.random.default_rng(107)
+    n = 6
+    phases = rng.choice(EDGE_FLOATS, size=(n, 2))
+    phases[0] = 0.0, -0.0
+    columns = {
+        "clifford": np.array([0, 3, 3, 51839, 7, 7]),
+        "k_star": np.array([0, 1, 2, 0, 1, 2]),
+        "gate": _edge_complex(rng, (n, 3, 3)),
+        "diagonal_phases": phases,
+        "diagonal_known": np.array([True, False, True, True, False, True]),
+        "corrections": np.array([[-1, 5, -1], [215, -1, 0], [-1, -1, -1], [9, 9, 9], [0, 1, 2], [3, -1, 4]]),
+    }
+    res = gadget.SweepResult("T3", "injection", columns, {"unitary-branches": 9, "gadgets": n}, 155520)
+    text = _assert_writes_reference(res, wall_time=-0.0)
+    assert all(word in text for word in ("-0.0", "5e-324", "NaN", "-Infinity", "null"))
+    assert res.hits[0].diagonal_phases == (0.0, -0.0)
+    assert [g.diagonal_phases is None for g in res.hits] == [False, True, False, False, True, False]
+    assert res.hits[0].corrections == {1: 5, 2: None}
+    assert res.hits[1].corrections == {0: 215, 2: 0}
+
+
+def test_json_chunks_edge_values_two_copy():
+    rng = np.random.default_rng(109)
+    n = 5
+    columns = {
+        "clifford": np.arange(n) * 11,
+        "k": np.array([0, 1, 2, 1, 0]),
+        "vector": _edge_complex(rng, (n, 3)),
+        "probability": EDGE_FLOATS[:n],
+        "phases": rng.choice(EDGE_FLOATS, size=(n, 2)),
+        "nonclifford": np.array([True, False, False, True, True]),
+    }
+    counts = {CLASS_NONCLIFFORD: 3, CLASS_CLIFFORD: 2, CLASS_NONE: 7}
+    res = gadget.SweepResult("N", "two-copy", columns, counts, 12)
+    _assert_writes_reference(res, wall_time=np.inf)
+    empty = gadget.SweepResult("N", "two-copy", {key: col[:0] for key, col in columns.items()}, counts, 12)
+    assert empty.hits == []
+    _assert_writes_reference(empty, wall_time=1.0)
+
+
+def test_cli_t3_injection_artifact_is_pinned(tmp_path, capsys):
+    from stabdecomp import cli
+
+    out = tmp_path / "t3.json"
+    assert cli.main(["sweep", "injection", "--state", "T3", "--out", str(out)]) == 0
+    assert "deterministic gadgets: 31104" in capsys.readouterr().out
+    lines = out.read_bytes().splitlines(keepends=True)
+    kept = b"".join(line for line in lines if b'"wall_time"' not in line)
+    assert len(kept) < sum(map(len, lines))
+    assert hashlib.sha256(kept).hexdigest() == T3_INJECTION_SHA256
+
+
+def _pauli_diagonal_phases_loop(Ug, atol=1e-8):
+    """One matrix at a time: the relative diagonal phases of Ug = phase * W_(a,b) D, or None."""
+    col_rows = []
+    for j in range(3):
+        nz = np.nonzero(np.abs(Ug[:, j]) > atol)[0]
+        if len(nz) != 1:
+            return None
+        col_rows.append(int(nz[0]))
+    shift = col_rows[0]
+    if [(j + shift) % 3 for j in range(3)] != col_rows:
+        return None
+    diag = np.array([Ug[(j + shift) % 3, j] for j in range(3)])
+    rel = np.angle(diag[1:] / diag[0])
+    return (float(rel[0]), float(rel[1]))
+
+
+def test_pauli_diagonal_phases_matches_the_loop():
+    D = np.diag(np.exp(2j * np.pi * np.array([0, 1, 2]) / 9))
+    X = weyl_matrix(1, [1], [0])
+    crafted = [
+        D,
+        X @ D,
+        X @ X @ weyl_matrix(1, [0], [1]) @ D,
+        np.eye(3)[[1, 0, 2]] @ D,  # a permutation that is not a shift
+        gate_matrix("H", 1, (0,)),
+        np.diag([1.0, 1e-9, 1.0]),  # a column below atol
+        np.zeros((3, 3)),
+    ]
+    gates = sweep_injection("T3").columns["gate"]
+    stack = np.concatenate([np.stack(crafted).astype(np.complex128), gates[::7]])
+    phases, known = gadget._pauli_diagonal_phases(stack)
+    want = [_pauli_diagonal_phases_loop(U) for U in stack]
+    assert list(known) == [w is not None for w in want]
+    assert list(known[: len(crafted)]) == [True, True, True, False, False, False, False]
+    for row, w in zip(phases[known], [w for w in want if w is not None]):
+        assert tuple(row.tolist()) == w
+
+
+def test_lazy_hits_equal_per_branch_reports():
+    _, table = gadget._symplectic_unitaries()
+    group = gadget._clifford_group_stack()
+    rng = np.random.default_rng(113)
+    res = sweep_injection("T3")
+    assert res.hits is res.hits
+    m = magic_state("T3").complex_vector()
+    for i in rng.choice(len(res.hits), size=60, replace=False):
+        g = res.hits[i]
+        assert (type(g.clifford), type(g.k_star), g.magic) == (int, int, "T3")
+        E = [branch_operator(table[g.clifford], m, k) for k in range(3)]
+        Ug = E[g.k_star] / np.sqrt(np.trace(E[g.k_star].conj().T @ E[g.k_star]).real / 3)
+        assert np.allclose(g.gate, Ug, atol=1e-12)
+        assert np.array_equal(g.gate, res.columns["gate"][i])
+        want = _pauli_diagonal_phases_loop(g.gate)
+        assert g.diagonal_phases == want
+        assert g.diagonal_phases is None or all(type(t) is float for t in g.diagonal_phases)
+        fixes = {
+            k: None
+            if np.linalg.norm(E[k]) < 1e-10
+            else int(gadget._proportional_to_clifford((E[k] @ Ug.conj().T)[None], group)[0])
+            for k in range(3)
+            if k != g.k_star
+        }
+        assert g.corrections == fixes
+        assert all(type(v) is int for v in g.corrections.values() if v is not None)
+
+    for name in ("N", "H3"):
+        res = sweep_two_copy(name)
+        m = magic_state(name).complex_vector()
+        for i in rng.choice(len(res.hits), size=40, replace=False):
+            r = res.hits[i]
+            v = branch_operator(table[r.clifford], m, r.k) @ m
+            cls, phases, norm2 = gadget._classify(v)
+            assert (r.magic, r.classification) == (name, cls)
+            assert (type(r.clifford), type(r.k), type(r.probability)) == (int, int, float)
+            assert np.allclose(r.vector, v, atol=1e-12)
+            assert r.probability == pytest.approx(norm2, abs=1e-12)
+            assert r.phases == pytest.approx(phases, abs=1e-9)
+            assert all(type(t) is float for t in r.phases)
