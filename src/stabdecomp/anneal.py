@@ -11,6 +11,17 @@ independent, seeded from one master seed, and the first chain to reach the
 residual tolerance short-circuits the rest.  A successful subset is
 snapped to exact cyclotomic coefficients when possible; search output is a
 candidate only and is always replayed through the independent verifiers.
+
+A step solves no linear system.  For each position the chain keeps the
+:class:`~stabdecomp.decomposition.SpanProjection` of the other r - 1
+members, the projection certify scores its blocks with, and scores a
+proposal there in closed form; a residual below its floating-point floor is
+re-scored exactly with ``best_fit``.  The projections are rebuilt only after
+an accepted move.  A Weyl neighbour is computed from two small tables (the
+index of x + a, and b.x mod p), and whether it is already a member is read
+from its overlaps with the members: 1 for the same state, at most 1/sqrt(p)
+between distinct ones.  ``Catalog.index_of`` locates, and so validates, a
+neighbour only once its move is accepted.
 """
 
 from __future__ import annotations
@@ -20,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import Decomposition, best_fit, exact_coefficients
+from .decomposition import CANDIDATE_RES2, Decomposition, SpanProjection, best_fit, exact_coefficients
 from .stabilizer import Catalog, TargetState, _all_points
 
 __all__ = ["AnnealConfig", "AnnealResult", "anneal_search"]
@@ -69,8 +80,8 @@ class _WeylNeighbours:
     p for p = 2 and 3 alike, and Pi_c = (1/p) sum_t (omega^-c P)^t projects
     onto its omega^c eigenspace.  For a stabilizer state v the projection is
     zero, v itself, or a stabilizer state at overlap 1/sqrt(p) with v; only
-    the last is a move.  The new vector is the projection itself, located in
-    the catalog by ``Catalog.index_of``, so nothing is decoded.
+    the last is a move.  The new vector is the projection itself, so nothing
+    is decoded; it is located in the catalog only once the move is accepted.
     """
 
     def __init__(self, catalog: Catalog):
@@ -78,55 +89,103 @@ class _WeylNeighbours:
         self._catalog = catalog
         self._p = p
         self._n = n
-        self._digits = _all_points(p, n)
+        digits = _all_points(p, n)
         self._weights = p ** np.arange(n - 1, -1, -1, dtype=np.int64)
+        # tables indexed by basis indices: sub[a, x] is the index of x - a, and
+        # exps[c, b, x] = b.x - c mod p, the exponent of omega in the phase at x
+        self._sub = ((digits[None, :, :] - digits[:, None, :]) % p) @ self._weights
+        self._exps = (((digits @ digits.T)[None] - np.arange(p)[:, None, None]) % p).astype(np.uint8)
         self._roots = np.exp(2j * np.pi * np.arange(p) / p)
-        self._tau = -np.exp(1j * np.pi / p)
+        tau = -np.exp(1j * np.pi / p)
+        self._tau_pows = [tau**k for k in range(n * (p - 1) ** 2 + 1)]  # a.b runs over 0..n(p-1)^2
 
     def project(self, v: np.ndarray, ab: np.ndarray, c: int) -> np.ndarray:
         """Pi_c v for the Weyl operator with exponent vector ab = (a, b)."""
-        p, n = self._p, self._n
+        n = self._n
         a, b = ab[:n], ab[n:]
-        dest = ((self._digits + a) % p) @ self._weights
-        # P |x> = tau^(a.b) omega^(b.x) |x + a>, times omega^-c
-        phase = self._tau ** int(a @ b) * self._roots[(self._digits @ b - c) % p]
+        src = self._sub[int(a @ self._weights)]
+        # P |x> = tau^(a.b) omega^(b.x) |x + a>, times omega^-c: (P v)[y] = phase[y - a] v[y - a]
+        phase = (self._tau_pows[int(a @ b)] * self._roots[self._exps[c, int(b @ self._weights)]])[src]
         out = v.copy()
         term = v
-        for _ in range(p - 1):
-            nxt = np.empty_like(term)
-            nxt[dest] = phase * term
-            term = nxt
+        for _ in range(self._p - 1):
+            term = phase * term[src]
             out += term
-        return out / p
+        return out / self._p
 
-    def propose(self, rng, vecs: list[np.ndarray], members: set[int]):
-        """(position, catalog index, vector) of a neighbour of a random member."""
+    def propose(self, rng, subset: "_Subset"):
+        """(position, vector) of a neighbour of a random member that is not a member."""
         p, n = self._p, self._n
         while True:
-            pos = int(rng.integers(len(vecs)))
+            pos = int(rng.integers(len(subset.indices)))
             ab = rng.integers(p, size=2 * n)
             c = int(rng.integers(p))
             if not ab.any():
                 continue
-            u = self.project(vecs[pos], ab, c)
+            u = self.project(subset.V[pos], ab, c)
             norm2 = float(np.vdot(u, u).real)
             if norm2 < 1e-9 or norm2 > 1.0 - 1e-9:
                 continue
             u /= math.sqrt(norm2)
-            j = self._catalog.index_of(u)
-            if j not in members:
-                return pos, j, u
+            if not subset.holds(u):
+                return pos, u
+
+    def locate(self, u: np.ndarray, members: set[int]) -> int:
+        """The catalog index of an accepted neighbour, validated by ``Catalog.index_of``."""
+        j = self._catalog.index_of(u)
+        if j in members:
+            raise RuntimeError("neighbour %d is already a member; the overlap test missed it" % j)
+        return j
 
 
-def _residual(vecs: list[np.ndarray], target_vec: np.ndarray) -> float:
-    A = np.column_stack(vecs)
-    G = A.conj().T @ A
-    b = A.conj().T @ target_vec
-    try:
-        c = np.linalg.solve(G, b)
-    except np.linalg.LinAlgError:
-        c, _, _, _ = np.linalg.lstsq(A, target_vec, rcond=None)
-    return float(np.linalg.norm(A @ c - target_vec))
+# |<member, u>|^2 is 1 when u is that member and at most 1/2 between distinct
+# stabilizer states, so a proposal above this overlap with a member is that member
+_MEMBER_OVERLAP2 = 0.75
+
+
+class _Subset:
+    """One chain's members and the projections that score a swap into them.
+
+    ``_proj[pos]`` is the :class:`SpanProjection` of the members other than
+    ``pos``; it is built when ``pos`` is first scored after a swap, so an
+    accepted move costs at most r SVDs and a rejected one none.
+    """
+
+    def __init__(self, indices: list[int], V: np.ndarray, t: np.ndarray):
+        self.indices = indices
+        self.members = set(indices)
+        self.V = V  # (r, dim), one member per row
+        self.t = t
+        self._tnorm2 = float(np.linalg.norm(t) ** 2)
+        self._proj: list[SpanProjection | None] = [None] * len(indices)
+
+    def holds(self, u: np.ndarray) -> bool:
+        """Whether the unit stabilizer vector u is a member, up to phase."""
+        ov = self.V @ u.conj()
+        return bool((ov.real**2 + ov.imag**2).max() > _MEMBER_OVERLAP2)
+
+    def energy(self, pos: int, v: np.ndarray) -> float:
+        """The residual of the subset with member ``pos`` replaced by the unit vector v.
+
+        Scored in closed form; below the projection's floating-point floor
+        it is re-scored exactly with ``best_fit``.
+        """
+        proj = self._proj[pos]
+        if proj is None:
+            proj = self._proj[pos] = SpanProjection(np.delete(self.V, pos, axis=0), self.t, self._tnorm2)
+        res2 = float(proj.residual2(v[None], np.vdot(v, self.t))[0])
+        if res2 > CANDIDATE_RES2:
+            return math.sqrt(res2)
+        A = self.V.T.copy()
+        A[:, pos] = v
+        return best_fit(A, self.t)[1]
+
+    def swap(self, pos: int, j: int, v: np.ndarray) -> None:
+        self.members.discard(self.indices[pos])
+        self.members.add(j)
+        self.indices[pos] = j
+        self.V[pos] = v
+        self._proj = [None] * len(self.indices)
 
 
 _MOVES = ("uniform", "weyl")
@@ -134,22 +193,22 @@ _MOVES = ("uniform", "weyl")
 
 def _run_chain(cfg: AnnealConfig, vec_of, neighbours, target_vec, rng, count):
     r = cfg.rank
-    subset = [int(i) for i in rng.choice(count, size=r, replace=False)]
-    members = set(subset)
-    vecs = [vec_of(i) for i in subset]
-    energy = _residual(vecs, target_vec)
-    best_subset = tuple(subset)
+    start = [int(i) for i in rng.choice(count, size=r, replace=False)]
+    subset = _Subset(start, np.array([vec_of(i) for i in start]), target_vec)
+    energy = subset.energy(0, subset.V[0])
+    best_subset = tuple(start)
     best_energy = energy
     trace = [energy]
 
     def propose():
-        # the two moves in a fixed 1:1 mix
+        # the two moves in a fixed 1:1 mix; a neighbour's index is found on acceptance
         if rng.integers(2):
-            return ("weyl",) + neighbours.propose(rng, vecs, members)
+            pos, u = neighbours.propose(rng, subset)
+            return "weyl", pos, None, u
         pos = int(rng.integers(r))
         while True:
             j = int(rng.integers(count))
-            if j not in members:
+            if j not in subset.members:
                 return "uniform", pos, j, vec_of(j)
 
     if cfg.t_initial is not None:
@@ -159,14 +218,12 @@ def _run_chain(cfg: AnnealConfig, vec_of, neighbours, target_vec, rng, count):
         uphill = []
         for _ in range(100):
             _, pos, _, vec = propose()
-            held = vecs[pos]
-            vecs[pos] = vec
-            delta = _residual(vecs, target_vec) - energy
-            vecs[pos] = held
+            delta = subset.energy(pos, vec) - energy
             if delta > 0:
                 uphill.append(delta)
         temp = float(np.median(uphill)) / math.log(2) if uphill else 0.1
 
+    temp_at_best = temp
     proposed = dict.fromkeys(_MOVES, 0)
     taken = dict.fromkeys(_MOVES, 0)
     steps_run = 0
@@ -174,27 +231,24 @@ def _run_chain(cfg: AnnealConfig, vec_of, neighbours, target_vec, rng, count):
         steps_run += 1
         kind, pos, j, vec = propose()
         proposed[kind] += 1
-        held_idx, held_vec = subset[pos], vecs[pos]
-        vecs[pos] = vec
-        new_energy = _residual(vecs, target_vec)
+        new_energy = subset.energy(pos, vec)
         delta = new_energy - energy
         if delta <= 0 or (temp > 0 and rng.random() < math.exp(max(-delta / temp, -745.0))):
-            subset[pos] = j
-            members.discard(held_idx)
-            members.add(j)
+            if j is None:
+                j = neighbours.locate(vec, subset.members)
+            subset.swap(pos, j, vec)
             energy = new_energy
             taken[kind] += 1
             if energy < best_energy:
                 best_energy = energy
-                best_subset = tuple(subset)
+                best_subset = tuple(subset.indices)
+                temp_at_best = temp
                 trace.append(energy)
                 if best_energy <= cfg.tol:
                     break
-        else:
-            vecs[pos] = held_vec
         temp *= cfg.cooling
     moves = {kind: {"proposed": proposed[kind], "accepted": taken[kind]} for kind in _MOVES}
-    return best_subset, best_energy, trace, steps_run, moves
+    return best_subset, best_energy, temp_at_best, trace, steps_run, moves
 
 
 def anneal_search(cfg: AnnealConfig) -> AnnealResult:
@@ -220,13 +274,14 @@ def anneal_search(cfg: AnnealConfig) -> AnnealResult:
     traces: list[dict] = []
     for c in range(cfg.chains):
         rng = np.random.default_rng(seeds[c])
-        subset, energy, trace, steps_run, moves = _run_chain(
+        subset, energy, temp_at_best, trace, steps_run, moves = _run_chain(
             cfg, vec_of, neighbours, target_vec, rng, count
         )
         traces.append(
             {
                 "chain": c,
                 "best_residual": energy,
+                "temperature_at_best": temp_at_best,
                 "accepted": sum(m["accepted"] for m in moves.values()),
                 "steps": steps_run,
                 "moves": moves,

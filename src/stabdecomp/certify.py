@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decomposition import best_fit
+from .decomposition import CANDIDATE_RES2, SpanProjection, best_fit
 from .stabilizer import Catalog, TargetState
 
 __all__ = [
@@ -45,16 +45,6 @@ __all__ = [
     "audit",
     "target_fingerprint",
 ]
-
-# Projection residuals bottom out near sqrt(machine eps); anything below
-# this squared threshold is re-scored exactly before the witness decision.
-_CANDIDATE_RES2 = 1e-12
-
-# A state whose squared distance from the span of the others is below this
-# (relative to the largest direction) counts as dependent on them.  Distinct
-# catalog states that are independent sit far above it; exact dependence
-# leaves only rounding error, near 1e-16.
-_DEPENDENT_RES2 = 1e-10
 
 # support masks are int64 bitsets, one bit per basis state; the sign bit stays clear
 _MASK_BITS = 63
@@ -307,16 +297,6 @@ class _SearchContext:
         self.prune_bound = float(nonzero.min()) if nonzero.size else 0.0
 
 
-def _suffix_basis(V_S: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of span(V_S) as columns; rows of V_S are the suffix states.
-
-    An SVD with a relative singular-value cutoff drops the directions of a
-    rank-deficient suffix, so dependent suffix states add no column.
-    """
-    U, sv, _ = np.linalg.svd(V_S.T, full_matrices=False)
-    return U[:, sv**2 > _DEPENDENT_RES2 * sv.max(initial=0.0) ** 2]
-
-
 def _score_block(
     ctx: _SearchContext,
     x_lo: int,
@@ -326,11 +306,8 @@ def _score_block(
 ):
     """Residuals for tuples (x, *suffix) with x_lo <= x < x_hi; returns per-tuple stats.
 
-    With Q an orthonormal basis of span(V_S) for the suffix states S, t_perp
-    the part of the target outside it and a = Q^dagger v_x, adding the unit
-    vector v_x removes |<v_x, t_perp>|^2 / (1 - |a|^2) from |t_perp|^2, where
-    <v_x, t_perp> = <v_x, t> - a^dagger Q^dagger t.  Q is computed once per
-    block, so each x costs one (r-1)-column projection.
+    The suffix states S get one :class:`SpanProjection` per block, so each x
+    costs one (r-1)-column projection.
 
     Returns (pruned_count, min_nonwitness_residual, witness_list).
     """
@@ -354,21 +331,14 @@ def _score_block(
             xs = x_lo + np.flatnonzero(covered)
             Vx, t_ov = ctx.V[xs], ctx.t_ov[xs]
 
-    Q = _suffix_basis(ctx.V[list(suffix)])
-    q_t = Q.conj().T @ ctx.t
-    t_perp2 = ctx.tnorm2 - float(np.vdot(q_t, q_t).real)
-    Q_conj = Q.conj()
+    proj = SpanProjection(ctx.V[list(suffix)], ctx.t, ctx.tnorm2)
     res2 = np.empty(len(t_ov))
     for lo in range(0, len(t_ov), _SCORE_ROWS):
         hi = lo + _SCORE_ROWS
-        a_conj = (Vx[lo:hi] @ Q_conj).conj()  # rows conj(Q^dagger v_x), with no (B, dim) temporary
-        denom = 1.0 - (a_conj.real**2 + a_conj.imag**2).sum(axis=1)
-        overlap = t_ov[lo:hi] - a_conj @ q_t
-        denom[denom <= _DEPENDENT_RES2] = np.inf  # a dependent x leaves res2 = |t_perp|^2
-        res2[lo:hi] = np.maximum(t_perp2 - (overlap.real**2 + overlap.imag**2) / denom, 0.0)
+        res2[lo:hi] = proj.residual2(Vx[lo:hi], t_ov[lo:hi])
 
     # exact re-score below the projection floating-point floor
-    cand = np.flatnonzero(res2 <= _CANDIDATE_RES2)
+    cand = np.flatnonzero(res2 <= CANDIDATE_RES2)
     for row in cand:
         x = x_lo + int(row) if xs is None else int(xs[row])
         A = np.column_stack([ctx.V[x]] + [ctx.V[s] for s in suffix])
@@ -484,9 +454,9 @@ def check_request(target, r: int, tol: float) -> None:
     """
     if r < 1:
         raise ValueError("r must be >= 1")
-    if not tol <= math.sqrt(_CANDIDATE_RES2):
+    if not tol <= math.sqrt(CANDIDATE_RES2):
         raise ValueError(
-            "tol %g exceeds the exact re-score threshold %g" % (tol, math.sqrt(_CANDIDATE_RES2))
+            "tol %g exceeds the exact re-score threshold %g" % (tol, math.sqrt(CANDIDATE_RES2))
         )
     if target.p**target.n > _MASK_BITS:
         raise ValueError(
@@ -507,7 +477,7 @@ def certify_rank(
     """Exhaustively test every r-tuple in the shard against the target.
 
     A tuple is a witness when its least-squares residual is at most tol.
-    Only tuples scored below sqrt(_CANDIDATE_RES2) are re-scored exactly, so
+    Only tuples scored below sqrt(CANDIDATE_RES2) are re-scored exactly, so
     a larger tol is refused.  With checkpoint set, progress is persisted so
     an interrupted run can resume; the resulting certificate is identical
     either way.

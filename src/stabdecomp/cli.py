@@ -177,9 +177,19 @@ def cmd_search(args) -> int:
     }
     path = _out_path(args, "search-%s-r%d-seed%d.json" % (target.name.replace("^", "m"), args.r, args.seed))
     _write_json(path, payload)
+    steps = sum(t["steps"] for t in res.chain_traces)
     print(
-        "search %s r=%d: %s (residual %.2e, %d chains, %.1fs)"
-        % (target.name, args.r, "success" if res.success else "no witness", res.residual, len(res.chain_traces), wall)
+        "search %s r=%d: %s (residual %.2e, %d chains, %d steps, %.0f steps/s, %.1fs)"
+        % (
+            target.name,
+            args.r,
+            "success" if res.success else "no witness",
+            res.residual,
+            len(res.chain_traces),
+            steps,
+            steps / max(wall, 1e-9),
+            wall,
+        )
     )
     print("wrote %s" % path)
     return 0 if res.success else 1

@@ -154,6 +154,45 @@ def best_fit(vectors: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, float
     return sol, residual
 
 
+# Projection residuals bottom out near sqrt(machine eps); anything below
+# this squared threshold is re-scored exactly with ``best_fit``.
+CANDIDATE_RES2 = 1e-12
+
+# A state whose squared distance from the span of the others is below this
+# (relative to the largest direction) counts as dependent on them.  Distinct
+# catalog states that are independent sit far above it; exact dependence
+# leaves only rounding error, near 1e-16.
+DEPENDENT_RES2 = 1e-10
+
+
+class SpanProjection:
+    """Squared residuals of the target over span(S + {v}), for one fixed set S
+    and many unit vectors v.
+
+    With Q an orthonormal basis of span(S), t_perp the part of the target
+    outside it and a = Q^dagger v, adding v removes |<v, t_perp>|^2 / (1 - |a|^2)
+    from |t_perp|^2, where <v, t_perp> = <v, t> - a^dagger Q^dagger t.  Q comes
+    from an SVD with a relative singular-value cutoff, so the directions of a
+    rank-deficient S add no column; a v dependent on S leaves |t_perp|^2.
+    """
+
+    def __init__(self, V_S: np.ndarray, t: np.ndarray, tnorm2: float):
+        """V_S holds the states of S as rows; tnorm2 is |t|^2."""
+        U, sv, _ = np.linalg.svd(V_S.T, full_matrices=False)
+        Q = U[:, sv**2 > DEPENDENT_RES2 * sv.max(initial=0.0) ** 2]
+        self.q_t = Q.conj().T @ t
+        self.t_perp2 = tnorm2 - float(np.vdot(self.q_t, self.q_t).real)
+        self.Q_conj = Q.conj()
+
+    def residual2(self, Vx: np.ndarray, t_ov: np.ndarray) -> np.ndarray:
+        """Squared residual of each row v of Vx; t_ov holds the <v, t>."""
+        a_conj = (Vx @ self.Q_conj).conj()  # rows conj(Q^dagger v), with no (B, dim) temporary
+        denom = 1.0 - (a_conj.real**2 + a_conj.imag**2).sum(axis=1)
+        overlap = t_ov - a_conj @ self.q_t
+        denom[denom <= DEPENDENT_RES2] = np.inf
+        return np.maximum(self.t_perp2 - (overlap.real**2 + overlap.imag**2) / denom, 0.0)
+
+
 def exact_coefficients(
     states: list[CanonicalStabilizer], target: TargetState
 ) -> list[ScaledCyclo] | None:

@@ -183,7 +183,19 @@ class SweepResult:
     @functools.cached_property
     def hits(self) -> list:
         """GadgetReport or ProtocolReport objects, one per hit, built from the columns once."""
-        c = self.columns
+        return self._reports(slice(None))
+
+    def nonclifford_hits(self) -> list:
+        """The hits that give a non-Clifford gate, built from the columns: the
+        ``nonclifford`` rows of a two-copy sweep, every gadget of an injection
+        sweep (a gadget's gate is non-Clifford by construction)."""
+        if self.kind == "injection":
+            return self._reports(slice(None))
+        return self._reports(np.flatnonzero(self.columns["nonclifford"]))
+
+    def _reports(self, rows) -> list:
+        """The report objects of the given hit rows (an index array or a slice), in order."""
+        c = {key: col[rows] for key, col in self.columns.items()}
         if self.kind == "injection":
             return [
                 GadgetReport(
@@ -216,9 +228,6 @@ class SweepResult:
                 c["nonclifford"].tolist(),
             )
         ]
-
-    def nonclifford_hits(self):
-        return [r for r in self.hits if r.classification == CLASS_NONCLIFFORD]
 
     def _header(self) -> dict:
         return {"magic": self.magic, "kind": self.kind, "total": self.total, "counts": self.counts}

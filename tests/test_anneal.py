@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from stabdecomp.anneal import AnnealConfig, anneal_search
-from stabdecomp.decomposition import best_fit
+from stabdecomp.anneal import AnnealConfig, _Subset, _WeylNeighbours, anneal_search
+from stabdecomp.clifford import weyl_matrix
+from stabdecomp.decomposition import CANDIDATE_RES2, best_fit
 from stabdecomp.stabilizer import build_catalog, magic_power
 
 
@@ -80,3 +81,150 @@ def test_traces_nonincreasing_and_residual_recomputed(cat2):
     A = np.column_stack([cat2.get(i).complex_vector() for i in res.subset])
     _, residual = best_fit(A, magic_power("N", 2).complex_vector())
     assert res.residual == pytest.approx(residual, abs=1e-12)
+
+
+# -- the solve-free step: projection scorer, table-driven Weyl move, overlap membership
+
+
+def _subset(cat, target, indices):
+    return _Subset(list(indices), cat.vectors(indices), target.complex_vector())
+
+
+def _fit(subset, pos, v):
+    A = subset.V.T.copy()
+    A[:, pos] = v
+    return best_fit(A, subset.t)[1]
+
+
+@pytest.mark.parametrize("p,n,name", [(3, 2, "N"), (3, 3, "H3"), (2, 4, "H")])
+def test_scorer_energy_equals_best_fit(p, n, name):
+    cat = build_catalog(p, n, "raw")
+    target = magic_power(name, n)
+    rng = np.random.default_rng(p * 10 + n)
+    for r in (2, 3, 5):
+        subset = _subset(cat, target, rng.choice(len(cat), size=r, replace=False))
+        for _ in range(20):
+            pos = int(rng.integers(r))
+            j = int(rng.integers(len(cat)))
+            v = cat.vectors([j])[0]
+            assert subset.energy(pos, v) == pytest.approx(_fit(subset, pos, v), abs=1e-12)
+            # a second score at the same position reuses the projection
+            assert subset.energy(pos, subset.V[pos]) == pytest.approx(_fit(subset, pos, subset.V[pos]), abs=1e-12)
+            if j not in subset.members and rng.integers(2):
+                subset.swap(pos, j, v)  # every later score must see the new member
+
+
+@pytest.mark.parametrize("p,n,name", [(3, 2, "N"), (2, 4, "H")])
+def test_scorer_dependent_proposal_keeps_t_perp(p, n, name):
+    # the other members are the basis states of a line {x0 + s d}; the uniform
+    # superposition over the line is a catalog state in their span
+    cat = build_catalog(p, n, "raw")
+    target = magic_power(name, n)
+    dim = p**n
+    line = list(range(p))
+    basis = [cat.index_of(np.eye(dim)[x]) for x in line]
+    plus = cat.vectors([cat.index_of(np.eye(dim)[line].sum(axis=0))])[0]
+    subset = _subset(cat, target, [*basis, len(cat) - 1])  # and one full-support state
+    pos = len(basis)
+    res = subset.energy(pos, plus)
+    a = subset._proj[pos].Q_conj.T @ plus  # Q^dagger plus
+    assert 1 - np.vdot(a, a).real < 1e-10  # the dependent branch, which keeps |t_perp|^2 as it is
+    assert res == np.sqrt(subset._proj[pos].t_perp2)
+    assert res == pytest.approx(_fit(subset, pos, plus), abs=1e-12)
+    A = subset.V[:pos].T
+    assert res == pytest.approx(best_fit(A, subset.t)[1], abs=1e-12)  # plus adds nothing
+
+
+def test_scorer_witness_goes_through_the_exact_rescore(cat2):
+    target = magic_power("S", 2)
+    found = anneal_search(AnnealConfig(target=target, rank=2, catalog=cat2, seed=0))
+    assert found.success
+    subset = _subset(cat2, target, found.subset)
+    subset.energy(0, subset.V[0])
+    closed = subset._proj[0].residual2(subset.V[0][None], np.vdot(subset.V[0], subset.t))[0]
+    assert closed <= CANDIDATE_RES2  # the closed form alone sits at its rounding floor
+    for pos in range(2):
+        res = subset.energy(pos, subset.V[pos])
+        assert res == _fit(subset, pos, subset.V[pos])  # the best_fit value itself
+        assert res <= 1e-10
+
+
+def _weyl_projector(p, n, a, b, c):
+    """Pi_c = (1/p) sum_t (omega^-c P)^t with P = tau^(a.b) X^a Z^b, from dense matrices."""
+    if p == 3:
+        W = weyl_matrix(n, a, b)
+    else:
+        X, Z = np.array([[0, 1], [1, 0]], dtype=complex), np.diag([1, -1]).astype(complex)
+        W = np.eye(1, dtype=complex)
+        for ai, bi in zip(a, b):
+            W = np.kron(W, np.linalg.matrix_power(X, int(ai)) @ np.linalg.matrix_power(Z, int(bi)))
+    omega = np.exp(2j * np.pi / p)
+    P = (-np.exp(1j * np.pi / p)) ** int(np.dot(a, b)) * W
+    step = omega ** (-c) * P
+    return sum(np.linalg.matrix_power(step, t) for t in range(p)) / p
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (2, 3)])
+def test_table_weyl_projection_equals_the_matrix_projector(p, n):
+    moves = _WeylNeighbours(build_catalog(p, n, "raw"))
+    rng = np.random.default_rng(17)
+    for _ in range(100):
+        ab = rng.integers(p, size=2 * n)
+        c = int(rng.integers(p))
+        v = rng.normal(size=p**n) + 1j * rng.normal(size=p**n)
+        want = _weyl_projector(p, n, ab[:n], ab[n:], c) @ v
+        assert np.allclose(moves.project(v, ab, c), want, atol=1e-12)
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (2, 3)])
+def test_overlap_membership_agrees_with_index_of(p, n):
+    cat = build_catalog(p, n, "raw")
+    moves = _WeylNeighbours(cat)
+    target = magic_power("N" if p == 3 else "H", n)
+    rng = np.random.default_rng(23)
+    seen = set()
+    for _ in range(40):
+        # a member, one of its neighbours, and two random states
+        src = int(rng.integers(len(cat)))
+        _, u = moves.propose(rng, _Subset([src], cat.vectors([src]), target.complex_vector()))
+        nb = moves.locate(u, {src})
+        others = [int(i) for i in rng.choice(len(cat), size=4) if int(i) not in (src, nb)][:2]
+        subset = _subset(cat, target, [src, nb, *others])
+        for _ in range(30):
+            ab = rng.integers(p, size=2 * n)
+            pos = int(rng.integers(len(subset.indices)))
+            u = moves.project(subset.V[pos], ab, int(rng.integers(p)))
+            norm2 = float(np.vdot(u, u).real)
+            if norm2 < 1e-9:
+                continue
+            u = u / np.sqrt(norm2)
+            held = cat.index_of(u) in subset.members
+            assert subset.holds(u) == held
+            seen.add(held)
+    assert seen == {True, False}
+
+
+def test_large_catalog_chain_is_deterministic():
+    # (3,4) is above the dense-decode limit: uniform moves decode one state at
+    # a time, and every accepted neighbour is located with index_of
+    cat = build_catalog(3, 4, "raw")
+    cfg = AnnealConfig(target=magic_power("N", 4), rank=7, catalog=cat, seed=4, chains=2, steps=200)
+    a, b = anneal_search(cfg), anneal_search(cfg)
+    assert a.chain_traces == b.chain_traces
+    assert a.subset == b.subset and a.residual == b.residual
+    assert all(t["moves"]["weyl"]["accepted"] > 0 for t in a.chain_traces)
+    assert all(t["moves"]["uniform"]["accepted"] > 0 for t in a.chain_traces)
+
+
+def test_temperature_at_best_is_the_temperature_of_the_last_improvement(cat2):
+    t0, cooling = 0.5, 0.99
+    target = magic_power("H3", 2)
+    cfg = AnnealConfig(target=target, rank=2, catalog=cat2, seed=1, chains=1, t_initial=t0, cooling=cooling)
+    (chain,) = anneal_search(cfg).chain_traces
+    assert len(chain["trace"]) > 1
+    # the temperature after k cooling steps: the last improvement was made at step k
+    k = round(np.log(chain["temperature_at_best"] / t0) / np.log(cooling))
+    assert k > 0 and chain["temperature_at_best"] == pytest.approx(t0 * cooling**k, rel=1e-9)
+    for steps, trace in ((k, chain["trace"][:-1]), (k + 1, chain["trace"])):
+        cut = AnnealConfig(target=target, rank=2, catalog=cat2, seed=1, chains=1, t_initial=t0, cooling=cooling, steps=steps)
+        assert anneal_search(cut).chain_traces[0]["trace"] == trace

@@ -193,6 +193,22 @@ def test_search_cli_failure_exit_one(tmp_path):
     assert payload["decomposition"] is None
 
 
+def test_search_cli_summary_reports_steps(tmp_path, capsys):
+    out = tmp_path / "search.json"
+    code = main(
+        ["search", "--target", "H3", "--m", "2", "--r", "2", "--chains", "2", "--steps", "300", "--out", str(out)]
+    )
+    assert code == 1
+    payload = read_json(out)
+    summary = capsys.readouterr().out.splitlines()[0]
+    steps = sum(t["steps"] for t in payload["chain_traces"])
+    assert steps == 600
+    assert "no witness" in summary and "2 chains, 600 steps, " in summary and " steps/s, " in summary
+    # the chain diagnostics are deterministic: no timing field
+    keys = {"chain", "best_residual", "temperature_at_best", "accepted", "steps", "moves", "trace"}
+    assert all(set(t) == keys for t in payload["chain_traces"])
+
+
 def test_sweep_twocopy_strange_cli(tmp_path):
     out = tmp_path / "sweep.json"
     assert main(["sweep", "twocopy", "--state", "S", "--out", str(out)]) == 0

@@ -501,3 +501,20 @@ def test_lazy_hits_equal_per_branch_reports():
             assert r.probability == pytest.approx(norm2, abs=1e-12)
             assert r.phases == pytest.approx(phases, abs=1e-9)
             assert all(type(t) is float for t in r.phases)
+
+
+def test_nonclifford_hits_injection_and_two_copy():
+    # every injection gadget injects a non-Clifford gate by construction
+    res = sweep_injection("T3")
+    nc = res.nonclifford_hits()
+    assert len(nc) == 31104 == res.counts["gadgets"]
+    assert "hits" not in vars(res)  # read from the columns, not from the cached full list
+    assert [g.to_json() for g in nc[::97]] == [g.to_json() for g in res.hits[::97]]
+    # two-copy: exactly the hits classified non-Clifford, in sweep order, and only those are built
+    for name in ("N", "H3", "S"):
+        res = sweep_two_copy(name)
+        nc = res.nonclifford_hits()
+        assert "hits" not in vars(res)
+        assert len(nc) == res.counts[CLASS_NONCLIFFORD]
+        want = [r for r in res.hits if r.classification == CLASS_NONCLIFFORD]
+        assert [r.to_json() for r in nc] == [r.to_json() for r in want]

@@ -1,11 +1,11 @@
 """Catalog.index_of, the inverse of Catalog.get, and the annealer's Weyl-projector
-neighbour move that relies on it."""
+neighbour move, which locates an accepted neighbour with it."""
 
 import numpy as np
 import pytest
 
 from stabdecomp.algebra import QuadraticForm
-from stabdecomp.anneal import AnnealConfig, _WeylNeighbours, anneal_search
+from stabdecomp.anneal import AnnealConfig, _Subset, _WeylNeighbours, anneal_search
 from stabdecomp.stabilizer import CanonicalStabilizer, build_catalog, magic_power
 
 
@@ -66,7 +66,8 @@ def test_neighbour_is_a_catalog_state_at_overlap_one_over_root_p(p, n):
     for _ in range(200):
         src = int(rng.integers(len(cat)))
         v = cat.get(src).complex_vector()
-        pos, j, u = moves.propose(rng, [v], {src})
+        pos, u = moves.propose(rng, _Subset([src], v[None].copy(), v))
+        j = moves.locate(u, {src})
         assert pos == 0 and j != src
         w = cat.get(j).complex_vector()
         assert abs(np.vdot(u, u) - 1) < 1e-12
