@@ -25,14 +25,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .decomposition import CANDIDATE_RES2, SpanProjection, best_fit
-from .stabilizer import Catalog, TargetState
+from .stabilizer import CATALOG_LABEL, Catalog, TargetState
 
 __all__ = [
     "ShardSpec",
@@ -164,7 +163,6 @@ class Certificate:
     tol: float
     target_hash: str
     catalog_hash: str
-    catalog_mode: str
     catalog_count: int
     total_tuples: int
     shard: ShardSpec
@@ -192,7 +190,7 @@ class Certificate:
             "tol": self.tol,
             "target_hash": self.target_hash,
             "catalog_hash": self.catalog_hash,
-            "catalog_mode": self.catalog_mode,
+            "catalog_mode": CATALOG_LABEL,
             "catalog_count": self.catalog_count,
             "total_tuples": self.total_tuples,
             "shard": self.shard.to_payload(),
@@ -206,29 +204,35 @@ class Certificate:
 
     @classmethod
     def from_payload(cls, d: dict) -> "Certificate":
-        if d.get("format") != "stabdecomp-certificate":
+        """The certificate of a payload; a ValueError names a missing field or an unknown catalog_mode."""
+        if not isinstance(d, dict) or d.get("format") != "stabdecomp-certificate":
             raise ValueError("not a certificate payload")
-        return cls(
-            target_name=d["target"],
-            copies=d["copies"],
-            p=d["p"],
-            n=d["n"],
-            r=d["r"],
-            tol=d["tol"],
-            target_hash=d["target_hash"],
-            catalog_hash=d["catalog_hash"],
-            catalog_mode=d["catalog_mode"],
-            catalog_count=d["catalog_count"],
-            total_tuples=d["total_tuples"],
-            shard=ShardSpec.from_payload(d["shard"]),
-            tuples_tested=d["tuples_tested"],
-            tuples_pruned=d["tuples_pruned"],
-            witnesses=[tuple(w) for w in d["witnesses"]],
-            min_nonwitness_residual=d["min_nonwitness_residual"],
-            wall_time=d["wall_time"],
-            full_coverage=d["full_coverage"],
-            version=d["version"],
-        )
+        try:
+            # "dedupe" is the legacy label of the same catalog: catalog_hash proves it
+            if d["catalog_mode"] not in (CATALOG_LABEL, "dedupe"):
+                raise ValueError("unknown catalog_mode %r" % (d["catalog_mode"],))
+            return cls(
+                target_name=d["target"],
+                copies=d["copies"],
+                p=d["p"],
+                n=d["n"],
+                r=d["r"],
+                tol=d["tol"],
+                target_hash=d["target_hash"],
+                catalog_hash=d["catalog_hash"],
+                catalog_count=d["catalog_count"],
+                total_tuples=d["total_tuples"],
+                shard=ShardSpec.from_payload(d["shard"]),
+                tuples_tested=d["tuples_tested"],
+                tuples_pruned=d["tuples_pruned"],
+                witnesses=[tuple(w) for w in d["witnesses"]],
+                min_nonwitness_residual=d["min_nonwitness_residual"],
+                wall_time=d["wall_time"],
+                full_coverage=d["full_coverage"],
+                version=d["version"],
+            )
+        except KeyError as exc:
+            raise ValueError("certificate lacks the field %s" % exc) from None
 
     def save(self, path: str) -> None:
         with open(path, "w") as fh:
@@ -393,7 +397,7 @@ def _whole_blocks_end(s1: int, room: int) -> int:
     return (1 + math.isqrt(1 + 8 * (room + math.comb(s1, 2)))) // 2
 
 
-def _certify_range(ctx, lo, hi, r, tol, progress=None, progress_base=0):
+def _certify_range(ctx, lo, hi, r, tol, progress=None):
     """Stream ranks [lo, hi) through the run screen and the block scorer.
 
     At a block boundary the whole blocks of the current run that fit in the
@@ -438,7 +442,7 @@ def _certify_range(ctx, lo, hi, r, tol, progress=None, progress_base=0):
             min_res = min(min_res, m)
             witnesses.extend(w)
         if progress is not None:
-            progress(progress_base + done - lo)
+            progress(done - lo)
         if done < hi:  # the last block ended at its bound
             suffix = _next_suffix(last, ctx.count)
             if suffix is None:
@@ -471,16 +475,13 @@ def certify_rank(
     shard: ShardSpec | None = None,
     tol: float = 1e-10,
     progress=None,
-    checkpoint: str | None = None,
-    checkpoint_every: int = 20_000_000,
 ) -> Certificate:
     """Exhaustively test every r-tuple in the shard against the target.
 
     A tuple is a witness when its least-squares residual is at most tol.
     Only tuples scored below sqrt(CANDIDATE_RES2) are re-scored exactly, so
-    a larger tol is refused.  With checkpoint set, progress is persisted so
-    an interrupted run can resume; the resulting certificate is identical
-    either way.
+    a larger tol is refused.  An interrupted shard is re-run; to keep the
+    cost of that small, split the space into more shards and ``merge`` them.
     """
     check_request(target, r, tol)
     count = len(catalog)
@@ -492,48 +493,8 @@ def certify_rank(
 
     ctx = _SearchContext(target, catalog)
     t_start = time.perf_counter()
-    wall_prev = 0.0
-
-    start = shard.lo
-    tested = 0
-    pruned = 0
-    min_res = math.inf
-    witnesses: list[tuple[int, ...]] = []
-
-    state = _load_checkpoint(checkpoint, target, catalog, r, shard, tol)
-    if state is not None:
-        start = state["next_rank"]
-        tested = state["tuples_tested"]
-        pruned = state["tuples_pruned"]
-        min_res = state["min_residual"]
-        witnesses = [tuple(w) for w in state["witnesses"]]
-        wall_prev = state["wall_time"]
-
-    pos = start
-    while pos < shard.hi:
-        stop = min(shard.hi, pos + checkpoint_every) if checkpoint else shard.hi
-        te, pr, mr, wi = _certify_range(
-            ctx, pos, stop, r, tol, progress=progress, progress_base=pos - shard.lo
-        )
-        tested += te
-        pruned += pr
-        min_res = min(min_res, mr)
-        witnesses.extend(wi)
-        pos = stop
-        if checkpoint and pos < shard.hi:
-            _save_checkpoint(
-                checkpoint, target, catalog, r, shard, tol,
-                {
-                    "next_rank": pos,
-                    "tuples_tested": tested,
-                    "tuples_pruned": pruned,
-                    "min_residual": min_res,
-                    "witnesses": [list(w) for w in witnesses],
-                    "wall_time": wall_prev + time.perf_counter() - t_start,
-                },
-            )
-
-    cert = Certificate(
+    tested, pruned, min_res, witnesses = _certify_range(ctx, shard.lo, shard.hi, r, tol, progress)
+    return Certificate(
         target_name=target.name,
         copies=_copies_of(target),
         p=target.p,
@@ -542,7 +503,6 @@ def certify_rank(
         tol=tol,
         target_hash=target_fingerprint(target),
         catalog_hash=catalog.content_hash(),
-        catalog_mode=catalog.mode,
         catalog_count=count,
         total_tuples=total,
         shard=shard,
@@ -550,12 +510,9 @@ def certify_rank(
         tuples_pruned=pruned,
         witnesses=sorted(witnesses),
         min_nonwitness_residual=min_res,
-        wall_time=wall_prev + time.perf_counter() - t_start,
+        wall_time=time.perf_counter() - t_start,
         full_coverage=(shard.lo == 0 and shard.hi == total),
     )
-    if checkpoint and os.path.exists(checkpoint):
-        os.remove(checkpoint)
-    return cert
 
 
 def _copies_of(target: TargetState) -> int:
@@ -564,34 +521,6 @@ def _copies_of(target: TargetState) -> int:
         return int(name.split("^")[1])
     # every named magic target uses one qudit leg per copy
     return target.n
-
-
-def _checkpoint_key(target, catalog, r, shard, tol) -> dict:
-    return {
-        "target_hash": target_fingerprint(target),
-        "catalog_count": len(catalog),
-        "catalog_mode": catalog.mode,
-        "r": r,
-        "shard": shard.to_payload(),
-        "tol": tol,
-    }
-
-
-def _load_checkpoint(path, target, catalog, r, shard, tol):
-    if not path or not os.path.exists(path):
-        return None
-    with open(path) as fh:
-        d = json.load(fh)
-    if d.get("key") != _checkpoint_key(target, catalog, r, shard, tol):
-        raise ValueError("checkpoint does not match this search")
-    return d["state"]
-
-
-def _save_checkpoint(path, target, catalog, r, shard, tol, state) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump({"key": _checkpoint_key(target, catalog, r, shard, tol), "state": state}, fh)
-    os.replace(tmp, path)
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +541,6 @@ def merge_certificates(certs: list[Certificate]) -> Certificate:
             and c.tol == head.tol
             and c.target_hash == head.target_hash
             and c.catalog_hash == head.catalog_hash
-            and c.catalog_mode == head.catalog_mode
             and c.catalog_count == head.catalog_count
             and c.total_tuples == head.total_tuples
             and c.version == head.version
@@ -636,7 +564,6 @@ def merge_certificates(certs: list[Certificate]) -> Certificate:
         tol=head.tol,
         target_hash=head.target_hash,
         catalog_hash=head.catalog_hash,
-        catalog_mode=head.catalog_mode,
         catalog_count=head.catalog_count,
         total_tuples=head.total_tuples,
         shard=ShardSpec(lo=ordered[0].shard.lo, hi=ordered[-1].shard.hi),
@@ -683,7 +610,7 @@ def audit(
 
     if target_fingerprint(target) != cert.target_hash:
         failures.append("target-hash")
-    if len(catalog) != cert.catalog_count or catalog.mode != cert.catalog_mode:
+    if len(catalog) != cert.catalog_count:
         failures.append("catalog-shape")
     elif catalog.content_hash() != cert.catalog_hash:
         failures.append("catalog-hash")

@@ -22,7 +22,7 @@ from .clifford import generate_clifford_group, orbit_closure
 from .decomposition import Decomposition, exponent_from_bound
 from .gadget import CLASS_NONCLIFFORD, sweep_injection, sweep_two_copy
 from . import known
-from .stabilizer import MAGIC_NAMES, build_catalog, magic_power, magic_state
+from .stabilizer import CATALOG_LABEL, MAGIC_NAMES, build_catalog, magic_power, magic_state
 
 VERIFY_TOL = 1e-13
 WITNESS_TOL = 1e-10
@@ -70,10 +70,10 @@ def _parse_shard(text: str) -> tuple[int, int]:
 
 
 def cmd_catalog(args) -> int:
-    cat = build_catalog(args.p, args.n, args.mode)
-    path = _out_path(args, "catalog-p%dn%d-%s.jsonl" % (args.p, args.n, args.mode))
+    cat = build_catalog(args.p, args.n)
+    path = _out_path(args, "catalog-p%dn%d-%s.jsonl" % (args.p, args.n, CATALOG_LABEL))
     header = cat.write_jsonl(path)
-    print("catalog p=%d n=%d mode=%s: %d states" % (args.p, args.n, args.mode, len(cat)))
+    print("catalog p=%d n=%d: %d states" % (args.p, args.n, len(cat)))
     print("sha256 %s" % header["sha256"])
     print("wrote %s" % path)
     return 0
@@ -139,7 +139,7 @@ def _verify_one(name, dec, exact, tol) -> dict:
 
 def cmd_search(args) -> int:
     target = _target(args.target, args.m)
-    catalog = build_catalog(target.p, target.n, args.mode)
+    catalog = build_catalog(target.p, target.n)
     cfg = AnnealConfig(
         target=target,
         rank=args.r,
@@ -161,7 +161,7 @@ def cmd_search(args) -> int:
         "p": target.p,
         "r": args.r,
         "catalog_count": len(catalog),
-        "catalog_mode": args.mode,
+        "catalog_mode": CATALOG_LABEL,
         "steps": args.steps,
         "chains": args.chains,
         "cooling": args.cooling,
@@ -215,16 +215,10 @@ def _progress_printer(total: int):
 def cmd_certify(args) -> int:
     target = _target(args.target, args.m)
     check_request(target, args.r, args.tol)
-    catalog = build_catalog(target.p, target.n, args.mode)
+    catalog = build_catalog(target.p, target.n)
     total = math.comb(len(catalog), args.r)
     idx, cnt = _parse_shard(args.shard)
     shard = ShardSpec.of(idx, cnt, total)
-
-    checkpoint = args.checkpoint
-    if checkpoint and os.path.exists(checkpoint) and not args.resume:
-        print("checkpoint %s exists; pass --resume to continue it" % checkpoint, file=sys.stderr)
-        return 2
-
     cert = certify_rank(
         target,
         args.r,
@@ -232,7 +226,6 @@ def cmd_certify(args) -> int:
         shard=shard,
         tol=args.tol,
         progress=_progress_printer(shard.hi - shard.lo),
-        checkpoint=checkpoint,
     )
     path = _out_path(
         args,
@@ -253,7 +246,7 @@ def cmd_merge(args) -> int:
     try:
         certs = [Certificate.load(p) for p in args.certs]
         merged = merge_certificates(certs)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print("merge failed: %s" % exc, file=sys.stderr)
         return 2
     path = _out_path(args, "cert-merged.json")
@@ -274,7 +267,7 @@ def cmd_audit(args) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    catalog = build_catalog(cert.p, cert.n, cert.catalog_mode)
+    catalog = build_catalog(cert.p, cert.n)
     report = audit(cert, catalog, target, samples=args.samples, seed=args.seed)
     payload = {
         "format": "stabdecomp-audit",
@@ -410,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("catalog", help="enumerate canonical stabilizer states to JSONL")
     p.add_argument("--p", type=int, default=3, choices=(2, 3))
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--mode", choices=("raw", "dedupe"), default="raw")
     p.add_argument("--out")
     p.set_defaults(func=cmd_catalog)
 
@@ -433,7 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t0", type=float, default=None)
     p.add_argument("--tol", type=float, default=WITNESS_TOL)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mode", choices=("raw", "dedupe"), default="raw")
     p.add_argument("--out")
     p.set_defaults(func=cmd_search)
 
@@ -443,9 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--shard", default="0/1", help="shard i/N of the tuple space")
     p.add_argument("--tol", type=float, default=WITNESS_TOL)
-    p.add_argument("--mode", choices=("raw", "dedupe"), default="raw")
-    p.add_argument("--checkpoint", help="checkpoint file for interruptible runs")
-    p.add_argument("--resume", action="store_true", help="continue from an existing checkpoint")
     p.add_argument("--out")
     p.set_defaults(func=cmd_certify)
 

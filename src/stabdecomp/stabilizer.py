@@ -264,8 +264,9 @@ class CanonicalStabilizer:
         return (self.p, self.n, self.k, tuple(self.x0), tuple(self.W.flat), self.phase.key())
 
     def support_key(self) -> tuple:
-        """Projective dedupe key: sorted support with exponents rebased at the
-        smallest support index.  Integer-only, no cyclotomic arithmetic."""
+        """Projective identity key: sorted support with exponents rebased at the
+        smallest support index, equal for two states exactly when they are the
+        same up to global phase.  Integer-only, no cyclotomic arithmetic."""
         idx, exps = self.points()
         order = np.argsort(idx, kind="stable")
         idx, exps = idx[order], exps[order]
@@ -364,6 +365,10 @@ _INDEX_TOL = 1e-6
 # forms decoded at once by the block decoder; bounds its temporaries
 _FORM_CHUNK = 256
 
+# the catalog's name in every artifact: the catalog JSONL header ("mode"), and
+# the search and certificate payloads ("catalog_mode")
+CATALOG_LABEL = "raw"
+
 
 def _json(value) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
@@ -376,9 +381,11 @@ class _FormTables:
     ``Catalog._decode_form`` once divided by ``scale``; it reads only y = e_i,
     2 e_i (qutrits) and e_i + e_j.  ``monomials`` maps digits back to the
     exponents at every y; digit t of form f is ``f // place[t] % radix[t]``.
-    ``amps[e]`` is the amplitude with phase exponent e, as ``complex_vector``
-    computes it.  ``template % tuple(digits[slots])`` is the JSON of the
-    form's phase payload, as ``record`` gives it.
+    ``amps[e]`` is the amplitude with phase exponent e mod ``order``, as
+    ``complex_vector`` computes it, for every exponent sum the monomials can
+    reach, so the block decoder reads it without reducing mod ``order``.
+    ``template % tuple(digits[slots])`` is the JSON of the form's phase
+    payload, as ``record`` gives it.
     """
 
     __slots__ = ("nforms", "order", "decode", "scale", "monomials", "place", "radix", "amps",
@@ -439,7 +446,10 @@ class _FormTables:
         self.monomials = np.array(mono, dtype=np.float64).reshape(ndig, len(Y)).T.copy()
         self.place = np.array(place, dtype=np.int64)
         self.radix = order // self.scale
-        self.amps = np.exp(2j * np.pi * np.arange(order) / order) * p ** (-k / 2)
+        # digits and monomials are non-negative, so no exponent sum exceeds top
+        top = int((self.radix - 1) @ self.monomials.max(axis=0, initial=0))
+        amps = np.exp(2j * np.pi * np.arange(order) / order) * p ** (-k / 2)
+        self.amps = amps[np.arange(top + 1) % order]
         self.template = _json(payload).replace('"%d"', "%d")
         self.slots = np.array(slots, dtype=np.int64)
 
@@ -447,18 +457,17 @@ class _FormTables:
 class Catalog:
     """All canonical stabilizer states on (p, n) in a fixed order.
 
-    Entries are decoded on demand from (block, form index), so the 4-qutrit
-    catalog (7,439,040 states) costs no more memory than its ~2500 blocks.
-    Order: k ascending, then pivot rows, then W free entries, then x0, then
-    phase coefficients, each lexicographic.
+    There is one entry per projective stabilizer state, ``expected_count(p, n)``
+    of them: distinct canonical tuples are distinct states, so the enumeration
+    needs no deduplication pass.  Entries are decoded on demand from (block,
+    form index), so the 4-qutrit catalog (7,439,040 states) costs no more
+    memory than its ~2500 blocks.  Order: k ascending, then pivot rows, then W
+    free entries, then x0, then phase coefficients, each lexicographic.
     """
 
-    def __init__(self, p: int, n: int, mode: str = "dedupe") -> None:
-        if mode not in ("raw", "dedupe"):
-            raise ValueError("mode must be 'raw' or 'dedupe'")
+    def __init__(self, p: int, n: int) -> None:
         self.p = p
         self.n = n
-        self.mode = mode
         self._blocks: list[_Block] = []
         self._starts: list[int] = []
         total = 0
@@ -476,13 +485,10 @@ class Catalog:
                     self._starts.append(total)
                     total += nforms
         self._total = total
-        self._unique: np.ndarray | None = None  # dedupe mode: the kept raw indices, ascending
         self._hash: str | None = None
         # decoding and inverse-lookup tables, built on first use
         self._cosets: dict[bytes, _Block] | None = None
         self._forms: list[_FormTables] = []
-        if mode == "dedupe":
-            self._dedupe()
 
     # -- sizing -----------------------------------------------------------------
 
@@ -491,13 +497,7 @@ class Catalog:
             return 3 ** (k * (k + 1) // 2 + k)
         return 4**k * 2 ** (k * (k - 1) // 2)
 
-    @property
-    def raw_count(self) -> int:
-        return self._total
-
     def __len__(self) -> int:
-        if self._unique is not None:
-            return len(self._unique)
         return self._total
 
     @staticmethod
@@ -549,18 +549,15 @@ class Catalog:
                 t += 1
         return Z4Phase(k, np.asarray(a_digits, dtype=np.int64), B, 0)
 
-    def _get_raw(self, i: int) -> CanonicalStabilizer:
+    def _block_of(self, i: int) -> _Block:
         if not 0 <= i < self._total:
             raise IndexError(i)
-        bi = bisect_right(self._starts, i) - 1
-        blk = self._blocks[bi]
-        phase = self._decode_form(blk.k, i - blk.start)
-        return CanonicalStabilizer(self.p, self.n, blk.x0, blk.W, phase, check=False)
+        return self._blocks[bisect_right(self._starts, i) - 1]
 
     def get(self, i: int) -> CanonicalStabilizer:
-        if self._unique is not None:
-            i = int(self._unique[i])
-        return self._get_raw(i)
+        blk = self._block_of(i)
+        phase = self._decode_form(blk.k, i - blk.start)
+        return CanonicalStabilizer(self.p, self.n, blk.x0, blk.W, phase, check=False)
 
     def __iter__(self):
         for i in range(len(self)):
@@ -583,13 +580,8 @@ class Catalog:
     def _block_forms(self):
         """(block, form indices) in catalog order, at most ``_FORM_CHUNK`` forms at a time."""
         for blk in self._blocks:
-            if self._unique is None:
-                forms = np.arange(blk.nforms, dtype=np.int64)
-            else:
-                lo, hi = np.searchsorted(self._unique, [blk.start, blk.start + blk.nforms])
-                forms = self._unique[lo:hi] - blk.start
-            for lo in range(0, forms.size, _FORM_CHUNK):
-                yield blk, forms[lo : lo + _FORM_CHUNK]
+            for lo in range(0, blk.nforms, _FORM_CHUNK):
+                yield blk, np.arange(lo, min(lo + _FORM_CHUNK, blk.nforms), dtype=np.int64)
 
     def _digits(self, blk: _Block, forms: np.ndarray) -> np.ndarray:
         """Form digits, one row per form index of the block."""
@@ -599,7 +591,7 @@ class Catalog:
     def _decode_into(self, out: np.ndarray, blk: _Block, forms: np.ndarray) -> None:
         """Write the vectors of the block's forms into the zeroed rows ``out``."""
         tables = self._forms[blk.k]
-        exps = (self._digits(blk, forms) @ tables.monomials.T % tables.order).astype(np.uint8)
+        exps = (self._digits(blk, forms) @ tables.monomials.T).astype(np.intp)
         out[:, blk.points] = tables.amps[exps]
 
     def vectors(self, indices=None) -> np.ndarray:
@@ -622,17 +614,13 @@ class Catalog:
         indices = np.asarray(indices, dtype=np.int64).reshape(-1)
         out = np.zeros((indices.size, dim), dtype=np.complex128)
         for row, i in enumerate(indices.tolist()):
-            if not 0 <= i < len(self):
-                raise IndexError(i)
-            if self._unique is not None:
-                i = int(self._unique[i])
-            blk = self._blocks[bisect_right(self._starts, i) - 1]
+            blk = self._block_of(i)
             self._decode_into(out[row : row + 1], blk, np.array([i - blk.start]))
         return out
 
     # -- inverse lookup ------------------------------------------------------------
 
-    def _raw_index_of_vector(self, vec) -> int:
+    def _index_of_vector(self, vec) -> int:
         self._build_tables()
         p = self.p
         vec = np.asarray(vec, dtype=np.complex128).reshape(-1)
@@ -671,29 +659,11 @@ class Catalog:
         if isinstance(state, CanonicalStabilizer):
             if (state.p, state.n) != (self.p, self.n):
                 raise ValueError("state is on (p, n) = (%d, %d)" % (state.p, state.n))
-            raw = self._raw_index_of_vector(state.complex_vector())
-            if self._get_raw(raw).key() != state.key():
+            i = self._index_of_vector(state.complex_vector())
+            if self.get(i).key() != state.key():
                 raise ValueError("state is not in canonical form")
-        else:
-            raw = self._raw_index_of_vector(state)
-        if self._unique is None:
-            return raw
-        i = int(np.searchsorted(self._unique, raw))
-        if i == len(self._unique) or self._unique[i] != raw:
-            raise ValueError("state was removed as a duplicate")
-        return i
-
-    # -- deduplication ---------------------------------------------------------
-
-    def _dedupe(self) -> None:
-        seen: set[tuple] = set()
-        unique: list[int] = []
-        for i in range(self._total):
-            key = self._get_raw(i).support_key()
-            if key not in seen:
-                seen.add(key)
-                unique.append(i)
-        self._unique = np.array(unique, dtype=np.int64)
+            return i
+        return self._index_of_vector(state)
 
     # -- hashing / export --------------------------------------------------------
 
@@ -738,7 +708,7 @@ class Catalog:
             "version": 1,
             "p": self.p,
             "n": self.n,
-            "mode": self.mode,
+            "mode": CATALOG_LABEL,
             "count": len(self),
             "sha256": self.content_hash(),
         }
@@ -749,9 +719,9 @@ class Catalog:
         return header
 
 
-def build_catalog(p: int, n: int, mode: str = "dedupe") -> Catalog:
+def build_catalog(p: int, n: int) -> Catalog:
     """Enumerate all canonical stabilizer states on n qudits of dimension p."""
-    return Catalog(p, n, mode)
+    return Catalog(p, n)
 
 
 # ---------------------------------------------------------------------------

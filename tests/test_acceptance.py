@@ -37,12 +37,12 @@ WITNESS_TOL = 1e-10
 
 @pytest.fixture(scope="module")
 def cat1():
-    return build_catalog(3, 1, "raw")
+    return build_catalog(3, 1)
 
 
 @pytest.fixture(scope="module")
 def cat2():
-    return build_catalog(3, 2, "raw")
+    return build_catalog(3, 2)
 
 
 @pytest.fixture(scope="module")
@@ -233,7 +233,7 @@ _SA_TIMES = []
 )
 def test_annealing_rediscovery(name, m, r, seed):
     target = magic_power(name, m)
-    catalog = build_catalog(3, m, "raw")
+    catalog = build_catalog(3, m)
     cfg = AnnealConfig(target=target, rank=r, catalog=catalog, seed=seed)
     t0 = time.monotonic()
     res = anneal_search(cfg)
@@ -286,7 +286,7 @@ def test_merge_and_coverage_arithmetic_on_full_certificate(cat1):
 
 @pytest.mark.parametrize("name", ["S", "H3", "N"])
 def test_qutrit_triple_shard_certificates(name):
-    catalog = build_catalog(3, 3, "raw")
+    catalog = build_catalog(3, 3)
     target = magic_power(name, 3)
     total = math.comb(len(catalog), 3)
     shard = ShardSpec.of(0, 40_000, total)
@@ -303,7 +303,7 @@ def test_qutrit_triple_unpruned_range_certificate():
     # tuple's largest index is a full-support state (k = 3; the catalog lists
     # them from index 10,557 on), so nothing is pruned and all 1e6 tuples go
     # through the projection kernel.
-    catalog = build_catalog(3, 3, "raw")
+    catalog = build_catalog(3, 3)
     target = magic_power("S", 3)
     lo = rank_tuple((0, 20_000, 30_000))
     shard = ShardSpec(lo, lo + 10**6)
@@ -319,7 +319,7 @@ def test_qutrit_triple_unpruned_range_certificate():
 
 
 def test_qubit_quadruple_shard_certificate():
-    catalog = build_catalog(2, 4, "raw")
+    catalog = build_catalog(2, 4)
     target = magic_power("H", 4)
     total = math.comb(len(catalog), 3)
     shard = ShardSpec.of(0, 80_000, total)

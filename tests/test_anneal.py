@@ -98,7 +98,7 @@ def _fit(subset, pos, v):
 
 @pytest.mark.parametrize("p,n,name", [(3, 2, "N"), (3, 3, "H3"), (2, 4, "H")])
 def test_scorer_energy_equals_best_fit(p, n, name):
-    cat = build_catalog(p, n, "raw")
+    cat = build_catalog(p, n)
     target = magic_power(name, n)
     rng = np.random.default_rng(p * 10 + n)
     for r in (2, 3, 5):
@@ -118,7 +118,7 @@ def test_scorer_energy_equals_best_fit(p, n, name):
 def test_scorer_dependent_proposal_keeps_t_perp(p, n, name):
     # the other members are the basis states of a line {x0 + s d}; the uniform
     # superposition over the line is a catalog state in their span
-    cat = build_catalog(p, n, "raw")
+    cat = build_catalog(p, n)
     target = magic_power(name, n)
     dim = p**n
     line = list(range(p))
@@ -166,7 +166,7 @@ def _weyl_projector(p, n, a, b, c):
 
 @pytest.mark.parametrize("p,n", [(3, 2), (2, 3)])
 def test_table_weyl_projection_equals_the_matrix_projector(p, n):
-    moves = _WeylNeighbours(build_catalog(p, n, "raw"))
+    moves = _WeylNeighbours(build_catalog(p, n))
     rng = np.random.default_rng(17)
     for _ in range(100):
         ab = rng.integers(p, size=2 * n)
@@ -178,7 +178,7 @@ def test_table_weyl_projection_equals_the_matrix_projector(p, n):
 
 @pytest.mark.parametrize("p,n", [(3, 2), (2, 3)])
 def test_overlap_membership_agrees_with_index_of(p, n):
-    cat = build_catalog(p, n, "raw")
+    cat = build_catalog(p, n)
     moves = _WeylNeighbours(cat)
     target = magic_power("N" if p == 3 else "H", n)
     rng = np.random.default_rng(23)
@@ -207,7 +207,7 @@ def test_overlap_membership_agrees_with_index_of(p, n):
 def test_large_catalog_chain_is_deterministic():
     # (3,4) is above the dense-decode limit: uniform moves decode one state at
     # a time, and every accepted neighbour is located with index_of
-    cat = build_catalog(3, 4, "raw")
+    cat = build_catalog(3, 4)
     cfg = AnnealConfig(target=magic_power("N", 4), rank=7, catalog=cat, seed=4, chains=2, steps=200)
     a, b = anneal_search(cfg), anneal_search(cfg)
     assert a.chain_traces == b.chain_traces

@@ -11,21 +11,21 @@ import pytest
 from stabdecomp.certify import _SearchContext
 from stabdecomp.stabilizer import build_catalog, magic_power
 
+# the ids end in the catalog's artifact label, "raw"
 CASES = [
-    (p, n, mode)
+    pytest.param(p, n, id="%d-%d-raw" % (p, n))
     for p, n in [(3, 1), (3, 2), (3, 3), (2, 1), (2, 2), (2, 3), (2, 4)]
-    for mode in ("raw", "dedupe")
 ]
 
 
 @lru_cache(maxsize=None)
-def _catalog(p, n, mode):
-    return build_catalog(p, n, mode)
+def _catalog(p, n):
+    return build_catalog(p, n)
 
 
-@pytest.mark.parametrize("p,n,mode", CASES)
-def test_vectors_bitwise_equal_to_complex_vector(p, n, mode):
-    cat = _catalog(p, n, mode)
+@pytest.mark.parametrize("p,n", CASES)
+def test_vectors_bitwise_equal_to_complex_vector(p, n):
+    cat = _catalog(p, n)
     ref = np.array([cat.get(i).complex_vector() for i in range(len(cat))])
     V = cat.vectors()
     assert V.shape == (len(cat), p**n)
@@ -35,9 +35,9 @@ def test_vectors_bitwise_equal_to_complex_vector(p, n, mode):
     assert cat.vectors(picks).tobytes() == ref[picks].tobytes()
 
 
-@pytest.mark.parametrize("p,n,mode", CASES)
-def test_block_lines_equal_entry_lines(p, n, mode):
-    cat = _catalog(p, n, mode)
+@pytest.mark.parametrize("p,n", CASES)
+def test_block_lines_equal_entry_lines(p, n):
+    cat = _catalog(p, n)
     want = [cat.entry_line(i) for i in range(len(cat))]
     assert list(cat._lines()) == want
     h = hashlib.sha256()
@@ -48,7 +48,7 @@ def test_block_lines_equal_entry_lines(p, n, mode):
 
 
 def test_vectors_of_a_four_qutrit_sample():
-    cat = build_catalog(3, 4, "raw")
+    cat = build_catalog(3, 4)
     picks = np.random.default_rng(17).integers(0, len(cat), size=2000)
     ref = np.array([cat.get(int(i)).complex_vector() for i in picks])
     assert cat.vectors(picks).tobytes() == ref.tobytes()
@@ -56,7 +56,7 @@ def test_vectors_of_a_four_qutrit_sample():
 
 
 def test_vectors_rejects_out_of_range_indices():
-    cat = build_catalog(3, 1, "dedupe")
+    cat = build_catalog(3, 1)
     for bad in (-1, len(cat)):
         with pytest.raises(IndexError):
             cat.vectors([0, bad])
@@ -66,7 +66,7 @@ def test_vectors_rejects_out_of_range_indices():
 @pytest.mark.parametrize("name,m", [("S", 3), ("H", 4), ("T3", 2)])
 def test_search_context_masks_match_support_bits(name, m):
     target = magic_power(name, m)
-    cat = _catalog(target.p, target.n, "raw")
+    cat = _catalog(target.p, target.n)
     ctx = _SearchContext(target, cat)
     want = np.empty(len(cat), dtype=np.int64)
     for i in range(len(cat)):

@@ -1,5 +1,4 @@
 import math
-import os
 
 import numpy as np
 import pytest
@@ -198,7 +197,7 @@ def test_dimension_above_mask_bits_rejected(monkeypatch):
     monkeypatch.setattr(Catalog, "vectors", refuse)
     for name, m, p in (("N", 4, 3), ("H", 6, 2)):
         with pytest.raises(ValueError, match="support mask"):
-            certify_rank(magic_power(name, m), 1, build_catalog(p, m, mode="raw"))
+            certify_rank(magic_power(name, m), 1, build_catalog(p, m))
 
 
 def test_audit_detects_a_block_decoder_mismatch(cat1, monkeypatch):
@@ -254,42 +253,6 @@ def test_partial_merge_has_no_ruling_power(cat1):
     merged = merge_certificates(parts)
     assert not merged.full_coverage
     assert not merged.rules_out()
-
-
-# ---------------------------------------------------------------------------
-# checkpoint / resume
-# ---------------------------------------------------------------------------
-
-
-def test_checkpoint_resume(tmp_path, cat1):
-    t3 = magic_state("T3")
-    ck = str(tmp_path / "ck.json")
-    straight = certify_rank(t3, 2, cat1, checkpoint=ck, checkpoint_every=20)
-    assert not os.path.exists(ck)
-
-    calls = {"n": 0}
-
-    def bomb(done):
-        calls["n"] += 1
-        if done > 30:
-            raise RuntimeError("interrupted")
-
-    with pytest.raises(RuntimeError):
-        certify_rank(t3, 2, cat1, checkpoint=ck, checkpoint_every=20, progress=bomb)
-    assert os.path.exists(ck)
-    resumed = certify_rank(t3, 2, cat1, checkpoint=ck, checkpoint_every=20)
-    assert resumed.tuples_tested == straight.tuples_tested
-    assert resumed.witnesses == straight.witnesses
-    assert resumed.min_nonwitness_residual == pytest.approx(
-        straight.min_nonwitness_residual, abs=1e-12
-    )
-
-    # a checkpoint from a different search must be refused
-    with pytest.raises(RuntimeError):
-        certify_rank(t3, 2, cat1, checkpoint=ck, checkpoint_every=20, progress=bomb)
-    with pytest.raises(ValueError):
-        certify_rank(magic_state("S"), 2, cat1, checkpoint=ck)
-    os.remove(ck)
 
 
 # ---------------------------------------------------------------------------

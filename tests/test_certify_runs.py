@@ -23,6 +23,7 @@ from stabdecomp.certify import (
     _score_block,
     _SearchContext,
     certify_rank,
+    merge_certificates,
     rank_tuple,
     unrank_tuple,
 )
@@ -33,7 +34,7 @@ TOL = 1e-10
 
 @lru_cache(maxsize=None)
 def _catalog(p, n):
-    return build_catalog(p, n, "raw")
+    return build_catalog(p, n)
 
 
 @lru_cache(maxsize=None)
@@ -229,22 +230,25 @@ def test_progress_once_per_run_on_a_pruned_shard():
     assert runs <= len(seen) <= runs + 1
 
 
-def test_progress_and_certificate_across_checkpoints_that_split_runs(tmp_path):
+def test_progress_and_certificate_across_shards_that_split_runs():
     target = magic_power("N", 2)
     catalog = _catalog(3, 2)
     total = math.comb(len(catalog), 3)
-    shard = ShardSpec(1_000_003, 1_300_007)
+    lo, hi = 1_000_003, 1_300_007
     straight_seen, progress = _recording()
-    straight = certify_rank(target, 3, catalog, shard=shard, progress=progress)
-    seen, progress = _recording()
-    ck = str(tmp_path / "ck.json")
-    # 7,919 tuples between checkpoints: they fall inside blocks and inside runs
-    split = certify_rank(target, 3, catalog, shard=shard, progress=progress, checkpoint=ck, checkpoint_every=7_919)
-    size = shard.hi - shard.lo
-    for values in (straight_seen, seen):
-        assert values[-1] == size
-        assert all(a < b for a, b in zip(values, values[1:]))
-    assert set(range(7_919, size, 7_919)) <= set(seen)
-    assert len(seen) > len(straight_seen)
-    assert replace(split, wall_time=0.0) == replace(straight, wall_time=0.0)
-    assert straight.tuples_tested == size < total
+    straight = certify_rank(target, 3, catalog, shard=ShardSpec(lo, hi), progress=progress)
+    # sub-shards of 7,919 tuples: their edges fall inside blocks and inside runs
+    parts, sizes = [], []
+    for a in range(lo, hi, 7_919):
+        b = min(hi, a + 7_919)
+        seen, progress = _recording()
+        parts.append(certify_rank(target, 3, catalog, shard=ShardSpec(a, b), progress=progress))
+        sizes.append(b - a)
+        assert seen[-1] == b - a
+        assert all(x < y for x, y in zip(seen, seen[1:]))
+    assert straight_seen[-1] == hi - lo
+    assert all(x < y for x, y in zip(straight_seen, straight_seen[1:]))
+    assert [c.tuples_tested for c in parts] == sizes
+    merged = merge_certificates(parts)
+    assert replace(merged, wall_time=0.0) == replace(straight, wall_time=0.0)
+    assert straight.tuples_tested == hi - lo < total

@@ -85,15 +85,18 @@ def test_certify_deterministic_apart_from_walltime(tmp_path):
     assert pa == pb
 
 
-def test_certify_shards_merge_and_audit_cli(tmp_path):
+def _t3_shards(tmp_path):
+    """The three shard certificates of T3 at r=2, as payloads and paths."""
     paths = []
     for i in range(3):
         out = tmp_path / ("shard%d.json" % i)
-        code = main(
-            ["certify", "--target", "T3", "--m", "1", "--r", "2", "--shard", "%d/3" % i, "--out", str(out)]
-        )
-        assert code == 0
-        paths.append(str(out))
+        assert main(["certify", "--target", "T3", "--m", "1", "--r", "2", "--shard", "%d/3" % i, "--out", str(out)]) == 0
+        paths.append(out)
+    return [read_json(p) for p in paths], paths
+
+
+def test_certify_shards_merge_and_audit_cli(tmp_path):
+    paths = [str(p) for p in _t3_shards(tmp_path)[1]]
     part = Certificate.load(paths[1])
     assert not part.full_coverage
     assert not part.rules_out()
@@ -118,19 +121,48 @@ def test_merge_inconsistent_usage_error(tmp_path):
     assert main(["merge", str(a), str(b), "--out", str(tmp_path / "m.json")]) == 2
 
 
-def test_certify_checkpoint_flag_guards(tmp_path):
-    chk = tmp_path / "chk.json"
-    chk.write_text("{}")
-    assert (
-        main(["certify", "--target", "T3", "--m", "1", "--r", "2", "--checkpoint", str(chk), "--out", str(tmp_path / "c.json")])
-        == 2
-    )
-    chk.unlink()
-    assert (
-        main(["certify", "--target", "T3", "--m", "1", "--r", "2", "--checkpoint", str(chk), "--out", str(tmp_path / "c.json")])
-        == 0
-    )
-    assert not chk.exists()
+def test_legacy_dedupe_label_reads_as_the_one_catalog(tmp_path, capsys):
+    payloads, paths = _t3_shards(tmp_path)
+    assert payloads[0]["catalog_mode"] == "raw"
+    legacy = dict(payloads[0], catalog_mode="dedupe")
+    paths[0].write_text(json.dumps(legacy))
+    assert main(["audit", "--cert", str(paths[0]), "--out", str(tmp_path / "a.json")]) == 0
+    assert read_json(tmp_path / "a.json")["passed"]
+
+    merged = tmp_path / "merged.json"
+    assert main(["merge", str(paths[0]), str(paths[1]), "--out", str(merged)]) == 0
+    out = read_json(merged)
+    assert out["catalog_mode"] == "raw"
+    assert out["tuples_tested"] == payloads[0]["tuples_tested"] + payloads[1]["tuples_tested"]
+
+    paths[0].write_text(json.dumps(dict(payloads[0], catalog_mode="bogus")))
+    capsys.readouterr()
+    assert main(["audit", "--cert", str(paths[0]), "--out", str(tmp_path / "b.json")]) == 2
+    assert "unknown catalog_mode 'bogus'" in capsys.readouterr().err
+    assert main(["merge", str(paths[0]), str(paths[1]), "--out", str(tmp_path / "m2.json")]) == 2
+    assert "unknown catalog_mode 'bogus'" in capsys.readouterr().err
+    assert not (tmp_path / "b.json").exists() and not (tmp_path / "m2.json").exists()
+
+
+def test_malformed_certificate_usage_error(tmp_path, capsys):
+    payloads, paths = _t3_shards(tmp_path)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"format": "stabdecomp-certificate", "version": 1}))
+    capsys.readouterr()
+    assert main(["audit", "--cert", str(bad), "--out", str(tmp_path / "a.json")]) == 2
+    assert capsys.readouterr().err == "certificate lacks the field 'catalog_mode'\n"
+    assert main(["merge", str(paths[0]), str(bad), "--out", str(tmp_path / "m.json")]) == 2
+    assert capsys.readouterr().err == "merge failed: certificate lacks the field 'catalog_mode'\n"
+
+    bad.write_text("[]")
+    assert main(["audit", "--cert", str(bad), "--out", str(tmp_path / "a.json")]) == 2
+    assert "not a certificate payload" in capsys.readouterr().err
+
+    for field in ("target", "witnesses"):
+        bad.write_text(json.dumps({k: v for k, v in payloads[1].items() if k != field}))
+        assert main(["audit", "--cert", str(bad), "--out", str(tmp_path / "a.json")]) == 2
+        assert capsys.readouterr().err == "certificate lacks the field %r\n" % field
+    assert not (tmp_path / "a.json").exists() and not (tmp_path / "m.json").exists()
 
 
 def test_certify_tol_above_rescore_threshold_usage_error(tmp_path):
@@ -152,7 +184,7 @@ def test_certify_refuses_before_building_the_catalog(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "build_catalog", no_catalog)
     out = tmp_path / "c.json"
     for extra in (["--target", "N", "--m", "4", "--r", "1"], ["--target", "S", "--m", "3", "--r", "2", "--tol", "0.3"]):
-        assert main(["certify", *extra, "--mode", "dedupe", "--out", str(out)]) == 2
+        assert main(["certify", *extra, "--out", str(out)]) == 2
     assert not out.exists()
 
 

@@ -46,8 +46,8 @@ def test_ket_and_plus():
 
 def test_amplitude_matches_state_vector():
     rng = np.random.default_rng(3)
-    cat = build_catalog(3, 2, mode="raw")
-    for i in rng.integers(0, cat.raw_count, size=25):
+    cat = build_catalog(3, 2)
+    for i in rng.integers(0, len(cat), size=25):
         st = cat.get(int(i))
         vec = st.state_vector()
         for x0 in range(3):
@@ -57,16 +57,16 @@ def test_amplitude_matches_state_vector():
 
 def test_tensor_matches_kron():
     rng = np.random.default_rng(5)
-    cat = build_catalog(3, 1, mode="raw")
-    qcat = build_catalog(2, 2, mode="raw")
+    cat = build_catalog(3, 1)
+    qcat = build_catalog(2, 2)
     for _ in range(20):
-        a = cat.get(int(rng.integers(0, cat.raw_count)))
-        b = cat.get(int(rng.integers(0, cat.raw_count)))
+        a = cat.get(int(rng.integers(0, len(cat))))
+        b = cat.get(int(rng.integers(0, len(cat))))
         t = a.tensor(b)
         assert np.allclose(t.complex_vector(), np.kron(a.complex_vector(), b.complex_vector()))
     for _ in range(10):
-        a = qcat.get(int(rng.integers(0, qcat.raw_count)))
-        b = qcat.get(int(rng.integers(0, qcat.raw_count)))
+        a = qcat.get(int(rng.integers(0, len(qcat))))
+        b = qcat.get(int(rng.integers(0, len(qcat))))
         t = a.tensor(b)
         assert np.allclose(t.complex_vector(), np.kron(a.complex_vector(), b.complex_vector()))
         assert abs(exact_norm_sq(t).to_complex() - 1) == 0
@@ -89,8 +89,8 @@ def test_validation_rejects_noncanonical():
 def test_record_round_trip():
     rng = np.random.default_rng(7)
     for p, n in ((3, 2), (2, 2)):
-        cat = build_catalog(p, n, mode="raw")
-        for i in rng.integers(0, cat.raw_count, size=20):
+        cat = build_catalog(p, n)
+        for i in rng.integers(0, len(cat), size=20):
             st = cat.get(int(i))
             back = CanonicalStabilizer.from_record(json.loads(json.dumps(st.record())))
             assert back.key() == st.key()
@@ -111,38 +111,43 @@ def test_expected_count_formula():
     assert Catalog.expected_count(2, 4) == 36720
 
 
+def _assert_one_entry_per_projective_state(p, n):
+    """The raw enumeration is its own deduplication: expected_count entries,
+    and no two of them the same state up to global phase."""
+    cat = build_catalog(p, n)
+    assert len(cat) == Catalog.expected_count(p, n)
+    V = cat.vectors()
+    first = V[np.arange(len(V)), np.argmax(np.abs(V) > 1e-9, axis=1)]
+    rows = np.round(V * (np.abs(first) / first)[:, None], 9) + 0.0  # + 0.0 turns -0.0 into 0.0
+    assert len(np.unique(rows.view(np.float64), axis=0)) == len(cat)
+
+
 @pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (2, 1), (2, 2), (2, 3)])
 def test_raw_equals_dedupe_small(p, n):
-    cat = build_catalog(p, n, mode="dedupe")
-    assert cat.raw_count == Catalog.expected_count(p, n)
-    assert len(cat) == cat.raw_count  # canonical tuples are already distinct states
+    _assert_one_entry_per_projective_state(p, n)
 
 
 def test_raw_equals_dedupe_three_qutrits():
-    cat = build_catalog(3, 3, mode="dedupe")
-    assert cat.raw_count == 30240
-    assert len(cat) == 30240
+    _assert_one_entry_per_projective_state(3, 3)
 
 
 def test_raw_equals_dedupe_four_qubits():
-    cat = build_catalog(2, 4, mode="dedupe")
-    assert cat.raw_count == 36720
-    assert len(cat) == 36720
+    _assert_one_entry_per_projective_state(2, 4)
 
 
 def test_four_qutrit_catalog_is_lazy():
-    cat = build_catalog(3, 4, mode="raw")
-    assert cat.raw_count == 7439040
+    cat = build_catalog(3, 4)
+    assert len(cat) == 7439040
     st = cat.get(5_000_000)
     assert st.n == 4
     assert abs(np.linalg.norm(st.complex_vector()) - 1) < 1e-12
     assert cat.get(0).k == 0
-    assert cat.get(cat.raw_count - 1).k == 4
+    assert cat.get(len(cat) - 1).k == 4
 
 
 def test_catalog_states_are_valid_and_normalized():
     for p, n in ((3, 2), (2, 2)):
-        cat = build_catalog(p, n, mode="dedupe")
+        cat = build_catalog(p, n)
         seen = set()
         for st in cat:
             st._validate()
@@ -165,8 +170,8 @@ def test_single_qutrit_catalog_is_mub():
 
 
 def test_catalog_order_is_deterministic():
-    a = build_catalog(3, 2, mode="dedupe")
-    b = build_catalog(3, 2, mode="dedupe")
+    a = build_catalog(3, 2)
+    b = build_catalog(3, 2)
     idx = np.random.default_rng(11).integers(0, len(a), size=30)
     for i in idx:
         assert a.entry_line(int(i)) == b.entry_line(int(i))
@@ -174,7 +179,7 @@ def test_catalog_order_is_deterministic():
 
 
 def test_catalog_export(tmp_path):
-    cat = build_catalog(2, 2, mode="dedupe")
+    cat = build_catalog(2, 2)
     path = tmp_path / "cat.jsonl"
     header = cat.write_jsonl(str(path))
     lines = path.read_text().splitlines()
