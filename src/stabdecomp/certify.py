@@ -77,17 +77,28 @@ def rank_tuple(tup: tuple[int, ...]) -> int:
     return sum(math.comb(i, t) for t, i in enumerate(tup, start=1))
 
 
+def _iroot(x: int, t: int) -> int:
+    """floor(x ** (1/t)) for integers x >= 0, t >= 1, by Newton's method from above."""
+    if x < 2:
+        return x
+    y = 1 << -(-x.bit_length() // t)
+    while True:
+        z = ((t - 1) * y + x // y ** (t - 1)) // t
+        if z >= y:
+            return y
+        y = z
+
+
 def _largest_with_binomial_leq(rank: int, t: int) -> int:
-    lo, hi = t - 1, t
-    while math.comb(hi, t) <= rank:
-        hi *= 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if math.comb(mid, t) <= rank:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    """The largest i with C(i, t) <= rank.
+
+    (i - t + 1)^t <= t! C(i, t) <= i^t for i >= t, so the answer lies in
+    [s, s + t - 1] for s the integer t-th root of t! rank.
+    """
+    i = max(_iroot(math.factorial(t) * rank, t), t - 1)
+    while math.comb(i + 1, t) <= rank:
+        i += 1
+    return i
 
 
 def unrank_tuple(rank: int, r: int) -> tuple[int, ...]:
@@ -116,6 +127,58 @@ def _next_suffix(suffix: tuple[int, ...], count: int) -> tuple[int, ...] | None:
 # ---------------------------------------------------------------------------
 # shards and certificates
 # ---------------------------------------------------------------------------
+
+_NUMBER = (int, float)
+_OPTIONAL_INT = (int, type(None))
+_KIND_NAMES = {
+    bool: "a boolean",
+    int: "an integer",
+    float: "a number",
+    _NUMBER: "a number",
+    str: "a string",
+    list: "an array",
+    dict: "an object",
+    type(None): "null",
+    _OPTIONAL_INT: "an integer or null",
+}
+
+# JSON type of each certificate payload field that Certificate.from_payload reads
+_PAYLOAD_FIELDS = {
+    "target": str,
+    "copies": int,
+    "p": int,
+    "n": int,
+    "r": int,
+    "tol": _NUMBER,
+    "target_hash": str,
+    "catalog_hash": str,
+    "catalog_count": int,
+    "total_tuples": int,
+    "shard": dict,
+    "tuples_tested": int,
+    "tuples_pruned": int,
+    "witnesses": list,
+    "min_nonwitness_residual": _NUMBER,
+    "wall_time": _NUMBER,
+    "full_coverage": bool,
+    "version": int,
+}
+
+
+def _typed(label: str, value, kind):
+    """value, when its JSON type is kind (booleans are never integers or numbers)."""
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+        got = _KIND_NAMES.get(type(value), type(value).__name__)
+        raise ValueError("certificate field %r must be %s, not %s" % (label, _KIND_NAMES[kind], got))
+    return value
+
+
+def _field(d: dict, key: str, kind, label: str | None = None):
+    """d[key], typed as kind; a ValueError names the field when it is missing or mistyped."""
+    label = label or key
+    if key not in d:
+        raise ValueError("certificate lacks the field %r" % label)
+    return _typed(label, d[key], kind)
 
 
 @dataclass(frozen=True)
@@ -148,7 +211,10 @@ class ShardSpec:
 
     @classmethod
     def from_payload(cls, d: dict) -> "ShardSpec":
-        return cls(lo=d["lo"], hi=d["hi"], index=d.get("index"), count=d.get("count"))
+        """The shard of a certificate's ``shard`` object; index and count may be null."""
+        lo, hi = (_field(d, key, int, "shard." + key) for key in ("lo", "hi"))
+        index, count = (_typed("shard." + key, d.get(key), _OPTIONAL_INT) for key in ("index", "count"))
+        return cls(lo=lo, hi=hi, index=index, count=count)
 
 
 @dataclass
@@ -204,35 +270,48 @@ class Certificate:
 
     @classmethod
     def from_payload(cls, d: dict) -> "Certificate":
-        """The certificate of a payload; a ValueError names a missing field or an unknown catalog_mode."""
+        """The certificate of a payload.
+
+        A ValueError names a missing or mistyped field, a witness that is not
+        an r-tuple of catalog indices, or an unknown catalog_mode.
+        """
         if not isinstance(d, dict) or d.get("format") != "stabdecomp-certificate":
             raise ValueError("not a certificate payload")
-        try:
-            # "dedupe" is the legacy label of the same catalog: catalog_hash proves it
-            if d["catalog_mode"] not in (CATALOG_LABEL, "dedupe"):
-                raise ValueError("unknown catalog_mode %r" % (d["catalog_mode"],))
-            return cls(
-                target_name=d["target"],
-                copies=d["copies"],
-                p=d["p"],
-                n=d["n"],
-                r=d["r"],
-                tol=d["tol"],
-                target_hash=d["target_hash"],
-                catalog_hash=d["catalog_hash"],
-                catalog_count=d["catalog_count"],
-                total_tuples=d["total_tuples"],
-                shard=ShardSpec.from_payload(d["shard"]),
-                tuples_tested=d["tuples_tested"],
-                tuples_pruned=d["tuples_pruned"],
-                witnesses=[tuple(w) for w in d["witnesses"]],
-                min_nonwitness_residual=d["min_nonwitness_residual"],
-                wall_time=d["wall_time"],
-                full_coverage=d["full_coverage"],
-                version=d["version"],
-            )
-        except KeyError as exc:
-            raise ValueError("certificate lacks the field %s" % exc) from None
+        # "dedupe" is the legacy label of the same catalog: catalog_hash proves it
+        mode = _field(d, "catalog_mode", str)
+        if mode not in (CATALOG_LABEL, "dedupe"):
+            raise ValueError("unknown catalog_mode %r" % (mode,))
+        f = {key: _field(d, key, kind) for key, kind in _PAYLOAD_FIELDS.items()}
+        witnesses = []
+        for j, w in enumerate(f["witnesses"]):
+            w = _typed("witnesses[%d]" % j, w, list)
+            w = tuple(_typed("witnesses[%d][%d]" % (j, m), i, int) for m, i in enumerate(w))
+            if len(w) != f["r"] or list(w) != sorted(set(w)) or not all(0 <= i < f["catalog_count"] for i in w):
+                raise ValueError(
+                    "certificate field 'witnesses[%d]' must be %d increasing indices below catalog_count %d"
+                    % (j, f["r"], f["catalog_count"])
+                )
+            witnesses.append(w)
+        return cls(
+            target_name=f["target"],
+            copies=f["copies"],
+            p=f["p"],
+            n=f["n"],
+            r=f["r"],
+            tol=f["tol"],
+            target_hash=f["target_hash"],
+            catalog_hash=f["catalog_hash"],
+            catalog_count=f["catalog_count"],
+            total_tuples=f["total_tuples"],
+            shard=ShardSpec.from_payload(f["shard"]),
+            tuples_tested=f["tuples_tested"],
+            tuples_pruned=f["tuples_pruned"],
+            witnesses=witnesses,
+            min_nonwitness_residual=f["min_nonwitness_residual"],
+            wall_time=f["wall_time"],
+            full_coverage=f["full_coverage"],
+            version=f["version"],
+        )
 
     def save(self, path: str) -> None:
         with open(path, "w") as fh:
@@ -241,8 +320,15 @@ class Certificate:
 
     @classmethod
     def load(cls, path: str) -> "Certificate":
-        with open(path) as fh:
-            return cls.from_payload(json.load(fh))
+        """The certificate saved at path; a ValueError says why a file cannot be read as one."""
+        try:
+            with open(path) as fh:
+                payload = json.load(fh)
+        except OSError as exc:
+            raise ValueError("cannot read certificate %s: %s" % (path, exc.strerror)) from None
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ValueError("certificate %s is not JSON: %s" % (path, exc)) from None
+        return cls.from_payload(payload)
 
 
 def target_fingerprint(target: TargetState) -> str:
@@ -603,8 +689,10 @@ def audit(
 
     Witnesses and samples are deliberately re-decoded one state at a time
     through :class:`CanonicalStabilizer`, independently of the block decoder
-    (``Catalog.vectors``) that ``certify_rank`` scores with; each re-decoded
-    tuple is also compared bit for bit with the block decoder's vectors.
+    (``Catalog.vectors``) that ``certify_rank`` scores with.  Each distinct
+    index is re-decoded once, the first time a witness or sample holds it,
+    and its vector is then compared bit for bit with the block decoder's, so
+    a mismatch is reported at the first tuple that holds the index.
     """
     failures: list[str] = []
 
@@ -629,12 +717,16 @@ def audit(
         failures.append("residual-gap")
 
     t = target.complex_vector()
+    decoded: dict[int, np.ndarray] = {}
 
     def residual_of(tup):
-        A = np.column_stack([catalog.get(i).complex_vector() for i in tup])
-        if "block-decoder" not in failures and not np.array_equal(A.T, catalog.vectors(tup)):
-            failures.append("block-decoder")
-        _, res = best_fit(A, t)
+        new = [i for i in tup if i not in decoded]
+        if new:
+            ref = np.array([catalog.get(i).complex_vector() for i in new])
+            if "block-decoder" not in failures and not np.array_equal(ref, catalog.vectors(new)):
+                failures.append("block-decoder")
+            decoded.update(zip(new, ref))
+        _, res = best_fit(np.column_stack([decoded[i] for i in tup]), t)
         return res
 
     if not failures:

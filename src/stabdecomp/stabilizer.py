@@ -18,6 +18,7 @@ Basis indexing is big-endian: qudit 0 is the most significant digit, matching
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -143,12 +144,19 @@ def basis_index(x: np.ndarray, p: int) -> int:
     return idx
 
 
+@functools.cache
 def _all_points(p: int, k: int) -> np.ndarray:
-    """All of F_p^k as a (p^k, k) array in lexicographic order (y_0 most significant)."""
+    """All of F_p^k as a (p^k, k) array in lexicographic order (y_0 most significant).
+
+    Built once per (p, k) and shared by every caller, so it is read-only.
+    """
     if k == 0:
-        return np.zeros((1, 0), dtype=np.int64)
-    grids = np.meshgrid(*[np.arange(p, dtype=np.int64)] * k, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+        Y = np.zeros((1, 0), dtype=np.int64)
+    else:
+        grids = np.meshgrid(*[np.arange(p, dtype=np.int64)] * k, indexing="ij")
+        Y = np.stack([g.ravel() for g in grids], axis=1)
+    Y.flags.writeable = False
+    return Y
 
 
 class CanonicalStabilizer:

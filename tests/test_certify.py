@@ -51,6 +51,45 @@ def test_rank_round_trip():
         rank_tuple((5, 2))
 
 
+def _bisect_largest_with_binomial_leq(rank, t):
+    """Reference: the largest i with C(i, t) <= rank, by doubling then bisection."""
+    lo, hi = t - 1, t
+    while math.comb(hi, t) <= rank:
+        hi *= 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if math.comb(mid, t) <= rank:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _bisect_unrank(rank, r):
+    out = []
+    for t in range(r, 0, -1):
+        i = _bisect_largest_with_binomial_leq(rank, t)
+        out.append(i)
+        rank -= math.comb(i, t)
+    return tuple(reversed(out))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_unrank_matches_bisection_at_the_edges(r):
+    ranks = {0, 1, 2}
+    for n in (7_439_040, 36_720, 30_240, 360):
+        ranks.add(math.comb(n, r) - 1)
+        for edge in (math.comb(n, 3), math.comb(n, r)):
+            ranks.update(range(max(edge - 3, 0), edge + 4))
+    for rank in sorted(ranks):
+        tup = unrank_tuple(rank, r)
+        assert tup == _bisect_unrank(rank, r), rank
+        assert rank_tuple(tup) == rank
+    for n in (7_439_040, 36_720):
+        assert unrank_tuple(math.comb(n, r) - 1, r) == tuple(range(n - r, n))
+        assert unrank_tuple(math.comb(n, r), r) == tuple(range(r - 1)) + (n,)
+
+
 def test_colex_enumeration_matches_rank_order():
     import itertools
 

@@ -165,6 +165,74 @@ def test_malformed_certificate_usage_error(tmp_path, capsys):
     assert not (tmp_path / "a.json").exists() and not (tmp_path / "m.json").exists()
 
 
+def _usage_errors(tmp_path, capsys, cert, good):
+    """stderr of `audit` and `merge` on one unusable certificate path: both exit 2 and write nothing."""
+    capsys.readouterr()
+    assert main(["audit", "--cert", str(cert), "--out", str(tmp_path / "a.json")]) == 2
+    audit_err = capsys.readouterr().err
+    assert main(["merge", str(good), str(cert), "--out", str(tmp_path / "m.json")]) == 2
+    merge_err = capsys.readouterr().err
+    assert not (tmp_path / "a.json").exists() and not (tmp_path / "m.json").exists()
+    assert merge_err == "merge failed: " + audit_err
+    assert audit_err.count("\n") == 1
+    return audit_err
+
+
+def test_unreadable_certificate_usage_error(tmp_path, capsys):
+    paths = _t3_shards(tmp_path)[1]
+    missing = tmp_path / "missing.json"
+    err = _usage_errors(tmp_path, capsys, missing, paths[0])
+    assert err == "cannot read certificate %s: No such file or directory\n" % missing
+    for text in ("not json at all", "{\"format\": ", "\xff\xfe"):
+        paths[2].write_bytes(text.encode("latin-1"))
+        assert _usage_errors(tmp_path, capsys, paths[2], paths[0]).startswith("certificate %s is not JSON: " % paths[2])
+
+
+_T3_PAIR = "must be 2 increasing indices below catalog_count 12"
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("witnesses", 5, "certificate field 'witnesses' must be an array, not an integer"),
+        ("witnesses", [[0, 1], 2], "certificate field 'witnesses[1]' must be an array, not an integer"),
+        ("witnesses", [[0, "1"]], "certificate field 'witnesses[0][1]' must be an integer, not a string"),
+        ("witnesses", [[0, True]], "certificate field 'witnesses[0][1]' must be an integer, not a boolean"),
+        ("shard", [0, 22], "certificate field 'shard' must be an object, not an array"),
+        ("shard", {"lo": 0, "hi": "22"}, "certificate field 'shard.hi' must be an integer, not a string"),
+        ("shard", {"lo": 0}, "certificate lacks the field 'shard.hi'"),
+        ("shard", {"lo": 0, "hi": 22, "index": 0.5},
+         "certificate field 'shard.index' must be an integer or null, not a number"),
+        ("tol", "1e-10", "certificate field 'tol' must be a number, not a string"),
+        ("r", 2.0, "certificate field 'r' must be an integer, not a number"),
+        ("full_coverage", 0, "certificate field 'full_coverage' must be a boolean, not an integer"),
+        ("target", None, "certificate field 'target' must be a string, not null"),
+        ("catalog_mode", 1, "certificate field 'catalog_mode' must be a string, not an integer"),
+        ("witnesses", [[3, 99]], "certificate field 'witnesses[0]' " + _T3_PAIR),
+        ("witnesses", [[0, 1], [-1, 3]], "certificate field 'witnesses[1]' " + _T3_PAIR),
+        ("witnesses", [[5, 3]], "certificate field 'witnesses[0]' " + _T3_PAIR),
+        ("witnesses", [[3]], "certificate field 'witnesses[0]' " + _T3_PAIR),
+    ],
+)
+def test_bad_certificate_field_usage_error(tmp_path, capsys, field, value, message):
+    payloads, paths = _t3_shards(tmp_path)
+    paths[2].write_text(json.dumps(dict(payloads[2], **{field: value})))
+    assert _usage_errors(tmp_path, capsys, paths[2], paths[0]) == message + "\n"
+
+
+def test_bench_certify_pruned_commands(tmp_path):
+    # the benchmark's certify-pruned pair: a failed command here would be a failed bench run
+    cert, report = tmp_path / "cert.json", tmp_path / "audit.json"
+    assert main(["certify", "--target", "H", "--m", "4", "--r", "3", "--shard", "0/200000", "--out", str(cert)]) == 0
+    payload = read_json(cert)
+    assert payload["tuples_tested"] == payload["tuples_pruned"] == 41_256_396
+    assert payload["min_nonwitness_residual"] == 0.25
+    assert main(["audit", "--cert", str(cert), "--samples", "1000", "--seed", "0", "--out", str(report)]) == 0
+    out = read_json(report)
+    assert out["passed"] and out["failures"] == []
+    assert out["samples_tested"] == 1000
+
+
 def test_certify_tol_above_rescore_threshold_usage_error(tmp_path):
     out = tmp_path / "c.json"
     assert main(["certify", "--target", "T3", "--m", "1", "--r", "2", "--tol", "0.3", "--out", str(out)]) == 2
