@@ -75,16 +75,6 @@ def rref_columns(mat: np.ndarray, p: int) -> tuple[np.ndarray, int]:
     return R[:rank].T.copy(), rank
 
 
-def column_span_contains(E: np.ndarray, v: np.ndarray, p: int) -> bool:
-    """Whether v lies in the span of the reduced-echelon columns E."""
-    E = np.atleast_2d(E)
-    if E.shape[1] == 0:
-        return bool(np.all(np.asarray(v) % p == 0))
-    aug = np.concatenate([E, np.asarray(v).reshape(-1, 1)], axis=1)
-    _, r = rref_columns(aug, p)
-    return r == E.shape[1]
-
-
 def reduce_coset_rep(E: np.ndarray, x0: np.ndarray, p: int) -> np.ndarray:
     """Canonical representative of x0 + col(E): zero at the pivot rows of E."""
     x = np.asarray(x0, dtype=np.int64) % p
@@ -231,11 +221,6 @@ class CycloNumber:
 
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
-
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("not a rational number: %r" % (self,))
-        return self.coeffs[0]
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -384,14 +369,6 @@ def _coerce(value, conductor: int):
 
 
 # frequently used constants -------------------------------------------------
-
-
-def cyclo_zero() -> CycloNumber:
-    return CycloNumber.zero(24)
-
-
-def cyclo_one() -> CycloNumber:
-    return CycloNumber.one(24)
 
 
 def omega() -> CycloNumber:
@@ -644,8 +621,3 @@ class Z4Phase:
 
     def __repr__(self) -> str:
         return "Z4Phase(k=%d, a=%s, B=%s, c=%d)" % (self.k, self.a.tolist(), self.B.tolist(), self.c)
-
-
-def phase_root(phase_order: int) -> CycloNumber:
-    """The exact root of unity whose powers a phase function's exponents index."""
-    return CycloNumber.root_of_unity(phase_order)

@@ -165,6 +165,11 @@ _PAYLOAD_FIELDS = {
 }
 
 
+def _is_witness(w: tuple[int, ...], r: int, catalog_count: int) -> bool:
+    """Whether w is r strictly increasing catalog indices, all below catalog_count."""
+    return len(w) == r and list(w) == sorted(set(w)) and all(0 <= i < catalog_count for i in w)
+
+
 def _typed(label: str, value, kind):
     """value, when its JSON type is kind (booleans are never integers or numbers)."""
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
@@ -286,7 +291,7 @@ class Certificate:
         for j, w in enumerate(f["witnesses"]):
             w = _typed("witnesses[%d]" % j, w, list)
             w = tuple(_typed("witnesses[%d][%d]" % (j, m), i, int) for m, i in enumerate(w))
-            if len(w) != f["r"] or list(w) != sorted(set(w)) or not all(0 <= i < f["catalog_count"] for i in w):
+            if not _is_witness(w, f["r"], f["catalog_count"]):
                 raise ValueError(
                     "certificate field 'witnesses[%d]' must be %d increasing indices below catalog_count %d"
                     % (j, f["r"], f["catalog_count"])
@@ -582,7 +587,7 @@ def certify_rank(
     tested, pruned, min_res, witnesses = _certify_range(ctx, shard.lo, shard.hi, r, tol, progress)
     return Certificate(
         target_name=target.name,
-        copies=_copies_of(target),
+        copies=target.n,
         p=target.p,
         n=target.n,
         r=r,
@@ -599,14 +604,6 @@ def certify_rank(
         wall_time=time.perf_counter() - t_start,
         full_coverage=(shard.lo == 0 and shard.hi == total),
     )
-
-
-def _copies_of(target: TargetState) -> int:
-    name = target.name
-    if "^" in name:
-        return int(name.split("^")[1])
-    # every named magic target uses one qudit leg per copy
-    return target.n
 
 
 # ---------------------------------------------------------------------------
@@ -670,9 +667,6 @@ class AuditReport:
     samples_tested: int
     min_sample_residual: float
 
-    def first_failure(self) -> str | None:
-        return self.failures[0] if self.failures else None
-
 
 def audit(
     cert: Certificate,
@@ -683,7 +677,8 @@ def audit(
 ) -> AuditReport:
     """Independently re-check a certificate's claims.
 
-    Re-derives the catalog and target hashes, replays every listed witness,
+    Re-derives the catalog and target hashes, replays every listed witness
+    (one that is not r increasing catalog indices fails the replay),
     re-scores a random sample of non-witness tuples with the exact fitter,
     and checks the coverage arithmetic and the residual-gap invariant.
 
@@ -731,11 +726,11 @@ def audit(
 
     if not failures:
         for w in cert.witnesses:
-            if residual_of(w) > cert.tol:
+            if not _is_witness(w, cert.r, cert.catalog_count) or residual_of(w) > cert.tol:
                 failures.append("witness-replay")
                 break
 
-    witness_ranks = {rank_tuple(w) for w in cert.witnesses}
+    witness_ranks = set() if failures else {rank_tuple(w) for w in cert.witnesses}
     rng = np.random.default_rng(seed)
     n_samples = min(samples, max(span - len(witness_ranks), 0))
     min_sample = math.inf

@@ -175,7 +175,7 @@ def cmd_search(args) -> int:
         "decomposition": res.decomposition.to_payload() if res.decomposition else None,
         "wall_time": wall,
     }
-    path = _out_path(args, "search-%s-r%d-seed%d.json" % (target.name.replace("^", "m"), args.r, args.seed))
+    path = _out_path(args, "search-%s-r%d-seed%d.json" % (target.name, args.r, args.seed))
     _write_json(path, payload)
     steps = sum(t["steps"] for t in res.chain_traces)
     print(
@@ -229,7 +229,7 @@ def cmd_certify(args) -> int:
     )
     path = _out_path(
         args,
-        "cert-%s-r%d-shard%dof%d.json" % (target.name.replace("^", "m"), args.r, idx, cnt),
+        "cert-%s-r%d-shard%dof%d.json" % (target.name, args.r, idx, cnt),
     )
     cert.save(path)
     print(
@@ -261,9 +261,8 @@ def cmd_merge(args) -> int:
 
 def cmd_audit(args) -> int:
     cert = Certificate.load(args.cert)
-    base = cert.target_name.split("^")[0]
     try:
-        target = _target(base, cert.copies)
+        target = _target(cert.target_name, cert.copies)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2

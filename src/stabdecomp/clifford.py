@@ -67,10 +67,6 @@ def word_to_matrix(word, n: int) -> np.ndarray:
     return U
 
 
-def invert_word(word) -> list:
-    return [(name, legs, -power % GATE_ORDER[name]) for name, legs, power in reversed(word)]
-
-
 def format_word(word) -> str:
     parts = []
     for name, legs, power in word:
@@ -124,31 +120,6 @@ def weyl_matrix(n: int, a, b) -> np.ndarray:
     return out
 
 
-def weyl_decompose(V: np.ndarray, n: int, tol: float = 1e-8):
-    """Recover (a, b, phase) with V = phase * W_(a,b), or None if V is not a Weyl."""
-    dim = 3**n
-    col0 = V[:, 0]
-    nz = np.nonzero(np.abs(col0) > tol)[0]
-    if len(nz) != 1:
-        return None
-    shift = int(nz[0])
-    a = np.array([(shift // 3 ** (n - 1 - i)) % 3 for i in range(n)], dtype=np.int64)
-    phase = col0[shift]
-    if abs(abs(phase) - 1) > tol:
-        return None
-    b = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        s = 3 ** (n - 1 - i)  # basis string e_i
-        r = np.nonzero(np.abs(V[:, s]) > tol)[0]
-        if len(r) != 1:
-            return None
-        ratio = V[r[0], s] / phase
-        b[i] = int(np.round(np.angle(ratio) / (2 * np.pi / 3))) % 3
-    if not np.allclose(V, phase * weyl_matrix(n, a, b), atol=10 * tol):
-        return None
-    return a, b, phase
-
-
 # ---------------------------------------------------------------------------
 # symplectic structure
 # ---------------------------------------------------------------------------
@@ -159,11 +130,6 @@ def symplectic_form(n: int) -> np.ndarray:
     J[:n, n:] = np.eye(n, dtype=np.int64)
     J[n:, :n] = -np.eye(n, dtype=np.int64) % 3
     return J
-
-
-def is_symplectic(M: np.ndarray, n: int) -> bool:
-    J = symplectic_form(n)
-    return np.array_equal((M.T @ J @ M) % 3, J % 3)
 
 
 def _gen_image(name: str, n: int, legs: tuple[int, ...], power: int = 1) -> np.ndarray:
@@ -187,34 +153,6 @@ def _gen_image(name: str, n: int, legs: tuple[int, ...], power: int = 1) -> np.n
         raise ValueError(name)
     for _ in range(power % GATE_ORDER[name]):
         M = (G @ M) % 3
-    return M
-
-
-def word_image(word, n: int) -> np.ndarray:
-    M = np.eye(2 * n, dtype=np.int64)
-    for name, legs, power in word:
-        M = (M @ _gen_image(name, n, tuple(legs), power)) % 3
-    return M
-
-
-def symplectic_image(U: np.ndarray, n: int, tol: float = 1e-8) -> np.ndarray:
-    """Extract the symplectic image of a Clifford unitary by conjugating Weyls."""
-    M = np.zeros((2 * n, 2 * n), dtype=np.int64)
-    Udag = U.conj().T
-    for col in range(2 * n):
-        i = col % n
-        lab_a = np.zeros(n, dtype=np.int64)
-        lab_b = np.zeros(n, dtype=np.int64)
-        (lab_a if col < n else lab_b)[i] = 1
-        V = U @ weyl_matrix(n, lab_a, lab_b) @ Udag
-        dec = weyl_decompose(V, n, tol)
-        if dec is None:
-            raise ValueError("matrix does not normalize the Weyl group")
-        a, b, _ = dec
-        M[:n, col] = a
-        M[n:, col] = b
-    if not is_symplectic(M, n):
-        raise ValueError("extracted image is not symplectic")
     return M
 
 
@@ -345,12 +283,6 @@ def synthesize(M: np.ndarray):
     powers = (-np.stack(applied, axis=1) % orders).astype(np.int8)
     words = GateWords(slots, powers)
     return words[0] if M.ndim == 2 else words
-
-
-def clifford_from_symplectic(M: np.ndarray) -> np.ndarray:
-    """A concrete unitary (one representative) with symplectic image M."""
-    n = M.shape[0] // 2
-    return word_to_matrix(synthesize(M), n)
 
 
 # ---------------------------------------------------------------------------

@@ -217,13 +217,3 @@ def exact_coefficients(
     if sol is None:
         return None
     return [ScaledCyclo(u, d) for u in sol]
-
-
-def solve_decomposition(
-    states: list[CanonicalStabilizer], target: TargetState
-) -> Decomposition | None:
-    """Exact decomposition over the given states when one exists."""
-    coeffs = exact_coefficients(states, target)
-    if coeffs is None:
-        return None
-    return Decomposition(target, states, coeffs)

@@ -139,17 +139,6 @@ class ProtocolReport:
         self.phases = phases
         self.classification = classification
 
-    def to_json(self) -> dict:
-        return {
-            "magic": self.magic,
-            "clifford": self.clifford,
-            "k": self.k,
-            "vector": [[float(z.real), float(z.imag)] for z in self.vector],
-            "probability": self.probability,
-            "phases": list(self.phases) if self.phases is not None else None,
-            "classification": self.classification,
-        }
-
     def __repr__(self) -> str:
         return "ProtocolReport(%s, C=%s, k=%d, p=%.6f, %s)" % (
             self.magic,
@@ -232,14 +221,13 @@ class SweepResult:
     def _header(self) -> dict:
         return {"magic": self.magic, "kind": self.kind, "total": self.total, "counts": self.counts}
 
-    def to_json(self) -> dict:
-        """The artifact payload, one report object per hit (the reference for ``json_chunks``)."""
-        return {**self._header(), "hits": [r.to_json() for r in self.hits]}
-
     def json_chunks(self, **extra):
-        """The text of ``json.dumps({**self.to_json(), **extra}, indent=1) + "\\n"``,
-        straight from the columns, ``_HIT_CHUNK`` hits per chunk.
+        """The sweep artifact as ``json.dumps(payload, indent=1) + "\\n"`` writes
+        it, straight from the columns, ``_HIT_CHUNK`` hits per chunk.
 
+        The payload holds magic, kind, total and counts, then "hits", then
+        ``extra``.  "hits" holds one object per report of ``hits``, with the
+        report's fields in slot order and complex entries as [re, im] pairs.
         Each hit fills one template with the json text of its values; each
         distinct value is formatted once.
         """
@@ -257,8 +245,8 @@ class SweepResult:
         yield "\n ]" + tail + "\n"
 
     def _hit_layout(self) -> tuple[dict, np.ndarray]:
-        """One hit's ``to_json`` layout, "@" standing for each json value the
-        columns fill, and the (hits, slots) object array of those values' text."""
+        """One hit's JSON object, "@" standing for each json value the columns
+        fill, and the (hits, slots) object array of those values' text."""
         c = self.columns
         n = len(c["clifford"])
         if self.kind == "injection":
@@ -346,62 +334,44 @@ class GadgetReport:
         self.diagonal_phases = diagonal_phases  # set when gate is Pauli x diagonal
         self.corrections = corrections  # branch -> index into the 216 group
 
-    def to_json(self) -> dict:
-        return {
-            "magic": self.magic,
-            "clifford": self.clifford,
-            "k_star": self.k_star,
-            "gate": [[[float(z.real), float(z.imag)] for z in row] for row in self.gate],
-            "diagonal_phases": list(self.diagonal_phases)
-            if self.diagonal_phases is not None
-            else None,
-            "corrections": self.corrections,
-        }
-
 
 # ---------------------------------------------------------------------------
 # the sweeps
 # ---------------------------------------------------------------------------
 
-_SWEEP_CACHE: dict = {}
-
-
 # table rows built per step: small enough to keep the product temporaries at a few MB
 _TABLE_CHUNK = 4096
 
 
+@functools.cache
 def _symplectic_unitaries():
     """All Sp(4,3) elements with one synthesized unitary each (cached, ~67 MB).
 
     Row e is the operator product of word e; the table multiplies slot by
     slot, each slot's gate into the rows whose word holds it.
     """
-    if "sp4" not in _SWEEP_CACHE:
-        sp = enumerate_symplectic(2)
-        words = synthesize(sp)
-        gates = [
-            [gate_matrix(name, 2, legs, p) for p in range(GATE_ORDER[name])]
-            for name, legs in words.slots
-        ]
-        U = np.empty((len(sp), 9, 9), dtype=np.complex128)
-        for lo in range(0, len(sp), _TABLE_CHUNK):
-            powers = words.powers[lo : lo + _TABLE_CHUNK]
-            Uc = np.repeat(np.eye(9, dtype=np.complex128)[None], len(powers), axis=0)
-            for slot, mats in enumerate(gates):
-                for p in range(1, len(mats)):
-                    mask = powers[:, slot] == p
-                    if mask.any():
-                        Uc[mask] = Uc[mask] @ mats[p]
-            U[lo : lo + len(powers)] = Uc
-        _SWEEP_CACHE["sp4"] = (sp, U)
-    return _SWEEP_CACHE["sp4"]
+    sp = enumerate_symplectic(2)
+    words = synthesize(sp)
+    gates = [
+        [gate_matrix(name, 2, legs, p) for p in range(GATE_ORDER[name])]
+        for name, legs in words.slots
+    ]
+    U = np.empty((len(sp), 9, 9), dtype=np.complex128)
+    for lo in range(0, len(sp), _TABLE_CHUNK):
+        powers = words.powers[lo : lo + _TABLE_CHUNK]
+        Uc = np.repeat(np.eye(9, dtype=np.complex128)[None], len(powers), axis=0)
+        for slot, mats in enumerate(gates):
+            for p in range(1, len(mats)):
+                mask = powers[:, slot] == p
+                if mask.any():
+                    Uc[mask] = Uc[mask] @ mats[p]
+        U[lo : lo + len(powers)] = Uc
+    return sp, U
 
 
+@functools.cache
 def _clifford_group_stack():
-    if "c216" not in _SWEEP_CACHE:
-        group = generate_clifford_group(1)
-        _SWEEP_CACHE["c216"] = np.stack([U for U, _ in group])
-    return _SWEEP_CACHE["c216"]
+    return np.stack([U for U, _ in generate_clifford_group(1)])
 
 
 def sweep_two_copy(magic: str) -> SweepResult:

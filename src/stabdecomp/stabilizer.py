@@ -39,7 +39,6 @@ from .algebra import (
     sqrt2,
     sqrt3,
     sqrt6,
-    xi,
 )
 
 # ---------------------------------------------------------------------------
@@ -203,27 +202,6 @@ class CanonicalStabilizer:
         weights = self.p ** np.arange(self.n - 1, -1, -1, dtype=np.int64)
         return X @ weights, self.phase.eval_batch(Y)
 
-    def support_indices(self) -> np.ndarray:
-        idx, _ = self.points()
-        return np.sort(idx)
-
-    def solve_y(self, x) -> np.ndarray | None:
-        """The unique y with x = x0 + W y, or None when x is off-support."""
-        v = (np.asarray(x, dtype=np.int64) - self.x0) % self.p
-        y = np.array([v[int(np.nonzero(self.W[:, j])[0][0])] for j in range(self.k)],
-                     dtype=np.int64)
-        if np.array_equal((self.W @ y) % self.p, v):
-            return y
-        return None
-
-    def amplitude(self, x) -> CycloNumber:
-        """Exact amplitude at computational-basis digit string x."""
-        y = self.solve_y(x)
-        if y is None:
-            return CycloNumber.zero()
-        root = CycloNumber.root_of_unity(self.phase.phase_order)
-        return inv_sqrt(self.p) ** self.k * root ** self.phase.eval(y)
-
     def state_vector(self) -> list[CycloNumber]:
         """Dense exact amplitude vector of length p^n."""
         dim = self.p**self.n
@@ -270,16 +248,6 @@ class CanonicalStabilizer:
     def key(self) -> tuple:
         """Identity key of the canonical tuple."""
         return (self.p, self.n, self.k, tuple(self.x0), tuple(self.W.flat), self.phase.key())
-
-    def support_key(self) -> tuple:
-        """Projective identity key: sorted support with exponents rebased at the
-        smallest support index, equal for two states exactly when they are the
-        same up to global phase.  Integer-only, no cyclotomic arithmetic."""
-        idx, exps = self.points()
-        order = np.argsort(idx, kind="stable")
-        idx, exps = idx[order], exps[order]
-        exps = (exps - exps[0]) % self.phase.phase_order
-        return (self.k, tuple(idx), tuple(exps))
 
     def record(self) -> dict:
         return {
@@ -567,10 +535,6 @@ class Catalog:
         phase = self._decode_form(blk.k, i - blk.start)
         return CanonicalStabilizer(self.p, self.n, blk.x0, blk.W, phase, check=False)
 
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self.get(i)
-
     def _build_tables(self) -> None:
         if self._cosets is not None:
             return
@@ -628,7 +592,13 @@ class Catalog:
 
     # -- inverse lookup ------------------------------------------------------------
 
-    def _index_of_vector(self, vec) -> int:
+    def index_of(self, vec) -> int:
+        """The catalog index of an amplitude vector: the inverse of :meth:`get`.
+
+        ``vec`` has length p^n and is taken up to norm and global phase.
+        Table-driven (the tables are built on first use); raises
+        ``ValueError`` for a vector that is not a catalog entry's.
+        """
         self._build_tables()
         p = self.p
         vec = np.asarray(vec, dtype=np.complex128).reshape(-1)
@@ -656,31 +626,11 @@ class Catalog:
             raise ValueError("amplitudes are not those of a stabilizer state")
         return blk.start + int(digits @ forms.place)
 
-    def index_of(self, state) -> int:
-        """The catalog index of a state: the inverse of :meth:`get`.
-
-        ``state`` is a :class:`CanonicalStabilizer`, which must be a catalog
-        entry field for field, or an amplitude vector of length p^n, taken up
-        to norm and global phase.  Table-driven (the tables are built on first
-        use); raises ``ValueError`` for anything that is not a catalog entry.
-        """
-        if isinstance(state, CanonicalStabilizer):
-            if (state.p, state.n) != (self.p, self.n):
-                raise ValueError("state is on (p, n) = (%d, %d)" % (state.p, state.n))
-            i = self._index_of_vector(state.complex_vector())
-            if self.get(i).key() != state.key():
-                raise ValueError("state is not in canonical form")
-            return i
-        return self._index_of_vector(state)
-
     # -- hashing / export --------------------------------------------------------
 
-    def entry_line(self, i: int) -> str:
-        """The serialization of entry i, from its record; ``_lines`` gives the same text in bulk."""
-        return _json(self.get(i).record())
-
     def _text_chunks(self):
-        """``entry_line(i) + "\\n"`` for every index in order, joined per ``_block_forms`` step.
+        """The serialization of every entry in index order, one per line, joined
+        per ``_block_forms`` step: entry i's line is ``_json(get(i).record())``.
 
         Each block's line template is formatted once, and each step fills the
         digits of all its forms into the repeated template at once.
@@ -696,13 +646,8 @@ class Catalog:
                 )
             yield template * forms.size % tuple(self._digits(blk, forms)[:, tables.slots].ravel().tolist())
 
-    def _lines(self):
-        """``entry_line(i)`` for every index in order."""
-        for text in self._text_chunks():
-            yield from text.splitlines()
-
     def content_hash(self) -> str:
-        """SHA-256 over the ordered entry serializations, each ending in a newline (computed lazily)."""
+        """SHA-256 of the text of ``_text_chunks``: every entry's line, in order (computed lazily)."""
         if self._hash is None:
             h = hashlib.sha256()
             for text in self._text_chunks():
@@ -773,9 +718,6 @@ class TargetState:
 
     def complex_vector(self) -> np.ndarray:
         return np.array([a.to_complex() for a in self.amps], dtype=np.complex128)
-
-    def support_mask(self) -> np.ndarray:
-        return np.array([not a.is_zero() for a in self.amps], dtype=bool)
 
     def __repr__(self) -> str:
         return "TargetState(%s, p=%d, n=%d)" % (self.name, self.p, self.n)

@@ -1,0 +1,78 @@
+"""Every public function and method in ``src/stabdecomp`` has a caller.
+
+A caller is a reference in ``src/`` or ``bench/`` (a name or an attribute; in
+``bench/`` also a dotted string, such as a tracer hook), or an entry in the
+README's "Library API" list, which names the operations the library offers
+without calling them itself.  Tests do not count: code that only tests reach
+belongs in the tests.
+"""
+
+from __future__ import annotations
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "stabdecomp"
+
+
+def _public_definitions():
+    """(qualified name, name) of each public top-level function and public method."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = path.stem
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                yield "%s.%s" % (module, node.name), node.name
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield "%s.%s.%s" % (module, node.name, item.name), item.name
+
+
+def _referenced_names() -> set[str]:
+    names: set[str] = set()
+    for top in ("src", "bench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif (
+                    top == "bench"
+                    and isinstance(node, ast.Constant)
+                    and isinstance(node.value, str)
+                    and re.fullmatch(r"[\w\[\]*]+(\.[\w\[\]*]+)+", node.value)
+                ):
+                    names.update(re.findall(r"\w+", node.value))
+    return names
+
+
+def _readme_api() -> set[str]:
+    """The names the README's "Library API" section lists, one per bullet that
+    opens with it in backticks, e.g. ``gadget.check_reduction``."""
+    text = (ROOT / "README.md").read_text()
+    section = re.search(r"^## Library API$(.*?)(?=^## |\Z)", text, re.M | re.S)
+    assert section, "README.md has no '## Library API' section"
+    return set(re.findall(r"^- `([\w.]+)", section.group(1), re.M))
+
+
+def test_every_public_function_has_a_caller_or_is_documented():
+    referenced = _referenced_names()
+    api = _readme_api()
+    orphans = [
+        qualified
+        for qualified, name in _public_definitions()
+        if name not in referenced and qualified not in api
+    ]
+    assert not orphans, (
+        "public functions with no caller in src/ or bench/ and no entry in the "
+        "README's Library API list: %s" % ", ".join(orphans)
+    )
+
+
+def test_readme_api_names_exist():
+    defined = {qualified for qualified, _ in _public_definitions()}
+    missing = sorted(_readme_api() - defined)
+    assert not missing, "README Library API names no such function: %s" % ", ".join(missing)

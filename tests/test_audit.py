@@ -186,3 +186,21 @@ def test_point_tables_are_shared_and_read_only():
     assert Y.tolist() == [[a, b] for a in range(3) for b in range(3)]
     with pytest.raises(ValueError):
         Y[0, 0] = 1
+
+
+@pytest.mark.parametrize(
+    "r,witness",
+    [(1, (99,)), (2, (3, 2)), (2, (1, 2, 3))],
+    ids=["index-past-the-catalog", "not-increasing", "more-than-r-indices"],
+)
+def test_malformed_witness_fails_the_replay(cat1, r, witness):
+    """A certificate built in a library session never went through
+    ``Certificate.from_payload``; the audit applies the same witness rule."""
+    t3 = magic_power("T3", 1)
+    cert = certify_rank(t3, r, cat1)
+    cert.witnesses = [witness]
+    report = audit(cert, cat1, t3)
+    assert report.failures == ["witness-replay"]
+    assert report.samples_tested == 0
+    with pytest.raises(ValueError, match=r"witnesses\[0\]"):
+        Certificate.from_payload(cert.to_payload())

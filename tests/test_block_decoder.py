@@ -3,6 +3,7 @@
 each checked against the per-index reference path."""
 
 import hashlib
+import json
 from functools import lru_cache
 
 import numpy as np
@@ -38,8 +39,9 @@ def test_vectors_bitwise_equal_to_complex_vector(p, n):
 @pytest.mark.parametrize("p,n", CASES)
 def test_block_lines_equal_entry_lines(p, n):
     cat = _catalog(p, n)
-    want = [cat.entry_line(i) for i in range(len(cat))]
-    assert list(cat._lines()) == want
+    # entry i's line, serialized from its record
+    want = [json.dumps(cat.get(i).record(), sort_keys=True, separators=(",", ":")) for i in range(len(cat))]
+    assert "".join(cat._text_chunks()).splitlines() == want
     h = hashlib.sha256()
     for line in want:
         h.update(line.encode())
@@ -71,7 +73,7 @@ def test_search_context_masks_match_support_bits(name, m):
     want = np.empty(len(cat), dtype=np.int64)
     for i in range(len(cat)):
         bits = 0
-        for idx in cat.get(i).support_indices():
+        for idx in cat.get(i).points()[0]:
             bits |= 1 << int(idx)
         want[i] = bits
     assert np.array_equal(ctx.masks, want)

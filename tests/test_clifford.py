@@ -5,24 +5,82 @@ import pytest
 
 from stabdecomp.clifford import (
     OMEGA,
-    clifford_from_symplectic,
+    _gen_image,
     enumerate_symplectic,
     format_word,
     gate_matrix,
     generate_clifford_group,
-    invert_word,
-    is_symplectic,
     orbit_closure,
     parse_word,
     projective_key,
-    symplectic_image,
+    symplectic_form,
     synthesize,
-    weyl_decompose,
     weyl_matrix,
-    word_image,
     word_to_matrix,
 )
 from stabdecomp.stabilizer import magic_state
+
+# ---------------------------------------------------------------------------
+# reference symplectic images: of a gate word from its generators' images, and
+# of a dense unitary from how it conjugates the Weyl operators
+# ---------------------------------------------------------------------------
+
+
+def weyl_decompose(V: np.ndarray, n: int, tol: float = 1e-8):
+    """Recover (a, b, phase) with V = phase * W_(a,b), or None if V is not a Weyl."""
+    col0 = V[:, 0]
+    nz = np.nonzero(np.abs(col0) > tol)[0]
+    if len(nz) != 1:
+        return None
+    shift = int(nz[0])
+    a = np.array([(shift // 3 ** (n - 1 - i)) % 3 for i in range(n)], dtype=np.int64)
+    phase = col0[shift]
+    if abs(abs(phase) - 1) > tol:
+        return None
+    b = np.zeros(n, dtype=np.int64)
+    for i in range(n):
+        s = 3 ** (n - 1 - i)  # basis string e_i
+        r = np.nonzero(np.abs(V[:, s]) > tol)[0]
+        if len(r) != 1:
+            return None
+        ratio = V[r[0], s] / phase
+        b[i] = int(np.round(np.angle(ratio) / (2 * np.pi / 3))) % 3
+    if not np.allclose(V, phase * weyl_matrix(n, a, b), atol=10 * tol):
+        return None
+    return a, b, phase
+
+
+def is_symplectic(M: np.ndarray, n: int) -> bool:
+    J = symplectic_form(n)
+    return np.array_equal((M.T @ J @ M) % 3, J % 3)
+
+
+def word_image(word, n: int) -> np.ndarray:
+    M = np.eye(2 * n, dtype=np.int64)
+    for name, legs, power in word:
+        M = (M @ _gen_image(name, n, tuple(legs), power)) % 3
+    return M
+
+
+def symplectic_image(U: np.ndarray, n: int, tol: float = 1e-8) -> np.ndarray:
+    """Extract the symplectic image of a Clifford unitary by conjugating Weyls."""
+    M = np.zeros((2 * n, 2 * n), dtype=np.int64)
+    Udag = U.conj().T
+    for col in range(2 * n):
+        i = col % n
+        lab_a = np.zeros(n, dtype=np.int64)
+        lab_b = np.zeros(n, dtype=np.int64)
+        (lab_a if col < n else lab_b)[i] = 1
+        V = U @ weyl_matrix(n, lab_a, lab_b) @ Udag
+        dec = weyl_decompose(V, n, tol)
+        if dec is None:
+            raise ValueError("matrix does not normalize the Weyl group")
+        a, b, _ = dec
+        M[:n, col] = a
+        M[n:, col] = b
+    if not is_symplectic(M, n):
+        raise ValueError("extracted image is not symplectic")
+    return M
 
 
 def rand_word(rng, n, length):
@@ -82,15 +140,6 @@ def test_word_parse_format_round_trip():
         parse_word("Q1", 2)
     with pytest.raises(ValueError):
         parse_word("H3", 2)
-
-
-def test_invert_word():
-    rng = np.random.default_rng(47)
-    for _ in range(20):
-        word = rand_word(rng, 2, 6)
-        U = word_to_matrix(word, 2)
-        V = word_to_matrix(invert_word(word), 2)
-        assert np.allclose(U @ V, np.eye(9), atol=1e-12)
 
 
 def test_weyl_decompose():
@@ -166,7 +215,7 @@ def test_synthesize_random_two_qutrit(sp4):
         assert np.array_equal(word_image(word, 2), M)
     for i in picks[:15]:
         M = sp4[int(i)]
-        U = clifford_from_symplectic(M)
+        U = word_to_matrix(synthesize(M), 2)
         assert np.allclose(U @ U.conj().T, np.eye(9), atol=1e-10)
         assert np.array_equal(symplectic_image(U, 2), M)
 
@@ -202,7 +251,7 @@ def test_group_splits_into_weyl_and_symplectic(group216):
     rng = np.random.default_rng(73)
     for idx in rng.integers(0, 216, size=12):
         U, _ = group216[int(idx)]
-        V = clifford_from_symplectic(symplectic_image(U, 1))
+        V = word_to_matrix(synthesize(symplectic_image(U, 1)), 1)
         assert weyl_decompose(U @ V.conj().T, 1) is not None
 
 

@@ -11,6 +11,7 @@ from stabdecomp.gadget import (
     CLASS_CLIFFORD,
     CLASS_NONCLIFFORD,
     CLASS_NONE,
+    GadgetReport,
     branch_operator,
     check_reduction,
     is_nonclifford_diagonal,
@@ -313,7 +314,7 @@ def test_sweep_injection_branch_that_never_occurs(monkeypatch):
     Q, _ = np.linalg.qr(np.column_stack([m, np.eye(3)[:, 1:]]))
     D = np.diag(np.exp(2j * np.pi * np.arange(3) / 9))
     table = np.stack([np.kron(D, Q.conj().T), np.eye(9)])
-    monkeypatch.setitem(gadget._SWEEP_CACHE, "sp4", (None, table))
+    monkeypatch.setattr(gadget, "_symplectic_unitaries", lambda: (None, table))
     res = sweep_injection("T3")
     assert res.counts == {"unitary-branches": 4, "gadgets": 1}
     (g,) = res.hits
@@ -329,10 +330,38 @@ def test_sweep_injection_branch_that_never_occurs(monkeypatch):
 T3_INJECTION_SHA256 = "24379653eb87d5aa247b0de8d2443f761103337760821c00113ad87e1fc2aa09"
 
 
+def hit_json(r) -> dict:
+    """The artifact object of one GadgetReport or ProtocolReport."""
+    if isinstance(r, GadgetReport):
+        return {
+            "magic": r.magic,
+            "clifford": r.clifford,
+            "k_star": r.k_star,
+            "gate": [[[float(z.real), float(z.imag)] for z in row] for row in r.gate],
+            "diagonal_phases": list(r.diagonal_phases) if r.diagonal_phases is not None else None,
+            "corrections": r.corrections,
+        }
+    return {
+        "magic": r.magic,
+        "clifford": r.clifford,
+        "k": r.k,
+        "vector": [[float(z.real), float(z.imag)] for z in r.vector],
+        "probability": r.probability,
+        "phases": list(r.phases) if r.phases is not None else None,
+        "classification": r.classification,
+    }
+
+
+def sweep_json(res) -> dict:
+    """The artifact payload, one report object per hit: the reference for ``json_chunks``."""
+    header = {"magic": res.magic, "kind": res.kind, "total": res.total, "counts": res.counts}
+    return {**header, "hits": [hit_json(r) for r in res.hits]}
+
+
 def _assert_writes_reference(res, **extra):
     """json_chunks gives json.dumps(payload, indent=1) + "\\n"; a mismatch is shown around its first byte."""
     text = "".join(res.json_chunks(**extra))
-    want = json.dumps({**res.to_json(), **extra}, indent=1) + "\n"
+    want = json.dumps({**sweep_json(res), **extra}, indent=1) + "\n"
     if text != want:
         at = next((i for i, (a, b) in enumerate(zip(text, want)) if a != b), min(len(text), len(want)))
         lo = max(at - 200, 0)
@@ -353,7 +382,7 @@ def test_json_chunks_never_occurring_branch(monkeypatch):
     Q, _ = np.linalg.qr(np.column_stack([m, np.eye(3)[:, 1:]]))
     D = np.diag(np.exp(2j * np.pi * np.arange(3) / 9))
     table = np.stack([np.kron(D, Q.conj().T), np.eye(9)])
-    monkeypatch.setitem(gadget._SWEEP_CACHE, "sp4", (None, table))
+    monkeypatch.setattr(gadget, "_symplectic_unitaries", lambda: (None, table))
     res = sweep_injection("T3")
     (g,) = res.hits
     assert g.corrections == {1: None, 2: None} and g.diagonal_phases is not None
@@ -509,7 +538,7 @@ def test_nonclifford_hits_injection_and_two_copy():
     nc = res.nonclifford_hits()
     assert len(nc) == 31104 == res.counts["gadgets"]
     assert "hits" not in vars(res)  # read from the columns, not from the cached full list
-    assert [g.to_json() for g in nc[::97]] == [g.to_json() for g in res.hits[::97]]
+    assert [hit_json(g) for g in nc[::97]] == [hit_json(g) for g in res.hits[::97]]
     # two-copy: exactly the hits classified non-Clifford, in sweep order, and only those are built
     for name in ("N", "H3", "S"):
         res = sweep_two_copy(name)
@@ -517,4 +546,4 @@ def test_nonclifford_hits_injection_and_two_copy():
         assert "hits" not in vars(res)
         assert len(nc) == res.counts[CLASS_NONCLIFFORD]
         want = [r for r in res.hits if r.classification == CLASS_NONCLIFFORD]
-        assert [r.to_json() for r in nc] == [r.to_json() for r in want]
+        assert [hit_json(r) for r in nc] == [hit_json(r) for r in want]

@@ -4,9 +4,8 @@ neighbour move, which locates an accepted neighbour with it."""
 import numpy as np
 import pytest
 
-from stabdecomp.algebra import QuadraticForm
 from stabdecomp.anneal import AnnealConfig, _Subset, _WeylNeighbours, anneal_search
-from stabdecomp.stabilizer import CanonicalStabilizer, build_catalog, magic_power
+from stabdecomp.stabilizer import build_catalog, magic_power
 
 
 @pytest.mark.parametrize(
@@ -19,8 +18,6 @@ def test_index_of_round_trips_every_index(p, n):
     phase = np.exp(0.7j) * 3.0  # any norm and global phase
     for i in range(len(cat)):
         assert cat.index_of(cat.get(i).complex_vector() * phase) == i
-    for i in range(0, len(cat), max(1, len(cat) // 50)):
-        assert cat.index_of(cat.get(i)) == i
 
 
 @pytest.mark.parametrize("p,n", [(3, 4), (2, 4)])
@@ -28,10 +25,8 @@ def test_index_of_round_trips_a_sample(p, n):
     cat = build_catalog(p, n)
     rng = np.random.default_rng(11)
     for i in rng.integers(0, len(cat), size=2000):
-        st = cat.get(int(i))
-        assert cat.index_of(st.complex_vector()) == i
-        assert cat.index_of(st) == i
-    assert cat.index_of(cat.get(len(cat) - 1)) == len(cat) - 1
+        assert cat.index_of(cat.get(int(i)).complex_vector()) == i
+    assert cat.index_of(cat.get(len(cat) - 1).complex_vector()) == len(cat) - 1
 
 
 def test_index_of_rejects_non_entries():
@@ -49,13 +44,6 @@ def test_index_of_rejects_non_entries():
     for vec in bad:
         with pytest.raises(ValueError):
             cat.index_of(vec)
-    with pytest.raises(ValueError):
-        cat.index_of(build_catalog(2, 2).get(3))  # other (p, n)
-    # the state of entry 4 with a nonzero phase constant is not a canonical record
-    st = cat.get(4)
-    shifted = CanonicalStabilizer(3, 2, st.x0, st.W, QuadraticForm(3, st.k, st.phase.A, st.phase.b, 1), check=False)
-    with pytest.raises(ValueError):
-        cat.index_of(shifted)
 
 
 @pytest.mark.parametrize("p,n", [(3, 2), (3, 4), (2, 3), (2, 4)])

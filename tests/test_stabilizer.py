@@ -44,17 +44,6 @@ def test_ket_and_plus():
     assert np.allclose(plus_state(2, 2).complex_vector(), np.full(4, 0.5))
 
 
-def test_amplitude_matches_state_vector():
-    rng = np.random.default_rng(3)
-    cat = build_catalog(3, 2)
-    for i in rng.integers(0, len(cat), size=25):
-        st = cat.get(int(i))
-        vec = st.state_vector()
-        for x0 in range(3):
-            for x1 in range(3):
-                assert st.amplitude([x0, x1]) == vec[basis_index([x0, x1], 3)]
-
-
 def test_tensor_matches_kron():
     rng = np.random.default_rng(5)
     cat = build_catalog(3, 1)
@@ -148,20 +137,18 @@ def test_four_qutrit_catalog_is_lazy():
 def test_catalog_states_are_valid_and_normalized():
     for p, n in ((3, 2), (2, 2)):
         cat = build_catalog(p, n)
-        seen = set()
-        for st in cat:
+        for i in range(len(cat)):
+            st = cat.get(i)
             st._validate()
             assert exact_norm_sq(st) == CycloNumber.one()
-            assert len(st.support_indices()) == p**st.k
-            seen.add(st.support_key())
-        assert len(seen) == len(cat)
+            assert np.count_nonzero(st.complex_vector()) == p**st.k
 
 
 def test_single_qutrit_catalog_is_mub():
     # 12 states on one qutrit form 4 mutually unbiased bases: pairwise
     # overlaps are 0 (same basis) or 1/sqrt(3)
     cat = build_catalog(3, 1)
-    vecs = [st.complex_vector() for st in cat]
+    vecs = [cat.get(i).complex_vector() for i in range(len(cat))]
     assert len(vecs) == 12
     for i in range(12):
         for j in range(i + 1, 12):
@@ -174,7 +161,7 @@ def test_catalog_order_is_deterministic():
     b = build_catalog(3, 2)
     idx = np.random.default_rng(11).integers(0, len(a), size=30)
     for i in idx:
-        assert a.entry_line(int(i)) == b.entry_line(int(i))
+        assert a.get(int(i)).record() == b.get(int(i)).record()
     assert a.content_hash() == b.content_hash()
 
 
