@@ -54,6 +54,8 @@ class AnnealConfig:
             raise ValueError("rank must be >= 1")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
+        if self.chains < 1:
+            raise ValueError("chains must be >= 1")
         if not 0.0 < self.cooling < 1.0:
             raise ValueError("cooling factor must lie in (0, 1)")
         if self.rank >= len(self.catalog):

@@ -277,8 +277,9 @@ class Certificate:
     def from_payload(cls, d: dict) -> "Certificate":
         """The certificate of a payload.
 
-        A ValueError names a missing or mistyped field, a witness that is not
-        an r-tuple of catalog indices, or an unknown catalog_mode.
+        A ValueError names a missing or mistyped field, a rank r outside
+        [1, catalog_count], a witness that is not an r-tuple of catalog
+        indices, or an unknown catalog_mode.
         """
         if not isinstance(d, dict) or d.get("format") != "stabdecomp-certificate":
             raise ValueError("not a certificate payload")
@@ -287,6 +288,10 @@ class Certificate:
         if mode not in (CATALOG_LABEL, "dedupe"):
             raise ValueError("unknown catalog_mode %r" % (mode,))
         f = {key: _field(d, key, kind) for key, kind in _PAYLOAD_FIELDS.items()}
+        if not 1 <= f["r"] <= f["catalog_count"]:
+            raise ValueError(
+                "certificate rank r = %d is not between 1 and catalog_count %d" % (f["r"], f["catalog_count"])
+            )
         witnesses = []
         for j, w in enumerate(f["witnesses"]):
             w = _typed("witnesses[%d]" % j, w, list)
@@ -547,8 +552,9 @@ def check_request(target, r: int, tol: float) -> None:
 
     Needs no catalog, so callers can refuse before building one.
     """
-    if r < 1:
-        raise ValueError("r must be >= 1")
+    count = Catalog.expected_count(target.p, target.n)
+    if not 1 <= r <= count:  # above the catalog there is no r-tuple to test
+        raise ValueError("r = %d is not between 1 and the %d catalog states" % (r, count))
     if not tol <= math.sqrt(CANDIDATE_RES2):
         raise ValueError(
             "tol %g exceeds the exact re-score threshold %g" % (tol, math.sqrt(CANDIDATE_RES2))

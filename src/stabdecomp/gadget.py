@@ -347,8 +347,9 @@ _TABLE_CHUNK = 4096
 def _symplectic_unitaries():
     """All Sp(4,3) elements with one synthesized unitary each (cached, ~67 MB).
 
-    Row e is the operator product of word e; the table multiplies slot by
-    slot, each slot's gate into the rows whose word holds it.
+    Row e is the operator product of word e, left to right.  Rows are taken
+    in lexicographic order of their slot powers, and in each chunk every
+    distinct word prefix is multiplied once, onto its parent prefix.
     """
     sp = enumerate_symplectic(2)
     words = synthesize(sp)
@@ -357,15 +358,20 @@ def _symplectic_unitaries():
         for name, legs in words.slots
     ]
     U = np.empty((len(sp), 9, 9), dtype=np.complex128)
+    order = np.lexsort(words.powers.T[::-1])  # slot 0 the primary key
     for lo in range(0, len(sp), _TABLE_CHUNK):
-        powers = words.powers[lo : lo + _TABLE_CHUNK]
-        Uc = np.repeat(np.eye(9, dtype=np.complex128)[None], len(powers), axis=0)
+        rows = order[lo : lo + _TABLE_CHUNK]
+        P = np.eye(9, dtype=np.complex128)[None]  # the distinct prefixes so far
+        pid = np.zeros(len(rows), dtype=np.int64)  # each row's prefix in P
         for slot, mats in enumerate(gates):
+            n = len(P)
+            power = words.powers[rows, slot].astype(np.int64)
+            keys, pid = np.unique(power * n + pid, return_inverse=True)
+            P = P[keys % n]  # the parents, grouped by power
             for p in range(1, len(mats)):
-                mask = powers[:, slot] == p
-                if mask.any():
-                    Uc[mask] = Uc[mask] @ mats[p]
-        U[lo : lo + len(powers)] = Uc
+                a, b = np.searchsorted(keys, [p * n, (p + 1) * n])
+                P[a:b] = (P[a:b].reshape(-1, 9) @ mats[p]).reshape(-1, 9, 9)
+        U[rows] = P[pid]
     return sp, U
 
 

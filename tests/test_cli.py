@@ -212,6 +212,9 @@ _T3_PAIR = "must be 2 increasing indices below catalog_count 12"
         ("witnesses", [[0, 1], [-1, 3]], "certificate field 'witnesses[1]' " + _T3_PAIR),
         ("witnesses", [[5, 3]], "certificate field 'witnesses[0]' " + _T3_PAIR),
         ("witnesses", [[3]], "certificate field 'witnesses[0]' " + _T3_PAIR),
+        # a rank above the catalog has no tuple to test, so "ruled out" would be vacuous
+        ("r", 13, "certificate rank r = 13 is not between 1 and catalog_count 12"),
+        ("r", 0, "certificate rank r = 0 is not between 1 and catalog_count 12"),
     ],
 )
 def test_bad_certificate_field_usage_error(tmp_path, capsys, field, value, message):
@@ -256,6 +259,21 @@ def test_certify_refuses_before_building_the_catalog(tmp_path, monkeypatch):
     assert not out.exists()
 
 
+def test_certify_rank_above_the_catalog_usage_error(tmp_path, capsys, monkeypatch):
+    # one qutrit has 12 stabilizer states: r = 13 leaves no tuple to test
+    def no_catalog(*args, **kwargs):
+        raise AssertionError("build_catalog called for a request certify refuses")
+
+    monkeypatch.setattr(cli, "build_catalog", no_catalog)
+    out = tmp_path / "c.json"
+    capsys.readouterr()
+    assert main(["certify", "--target", "N", "--m", "1", "--r", "13", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "r = 13 is not between 1 and the 12 catalog states\n"
+    assert "ruled out" not in captured.out
+    assert not out.exists()
+
+
 def test_audit_detects_tampering(tmp_path):
     out = tmp_path / "cert.json"
     assert main(["certify", "--target", "T3", "--m", "1", "--r", "2", "--out", str(out)]) == 0
@@ -291,6 +309,14 @@ def test_search_cli_failure_exit_one(tmp_path):
     payload = read_json(out)
     assert not payload["success"]
     assert payload["decomposition"] is None
+
+
+def test_search_zero_chains_usage_error(tmp_path, capsys):
+    out = tmp_path / "search.json"
+    capsys.readouterr()
+    assert main(["search", "--target", "S", "--m", "1", "--r", "1", "--chains", "0", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "chains must be >= 1\n"
+    assert not out.exists()
 
 
 def test_search_cli_summary_reports_steps(tmp_path, capsys):

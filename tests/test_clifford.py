@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from stabdecomp.clifford import (
+    GATE_ORDER,
     OMEGA,
     _gen_image,
     enumerate_symplectic,
@@ -325,6 +326,32 @@ def test_table_rows_are_synthesized_words(table):
     for e in np.random.default_rng(101).integers(0, len(sp), size=40):
         row = word_to_matrix(synthesize(sp[int(e)]), 2)
         assert np.array_equal(row.view(np.uint8), U[int(e)].view(np.uint8))
+
+
+def _slot_by_slot_table(sp):
+    """Reference: each slot's gate multiplied into the rows whose word holds it."""
+    words = synthesize(sp)
+    gates = [
+        [gate_matrix(name, 2, legs, p) for p in range(GATE_ORDER[name])]
+        for name, legs in words.slots
+    ]
+    U = np.empty((len(sp), 9, 9), dtype=np.complex128)
+    for lo in range(0, len(sp), 4096):
+        powers = words.powers[lo : lo + 4096]
+        Uc = np.repeat(np.eye(9, dtype=np.complex128)[None], len(powers), axis=0)
+        for slot, mats in enumerate(gates):
+            for p in range(1, len(mats)):
+                mask = powers[:, slot] == p
+                if mask.any():
+                    Uc[mask] = Uc[mask] @ mats[p]
+        U[lo : lo + len(powers)] = Uc
+    return U
+
+
+def test_table_equals_the_slot_by_slot_products(table):
+    # the shared-prefix build multiplies the same factors in the same order
+    sp, U = table
+    assert np.array_equal(U.view(np.uint64), _slot_by_slot_table(sp).view(np.uint64))
 
 
 def test_every_table_row_conjugates_weyls_through_its_image(table):
