@@ -6,7 +6,8 @@ Two layers live here:
   arrays plus a column-style reduced echelon form used to canonicalize
   subspaces), and
 * :class:`CycloNumber`, exact elements of the cyclotomic fields Q(zeta_24)
-  and Q(zeta_72) with rational coefficients over the power basis.
+  and Q(zeta_72): integer coefficients over the power basis and one common
+  denominator.
 
 Q(zeta_24) contains every constant the qutrit/qubit decompositions need
 (omega = e^{2 pi i/3}, i, e^{i pi/6}, sqrt 2, sqrt 3, sqrt 6, e^{i pi/12});
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 
@@ -93,76 +95,85 @@ _CONDUCTORS = (24, 72)
 _PHI = {24: 8, 72: 24}
 # both cyclotomic polynomials are x^(2m) - x^m + 1
 _HALF = {24: 4, 72: 12}
+# exponents k != 1 of the Galois automorphisms zeta -> zeta^k
+_UNITS = {n: [k for k in range(2, n) if gcd(k, n) == 1] for n in _CONDUCTORS}
+_BASIS_COMPLEX = {n: [cmath.exp(2j * cmath.pi * k / n) for k in range(_PHI[n])] for n in _CONDUCTORS}
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
+def _reduce(poly: list[int], conductor: int) -> list[int]:
+    """Power-basis coefficients of an integer polynomial in zeta_N of any degree.
 
-def _build_reduction_table(conductor: int) -> list[tuple[tuple[int, int], ...]]:
-    """Express zeta^e in the power basis, for e = 0 .. 2*(phi-1).
-
-    Entry e is a tuple of (basis index, +-1 integer coefficient) pairs; the
-    rewrite zeta^(2m) = zeta^m - 1 always terminates with +-1 coefficients
-    because e stays below N for products of basis elements.
+    Rewrites x^e -> x^(e-m) - x^(e-2m), the relation x^(2m) = x^m - 1, from
+    the top degree down; ``poly`` is consumed.
     """
     phi, m = _PHI[conductor], _HALF[conductor]
-    table: list[tuple[tuple[int, int], ...]] = []
-    for e in range(2 * phi - 1):
-        acc: dict[int, int] = {}
-        stack = [(e % conductor, 1)]
-        while stack:
-            j, s = stack.pop()
-            if j < phi:
-                acc[j] = acc.get(j, 0) + s
-            else:
-                stack.append((j - m, s))
-                stack.append((j - 2 * m, -s))
-        table.append(tuple((j, c) for j, c in sorted(acc.items()) if c != 0))
-    return table
+    for e in range(len(poly) - 1, phi - 1, -1):
+        c = poly[e]
+        if c:
+            poly[e - m] += c
+            poly[e - 2 * m] -= c
+    return poly[:phi] + [0] * (phi - len(poly))
 
 
-_REDUCTION = {n: _build_reduction_table(n) for n in _CONDUCTORS}
-_BASIS_COMPLEX = {
-    n: [cmath.exp(2j * cmath.pi * k / n) for k in range(_PHI[n])] for n in _CONDUCTORS
-}
+def _substitute(num, k: int, conductor: int) -> list[int]:
+    """Power-basis coefficients of sum_j num[j] zeta_N^(k j): the map zeta^j -> zeta^(k j)."""
+    poly = [0] * conductor
+    for j, c in enumerate(num):
+        poly[k * j % conductor] += c
+    return _reduce(poly, conductor)
 
 
 class CycloNumber:
     """An element of Q(zeta_N), N in {24, 72}, exact rational coefficients.
 
-    Values are immutable; arithmetic reduces eagerly to the power basis
-    zeta^0 .. zeta^(phi(N)-1).  Mixed-conductor arithmetic lifts 24 -> 72.
+    Stored as integer numerators over the power basis zeta^0 .. zeta^(phi(N)-1)
+    and one positive common denominator, in lowest terms, so equal values of
+    one conductor have equal fields.  Values are immutable; mixed-conductor
+    arithmetic lifts 24 -> 72.
     """
 
-    __slots__ = ("conductor", "coeffs", "_hash")
+    __slots__ = ("conductor", "_num", "_den")
 
-    def __init__(self, conductor: int, coeffs) -> None:
+    def __new__(cls, conductor: int, coeffs) -> "CycloNumber":
         if conductor not in _CONDUCTORS:
             raise ValueError("conductor must be 24 or 72, got %r" % (conductor,))
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        coeffs = [Fraction(c) for c in coeffs]
         if len(coeffs) != _PHI[conductor]:
             raise ValueError(
                 "need %d coefficients for conductor %d, got %d"
                 % (_PHI[conductor], conductor, len(coeffs))
             )
-        object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "_hash", None)
+        den = lcm(*(c.denominator for c in coeffs))
+        return cls._make(conductor, [c.numerator * (den // c.denominator) for c in coeffs], den)
+
+    @classmethod
+    def _make(cls, conductor: int, num, den: int) -> "CycloNumber":
+        """From integer numerators over a nonzero integer denominator, in lowest terms."""
+        g = gcd(den, *num) if den > 0 else -gcd(den, *num)
+        out = object.__new__(cls)
+        object.__setattr__(out, "conductor", conductor)
+        object.__setattr__(out, "_num", tuple(x // g for x in num))
+        object.__setattr__(out, "_den", den // g)
+        return out
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("CycloNumber is immutable")
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Rational power-basis coefficients."""
+        return tuple(Fraction(x, self._den) for x in self._num)
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zero(cls, conductor: int = 24) -> "CycloNumber":
-        return cls(conductor, [0] * _PHI[conductor])
+        return cls._make(conductor, [0] * _PHI[conductor], 1)
 
     @classmethod
     def from_rational(cls, value, conductor: int = 24) -> "CycloNumber":
-        c = [Fraction(0)] * _PHI[conductor]
-        c[0] = Fraction(value)
-        return cls(conductor, c)
+        q = Fraction(value)
+        return cls._make(conductor, [q.numerator] + [0] * (_PHI[conductor] - 1), q.denominator)
 
     @classmethod
     def one(cls, conductor: int = 24) -> "CycloNumber":
@@ -171,20 +182,9 @@ class CycloNumber:
     @classmethod
     def zeta_pow(cls, conductor: int, exponent: int) -> "CycloNumber":
         """zeta_N^exponent, any integer exponent."""
-        e = exponent % conductor
-        coeffs = [Fraction(0)] * _PHI[conductor]
-        # fold e into the basis using the reduction rewrite
-        stack = [(e, 1)]
-        m = _HALF[conductor]
-        phi = _PHI[conductor]
-        while stack:
-            j, s = stack.pop()
-            if j < phi:
-                coeffs[j] += s
-            else:
-                stack.append((j - m, s))
-                stack.append((j - 2 * m, -s))
-        return cls(conductor, coeffs)
+        poly = [0] * conductor
+        poly[exponent % conductor] = 1
+        return cls._make(conductor, _reduce(poly, conductor), 1)
 
     @classmethod
     def root_of_unity(cls, order: int, power: int = 1, conductor: int | None = None) -> "CycloNumber":
@@ -203,24 +203,18 @@ class CycloNumber:
             return self
         if not (self.conductor == 24 and conductor == 72):
             raise ValueError("only the 24 -> 72 lift is supported")
-        out = CycloNumber.zero(72)
-        for j, c in enumerate(self.coeffs):
-            if c:
-                out = out + CycloNumber.zeta_pow(72, 3 * j) * c
-        return out
+        return CycloNumber._make(72, _substitute(self._num, 3, 72), self._den)
 
     @staticmethod
     def _common(a: "CycloNumber", b: "CycloNumber") -> tuple["CycloNumber", "CycloNumber"]:
-        if a.conductor == b.conductor:
-            return a, b
         n = max(a.conductor, b.conductor)
         return a.lift(n), b.lift(n)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self._num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self._num[1:])
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -229,12 +223,16 @@ class CycloNumber:
         if other is NotImplemented:
             return NotImplemented
         a, b = self._common(self, other)
-        return CycloNumber(a.conductor, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        g = gcd(a._den, b._den)
+        fa, fb = b._den // g, a._den // g
+        return CycloNumber._make(
+            a.conductor, [x * fa + y * fb for x, y in zip(a._num, b._num)], a._den * fa
+        )
 
     __radd__ = __add__
 
     def __neg__(self) -> "CycloNumber":
-        return CycloNumber(self.conductor, [-x for x in self.coeffs])
+        return CycloNumber._make(self.conductor, [-x for x in self._num], self._den)
 
     def __sub__(self, other) -> "CycloNumber":
         other = _coerce(other, self.conductor)
@@ -248,22 +246,18 @@ class CycloNumber:
     def __mul__(self, other) -> "CycloNumber":
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
-            return CycloNumber(self.conductor, [c * q for c in self.coeffs])
+            return CycloNumber._make(
+                self.conductor, [x * q.numerator for x in self._num], self._den * q.denominator
+            )
         if not isinstance(other, CycloNumber):
             return NotImplemented
         a, b = self._common(self, other)
-        table = _REDUCTION[a.conductor]
-        out = [Fraction(0)] * _PHI[a.conductor]
-        for i, ci in enumerate(a.coeffs):
-            if not ci:
-                continue
-            for j, cj in enumerate(b.coeffs):
-                if not cj:
-                    continue
-                prod = ci * cj
-                for idx, sgn in table[i + j]:
-                    out[idx] += prod if sgn > 0 else -prod
-        return CycloNumber(a.conductor, out)
+        prod = [0] * (2 * _PHI[a.conductor] - 1)
+        for i, x in enumerate(a._num):
+            if x:
+                for j, y in enumerate(b._num, i):
+                    prod[j] += x * y
+        return CycloNumber._make(a.conductor, _reduce(prod, a.conductor), a._den * b._den)
 
     __rmul__ = __mul__
 
@@ -282,35 +276,30 @@ class CycloNumber:
     def conjugate(self) -> "CycloNumber":
         """Complex conjugate (zeta -> zeta^(N-1))."""
         n = self.conductor
-        out = CycloNumber.zero(n)
-        for j, c in enumerate(self.coeffs):
-            if c:
-                out = out + CycloNumber.zeta_pow(n, -j) * c
-        return out
+        return CycloNumber._make(n, _substitute(self._num, -1, n), self._den)
 
     def inverse(self) -> "CycloNumber":
-        """Field inverse via an exact linear solve."""
+        """Field inverse through the norm: x^-1 = prod_{k != 1} sigma_k(x) / Norm(x).
+
+        sigma_k is the automorphism zeta -> zeta^k; the product over all k
+        coprime to N is the rational norm Norm(x) (H. Cohen, GTM 138, sec. 4.2).
+        """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         n = self.conductor
-        phi = _PHI[n]
-        # columns: coordinates of zeta^j * self
-        cols = []
-        for j in range(phi):
-            cols.append((CycloNumber.zeta_pow(n, j) * self).coeffs)
-        rhs = [Fraction(1)] + [Fraction(0)] * (phi - 1)
-        sol = _fraction_solve([[cols[j][i] for j in range(phi)] for i in range(phi)], rhs)
-        assert sol is not None, "cyclotomic field element had singular multiplication map"
-        return CycloNumber(n, sol)
+        cofactor = CycloNumber.one(n)
+        for k in _UNITS[n]:
+            cofactor = cofactor * CycloNumber._make(n, _substitute(self._num, k, n), 1)
+        norm = self * cofactor
+        assert norm.is_rational(), "the norm of a cyclotomic number is rational"
+        return CycloNumber._make(n, [x * norm._den for x in cofactor._num], norm._num[0])
 
     def __truediv__(self, other) -> "CycloNumber":
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return CycloNumber(self.conductor, [c / q for c in self.coeffs])
+            return self * (1 / Fraction(other))
         if not isinstance(other, CycloNumber):
             return NotImplemented
-        a, b = self._common(self, other)
-        return a * b.inverse()
+        return self * other.inverse()
 
     # -- comparisons / output -------------------------------------------------
 
@@ -319,41 +308,29 @@ class CycloNumber:
         if other is NotImplemented:
             return NotImplemented
         a, b = self._common(self, other)
-        return a.coeffs == b.coeffs
+        return a._num == b._num and a._den == b._den
 
     def __hash__(self) -> int:
-        h = object.__getattribute__(self, "_hash")
-        if h is None:
-            # hash is conductor-independent for embedded rationals only when
-            # coefficients beyond the constant vanish; lift handles the rest.
-            if self.is_rational():
-                h = hash(self.coeffs[0])
-            else:
-                h = hash((self.conductor, self.coeffs))
-            object.__setattr__(self, "_hash", h)
-        return h
+        # equal values hash alike across conductors: rationals as Fractions,
+        # everything else by its conductor-72 form
+        if self.is_rational():
+            return hash(Fraction(self._num[0], self._den))
+        return hash((self.lift(72)._num, self._den))
 
     def __repr__(self) -> str:
-        terms = []
-        for j, c in enumerate(self.coeffs):
-            if c:
-                terms.append("%s*z%d" % (c, j) if j else str(c))
+        terms = ["%s*z%d" % (c, j) if j else str(c) for j, c in enumerate(self.coeffs) if c]
         return "Cyclo%d(%s)" % (self.conductor, " + ".join(terms) or "0")
 
     def to_complex(self) -> complex:
+        # x / den is float(Fraction(x, den)): both are the correctly rounded quotient
         basis = _BASIS_COMPLEX[self.conductor]
-        return sum((float(c) * basis[j] for j, c in enumerate(self.coeffs) if c), 0j)
+        den = self._den
+        return sum((x / den * basis[j] for j, x in enumerate(self._num) if x), 0j)
 
     # -- serialization ---------------------------------------------------------
 
     def to_payload(self) -> dict:
-        return {
-            "conductor": self.conductor,
-            "coeffs": [
-                "%d/%d" % (c.numerator, c.denominator) if c.denominator != 1 else str(c.numerator)
-                for c in self.coeffs
-            ],
-        }
+        return {"conductor": self.conductor, "coeffs": [str(c) for c in self.coeffs]}
 
     @classmethod
     def from_payload(cls, payload: dict) -> "CycloNumber":
@@ -412,26 +389,8 @@ def inv_sqrt(p: int) -> CycloNumber:
 
 
 # ---------------------------------------------------------------------------
-# Exact linear solving (fractions and cyclotomic entries)
+# Exact linear solving over the cyclotomic field
 # ---------------------------------------------------------------------------
-
-
-def _fraction_solve(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Solve a square rational system by Gaussian elimination; None if singular."""
-    n = len(rows)
-    A = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if A[r][col] != 0), None)
-        if piv is None:
-            return None
-        A[col], A[piv] = A[piv], A[col]
-        inv = 1 / A[col][col]
-        A[col] = [x * inv for x in A[col]]
-        for r in range(n):
-            if r != col and A[r][col] != 0:
-                f = A[r][col]
-                A[r] = [x - f * y for x, y in zip(A[r], A[col])]
-    return [A[i][n] for i in range(n)]
 
 
 def cyclo_solve(
@@ -444,12 +403,7 @@ def cyclo_solve(
     """
     nrows = len(matrix)
     ncols = len(matrix[0]) if nrows else 0
-    conductor = 24
-    for row in matrix:
-        for x in row:
-            conductor = max(conductor, x.conductor)
-    for x in rhs:
-        conductor = max(conductor, x.conductor)
+    conductor = max([24] + [x.conductor for row in matrix for x in row] + [x.conductor for x in rhs])
     A = [[x.lift(conductor) for x in row] + [rhs[i].lift(conductor)] for i, row in enumerate(matrix)]
     pivots: list[tuple[int, int]] = []  # (row, col)
     row = 0
@@ -550,9 +504,6 @@ class QuadraticForm:
         quad = np.einsum("mi,ij,mj->m", Y, self.A, Y)
         return (quad + Y @ self.b + self.c) % self.p
 
-    def key(self) -> tuple:
-        return (self.p, self.k, tuple(self.A.flat), tuple(self.b), self.c)
-
     def to_payload(self) -> dict:
         return {"A": self.A.tolist(), "b": self.b.tolist(), "c": self.c}
 
@@ -608,9 +559,6 @@ class Z4Phase:
             return np.full(len(Y), self.c, dtype=np.int64) % 4
         quad = np.einsum("mi,ij,mj->m", Y, self.B, Y)
         return (Y @ self.a + self.c + 2 * quad) % 4
-
-    def key(self) -> tuple:
-        return (2, self.k, tuple(self.a), tuple(self.B.flat), self.c)
 
     def to_payload(self) -> dict:
         return {"a": self.a.tolist(), "B": self.B.tolist(), "c": self.c}

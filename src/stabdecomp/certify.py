@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decomposition import CANDIDATE_RES2, SpanProjection, best_fit
+from .decomposition import CANDIDATE_RES2, WITNESS_TOL_FLOOR, SpanProjection, best_fit
 from .stabilizer import CATALOG_LABEL, Catalog, TargetState
 
 __all__ = [
@@ -278,8 +278,9 @@ class Certificate:
         """The certificate of a payload.
 
         A ValueError names a missing or mistyped field, a rank r outside
-        [1, catalog_count], a witness that is not an r-tuple of catalog
-        indices, or an unknown catalog_mode.
+        [1, catalog_count], a tol outside the range certify accepts, a
+        witness that is not an r-tuple of catalog indices, or an unknown
+        catalog_mode.
         """
         if not isinstance(d, dict) or d.get("format") != "stabdecomp-certificate":
             raise ValueError("not a certificate payload")
@@ -288,6 +289,7 @@ class Certificate:
         if mode not in (CATALOG_LABEL, "dedupe"):
             raise ValueError("unknown catalog_mode %r" % (mode,))
         f = {key: _field(d, key, kind) for key, kind in _PAYLOAD_FIELDS.items()}
+        _check_tol(f["tol"], "certificate field 'tol' =")
         if not 1 <= f["r"] <= f["catalog_count"]:
             raise ValueError(
                 "certificate rank r = %d is not between 1 and catalog_count %d" % (f["r"], f["catalog_count"])
@@ -547,6 +549,15 @@ def _certify_range(ctx, lo, hi, r, tol, progress=None):
     return done - lo, pruned, min_res, witnesses
 
 
+def _check_tol(tol: float, label: str) -> None:
+    """Raise ValueError unless WITNESS_TOL_FLOOR <= tol <= sqrt(CANDIDATE_RES2); NaN fails too."""
+    if not WITNESS_TOL_FLOOR <= tol <= math.sqrt(CANDIDATE_RES2):
+        raise ValueError(
+            "%s %g is not between the witness floor %g and the exact re-score threshold %g"
+            % (label, tol, WITNESS_TOL_FLOOR, math.sqrt(CANDIDATE_RES2))
+        )
+
+
 def check_request(target, r: int, tol: float) -> None:
     """Raise ValueError for a certify request the kernel cannot run.
 
@@ -555,10 +566,7 @@ def check_request(target, r: int, tol: float) -> None:
     count = Catalog.expected_count(target.p, target.n)
     if not 1 <= r <= count:  # above the catalog there is no r-tuple to test
         raise ValueError("r = %d is not between 1 and the %d catalog states" % (r, count))
-    if not tol <= math.sqrt(CANDIDATE_RES2):
-        raise ValueError(
-            "tol %g exceeds the exact re-score threshold %g" % (tol, math.sqrt(CANDIDATE_RES2))
-        )
+    _check_tol(tol, "tol")
     if target.p**target.n > _MASK_BITS:
         raise ValueError(
             "%d basis states exceed the %d bits of a support mask" % (target.p**target.n, _MASK_BITS)

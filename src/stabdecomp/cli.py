@@ -50,6 +50,8 @@ def _write_json(path: str, payload: dict) -> None:
 def _target(name: str, m: int):
     if name not in MAGIC_NAMES:
         raise ValueError("unknown magic state %r (choose from %s)" % (name, ", ".join(MAGIC_NAMES)))
+    if m < 1:
+        raise ValueError("--m must be at least 1 copy, got %d" % m)
     return magic_power(name, m)
 
 

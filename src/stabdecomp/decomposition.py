@@ -158,6 +158,11 @@ def best_fit(vectors: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, float
 # this squared threshold is re-scored exactly with ``best_fit``.
 CANDIDATE_RES2 = 1e-12
 
+# The smallest witness tolerance certify accepts.  Exact witnesses score up to
+# a few 1e-16 in floating point, so a tol below that would rule out a rank
+# that has a witness.
+WITNESS_TOL_FLOOR = 1e-12
+
 # A state whose squared distance from the span of the others is below this
 # (relative to the largest direction) counts as dependent on them.  Distinct
 # catalog states that are independent sit far above it; exact dependence

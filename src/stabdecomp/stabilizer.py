@@ -245,10 +245,6 @@ class CanonicalStabilizer:
             phase = Z4Phase(self.k + other.k, a, B, 0)
         return CanonicalStabilizer(self.p, n, x0, W, phase, check=False)
 
-    def key(self) -> tuple:
-        """Identity key of the canonical tuple."""
-        return (self.p, self.n, self.k, tuple(self.x0), tuple(self.W.flat), self.phase.key())
-
     def record(self) -> dict:
         return {
             "p": self.p,

@@ -149,6 +149,18 @@ def test_serialization_round_trip():
     assert all(isinstance(s, str) for s in payload["coeffs"])
 
 
+def test_hash_agrees_with_equality_across_conductors():
+    assert omega() == omega().lift(72)
+    assert len({omega(), omega().lift(72)}) == 1
+    third = Fraction(1, 3)
+    assert len({third, CycloNumber.from_rational(third), CycloNumber.from_rational(third, 72)}) == 1
+    rng = np.random.default_rng(47)
+    for _ in range(50):
+        a = rand_cyclo(rng)
+        assert hash(a) == hash(a.lift(72))
+        assert hash(a) == hash(CycloNumber.from_payload(a.to_payload()))
+
+
 def test_rational_helpers():
     q = CycloNumber.from_rational(Fraction(3, 7))
     assert q.is_rational()
@@ -306,7 +318,7 @@ def test_quadratic_form_batch_matches_scalar():
         for idx in range(len(Y)):
             assert batch[idx] == q.eval(Y[idx])
         q2 = QuadraticForm.from_payload(3, k, q.to_payload())
-        assert q2.key() == q.key()
+        assert q2.to_payload() == q.to_payload()
 
 
 def test_fp3_linear_identities():
@@ -329,7 +341,7 @@ def test_z4_phase():
             y = Y[idx]
             want = (ph.a @ y + ph.c + 2 * (y @ ph.B @ y)) % 4
             assert batch[idx] == ph.eval(y) == want
-        assert Z4Phase.from_payload(k, ph.to_payload()).key() == ph.key()
+        assert Z4Phase.from_payload(k, ph.to_payload()).to_payload() == ph.to_payload()
     with pytest.raises(ValueError):
         Z4Phase(2, [0, 0], [[0, 0], [1, 0]])
 
@@ -345,5 +357,5 @@ def test_z4_phase_determined_by_values():
         ph = Z4Phase(k, rng.integers(0, 4, size=k), B, 0)
         vals = tuple(ph.eval_batch(all_points(2, k)))
         if vals in seen:
-            assert seen[vals] == ph.key()
-        seen[vals] = ph.key()
+            assert seen[vals] == ph.to_payload()
+        seen[vals] = ph.to_payload()

@@ -189,6 +189,7 @@ def test_unreadable_certificate_usage_error(tmp_path, capsys):
 
 
 _T3_PAIR = "must be 2 increasing indices below catalog_count 12"
+_TOL_RANGE = "is not between the witness floor 1e-12 and the exact re-score threshold 1e-06"
 
 
 @pytest.mark.parametrize(
@@ -215,6 +216,11 @@ _T3_PAIR = "must be 2 increasing indices below catalog_count 12"
         # a rank above the catalog has no tuple to test, so "ruled out" would be vacuous
         ("r", 13, "certificate rank r = 13 is not between 1 and catalog_count 12"),
         ("r", 0, "certificate rank r = 0 is not between 1 and catalog_count 12"),
+        # below the floor an exact witness scores above tol; above the range a candidate skips the re-score
+        ("tol", 0, "certificate field 'tol' = 0 " + _TOL_RANGE),
+        ("tol", -1e-10, "certificate field 'tol' = -1e-10 " + _TOL_RANGE),
+        ("tol", 1e-17, "certificate field 'tol' = 1e-17 " + _TOL_RANGE),
+        ("tol", 0.3, "certificate field 'tol' = 0.3 " + _TOL_RANGE),
     ],
 )
 def test_bad_certificate_field_usage_error(tmp_path, capsys, field, value, message):
@@ -271,6 +277,40 @@ def test_certify_rank_above_the_catalog_usage_error(tmp_path, capsys, monkeypatc
     captured = capsys.readouterr()
     assert captured.err == "r = 13 is not between 1 and the 12 catalog states\n"
     assert "ruled out" not in captured.out
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "1e-17", "nan"])
+def test_certify_tol_below_witness_floor_usage_error(tmp_path, capsys, tol):
+    # S^2 has rank 2 (strange_m2), and its exact witnesses score about 1.5e-16:
+    # a tol below that would rule the rank out over the full tuple space
+    out = tmp_path / "c.json"
+    capsys.readouterr()
+    assert main(["certify", "--target", "S", "--m", "2", "--r", "2", "--tol", tol, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "tol %s %s\n" % (tol, _TOL_RANGE)
+    assert "ruled out" not in captured.out
+    assert not out.exists()
+
+
+def test_certify_at_the_witness_floor_finds_the_witnesses(tmp_path):
+    out = tmp_path / "c.json"
+    assert main(["certify", "--target", "S", "--m", "2", "--r", "2", "--tol", "1e-12", "--out", str(out)]) == 0
+    assert read_json(out)["witnesses"]
+    assert main(["audit", "--cert", str(out), "--out", str(tmp_path / "a.json")]) == 0
+
+
+@pytest.mark.parametrize("command", ["certify", "search"])
+def test_zero_copies_usage_error(tmp_path, capsys, monkeypatch, command):
+    def no_catalog(*args, **kwargs):
+        raise AssertionError("build_catalog called for a request the CLI refuses")
+
+    monkeypatch.setattr(cli, "build_catalog", no_catalog)
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    for m in ("0", "-1"):
+        assert main([command, "--target", "S", "--m", m, "--r", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "--m must be at least 1 copy, got %s\n" % m
     assert not out.exists()
 
 

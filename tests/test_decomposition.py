@@ -23,7 +23,7 @@ def test_fixture_round_trip(name):
     for a, b in zip(dec.coeffs, back.coeffs):
         assert a == b
     for sa, sb in zip(dec.states, back.states):
-        assert sa.key() == sb.key()
+        assert sa.record() == sb.record()
 
 
 def test_save_load(tmp_path):

@@ -82,7 +82,7 @@ def test_record_round_trip():
         for i in rng.integers(0, len(cat), size=20):
             st = cat.get(int(i))
             back = CanonicalStabilizer.from_record(json.loads(json.dumps(st.record())))
-            assert back.key() == st.key()
+            assert back.record() == st.record()
 
 
 # ---------------------------------------------------------------------------
