@@ -15,9 +15,11 @@ needed be the points of supp(t) that s1 and every tail state miss.  A tuple
 of the block is pruned exactly when supp(v_x) does not contain needed, so
 when needed is not empty and no x < s1 contains it, all s1 tuples of the
 block are pruned, each with residual at least the prune bound.  That is
-exactly what the block scorer would return for the block, so such a block is
+exactly what the run scorer would return for the block, so such a block is
 ruled out whole, unscored; a run's blocks are screened for it in one
-vectorized pass.  Every other block goes to the block scorer.
+vectorized pass.  The run scorer takes the other blocks of a run together:
+it projects the tail out of every x once and gets the overlaps of each s1
+with every x from one product per tile.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decomposition import CANDIDATE_RES2, WITNESS_TOL_FLOOR, SpanProjection, best_fit
+from .decomposition import CANDIDATE_RES2, DEPENDENT_RES2, WITNESS_TOL_FLOOR, SpanProjection, best_fit
 from .stabilizer import CATALOG_LABEL, Catalog, TargetState
 
 __all__ = [
@@ -48,10 +50,17 @@ __all__ = [
 # support masks are int64 bitsets, one bit per basis state; the sign bit stays clear
 _MASK_BITS = 63
 
-# x rows scored at once within a block.  Blocks reach 2e4 rows; scored whole,
-# their ~0.3-0.6 MB temporaries go back to the system after every block and
-# are faulted in again for the next one.
-_SCORE_ROWS = 2048
+# A scoring tile is _TILE_ROWS states s1 by _TILE_COLS states x; each complex
+# temporary of a tile is 64 kB.  Tiles sit at fixed multiples of these in
+# absolute catalog indices, so a tuple's residual comes from products of the
+# same shapes however a range, a run or a block is split: BLAS rounds the
+# entries of products of different shapes differently (a one-row product
+# takes the gemv path).
+_TILE_ROWS = 32
+_TILE_COLS = 128
+
+# row tiles whose s1 side is held at once (about 0.1 MB at dimension 27)
+_GROUP_TILES = 8
 
 # catalog rows whose support bits are packed at once: a whole-catalog boolean
 # temporary would raise the certify peak RSS by about 0.5 MB at (2,4)
@@ -171,10 +180,16 @@ def _is_witness(w: tuple[int, ...], r: int, catalog_count: int) -> bool:
 
 
 def _typed(label: str, value, kind):
-    """value, when its JSON type is kind (booleans are never integers or numbers)."""
+    """value, when its JSON type is kind (booleans are never integers or numbers).
+
+    A number may be infinite (an empty shard records an infinite minimum
+    residual) but not NaN, which every comparison the audit makes would pass.
+    """
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
         got = _KIND_NAMES.get(type(value), type(value).__name__)
         raise ValueError("certificate field %r must be %s, not %s" % (label, _KIND_NAMES[kind], got))
+    if isinstance(value, float) and math.isnan(value):
+        raise ValueError("certificate field %r must be a number, not NaN" % label)
     return value
 
 
@@ -399,60 +414,157 @@ class _SearchContext:
         self.prune_bound = float(nonzero.min()) if nonzero.size else 0.0
 
 
-def _score_block(
-    ctx: _SearchContext,
-    x_lo: int,
-    x_hi: int,
-    suffix: tuple[int, ...],
-    tol: float,
-):
-    """Residuals for tuples (x, *suffix) with x_lo <= x < x_hi; returns per-tuple stats.
+class _RowTile:
+    """The s1 side of one tile: the states s1 that a run scores among rows r0 <= s1 < r1.
 
-    The suffix states S get one :class:`SpanProjection` per block, so each x
-    costs one (r-1)-column projection.
-
-    Returns (pruned_count, min_nonwitness_residual, witness_list).
+    ``uc`` holds every row conj(u), u = v'_s1 / |v'_s1|, where ' is the part
+    outside span(tail); a row is zero where s1 lies in span(tail), because
+    that s1 adds no direction and its tuples score as (x, *tail) alone.  The
+    product with ``uc`` keeps the tile's fixed shape, and ``keep`` then picks
+    the rows of the scored ``s1`` (None when every row is scored).  Per
+    scored s1, ``cut`` is conj(<u, t'>), ``t2`` is t'' = |t'|^2 - |<u, t'>|^2,
+    x runs over x_lo <= x < ``xend``, and ``needed`` is the target support
+    that s1 and the tail miss.  For r = 1 the tile is one row with no s1
+    (``s1`` None, u = 0).
     """
-    masks = ctx.masks
-    needed = ctx.target_mask
-    for s in suffix:
-        needed &= ~int(masks[s])
-    witnesses: list[tuple[int, ...]] = []
-    min_res = math.inf
+
+    def __init__(self, uc, keep, s1, r1, cut, t2, xend, needed):
+        self.uc, self.keep, self.s1, self.r1 = uc, keep, s1, r1
+        self.cut, self.t2, self.xend, self.needed = cut, t2, xend, needed
+        self.end_max, self.end_min = int(xend.max()), int(xend.min())
+        self.prunes = bool(needed.any())
+
+    @classmethod
+    def of(cls, ctx, proj, Q_T, t_out, r0, s1s, x_hi, missed):
+        """The tile at r0 for the scored s1s; Q_T holds the tail's basis as rows and t_out is t'."""
+        r1 = min(r0 + _TILE_ROWS, ctx.count)
+        V = ctx.V[r0:r1]
+        W = V - (V @ proj.Q_conj) @ Q_T
+        w2 = (W.real**2 + W.imag**2).sum(axis=1)
+        scale = np.zeros(len(W))
+        free = w2 > DEPENDENT_RES2
+        scale[free] = 1.0 / np.sqrt(w2[free])
+        uc = W.conj() * scale[:, None]
+        ut = uc @ t_out  # over every row, so that its shape is fixed too
+        lo, hi = np.searchsorted(s1s, [r0, r1])
+        s1 = s1s[lo:hi]
+        keep = None if len(s1) == r1 - r0 else s1 - r0
+        if keep is not None:
+            ut = ut[keep]
+        t2 = proj.t_perp2 - (ut.real**2 + ut.imag**2)
+        return cls(uc, keep, s1, r1, ut.conj(), t2, np.minimum(s1, x_hi), missed & ~ctx.masks[s1])
+
+    def residuals(self, Vx, nx2, ov):
+        """Squared residuals, one row per scored s1 and one column per row v_x of Vx.
+
+        nx2 holds the |v'_x|^2 and ov the conj <v'_x, t'>.
+        """
+        G = self.uc @ Vx.T  # g = <u, v_x> = <u, v'_x>
+        if self.keep is not None:
+            G = G[self.keep]
+        num = G * self.cut[:, None]
+        np.subtract(ov, num, out=num)  # conj(<v'_x, t'> - conj(g) <u, t'>)
+        den = G.real**2 + G.imag**2
+        np.subtract(nx2, den, out=den)  # |v'_x|^2 - |g|^2
+        if den.min() <= DEPENDENT_RES2:
+            den[den <= DEPENDENT_RES2] = np.inf
+        res2 = num.real**2 + num.imag**2
+        res2 /= den
+        return np.subtract(self.t2[:, None], res2, out=res2)
+
+
+def _score_run(ctx: _SearchContext, tail: tuple[int, ...], s1s, x_lo: int, x_hi: int, tol: float):
+    """Residuals of the tuples (x, s1, *tail) with s1 in s1s and x_lo <= x < min(s1, x_hi).
+
+    s1s is ascending; for r = 1 it is None and the tuples are (x,) with
+    x_lo <= x < x_hi.  The tail's :class:`SpanProjection` is built once, and
+    each x gets |v'_x|^2 and <v'_x, t'> from it (' is the part outside
+    span(tail)).  One product per tile gives g = <u, v_x> for every s1 of
+    the tile, and each tuple's residual follows in closed form:
+
+        res^2 = t'' - |<v'_x, t'> - conj(g) <u, t'>|^2 / (|v'_x|^2 - |g|^2),
+
+    with u and t'' as in :class:`_RowTile`.  A denominator at most
+    DEPENDENT_RES2 (x in the span of the others) leaves t''.  Tuples whose
+    joined supports miss the target's are pruned, and a lone block with no
+    covering x is pruned whole before any linear algebra; tuples scored
+    below CANDIDATE_RES2 are re-scored exactly with ``best_fit``.
+
+    Returns (pruned_count, min_nonwitness_residual, witness_list), the
+    witnesses in colex order.
+    """
+    V, masks, count = ctx.V, ctx.masks, ctx.count
+    missed = ctx.target_mask
+    for s in tail:
+        missed &= ~int(masks[s])
+    if s1s is not None:
+        s1s = np.asarray(s1s)
+    if s1s is None or len(s1s) == 1:
+        end = x_hi if s1s is None else min(int(s1s[0]), x_hi)
+        needed = missed if s1s is None else missed & ~int(masks[s1s[0]])
+        if needed and not ((masks[x_lo:end] & needed) == needed).any():
+            return end - x_lo, ctx.prune_bound, []
+    proj = SpanProjection(V[list(tail)], ctx.t, ctx.tnorm2)
+    if s1s is None:
+        none = _RowTile(np.zeros((1, len(ctx.t))), None, None, count, np.zeros(1), np.array([proj.t_perp2]),
+                        np.array([x_hi]), np.array([missed]))
+        groups = [[none]]
+    else:
+        Q_T = proj.Q_conj.conj().T
+        t_out = ctx.t - proj.q_t @ Q_T
+        starts = list(dict.fromkeys((s1s - s1s % _TILE_ROWS).tolist()))  # np.unique would import numpy.ma
+        groups = (
+            [_RowTile.of(ctx, proj, Q_T, t_out, r0, s1s, x_hi, missed) for r0 in starts[g : g + _GROUP_TILES]]
+            for g in range(0, len(starts), _GROUP_TILES)
+        )
     pruned = 0
-    xs = None  # the scored x when some are pruned; otherwise all of [x_lo, x_hi)
-    Vx, t_ov = ctx.V[x_lo:x_hi], ctx.t_ov[x_lo:x_hi]
-    if needed:
-        covered = (masks[x_lo:x_hi] & needed) == needed
-        kept = int(np.count_nonzero(covered))
-        pruned = covered.size - kept
-        if pruned:
-            min_res = ctx.prune_bound
-            if not kept:
-                return pruned, min_res, witnesses
-            xs = x_lo + np.flatnonzero(covered)
-            Vx, t_ov = ctx.V[xs], ctx.t_ov[xs]
-
-    proj = SpanProjection(ctx.V[list(suffix)], ctx.t, ctx.tnorm2)
-    res2 = np.empty(len(t_ov))
-    for lo in range(0, len(t_ov), _SCORE_ROWS):
-        hi = lo + _SCORE_ROWS
-        res2[lo:hi] = proj.residual2(Vx[lo:hi], t_ov[lo:hi])
-
-    # exact re-score below the projection floating-point floor
-    cand = np.flatnonzero(res2 <= CANDIDATE_RES2)
-    for row in cand:
-        x = x_lo + int(row) if xs is None else int(xs[row])
-        A = np.column_stack([ctx.V[x]] + [ctx.V[s] for s in suffix])
-        _, res = best_fit(A, ctx.t)
-        if res <= tol:
-            witnesses.append((x, *suffix))
-            res2[row] = math.inf  # exclude from the non-witness minimum
-        else:
-            res2[row] = res**2
-    finite = res2[np.isfinite(res2)]
-    if finite.size:
-        min_res = min(min_res, float(np.sqrt(finite.min())))
+    best = math.inf  # the smallest non-witness squared residual
+    witnesses: list[tuple[int, ...]] = []
+    for rows in groups:
+        for c0 in range(x_lo - x_lo % _TILE_COLS, max(row.end_max for row in rows), _TILE_COLS):
+            c1 = min(c0 + _TILE_COLS, count)
+            Vx = V[c0:c1]
+            a = Vx @ proj.Q_conj
+            nx2 = 1.0 - (a.real**2 + a.imag**2).sum(axis=1)  # |v'_x|^2
+            ov = (ctx.t_ov[c0:c1] - a.conj() @ proj.q_t).conj()  # conj <v'_x, t'>
+            for row in rows:
+                if row.end_max <= c0:
+                    continue
+                m = min(c1, row.r1) - c0
+                valid = None  # None: every tuple of the tile
+                if c0 < x_lo or c0 + m > row.end_min:
+                    x = np.arange(c0, c0 + m)
+                    valid = (x >= x_lo) & (x < row.xend[:, None])
+                if row.prunes:
+                    need = row.needed[:, None]
+                    cover = (masks[c0 : c0 + m] & need) == need
+                    if valid is None:
+                        valid = cover
+                        pruned += cover.size - int(np.count_nonzero(cover))
+                    else:
+                        pruned += int(np.count_nonzero(valid & ~cover))
+                        valid &= cover
+                    if not valid.any():
+                        continue
+                res2 = row.residuals(Vx[:m], nx2[:m], ov[:m])
+                if valid is not None:
+                    res2[~valid] = np.inf
+                if res2.min() <= CANDIDATE_RES2:
+                    # exact re-score below the projection floating-point floor
+                    for k in np.flatnonzero(res2 <= CANDIDATE_RES2).tolist():
+                        i, j = divmod(k, m)
+                        tup = (c0 + j,) + (() if row.s1 is None else (int(row.s1[i]),)) + tail
+                        _, res = best_fit(np.column_stack([V[s] for s in tup]), ctx.t)
+                        if res <= tol:
+                            witnesses.append(tup)
+                            res2.flat[k] = math.inf  # exclude from the non-witness minimum
+                        else:
+                            res2.flat[k] = res**2
+                best = min(best, float(res2.min()))
+    min_res = math.sqrt(best) if best < math.inf else math.inf
+    if pruned:
+        min_res = min(min_res, ctx.prune_bound)
+    witnesses.sort(key=lambda w: w[::-1])
     return pruned, min_res, witnesses
 
 
@@ -496,16 +608,16 @@ def _whole_blocks_end(s1: int, room: int) -> int:
 
 
 def _certify_range(ctx, lo, hi, r, tol, progress=None):
-    """Stream ranks [lo, hi) through the run screen and the block scorer.
+    """Stream ranks [lo, hi) through the run screen and the run scorer.
 
     At a block boundary the whole blocks of the current run that fit in the
     range are screened by ``_ruled_out``.  A block ruled out has no x whose
     support, joined with the suffix's, covers the target's support, so all
     its s1 tuples are pruned and each residual is at least ``prune_bound``:
-    exactly what ``_score_block`` returns for it.  The blocks that are not
-    ruled out, and the partial blocks at the range edges, are scored by
-    ``_score_block``.  ``progress`` is called after each run and each
-    partial block.
+    exactly what ``_score_run`` returns for it.  The blocks that are not
+    ruled out go to ``_score_run`` together, and each partial block at a
+    range edge goes alone, with its x range.  ``progress`` is called after
+    each run and each partial block.
     """
     pruned = 0
     min_res = math.inf
@@ -526,16 +638,15 @@ def _certify_range(ctx, lo, hi, r, tol, progress=None):
             if ruled.any():
                 pruned += int((s1 + np.flatnonzero(ruled)).sum())
                 min_res = min(min_res, ctx.prune_bound)
-            blocks = [(0, s, (s, *tail)) for s in (s1 + np.flatnonzero(~ruled)).tolist()]
+            s1s, x_a, x_b = s1 + np.flatnonzero(~ruled), 0, ctx.count
             done += math.comb(b, 2) - math.comb(s1, 2)
             last = (b - 1, *tail)
         else:  # a partial block, or the one block of r = 1
-            x_hi = min(s1, x_lo + (hi - done))
-            blocks = [(x_lo, x_hi, suffix)]
-            done += x_hi - x_lo
+            s1s, x_a, x_b = [s1] if suffix else None, x_lo, min(s1, x_lo + (hi - done))
+            done += x_b - x_a
             last = suffix
-        for x_a, x_b, suf in blocks:
-            p, m, w = _score_block(ctx, x_a, x_b, suf, tol)
+        if s1s is None or len(s1s):
+            p, m, w = _score_run(ctx, tail, s1s, x_a, x_b, tol)
             pruned += p
             min_res = min(min_res, m)
             witnesses.extend(w)
@@ -702,7 +813,11 @@ def audit(
     index is re-decoded once, the first time a witness or sample holds it,
     and its vector is then compared bit for bit with the block decoder's, so
     a mismatch is reported at the first tuple that holds the index.
+
+    A negative ``samples`` raises ValueError.
     """
+    if samples < 0:
+        raise ValueError("samples must be at least 0, got %d" % samples)
     failures: list[str] = []
 
     if target_fingerprint(target) != cert.target_hash:
@@ -717,12 +832,12 @@ def audit(
     if (
         total != cert.total_tuples
         or cert.tuples_tested != span
-        or cert.tuples_pruned > cert.tuples_tested
+        or not 0 <= cert.tuples_pruned <= cert.tuples_tested
         or cert.full_coverage != (cert.shard.lo == 0 and cert.shard.hi == total)
     ):
         failures.append("coverage-arithmetic")
 
-    if cert.min_nonwitness_residual < cert.tol * 1e3:
+    if not cert.min_nonwitness_residual >= cert.tol * 1e3:  # NaN fails too
         failures.append("residual-gap")
 
     t = target.complex_vector()

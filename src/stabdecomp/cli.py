@@ -262,6 +262,8 @@ def cmd_merge(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    if args.samples < 0:
+        raise ValueError("--samples must be at least 0, got %d" % args.samples)
     cert = Certificate.load(args.cert)
     try:
         target = _target(cert.target_name, cert.copies)

@@ -34,11 +34,11 @@ def reference_audit(cert, catalog, target, samples=1000, seed=0):
     if (
         total != cert.total_tuples
         or cert.tuples_tested != span
-        or cert.tuples_pruned > cert.tuples_tested
+        or not 0 <= cert.tuples_pruned <= cert.tuples_tested
         or cert.full_coverage != (cert.shard.lo == 0 and cert.shard.hi == total)
     ):
         failures.append("coverage-arithmetic")
-    if cert.min_nonwitness_residual < cert.tol * 1e3:
+    if not cert.min_nonwitness_residual >= cert.tol * 1e3:
         failures.append("residual-gap")
 
     t = target.complex_vector()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from stabdecomp.certify import (
+    AuditReport,
     Certificate,
     ShardSpec,
     audit,
@@ -308,12 +309,20 @@ def test_audit_detects_tampering(cat1):
     assert audit(forged, cat1, t3).failures[:1] == ["coverage-arithmetic"]
 
     forged = Certificate.from_payload(cert.to_payload())
+    forged.tuples_pruned = -7
+    assert audit(forged, cat1, t3).failures == ["coverage-arithmetic"]
+
+    forged = Certificate.from_payload(cert.to_payload())
     forged.catalog_hash = "0" * 64
     assert "catalog-hash" in audit(forged, cat1, t3).failures
 
     forged = Certificate.from_payload(cert.to_payload())
     forged.min_nonwitness_residual = 1e-9
     assert "residual-gap" in audit(forged, cat1, t3).failures
+
+    forged = Certificate.from_payload(cert.to_payload())
+    forged.min_nonwitness_residual = math.nan
+    assert audit(forged, cat1, t3).failures == ["residual-gap"]
 
     forged = Certificate.from_payload(cert.to_payload())
     forged.witnesses = [(0, 1)]
@@ -325,6 +334,14 @@ def test_audit_detects_tampering(cat1):
 
     wrong_target = magic_state("S")
     assert "target-hash" in audit(cert, cat1, wrong_target).failures
+
+
+def test_audit_refuses_a_negative_sample_count(cat1):
+    t3 = magic_state("T3")
+    cert = certify_rank(t3, 2, cat1)
+    with pytest.raises(ValueError, match="samples must be at least 0, got -5"):
+        audit(cert, cat1, t3, samples=-5)
+    assert audit(cert, cat1, t3, samples=0) == AuditReport(True, [], 0, math.inf)
 
 
 def test_certificate_round_trip(tmp_path, cat1):

@@ -1,10 +1,10 @@
-"""The run screen of the certify kernel against the per-block walk it replaces.
+"""The run screen and run scorer of the certify kernel against a per-block walk.
 
 ``_certify_range`` rules out whole blocks of a run (one tail, consecutive s1)
-in one vectorized pass and sends every other block to ``_score_block``.
-``_per_block`` below is the walk without the screen: every block goes
-through ``_score_block``.  The two must agree exactly on the tuples tested,
-the tuples pruned, the witnesses and the minimum residual.
+in one vectorized pass and scores every other block of the run in one
+``_score_run`` call.  ``_per_block`` below is the walk without the screen:
+every block goes through ``_score_run`` alone.  The two must agree exactly on
+the tuples tested, the tuples pruned, the witnesses and the minimum residual.
 """
 
 import itertools
@@ -20,7 +20,7 @@ from stabdecomp.certify import (
     _certify_range,
     _covered_below,
     _next_suffix,
-    _score_block,
+    _score_run,
     _SearchContext,
     certify_rank,
     merge_certificates,
@@ -44,7 +44,7 @@ def _context(name, m):
 
 
 def _per_block(ctx, lo, hi, r, tol):
-    """Ranks [lo, hi) one colex block at a time, each through ``_score_block``."""
+    """Ranks [lo, hi) one colex block at a time, each through ``_score_run``."""
     tested = pruned = 0
     min_res = math.inf
     witnesses = []
@@ -56,7 +56,7 @@ def _per_block(ctx, lo, hi, r, tol):
     while done < hi:
         bound = suffix[0] if suffix else ctx.count
         x_hi = min(bound, x_lo + (hi - done))
-        p, m, w = _score_block(ctx, x_lo, x_hi, suffix, tol)
+        p, m, w = _score_run(ctx, suffix[1:], suffix[:1] or None, x_lo, x_hi, tol)
         pruned += p
         min_res = min(min_res, m)
         witnesses.extend(w)
@@ -106,9 +106,31 @@ def test_two_qutrit_pairs_full_space(name):
     assert pruned == _support_pruned(ctx, 2, ctx.count) > 0
 
 
-# ranges of the N⊗2 r=3 space (7,711,320 tuples, 48 witnesses) that hold
-# witnesses; each starts inside a block, and all but the last end inside one
+# the 48 witnesses of the N⊗2 r=3 space (7,711,320 tuples)
+N2_WITNESSES = [
+    (8, 117, 215), (8, 117, 301), (8, 152, 175), (8, 215, 301), (32, 115, 117), (32, 115, 293),
+    (32, 117, 293), (32, 168, 194), (34, 113, 117), (34, 113, 223), (34, 117, 223), (34, 160, 183),
+    (36, 72, 117), (36, 72, 238), (36, 72, 261), (36, 72, 324), (36, 72, 359), (36, 117, 238),
+    (36, 117, 359), (36, 238, 261), (36, 238, 324), (36, 238, 359), (36, 261, 359), (36, 324, 359),
+    (41, 77, 215), (43, 79, 301), (72, 117, 261), (72, 117, 324), (72, 238, 261), (72, 238, 324),
+    (72, 261, 324), (72, 261, 359), (72, 324, 359), (113, 117, 223), (113, 308, 340), (115, 117, 293),
+    (115, 230, 253), (117, 215, 301), (117, 238, 261), (117, 238, 324), (117, 261, 359), (117, 324, 359),
+    (223, 316, 348), (238, 261, 324), (238, 261, 359), (238, 324, 359), (246, 272, 293), (261, 324, 359),
+]
+
+# ranges of the N⊗2 r=3 space that hold witnesses; each starts inside a
+# block, and all but the last end inside one
 N2_WITNESS_RANGES = [(262_001, 270_003), (1_829_001, 1_831_007), (2_950_001, 2_960_003), (7_640_007, 7_711_320)]
+
+
+def test_two_qutrit_triples_full_space_certificate():
+    target = magic_power("N", 2)
+    cert = certify_rank(target, 3, _catalog(3, 2))
+    assert cert.full_coverage
+    assert cert.tuples_tested == math.comb(360, 3) == 7_711_320
+    assert cert.tuples_pruned == 257_214
+    assert cert.witnesses == N2_WITNESSES
+    assert cert.min_nonwitness_residual == pytest.approx(1 / 6, rel=0, abs=1e-12)
 
 
 @pytest.mark.parametrize("lo,hi", N2_WITNESS_RANGES)
@@ -163,6 +185,31 @@ def test_low_support_prefixes():
         tested, pruned, min_res, witnesses = _assert_same(name, m, 3, 3, 5_000_003)
         assert tested == pruned == 5_000_000
         assert min_res == _context(name, m).prune_bound and not witnesses
+
+
+@pytest.mark.parametrize(
+    "name,m,r,lo,hi",
+    [
+        ("N", 2, 3, 2_000_003, 2_400_001),
+        # dependent suffixes and partly pruned blocks
+        ("H", 2, 4, 5, 15_000),
+        # the benchmark's seed-0 run: blocks of about 20,340 tuples over several row tiles
+        ("S", 3, 3, rank_tuple((0, 20_338, 24_001)) + 11, rank_tuple((0, 20_460, 24_001)) + 17),
+    ],
+)
+def test_whole_range_equals_merged_random_sub_shards(name, m, r, lo, hi):
+    # each tuple's residual must not depend on how a range is split into
+    # shards, runs and blocks: the merge matches float for float
+    target = magic_power(name, m)
+    catalog = _catalog(target.p, target.n)
+    rng = np.random.default_rng(lo)
+    cuts = sorted(int(c) for c in rng.choice(np.arange(lo + 1, hi), size=7, replace=False))
+    cuts = [c for c in cuts if unrank_tuple(c, r)[0] > 0]  # mid-block
+    assert len(cuts) >= 5
+    edges = [lo, *cuts, hi]
+    parts = [certify_rank(target, r, catalog, shard=ShardSpec(a, b)) for a, b in zip(edges, edges[1:])]
+    whole = certify_rank(target, r, catalog, shard=ShardSpec(lo, hi))
+    assert replace(merge_certificates(parts), wall_time=0.0) == replace(whole, wall_time=0.0)
 
 
 def test_single_state_range():

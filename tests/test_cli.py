@@ -221,6 +221,9 @@ _TOL_RANGE = "is not between the witness floor 1e-12 and the exact re-score thre
         ("tol", -1e-10, "certificate field 'tol' = -1e-10 " + _TOL_RANGE),
         ("tol", 1e-17, "certificate field 'tol' = 1e-17 " + _TOL_RANGE),
         ("tol", 0.3, "certificate field 'tol' = 0.3 " + _TOL_RANGE),
+        # NaN passes every comparison the audit makes
+        ("min_nonwitness_residual", math.nan, "certificate field 'min_nonwitness_residual' must be a number, not NaN"),
+        ("wall_time", math.nan, "certificate field 'wall_time' must be a number, not NaN"),
     ],
 )
 def test_bad_certificate_field_usage_error(tmp_path, capsys, field, value, message):
@@ -312,6 +315,39 @@ def test_zero_copies_usage_error(tmp_path, capsys, monkeypatch, command):
         assert main([command, "--target", "S", "--m", m, "--r", "1", "--out", str(out)]) == 2
         assert capsys.readouterr().err == "--m must be at least 1 copy, got %s\n" % m
     assert not out.exists()
+
+
+def test_full_coverage_certificate_with_a_forged_minimum_or_pruned_count(tmp_path, capsys):
+    out = tmp_path / "cert.json"
+    assert main(["certify", "--target", "T3", "--m", "1", "--r", "2", "--out", str(out)]) == 0
+    payload = read_json(out)
+    assert payload["full_coverage"] and not payload["witnesses"]
+    forged = tmp_path / "forged.json"
+    forged.write_text(json.dumps(dict(payload, min_nonwitness_residual=math.nan)))
+    err = _usage_errors(tmp_path, capsys, forged, out)
+    assert err == "certificate field 'min_nonwitness_residual' must be a number, not NaN\n"
+    forged.write_text(json.dumps(dict(payload, tuples_pruned=-7)))
+    assert main(["audit", "--cert", str(forged), "--out", str(tmp_path / "a.json")]) == 1
+    assert read_json(tmp_path / "a.json")["failures"] == ["coverage-arithmetic"]
+    # an empty shard records an infinite minimum, which stays legal
+    empty = tmp_path / "empty.json"
+    assert main(["certify", "--target", "T3", "--m", "1", "--r", "2", "--shard", "5/100", "--out", str(empty)]) == 0
+    assert read_json(empty)["tuples_tested"] == 0
+    assert Certificate.load(str(empty)).min_nonwitness_residual == math.inf
+
+
+def test_audit_negative_samples_usage_error(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "cert.json"
+    assert main(["certify", "--target", "T3", "--m", "1", "--r", "2", "--out", str(out)]) == 0
+
+    def no_catalog(*args, **kwargs):
+        raise AssertionError("build_catalog called for a request audit refuses")
+
+    monkeypatch.setattr(cli, "build_catalog", no_catalog)
+    capsys.readouterr()
+    assert main(["audit", "--cert", str(out), "--samples", "-5", "--out", str(tmp_path / "a.json")]) == 2
+    assert capsys.readouterr().err == "--samples must be at least 0, got -5\n"
+    assert not (tmp_path / "a.json").exists()
 
 
 def test_audit_detects_tampering(tmp_path):
