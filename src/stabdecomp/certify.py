@@ -27,8 +27,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -736,25 +737,19 @@ def certify_rank(
 # ---------------------------------------------------------------------------
 
 
+# the fields that name one search: shards merge only when they all agree
+_search_key = operator.attrgetter(
+    "target_name", "copies", "r", "tol", "target_hash", "catalog_hash", "catalog_count", "total_tuples", "version"
+)
+
+
 def merge_certificates(certs: list[Certificate]) -> Certificate:
     """Union of disjoint shards of one search into a single certificate."""
     if not certs:
         raise ValueError("nothing to merge")
     head = certs[0]
-    for c in certs[1:]:
-        same = (
-            c.target_name == head.target_name
-            and c.copies == head.copies
-            and c.r == head.r
-            and c.tol == head.tol
-            and c.target_hash == head.target_hash
-            and c.catalog_hash == head.catalog_hash
-            and c.catalog_count == head.catalog_count
-            and c.total_tuples == head.total_tuples
-            and c.version == head.version
-        )
-        if not same:
-            raise ValueError("certificates describe different searches")
+    if any(_search_key(c) != _search_key(head) for c in certs[1:]):
+        raise ValueError("certificates describe different searches")
     ordered = sorted(certs, key=lambda c: c.shard.lo)
     for a, b in zip(ordered, ordered[1:]):
         if b.shard.lo < a.shard.hi:
@@ -762,26 +757,15 @@ def merge_certificates(certs: list[Certificate]) -> Certificate:
         if b.shard.lo != a.shard.hi:
             # a gapped union could not be audited from a single rank range
             raise ValueError("shards do not tile a contiguous range")
-    tiles = ordered[0].shard.lo == 0 and ordered[-1].shard.hi == head.total_tuples
-    return Certificate(
-        target_name=head.target_name,
-        copies=head.copies,
-        p=head.p,
-        n=head.n,
-        r=head.r,
-        tol=head.tol,
-        target_hash=head.target_hash,
-        catalog_hash=head.catalog_hash,
-        catalog_count=head.catalog_count,
-        total_tuples=head.total_tuples,
+    return replace(
+        head,
         shard=ShardSpec(lo=ordered[0].shard.lo, hi=ordered[-1].shard.hi),
         tuples_tested=sum(c.tuples_tested for c in ordered),
         tuples_pruned=sum(c.tuples_pruned for c in ordered),
         witnesses=sorted(w for c in ordered for w in c.witnesses),
         min_nonwitness_residual=min(c.min_nonwitness_residual for c in ordered),
         wall_time=sum(c.wall_time for c in ordered),
-        full_coverage=tiles,
-        version=head.version,
+        full_coverage=ordered[0].shard.lo == 0 and ordered[-1].shard.hi == head.total_tuples,
     )
 
 
@@ -803,7 +787,8 @@ def audit(
     """Independently re-check a certificate's claims.
 
     Re-derives the catalog and target hashes, replays every listed witness
-    (one that is not r increasing catalog indices fails the replay),
+    (one that is not r increasing catalog indices, lies outside the shard's
+    rank range or is listed twice fails the replay),
     re-scores a random sample of non-witness tuples with the exact fitter,
     and checks the coverage arithmetic and the residual-gap invariant.
 
@@ -853,13 +838,15 @@ def audit(
         _, res = best_fit(np.column_stack([decoded[i] for i in tup]), t)
         return res
 
+    witness_ranks: set[int] = set()
     if not failures:
         for w in cert.witnesses:
-            if not _is_witness(w, cert.r, cert.catalog_count) or residual_of(w) > cert.tol:
+            rank = rank_tuple(w) if _is_witness(w, cert.r, cert.catalog_count) else -1
+            if not cert.shard.lo <= rank < cert.shard.hi or rank in witness_ranks or residual_of(w) > cert.tol:
                 failures.append("witness-replay")
                 break
+            witness_ranks.add(rank)
 
-    witness_ranks = set() if failures else {rank_tuple(w) for w in cert.witnesses}
     rng = np.random.default_rng(seed)
     n_samples = min(samples, max(span - len(witness_ranks), 0))
     min_sample = math.inf

@@ -22,10 +22,12 @@ from .clifford import generate_clifford_group, orbit_closure
 from .decomposition import Decomposition, exponent_from_bound
 from .gadget import CLASS_NONCLIFFORD, sweep_injection, sweep_two_copy
 from . import known
-from .stabilizer import CATALOG_LABEL, MAGIC_NAMES, build_catalog, magic_power, magic_state
+from .stabilizer import CATALOG_LABEL, MAGIC_NAMES, Catalog, build_catalog, magic_power, magic_state
 
 VERIFY_TOL = 1e-13
 WITNESS_TOL = 1e-10
+# the largest catalog `catalog` writes: (3,4) has 7,439,040 states, (3,5) 5.4e9
+CATALOG_MAX_STATES = 10**7
 
 _QUTRIT = ("S", "N", "H3", "T3")
 
@@ -72,6 +74,14 @@ def _parse_shard(text: str) -> tuple[int, int]:
 
 
 def cmd_catalog(args) -> int:
+    if args.n < 1:
+        raise ValueError("--n must be at least 1 qudit, got %d" % args.n)
+    count = Catalog.expected_count(args.p, args.n)
+    if count > CATALOG_MAX_STATES:
+        raise ValueError(
+            "catalog p=%d n=%d has %d states, above the %d that catalog writes"
+            % (args.p, args.n, count, CATALOG_MAX_STATES)
+        )
     cat = build_catalog(args.p, args.n)
     path = _out_path(args, "catalog-p%dn%d-%s.jsonl" % (args.p, args.n, CATALOG_LABEL))
     header = cat.write_jsonl(path)
@@ -265,11 +275,7 @@ def cmd_audit(args) -> int:
     if args.samples < 0:
         raise ValueError("--samples must be at least 0, got %d" % args.samples)
     cert = Certificate.load(args.cert)
-    try:
-        target = _target(cert.target_name, cert.copies)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    target = _target(cert.target_name, cert.copies)
     catalog = build_catalog(cert.p, cert.n)
     report = audit(cert, catalog, target, samples=args.samples, seed=args.seed)
     payload = {
@@ -321,8 +327,8 @@ def cmd_orbit(args) -> int:
         print("orbits cover the qutrit states: %s" % ", ".join(_QUTRIT), file=sys.stderr)
         return 2
     vec = magic_state(args.state).complex_vector()
-    group = generate_clifford_group(1)
-    orbit = orbit_closure(vec, [U for U, _ in group])
+    group = generate_clifford_group()
+    orbit = orbit_closure(vec, group)
     payload = {
         "format": "stabdecomp-orbit",
         "version": 1,

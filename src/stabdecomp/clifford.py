@@ -15,6 +15,8 @@ leftmost matrix factor, i.e. the gate applied last).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 OMEGA = np.exp(2j * np.pi / 3)
@@ -290,53 +292,52 @@ def synthesize(M: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-def projective_key(matrix: np.ndarray, tol: float = 1e-8) -> bytes:
+# projective keys round matrix entries to this grid
+_KEY_GRID = 1e-8
+
+
+def projective_key(matrix: np.ndarray) -> bytes:
     """Hashable key identifying a matrix up to global phase (1e-8 grid)."""
     flat = matrix.ravel()
-    idx = np.argmax(np.abs(flat) > tol)
+    idx = np.argmax(np.abs(flat) > _KEY_GRID)
     normalized = matrix * (abs(flat[idx]) / flat[idx])
-    grid = np.round(normalized / tol)
+    grid = np.round(normalized / _KEY_GRID)
     return np.stack([grid.real, grid.imag]).astype(np.int64).tobytes()
 
 
-def generate_clifford_group(n: int = 1) -> list[tuple[np.ndarray, list]]:
-    """The projective Clifford group by BFS over {X, Z, S, H(, SUM)} words.
+def generate_clifford_group() -> np.ndarray:
+    """The projective single-qutrit Clifford group, shape (216, 3, 3), read-only.
 
-    Returns (matrix, word) pairs; for one qutrit there are exactly 216
-    elements (9 Weyls x |Sp(2,3)| = 24).
+    216 = 9 Weyls x |Sp(2,3)| = 24 elements, one unitary per projective
+    class, in breadth-first order over right multiplication by X, Z, S, H;
+    injection gadgets name their corrections by index into it.
     """
-    gens = []
-    for name in ("X", "Z", "S", "H"):
-        for i in range(n):
-            gens.append(((name, (i,), 1), gate_matrix(name, n, (i,))))
-    if n > 1:
-        for c in range(n):
-            for t in range(n):
-                if c != t:
-                    gens.append((("SUM", (c, t), 1), gate_matrix("SUM", n, (c, t))))
-    eye = np.eye(3**n, dtype=np.complex128)
+    return _clifford_group()
+
+
+# cached behind the public function, which stays a plain function for bench/tracer.py to wrap
+@functools.cache
+def _clifford_group() -> np.ndarray:
+    gens = [gate_matrix(name, 1, (0,)) for name in ("X", "Z", "S", "H")]
+    eye = np.eye(3, dtype=np.complex128)
     seen = {projective_key(eye)}
-    out = [(eye, [])]
-    frontier = [(eye, [])]
-    while frontier:
-        new = []
-        for mat, word in frontier:
-            for token, g in gens:
-                cand = mat @ g
-                key = projective_key(cand)
-                if key not in seen:
-                    seen.add(key)
-                    entry = (cand, word + [token])
-                    out.append(entry)
-                    new.append(entry)
-        frontier = new
-    return out
+    out = [eye]
+    for mat in out:  # out grows while it is read: breadth-first
+        for g in gens:
+            cand = mat @ g
+            key = projective_key(cand)
+            if key not in seen:
+                seen.add(key)
+                out.append(cand)
+    group = np.stack(out)
+    group.flags.writeable = False
+    return group
 
 
-def orbit_closure(vec: np.ndarray, matrices) -> list[np.ndarray]:
-    """Projectively distinct images of a state vector under the given unitaries."""
+def orbit_closure(vec: np.ndarray, group: np.ndarray) -> list[np.ndarray]:
+    """Projectively distinct images of a state vector under a (N, d, d) stack of unitaries."""
     seen = {}
-    for U in matrices:
+    for U in group:
         img = U @ vec
         key = projective_key(img.reshape(-1, 1))
         if key not in seen:

@@ -59,65 +59,39 @@ def branch_operator(C: np.ndarray, ancilla: np.ndarray, k: int) -> np.ndarray:
     return np.einsum("ijm,m->ij", T[:, int(k) % 3], ancilla)
 
 
-def check_reduction(
-    D_data: np.ndarray,
-    a: int,
-    b: int,
-    C: np.ndarray,
-    ancilla: np.ndarray,
-    tol: float = 1e-12,
-    include_phase: bool = True,
-) -> bool:
-    """Verify E_k((D x X^a Z^b) C) = w^{b(k-a)} D E_{k-a}(C) for all k."""
+def check_reduction(D_data: np.ndarray, a: int, b: int, C: np.ndarray, ancilla: np.ndarray) -> bool:
+    """Verify E_k((D x X^a Z^b) C) = w^{b(k-a)} D E_{k-a}(C) for all k, to 1e-12 entrywise."""
     omega = np.exp(2j * np.pi / 3)
     W = np.kron(D_data, weyl_matrix(1, [a], [b]))
     for k in range(3):
         lhs = branch_operator(W @ C, ancilla, k)
-        rhs = D_data @ branch_operator(C, ancilla, (k - a) % 3)
-        if include_phase:
-            rhs = omega ** (b * (k - a)) * rhs
-        if np.abs(lhs - rhs).max() > tol:
+        rhs = omega ** (b * (k - a)) * (D_data @ branch_operator(C, ancilla, (k - a) % 3))
+        if np.abs(lhs - rhs).max() > 1e-12:
             return False
     return True
 
 
-# ---------------------------------------------------------------------------
-# predicates
-# ---------------------------------------------------------------------------
+def _classify(V: np.ndarray):
+    """Classify the branch outputs V[e, k], a stack of shape (E, K, 3).
 
-
-def is_phase_state(v: np.ndarray, atol: float = ATOL_UNITARY):
-    """(True, relative phases) when all moduli match within atol, else (False, None)."""
-    v = np.asarray(v, dtype=np.complex128)
-    mods = np.abs(v)
-    if mods.max() <= atol:
-        raise ValueError("zero vector has no phase-state classification")
-    if mods.max() - mods.min() > atol:
-        return False, None
-    phases = np.angle(v[1:] / v[0])
-    return True, tuple(float(t) for t in phases)
-
-
-def is_nonclifford_diagonal(phases, atol: float = ATOL_CLIFFORD) -> bool:
-    """True when some phase sits further than atol from every multiple of 2pi/3."""
+    A branch is a phase-state hit when its moduli agree within ATOL_UNITARY
+    (and it is not zero); a hit is non-Clifford when one of its relative
+    phases sits further than ATOL_CLIFFORD from every multiple of 2pi/3.
+    Returns the (e, k) of every hit in row-major order, the hits' relative
+    phases (n, 2) and non-Clifford mask (n,), and the squared norms (E, K)
+    of all branches.  Phases are taken on the hits only.
+    """
+    mods = np.abs(V)
+    norm2 = (mods**2).sum(axis=2)
+    phase_mask = (mods.max(axis=2) - mods.min(axis=2) <= ATOL_UNITARY) & (
+        mods.max(axis=2) > 10 * ATOL_UNITARY
+    )
     third = 2 * np.pi / 3
-    for theta in phases:
-        rem = theta % third
-        if min(rem, third - rem) > atol:
-            return True
-    return False
-
-
-def _classify(v: np.ndarray):
-    norm2 = float(np.vdot(v, v).real)
-    if np.abs(v).max() <= 10 * ATOL_UNITARY:
-        return CLASS_NONE, None, norm2
-    ok, phases = is_phase_state(v)
-    if not ok:
-        return CLASS_NONE, None, norm2
-    if is_nonclifford_diagonal(phases):
-        return CLASS_NONCLIFFORD, phases, norm2
-    return CLASS_CLIFFORD, phases, norm2
+    es, ks = np.nonzero(phase_mask)
+    rel = np.angle(V[es, ks, 1:] / V[es, ks, :1])
+    rem = rel % third
+    noncliff = (np.minimum(rem, third - rem) > ATOL_CLIFFORD).any(axis=1)
+    return es, ks, rel, noncliff, norm2
 
 
 # ---------------------------------------------------------------------------
@@ -375,11 +349,6 @@ def _symplectic_unitaries():
     return sp, U
 
 
-@functools.cache
-def _clifford_group_stack():
-    return np.stack([U for U, _ in generate_clifford_group(1)])
-
-
 def sweep_two_copy(magic: str) -> SweepResult:
     """Classify E_k(C_sp, M)|M> over all of Sp(4,3) x F_3.
 
@@ -391,16 +360,7 @@ def sweep_two_copy(magic: str) -> SweepResult:
     T = U.reshape(-1, 3, 3, 3, 3)
     # v[e, k, i] = sum_{j,m} C[(i,k),(j,m)] M_j M_m
     V = np.einsum("eikjm,j,m->eki", T, m, m, optimize=True)
-    mods = np.abs(V)
-    norm2 = (mods**2).sum(axis=2)
-    phase_mask = (mods.max(axis=2) - mods.min(axis=2) <= ATOL_UNITARY) & (
-        mods.max(axis=2) > 10 * ATOL_UNITARY
-    )
-    third = 2 * np.pi / 3
-    es, ks = np.nonzero(phase_mask)
-    rel = np.angle(V[es, ks, 1:] / V[es, ks, :1])
-    rem = rel % third
-    noncliff = (np.minimum(rem, third - rem) > ATOL_CLIFFORD).any(axis=1)
+    es, ks, rel, noncliff, norm2 = _classify(V)
     counts = {
         CLASS_NONCLIFFORD: int(noncliff.sum()),
         CLASS_CLIFFORD: int(len(es) - noncliff.sum()),
@@ -421,7 +381,7 @@ def sweep_two_copy(magic: str) -> SweepResult:
 _OVERLAP_CHUNK = 1024
 
 
-def _proportional_to_clifford(M: np.ndarray, group: np.ndarray, atol: float = ATOL_CLIFFORD) -> np.ndarray:
+def _proportional_to_clifford(M: np.ndarray, group: np.ndarray) -> np.ndarray:
     """For each operator of the stack M, the index of a 216-group element G
     with M = scalar * G, or -1 when there is none."""
     out = np.full(len(M), -1, dtype=np.int64)
@@ -437,17 +397,17 @@ def _proportional_to_clifford(M: np.ndarray, group: np.ndarray, atol: float = AT
         ks, gs = np.nonzero(screen)  # ascending g within each k
         mu = overlaps[ks, gs] / 3.0
         err = np.abs(Mc[ks] - mu[:, None, None] * group[gs]).max(axis=(1, 2))
-        ok = err <= atol * np.maximum(1.0, np.abs(mu))
+        ok = err <= ATOL_CLIFFORD * np.maximum(1.0, np.abs(mu))
         hit, first = np.unique(ks[ok], return_index=True)  # the lowest matching g per k
         out[lo + hit] = gs[ok][first]
     return out
 
 
-def _pauli_diagonal_phases(Ug: np.ndarray, atol: float = 1e-8):
+def _pauli_diagonal_phases(Ug: np.ndarray):
     """For each unitary of the stack Ug of the form phase * W_(a,b) D, the two
     relative diagonal phases of D, and the mask of the stack members of that form
     (their phases rows are the only ones to read)."""
-    nz = np.abs(Ug) > atol
+    nz = np.abs(Ug) > ATOL_UNITARY
     rows = nz.argmax(axis=1)  # the first nonzero row of each column
     ok = (nz.sum(axis=1) == 1).all(axis=1) & (rows == (rows[:, :1] + np.arange(3)) % 3).all(axis=1)
     diag = np.take_along_axis(Ug, rows[:, None, :], axis=1)[:, 0]
@@ -472,7 +432,7 @@ def sweep_injection(magic: str) -> SweepResult:
     tr = np.einsum("ekii->ek", G).real / 3.0
     dev = G - tr[..., None, None] * np.eye(3)
     unitary_mask = (np.abs(dev).max(axis=(2, 3)) <= ATOL_UNITARY) & (tr > 1e-12)
-    group = _clifford_group_stack()
+    group = generate_clifford_group()
     es, ks = np.nonzero(unitary_mask)  # (e, k*) in sweep order
     Ug = E[es, ks] / np.sqrt(tr[es, ks])[:, None, None]
     # the injected gate must be non-Clifford
@@ -506,6 +466,8 @@ def replay_protocol(word, magic: str, k: int) -> ProtocolReport:
     C = word_to_matrix(parsed[::-1], 2)
     m = magic_state(magic).complex_vector()
     v = branch_operator(C, m, k) @ m
-    cls, phases, norm2 = _classify(v)
-    return ProtocolReport(magic, format_word(parsed), k, v, norm2, phases, cls)
+    hit, _, rel, noncliff, norm2 = _classify(v[None, None])
+    phases = tuple(rel[0].tolist()) if len(hit) else None
+    cls = (CLASS_NONCLIFFORD if noncliff[0] else CLASS_CLIFFORD) if len(hit) else CLASS_NONE
+    return ProtocolReport(magic, format_word(parsed), k, v, norm2[0, 0], phases, cls)
 

@@ -53,10 +53,9 @@ def test_witness_absent():
 
 
 def test_witness_absent_on_whole_strange_orbit():
-    group = generate_clifford_group(1)
     from stabdecomp.clifford import orbit_closure
 
-    orbit = orbit_closure(magic_state("S").complex_vector(), [U for U, _ in group])
+    orbit = orbit_closure(magic_state("S").complex_vector(), generate_clifford_group())
     assert len(orbit) == 9
     for vec in orbit:
         assert find_ratio_witness(vec) is None

@@ -336,6 +336,25 @@ def test_audit_detects_tampering(cat1):
     assert "target-hash" in audit(cert, cat1, wrong_target).failures
 
 
+def test_audit_fails_a_witness_outside_the_shard_or_listed_twice(cat2):
+    # real witnesses, each of which replays below tol: only their ranks are forged
+    s2 = magic_power("S", 2)
+    full = certify_rank(s2, 2, cat2)
+    ranks = sorted(rank_tuple(w) for w in full.witnesses)
+    cert = certify_rank(s2, 2, cat2, shard=ShardSpec(lo=0, hi=ranks[len(ranks) // 2]))
+    assert cert.witnesses and audit(cert, cat2, s2, samples=100).passed
+    outside = unrank_tuple(ranks[-1], 2)
+    assert outside in full.witnesses and outside not in cert.witnesses
+
+    forged = Certificate.from_payload(cert.to_payload())
+    forged.witnesses = cert.witnesses + [outside]
+    assert audit(forged, cat2, s2, samples=100).failures == ["witness-replay"]
+
+    forged = Certificate.from_payload(cert.to_payload())
+    forged.witnesses = sorted(cert.witnesses + cert.witnesses[:1])
+    assert audit(forged, cat2, s2, samples=100).failures == ["witness-replay"]
+
+
 def test_audit_refuses_a_negative_sample_count(cat1):
     t3 = magic_state("T3")
     cert = certify_rank(t3, 2, cat1)

@@ -66,6 +66,40 @@ def test_catalog_writes_jsonl(tmp_path):
     assert len(lines) == 13
 
 
+@pytest.mark.parametrize(
+    "p,n,message",
+    [
+        (3, 0, "--n must be at least 1 qudit, got 0"),
+        (3, -1, "--n must be at least 1 qudit, got -1"),
+        (3, 5, "catalog p=3 n=5 has 5445377280 states, above the 10000000 that catalog writes"),
+        (2, 6, "catalog p=2 n=6 has 315057600 states, above the 10000000 that catalog writes"),
+    ],
+)
+def test_catalog_refuses_bad_sizes_before_any_work(tmp_path, capsys, monkeypatch, p, n, message):
+    def no_catalog(*args, **kwargs):
+        raise AssertionError("build_catalog called for a size catalog refuses")
+
+    monkeypatch.setattr(cli, "build_catalog", no_catalog)
+    out = tmp_path / "cat.jsonl"
+    capsys.readouterr()
+    assert main(["catalog", "--p", str(p), "--n", str(n), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == message + "\n"
+    assert not out.exists()
+
+
+def test_catalog_limit_passes_the_largest_catalogs(monkeypatch):
+    # (3,4) and (2,5) are below the limit; stop at build_catalog, which they reach
+    def reached(p, n):
+        raise ValueError("reached %d %d" % (p, n))
+
+    monkeypatch.setattr(cli, "build_catalog", reached)
+    assert cli.Catalog.expected_count(3, 4) == 7439040 <= cli.CATALOG_MAX_STATES
+    assert cli.Catalog.expected_count(2, 5) == 2423520 <= cli.CATALOG_MAX_STATES
+    for p, n in ((3, 4), (2, 5)):
+        with pytest.raises(ValueError, match="reached %d %d" % (p, n)):
+            cli.cmd_catalog(cli.build_parser().parse_args(["catalog", "--p", str(p), "--n", str(n)]))
+
+
 def test_certify_t3_pair_cli(tmp_path):
     out = tmp_path / "cert.json"
     assert main(["certify", "--target", "T3", "--m", "1", "--r", "2", "--out", str(out)]) == 0

@@ -232,18 +232,30 @@ def test_synthesize_is_deterministic(sp4):
 
 @pytest.fixture(scope="module")
 def group216():
-    return generate_clifford_group(1)
+    return generate_clifford_group()
+
+
+# sha256 of the group's projective keys in order: injection gadgets name their
+# corrections by index into the group, so its order is part of every sweep artifact
+GROUP_KEYS_SHA256 = "e9083af4a5f9e553dce5e9ad8dcc697c2bbd75d670f759b87784a5fd59203090"
 
 
 def test_projective_clifford_group_size(group216):
-    assert len(group216) == 216
-    keys = {projective_key(U) for U, _ in group216}
-    assert len(keys) == 216
+    assert group216.shape == (216, 3, 3) and group216.dtype == np.complex128
+    keys = [projective_key(U) for U in group216]
+    assert len(set(keys)) == 216
+    assert hashlib.sha256(b"".join(keys)).hexdigest() == GROUP_KEYS_SHA256
+    assert np.array_equal(group216[0], np.eye(3))
+    # one cached array, which no caller can write into
+    assert generate_clifford_group() is group216
+    assert not group216.flags.writeable
+    with pytest.raises(ValueError):
+        group216[0, 0, 0] = 2
 
 
 def test_group_splits_into_weyl_and_symplectic(group216):
     by_image = {}
-    for U, word in group216:
+    for U in group216:
         M = symplectic_image(U, 1)
         by_image.setdefault(M.tobytes(), []).append(U)
     assert len(by_image) == 24
@@ -251,14 +263,14 @@ def test_group_splits_into_weyl_and_symplectic(group216):
     # every element is Weyl x symplectic representative up to phase
     rng = np.random.default_rng(73)
     for idx in rng.integers(0, 216, size=12):
-        U, _ = group216[int(idx)]
+        U = group216[int(idx)]
         V = word_to_matrix(synthesize(symplectic_image(U, 1)), 1)
         assert weyl_decompose(U @ V.conj().T, 1) is not None
 
 
 def test_strange_state_orbit_is_nine(group216):
     vec = magic_state("S").complex_vector()
-    orbit = orbit_closure(vec, [U for U, _ in group216])
+    orbit = orbit_closure(vec, group216)
     assert len(orbit) == 9
     seen = set()
     for img in orbit:

@@ -6,16 +6,24 @@ import pytest
 
 from stabdecomp import gadget
 from stabdecomp.algebra import CycloNumber, omega
-from stabdecomp.clifford import gate_matrix, generate_clifford_group, parse_word, weyl_matrix, word_to_matrix
+from stabdecomp.clifford import (
+    enumerate_symplectic,
+    gate_matrix,
+    generate_clifford_group,
+    parse_word,
+    synthesize,
+    weyl_matrix,
+    word_to_matrix,
+)
 from stabdecomp.gadget import (
+    ATOL_CLIFFORD,
+    ATOL_UNITARY,
     CLASS_CLIFFORD,
     CLASS_NONCLIFFORD,
     CLASS_NONE,
     GadgetReport,
     branch_operator,
     check_reduction,
-    is_nonclifford_diagonal,
-    is_phase_state,
     replay_protocol,
     sweep_injection,
     sweep_two_copy,
@@ -77,36 +85,108 @@ def test_check_reduction_random():
         C = word_to_matrix(rand_word(rng, 2, 6), 2)
         D = weyl_matrix(1, [rng.integers(0, 3)], [rng.integers(0, 3)])
         a, b = int(rng.integers(0, 3)), int(rng.integers(0, 3))
-        assert check_reduction(D, a, b, C, m, tol=1e-12)
-    # dropping the omega^{b(k-a)} phase must break the identity
-    assert not check_reduction(np.eye(3), 0, 1, np.eye(9), m, include_phase=False)
+        assert check_reduction(D, a, b, C, m)
+    # dropping the omega^{b(k-a)} phase must break the identity: with D = 1, a = 0,
+    # b = 1 and C = 1 the two sides differ by omega^k on the branches k = 1, 2
+    W = np.kron(np.eye(3), weyl_matrix(1, [0], [1]))
+    gaps = [np.abs(branch_operator(W, m, k) - branch_operator(np.eye(9), m, k)).max() for k in range(3)]
+    assert gaps[0] == 0 and min(gaps[1:]) > 0.1
+    assert check_reduction(np.eye(3), 0, 1, np.eye(9), m)
 
 
 # ---------------------------------------------------------------------------
-# predicates
+# the branch classifier, and the per-branch oracle it replaced: one data vector
+# at a time, the rule ``gadget._classify`` applies to whole stacks
 # ---------------------------------------------------------------------------
 
 
-def test_is_phase_state():
-    v = np.array([1, 1j, np.exp(1j * np.pi / 3)]) / np.sqrt(3)
+def is_phase_state(v: np.ndarray, atol: float = ATOL_UNITARY):
+    """(True, relative phases) when all moduli match within atol, else (False, None)."""
+    v = np.asarray(v, dtype=np.complex128)
+    mods = np.abs(v)
+    if mods.max() <= atol:
+        raise ValueError("zero vector has no phase-state classification")
+    if mods.max() - mods.min() > atol:
+        return False, None
+    phases = np.angle(v[1:] / v[0])
+    return True, tuple(float(t) for t in phases)
+
+
+def is_nonclifford_diagonal(phases, atol: float = ATOL_CLIFFORD) -> bool:
+    """True when some phase sits further than atol from every multiple of 2pi/3."""
+    third = 2 * np.pi / 3
+    for theta in phases:
+        rem = theta % third
+        if min(rem, third - rem) > atol:
+            return True
+    return False
+
+
+def classify_branch(v: np.ndarray):
+    """(class, phases or None, squared norm) of one branch output."""
+    norm2 = float(np.vdot(v, v).real)
+    if np.abs(v).max() <= 10 * ATOL_UNITARY:
+        return CLASS_NONE, None, norm2
     ok, phases = is_phase_state(v)
-    assert ok
-    assert phases == pytest.approx((np.pi / 2, np.pi / 3), abs=1e-12)
-    ok, phases = is_phase_state(magic_state("H3").complex_vector())
-    assert not ok and phases is None
-    assert is_phase_state(magic_state("T3").complex_vector())[0]
+    if not ok:
+        return CLASS_NONE, None, norm2
+    if is_nonclifford_diagonal(phases):
+        return CLASS_NONCLIFFORD, phases, norm2
+    return CLASS_CLIFFORD, phases, norm2
+
+
+def classify(vectors) -> list:
+    """``gadget._classify`` of one row of branch vectors: (class, phases or None) per branch."""
+    V = np.asarray(vectors, dtype=np.complex128)[None]
+    _, ks, rel, noncliff, _ = gadget._classify(V)
+    out = [(CLASS_NONE, None)] * V.shape[1]
+    for k, phases, nc in zip(ks.tolist(), rel.tolist(), noncliff.tolist()):
+        out[k] = (CLASS_NONCLIFFORD if nc else CLASS_CLIFFORD, tuple(phases))
+    return out
+
+
+def phase_vector(*phases) -> np.ndarray:
+    return np.exp(1j * np.array([0.0, *phases])) / np.sqrt(3)
+
+
+def test_classify_phase_states():
+    a = 1 / np.sqrt(3)
+    vectors = [
+        phase_vector(np.pi / 2, np.pi / 3),
+        magic_state("H3").complex_vector(),
+        magic_state("T3").complex_vector(),
+        np.zeros(3),
+        np.array([a, a, a + 0.9 * ATOL_UNITARY]),  # moduli just inside / outside the tolerance
+        np.array([a, a, a + 1.1 * ATOL_UNITARY]),
+    ]
+    got = classify(vectors)
+    assert got[0][0] == CLASS_NONCLIFFORD
+    assert got[0][1] == pytest.approx((np.pi / 2, np.pi / 3), abs=1e-12)
+    assert got[1] == (CLASS_NONE, None)
+    assert got[2][0] == CLASS_NONCLIFFORD
+    assert got[3] == (CLASS_NONE, None)  # the zero vector is no phase state
+    assert got[4] == (CLASS_CLIFFORD, (0.0, 0.0))
+    assert got[5] == (CLASS_NONE, None)
+    # the per-branch oracle agrees on every vector; its phase-state predicate alone refuses zero
+    assert [classify_branch(v)[:2] for v in vectors] == got
     with pytest.raises(ValueError):
         is_phase_state(np.zeros(3))
 
 
-def test_is_nonclifford_diagonal():
-    assert is_nonclifford_diagonal((np.pi / 2, np.pi / 3))
-    assert not is_nonclifford_diagonal((2 * np.pi / 3, 4 * np.pi / 3))
-    assert is_nonclifford_diagonal((np.pi, np.pi))
-    assert not is_nonclifford_diagonal((0.0, -2 * np.pi / 3))
-    # just inside / outside the tolerance
-    assert not is_nonclifford_diagonal((2 * np.pi / 3 + 0.9e-5, 0), atol=1e-5)
-    assert is_nonclifford_diagonal((2 * np.pi / 3 + 1.1e-5, 0), atol=1e-5)
+def test_classify_nonclifford_phases():
+    third = 2 * np.pi / 3
+    cases = [
+        ((np.pi / 2, np.pi / 3), True),
+        ((third, 2 * third), False),
+        ((np.pi, np.pi), True),
+        ((0.0, -third), False),
+        # just inside / outside the tolerance
+        ((third + 0.9 * ATOL_CLIFFORD, 0.0), False),
+        ((third + 1.1 * ATOL_CLIFFORD, 0.0), True),
+    ]
+    got = classify([phase_vector(*phases) for phases, _ in cases])
+    assert [cls for cls, _ in got] == [CLASS_NONCLIFFORD if nc else CLASS_CLIFFORD for _, nc in cases]
+    assert [is_nonclifford_diagonal(phases) for phases, _ in cases] == [nc for _, nc in cases]
 
 
 # ---------------------------------------------------------------------------
@@ -132,20 +212,7 @@ def test_weyl_prefactor_preserves_classifications():
     m = magic_state("H3").complex_vector()
 
     def classes(C):
-        out = []
-        for k in range(3):
-            v = branch_operator(C, m, k) @ m
-            if np.abs(v).max() < 1e-7:
-                out.append(CLASS_NONE)
-                continue
-            ok, phases = is_phase_state(v)
-            if not ok:
-                out.append(CLASS_NONE)
-            elif is_nonclifford_diagonal(phases):
-                out.append(CLASS_NONCLIFFORD)
-            else:
-                out.append(CLASS_CLIFFORD)
-        return sorted(out)
+        return sorted(cls for cls, _ in classify([branch_operator(C, m, k) @ m for k in range(3)]))
 
     for _ in range(20):
         C = word_to_matrix(rand_word(rng, 2, 6), 2)
@@ -294,7 +361,7 @@ def test_sweep_counts_pinned(kind, name):
 
 
 def test_proportional_to_clifford_batched():
-    group = np.stack([U for U, _ in generate_clifford_group(1)])
+    group = generate_clifford_group()
     rng = np.random.default_rng(103)
     picks = rng.integers(0, 216, size=50)
     scales = rng.uniform(0.2, 3, size=50) * np.exp(2j * np.pi * rng.random(50))
@@ -492,7 +559,7 @@ def test_pauli_diagonal_phases_matches_the_loop():
 
 def test_lazy_hits_equal_per_branch_reports():
     _, table = gadget._symplectic_unitaries()
-    group = gadget._clifford_group_stack()
+    group = generate_clifford_group()
     rng = np.random.default_rng(113)
     res = sweep_injection("T3")
     assert res.hits is res.hits
@@ -523,7 +590,7 @@ def test_lazy_hits_equal_per_branch_reports():
         for i in rng.choice(len(res.hits), size=40, replace=False):
             r = res.hits[i]
             v = branch_operator(table[r.clifford], m, r.k) @ m
-            cls, phases, norm2 = gadget._classify(v)
+            cls, phases, norm2 = classify_branch(v)
             assert (r.magic, r.classification) == (name, cls)
             assert (type(r.clifford), type(r.k), type(r.probability)) == (int, int, float)
             assert np.allclose(r.vector, v, atol=1e-12)
@@ -547,3 +614,38 @@ def test_nonclifford_hits_injection_and_two_copy():
         assert len(nc) == res.counts[CLASS_NONCLIFFORD]
         want = [r for r in res.hits if r.classification == CLASS_NONCLIFFORD]
         assert [hit_json(r) for r in nc] == [hit_json(r) for r in want]
+
+
+@pytest.fixture(scope="module")
+def sp4_words():
+    return synthesize(enumerate_symplectic(2))
+
+
+@pytest.mark.parametrize("name", ["S", "N", "H3", "T3"])
+def test_replay_agrees_with_the_sweep(name, sp4_words):
+    # replay_protocol reads a word chronologically and reverses it into an operator
+    # product, so the reversed gate word of Sp(4,3) element e replays sweep row e
+    res = sweep_two_copy(name)
+    c = res.columns
+    hit_of = {(e, k): i for i, (e, k) in enumerate(zip(c["clifford"].tolist(), c["k"].tolist()))}
+    _, table = gadget._symplectic_unitaries()
+    m = magic_state(name).complex_vector()
+    rng = np.random.default_rng(131)
+    rows = np.concatenate([rng.choice(np.unique(c["clifford"]), size=12, replace=False), rng.integers(0, 51840, size=12)])
+    seen = set()
+    for e in rows.tolist():
+        for k in range(3):
+            rep = replay_protocol(sp4_words[e][::-1], name, k)
+            i = hit_of.get((e, k))
+            if i is None:
+                assert (rep.classification, rep.phases) == (CLASS_NONE, None)
+                want = float(np.linalg.norm(branch_operator(table[e], m, k) @ m) ** 2)
+            else:
+                assert rep.classification == (CLASS_NONCLIFFORD if c["nonclifford"][i] else CLASS_CLIFFORD)
+                want = c["probability"][i]
+                # phases compared on the circle: a phase of pi may come out as -pi
+                turn = np.angle(np.exp(1j * (np.array(rep.phases) - c["phases"][i])))
+                assert np.abs(turn).max() < 1e-9
+            assert rep.probability == pytest.approx(want, abs=1e-12)
+            seen.add(rep.classification)
+    assert CLASS_NONE in seen and len(seen) >= 2
