@@ -793,11 +793,15 @@ def audit(
     and checks the coverage arithmetic and the residual-gap invariant.
 
     Witnesses and samples are deliberately re-decoded one state at a time
-    through :class:`CanonicalStabilizer`, independently of the block decoder
-    (``Catalog.vectors``) that ``certify_rank`` scores with.  Each distinct
-    index is re-decoded once, the first time a witness or sample holds it,
-    and its vector is then compared bit for bit with the block decoder's, so
-    a mismatch is reported at the first tuple that holds the index.
+    through :class:`CanonicalStabilizer`, which computes the support points
+    from (x0, W) and evaluates the phase polynomial at every point,
+    independently of the block decoder (``Catalog.vectors``) that
+    ``certify_rank`` scores with.  The split of a form index into phase
+    coefficients is shared with the block decoder; the catalog hashes pinned
+    in ``tests/test_block_decoder.py`` fix it.  Each distinct index is re-decoded once, the first time a witness
+    or sample holds it, and its vector is then compared bit for bit with the
+    block decoder's, so a mismatch is reported at the first tuple that holds
+    the index.
 
     A negative ``samples`` raises ValueError.
     """

@@ -57,6 +57,11 @@ def _target(name: str, m: int):
     return magic_power(name, m)
 
 
+def _check_qutrit(state: str, what: str) -> None:
+    if state not in _QUTRIT:
+        raise ValueError("%s the qutrit states: %s" % (what, ", ".join(_QUTRIT)))
+
+
 def _parse_shard(text: str) -> tuple[int, int]:
     try:
         i, n = text.split("/")
@@ -97,12 +102,10 @@ def cmd_verify(args) -> int:
         jobs = sorted(known.FIXTURES)
     elif args.fixture:
         if args.fixture not in known.FIXTURES:
-            print("unknown fixture %r (choose from %s)" % (args.fixture, ", ".join(sorted(known.FIXTURES))), file=sys.stderr)
-            return 2
+            raise ValueError("unknown fixture %r (choose from %s)" % (args.fixture, ", ".join(sorted(known.FIXTURES))))
         jobs = [args.fixture]
     elif not args.file:
-        print("need --fixture, --all-fixtures, or --file", file=sys.stderr)
-        return 2
+        raise ValueError("need --fixture, --all-fixtures, or --file")
 
     rows = []
     ok = True
@@ -300,9 +303,7 @@ def cmd_audit(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.state not in _QUTRIT:
-        print("sweeps cover the qutrit states: %s" % ", ".join(_QUTRIT), file=sys.stderr)
-        return 2
+    _check_qutrit(args.state, "sweeps cover")
     t0 = time.perf_counter()
     if args.kind == "twocopy":
         res = sweep_two_copy(args.state)
@@ -323,9 +324,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_orbit(args) -> int:
-    if args.state not in _QUTRIT:
-        print("orbits cover the qutrit states: %s" % ", ".join(_QUTRIT), file=sys.stderr)
-        return 2
+    _check_qutrit(args.state, "orbits cover")
     vec = magic_state(args.state).complex_vector()
     group = generate_clifford_group()
     orbit = orbit_closure(vec, group)
@@ -352,9 +351,7 @@ def cmd_bound(args) -> int:
         "value": moulton_bound(args.m),
     }
     if args.state:
-        if args.state not in _QUTRIT:
-            print("witness check covers the qutrit states", file=sys.stderr)
-            return 2
+        _check_qutrit(args.state, "witness check covers")
         wit = find_ratio_witness(magic_state(args.state).complex_vector())
         payload["state"] = args.state
         payload["applicable"] = wit is not None
@@ -478,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("exponent", help="asymptotic exponent from a finite rank bound")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--p", type=int, default=3)
+    p.add_argument("--p", type=int, default=3, choices=(2, 3))
     p.add_argument("--out")
     p.set_defaults(func=cmd_exponent)
 

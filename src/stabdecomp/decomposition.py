@@ -136,6 +136,8 @@ def exponent_from_bound(r: int, m: int, p: int) -> float:
     """Asymptotic rank exponent log_p(r)/m implied by a rank-r bound at m copies."""
     if r < 1 or m < 1:
         raise ValueError("r and m must be positive")
+    if p < 2:
+        raise ValueError("p must be at least 2, got %d" % p)
     return math.log(r, p) / m
 
 

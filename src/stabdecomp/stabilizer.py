@@ -289,7 +289,7 @@ def plus_state(p: int, n: int = 1) -> CanonicalStabilizer:
 
 
 # ---------------------------------------------------------------------------
-# the catalog: all canonical states on (p, n), lazily indexable
+# the catalog: all canonical states on (p, n), decoded on demand from blocks
 # ---------------------------------------------------------------------------
 
 
@@ -297,38 +297,32 @@ def _echelon_bases(p: int, n: int, k: int):
     """All n x k reduced column-echelon matrices, lexicographic in
     (pivot rows, free entries)."""
     for pivots in combinations(range(n), k):
-        pivot_set = set(pivots)
-        free = [(j, r) for j in range(k) for r in range(pivots[j] + 1, n) if r not in pivot_set]
+        free = [(r, j) for j in range(k) for r in range(pivots[j] + 1, n) if r not in pivots]
+        rows, cols = np.array(free, dtype=np.int64).reshape(-1, 2).T
         base = np.zeros((n, k), dtype=np.int64)
-        for j, pj in enumerate(pivots):
-            base[pj, j] = 1
-        nfree = len(free)
-        for a in range(p**nfree):
+        base[list(pivots), range(k)] = 1
+        for entries in _all_points(p, len(free)):
             W = base.copy()
-            rem = a
-            for t in range(nfree - 1, -1, -1):
-                j, r = free[t]
-                W[r, j] = rem % p
-                rem //= p
+            W[rows, cols] = entries
             yield pivots, W
 
 
 class _Block:
     """A contiguous catalog range sharing (k, W, x0); forms vary within.
 
-    ``points`` (the support's basis indices in y-lex order) is filled in by
-    ``Catalog._build_tables``.
+    ``points`` is the support x0 + span(W) as basis indices, in the y-lex
+    order of the phase function.
     """
 
     __slots__ = ("start", "nforms", "k", "W", "x0", "points")
 
-    def __init__(self, start: int, nforms: int, k: int, W: np.ndarray, x0: np.ndarray) -> None:
+    def __init__(self, start: int, nforms: int, W: np.ndarray, x0: np.ndarray, points: np.ndarray) -> None:
         self.start = start
         self.nforms = nforms
-        self.k = k
+        self.k = W.shape[1]
         self.W = W
         self.x0 = x0
-        self.points: np.ndarray | None = None
+        self.points = points
 
 
 # relative tolerance on amplitudes when ``Catalog.index_of`` reads a vector
@@ -347,23 +341,26 @@ def _json(value) -> str:
 
 
 class _FormTables:
-    """Phase-function tables for one k.
+    """Phase-function tables for one k: the one place that knows the form-index layout.
 
-    ``decode`` maps the exponents at every y (y-lex order) to the form digits of
-    ``Catalog._decode_form`` once divided by ``scale``; it reads only y = e_i,
-    2 e_i (qutrits) and e_i + e_j.  ``monomials`` maps digits back to the
-    exponents at every y; digit t of form f is ``f // place[t] % radix[t]``.
-    ``amps[e]`` is the amplitude with phase exponent e mod ``order``, as
-    ``complex_vector`` computes it, for every exponent sum the monomials can
-    reach, so the block decoder reads it without reducing mod ``order``.
-    ``template % tuple(digits[slots])`` is the JSON of the form's phase
-    payload, as ``record`` gives it.
+    A form index is a big-endian mixed-radix number: digit t of form f is
+    ``f // place[t] % radix[t]``, where ``place[t]`` is the product of the
+    later radices, and ``nforms`` is the product of them all.
+    ``tuple(digits[slots])`` fills the ``%d`` fields of ``template``, the JSON
+    of the form's phase payload as ``record`` gives it; ``Catalog.get`` reads
+    the same coefficients off ``digits[slots]``.  ``decode`` maps the exponents
+    at every y (y-lex order) to the form digits once divided by ``scale``; it
+    reads only y = e_i, 2 e_i (qutrits) and e_i + e_j.  ``monomials`` maps
+    digits back to the exponents at every y.  ``amps[e]`` is the amplitude
+    with phase exponent e mod ``order``, as ``complex_vector`` computes it,
+    for every exponent sum the monomials can reach, so the block decoder reads
+    it without reducing mod ``order``.
     """
 
     __slots__ = ("nforms", "order", "decode", "scale", "monomials", "place", "radix", "amps",
                  "template", "slots")
 
-    def __init__(self, p: int, k: int, nforms: int) -> None:
+    def __init__(self, p: int, k: int) -> None:
         Y = _all_points(p, k)
         unit = np.eye(k, dtype=np.int64)
 
@@ -390,7 +387,6 @@ class _FormTables:
                 mono.append(Y[:, i])
             order = 3
             scale = [1] * len(dec)
-            place = [3**t for t in range(len(dec) - 1, -1, -1)]
             payload = {"A": [["%d"] * k] * k, "b": ["%d"] * k, "c": 0}
             slots = [digit[i, j] for i in range(k) for j in range(k)] + [len(dec) - k + i for i in range(k)]
         else:
@@ -403,21 +399,20 @@ class _FormTables:
                 digit[i, j] = len(dec)
                 dec.append(row((1, unit[i] + unit[j]), (-1, unit[i]), (-1, unit[j])))
                 mono.append(2 * Y[:, i] * Y[:, j])
-            nb = len(pairs)
             order = 4
-            scale = [1] * k + [2] * nb
-            place = [4 ** (k - 1 - t) * 2**nb for t in range(k)] + [2 ** (nb - 1 - t) for t in range(nb)]
+            scale = [1] * k + [2] * len(pairs)
             payload = {"B": [["%d" if j > i else 0 for j in range(k)] for i in range(k)], "a": ["%d"] * k, "c": 0}
             slots = [digit[i, j] for i, j in pairs] + list(range(k))
         # the two maps hold small integers as floats: exact, and products run through BLAS
         ndig = len(dec)
-        self.nforms = nforms
+        radix = [order // s for s in scale]
+        self.nforms = math.prod(radix)
         self.order = order
         self.decode = np.array(dec, dtype=np.float64).reshape(ndig, len(Y))
         self.scale = np.array(scale, dtype=np.int64)
         self.monomials = np.array(mono, dtype=np.float64).reshape(ndig, len(Y)).T.copy()
-        self.place = np.array(place, dtype=np.int64)
-        self.radix = order // self.scale
+        self.place = np.array([math.prod(radix[t + 1 :]) for t in range(ndig)], dtype=np.int64)
+        self.radix = np.array(radix, dtype=np.int64)
         # digits and monomials are non-negative, so no exponent sum exceeds top
         top = int((self.radix - 1) @ self.monomials.max(axis=0, initial=0))
         amps = np.exp(2j * np.pi * np.arange(order) / order) * p ** (-k / 2)
@@ -431,43 +426,40 @@ class Catalog:
 
     There is one entry per projective stabilizer state, ``expected_count(p, n)``
     of them: distinct canonical tuples are distinct states, so the enumeration
-    needs no deduplication pass.  Entries are decoded on demand from (block,
-    form index), so the 4-qutrit catalog (7,439,040 states) costs no more
-    memory than its ~2500 blocks.  Order: k ascending, then pivot rows, then W
-    free entries, then x0, then phase coefficients, each lexicographic.
+    needs no deduplication pass.  Construction lays out the blocks (one per
+    (k, W, x0), with its support points), the coset lookup of ``index_of`` and
+    one ``_FormTables`` per k; entries are decoded on demand from (block, form
+    index), so the 4-qutrit catalog (7,439,040 states) costs no more memory
+    than its ~2500 blocks.  Order: k ascending, then pivot rows, then W free
+    entries, then x0, then phase coefficients, each lexicographic.
     """
 
     def __init__(self, p: int, n: int) -> None:
         self.p = p
         self.n = n
+        self._forms = [_FormTables(p, k) for k in range(n + 1)]
         self._blocks: list[_Block] = []
         self._starts: list[int] = []
+        # a block's support x0 + span(W) determines the block
+        self._cosets: dict[bytes, _Block] = {}
+        weights = p ** np.arange(n - 1, -1, -1, dtype=np.int64)
         total = 0
-        for k in range(n + 1):
-            nforms = self._forms_per_state(k)
+        for k, tables in enumerate(self._forms):
             for pivots, W in _echelon_bases(p, n, k):
-                free_rows = [r for r in range(n) if r not in set(pivots)]
-                for ci in range(p ** len(free_rows)):
+                span = _all_points(p, k) @ W.T
+                free_rows = [r for r in range(n) if r not in pivots]
+                for coset in _all_points(p, len(free_rows)):
                     x0 = np.zeros(n, dtype=np.int64)
-                    rem = ci
-                    for t in range(len(free_rows) - 1, -1, -1):
-                        x0[free_rows[t]] = rem % p
-                        rem //= p
-                    self._blocks.append(_Block(total, nforms, k, W, x0))
+                    x0[free_rows] = coset
+                    blk = _Block(total, tables.nforms, W, x0, ((x0 + span) % p) @ weights)
+                    self._blocks.append(blk)
                     self._starts.append(total)
-                    total += nforms
+                    self._cosets[np.sort(blk.points).tobytes()] = blk
+                    total += tables.nforms
         self._total = total
         self._hash: str | None = None
-        # decoding and inverse-lookup tables, built on first use
-        self._cosets: dict[bytes, _Block] | None = None
-        self._forms: list[_FormTables] = []
 
     # -- sizing -----------------------------------------------------------------
-
-    def _forms_per_state(self, k: int) -> int:
-        if self.p == 3:
-            return 3 ** (k * (k + 1) // 2 + k)
-        return 4**k * 2 ** (k * (k - 1) // 2)
 
     def __len__(self) -> int:
         return self._total
@@ -482,45 +474,6 @@ class Catalog:
 
     # -- decoding -----------------------------------------------------------------
 
-    def _decode_form(self, k: int, f: int):
-        p = self.p
-        if p == 3:
-            nA = k * (k + 1) // 2
-            digits = []
-            rem = f
-            for _ in range(nA + k):
-                digits.append(rem % 3)
-                rem //= 3
-            digits.reverse()
-            A = np.zeros((k, k), dtype=np.int64)
-            t = 0
-            for i in range(k):
-                for j in range(i, k):
-                    A[i, j] = digits[t]
-                    A[j, i] = digits[t]
-                    t += 1
-            b = np.asarray(digits[nA:], dtype=np.int64)
-            return QuadraticForm(3, k, A, b, 0)
-        nB = k * (k - 1) // 2
-        b_digits = []
-        rem = f
-        for _ in range(nB):
-            b_digits.append(rem % 2)
-            rem //= 2
-        b_digits.reverse()
-        a_digits = []
-        for _ in range(k):
-            a_digits.append(rem % 4)
-            rem //= 4
-        a_digits.reverse()
-        B = np.zeros((k, k), dtype=np.int64)
-        t = 0
-        for i in range(k):
-            for j in range(i + 1, k):
-                B[i, j] = b_digits[t]
-                t += 1
-        return Z4Phase(k, np.asarray(a_digits, dtype=np.int64), B, 0)
-
     def _block_of(self, i: int) -> _Block:
         if not 0 <= i < self._total:
             raise IndexError(i)
@@ -528,22 +481,17 @@ class Catalog:
 
     def get(self, i: int) -> CanonicalStabilizer:
         blk = self._block_of(i)
-        phase = self._decode_form(blk.k, i - blk.start)
+        k = blk.k
+        tables = self._forms[k]
+        coeffs = self._digits(blk, np.array([i - blk.start]))[0, tables.slots]
+        # the payload's fields in JSON order: A (k x k) then b, or B's upper entries (row-major) then a
+        if self.p == 3:
+            phase = QuadraticForm(3, k, coeffs[: k * k], coeffs[k * k :], 0)
+        else:
+            B = np.zeros(k * k, dtype=np.int64)
+            B[[r * k + c for r in range(k) for c in range(r + 1, k)]] = coeffs[: coeffs.size - k]
+            phase = Z4Phase(k, coeffs[coeffs.size - k :], B, 0)
         return CanonicalStabilizer(self.p, self.n, blk.x0, blk.W, phase, check=False)
-
-    def _build_tables(self) -> None:
-        if self._cosets is not None:
-            return
-        p, n = self.p, self.n
-        weights = p ** np.arange(n - 1, -1, -1, dtype=np.int64)
-        self._forms = [_FormTables(p, k, self._forms_per_state(k)) for k in range(n + 1)]
-        # a block's support x0 + span(W) determines the block; keep its points
-        # in the y-lex order of the phase function
-        cosets = {}
-        for blk in self._blocks:
-            blk.points = ((blk.x0 + _all_points(p, blk.k) @ blk.W.T) % p) @ weights
-            cosets[np.sort(blk.points).tobytes()] = blk
-        self._cosets = cosets
 
     def _block_forms(self):
         """(block, form indices) in catalog order, at most ``_FORM_CHUNK`` forms at a time."""
@@ -570,7 +518,6 @@ class Catalog:
         block at a time: a block's support points are computed once, and the
         phase exponents of its forms come from one product with the monomials.
         """
-        self._build_tables()
         dim = self.p**self.n
         if indices is None:
             out = np.zeros((len(self), dim), dtype=np.complex128)
@@ -592,10 +539,9 @@ class Catalog:
         """The catalog index of an amplitude vector: the inverse of :meth:`get`.
 
         ``vec`` has length p^n and is taken up to norm and global phase.
-        Table-driven (the tables are built on first use); raises
-        ``ValueError`` for a vector that is not a catalog entry's.
+        Table-driven; raises ``ValueError`` for a vector that is not a catalog
+        entry's.
         """
-        self._build_tables()
         p = self.p
         vec = np.asarray(vec, dtype=np.complex128).reshape(-1)
         if vec.size != p**self.n:
@@ -631,7 +577,6 @@ class Catalog:
         Each block's line template is formatted once, and each step fills the
         digits of all its forms into the repeated template at once.
         """
-        self._build_tables()
         last = None
         for blk, forms in self._block_forms():
             tables = self._forms[blk.k]

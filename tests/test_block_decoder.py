@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from stabdecomp.certify import _SearchContext
-from stabdecomp.stabilizer import build_catalog, magic_power
+from stabdecomp.stabilizer import _FormTables, build_catalog, magic_power
 
 # the ids end in the catalog's artifact label, "raw"
 CASES = [
@@ -22,6 +22,32 @@ CASES = [
 @lru_cache(maxsize=None)
 def _catalog(p, n):
     return build_catalog(p, n)
+
+# The catalog order: every entry's line, hashed in index order.  `get`, the
+# block decoder and the JSONL text share one form-index layout (`_FormTables`),
+# so these literals are what pins that layout, and the enumeration order of
+# (k, W, x0), to the published catalogs.
+CONTENT_HASHES = {
+    (3, 1): "7ae3ca0150b69d39b6966368f3a76ab2e576a855a98f3a1efe401cab77dbb385",
+    (3, 2): "5fefc1caa31c2075d8203b2efadf8b8bd8f41dee11f86afd7536b797fef307ea",
+    (3, 3): "8e9432253b01984e4157309270782f6356f8cab2307dbfaeb6471393cfb3cf59",
+    (2, 1): "5436b1f06601ddcf5178ab75484edcb2428b7876b987decc622d916d4cfde52f",
+    (2, 2): "3e6274546601044c0ef58447f5798912472180575c46b493925d5f34f2ef23b9",
+    (2, 3): "03327c4506fdc0baac6b342bf985b67cd3fdfbdfbfa66b8cd34435f03e1d03c2",
+    (2, 4): "67a20efe74ca1f103d35af6d17409a5f8a10fd7fd362bc458935db4ca1246ca5",
+}
+
+
+@pytest.mark.parametrize("p,n", CASES)
+def test_content_hash_is_pinned(p, n):
+    assert _catalog(p, n).content_hash() == CONTENT_HASHES[p, n]
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_form_count_is_the_number_of_phase_functions(k):
+    # qutrits: A symmetric (k(k+1)/2 entries) and b over F_3; qubits: a over Z_4, B strictly upper over F_2
+    assert _FormTables(3, k).nforms == 3 ** (k * (k + 1) // 2 + k)
+    assert _FormTables(2, k).nforms == 4**k * 2 ** (k * (k - 1) // 2)
 
 
 @pytest.mark.parametrize("p,n", CASES)

@@ -8,7 +8,7 @@ import pytest
 from stabdecomp import cli, known
 from stabdecomp.certify import Certificate
 from stabdecomp.cli import main
-from stabdecomp.decomposition import Decomposition
+from stabdecomp.decomposition import Decomposition, exponent_from_bound
 
 
 def read_json(path):
@@ -36,9 +36,13 @@ def test_verify_all_fixtures(tmp_path):
     assert all(r["passed"] for r in payload["results"])
 
 
-def test_verify_usage_errors(tmp_path):
+def test_verify_usage_errors(tmp_path, capsys):
+    capsys.readouterr()
     assert main(["verify", "--fixture", "nope", "--out", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err == "unknown fixture 'nope' (choose from %s)\n" % ", ".join(sorted(known.FIXTURES))
     assert main(["verify", "--out", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err == "need --fixture, --all-fixtures, or --file\n"
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_verify_file_roundtrip_and_failure(tmp_path):
@@ -495,3 +499,35 @@ def test_outdir_env_default(tmp_path, monkeypatch):
 def test_unknown_target_usage_error(tmp_path):
     assert main(["certify", "--target", "Q", "--m", "1", "--r", "1", "--out", str(tmp_path / "c.json")]) == 2
     assert main(["sweep", "twocopy", "--state", "H", "--out", str(tmp_path / "s.json")]) == 2
+
+
+@pytest.mark.parametrize("p", ["1", "0"])
+def test_exponent_refuses_p_below_two(tmp_path, capsys, p):
+    out = tmp_path / "exp.json"
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["exponent", "--r", "2", "--m", "1", "--p", p, "--out", str(out)])
+    assert exc.value.code == 2
+    # argparse's usage line, then one error line and no traceback
+    usage, error = capsys.readouterr().err.splitlines()
+    assert usage.startswith("usage: stabdecomp exponent")
+    assert error == "stabdecomp exponent: error: argument --p: invalid choice: %s (choose from 2, 3)" % p
+    assert not out.exists()
+    with pytest.raises(ValueError, match="p must be at least 2, got %s" % p):
+        exponent_from_bound(2, 1, int(p))
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["sweep", "twocopy", "--state", "H"], "sweeps cover the qutrit states: S, N, H3, T3"),
+        (["orbit", "--state", "H"], "orbits cover the qutrit states: S, N, H3, T3"),
+        (["bound", "--m", "3", "--state", "H"], "witness check covers the qutrit states: S, N, H3, T3"),
+    ],
+)
+def test_non_qutrit_state_usage_error(tmp_path, capsys, argv, message):
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == message + "\n"
+    assert not out.exists()
