@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .decomposition import CANDIDATE_RES2, DEPENDENT_RES2, WITNESS_TOL_FLOOR, SpanProjection, best_fit
+from .decomposition import CANDIDATE_RES2, DEPENDENT_RES2, WITNESS_TOL_FLOOR, SpanProjection, best_fit, _read_json
 from .stabilizer import CATALOG_LABEL, Catalog, TargetState
 
 __all__ = [
@@ -152,27 +152,32 @@ _KIND_NAMES = {
     _OPTIONAL_INT: "an integer or null",
 }
 
-# JSON type of each certificate payload field that Certificate.from_payload reads
-_PAYLOAD_FIELDS = {
-    "target": str,
-    "copies": int,
-    "p": int,
-    "n": int,
-    "r": int,
-    "tol": _NUMBER,
-    "target_hash": str,
-    "catalog_hash": str,
-    "catalog_count": int,
-    "total_tuples": int,
-    "shard": dict,
-    "tuples_tested": int,
-    "tuples_pruned": int,
-    "witnesses": list,
-    "min_nonwitness_residual": _NUMBER,
-    "wall_time": _NUMBER,
-    "full_coverage": bool,
-    "version": int,
-}
+# The certificate payload in file order: (payload key, Certificate attribute,
+# JSON type).  "format" and "catalog_mode" are the same in every certificate
+# and have no attribute.
+_FIELDS = (
+    ("format", None, str),
+    ("version", "version", int),
+    ("target", "target_name", str),
+    ("copies", "copies", int),
+    ("p", "p", int),
+    ("n", "n", int),
+    ("r", "r", int),
+    ("tol", "tol", _NUMBER),
+    ("target_hash", "target_hash", str),
+    ("catalog_hash", "catalog_hash", str),
+    ("catalog_mode", None, str),
+    ("catalog_count", "catalog_count", int),
+    ("total_tuples", "total_tuples", int),
+    ("shard", "shard", dict),
+    ("tuples_tested", "tuples_tested", int),
+    ("tuples_pruned", "tuples_pruned", int),
+    ("witnesses", "witnesses", list),
+    ("min_nonwitness_residual", "min_nonwitness_residual", _NUMBER),
+    ("full_coverage", "full_coverage", bool),
+    ("wall_time", "wall_time", _NUMBER),
+)
+_FORMAT = "stabdecomp-certificate"
 
 
 def _is_witness(w: tuple[int, ...], r: int, catalog_count: int) -> bool:
@@ -266,28 +271,11 @@ class Certificate:
         return self.full_coverage and not self.witnesses
 
     def to_payload(self) -> dict:
-        return {
-            "format": "stabdecomp-certificate",
-            "version": self.version,
-            "target": self.target_name,
-            "copies": self.copies,
-            "p": self.p,
-            "n": self.n,
-            "r": self.r,
-            "tol": self.tol,
-            "target_hash": self.target_hash,
-            "catalog_hash": self.catalog_hash,
-            "catalog_mode": CATALOG_LABEL,
-            "catalog_count": self.catalog_count,
-            "total_tuples": self.total_tuples,
-            "shard": self.shard.to_payload(),
-            "tuples_tested": self.tuples_tested,
-            "tuples_pruned": self.tuples_pruned,
-            "witnesses": [list(w) for w in self.witnesses],
-            "min_nonwitness_residual": self.min_nonwitness_residual,
-            "full_coverage": self.full_coverage,
-            "wall_time": self.wall_time,
-        }
+        fixed = {"format": _FORMAT, "catalog_mode": CATALOG_LABEL}
+        payload = {key: fixed[key] if attr is None else getattr(self, attr) for key, attr, _ in _FIELDS}
+        payload["shard"] = self.shard.to_payload()
+        payload["witnesses"] = [list(w) for w in self.witnesses]
+        return payload
 
     @classmethod
     def from_payload(cls, d: dict) -> "Certificate":
@@ -298,13 +286,13 @@ class Certificate:
         witness that is not an r-tuple of catalog indices, or an unknown
         catalog_mode.
         """
-        if not isinstance(d, dict) or d.get("format") != "stabdecomp-certificate":
+        if not isinstance(d, dict) or d.get("format") != _FORMAT:
             raise ValueError("not a certificate payload")
         # "dedupe" is the legacy label of the same catalog: catalog_hash proves it
         mode = _field(d, "catalog_mode", str)
         if mode not in (CATALOG_LABEL, "dedupe"):
             raise ValueError("unknown catalog_mode %r" % (mode,))
-        f = {key: _field(d, key, kind) for key, kind in _PAYLOAD_FIELDS.items()}
+        f = {attr: _field(d, key, kind) for key, attr, kind in _FIELDS if attr is not None}
         _check_tol(f["tol"], "certificate field 'tol' =")
         if not 1 <= f["r"] <= f["catalog_count"]:
             raise ValueError(
@@ -320,43 +308,12 @@ class Certificate:
                     % (j, f["r"], f["catalog_count"])
                 )
             witnesses.append(w)
-        return cls(
-            target_name=f["target"],
-            copies=f["copies"],
-            p=f["p"],
-            n=f["n"],
-            r=f["r"],
-            tol=f["tol"],
-            target_hash=f["target_hash"],
-            catalog_hash=f["catalog_hash"],
-            catalog_count=f["catalog_count"],
-            total_tuples=f["total_tuples"],
-            shard=ShardSpec.from_payload(f["shard"]),
-            tuples_tested=f["tuples_tested"],
-            tuples_pruned=f["tuples_pruned"],
-            witnesses=witnesses,
-            min_nonwitness_residual=f["min_nonwitness_residual"],
-            wall_time=f["wall_time"],
-            full_coverage=f["full_coverage"],
-            version=f["version"],
-        )
-
-    def save(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_payload(), fh, indent=1)
-            fh.write("\n")
+        return cls(**dict(f, shard=ShardSpec.from_payload(f["shard"]), witnesses=witnesses))
 
     @classmethod
     def load(cls, path: str) -> "Certificate":
         """The certificate saved at path; a ValueError says why a file cannot be read as one."""
-        try:
-            with open(path) as fh:
-                payload = json.load(fh)
-        except OSError as exc:
-            raise ValueError("cannot read certificate %s: %s" % (path, exc.strerror)) from None
-        except ValueError as exc:  # not JSON, or not UTF-8
-            raise ValueError("certificate %s is not JSON: %s" % (path, exc)) from None
-        return cls.from_payload(payload)
+        return cls.from_payload(_read_json(path, "certificate"))
 
 
 def target_fingerprint(target: TargetState) -> str:

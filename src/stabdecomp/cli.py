@@ -1,8 +1,9 @@
 """Command-line interface for catalogs, verification, search, and certificates.
 
 Every subcommand writes a JSON artifact (stable field order, one schema
-version per artifact type) and prints a short human summary to stdout;
-progress goes to stderr.  Exit codes: 0 success/pass, 1 verification or
+version per artifact type) through ``_write``, which creates the output
+directory, and prints a short human summary to stdout; progress goes to
+stderr.  Exit codes: 0 success/pass, 1 verification or
 audit failure (including an unsuccessful search), 2 usage error.
 """
 
@@ -32,21 +33,24 @@ CATALOG_MAX_STATES = 10**7
 _QUTRIT = ("S", "N", "H3", "T3")
 
 
-def _out_path(args, default_name: str) -> str:
-    if getattr(args, "out", None):
-        return args.out
-    base = os.environ.get("STABDECOMP_OUTDIR", ".")
-    return os.path.join(base, default_name)
+def _payload(kind: str, **fields) -> dict:
+    """The payload of a ``stabdecomp-<kind>`` artifact: its format and version, then fields."""
+    return {"format": "stabdecomp-" + kind, "version": 1, **fields}
 
 
-def _write_text(path: str, chunks) -> None:
+def _write(args, default_name: str, body) -> str:
+    """Write an artifact to ``--out``, else to default_name in ``$STABDECOMP_OUTDIR``
+    (else the working directory), creating its directory; return its path.
+
+    body is a payload, written as indented JSON, or the text chunks of the file.
+    """
+    path = args.out or os.path.join(os.environ.get("STABDECOMP_OUTDIR", "."), default_name)
+    if isinstance(body, dict):
+        body = (json.dumps(body, indent=1), "\n")
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w") as fh:
-        fh.writelines(chunks)
-
-
-def _write_json(path: str, payload: dict) -> None:
-    _write_text(path, [json.dumps(payload, indent=1), "\n"])
+        fh.writelines(body)
+    return path
 
 
 def _target(name: str, m: int):
@@ -65,12 +69,9 @@ def _check_qutrit(state: str, what: str) -> None:
 def _parse_shard(text: str) -> tuple[int, int]:
     try:
         i, n = text.split("/")
-        i, n = int(i), int(n)
+        return int(i), int(n)
     except ValueError:
-        raise ValueError("--shard expects i/N, e.g. 0/100")
-    if not 0 <= i < n:
-        raise ValueError("shard index out of range")
-    return i, n
+        raise ValueError("--shard expects i/N, e.g. 0/100") from None
 
 
 # ---------------------------------------------------------------------------
@@ -88,10 +89,9 @@ def cmd_catalog(args) -> int:
             % (args.p, args.n, count, CATALOG_MAX_STATES)
         )
     cat = build_catalog(args.p, args.n)
-    path = _out_path(args, "catalog-p%dn%d-%s.jsonl" % (args.p, args.n, CATALOG_LABEL))
-    header = cat.write_jsonl(path)
+    path = _write(args, "catalog-p%dn%d-%s.jsonl" % (args.p, args.n, CATALOG_LABEL), cat.jsonl_chunks())
     print("catalog p=%d n=%d: %d states" % (args.p, args.n, len(cat)))
-    print("sha256 %s" % header["sha256"])
+    print("sha256 %s" % cat.content_hash())
     print("wrote %s" % path)
     return 0
 
@@ -106,34 +106,21 @@ def cmd_verify(args) -> int:
         jobs = [args.fixture]
     elif not args.file:
         raise ValueError("need --fixture, --all-fixtures, or --file")
+    # read before any fixture runs: an unreadable file is a usage error
+    loaded = Decomposition.load(args.file) if args.file else None
 
-    rows = []
-    ok = True
-    for name in jobs:
-        dec = known.FIXTURES[name]()
-        rows.append(_verify_one(name, dec, args.exact, args.tol))
-        ok &= rows[-1]["passed"]
+    rows = [_verify_one(name, known.FIXTURES[name](), args.exact, args.tol) for name in jobs]
     if args.file:
-        dec = Decomposition.load(args.file)
-        rows.append(_verify_one(os.path.basename(args.file), dec, args.exact, args.tol))
-        ok &= rows[-1]["passed"]
+        rows.append(_verify_one(os.path.basename(args.file), loaded, args.exact, args.tol))
 
-    payload = {
-        "format": "stabdecomp-verify",
-        "version": 1,
-        "tol": args.tol,
-        "exact": args.exact,
-        "results": rows,
-    }
-    path = _out_path(args, "verify-report.json")
-    _write_json(path, payload)
+    path = _write(args, "verify-report.json", _payload("verify", tol=args.tol, exact=args.exact, results=rows))
     for row in rows:
         print(
             "%-14s rank %-2d residual %.2e %s"
             % (row["name"], row["rank"], row["residual"], "ok" if row["passed"] else "FAIL")
         )
     print("wrote %s" % path)
-    return 0 if ok else 1
+    return 0 if all(row["passed"] for row in rows) else 1
 
 
 def _verify_one(name, dec, exact, tol) -> dict:
@@ -169,29 +156,27 @@ def cmd_search(args) -> int:
     t0 = time.perf_counter()
     res = anneal_search(cfg)
     wall = time.perf_counter() - t0
-    payload = {
-        "format": "stabdecomp-search",
-        "version": 1,
-        "target": target.name,
-        "p": target.p,
-        "r": args.r,
-        "catalog_count": len(catalog),
-        "catalog_mode": CATALOG_LABEL,
-        "steps": args.steps,
-        "chains": args.chains,
-        "cooling": args.cooling,
-        "tol": args.tol,
-        "seed": args.seed,
-        "success": res.success,
-        "residual": res.residual,
-        "subset": list(res.subset),
-        "chains_run": len(res.chain_traces),
-        "chain_traces": res.chain_traces,
-        "decomposition": res.decomposition.to_payload() if res.decomposition else None,
-        "wall_time": wall,
-    }
-    path = _out_path(args, "search-%s-r%d-seed%d.json" % (target.name, args.r, args.seed))
-    _write_json(path, payload)
+    payload = _payload(
+        "search",
+        target=target.name,
+        p=target.p,
+        r=args.r,
+        catalog_count=len(catalog),
+        catalog_mode=CATALOG_LABEL,
+        steps=args.steps,
+        chains=args.chains,
+        cooling=args.cooling,
+        tol=args.tol,
+        seed=args.seed,
+        success=res.success,
+        residual=res.residual,
+        subset=list(res.subset),
+        chains_run=len(res.chain_traces),
+        chain_traces=res.chain_traces,
+        decomposition=res.decomposition.to_payload() if res.decomposition else None,
+        wall_time=wall,
+    )
+    path = _write(args, "search-%s-r%d-seed%d.json" % (target.name, args.r, args.seed), payload)
     steps = sum(t["steps"] for t in res.chain_traces)
     print(
         "search %s r=%d: %s (residual %.2e, %d chains, %d steps, %.0f steps/s, %.1fs)"
@@ -230,10 +215,9 @@ def _progress_printer(total: int):
 def cmd_certify(args) -> int:
     target = _target(args.target, args.m)
     check_request(target, args.r, args.tol)
-    catalog = build_catalog(target.p, target.n)
-    total = math.comb(len(catalog), args.r)
     idx, cnt = _parse_shard(args.shard)
-    shard = ShardSpec.of(idx, cnt, total)
+    shard = ShardSpec.of(idx, cnt, math.comb(Catalog.expected_count(target.p, target.n), args.r))
+    catalog = build_catalog(target.p, target.n)
     cert = certify_rank(
         target,
         args.r,
@@ -242,11 +226,7 @@ def cmd_certify(args) -> int:
         tol=args.tol,
         progress=_progress_printer(shard.hi - shard.lo),
     )
-    path = _out_path(
-        args,
-        "cert-%s-r%d-shard%dof%d.json" % (target.name, args.r, idx, cnt),
-    )
-    cert.save(path)
+    path = _write(args, "cert-%s-r%d-shard%dof%d.json" % (target.name, args.r, idx, cnt), cert.to_payload())
     print(
         "certify %s r=%d shard %d/%d: %d tuples (%d pruned), %d witnesses, min residual %.3g"
         % (target.name, args.r, idx, cnt, cert.tuples_tested, cert.tuples_pruned, len(cert.witnesses), cert.min_nonwitness_residual)
@@ -264,8 +244,7 @@ def cmd_merge(args) -> int:
     except ValueError as exc:
         print("merge failed: %s" % exc, file=sys.stderr)
         return 2
-    path = _out_path(args, "cert-merged.json")
-    merged.save(path)
+    path = _write(args, "cert-merged.json", merged.to_payload())
     print(
         "merged %d certificates: %d tuples, %d witnesses, coverage %s"
         % (len(certs), merged.tuples_tested, len(merged.witnesses), "full" if merged.full_coverage else "partial")
@@ -281,19 +260,15 @@ def cmd_audit(args) -> int:
     target = _target(cert.target_name, cert.copies)
     catalog = build_catalog(cert.p, cert.n)
     report = audit(cert, catalog, target, samples=args.samples, seed=args.seed)
-    payload = {
-        "format": "stabdecomp-audit",
-        "version": 1,
-        "certificate": os.path.basename(args.cert),
-        "passed": report.passed,
-        "failures": report.failures,
-        "samples_tested": report.samples_tested,
-        "min_sample_residual": report.min_sample_residual
-        if math.isfinite(report.min_sample_residual)
-        else None,
-    }
-    path = _out_path(args, "audit-report.json")
-    _write_json(path, payload)
+    payload = _payload(
+        "audit",
+        certificate=os.path.basename(args.cert),
+        passed=report.passed,
+        failures=report.failures,
+        samples_tested=report.samples_tested,
+        min_sample_residual=report.min_sample_residual if math.isfinite(report.min_sample_residual) else None,
+    )
+    path = _write(args, "audit-report.json", payload)
     if report.passed:
         print("audit passed (%d samples, min sample residual %.3g)" % (report.samples_tested, report.min_sample_residual))
     else:
@@ -310,8 +285,7 @@ def cmd_sweep(args) -> int:
     else:
         res = sweep_injection(args.state)
     wall = time.perf_counter() - t0
-    path = _out_path(args, "sweep-%s-%s.json" % (args.kind, args.state))
-    _write_text(path, res.json_chunks(wall_time=wall))
+    path = _write(args, "sweep-%s-%s.json" % (args.kind, args.state), res.json_chunks(wall_time=wall))
     print("sweep %s %s: %d branches" % (args.kind, args.state, res.total))
     for key in sorted(res.counts):
         print("  %-24s %d" % (key, res.counts[key]))
@@ -328,28 +302,16 @@ def cmd_orbit(args) -> int:
     vec = magic_state(args.state).complex_vector()
     group = generate_clifford_group()
     orbit = orbit_closure(vec, group)
-    payload = {
-        "format": "stabdecomp-orbit",
-        "version": 1,
-        "state": args.state,
-        "group_order": len(group),
-        "size": len(orbit),
-        "elements": [[[float(z.real), float(z.imag)] for z in v] for v in orbit],
-    }
-    path = _out_path(args, "orbit-%s.json" % args.state)
-    _write_json(path, payload)
+    elements = [[[float(z.real), float(z.imag)] for z in v] for v in orbit]
+    payload = _payload("orbit", state=args.state, group_order=len(group), size=len(orbit), elements=elements)
+    path = _write(args, "orbit-%s.json" % args.state, payload)
     print("orbit of %s under the single-qutrit Clifford group: %d states" % (args.state, len(orbit)))
     print("wrote %s" % path)
     return 0
 
 
 def cmd_bound(args) -> int:
-    payload = {
-        "format": "stabdecomp-bound",
-        "version": 1,
-        "m": args.m,
-        "value": moulton_bound(args.m),
-    }
+    payload = _payload("bound", m=args.m, value=moulton_bound(args.m))
     if args.state:
         _check_qutrit(args.state, "witness check covers")
         wit = find_ratio_witness(magic_state(args.state).complex_vector())
@@ -365,8 +327,7 @@ def cmd_bound(args) -> int:
             payload["subsequence"] = [
                 {"coordinate": list(c), "modulus": mod} for c, mod in seq
             ]
-    path = _out_path(args, "bound-m%d.json" % args.m)
-    _write_json(path, payload)
+    path = _write(args, "bound-m%d.json" % args.m, payload)
     print("counting bound at m=%d copies: %.6f" % (args.m, payload["value"]))
     if args.state:
         print(
@@ -379,16 +340,8 @@ def cmd_bound(args) -> int:
 
 def cmd_exponent(args) -> int:
     value = exponent_from_bound(args.r, args.m, args.p)
-    payload = {
-        "format": "stabdecomp-exponent",
-        "version": 1,
-        "r": args.r,
-        "m": args.m,
-        "p": args.p,
-        "exponent": value,
-    }
-    path = _out_path(args, "exponent-r%dm%dp%d.json" % (args.r, args.m, args.p))
-    _write_json(path, payload)
+    payload = _payload("exponent", r=args.r, m=args.m, p=args.p, exponent=value)
+    path = _write(args, "exponent-r%dm%dp%d.json" % (args.r, args.m, args.p), payload)
     print("rank %d at %d copies (p=%d) gives exponent %.6f" % (args.r, args.m, args.p, value))
     print("wrote %s" % path)
     return 0

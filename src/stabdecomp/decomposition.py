@@ -19,6 +19,18 @@ from .algebra import CycloNumber, cyclo_solve
 from .stabilizer import CanonicalStabilizer, ScaledCyclo, TargetState, magic_power
 
 
+def _read_json(path: str, what: str):
+    """The JSON value in the file at path; a ValueError names the file as a ``what``
+    and says why it cannot be read."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ValueError("cannot read %s %s: %s" % (what, path, exc.strerror)) from None
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ValueError("%s %s is not JSON: %s" % (what, path, exc)) from None
+
+
 class Decomposition:
     """An asserted rank-r stabilizer decomposition of a magic-state power."""
 
@@ -101,12 +113,16 @@ class Decomposition:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "Decomposition":
-        target = magic_power(payload["target"], int(payload["copies"]))
-        d = int(payload.get("n_power", 0))
-        states, coeffs = [], []
-        for term in payload["terms"]:
-            states.append(CanonicalStabilizer.from_record(term["state"]))
-            coeffs.append(ScaledCyclo(CycloNumber.from_payload(term["coeff"]), d))
+        """The decomposition of a payload; a ValueError names a missing field."""
+        try:
+            target = magic_power(payload["target"], int(payload["copies"]))
+            d = int(payload.get("n_power", 0))
+            states, coeffs = [], []
+            for term in payload["terms"]:
+                states.append(CanonicalStabilizer.from_record(term["state"]))
+                coeffs.append(ScaledCyclo(CycloNumber.from_payload(term["coeff"]), d))
+        except KeyError as exc:
+            raise ValueError("decomposition lacks the field %s" % exc) from None
         return cls(target, states, coeffs)
 
     def save(self, path: str) -> None:
@@ -116,8 +132,8 @@ class Decomposition:
 
     @classmethod
     def load(cls, path: str) -> "Decomposition":
-        with open(path) as fh:
-            return cls.from_payload(json.load(fh))
+        """The decomposition saved at path; a ValueError says why a file cannot be read as one."""
+        return cls.from_payload(_read_json(path, "decomposition"))
 
     def __repr__(self) -> str:
         return "Decomposition(%s^%d, rank=%d)" % (

@@ -596,7 +596,8 @@ class Catalog:
             self._hash = h.hexdigest()
         return self._hash
 
-    def write_jsonl(self, path: str) -> dict:
+    def jsonl_chunks(self):
+        """The catalog's JSONL text: a header line with the content hash, then ``_text_chunks``."""
         header = {
             "format": "stabdecomp-catalog",
             "version": 1,
@@ -606,11 +607,8 @@ class Catalog:
             "count": len(self),
             "sha256": self.content_hash(),
         }
-        with open(path, "w") as fh:
-            fh.write(json.dumps(header, sort_keys=True) + "\n")
-            for text in self._text_chunks():
-                fh.write(text)
-        return header
+        yield json.dumps(header, sort_keys=True) + "\n"
+        yield from self._text_chunks()
 
 
 def build_catalog(p: int, n: int) -> Catalog:

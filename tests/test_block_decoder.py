@@ -1,5 +1,5 @@
 """The block decoder (``Catalog.vectors``), the block line generator behind
-``content_hash`` and ``write_jsonl``, and the search context built from them,
+``content_hash`` and ``jsonl_chunks``, and the search context built from them,
 each checked against the per-index reference path."""
 
 import hashlib

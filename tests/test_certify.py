@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -287,6 +288,36 @@ def test_merge_rejects_bad_unions(cat1):
         merge_certificates([parts[0], other])
 
 
+# the certificate payload's keys in file order
+CERTIFICATE_KEYS = [
+    "format", "version", "target", "copies", "p", "n", "r", "tol", "target_hash", "catalog_hash",
+    "catalog_mode", "catalog_count", "total_tuples", "shard", "tuples_tested", "tuples_pruned",
+    "witnesses", "min_nonwitness_residual", "full_coverage", "wall_time",
+]
+
+
+def test_certificate_format_is_pinned(cat1):
+    t3 = magic_state("T3")
+    cert = certify_rank(t3, 2, cat1, shard=ShardSpec.of(1, 3, 66))
+    payload = cert.to_payload()
+    assert list(payload) == CERTIFICATE_KEYS
+    assert payload["format"] == "stabdecomp-certificate" and payload["catalog_mode"] == "raw"
+    assert payload["shard"] == {"index": 1, "count": 3, "lo": 22, "hi": 44}
+    assert Certificate.from_payload(payload) == cert
+
+
+def test_merged_certificate_round_trip(cat2):
+    s2 = magic_power("S", 2)
+    total = math.comb(len(cat2), 2)
+    merged = merge_certificates([certify_rank(s2, 2, cat2, shard=ShardSpec.of(i, 2, total)) for i in range(2)])
+    payload = merged.to_payload()
+    assert list(payload) == CERTIFICATE_KEYS
+    assert payload["shard"] == {"index": None, "count": None, "lo": 0, "hi": total}
+    assert payload["witnesses"] and all(type(w) is list for w in payload["witnesses"])
+    loaded = Certificate.from_payload(json.loads(json.dumps(payload)))
+    assert loaded == merged and loaded.witnesses == merged.witnesses
+
+
 def test_partial_merge_has_no_ruling_power(cat1):
     t3 = magic_state("T3")
     parts = [certify_rank(t3, 2, cat1, shard=ShardSpec.of(i, 3, 66)) for i in range(2)]
@@ -365,8 +396,8 @@ def test_audit_refuses_a_negative_sample_count(cat1):
 
 def test_certificate_round_trip(tmp_path, cat1):
     cert = certify_rank(magic_state("T3"), 2, cat1)
-    path = str(tmp_path / "cert.json")
-    cert.save(path)
-    loaded = Certificate.load(path)
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert.to_payload(), indent=1) + "\n")
+    loaded = Certificate.load(str(path))
     assert loaded == cert
     assert target_fingerprint(magic_state("T3")) == cert.target_hash

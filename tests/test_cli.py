@@ -60,6 +60,37 @@ def test_verify_file_roundtrip_and_failure(tmp_path):
     assert row["residual"] > 0.1
 
 
+def _fixtures_must_not_run(monkeypatch):
+    def no_fixture():
+        raise AssertionError("a fixture ran before the file was read")
+
+    monkeypatch.setattr(known, "FIXTURES", {name: no_fixture for name in known.FIXTURES})
+
+
+def test_verify_unreadable_file_usage_error(tmp_path, capsys, monkeypatch):
+    # the file is read before any fixture runs; each failure is one stderr line and no report
+    payload = known.FIXTURES["strange_m2"]().to_payload()
+    _fixtures_must_not_run(monkeypatch)
+    out = tmp_path / "r.json"
+    missing = tmp_path / "missing.json"
+    capsys.readouterr()
+    assert main(["verify", "--all-fixtures", "--file", str(missing), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "cannot read decomposition %s: No such file or directory\n" % missing
+
+    bad = tmp_path / "bad.json"
+    for text in ("not json at all", "{\"format\": "):
+        bad.write_text(text)
+        assert main(["verify", "--all-fixtures", "--file", str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("decomposition %s is not JSON: " % bad) and err.count("\n") == 1
+
+    for field in ("target", "copies", "terms"):
+        bad.write_text(json.dumps({k: v for k, v in payload.items() if k != field}))
+        assert main(["verify", "--all-fixtures", "--file", str(bad), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "decomposition lacks the field %r\n" % field
+    assert not out.exists()
+
+
 def test_catalog_writes_jsonl(tmp_path):
     out = tmp_path / "cat.jsonl"
     assert main(["catalog", "--p", "3", "--n", "1", "--out", str(out)]) == 0
@@ -150,6 +181,38 @@ def test_certify_shards_merge_and_audit_cli(tmp_path):
     report = read_json(tmp_path / "audit.json")
     assert report["passed"]
     assert report["failures"] == []
+
+
+def test_commands_create_a_missing_out_directory(tmp_path, monkeypatch):
+    shards = [str(p) for p in _t3_shards(tmp_path)[1]]
+    for argv in (["certify", "--target", "T3", "--m", "1", "--r", "2"], ["merge", *shards]):
+        out = tmp_path / argv[0] / "new" / "dir" / "x"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert Certificate.load(str(out)).rules_out()
+    out = tmp_path / "catalog" / "new" / "dir" / "x"
+    assert main(["catalog", "--p", "3", "--n", "1", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 13
+
+    outdir = tmp_path / "missing" / "outdir"
+    monkeypatch.setenv("STABDECOMP_OUTDIR", str(outdir))
+    assert main(["certify", "--target", "T3", "--m", "1", "--r", "2"]) == 0
+    assert Certificate.load(str(outdir / "cert-T3-r2-shard0of1.json")).rules_out()
+
+
+@pytest.mark.parametrize(
+    "shard, message",
+    [("x", "--shard expects i/N, e.g. 0/100"), ("3/3", "shard index out of range"), ("1/0", "shard index out of range")],
+)
+def test_bad_shard_usage_error_before_the_catalog(tmp_path, capsys, monkeypatch, shard, message):
+    def no_catalog(*args, **kwargs):
+        raise AssertionError("build_catalog called for a shard certify refuses")
+
+    monkeypatch.setattr(cli, "build_catalog", no_catalog)
+    out = tmp_path / "c.json"
+    capsys.readouterr()
+    assert main(["certify", "--target", "T3", "--m", "1", "--r", "2", "--shard", shard, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == message + "\n"
+    assert not out.exists()
 
 
 def test_merge_inconsistent_usage_error(tmp_path):
