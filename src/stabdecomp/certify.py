@@ -33,7 +33,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .decomposition import CANDIDATE_RES2, DEPENDENT_RES2, WITNESS_TOL_FLOOR, SpanProjection, best_fit, _read_json
+from .decomposition import CANDIDATE_RES2, DEPENDENT_RES2, WITNESS_TOL_FLOOR, SpanProjection, best_fit
+from .decomposition import _NUMBER, _OPTIONAL_INT, _field, _read_json, _typed
 from .stabilizer import CATALOG_LABEL, Catalog, TargetState
 
 __all__ = [
@@ -138,20 +139,6 @@ def _next_suffix(suffix: tuple[int, ...], count: int) -> tuple[int, ...] | None:
 # shards and certificates
 # ---------------------------------------------------------------------------
 
-_NUMBER = (int, float)
-_OPTIONAL_INT = (int, type(None))
-_KIND_NAMES = {
-    bool: "a boolean",
-    int: "an integer",
-    float: "a number",
-    _NUMBER: "a number",
-    str: "a string",
-    list: "an array",
-    dict: "an object",
-    type(None): "null",
-    _OPTIONAL_INT: "an integer or null",
-}
-
 # The certificate payload in file order: (payload key, Certificate attribute,
 # JSON type).  "format" and "catalog_mode" are the same in every certificate
 # and have no attribute.
@@ -185,28 +172,6 @@ def _is_witness(w: tuple[int, ...], r: int, catalog_count: int) -> bool:
     return len(w) == r and list(w) == sorted(set(w)) and all(0 <= i < catalog_count for i in w)
 
 
-def _typed(label: str, value, kind):
-    """value, when its JSON type is kind (booleans are never integers or numbers).
-
-    A number may be infinite (an empty shard records an infinite minimum
-    residual) but not NaN, which every comparison the audit makes would pass.
-    """
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
-        got = _KIND_NAMES.get(type(value), type(value).__name__)
-        raise ValueError("certificate field %r must be %s, not %s" % (label, _KIND_NAMES[kind], got))
-    if isinstance(value, float) and math.isnan(value):
-        raise ValueError("certificate field %r must be a number, not NaN" % label)
-    return value
-
-
-def _field(d: dict, key: str, kind, label: str | None = None):
-    """d[key], typed as kind; a ValueError names the field when it is missing or mistyped."""
-    label = label or key
-    if key not in d:
-        raise ValueError("certificate lacks the field %r" % label)
-    return _typed(label, d[key], kind)
-
-
 @dataclass(frozen=True)
 class ShardSpec:
     """Half-open tuple-rank range [lo, hi), optionally tagged index/count."""
@@ -238,8 +203,8 @@ class ShardSpec:
     @classmethod
     def from_payload(cls, d: dict) -> "ShardSpec":
         """The shard of a certificate's ``shard`` object; index and count may be null."""
-        lo, hi = (_field(d, key, int, "shard." + key) for key in ("lo", "hi"))
-        index, count = (_typed("shard." + key, d.get(key), _OPTIONAL_INT) for key in ("index", "count"))
+        lo, hi = (_field("certificate", d, key, int, "shard." + key) for key in ("lo", "hi"))
+        index, count = (_typed("certificate", "shard." + key, d.get(key), _OPTIONAL_INT) for key in ("index", "count"))
         return cls(lo=lo, hi=hi, index=index, count=count)
 
 
@@ -289,10 +254,10 @@ class Certificate:
         if not isinstance(d, dict) or d.get("format") != _FORMAT:
             raise ValueError("not a certificate payload")
         # "dedupe" is the legacy label of the same catalog: catalog_hash proves it
-        mode = _field(d, "catalog_mode", str)
+        mode = _field("certificate", d, "catalog_mode", str)
         if mode not in (CATALOG_LABEL, "dedupe"):
             raise ValueError("unknown catalog_mode %r" % (mode,))
-        f = {attr: _field(d, key, kind) for key, attr, kind in _FIELDS if attr is not None}
+        f = {attr: _field("certificate", d, key, kind) for key, attr, kind in _FIELDS if attr is not None}
         _check_tol(f["tol"], "certificate field 'tol' =")
         if not 1 <= f["r"] <= f["catalog_count"]:
             raise ValueError(
@@ -300,8 +265,8 @@ class Certificate:
             )
         witnesses = []
         for j, w in enumerate(f["witnesses"]):
-            w = _typed("witnesses[%d]" % j, w, list)
-            w = tuple(_typed("witnesses[%d][%d]" % (j, m), i, int) for m, i in enumerate(w))
+            w = _typed("certificate", "witnesses[%d]" % j, w, list)
+            w = tuple(_typed("certificate", "witnesses[%d][%d]" % (j, m), i, int) for m, i in enumerate(w))
             if not _is_witness(w, f["r"], f["catalog_count"]):
                 raise ValueError(
                     "certificate field 'witnesses[%d]' must be %d increasing indices below catalog_count %d"

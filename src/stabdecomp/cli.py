@@ -43,13 +43,17 @@ def _write(args, default_name: str, body) -> str:
     (else the working directory), creating its directory; return its path.
 
     body is a payload, written as indented JSON, or the text chunks of the file.
+    A path that cannot be written is a usage error.
     """
     path = args.out or os.path.join(os.environ.get("STABDECOMP_OUTDIR", "."), default_name)
     if isinstance(body, dict):
         body = (json.dumps(body, indent=1), "\n")
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w") as fh:
-        fh.writelines(body)
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with open(path, "w") as fh:
+            fh.writelines(body)
+    except OSError as exc:
+        raise ValueError("cannot write %s: %s" % (path, exc.strerror or exc)) from None
     return path
 
 

@@ -134,63 +134,67 @@ def symplectic_form(n: int) -> np.ndarray:
     return J
 
 
-def _gen_image(name: str, n: int, legs: tuple[int, ...], power: int = 1) -> np.ndarray:
-    M = np.eye(2 * n, dtype=np.int64)
-    G = np.eye(2 * n, dtype=np.int64)
-    if name == "H":
-        i = legs[0]
-        G[i, i] = G[n + i, n + i] = 0
-        G[i, n + i] = -1 % 3
-        G[n + i, i] = 1
-    elif name == "S":
-        i = legs[0]
-        G[n + i, i] = 1
-    elif name == "SUM":
-        c, t = legs
-        G[t, c] = 1
-        G[n + c, n + t] = -1 % 3
-    elif name in ("X", "Z"):
-        pass  # Weyl operators act trivially on symplectic labels
-    else:
+@functools.cache
+def _row_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows over F_3 of 2n entries as keys sum_j r_j 3^j below 3^(2n): the
+    digits (keys, 2n) and the add and negate tables of the keys, read-only."""
+    weights = 3 ** np.arange(2 * n)
+    digits = (np.arange(3 ** (2 * n))[:, None] // weights % 3).astype(np.int8)
+    dtype = np.min_scalar_type(3 ** (2 * n) - 1)
+    add = (((digits[:, None] + digits[None]) % 3) @ weights).astype(dtype)
+    neg = ((-digits % 3) @ weights).astype(dtype)
+    for table in (digits, add, neg):
+        table.flags.writeable = False
+    return digits, add, neg
+
+
+def _row_op(rows: np.ndarray, name: str, n: int, legs: tuple[int, ...], power: int = 1) -> None:
+    """Left-multiply a stack by img(gate^power) in place, rows[r] holding the
+    keys of row r of every matrix: the gate's F_3 row operations."""
+    if name not in GATE_ORDER:
         raise ValueError(name)
-    for _ in range(power % GATE_ORDER[name]):
-        M = (G @ M) % 3
-    return M
-
-
-def _matrix_keys(Ms: np.ndarray) -> np.ndarray:
-    """One int64 key per matrix of a stack over F_3: its entries as base-3 digits."""
-    flat = Ms.reshape(len(Ms), -1)
-    if flat.shape[1] > 39:  # 3**40 overflows int64
-        raise ValueError("%d entries over F_3 do not fit an int64 key" % flat.shape[1])
-    return flat @ 3 ** np.arange(flat.shape[1], dtype=np.int64)
+    _, add, neg = _row_tables(n)
+    for _ in range(power % GATE_ORDER[name]):  # X and Z leave symplectic labels alone
+        if name == "S":  # row n+i += row i
+            i = legs[0]
+            rows[n + i] = add[rows[n + i], rows[i]]
+        elif name == "H":  # row i <- -row n+i, row n+i <- row i
+            i = legs[0]
+            rows[i], rows[n + i] = neg[rows[n + i]], rows[i].copy()
+        elif name == "SUM":  # row t += row c, row n+c -= row n+t
+            c, t = legs
+            rows[t] = add[rows[t], rows[c]]
+            rows[n + c] = add[rows[n + c], neg[rows[n + t]]]
 
 
 def enumerate_symplectic(n: int) -> np.ndarray:
     """All of Sp(2n, 3), shape (N, 2n, 2n), by breadth-first closure of the generator images.
 
-    Each level applies every generator to the whole frontier in one product;
-    new elements keep their first-occurrence order (frontier-major,
-    generator-minor), so element indices are stable.
+    Each level applies every generator to the whole frontier as row
+    operations on row keys; new elements keep their first-occurrence order
+    (frontier-major, generator-minor), so element indices are stable.
     """
-    gens = [_gen_image("S", n, (i,)) for i in range(n)]
-    gens += [_gen_image("H", n, (i,)) for i in range(n)]
-    for c in range(n):
-        for t in range(n):
-            if c != t:
-                gens.append(_gen_image("SUM", n, (c, t)))
-    gens = np.stack(gens)
-    frontier = np.eye(2 * n, dtype=np.int64)[None]
+    if n > 3:  # a matrix key sum_i rowkey_i 3^(2n i) overflows an int64
+        raise ValueError("Sp(%d, 3) matrices do not fit an int64 key" % (2 * n))
+    gens = [("S", (i,)) for i in range(n)] + [("H", (i,)) for i in range(n)]
+    gens += [("SUM", (c, t)) for c in range(n) for t in range(n) if c != t]
+    weights = 3 ** (2 * n * np.arange(2 * n, dtype=np.int64))
+    digits, add, _ = _row_tables(n)
+    frontier = (3 ** np.arange(2 * n)).astype(add.dtype)[:, None]  # the identity's row keys
     levels = [frontier]
-    seen = _matrix_keys(frontier)  # sorted
-    while len(frontier):
-        cand = ((gens[None] @ frontier[:, None]) % 3).reshape(-1, 2 * n, 2 * n)
-        keys, first = np.unique(_matrix_keys(cand), return_index=True)
+    seen = weights @ frontier  # sorted
+    while frontier.shape[1]:
+        cand = []
+        for name, legs in gens:
+            cand.append(frontier.copy())
+            _row_op(cand[-1], name, n, legs)
+        cand = np.stack(cand, axis=2).reshape(2 * n, -1)
+        keys, first = np.unique(weights @ cand, return_index=True)
         fresh = ~np.isin(keys, seen, assume_unique=True)
-        frontier = cand[np.sort(first[fresh])]
+        frontier = cand[:, np.sort(first[fresh])]
         levels.append(frontier)
-        seen = np.union1d(seen, keys[fresh])
-    return np.concatenate(levels)
+        seen = np.sort(np.concatenate([seen, keys[fresh]]))  # np.union1d hashes: far slower
+    return digits[np.concatenate(levels, axis=1).T].astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -230,55 +234,62 @@ def synthesize(M: np.ndarray):
     with the X-shear H_i^-1 S_i^-nu H_i = [[1, nu], [0, 1]] and SUM
     transfers; symplectic orthogonality keeps finished qudits untouched.
     Each step is a slot, one gate whose power every matrix reads off its
-    own entries (power 0 skips the gate).
+    own entries (power 0 skips the gate); the gate runs as its F_3 row
+    operations on the row keys of the matrices that take it.
     """
     M = np.asarray(M, dtype=np.int64) % 3
     n = M.shape[-1] // 2
-    work = M.reshape(-1, 2 * n, 2 * n).copy()
+    stack = M.reshape(-1, 2 * n, 2 * n)
     J = symplectic_form(n)
-    if not ((work.transpose(0, 2, 1) @ J @ work) % 3 == J).all():
+    if not ((stack.transpose(0, 2, 1) @ J @ stack) % 3 == J).all():
         raise ValueError("not a symplectic matrix")
+    digits, add, _ = _row_tables(n)
+    work = (stack @ 3 ** np.arange(2 * n)).T.astype(add.dtype)  # work[r]: the keys of row r
     slots: list[tuple] = []
     applied: list[np.ndarray] = []
 
+    def entry(r, c):
+        return digits[work[r], c]
+
     def apply(name, legs, power):
-        order = GATE_ORDER[name]
-        power = np.asarray(power, dtype=np.int64) % order
+        power = np.asarray(power, dtype=np.int8) % GATE_ORDER[name]
         slots.append((name, legs))
         applied.append(power)
-        rows = np.nonzero(power)[0]
-        if len(rows):
-            images = np.stack([_gen_image(name, n, legs, p) for p in range(order)])
-            work[rows] = (images[power[rows]] @ work[rows]) % 3
+        for p in range(1, GATE_ORDER[name]):
+            rows = np.flatnonzero(power == p)
+            if len(rows):
+                part = work[:, rows]
+                _row_op(part, name, n, legs, p)
+                work[:, rows] = part
 
     # a nonzero entry mod 3 is its own inverse, so -b / a is -b * a
     for i in range(n):
         # --- phase 1: X column -> e_{a_i} ---------------------------------
         for j in range(i, n):
-            alpha, beta = work[:, j, i], work[:, n + j, i]
+            alpha, beta = entry(j, i), entry(n + j, i)
             flip = (beta != 0) & (alpha == 0)
             apply("S", (j,), -beta * alpha)  # S_j^t: (a, b) -> (a, b + t a), kills b
             apply("H", (j,), flip)  # (0, beta) -> (-beta, 0)
-        gather = work[:, i, i] == 0
+        gather = entry(i, i) == 0
         for j in range(i + 1, n):
-            first = gather & (work[:, j, i] != 0)
+            first = gather & (entry(j, i) != 0)
             apply("SUM", (j, i), first)  # a_i += a_j for the first nonzero a_j
             gather &= ~first
         for j in range(i + 1, n):
-            apply("SUM", (i, j), -work[:, j, i] * work[:, i, i])  # a_j += t a_i
-        apply("H", (i,), 2 * (work[:, i, i] == 2))  # parity flips the scale
+            apply("SUM", (i, j), -entry(j, i) * entry(i, i))  # a_j += t a_i
+        apply("H", (i,), 2 * (entry(i, i) == 2))  # parity flips the scale
         # --- phase 2: Z column -> e_{b_i} ----------------------------------
         zc = n + i
         for j in range(i + 1, n):
-            apply("S", (j,), -work[:, n + j, zc] * work[:, j, zc])
-            apply("H", (j,), work[:, j, zc] != 0)  # move to pure b_j
-            apply("SUM", (j, i), work[:, n + j, zc])  # b_j -= power * b_i, b_i = 1
+            apply("S", (j,), -entry(n + j, zc) * entry(j, zc))
+            apply("H", (j,), entry(j, zc) != 0)  # move to pure b_j
+            apply("SUM", (j, i), entry(n + j, zc))  # b_j -= power * b_i, b_i = 1
         # X-shear [[1, nu], [0, 1]] at qudit i, nu = -work[i, zc]
-        nu = -work[:, i, zc]
+        nu = -entry(i, zc)
         apply("H", (i,), nu != 0)
         apply("S", (i,), -nu)
         apply("H", (i,), 3 * (nu != 0))
-    assert (work == np.eye(2 * n, dtype=np.int64)).all()
+    assert (work == 3 ** np.arange(2 * n)[:, None]).all()  # the identity's row keys
     # work = img(g_K) ... img(g_1) M = I, so M = img(g_1^-1) ... img(g_K^-1):
     # the word lists the inverse gates in the order they were applied
     orders = np.array([GATE_ORDER[name] for name, _ in slots])

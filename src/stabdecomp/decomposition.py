@@ -31,6 +31,44 @@ def _read_json(path: str, what: str):
         raise ValueError("%s %s is not JSON: %s" % (what, path, exc)) from None
 
 
+_NUMBER = (int, float)
+_OPTIONAL_INT = (int, type(None))
+_KIND_NAMES = {
+    bool: "a boolean",
+    int: "an integer",
+    float: "a number",
+    _NUMBER: "a number",
+    str: "a string",
+    list: "an array",
+    dict: "an object",
+    type(None): "null",
+    _OPTIONAL_INT: "an integer or null",
+}
+
+
+def _typed(what: str, label: str, value, kind):
+    """value, when its JSON type is kind (booleans are never integers or numbers);
+    a ValueError names the field ``label`` of the ``what`` payload.
+
+    A number may be infinite (an empty shard records an infinite minimum
+    residual) but not NaN, which every comparison the audit makes would pass.
+    """
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+        got = _KIND_NAMES.get(type(value), type(value).__name__)
+        raise ValueError("%s field %r must be %s, not %s" % (what, label, _KIND_NAMES[kind], got))
+    if isinstance(value, float) and math.isnan(value):
+        raise ValueError("%s field %r must be a number, not NaN" % (what, label))
+    return value
+
+
+def _field(what: str, d: dict, key: str, kind, label: str | None = None):
+    """d[key], typed as kind; a ValueError names the field when it is missing or mistyped."""
+    label = label or key
+    if key not in d:
+        raise ValueError("%s lacks the field %r" % (what, label))
+    return _typed(what, label, d[key], kind)
+
+
 class Decomposition:
     """An asserted rank-r stabilizer decomposition of a magic-state power."""
 
@@ -113,16 +151,25 @@ class Decomposition:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "Decomposition":
-        """The decomposition of a payload; a ValueError names a missing field."""
-        try:
-            target = magic_power(payload["target"], int(payload["copies"]))
-            d = int(payload.get("n_power", 0))
-            states, coeffs = [], []
-            for term in payload["terms"]:
-                states.append(CanonicalStabilizer.from_record(term["state"]))
-                coeffs.append(ScaledCyclo(CycloNumber.from_payload(term["coeff"]), d))
-        except KeyError as exc:
-            raise ValueError("decomposition lacks the field %s" % exc) from None
+        """The decomposition of a payload; a ValueError names a missing or mistyped field."""
+        if not isinstance(payload, dict):
+            got = _KIND_NAMES.get(type(payload), type(payload).__name__)
+            raise ValueError("a decomposition payload must be an object, not %s" % got)
+        what = "decomposition"
+        target = magic_power(_field(what, payload, "target", str), _field(what, payload, "copies", int))
+        d = _typed(what, "n_power", payload.get("n_power", 0), int)
+        states, coeffs = [], []
+        for j, term in enumerate(_field(what, payload, "terms", list)):
+            label = "terms[%d]" % j
+            term = _typed(what, label, term, dict)
+            state = _field(what, term, "state", dict, label + ".state")
+            coeff = _field(what, term, "coeff", dict, label + ".coeff")
+            try:
+                states.append(CanonicalStabilizer.from_record(state))
+                coeffs.append(ScaledCyclo(CycloNumber.from_payload(coeff), d))
+            except (KeyError, TypeError) as exc:
+                reason = "%s: %s" % (type(exc).__name__, exc)
+                raise ValueError("decomposition field %r is malformed (%s)" % (label, reason)) from None
         return cls(target, states, coeffs)
 
     def save(self, path: str) -> None:

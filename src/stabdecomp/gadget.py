@@ -276,14 +276,14 @@ def _re_im(z: np.ndarray) -> np.ndarray:
 def _json_texts(x: np.ndarray) -> np.ndarray:
     """``json.dumps`` of every element of x, as an object array of x's shape.
 
-    Each distinct value is formatted once; floats are told apart by their
-    bits, so -0.0 keeps its sign.
+    Each distinct value is formatted once, all of them in one ``json.dumps``
+    of their list; floats are told apart by their bits, so -0.0 keeps its sign.
     """
     x = np.asarray(x)
     flat = x.ravel()
     keys = flat.view(np.uint64) if flat.dtype == np.float64 else flat
     uniq, inverse = np.unique(keys, return_inverse=True)
-    texts = np.array([json.dumps(v) for v in uniq.view(flat.dtype).tolist()], dtype=object)
+    texts = np.array(json.dumps(uniq.view(flat.dtype).tolist())[1:-1].split(", "), dtype=object)
     return texts[inverse.reshape(-1)].reshape(x.shape)
 
 
@@ -389,17 +389,17 @@ def _proportional_to_clifford(M: np.ndarray, group: np.ndarray) -> np.ndarray:
     group_dag = group.reshape(len(group), -1).conj().T
     for lo in range(0, len(M), _OVERLAP_CHUNK):
         Mc, fc = M[lo : lo + _OVERLAP_CHUNK], fro[lo : lo + _OVERLAP_CHUNK]
-        # |tr(G^dag M)| = sqrt(3) * ||M||_F exactly when M is proportional to G
+        # |tr(G^dag M)| = sqrt(3) * ||M||_F exactly when M is proportional to G, and then
+        # every other element overlaps M at most 1/sqrt(3) as much: screen only the largest
         overlaps = Mc.reshape(len(Mc), -1) @ group_dag
+        gs = (overlaps.real**2 + overlaps.imag**2).argmax(axis=1)
+        top = overlaps[np.arange(len(Mc)), gs]
         with np.errstate(divide="ignore", invalid="ignore"):
-            screen = np.abs(np.abs(overlaps) / (np.sqrt(3) * fc[:, None]) - 1) < 1e-3
-        screen &= (fc >= 1e-12)[:, None]
-        ks, gs = np.nonzero(screen)  # ascending g within each k
-        mu = overlaps[ks, gs] / 3.0
-        err = np.abs(Mc[ks] - mu[:, None, None] * group[gs]).max(axis=(1, 2))
-        ok = err <= ATOL_CLIFFORD * np.maximum(1.0, np.abs(mu))
-        hit, first = np.unique(ks[ok], return_index=True)  # the lowest matching g per k
-        out[lo + hit] = gs[ok][first]
+            ok = (np.abs(np.abs(top) / (np.sqrt(3) * fc) - 1) < 1e-3) & (fc >= 1e-12)
+        mu = top / 3.0
+        err = np.abs(Mc - mu[:, None, None] * group[gs]).max(axis=(1, 2))
+        ok &= err <= ATOL_CLIFFORD * np.maximum(1.0, np.abs(mu))
+        out[lo + np.flatnonzero(ok)] = gs[ok]
     return out
 
 

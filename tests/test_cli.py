@@ -91,6 +91,50 @@ def test_verify_unreadable_file_usage_error(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def test_verify_mistyped_file_usage_error(tmp_path, capsys, monkeypatch):
+    # a payload of the wrong JSON type is refused before any fixture runs, with no report
+    payload = known.FIXTURES["strange_m2"]().to_payload()
+    _fixtures_must_not_run(monkeypatch)
+    out = tmp_path / "r.json"
+    bad = tmp_path / "bad.json"
+    cases = [
+        ([], "a decomposition payload must be an object, not an array"),
+        (dict(payload, terms=5), "decomposition field 'terms' must be an array, not an integer"),
+        (dict(payload, copies="2"), "decomposition field 'copies' must be an integer, not a string"),
+        (dict(payload, target=None), "decomposition field 'target' must be a string, not null"),
+        (dict(payload, n_power=True), "decomposition field 'n_power' must be an integer, not a boolean"),
+        (dict(payload, terms=[7]), "decomposition field 'terms[0]' must be an object, not an integer"),
+        (dict(payload, terms=[{"coeff": {}}]), "decomposition lacks the field 'terms[0].state'"),
+        (dict(payload, terms=[payload["terms"][0], {"state": [], "coeff": {}}]),
+         "decomposition field 'terms[1].state' must be an object, not an array"),
+    ]
+    broken = dict(payload["terms"][0], coeff=dict(payload["terms"][0]["coeff"], coeffs=5))
+    cases.append((dict(payload, terms=[broken]), "decomposition field 'terms[0]' is malformed (TypeError: "))
+    for body, message in cases:
+        bad.write_text(json.dumps(body))
+        assert main(["verify", "--all-fixtures", "--file", str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["exponent", "--r", "7", "--m", "6"], ["sweep", "injection", "--state", "S"]],
+    ids=["exponent", "sweep"],
+)
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv):
+    # --out under a regular file, and --out naming a directory: one stderr line, exit 2
+    blocker = tmp_path / "F"
+    blocker.write_text("")
+    for path, reason in ((blocker / "x.json", "File exists"), (tmp_path, "Is a directory")):
+        assert main(argv + ["--out", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "cannot write %s: %s\n" % (path, reason)
+        assert "wrote" not in captured.out
+    assert blocker.read_text() == ""
+
+
 def test_catalog_writes_jsonl(tmp_path):
     out = tmp_path / "cat.jsonl"
     assert main(["catalog", "--p", "3", "--n", "1", "--out", str(out)]) == 0

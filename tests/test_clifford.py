@@ -6,7 +6,8 @@ import pytest
 from stabdecomp.clifford import (
     GATE_ORDER,
     OMEGA,
-    _gen_image,
+    _row_op,
+    _row_tables,
     enumerate_symplectic,
     format_word,
     gate_matrix,
@@ -54,6 +55,31 @@ def weyl_decompose(V: np.ndarray, n: int, tol: float = 1e-8):
 def is_symplectic(M: np.ndarray, n: int) -> bool:
     J = symplectic_form(n)
     return np.array_equal((M.T @ J @ M) % 3, J % 3)
+
+
+def _gen_image(name: str, n: int, legs: tuple[int, ...], power: int = 1) -> np.ndarray:
+    """Reference symplectic image of gate^power: the generator's matrix over F_3, power times."""
+    M = np.eye(2 * n, dtype=np.int64)
+    G = np.eye(2 * n, dtype=np.int64)
+    if name == "H":
+        i = legs[0]
+        G[i, i] = G[n + i, n + i] = 0
+        G[i, n + i] = -1 % 3
+        G[n + i, i] = 1
+    elif name == "S":
+        i = legs[0]
+        G[n + i, i] = 1
+    elif name == "SUM":
+        c, t = legs
+        G[t, c] = 1
+        G[n + c, n + t] = -1 % 3
+    elif name in ("X", "Z"):
+        pass  # Weyl operators act trivially on symplectic labels
+    else:
+        raise ValueError(name)
+    for _ in range(power % GATE_ORDER[name]):
+        M = (G @ M) % 3
+    return M
 
 
 def word_image(word, n: int) -> np.ndarray:
@@ -383,3 +409,114 @@ def test_every_table_row_conjugates_weyls_through_its_image(table):
             phase = np.einsum("kxy,kxy->k", want.conj(), V) / 9
             assert np.abs(np.abs(phase) - 1).max() < 1e-10
             assert np.abs(V - phase[:, None, None] * want).max() < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# F_3 row operations, against the generator-image products they replaced
+# ---------------------------------------------------------------------------
+
+
+def _to_row_keys(Ms: np.ndarray) -> np.ndarray:
+    """(N, 2n, 2n) matrices over F_3 -> (2n, N) row keys, as ``_row_op`` takes them."""
+    n = Ms.shape[-1] // 2
+    return (Ms @ 3 ** np.arange(2 * n)).T.astype(_row_tables(n)[1].dtype)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_row_op_is_the_generator_image_product(n):
+    Ms = np.random.default_rng(107 + n).integers(0, 3, size=(60, 2 * n, 2 * n))
+    gates = [(name, (i,)) for name in ("S", "H", "X", "Z") for i in range(n)]
+    gates += [("SUM", (c, t)) for c in range(n) for t in range(n) if c != t]
+    for name, legs in gates:
+        for power in range(-1, GATE_ORDER[name] + 1):
+            rows = _to_row_keys(Ms)
+            _row_op(rows, name, n, legs, power)
+            want = (_gen_image(name, n, legs, power) @ Ms) % 3
+            assert np.array_equal(_row_tables(n)[0][rows.T], want), (name, legs, power)
+    with pytest.raises(ValueError):
+        _row_op(_to_row_keys(Ms), "T", n, (0,))
+
+
+def _matmul_enumerate(n: int) -> np.ndarray:
+    """Reference BFS: each level multiplies every generator image into the
+    frontier and keys the products by their 4n^2 entries as base-3 digits."""
+
+    def keys(Ms):
+        return Ms.reshape(len(Ms), -1) @ 3 ** np.arange(4 * n * n, dtype=np.int64)
+
+    gens = [_gen_image("S", n, (i,)) for i in range(n)] + [_gen_image("H", n, (i,)) for i in range(n)]
+    gens += [_gen_image("SUM", n, (c, t)) for c in range(n) for t in range(n) if c != t]
+    gens = np.stack(gens)
+    frontier = np.eye(2 * n, dtype=np.int64)[None]
+    levels = [frontier]
+    seen = keys(frontier)
+    while len(frontier):
+        cand = ((gens[None] @ frontier[:, None]) % 3).reshape(-1, 2 * n, 2 * n)
+        found, first = np.unique(keys(cand), return_index=True)
+        fresh = ~np.isin(found, seen, assume_unique=True)
+        frontier = cand[np.sort(first[fresh])]
+        levels.append(frontier)
+        seen = np.union1d(seen, found[fresh])
+    return np.concatenate(levels)
+
+
+def test_row_key_bfs_equals_the_matmul_bfs(sp4):
+    assert np.array_equal(enumerate_symplectic(1), _matmul_enumerate(1))
+    want = _matmul_enumerate(2)
+    assert sp4.dtype == want.dtype and np.array_equal(sp4, want)
+    with pytest.raises(ValueError):
+        enumerate_symplectic(4)
+
+
+def _matmul_synthesize(M: np.ndarray) -> tuple[list, np.ndarray]:
+    """Reference synthesis of a stack: the same row reduction, each slot applied
+    as a product with its gate's symplectic image.  Returns (slots, powers)."""
+    M = np.asarray(M, dtype=np.int64) % 3
+    n = M.shape[-1] // 2
+    work = M.reshape(-1, 2 * n, 2 * n).copy()
+    slots, applied = [], []
+
+    def apply(name, legs, power):
+        order = GATE_ORDER[name]
+        power = np.asarray(power, dtype=np.int64) % order
+        slots.append((name, legs))
+        applied.append(power)
+        rows = np.nonzero(power)[0]
+        if len(rows):
+            images = np.stack([_gen_image(name, n, legs, p) for p in range(order)])
+            work[rows] = (images[power[rows]] @ work[rows]) % 3
+
+    for i in range(n):
+        for j in range(i, n):
+            alpha, beta = work[:, j, i], work[:, n + j, i]
+            flip = (beta != 0) & (alpha == 0)
+            apply("S", (j,), -beta * alpha)
+            apply("H", (j,), flip)
+        gather = work[:, i, i] == 0
+        for j in range(i + 1, n):
+            first = gather & (work[:, j, i] != 0)
+            apply("SUM", (j, i), first)
+            gather &= ~first
+        for j in range(i + 1, n):
+            apply("SUM", (i, j), -work[:, j, i] * work[:, i, i])
+        apply("H", (i,), 2 * (work[:, i, i] == 2))
+        zc = n + i
+        for j in range(i + 1, n):
+            apply("S", (j,), -work[:, n + j, zc] * work[:, j, zc])
+            apply("H", (j,), work[:, j, zc] != 0)
+            apply("SUM", (j, i), work[:, n + j, zc])
+        nu = -work[:, i, zc]
+        apply("H", (i,), nu != 0)
+        apply("S", (i,), -nu)
+        apply("H", (i,), 3 * (nu != 0))
+    assert (work == np.eye(2 * n, dtype=np.int64)).all()
+    orders = np.array([GATE_ORDER[name] for name, _ in slots])
+    return slots, (-np.stack(applied, axis=1) % orders).astype(np.int8)
+
+
+def test_row_op_synthesis_equals_the_matmul_synthesis(sp4):
+    for sp in (enumerate_symplectic(1), sp4):
+        words = synthesize(sp)
+        slots, powers = _matmul_synthesize(sp)
+        assert words.slots == slots
+        assert words.powers.dtype == powers.dtype and np.array_equal(words.powers, powers)

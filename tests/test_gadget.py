@@ -369,9 +369,63 @@ def test_proportional_to_clifford_batched():
     t9 = np.diag(np.exp(2j * np.pi * np.array([0, 1, 2]) / 9))
     # group[0] is the identity; the check allows 1e-5 per entry
     others = np.stack([t9, group[7] @ t9, np.zeros((3, 3)), np.eye(3) + 1e-4 * t9, np.eye(3) + 1e-6 * t9])
-    got = gadget._proportional_to_clifford(np.concatenate([others, clifford]), group)
+    stack = np.concatenate([others, clifford])
+    got = gadget._proportional_to_clifford(stack, group)
     assert list(got[:5]) == [-1, -1, -1, -1, 0]
     assert np.array_equal(got[5:], picks)
+    assert np.array_equal(got, _screen_all_216(stack, group))
+
+
+def _screen_all_216(M, group):
+    """Reference screen: every group element G whose overlap with M passes the
+    |tr(G^dag M)| = sqrt(3) ||M|| screen is checked entrywise; the lowest passing
+    index per operator, or -1."""
+    out = np.full(len(M), -1, dtype=np.int64)
+    fro = np.linalg.norm(M, axis=(1, 2))
+    group_dag = group.reshape(len(group), -1).conj().T
+    for lo in range(0, len(M), 1024):
+        Mc, fc = M[lo : lo + 1024], fro[lo : lo + 1024]
+        overlaps = Mc.reshape(len(Mc), -1) @ group_dag
+        with np.errstate(divide="ignore", invalid="ignore"):
+            screen = np.abs(np.abs(overlaps) / (np.sqrt(3) * fc[:, None]) - 1) < 1e-3
+        screen &= (fc >= 1e-12)[:, None]
+        ks, gs = np.nonzero(screen)
+        mu = overlaps[ks, gs] / 3.0
+        err = np.abs(Mc[ks] - mu[:, None, None] * group[gs]).max(axis=(1, 2))
+        ok = err <= ATOL_CLIFFORD * np.maximum(1.0, np.abs(mu))
+        hit, first = np.unique(ks[ok], return_index=True)
+        out[lo + hit] = gs[ok][first]
+    return out
+
+
+def test_one_candidate_screen_equals_the_216_screen_on_t3(monkeypatch):
+    # the T3 sweep screens its unitary branches, then one stack of correction products per branch k
+    screen, inputs = gadget._proportional_to_clifford, []
+    monkeypatch.setattr(gadget, "_proportional_to_clifford", lambda M, group: inputs.append(M) or screen(M, group))
+    sweep_injection("T3")
+    assert [len(M) for M in inputs] == [46656, 20736, 20736, 20736]
+    group = generate_clifford_group()
+    found = []
+    for M in inputs:
+        got = screen(M, group)
+        assert np.array_equal(got, _screen_all_216(M, group))
+        found.append(int((got >= 0).sum()))
+    # a third of the unitary branches are Clifford; every correction product is
+    assert found == [15552, 20736, 20736, 20736]
+
+
+def test_one_candidate_screen_near_the_tolerance():
+    # scaled Cliffords plus noise from 1e-7 to 1e-3 per entry: both sides of ATOL_CLIFFORD
+    group = generate_clifford_group()
+    rng = np.random.default_rng(113)
+    count = 2000
+    scales = rng.uniform(0.05, 4, size=count) * np.exp(2j * np.pi * rng.random(count))
+    noise = rng.normal(size=(count, 3, 3)) + 1j * rng.normal(size=(count, 3, 3))
+    amplitude = 10 ** rng.uniform(-7, -3, size=count)
+    M = scales[:, None, None] * group[rng.integers(0, 216, size=count)] + amplitude[:, None, None] * noise
+    got = gadget._proportional_to_clifford(M, group)
+    assert (got >= 0).sum() > count // 4 and (got < 0).sum() > count // 4
+    assert np.array_equal(got, _screen_all_216(M, group))
 
 
 def test_sweep_injection_branch_that_never_occurs(monkeypatch):
@@ -505,6 +559,43 @@ def test_json_chunks_edge_values_two_copy():
     empty = gadget.SweepResult("N", "two-copy", {key: col[:0] for key, col in columns.items()}, counts, 12)
     assert empty.hits == []
     _assert_writes_reference(empty, wall_time=1.0)
+
+
+def test_json_texts_are_the_json_module():
+    rng = np.random.default_rng(127)
+    ints = np.concatenate([[0, -1, 1, 215, 51839, -(2**63), 2**63 - 1], rng.integers(-(10**12), 10**12, 200)])
+    floats = np.concatenate([EDGE_FLOATS, [2.2e-308, -5e-324, 1e16, 0.1 + 0.2], rng.normal(size=200)])
+    for x in (ints.reshape(-1, 3), floats.reshape(-1, 3), rng.choice(floats, size=(7, 5, 2))):
+        got = gadget._json_texts(x)
+        assert got.shape == x.shape
+        assert got.ravel().tolist() == [json.dumps(v) for v in x.ravel().tolist()]
+    assert gadget._json_texts(np.zeros((0, 3))).shape == (0, 3)
+
+
+# sha256 of each `sweep KIND --state NAME` artifact without its wall_time line
+SWEEP_SHA256 = {
+    ("twocopy", "S"): "a4bb02c42e4efabdf4ce4a2fd062890a5165d6c420c5746e44803571a181e60b",
+    ("twocopy", "N"): "03083f3e63c28a36453dd6392ff5e7b4c99d131ee641e28d498702d40443a850",
+    ("twocopy", "H3"): "84c276ffff1f0d979ca4b1af4ace67b6657b737846a217aa84b77057cd20c784",
+    ("twocopy", "T3"): "2dd9065cf361b67b1a025a6c63b48830f4fe70333b0d44b743d8f720d9c66176",
+    ("injection", "S"): "ce1f3785130e5eb30eaf991e7226a6d8c85086bfa6991ff8c8cde1274b99904d",
+    ("injection", "N"): "7f0f78b8a8df72e860ef48e937c7217fb1d17e350f721d3d854dac469aaed661",
+    ("injection", "H3"): "6f5a0f90ebbd7784472a44ebf68fa57aa1782bea4b4a0e24ae9e117b1fc11758",
+    ("injection", "T3"): T3_INJECTION_SHA256,
+}
+
+
+# the T3 injection artifact has its own test below
+@pytest.mark.parametrize("kind,name", sorted(set(SWEEP_SHA256) - {("injection", "T3")}))
+def test_cli_sweep_artifacts_are_pinned(tmp_path, kind, name):
+    from stabdecomp import cli
+
+    out = tmp_path / "sweep.json"
+    assert cli.main(["sweep", kind, "--state", name, "--out", str(out)]) == 0
+    lines = out.read_bytes().splitlines(keepends=True)
+    kept = b"".join(line for line in lines if b'"wall_time"' not in line)
+    assert len(kept) < sum(map(len, lines))
+    assert hashlib.sha256(kept).hexdigest() == SWEEP_SHA256[kind, name]
 
 
 def test_cli_t3_injection_artifact_is_pinned(tmp_path, capsys):
