@@ -10,16 +10,17 @@ residual is bounded below by the smallest nonzero target amplitude, which
 keeps the recorded minimum residual sound.
 
 The tuples (x, s1, *tail) with x < s1 form one scoring block per suffix
-(s1, *tail); the blocks with one tail and consecutive s1 form a run.  Let
-needed be the points of supp(t) that s1 and every tail state miss.  A tuple
-of the block is pruned exactly when supp(v_x) does not contain needed, so
-when needed is not empty and no x < s1 contains it, all s1 tuples of the
-block are pruned, each with residual at least the prune bound.  That is
-exactly what the run scorer would return for the block, so such a block is
-ruled out whole, unscored; a run's blocks are screened for it in one
-vectorized pass.  The run scorer takes the other blocks of a run together:
-it projects the tail out of every x once and gets the overlaps of each s1
-with every x from one product per tile.
+(s1, *tail); the blocks of one tail that a rank range holds form a run,
+whose first and last blocks may be partial.  Let needed be the points of
+supp(t) that s1 and every tail state miss.  A tuple of the block is pruned
+exactly when supp(v_x) does not contain needed, so when needed is not empty
+and no x < s1 contains it, all the block's tuples are pruned, each with
+residual at least the prune bound.  That is exactly what the run scorer
+would return for them, so such a block is ruled out whole, unscored; a
+run's blocks are screened for it in one vectorized pass.  The run scorer
+takes the other blocks of a run together: it projects the tail out of every
+x once and gets the overlaps of each s1 with every x from one product per
+tile.
 """
 
 from __future__ import annotations
@@ -122,17 +123,6 @@ def unrank_tuple(rank: int, r: int) -> tuple[int, ...]:
         out.append(i)
         rank -= math.comb(i, t)
     return tuple(reversed(out))
-
-
-def _next_suffix(suffix: tuple[int, ...], count: int) -> tuple[int, ...] | None:
-    """Successor suffix (positions 2..r) once all first-slot values are done."""
-    s = list(suffix)
-    for u in range(len(s)):
-        nxt = s[u] + 1
-        bound = s[u + 1] if u + 1 < len(s) else count
-        if nxt < bound:
-            return tuple(range(1, u + 1)) + (nxt,) + tuple(s[u + 1 :])
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +237,9 @@ class Certificate:
         """The certificate of a payload.
 
         A ValueError names a missing or mistyped field, a rank r outside
-        [1, catalog_count], a tol outside the range certify accepts, a
-        witness that is not an r-tuple of catalog indices, or an unknown
-        catalog_mode.
+        [1, catalog_count], a tol outside the range certify accepts, a shard
+        that runs past total_tuples, a witness that is not an r-tuple of
+        catalog indices, or an unknown catalog_mode.
         """
         if not isinstance(d, dict) or d.get("format") != _FORMAT:
             raise ValueError("not a certificate payload")
@@ -273,7 +263,10 @@ class Certificate:
                     % (j, f["r"], f["catalog_count"])
                 )
             witnesses.append(w)
-        return cls(**dict(f, shard=ShardSpec.from_payload(f["shard"]), witnesses=witnesses))
+        shard, total = ShardSpec.from_payload(f["shard"]), f["total_tuples"]
+        if shard.hi > total:
+            raise ValueError("certificate field 'shard.hi' = %d is above total_tuples %d" % (shard.hi, total))
+        return cls(**dict(f, shard=shard, witnesses=witnesses))
 
     @classmethod
     def load(cls, path: str) -> "Certificate":
@@ -346,20 +339,21 @@ class _RowTile:
     product with ``uc`` keeps the tile's fixed shape, and ``keep`` then picks
     the rows of the scored ``s1`` (None when every row is scored).  Per
     scored s1, ``cut`` is conj(<u, t'>), ``t2`` is t'' = |t'|^2 - |<u, t'>|^2,
-    x runs over x_lo <= x < ``xend``, and ``needed`` is the target support
+    x runs over ``xlo`` <= x < ``xend``, and ``needed`` is the target support
     that s1 and the tail miss.  For r = 1 the tile is one row with no s1
     (``s1`` None, u = 0).
     """
 
-    def __init__(self, uc, keep, s1, r1, cut, t2, xend, needed):
+    def __init__(self, uc, keep, s1, r1, cut, t2, xlo, xend, needed):
         self.uc, self.keep, self.s1, self.r1 = uc, keep, s1, r1
-        self.cut, self.t2, self.xend, self.needed = cut, t2, xend, needed
+        self.cut, self.t2, self.xlo, self.xend, self.needed = cut, t2, xlo, xend, needed
+        self.lo_min, self.lo_max = int(xlo.min()), int(xlo.max())
         self.end_max, self.end_min = int(xend.max()), int(xend.min())
         self.prunes = bool(needed.any())
 
     @classmethod
-    def of(cls, ctx, proj, Q_T, t_out, r0, s1s, x_hi, missed):
-        """The tile at r0 for the scored s1s; Q_T holds the tail's basis as rows and t_out is t'."""
+    def of(cls, ctx, proj, Q_T, t_out, r0, s1s, xlo, xend, missed):
+        """The tile at r0 for the scored s1s and x windows xlo, xend; Q_T is the tail's basis as rows, t_out is t'."""
         r1 = min(r0 + _TILE_ROWS, ctx.count)
         V = ctx.V[r0:r1]
         W = V - (V @ proj.Q_conj) @ Q_T
@@ -375,7 +369,7 @@ class _RowTile:
         if keep is not None:
             ut = ut[keep]
         t2 = proj.t_perp2 - (ut.real**2 + ut.imag**2)
-        return cls(uc, keep, s1, r1, ut.conj(), t2, np.minimum(s1, x_hi), missed & ~ctx.masks[s1])
+        return cls(uc, keep, s1, r1, ut.conj(), t2, xlo[lo:hi], xend[lo:hi], missed & ~ctx.masks[s1])
 
     def residuals(self, Vx, nx2, ov):
         """Squared residuals, one row per scored s1 and one column per row v_x of Vx.
@@ -396,22 +390,23 @@ class _RowTile:
         return np.subtract(self.t2[:, None], res2, out=res2)
 
 
-def _score_run(ctx: _SearchContext, tail: tuple[int, ...], s1s, x_lo: int, x_hi: int, tol: float):
-    """Residuals of the tuples (x, s1, *tail) with s1 in s1s and x_lo <= x < min(s1, x_hi).
+def _score_run(ctx: _SearchContext, tail: tuple[int, ...], s1s, w_lo: int, w_hi: int, tol: float):
+    """Residuals of the tuples (x, s1, *tail) with s1 in s1s and pair position C(s1, 2) + x in [w_lo, w_hi).
 
-    s1s is ascending; for r = 1 it is None and the tuples are (x,) with
-    x_lo <= x < x_hi.  The tail's :class:`SpanProjection` is built once, and
-    each x gets |v'_x|^2 and <v'_x, t'> from it (' is the part outside
-    span(tail)).  One product per tile gives g = <u, v_x> for every s1 of
-    the tile, and each tuple's residual follows in closed form:
+    s1s is an ascending array, and each s1 takes the x with
+    max(w_lo - C(s1, 2), 0) <= x < min(w_hi - C(s1, 2), s1); for r = 1 it is
+    None and the tuples are (x,) with w_lo <= x < w_hi.  The tail's
+    :class:`SpanProjection` is built once, and each x gets |v'_x|^2 and
+    <v'_x, t'> from it (' is the part outside span(tail)).  One product per
+    tile gives g = <u, v_x> for every s1 of the tile, and each tuple's
+    residual follows in closed form:
 
         res^2 = t'' - |<v'_x, t'> - conj(g) <u, t'>|^2 / (|v'_x|^2 - |g|^2),
 
     with u and t'' as in :class:`_RowTile`.  A denominator at most
     DEPENDENT_RES2 (x in the span of the others) leaves t''.  Tuples whose
-    joined supports miss the target's are pruned, and a lone block with no
-    covering x is pruned whole before any linear algebra; tuples scored
-    below CANDIDATE_RES2 are re-scored exactly with ``best_fit``.
+    joined supports miss the target's are pruned, and tuples scored below
+    CANDIDATE_RES2 are re-scored exactly with ``best_fit``.
 
     Returns (pruned_count, min_nonwitness_residual, witness_list), the
     witnesses in colex order.
@@ -420,44 +415,39 @@ def _score_run(ctx: _SearchContext, tail: tuple[int, ...], s1s, x_lo: int, x_hi:
     missed = ctx.target_mask
     for s in tail:
         missed &= ~int(masks[s])
-    if s1s is not None:
-        s1s = np.asarray(s1s)
-    if s1s is None or len(s1s) == 1:
-        end = x_hi if s1s is None else min(int(s1s[0]), x_hi)
-        needed = missed if s1s is None else missed & ~int(masks[s1s[0]])
-        if needed and not ((masks[x_lo:end] & needed) == needed).any():
-            return end - x_lo, ctx.prune_bound, []
     proj = SpanProjection(V[list(tail)], ctx.t, ctx.tnorm2)
     if s1s is None:
         none = _RowTile(np.zeros((1, len(ctx.t))), None, None, count, np.zeros(1), np.array([proj.t_perp2]),
-                        np.array([x_hi]), np.array([missed]))
+                        np.array([w_lo]), np.array([w_hi]), np.array([missed]))
         groups = [[none]]
     else:
+        pairs = s1s * (s1s - 1) // 2
+        xlo, xend = np.maximum(w_lo - pairs, 0), np.minimum(w_hi - pairs, s1s)
         Q_T = proj.Q_conj.conj().T
         t_out = ctx.t - proj.q_t @ Q_T
         starts = list(dict.fromkeys((s1s - s1s % _TILE_ROWS).tolist()))  # np.unique would import numpy.ma
         groups = (
-            [_RowTile.of(ctx, proj, Q_T, t_out, r0, s1s, x_hi, missed) for r0 in starts[g : g + _GROUP_TILES]]
+            [_RowTile.of(ctx, proj, Q_T, t_out, r0, s1s, xlo, xend, missed) for r0 in starts[g : g + _GROUP_TILES]]
             for g in range(0, len(starts), _GROUP_TILES)
         )
     pruned = 0
     best = math.inf  # the smallest non-witness squared residual
     witnesses: list[tuple[int, ...]] = []
     for rows in groups:
-        for c0 in range(x_lo - x_lo % _TILE_COLS, max(row.end_max for row in rows), _TILE_COLS):
+        start = min(row.lo_min for row in rows)
+        for c0 in range(start - start % _TILE_COLS, max(row.end_max for row in rows), _TILE_COLS):
             c1 = min(c0 + _TILE_COLS, count)
             Vx = V[c0:c1]
-            a = Vx @ proj.Q_conj
-            nx2 = 1.0 - (a.real**2 + a.imag**2).sum(axis=1)  # |v'_x|^2
-            ov = (ctx.t_ov[c0:c1] - a.conj() @ proj.q_t).conj()  # conj <v'_x, t'>
+            nx2, ov = proj.outside(Vx, ctx.t_ov[c0:c1])
+            ov = ov.conj()
             for row in rows:
-                if row.end_max <= c0:
+                if row.end_max <= c0 or row.lo_min >= c1:
                     continue
                 m = min(c1, row.r1) - c0
                 valid = None  # None: every tuple of the tile
-                if c0 < x_lo or c0 + m > row.end_min:
+                if c0 < row.lo_max or c0 + m > row.end_min:
                     x = np.arange(c0, c0 + m)
-                    valid = (x >= x_lo) & (x < row.xend[:, None])
+                    valid = (x >= row.xlo[:, None]) & (x < row.xend[:, None])
                 if row.prunes:
                     need = row.needed[:, None]
                     cover = (masks[c0 : c0 + m] & need) == need
@@ -525,61 +515,50 @@ def _ruled_out(ctx: _SearchContext, a: int, b: int, tail: tuple[int, ...]) -> np
     return ruled
 
 
-def _whole_blocks_end(s1: int, room: int) -> int:
-    """The largest e such that the blocks s1..e-1, C(e, 2) - C(s1, 2) tuples, fit in room."""
-    return (1 + math.isqrt(1 + 8 * (room + math.comb(s1, 2)))) // 2
-
-
 def _certify_range(ctx, lo, hi, r, tol, progress=None):
-    """Stream ranks [lo, hi) through the run screen and the run scorer.
+    """Stream ranks [lo, hi) through the run screen and the run scorer, one step per tail.
 
-    At a block boundary the whole blocks of the current run that fit in the
-    range are screened by ``_ruled_out``.  A block ruled out has no x whose
-    support, joined with the suffix's, covers the target's support, so all
-    its s1 tuples are pruned and each residual is at least ``prune_bound``:
-    exactly what ``_score_run`` returns for it.  The blocks that are not
-    ruled out go to ``_score_run`` together, and each partial block at a
-    range edge goes alone, with its x range.  ``progress`` is called after
-    each run and each partial block.
+    The tuples (x, s1, *tail) of one tail have the consecutive ranks
+    base + C(s1, 2) + x, so a step takes the window of pair positions
+    C(s1, 2) + x that its ranks cover; for r = 1 the window is x itself.
+    ``_ruled_out`` screens every block of the window, the partial first and
+    last blocks included.  A block ruled out has no x whose support, joined
+    with the suffix's, covers the target's support, so its tuples in the
+    window are pruned, each with residual at least ``prune_bound``: exactly
+    what ``_score_run`` returns for them.  The other blocks go to
+    ``_score_run`` in one call.  ``progress`` is called once before the walk
+    and once after each tail.
     """
     pruned = 0
     min_res = math.inf
     witnesses: list[tuple[int, ...]] = []
-    if lo >= hi:
-        return 0, pruned, min_res, witnesses
-    tup = unrank_tuple(lo, r)
-    x_lo = tup[0]
-    suffix = tup[1:]
+    if progress is not None:
+        progress(0)
     done = lo
     while done < hi:
-        s1, tail = (suffix[0], suffix[1:]) if suffix else (ctx.count, ())
-        b = s1
-        if suffix and x_lo == 0:
-            b = min(tail[0] if tail else ctx.count, _whole_blocks_end(s1, hi - done))
-        if b > s1:  # the whole blocks s1..b-1 of a run
+        x, *suffix = unrank_tuple(done, r)
+        if suffix:
+            s1, tail = suffix[0], tuple(suffix[1:])
+            base = done - math.comb(s1, 2) - x
+            w_lo, w_hi = done - base, min(hi, base + math.comb(tail[0] if tail else ctx.count, 2)) - base
+            b = _largest_with_binomial_leq(w_hi - 1, 2) + 1  # the window holds the blocks s1..b-1
             ruled = _ruled_out(ctx, s1, b, tail)
             if ruled.any():
+                # less the tuples of a ruled-out first block before x and of a ruled-out last block past w_hi
                 pruned += int((s1 + np.flatnonzero(ruled)).sum())
+                pruned -= (x if ruled[0] else 0) + (math.comb(b, 2) - w_hi if ruled[-1] else 0)
                 min_res = min(min_res, ctx.prune_bound)
-            s1s, x_a, x_b = s1 + np.flatnonzero(~ruled), 0, ctx.count
-            done += math.comb(b, 2) - math.comb(s1, 2)
-            last = (b - 1, *tail)
-        else:  # a partial block, or the one block of r = 1
-            s1s, x_a, x_b = [s1] if suffix else None, x_lo, min(s1, x_lo + (hi - done))
-            done += x_b - x_a
-            last = suffix
+            s1s = s1 + np.flatnonzero(~ruled)
+        else:
+            s1s, tail, base, w_lo, w_hi = None, (), 0, done, hi
         if s1s is None or len(s1s):
-            p, m, w = _score_run(ctx, tail, s1s, x_a, x_b, tol)
+            p, m, w = _score_run(ctx, tail, s1s, w_lo, w_hi, tol)
             pruned += p
             min_res = min(min_res, m)
             witnesses.extend(w)
+        done = base + w_hi
         if progress is not None:
             progress(done - lo)
-        if done < hi:  # the last block ended at its bound
-            suffix = _next_suffix(last, ctx.count)
-            if suffix is None:
-                raise RuntimeError("ran past the final tuple; shard range invalid")
-            x_lo = 0
     return done - lo, pruned, min_res, witnesses
 
 
@@ -621,6 +600,8 @@ def certify_rank(
     Only tuples scored below sqrt(CANDIDATE_RES2) are re-scored exactly, so
     a larger tol is refused.  An interrupted shard is re-run; to keep the
     cost of that small, split the space into more shards and ``merge`` them.
+    ``progress`` gets the count of tuples done: 0 before the walk, then the
+    count after each tail.
     """
     check_request(target, r, tol)
     count = len(catalog)
@@ -742,6 +723,7 @@ def audit(
     span = cert.shard.hi - cert.shard.lo
     if (
         total != cert.total_tuples
+        or cert.shard.hi > total
         or cert.tuples_tested != span
         or not 0 <= cert.tuples_pruned <= cert.tuples_tested
         or cert.full_coverage != (cert.shard.lo == 0 and cert.shard.hi == total)

@@ -1,10 +1,10 @@
 """Command-line interface for catalogs, verification, search, and certificates.
 
 Every subcommand writes a JSON artifact (stable field order, one schema
-version per artifact type) through ``_write``, which creates the output
-directory, and prints a short human summary to stdout; progress goes to
-stderr.  Exit codes: 0 success/pass, 1 verification or
-audit failure (including an unsuccessful search), 2 usage error.
+version per artifact type) through ``_write`` to a path from ``_out_path``,
+which creates the output directory, and prints a short human summary to
+stdout; progress goes to stderr.  Exit codes: 0 success/pass, 1 verification
+or audit failure (including an unsuccessful search), 2 usage error.
 """
 
 from __future__ import annotations
@@ -38,18 +38,27 @@ def _payload(kind: str, **fields) -> dict:
     return {"format": "stabdecomp-" + kind, "version": 1, **fields}
 
 
-def _write(args, default_name: str, body) -> str:
-    """Write an artifact to ``--out``, else to default_name in ``$STABDECOMP_OUTDIR``
-    (else the working directory), creating its directory; return its path.
+def _out_path(args, default_name: str) -> str:
+    """``--out``, else default_name in ``$STABDECOMP_OUTDIR`` (else the working directory),
+    with its directory made; a path that cannot be written is a usage error."""
+    path = args.out or os.path.join(os.environ.get("STABDECOMP_OUTDIR", "."), default_name)
+    if os.path.isdir(path):
+        raise ValueError("cannot write %s: Is a directory" % path)
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    except OSError as exc:
+        raise ValueError("cannot write %s: %s" % (path, exc.strerror or exc)) from None
+    return path
+
+
+def _write(path: str, body) -> str:
+    """Write an artifact to path (from ``_out_path``) and return the path.
 
     body is a payload, written as indented JSON, or the text chunks of the file.
-    A path that cannot be written is a usage error.
     """
-    path = args.out or os.path.join(os.environ.get("STABDECOMP_OUTDIR", "."), default_name)
     if isinstance(body, dict):
         body = (json.dumps(body, indent=1), "\n")
     try:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         with open(path, "w") as fh:
             fh.writelines(body)
     except OSError as exc:
@@ -93,7 +102,7 @@ def cmd_catalog(args) -> int:
             % (args.p, args.n, count, CATALOG_MAX_STATES)
         )
     cat = build_catalog(args.p, args.n)
-    path = _write(args, "catalog-p%dn%d-%s.jsonl" % (args.p, args.n, CATALOG_LABEL), cat.jsonl_chunks())
+    path = _write(_out_path(args, "catalog-p%dn%d-%s.jsonl" % (args.p, args.n, CATALOG_LABEL)), cat.jsonl_chunks())
     print("catalog p=%d n=%d: %d states" % (args.p, args.n, len(cat)))
     print("sha256 %s" % cat.content_hash())
     print("wrote %s" % path)
@@ -117,7 +126,7 @@ def cmd_verify(args) -> int:
     if args.file:
         rows.append(_verify_one(os.path.basename(args.file), loaded, args.exact, args.tol))
 
-    path = _write(args, "verify-report.json", _payload("verify", tol=args.tol, exact=args.exact, results=rows))
+    path = _write(_out_path(args, "verify-report.json"), _payload("verify", tol=args.tol, exact=args.exact, results=rows))
     for row in rows:
         print(
             "%-14s rank %-2d residual %.2e %s"
@@ -180,7 +189,7 @@ def cmd_search(args) -> int:
         decomposition=res.decomposition.to_payload() if res.decomposition else None,
         wall_time=wall,
     )
-    path = _write(args, "search-%s-r%d-seed%d.json" % (target.name, args.r, args.seed), payload)
+    path = _write(_out_path(args, "search-%s-r%d-seed%d.json" % (target.name, args.r, args.seed)), payload)
     steps = sum(t["steps"] for t in res.chain_traces)
     print(
         "search %s r=%d: %s (residual %.2e, %d chains, %d steps, %.0f steps/s, %.1fs)"
@@ -204,7 +213,7 @@ def _progress_printer(total: int):
 
     def cb(done: int):
         now = time.perf_counter()
-        if now - state["t"] >= 2.0:
+        if done and now - state["t"] >= 2.0:  # certify calls back at 0 before its walk
             state["t"] = now
             rate = done / max(now - state["start"], 1e-9)
             print(
@@ -221,6 +230,7 @@ def cmd_certify(args) -> int:
     check_request(target, args.r, args.tol)
     idx, cnt = _parse_shard(args.shard)
     shard = ShardSpec.of(idx, cnt, math.comb(Catalog.expected_count(target.p, target.n), args.r))
+    path = _out_path(args, "cert-%s-r%d-shard%dof%d.json" % (target.name, args.r, idx, cnt))
     catalog = build_catalog(target.p, target.n)
     cert = certify_rank(
         target,
@@ -230,7 +240,7 @@ def cmd_certify(args) -> int:
         tol=args.tol,
         progress=_progress_printer(shard.hi - shard.lo),
     )
-    path = _write(args, "cert-%s-r%d-shard%dof%d.json" % (target.name, args.r, idx, cnt), cert.to_payload())
+    _write(path, cert.to_payload())
     print(
         "certify %s r=%d shard %d/%d: %d tuples (%d pruned), %d witnesses, min residual %.3g"
         % (target.name, args.r, idx, cnt, cert.tuples_tested, cert.tuples_pruned, len(cert.witnesses), cert.min_nonwitness_residual)
@@ -248,7 +258,7 @@ def cmd_merge(args) -> int:
     except ValueError as exc:
         print("merge failed: %s" % exc, file=sys.stderr)
         return 2
-    path = _write(args, "cert-merged.json", merged.to_payload())
+    path = _write(_out_path(args, "cert-merged.json"), merged.to_payload())
     print(
         "merged %d certificates: %d tuples, %d witnesses, coverage %s"
         % (len(certs), merged.tuples_tested, len(merged.witnesses), "full" if merged.full_coverage else "partial")
@@ -272,7 +282,7 @@ def cmd_audit(args) -> int:
         samples_tested=report.samples_tested,
         min_sample_residual=report.min_sample_residual if math.isfinite(report.min_sample_residual) else None,
     )
-    path = _write(args, "audit-report.json", payload)
+    path = _write(_out_path(args, "audit-report.json"), payload)
     if report.passed:
         print("audit passed (%d samples, min sample residual %.3g)" % (report.samples_tested, report.min_sample_residual))
     else:
@@ -283,13 +293,14 @@ def cmd_audit(args) -> int:
 
 def cmd_sweep(args) -> int:
     _check_qutrit(args.state, "sweeps cover")
+    path = _out_path(args, "sweep-%s-%s.json" % (args.kind, args.state))
     t0 = time.perf_counter()
     if args.kind == "twocopy":
         res = sweep_two_copy(args.state)
     else:
         res = sweep_injection(args.state)
     wall = time.perf_counter() - t0
-    path = _write(args, "sweep-%s-%s.json" % (args.kind, args.state), res.json_chunks(wall_time=wall))
+    _write(path, res.json_chunks(wall_time=wall))
     print("sweep %s %s: %d branches" % (args.kind, args.state, res.total))
     for key in sorted(res.counts):
         print("  %-24s %d" % (key, res.counts[key]))
@@ -308,7 +319,7 @@ def cmd_orbit(args) -> int:
     orbit = orbit_closure(vec, group)
     elements = [[[float(z.real), float(z.imag)] for z in v] for v in orbit]
     payload = _payload("orbit", state=args.state, group_order=len(group), size=len(orbit), elements=elements)
-    path = _write(args, "orbit-%s.json" % args.state, payload)
+    path = _write(_out_path(args, "orbit-%s.json" % args.state), payload)
     print("orbit of %s under the single-qutrit Clifford group: %d states" % (args.state, len(orbit)))
     print("wrote %s" % path)
     return 0
@@ -331,7 +342,7 @@ def cmd_bound(args) -> int:
             payload["subsequence"] = [
                 {"coordinate": list(c), "modulus": mod} for c, mod in seq
             ]
-    path = _write(args, "bound-m%d.json" % args.m, payload)
+    path = _write(_out_path(args, "bound-m%d.json" % args.m), payload)
     print("counting bound at m=%d copies: %.6f" % (args.m, payload["value"]))
     if args.state:
         print(
@@ -345,7 +356,7 @@ def cmd_bound(args) -> int:
 def cmd_exponent(args) -> int:
     value = exponent_from_bound(args.r, args.m, args.p)
     payload = _payload("exponent", r=args.r, m=args.m, p=args.p, exponent=value)
-    path = _write(args, "exponent-r%dm%dp%d.json" % (args.r, args.m, args.p), payload)
+    path = _write(_out_path(args, "exponent-r%dm%dp%d.json" % (args.r, args.m, args.p)), payload)
     print("rank %d at %d copies (p=%d) gives exponent %.6f" % (args.r, args.m, args.p, value))
     print("wrote %s" % path)
     return 0

@@ -254,11 +254,14 @@ class SpanProjection:
         self.t_perp2 = tnorm2 - float(np.vdot(self.q_t, self.q_t).real)
         self.Q_conj = Q.conj()
 
+    def outside(self, Vx: np.ndarray, t_ov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """|v'|^2 and <v', t_perp> for each row v of Vx, v' its part outside span(S); t_ov holds the <v, t>."""
+        a_conj = (Vx @ self.Q_conj).conj()  # rows conj(Q^dagger v), with no (B, dim) temporary
+        return 1.0 - (a_conj.real**2 + a_conj.imag**2).sum(axis=1), t_ov - a_conj @ self.q_t
+
     def residual2(self, Vx: np.ndarray, t_ov: np.ndarray) -> np.ndarray:
         """Squared residual of each row v of Vx; t_ov holds the <v, t>."""
-        a_conj = (Vx @ self.Q_conj).conj()  # rows conj(Q^dagger v), with no (B, dim) temporary
-        denom = 1.0 - (a_conj.real**2 + a_conj.imag**2).sum(axis=1)
-        overlap = t_ov - a_conj @ self.q_t
+        denom, overlap = self.outside(Vx, t_ov)
         denom[denom <= DEPENDENT_RES2] = np.inf
         return np.maximum(self.t_perp2 - (overlap.real**2 + overlap.imag**2) / denom, 0.0)
 

@@ -1,9 +1,10 @@
-"""Every public function and method in ``src/stabdecomp`` has a caller.
+"""Every function and method in ``src/stabdecomp`` has a caller.
 
-A caller is a reference in ``src/`` or ``bench/`` (a name or an attribute; in
-``bench/`` also a dotted string, such as a tracer hook), or an entry in the
-README's "Library API" list, which names the operations the library offers
-without calling them itself.  Tests do not count: code that only tests reach
+A caller of a public one is a reference in ``src/`` or ``bench/`` (a name or
+an attribute; in ``bench/`` also a dotted string, such as a tracer hook), or
+an entry in the README's "Library API" list, which names the operations the
+library offers without calling them itself.  A caller of a private one is a
+reference in ``src/``.  Tests do not count: code that only tests reach
 belongs in the tests.
 """
 
@@ -17,22 +18,27 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "stabdecomp"
 
 
-def _public_definitions():
-    """(qualified name, name) of each public top-level function and public method."""
+def _definitions():
+    """(qualified name, name) of each top-level function and method, dunder methods aside."""
     for path in sorted(PACKAGE.glob("*.py")):
         module = path.stem
         for node in ast.parse(path.read_text()).body:
-            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            if isinstance(node, ast.FunctionDef):
                 yield "%s.%s" % (module, node.name), node.name
             elif isinstance(node, ast.ClassDef):
                 for item in node.body:
-                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    if isinstance(item, ast.FunctionDef) and not re.fullmatch(r"__\w+__", item.name):
                         yield "%s.%s.%s" % (module, node.name, item.name), item.name
 
 
-def _referenced_names() -> set[str]:
+def _public_definitions():
+    """(qualified name, name) of each public top-level function and public method."""
+    return [(qualified, name) for qualified, name in _definitions() if not name.startswith("_")]
+
+
+def _referenced_names(tops=("src", "bench")) -> set[str]:
     names: set[str] = set()
-    for top in ("src", "bench"):
+    for top in tops:
         for path in sorted((ROOT / top).rglob("*.py")):
             for node in ast.walk(ast.parse(path.read_text())):
                 if isinstance(node, ast.Name):
@@ -76,3 +82,9 @@ def test_readme_api_names_exist():
     defined = {qualified for qualified, _ in _public_definitions()}
     missing = sorted(_readme_api() - defined)
     assert not missing, "README Library API names no such function: %s" % ", ".join(missing)
+
+
+def test_every_private_function_has_a_caller_in_src():
+    referenced = _referenced_names(("src",))
+    orphans = [qualified for qualified, name in _definitions() if name.startswith("_") and name not in referenced]
+    assert not orphans, "private functions with no caller in src/: %s" % ", ".join(orphans)

@@ -367,6 +367,17 @@ def test_audit_detects_tampering(cat1):
     assert "target-hash" in audit(cert, cat1, wrong_target).failures
 
 
+def test_audit_fails_a_shard_past_the_tuple_space(cat1):
+    # in memory, where from_payload cannot refuse it: a failed check, not an IndexError
+    t3 = magic_state("T3")
+    forged = certify_rank(t3, 2, cat1)
+    forged.shard, forged.tuples_tested, forged.full_coverage = ShardSpec(0, 100), 100, False
+    report = audit(forged, cat1, t3, samples=300)
+    assert report.failures == ["coverage-arithmetic"] and report.samples_tested == 0
+    with pytest.raises(ValueError, match=r"^certificate field 'shard.hi' = 100 is above total_tuples 66$"):
+        Certificate.from_payload(forged.to_payload())
+
+
 def test_audit_fails_a_witness_outside_the_shard_or_listed_twice(cat2):
     # real witnesses, each of which replays below tol: only their ranks are forged
     s2 = magic_power("S", 2)

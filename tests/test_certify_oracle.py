@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from stabdecomp.certify import _next_suffix, _score_run, _SearchContext, rank_tuple, unrank_tuple
+from stabdecomp.certify import _score_run, _SearchContext, rank_tuple, unrank_tuple
 from stabdecomp.decomposition import CANDIDATE_RES2, DEPENDENT_RES2, SpanProjection, best_fit
 from stabdecomp.stabilizer import build_catalog, magic_power
 
@@ -61,15 +61,20 @@ def _svd_score_block(ctx, x_lo, x_hi, suffix, tol):
 
 def _blocks(ctx, lo, hi, r):
     """(x_lo, x_hi, suffix) of each colex block, whole or partial, in ranks [lo, hi)."""
-    tup = unrank_tuple(lo, r)
-    x_lo, suffix = tup[0], tup[1:]
     done = lo
     while done < hi:
-        bound = suffix[0] if suffix else ctx.count
-        x_hi = min(bound, x_lo + (hi - done))
-        yield x_lo, x_hi, suffix
+        x_lo, *suffix = unrank_tuple(done, r)
+        x_hi = min(suffix[0] if suffix else ctx.count, x_lo + (hi - done))
+        yield x_lo, x_hi, tuple(suffix)
         done += x_hi - x_lo
-        suffix, x_lo = _next_suffix(suffix, ctx.count), 0
+
+
+def _score_block(ctx, x_lo, x_hi, suffix, tol):
+    """``_score_run`` on the tuples (x, *suffix), x_lo <= x < x_hi, addressed by their pair positions C(s1, 2) + x."""
+    if not suffix:
+        return _score_run(ctx, (), None, x_lo, x_hi, tol)
+    pairs = math.comb(suffix[0], 2)
+    return _score_run(ctx, suffix[1:], np.array(suffix[:1]), pairs + x_lo, pairs + x_hi, tol)
 
 
 def _s1_in_tail_span(ctx, suffix):
@@ -88,7 +93,7 @@ def _assert_blocks_agree(name, m, blocks):
     pruned = witnesses = dependent = 0
     for x_lo, x_hi, suffix in blocks:
         want = _svd_score_block(ctx, x_lo, x_hi, suffix, TOL)
-        got = _score_run(ctx, suffix[1:], suffix[:1] or None, x_lo, x_hi, TOL)
+        got = _score_block(ctx, x_lo, x_hi, suffix, TOL)
         where = (name, m, x_lo, x_hi, suffix)
         assert got[0] == want[0], where
         assert got[2] == want[2], where
@@ -107,6 +112,14 @@ def test_three_qutrit_triples():
     blocks += [(7, 20_001, (20_350, 24_001)), (130, 131, (20_351, 24_001)), (255, 20_349, (20_349, 24_001))]
     # low-support tails: partly pruned blocks
     blocks += list(_blocks(ctx, rank_tuple((0, 3_000, 5_000)), rank_tuple((0, 3_000, 5_000)) + 20_000, 3))
+    pruned, _, _ = _assert_blocks_agree("S", 3, blocks)
+    assert pruned
+
+
+def test_x_windows_inside_later_column_tiles():
+    # windows that start past the first column tile of 128 x and end before s1:
+    # the pruned x below the window's start must count nowhere
+    blocks = [(200, 2_000, (2_500, 5_000)), (300, 301, (2_500, 5_000)), (1_000, 2_299, (2_300, 5_000))]
     pruned, _, _ = _assert_blocks_agree("S", 3, blocks)
     assert pruned
 

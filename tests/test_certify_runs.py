@@ -19,7 +19,7 @@ from stabdecomp.certify import (
     ShardSpec,
     _certify_range,
     _covered_below,
-    _next_suffix,
+    _ruled_out,
     _score_run,
     _SearchContext,
     certify_rank,
@@ -43,31 +43,29 @@ def _context(name, m):
     return _SearchContext(target, _catalog(target.p, target.n))
 
 
+def _score_block(ctx, x_lo, x_hi, suffix, tol):
+    """``_score_run`` on the tuples (x, *suffix), x_lo <= x < x_hi, addressed by their pair positions C(s1, 2) + x."""
+    if not suffix:
+        return _score_run(ctx, (), None, x_lo, x_hi, tol)
+    pairs = math.comb(suffix[0], 2)
+    return _score_run(ctx, suffix[1:], np.array(suffix[:1]), pairs + x_lo, pairs + x_hi, tol)
+
+
 def _per_block(ctx, lo, hi, r, tol):
     """Ranks [lo, hi) one colex block at a time, each through ``_score_run``."""
-    tested = pruned = 0
+    pruned = 0
     min_res = math.inf
     witnesses = []
-    if lo >= hi:
-        return tested, pruned, min_res, witnesses
-    tup = unrank_tuple(lo, r)
-    x_lo, suffix = tup[0], tup[1:]
     done = lo
     while done < hi:
-        bound = suffix[0] if suffix else ctx.count
-        x_hi = min(bound, x_lo + (hi - done))
-        p, m, w = _score_run(ctx, suffix[1:], suffix[:1] or None, x_lo, x_hi, tol)
+        x_lo, *suffix = unrank_tuple(done, r)
+        x_hi = min(suffix[0] if suffix else ctx.count, x_lo + (hi - done))
+        p, m, w = _score_block(ctx, x_lo, x_hi, tuple(suffix), tol)
         pruned += p
         min_res = min(min_res, m)
         witnesses.extend(w)
-        tested += x_hi - x_lo
         done += x_hi - x_lo
-        if done < hi and x_hi == bound:
-            suffix = _next_suffix(suffix, ctx.count)
-            x_lo = 0
-        else:
-            x_lo = x_hi
-    return tested, pruned, min_res, witnesses
+    return done - lo, pruned, min_res, witnesses
 
 
 def _assert_same(name, m, r, lo, hi):
@@ -187,6 +185,37 @@ def test_low_support_prefixes():
         assert min_res == _context(name, m).prune_bound and not witnesses
 
 
+@pytest.mark.parametrize("name,m", [("S", 3), ("H", 4)])
+@pytest.mark.parametrize(
+    "first,last",
+    [((3, 40, 90), (16, 85, 90)), ((3, 40, 90), (16, 40, 90)), ((3, 40, 90), (16, 85, 95))],
+    ids=["one-tail", "one-block", "six-tails"],
+)
+def test_partial_edge_blocks_ruled_out(monkeypatch, name, m, first, last):
+    # the range starts and ends inside blocks that the screen rules out, so its
+    # pruned count comes from the window arithmetic alone, with nothing scored
+    screened = []
+
+    def recording(ctx, a, b, tail):
+        screened.append(_ruled_out(ctx, a, b, tail))
+        return screened[-1]
+
+    def no_scoring(*args):
+        raise AssertionError("a ruled-out block reached the run scorer")
+
+    monkeypatch.setattr("stabdecomp.certify._ruled_out", recording)
+    monkeypatch.setattr("stabdecomp.certify._score_run", no_scoring)
+    lo, hi = rank_tuple(first), rank_tuple(last) + 1
+    assert unrank_tuple(lo, 3)[0] > 0 and unrank_tuple(hi, 3)[0] > 0
+    tested, pruned, min_res, witnesses = _assert_same(name, m, 3, lo, hi)
+    assert tested == pruned == hi - lo
+    assert min_res == _context(name, m).prune_bound and not witnesses
+    # both corrections ran: the first window starts past x = 0 in a ruled-out
+    # block, and the last window ends before the end of a ruled-out block
+    assert screened[0][0] and screened[-1][-1]
+    assert len(screened) == last[2] - first[2] + 1  # one screen per tail
+
+
 @pytest.mark.parametrize(
     "name,m,r,lo,hi",
     [
@@ -270,11 +299,11 @@ def test_progress_once_per_run_on_a_pruned_shard():
     cert = certify_rank(target, 3, catalog, shard=shard, progress=progress)
     size = shard.hi - shard.lo
     assert cert.tuples_pruned == cert.tuples_tested == size
-    assert seen[-1] == size
+    assert seen[0] == 0 and seen[-1] == size
     assert all(a < b for a, b in zip(seen, seen[1:]))
-    # one call per largest index s2 (one run each), and one per partial block at the end
+    # one call before the walk, then one per largest index s2 (one tail each, its partial blocks included)
     runs = unrank_tuple(shard.hi - 1, 3)[2] - unrank_tuple(shard.lo, 3)[2] + 1
-    assert runs <= len(seen) <= runs + 1
+    assert len(seen) == runs + 1
 
 
 def test_progress_and_certificate_across_shards_that_split_runs():

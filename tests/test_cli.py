@@ -120,11 +120,21 @@ def test_verify_mistyped_file_usage_error(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "argv",
-    [["exponent", "--r", "7", "--m", "6"], ["sweep", "injection", "--state", "S"]],
-    ids=["exponent", "sweep"],
+    [
+        ["exponent", "--r", "7", "--m", "6"],
+        ["sweep", "injection", "--state", "S"],
+        ["certify", "--target", "T3", "--m", "1", "--r", "2"],
+    ],
+    ids=["exponent", "sweep", "certify"],
 )
-def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv):
-    # --out under a regular file, and --out naming a directory: one stderr line, exit 2
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
+    # --out under a regular file, and --out naming a directory: one stderr line, exit 2,
+    # and sweep and certify refuse the path before their work
+    def no_work(*args, **kwargs):
+        raise AssertionError("the work ran before --out was checked")
+
+    monkeypatch.setattr(cli, "sweep_injection", no_work)
+    monkeypatch.setattr(cli, "certify_rank", no_work)
     blocker = tmp_path / "F"
     blocker.write_text("")
     for path, reason in ((blocker / "x.json", "File exists"), (tmp_path, "Is a directory")):
@@ -375,6 +385,15 @@ def test_bad_certificate_field_usage_error(tmp_path, capsys, field, value, messa
     payloads, paths = _t3_shards(tmp_path)
     paths[2].write_text(json.dumps(dict(payloads[2], **{field: value})))
     assert _usage_errors(tmp_path, capsys, paths[2], paths[0]) == message + "\n"
+
+
+def test_certificate_shard_past_the_tuple_space_usage_error(tmp_path, capsys):
+    # T3 at r=2 has 66 tuples: a shard to 100 used to end the audit in an IndexError
+    payloads, paths = _t3_shards(tmp_path)
+    forged = dict(payloads[0], shard=dict(payloads[0]["shard"], hi=100), tuples_tested=100, full_coverage=False)
+    paths[0].write_text(json.dumps(forged))
+    err = _usage_errors(tmp_path, capsys, paths[0], paths[1])
+    assert err == "certificate field 'shard.hi' = 100 is above total_tuples 66\n"
 
 
 def test_bench_certify_pruned_commands(tmp_path):
