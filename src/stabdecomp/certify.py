@@ -15,12 +15,12 @@ whose first and last blocks may be partial.  Let needed be the points of
 supp(t) that s1 and every tail state miss.  A tuple of the block is pruned
 exactly when supp(v_x) does not contain needed, so when needed is not empty
 and no x < s1 contains it, all the block's tuples are pruned, each with
-residual at least the prune bound.  That is exactly what the run scorer
-would return for them, so such a block is ruled out whole, unscored; a
-run's blocks are screened for it in one vectorized pass.  The run scorer
-takes the other blocks of a run together: it projects the tail out of every
-x once and gets the overlaps of each s1 with every x from one product per
-tile.
+residual at least the prune bound.  The run scorer owns a run: it screens
+the run's blocks for this in one vectorized pass, testing the x below the
+end of each block's window, and counts the tuples of a block ruled out
+whole without scoring them.  It takes the other blocks of the run together:
+it projects the tail out of every x once and gets the overlaps of each s1
+with every x from one product per tile.
 """
 
 from __future__ import annotations
@@ -306,7 +306,8 @@ def _support_masks(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _popcount(masks: np.ndarray) -> np.ndarray:
     """Number of set bits of each int64 mask, as int8."""
-    return _BYTE_BITS[masks.view(np.uint8)].reshape(-1, 8).sum(axis=1, dtype=np.int8)
+    counts = _BYTE_BITS[masks.view(np.uint8)].view(np.uint64)  # the eight byte counts of each mask
+    return (counts * np.uint64(0x0101010101010101) >> np.uint64(56)).astype(np.int8)  # their sum, in the top byte
 
 
 class _SearchContext:
@@ -395,11 +396,13 @@ def _score_run(ctx: _SearchContext, tail: tuple[int, ...], s1s, w_lo: int, w_hi:
 
     s1s is an ascending array, and each s1 takes the x with
     max(w_lo - C(s1, 2), 0) <= x < min(w_hi - C(s1, 2), s1); for r = 1 it is
-    None and the tuples are (x,) with w_lo <= x < w_hi.  The tail's
-    :class:`SpanProjection` is built once, and each x gets |v'_x|^2 and
-    <v'_x, t'> from it (' is the part outside span(tail)).  One product per
-    tile gives g = <u, v_x> for every s1 of the tile, and each tuple's
-    residual follows in closed form:
+    None and the tuples are (x,) with w_lo <= x < w_hi.  ``_ruled_out``
+    screens the blocks first: the tuples of a block it rules out are all
+    pruned, each with residual at least ``prune_bound``, and are counted
+    unscored.  The tail's :class:`SpanProjection` is built once, for the
+    other blocks, and each x gets |v'_x|^2 and <v'_x, t'> from it (' is the
+    part outside span(tail)).  One product per tile gives g = <u, v_x> for
+    every s1 of the tile, and each tuple's residual follows in closed form:
 
         res^2 = t'' - |<v'_x, t'> - conj(g) <u, t'>|^2 / (|v'_x|^2 - |g|^2),
 
@@ -415,14 +418,22 @@ def _score_run(ctx: _SearchContext, tail: tuple[int, ...], s1s, w_lo: int, w_hi:
     missed = ctx.target_mask
     for s in tail:
         missed &= ~int(masks[s])
+    pruned = 0
+    if s1s is not None:
+        pairs = s1s * (s1s - 1) // 2
+        xlo, xend = np.maximum(w_lo - pairs, 0), np.minimum(w_hi - pairs, s1s)
+        ruled = _ruled_out(ctx, missed, s1s, xend)
+        if ruled.any():
+            pruned = int((xend - xlo)[ruled].sum())
+            if ruled.all():
+                return pruned, ctx.prune_bound, []
+            s1s, xlo, xend = s1s[~ruled], xlo[~ruled], xend[~ruled]
     proj = SpanProjection(V[list(tail)], ctx.t, ctx.tnorm2)
     if s1s is None:
         none = _RowTile(np.zeros((1, len(ctx.t))), None, None, count, np.zeros(1), np.array([proj.t_perp2]),
                         np.array([w_lo]), np.array([w_hi]), np.array([missed]))
         groups = [[none]]
     else:
-        pairs = s1s * (s1s - 1) // 2
-        xlo, xend = np.maximum(w_lo - pairs, 0), np.minimum(w_hi - pairs, s1s)
         Q_T = proj.Q_conj.conj().T
         t_out = ctx.t - proj.q_t @ Q_T
         starts = list(dict.fromkeys((s1s - s1s % _TILE_ROWS).tolist()))  # np.unique would import numpy.ma
@@ -430,7 +441,6 @@ def _score_run(ctx: _SearchContext, tail: tuple[int, ...], s1s, w_lo: int, w_hi:
             [_RowTile.of(ctx, proj, Q_T, t_out, r0, s1s, xlo, xend, missed) for r0 in starts[g : g + _GROUP_TILES]]
             for g in range(0, len(starts), _GROUP_TILES)
         )
-    pruned = 0
     best = math.inf  # the smallest non-witness squared residual
     witnesses: list[tuple[int, ...]] = []
     for rows in groups:
@@ -481,53 +491,46 @@ def _score_run(ctx: _SearchContext, tail: tuple[int, ...], s1s, w_lo: int, w_hi:
     return pruned, min_res, witnesses
 
 
-def _covered_below(masks: np.ndarray, needed: np.ndarray, s1: np.ndarray) -> np.ndarray:
-    """True where some x < s1[i] has masks[x] containing needed[i]; s1 ascending."""
-    covered = np.zeros(len(s1), dtype=bool)
-    if not len(s1):
+def _covered_below(masks: np.ndarray, needed: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """True where some x < end[i] has masks[x] containing needed[i]; the ends may come in any order."""
+    covered = np.zeros(len(end), dtype=bool)
+    if not len(end):
         return covered
-    step = max(1, _COVER_PAIRS // int(s1[-1]))
-    for lo in range(0, len(s1), step):
-        need, below = needed[lo : lo + step, None], s1[lo : lo + step]
-        hit = (masks[None, : below[-1]] & need) == need
+    step = max(1, _COVER_PAIRS // max(int(end.max()), 1))
+    for lo in range(0, len(end), step):
+        need, below = needed[lo : lo + step, None], end[lo : lo + step]
+        hit = (masks[None, : max(int(below.max()), 1)] & need) == need
         first = hit.argmax(axis=1)  # the first covering x, or 0 when none covers
         covered[lo : lo + step] = hit[np.arange(len(below)), first] & (first < below)
     return covered
 
 
-def _ruled_out(ctx: _SearchContext, a: int, b: int, tail: tuple[int, ...]) -> np.ndarray:
-    """For the blocks of suffixes (s1, *tail), a <= s1 < b: True where no x < s1 covers.
+def _ruled_out(ctx: _SearchContext, missed: int, s1s: np.ndarray, xend: np.ndarray) -> np.ndarray:
+    """For the blocks of suffixes (s1, *tail), s1 in s1s: True where no x < xend covers.
 
-    needed[s1] is the part of the target's support that s1 and the tail
-    miss.  When it is nonzero and no x < s1 has a support containing it,
-    every tuple of the block is pruned.  A support with fewer points than
-    needed cannot contain it, which decides most blocks from ``cover_max``
-    alone; the rest are tested against every x < s1.
+    missed is the part of the target's support that the tail misses, and
+    needed[i] the part that s1s[i] misses too.  When it is nonzero and no
+    x < xend[i] has a support containing it, every tuple of the block's
+    window is pruned.  A support with fewer points than needed cannot
+    contain it, which decides most blocks from ``cover_max`` alone; the rest
+    are tested against every x < xend[i].
     """
-    masks = ctx.masks
-    missed = ctx.target_mask
-    for s in tail:
-        missed &= ~int(masks[s])
-    needed = np.int64(missed) & ~masks[a:b]
-    ruled = _popcount(needed) > ctx.cover_max[a - 1 : b - 1]
+    needed = np.int64(missed) & ~ctx.masks[s1s]
+    ruled = _popcount(needed) > ctx.cover_max[xend - 1]
     check = np.flatnonzero(~ruled & (needed != 0))
-    ruled[check] = ~_covered_below(masks, needed[check], a + check)
+    ruled[check] = ~_covered_below(ctx.masks, needed[check], xend[check])
     return ruled
 
 
 def _certify_range(ctx, lo, hi, r, tol, progress=None):
-    """Stream ranks [lo, hi) through the run screen and the run scorer, one step per tail.
+    """Stream ranks [lo, hi) through the run scorer, one step per tail.
 
     The tuples (x, s1, *tail) of one tail have the consecutive ranks
     base + C(s1, 2) + x, so a step takes the window of pair positions
-    C(s1, 2) + x that its ranks cover; for r = 1 the window is x itself.
-    ``_ruled_out`` screens every block of the window, the partial first and
-    last blocks included.  A block ruled out has no x whose support, joined
-    with the suffix's, covers the target's support, so its tuples in the
-    window are pruned, each with residual at least ``prune_bound``: exactly
-    what ``_score_run`` returns for them.  The other blocks go to
-    ``_score_run`` in one call.  ``progress`` is called once before the walk
-    and once after each tail.
+    C(s1, 2) + x that its ranks cover and sends every block of it, the
+    partial first and last blocks included, to ``_score_run`` in one call;
+    for r = 1 the window is x itself.  ``progress`` is called once before
+    the walk and once after each tail.
     """
     pruned = 0
     min_res = math.inf
@@ -541,21 +544,13 @@ def _certify_range(ctx, lo, hi, r, tol, progress=None):
             s1, tail = suffix[0], tuple(suffix[1:])
             base = done - math.comb(s1, 2) - x
             w_lo, w_hi = done - base, min(hi, base + math.comb(tail[0] if tail else ctx.count, 2)) - base
-            b = _largest_with_binomial_leq(w_hi - 1, 2) + 1  # the window holds the blocks s1..b-1
-            ruled = _ruled_out(ctx, s1, b, tail)
-            if ruled.any():
-                # less the tuples of a ruled-out first block before x and of a ruled-out last block past w_hi
-                pruned += int((s1 + np.flatnonzero(ruled)).sum())
-                pruned -= (x if ruled[0] else 0) + (math.comb(b, 2) - w_hi if ruled[-1] else 0)
-                min_res = min(min_res, ctx.prune_bound)
-            s1s = s1 + np.flatnonzero(~ruled)
+            s1s = np.arange(s1, _largest_with_binomial_leq(w_hi - 1, 2) + 1)  # the blocks of the window
         else:
             s1s, tail, base, w_lo, w_hi = None, (), 0, done, hi
-        if s1s is None or len(s1s):
-            p, m, w = _score_run(ctx, tail, s1s, w_lo, w_hi, tol)
-            pruned += p
-            min_res = min(min_res, m)
-            witnesses.extend(w)
+        p, m, w = _score_run(ctx, tail, s1s, w_lo, w_hi, tol)
+        pruned += p
+        min_res = min(min_res, m)
+        witnesses.extend(w)
         done = base + w_hi
         if progress is not None:
             progress(done - lo)

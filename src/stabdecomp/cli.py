@@ -29,6 +29,8 @@ VERIFY_TOL = 1e-13
 WITNESS_TOL = 1e-10
 # the largest catalog `catalog` writes: (3,4) has 7,439,040 states, (3,5) 5.4e9
 CATALOG_MAX_STATES = 10**7
+# the most digits `bound --state` writes: m+1 coordinates of m digits, about 7 MB at m = 999
+SUBSEQUENCE_MAX_DIGITS = 10**6
 
 _QUTRIT = ("S", "N", "H3", "T3")
 
@@ -272,6 +274,12 @@ def cmd_audit(args) -> int:
         raise ValueError("--samples must be at least 0, got %d" % args.samples)
     cert = Certificate.load(args.cert)
     target = _target(cert.target_name, cert.copies)
+    if (cert.p, cert.n) != (target.p, target.n):
+        raise ValueError(
+            "certificate p=%d n=%d does not match its target %s (p=%d n=%d)"
+            % (cert.p, cert.n, target.name, target.p, target.n)
+        )
+    check_request(target, cert.r, cert.tol)
     catalog = build_catalog(cert.p, cert.n)
     report = audit(cert, catalog, target, samples=args.samples, seed=args.seed)
     payload = _payload(
@@ -326,6 +334,11 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_bound(args) -> int:
+    if args.state and args.m * (args.m + 1) > SUBSEQUENCE_MAX_DIGITS:
+        raise ValueError(
+            "--m %d needs a subsequence of %d digits, above the %d that bound --state writes"
+            % (args.m, args.m * (args.m + 1), SUBSEQUENCE_MAX_DIGITS)
+        )
     payload = _payload("bound", m=args.m, value=moulton_bound(args.m))
     if args.state:
         _check_qutrit(args.state, "witness check covers")

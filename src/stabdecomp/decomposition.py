@@ -151,12 +151,18 @@ class Decomposition:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "Decomposition":
-        """The decomposition of a payload; a ValueError names a missing or mistyped field."""
+        """The decomposition of a payload.
+
+        A ValueError names a missing or mistyped field, or says that a state's
+        dimensions differ from the target's; the states are checked before the
+        m-copy target is built.
+        """
         if not isinstance(payload, dict):
             got = _KIND_NAMES.get(type(payload), type(payload).__name__)
             raise ValueError("a decomposition payload must be an object, not %s" % got)
         what = "decomposition"
-        target = magic_power(_field(what, payload, "target", str), _field(what, payload, "copies", int))
+        name, copies = _field(what, payload, "target", str), _field(what, payload, "copies", int)
+        p = magic_power(name, 0).p  # the zero-copy power: the state's p, without building the m-copy target
         d = _typed(what, "n_power", payload.get("n_power", 0), int)
         states, coeffs = [], []
         for j, term in enumerate(_field(what, payload, "terms", list)):
@@ -170,7 +176,9 @@ class Decomposition:
             except (KeyError, TypeError) as exc:
                 reason = "%s: %s" % (type(exc).__name__, exc)
                 raise ValueError("decomposition field %r is malformed (%s)" % (label, reason)) from None
-        return cls(target, states, coeffs)
+            if (states[-1].p, states[-1].n) != (p, copies):
+                raise ValueError("state dimensions must match the target")
+        return cls(magic_power(name, copies), states, coeffs)
 
     def save(self, path: str) -> None:
         with open(path, "w") as fh:

@@ -1,16 +1,20 @@
 """The run screen and run scorer of the certify kernel against a per-block walk.
 
-``_certify_range`` rules out whole blocks of a run (one tail, consecutive s1)
-in one vectorized pass and scores every other block of the run in one
-``_score_run`` call.  ``_per_block`` below is the walk without the screen:
-every block goes through ``_score_run`` alone.  The two must agree exactly on
+``_certify_range`` sends every block of a run (one tail, consecutive s1) to
+one ``_score_run`` call, which rules out whole blocks in one vectorized pass
+(``_ruled_out``) and scores the others together.  ``_per_block`` below is
+the walk without the screen: every block goes through ``_score_run`` alone,
+with ``_ruled_out`` patched to rule nothing.  The two must agree exactly on
 the tuples tested, the tuples pruned, the witnesses and the minimum residual.
+Where every block is pruned whole, the reference is the per-block support
+test of ``test_certify_oracle``, which needs no projection at all.
 """
 
 import itertools
 import math
 from dataclasses import replace
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +32,7 @@ from stabdecomp.certify import (
     unrank_tuple,
 )
 from stabdecomp.stabilizer import build_catalog, magic_power
+from test_certify_oracle import _blocks, _svd_score_block
 
 TOL = 1e-10
 
@@ -51,21 +56,22 @@ def _score_block(ctx, x_lo, x_hi, suffix, tol):
     return _score_run(ctx, suffix[1:], np.array(suffix[:1]), pairs + x_lo, pairs + x_hi, tol)
 
 
+def _rule_nothing(ctx, missed, s1s, xend):
+    return np.zeros(len(s1s), dtype=bool)
+
+
 def _per_block(ctx, lo, hi, r, tol):
-    """Ranks [lo, hi) one colex block at a time, each through ``_score_run``."""
+    """Ranks [lo, hi) one colex block at a time, each through ``_score_run`` with the screen off."""
     pruned = 0
     min_res = math.inf
     witnesses = []
-    done = lo
-    while done < hi:
-        x_lo, *suffix = unrank_tuple(done, r)
-        x_hi = min(suffix[0] if suffix else ctx.count, x_lo + (hi - done))
-        p, m, w = _score_block(ctx, x_lo, x_hi, tuple(suffix), tol)
-        pruned += p
-        min_res = min(min_res, m)
-        witnesses.extend(w)
-        done += x_hi - x_lo
-    return done - lo, pruned, min_res, witnesses
+    with mock.patch("stabdecomp.certify._ruled_out", _rule_nothing):
+        for x_lo, x_hi, suffix in _blocks(ctx, lo, hi, r):
+            p, m, w = _score_block(ctx, x_lo, x_hi, suffix, tol)
+            pruned += p
+            min_res = min(min_res, m)
+            witnesses.extend(w)
+    return hi - lo, pruned, min_res, witnesses
 
 
 def _assert_same(name, m, r, lo, hi):
@@ -178,11 +184,25 @@ def test_ranges_start_and_end_mid_block_and_mid_run():
 
 
 def test_low_support_prefixes():
-    # every block here is pruned whole
+    # every block here is pruned whole, so the per-block SVD scorer of
+    # test_certify_oracle returns from its support test, before any projection
     for name, m in (("S", 3), ("H", 4)):
-        tested, pruned, min_res, witnesses = _assert_same(name, m, 3, 3, 5_000_003)
+        ctx = _context(name, m)
+        got = _certify_range(ctx, 3, 5_000_003, 3, TOL)
+        blocks = list(_blocks(ctx, 3, 5_000_003, 3))
+        scores = [_svd_score_block(ctx, *block, TOL) for block in blocks]
+        want = (
+            sum(x_hi - x_lo for x_lo, x_hi, _ in blocks),
+            sum(p for p, _, _ in scores),
+            min(res for _, res, _ in scores),
+            [w for _, _, ws in scores for w in ws],
+        )
+        assert got[:2] == want[:2]
+        assert got[2] == want[2]  # the same floats, not merely close ones
+        assert got[3] == want[3]
+        tested, pruned, min_res, witnesses = got
         assert tested == pruned == 5_000_000
-        assert min_res == _context(name, m).prune_bound and not witnesses
+        assert min_res == ctx.prune_bound and not witnesses
 
 
 @pytest.mark.parametrize("name,m", [("S", 3), ("H", 4)])
@@ -193,26 +213,33 @@ def test_low_support_prefixes():
 )
 def test_partial_edge_blocks_ruled_out(monkeypatch, name, m, first, last):
     # the range starts and ends inside blocks that the screen rules out, so its
-    # pruned count comes from the window arithmetic alone, with nothing scored
+    # pruned count comes from the x windows alone, with nothing projected
     screened = []
 
-    def recording(ctx, a, b, tail):
-        screened.append(_ruled_out(ctx, a, b, tail))
-        return screened[-1]
+    def recording(ctx, missed, s1s, xend):
+        screened.append((s1s, xend, _ruled_out(ctx, missed, s1s, xend)))
+        return screened[-1][2]
 
-    def no_scoring(*args):
-        raise AssertionError("a ruled-out block reached the run scorer")
+    def no_projection(*args):
+        raise AssertionError("a ruled-out block reached the projection")
 
-    monkeypatch.setattr("stabdecomp.certify._ruled_out", recording)
-    monkeypatch.setattr("stabdecomp.certify._score_run", no_scoring)
+    ctx = _context(name, m)
     lo, hi = rank_tuple(first), rank_tuple(last) + 1
     assert unrank_tuple(lo, 3)[0] > 0 and unrank_tuple(hi, 3)[0] > 0
-    tested, pruned, min_res, witnesses = _assert_same(name, m, 3, lo, hi)
+    with monkeypatch.context() as patched:
+        patched.setattr("stabdecomp.certify._ruled_out", recording)
+        patched.setattr("stabdecomp.certify.SpanProjection", no_projection)
+        got = _certify_range(ctx, lo, hi, 3, TOL)
+    want = _per_block(ctx, lo, hi, 3, TOL)
+    assert got[:2] == want[:2] and got[2] == want[2] and got[3] == want[3]
+    tested, pruned, min_res, witnesses = got
     assert tested == pruned == hi - lo
-    assert min_res == _context(name, m).prune_bound and not witnesses
-    # both corrections ran: the first window starts past x = 0 in a ruled-out
-    # block, and the last window ends before the end of a ruled-out block
-    assert screened[0][0] and screened[-1][-1]
+    assert min_res == ctx.prune_bound and not witnesses
+    # every block is ruled out: the first window starts past x = 0 (above),
+    # and the last window ends before its block's s1
+    assert all(ruled.all() for _, _, ruled in screened)
+    s1s, xend, _ = screened[-1]
+    assert s1s[-1] == last[1] and xend[-1] == last[0] + 1 < last[1]
     assert len(screened) == last[2] - first[2] + 1  # one screen per tail
 
 
@@ -247,7 +274,7 @@ def test_single_state_range():
     _assert_same("S", 2, 1, 7, 200)
 
 
-def test_covered_below_matches_brute_force():
+def test_covered_below_matches_brute_force(monkeypatch):
     rng = np.random.default_rng(3)
     masks = rng.integers(0, 1 << 12, size=300).astype(np.int64)
     s1 = np.sort(rng.integers(0, 300, size=400))
@@ -258,6 +285,14 @@ def test_covered_below_matches_brute_force():
     assert _covered_below(masks, needed, s1).tolist() == want
     assert any(want) and not all(want)
     assert _covered_below(masks, needed[:0], s1[:0]).size == 0
+    # window ends in no order, at or below s1 as the last block of a window has, 0 among them
+    end = rng.integers(0, s1 + 1)
+    assert (np.diff(end) < 0).any() and (end < s1).any() and (end == 0).any()
+    want = [any(masks[x] & need == need for x in range(e)) for need, e in zip(needed.tolist(), end.tolist())]
+    assert _covered_below(masks, needed, end).tolist() == want
+    assert any(want) and not all(want)
+    monkeypatch.setattr("stabdecomp.certify._COVER_PAIRS", 1_000)  # chunks of 3 rows
+    assert _covered_below(masks, needed, end).tolist() == want
 
 
 def test_cover_test_sees_only_open_blocks(monkeypatch):
@@ -265,19 +300,19 @@ def test_cover_test_sees_only_open_blocks(monkeypatch):
     # already rules out never reach the pairwise cover test
     asked = []
 
-    def recording(masks, needed, s1):
-        asked.append((needed.copy(), s1.copy()))
-        return _covered_below(masks, needed, s1)
+    def recording(masks, needed, end):
+        asked.append((needed.copy(), end.copy()))
+        return _covered_below(masks, needed, end)
 
     monkeypatch.setattr("stabdecomp.certify._covered_below", recording)
     ctx = _context("N", 2)
     _assert_same("N", 2, 3, 0, math.comb(120, 3))
     needed = np.concatenate([n for n, _ in asked])
-    s1 = np.concatenate([s for _, s in asked])
+    end = np.concatenate([e for _, e in asked])
     assert needed.size and (needed != 0).all()
     sizes = [bin(v).count("1") for v in needed.tolist()]
-    assert (np.array(sizes) <= ctx.cover_max[s1 - 1]).all()
-    assert (np.array(sizes) == ctx.cover_max[s1 - 1]).any()
+    assert (np.array(sizes) <= ctx.cover_max[end - 1]).all()
+    assert (np.array(sizes) == ctx.cover_max[end - 1]).any()
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from stabdecomp import cli, known
+from stabdecomp import cli, decomposition, known
 from stabdecomp.certify import Certificate
 from stabdecomp.cli import main
 from stabdecomp.decomposition import Decomposition, exponent_from_bound
@@ -58,6 +58,20 @@ def test_verify_file_roundtrip_and_failure(tmp_path):
     row = read_json(tmp_path / "b.json")["results"][0]
     assert not row["passed"]
     assert row["residual"] > 0.1
+
+
+def test_verify_file_checks_state_dimensions_before_the_target(tmp_path, capsys, monkeypatch):
+    # N at copies 10 has 59,049 exact amplitudes: they used to be built before the 2-qutrit states were refused
+    payload = known.FIXTURES["norrell_m2"]().to_payload()
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(payload, copies=10)))
+    built = []
+    real = decomposition.magic_power
+    monkeypatch.setattr(decomposition, "magic_power", lambda name, m: built.append(m) or real(name, m))
+    capsys.readouterr()
+    assert main(["verify", "--file", str(bad), "--out", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err == "state dimensions must match the target\n"
+    assert 10 not in built and not (tmp_path / "r.json").exists()
 
 
 def _fixtures_must_not_run(monkeypatch):
@@ -514,6 +528,33 @@ def test_audit_negative_samples_usage_error(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "a.json").exists()
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"n": 7}, "certificate p=3 n=7 does not match its target T3 (p=3 n=1)"),
+        ({"p": 2}, "certificate p=2 n=1 does not match its target T3 (p=3 n=1)"),
+        # consistent fields, but a request certify itself refuses
+        ({"copies": 4, "n": 4}, "81 basis states exceed the 63 bits of a support mask"),
+        ({"r": 13, "catalog_count": 100}, "r = 13 is not between 1 and the 12 catalog states"),
+    ],
+)
+def test_audit_refuses_a_certificate_off_its_target(tmp_path, capsys, monkeypatch, fields, message):
+    # the catalog comes from the certificate's p and n: a T3 m=1 certificate
+    # with n = 7 used to run on, building the (3,7) catalog
+    out = tmp_path / "cert.json"
+    assert main(["certify", "--target", "T3", "--m", "1", "--r", "2", "--out", str(out)]) == 0
+    out.write_text(json.dumps(dict(read_json(out), **fields)))
+
+    def no_catalog(*args, **kwargs):
+        raise AssertionError("build_catalog called for a certificate audit refuses")
+
+    monkeypatch.setattr(cli, "build_catalog", no_catalog)
+    capsys.readouterr()
+    assert main(["audit", "--cert", str(out), "--out", str(tmp_path / "a.json")]) == 2
+    assert capsys.readouterr().err == message + "\n"
+    assert not (tmp_path / "a.json").exists()
+
+
 def test_audit_detects_tampering(tmp_path):
     out = tmp_path / "cert.json"
     assert main(["certify", "--target", "T3", "--m", "1", "--r", "2", "--out", str(out)]) == 0
@@ -607,6 +648,30 @@ def test_bound_cli(tmp_path):
     payload = read_json(out)
     assert not payload["applicable"]
     assert payload["witness"] is None
+
+
+def test_bound_refuses_a_subsequence_above_the_digit_limit(tmp_path, capsys, monkeypatch):
+    # m+1 coordinates of m digits each: m = 2,000 wrote 28 MB, m = 100,000 would need about 70 GB
+    def no_work(*args, **kwargs):
+        raise AssertionError("bound did work for an --m it refuses")
+
+    monkeypatch.setattr(cli, "moulton_bound", no_work)
+    monkeypatch.setattr(cli, "find_ratio_witness", no_work)
+    out = tmp_path / "bound.json"
+    limit = cli.SUBSEQUENCE_MAX_DIGITS
+    m = math.isqrt(limit)  # m (m + 1) digits: just above the limit
+    capsys.readouterr()
+    assert main(["bound", "--m", str(m), "--state", "H3", "--out", str(out)]) == 2
+    message = "--m %d needs a subsequence of %d digits, above the %d that bound --state writes\n"
+    assert capsys.readouterr().err == message % (m, m * (m + 1), limit)
+    assert not out.exists()
+    # an --m at the limit, and any --m without --state, still run
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "SUBSEQUENCE_MAX_DIGITS", 30)
+    assert main(["bound", "--m", "5", "--state", "H3", "--out", str(out)]) == 0
+    assert len(read_json(out)["subsequence"]) == 6
+    assert main(["bound", "--m", "6", "--state", "H3", "--out", str(out)]) == 2
+    assert main(["bound", "--m", "100000", "--out", str(out)]) == 0
 
 
 def test_exponent_cli(tmp_path):
