@@ -306,7 +306,7 @@ def anneal_search(cfg: AnnealConfig) -> AnnealResult:
     if success:
         exact = exact_coefficients(states, cfg.target)
         if exact is not None:
-            candidate = Decomposition(cfg.target, states, exact)
+            candidate = Decomposition(cfg.target, states, exact, cfg.target.npow)
             if not candidate.verify_exact():
                 decomposition = candidate
     return AnnealResult(

@@ -73,9 +73,6 @@ _MASK_ROWS = 4096
 # int64 temporary stays near 1 MB
 _COVER_PAIRS = 1 << 17
 
-# set bits of each byte value (np.bitwise_count needs numpy >= 2.0)
-_BYTE_BITS = np.array([bin(b).count("1") for b in range(256)], dtype=np.int8)
-
 
 # ---------------------------------------------------------------------------
 # colexicographic tuple ranking
@@ -275,12 +272,13 @@ class Certificate:
 
 
 def target_fingerprint(target: TargetState) -> str:
-    """SHA-256 over the exact amplitude payloads of a target state."""
+    """SHA-256 over the exact amplitude payloads of a target state.
+
+    Each amplitude is recorded with the target's N power, a zero one with
+    power 0, as in every version-1 certificate's target_hash.
+    """
     body = json.dumps(
-        [
-            {"npow": a.npow, "num": a.num.to_payload()}
-            for a in target.amps
-        ],
+        [{"npow": 0 if a.is_zero() else target.npow, "num": a.to_payload()} for a in target.amps],
         sort_keys=True,
         separators=(",", ":"),
     )
@@ -302,12 +300,6 @@ def _support_masks(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         packed[lo : lo + _MASK_ROWS, : bits.shape[1]] = bits
         sizes[lo : lo + _MASK_ROWS] = support.sum(axis=1)
     return packed.view("<i8").reshape(-1).astype(np.int64, copy=False), sizes
-
-
-def _popcount(masks: np.ndarray) -> np.ndarray:
-    """Number of set bits of each int64 mask, as int8."""
-    counts = _BYTE_BITS[masks.view(np.uint8)].view(np.uint64)  # the eight byte counts of each mask
-    return (counts * np.uint64(0x0101010101010101) >> np.uint64(56)).astype(np.int8)  # their sum, in the top byte
 
 
 class _SearchContext:
@@ -516,7 +508,9 @@ def _ruled_out(ctx: _SearchContext, missed: int, s1s: np.ndarray, xend: np.ndarr
     are tested against every x < xend[i].
     """
     needed = np.int64(missed) & ~ctx.masks[s1s]
-    ruled = _popcount(needed) > ctx.cover_max[xend - 1]
+    # np.bitwise_count counts the bits of |x| (-1 gives 1, not 64); needed never has its
+    # sign bit set, since missed comes from a mask of at most _MASK_BITS = 63 bits
+    ruled = np.bitwise_count(needed) > ctx.cover_max[xend - 1]
     check = np.flatnonzero(~ruled & (needed != 0))
     ruled[check] = ~_covered_below(ctx.masks, needed[check], xend[check])
     return ruled
@@ -566,19 +560,17 @@ def _check_tol(tol: float, label: str) -> None:
         )
 
 
-def check_request(target, r: int, tol: float) -> None:
-    """Raise ValueError for a certify request the kernel cannot run.
+def check_request(p: int, n: int, r: int, tol: float) -> None:
+    """Raise ValueError for a request to certify rank r of an n-qudit target that the kernel cannot run.
 
-    Needs no catalog, so callers can refuse before building one.
+    Needs no catalog and no target, so callers can refuse before building either.
     """
-    count = Catalog.expected_count(target.p, target.n)
+    count = Catalog.expected_count(p, n)
     if not 1 <= r <= count:  # above the catalog there is no r-tuple to test
         raise ValueError("r = %d is not between 1 and the %d catalog states" % (r, count))
     _check_tol(tol, "tol")
-    if target.p**target.n > _MASK_BITS:
-        raise ValueError(
-            "%d basis states exceed the %d bits of a support mask" % (target.p**target.n, _MASK_BITS)
-        )
+    if p**n > _MASK_BITS:
+        raise ValueError("%d basis states exceed the %d bits of a support mask" % (p**n, _MASK_BITS))
 
 
 def certify_rank(
@@ -598,7 +590,7 @@ def certify_rank(
     ``progress`` gets the count of tuples done: 0 before the walk, then the
     count after each tail.
     """
-    check_request(target, r, tol)
+    check_request(target.p, target.n, r, tol)
     count = len(catalog)
     total = math.comb(count, r)
     if shard is None:

@@ -68,12 +68,13 @@ def _write(path: str, body) -> str:
     return path
 
 
-def _target(name: str, m: int):
+def _check_target(name: str, m: int) -> int:
+    """Check a magic-state name and a copy count m without building the m copies; return their qudit dimension p."""
     if name not in MAGIC_NAMES:
         raise ValueError("unknown magic state %r (choose from %s)" % (name, ", ".join(MAGIC_NAMES)))
     if m < 1:
         raise ValueError("--m must be at least 1 copy, got %d" % m)
-    return magic_power(name, m)
+    return 3 if name in _QUTRIT else 2
 
 
 def _check_qutrit(state: str, what: str) -> None:
@@ -155,7 +156,8 @@ def _verify_one(name, dec, exact, tol) -> dict:
 
 
 def cmd_search(args) -> int:
-    target = _target(args.target, args.m)
+    _check_target(args.target, args.m)
+    target = magic_power(args.target, args.m)
     catalog = build_catalog(target.p, target.n)
     cfg = AnnealConfig(
         target=target,
@@ -228,12 +230,13 @@ def _progress_printer(total: int):
 
 
 def cmd_certify(args) -> int:
-    target = _target(args.target, args.m)
-    check_request(target, args.r, args.tol)
+    p = _check_target(args.target, args.m)
+    check_request(p, args.m, args.r, args.tol)  # before the p^m amplitudes of the target are built
     idx, cnt = _parse_shard(args.shard)
-    shard = ShardSpec.of(idx, cnt, math.comb(Catalog.expected_count(target.p, target.n), args.r))
-    path = _out_path(args, "cert-%s-r%d-shard%dof%d.json" % (target.name, args.r, idx, cnt))
-    catalog = build_catalog(target.p, target.n)
+    shard = ShardSpec.of(idx, cnt, math.comb(Catalog.expected_count(p, args.m), args.r))
+    path = _out_path(args, "cert-%s-r%d-shard%dof%d.json" % (args.target, args.r, idx, cnt))
+    target = magic_power(args.target, args.m)
+    catalog = build_catalog(p, args.m)
     cert = certify_rank(
         target,
         args.r,
@@ -273,13 +276,14 @@ def cmd_audit(args) -> int:
     if args.samples < 0:
         raise ValueError("--samples must be at least 0, got %d" % args.samples)
     cert = Certificate.load(args.cert)
-    target = _target(cert.target_name, cert.copies)
-    if (cert.p, cert.n) != (target.p, target.n):
+    p = _check_target(cert.target_name, cert.copies)
+    if (cert.p, cert.n) != (p, cert.copies):
         raise ValueError(
             "certificate p=%d n=%d does not match its target %s (p=%d n=%d)"
-            % (cert.p, cert.n, target.name, target.p, target.n)
+            % (cert.p, cert.n, cert.target_name, p, cert.copies)
         )
-    check_request(target, cert.r, cert.tol)
+    check_request(p, cert.n, cert.r, cert.tol)  # before the p^n amplitudes of the target are built
+    target = magic_power(cert.target_name, cert.copies)
     catalog = build_catalog(cert.p, cert.n)
     report = audit(cert, catalog, target, samples=args.samples, seed=args.seed)
     payload = _payload(

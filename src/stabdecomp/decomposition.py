@@ -1,11 +1,12 @@
 """Stabilizer-rank decompositions: records, verification, and solving.
 
-A decomposition asserts  target = sum_i c_i |sigma_i>  with the c_i exact
-:class:`~stabdecomp.stabilizer.ScaledCyclo` numbers.  Verification comes in
-two independent flavors: exact (clear the N = sqrt(3 - sqrt 3) denominators
-and compare cyclotomic numbers coordinate-wise) and numeric (complex-vector
-residual).  Both must agree; the exact route is the certificate, the numeric
-route the cross-check.
+A decomposition asserts  target = sum_i c_i |sigma_i>  with the c_i exact:
+cyclotomic numerators over one power N^npow of N = sqrt(3 - sqrt 3), the
+same power for every coefficient, as the target's amplitudes share one power
+of their own.  Verification comes in two independent flavors: exact (put both
+sides over the larger N power and compare cyclotomic numbers coordinate-wise)
+and numeric (complex-vector residual).  Both must agree; the exact route is
+the certificate, the numeric route the cross-check.
 """
 
 from __future__ import annotations
@@ -16,7 +17,13 @@ import math
 import numpy as np
 
 from .algebra import CycloNumber, cyclo_solve
-from .stabilizer import CanonicalStabilizer, ScaledCyclo, TargetState, magic_power
+from .stabilizer import (
+    CanonicalStabilizer,
+    TargetState,
+    magic_power,
+    n_scaled_complex,
+    n_squared_factor,
+)
 
 
 def _read_json(path: str, what: str):
@@ -70,22 +77,32 @@ def _field(what: str, d: dict, key: str, kind, label: str | None = None):
 
 
 class Decomposition:
-    """An asserted rank-r stabilizer decomposition of a magic-state power."""
+    """An asserted rank-r stabilizer decomposition of a magic-state power,
+    with coefficients coeffs / N^npow."""
 
     def __init__(
         self,
         target: TargetState,
         states: list[CanonicalStabilizer],
-        coeffs: list[ScaledCyclo],
+        coeffs: list[CycloNumber],
+        npow: int = 0,
     ) -> None:
         if len(states) != len(coeffs):
             raise ValueError("need one coefficient per state")
         for st in states:
             if (st.p, st.n) != (target.p, target.n):
                 raise ValueError("state dimensions must match the target")
+        if npow < 0:
+            raise ValueError("decomposition n_power must be at least 0, got %d" % npow)
+        if (npow - target.npow) % 2:  # N is not cyclotomic: sums over N^npow reach N^target.npow only at one parity
+            raise ValueError(
+                "decomposition n_power %d and the N power %d of its target (%s, %d copies) differ in parity"
+                % (npow, target.npow, target.name, target.n)
+            )
         self.target = target
         self.states = list(states)
-        self.coeffs = [ScaledCyclo.wrap(c) for c in coeffs]
+        self.coeffs = list(coeffs)
+        self.npow = npow
 
     @property
     def rank(self) -> int:
@@ -95,23 +112,24 @@ class Decomposition:
 
     def verify_exact(self) -> list[int]:
         """Indices where sum_i c_i sigma_i(x) != target(x); empty means exact."""
-        dim = self.target.p**self.target.n
         vecs = [st.state_vector() for st in self.states]
+        d = max(self.npow, self.target.npow)
+        scale, target_scale = n_squared_factor(self.npow, d), n_squared_factor(self.target.npow, d)
         bad = []
-        for x in range(dim):
-            lhs = ScaledCyclo.wrap(0)
+        for x, amp in enumerate(self.target.amps):
+            lhs = CycloNumber.zero()
             for c, vec in zip(self.coeffs, vecs):
                 if not vec[x].is_zero():
                     lhs = lhs + c * vec[x]
-            if not lhs == self.target.amps[x]:
+            if lhs * scale != amp * target_scale:
                 bad.append(x)
         return bad
 
     def verify_numeric(self) -> float:
         """Euclidean residual of the superposition against the target vector."""
         acc = np.zeros(self.target.p**self.target.n, dtype=np.complex128)
-        for c, st in zip(self.coeffs, self.states):
-            acc += c.to_complex() * st.complex_vector()
+        for c, st in zip(n_scaled_complex(self.coeffs, self.npow), self.states):
+            acc += c * st.complex_vector()
         return float(np.linalg.norm(acc - self.target.complex_vector()))
 
     # -- composition -------------------------------------------------------------
@@ -126,15 +144,11 @@ class Decomposition:
             for cb, sb in zip(other.coeffs, other.states):
                 states.append(sa.tensor(sb))
                 coeffs.append(ca * cb)
-        return Decomposition(target, states, coeffs)
+        return Decomposition(target, states, coeffs, self.npow + other.npow)
 
     # -- serialization -------------------------------------------------------------
 
     def to_payload(self) -> dict:
-        npows = {c.npow for c in self.coeffs if not c.is_zero()}
-        d = max(npows, default=0)
-        if len({v % 2 for v in npows}) > 1:
-            raise ValueError("coefficients mix N-denominator parities")
         return {
             "format": "stabdecomp-decomposition",
             "version": 1,
@@ -142,9 +156,9 @@ class Decomposition:
             "copies": self.target.n,
             "p": self.target.p,
             "rank": self.rank,
-            "n_power": d,
+            "n_power": self.npow,
             "terms": [
-                {"coeff": c.cleared(d).to_payload(), "state": st.record()}
+                {"coeff": c.to_payload(), "state": st.record()}
                 for c, st in zip(self.coeffs, self.states)
             ],
         }
@@ -154,8 +168,8 @@ class Decomposition:
         """The decomposition of a payload.
 
         A ValueError names a missing or mistyped field, or says that a state's
-        dimensions differ from the target's; the states are checked before the
-        m-copy target is built.
+        dimensions differ from the target's, or that n_power cannot match the
+        target's N power; the states are checked before the m-copy target is built.
         """
         if not isinstance(payload, dict):
             got = _KIND_NAMES.get(type(payload), type(payload).__name__)
@@ -163,7 +177,7 @@ class Decomposition:
         what = "decomposition"
         name, copies = _field(what, payload, "target", str), _field(what, payload, "copies", int)
         p = magic_power(name, 0).p  # the zero-copy power: the state's p, without building the m-copy target
-        d = _typed(what, "n_power", payload.get("n_power", 0), int)
+        npow = _typed(what, "n_power", payload.get("n_power", 0), int)
         states, coeffs = [], []
         for j, term in enumerate(_field(what, payload, "terms", list)):
             label = "terms[%d]" % j
@@ -172,13 +186,13 @@ class Decomposition:
             coeff = _field(what, term, "coeff", dict, label + ".coeff")
             try:
                 states.append(CanonicalStabilizer.from_record(state))
-                coeffs.append(ScaledCyclo(CycloNumber.from_payload(coeff), d))
+                coeffs.append(CycloNumber.from_payload(coeff))
             except (KeyError, TypeError) as exc:
                 reason = "%s: %s" % (type(exc).__name__, exc)
                 raise ValueError("decomposition field %r is malformed (%s)" % (label, reason)) from None
             if (states[-1].p, states[-1].n) != (p, copies):
                 raise ValueError("state dimensions must match the target")
-        return cls(magic_power(name, copies), states, coeffs)
+        return cls(magic_power(name, copies), states, coeffs, npow)
 
     def save(self, path: str) -> None:
         with open(path, "w") as fh:
@@ -276,25 +290,17 @@ class SpanProjection:
 
 def exact_coefficients(
     states: list[CanonicalStabilizer], target: TargetState
-) -> list[ScaledCyclo] | None:
+) -> list[CycloNumber] | None:
     """Exact coefficients expressing the target over the given states, or None.
 
-    The target's 1/N^D scale (uniform over its support) is cleared first, so
-    the solve happens entirely inside a cyclotomic field; a returned solution
-    therefore certifies the decomposition with no floating point involved.
+    They are numerators over the target's own N power: the solve runs on the
+    target's numerators, entirely inside a cyclotomic field, so a returned
+    solution certifies the decomposition with no floating point involved.
     """
-    npows = {a.npow for a in target.amps if not a.is_zero()}
-    if len(npows) > 1:
-        raise ValueError("target amplitudes must share one N power")
-    d = npows.pop() if npows else 0
     dim = target.p**target.n
     matrix = [[CycloNumber.zero() for _ in states] for _ in range(dim)]
     for j, st in enumerate(states):
         vec = st.state_vector()
         for x in range(dim):
             matrix[x][j] = vec[x]
-    rhs = [a.num if not a.is_zero() else CycloNumber.zero() for a in target.amps]
-    sol = cyclo_solve(matrix, rhs)
-    if sol is None:
-        return None
-    return [ScaledCyclo(u, d) for u in sol]
+    return cyclo_solve(matrix, list(target.amps))

@@ -38,7 +38,6 @@ from .algebra import (
 from .decomposition import Decomposition
 from .stabilizer import (
     CanonicalStabilizer,
-    ScaledCyclo,
     ket,
     magic_power,
     plus_state,
@@ -65,7 +64,7 @@ def strange_m2() -> Decomposition:
     I2 = np.eye(2, dtype=np.int64)
     s1 = _qutrit(2, None, I2, quad={(0, 0): 1, (0, 1): 1, (1, 1): 1})
     s2 = _qutrit(2, None, I2, quad={(0, 0): 1, (0, 1): 2, (1, 1): 1})
-    c = ScaledCyclo(-(i_unit() * sqrt3() / 2) * omega())
+    c = -(i_unit() * sqrt3() / 2) * omega()
     return Decomposition(magic_power("S", 2), [s1, s2], [c, -c])
 
 
@@ -75,8 +74,8 @@ def strange_m3() -> Decomposition:
     s2 = _qutrit(3, [0, 1, 0], W, quad={(0, 0): 2, (0, 1): 1, (1, 1): 1})
     s3 = _qutrit(3, [0, 2, 0], W, quad={(0, 0): 1, (0, 1): 2})
     s4 = _qutrit(3, [0, 1, 0], W, quad={(0, 0): 2, (0, 1): 2, (1, 1): 1})
-    alpha = ScaledCyclo((3 * sqrt2() - i_unit() * sqrt6()) / 8)
-    beta = ScaledCyclo(-(i_unit() * sqrt6()) / 4)
+    alpha = (3 * sqrt2() - i_unit() * sqrt6()) / 8
+    beta = -(i_unit() * sqrt6()) / 4
     return Decomposition(
         magic_power("S", 3), [s1, s2, s3, s4], [alpha, beta, -alpha, -beta]
     )
@@ -88,10 +87,10 @@ def h3_m2() -> Decomposition:
     s1 = _qutrit(2, None, _W(2, [1]))  # |0,+>
     s2 = _qutrit(2, None, _W(2, [0]))  # |+,0>
     s3 = _qutrit(2, None, np.eye(2, dtype=np.int64), quad={(0, 0): 2, (1, 1): 1})
-    a1 = ScaledCyclo(c * sqrt3() * (one - c * omega()), 2)
-    a2 = ScaledCyclo(c * sqrt3() * (one - c * omega() ** 2), 2)
-    a3 = ScaledCyclo(3 * c * c, 2)
-    return Decomposition(magic_power("H3", 2), [s1, s2, s3], [a1, a2, a3])
+    a1 = c * sqrt3() * (one - c * omega())
+    a2 = c * sqrt3() * (one - c * omega() ** 2)
+    a3 = 3 * c * c
+    return Decomposition(magic_power("H3", 2), [s1, s2, s3], [a1, a2, a3], npow=2)
 
 
 def h3_m3() -> Decomposition:
@@ -102,10 +101,10 @@ def h3_m3() -> Decomposition:
     s2 = _qutrit(3, None, I3, quad={(0, 0): 1, (1, 1): 1, (2, 2): 2})
     s3 = _qutrit(3, None, _W(3, [2]))  # |0,0,+>
     s4 = _qutrit(3, None, _W(3, [0], [1]))  # |+,+,0>
-    a1 = ScaledCyclo(3 * c * (one + i_unit()) / 4, 1)
-    a2 = ScaledCyclo(3 * c * (one - i_unit()) / 4, 1)
-    a34 = ScaledCyclo(CycloNumber.from_rational(Fraction(3, 4)), 1)
-    return Decomposition(magic_power("H3", 3), [s1, s2, s3, s4], [a1, a2, a34, a34])
+    a1 = 3 * c * (one + i_unit()) / 4
+    a2 = 3 * c * (one - i_unit()) / 4
+    a34 = CycloNumber.from_rational(Fraction(3, 4))
+    return Decomposition(magic_power("H3", 3), [s1, s2, s3, s4], [a1, a2, a34, a34], npow=1)
 
 
 def norrell_m2() -> Decomposition:
@@ -117,7 +116,7 @@ def norrell_m2() -> Decomposition:
     return Decomposition(
         magic_power("N", 2),
         [s1, s2, s3],
-        [ScaledCyclo(-w / 2), ScaledCyclo.wrap(1), ScaledCyclo(-(w * w) / 2)],
+        [-w / 2, CycloNumber.one(), -(w * w) / 2],
     )
 
 
@@ -126,10 +125,8 @@ def norrell_m3() -> Decomposition:
     s2 = _qutrit(3, [0, 2, 0], _W(3, [0], [2]), quad={(0, 0): 1, (1, 1): 2}, lin=[2, 1])
     s3 = plus_state(3, 3)
     s4 = _qutrit(3, [0, 0, 2], _W(3, [0], [1]), quad={(0, 0): 2, (1, 1): 1}, lin=[1, 2])
-    a = ScaledCyclo(-sqrt6() / 4)
-    return Decomposition(
-        magic_power("N", 3), [s1, s2, s3, s4], [a, a, ScaledCyclo(sqrt2() / 4), a]
-    )
+    a = -sqrt6() / 4
+    return Decomposition(magic_power("N", 3), [s1, s2, s3, s4], [a, a, sqrt2() / 4, a])
 
 
 def norrell_m4() -> Decomposition:
@@ -158,15 +155,7 @@ def norrell_m4() -> Decomposition:
     s6 = plus_state(3, 4)
     tau = sqrt3() / 4
     w, x = omega(), xi()
-    coeffs = [
-        ScaledCyclo(tau * w),
-        ScaledCyclo(tau * x),
-        ScaledCyclo(tau * x),
-        ScaledCyclo(tau * x),
-        ScaledCyclo(tau * w),
-        ScaledCyclo(tau * x),
-        ScaledCyclo(w * w / 4),
-    ]
+    coeffs = [tau * w, tau * x, tau * x, tau * x, tau * w, tau * x, w * w / 4]
     return Decomposition(magic_power("N", 4), [s0, s1, s2, s3, s4, s5, s6], coeffs)
 
 
@@ -183,11 +172,7 @@ def qubit_t_m4() -> Decomposition:
     s3 = qb(_W(4, [0], [1, 3], [2]), [1, 1, 1], [(0, 2)])
     z = CycloNumber.zeta_pow
     third = Fraction(2, 3)
-    coeffs = [
-        ScaledCyclo(z(24, 1) * third),
-        ScaledCyclo.wrap(third),
-        ScaledCyclo(z(24, -1) * third),
-    ]
+    coeffs = [z(24, 1) * third, CycloNumber.from_rational(third), z(24, -1) * third]
     return Decomposition(magic_power("T", 4), [s1, s2, s3], coeffs)
 
 
@@ -200,15 +185,4 @@ FIXTURES = {
     "norrell_m3": norrell_m3,
     "norrell_m4": norrell_m4,
     "qubit_t_m4": qubit_t_m4,
-}
-
-FIXTURE_RANKS = {
-    "strange_m2": 2,
-    "strange_m3": 4,
-    "h3_m2": 3,
-    "h3_m3": 4,
-    "norrell_m2": 3,
-    "norrell_m3": 4,
-    "norrell_m4": 7,
-    "qubit_t_m4": 3,
 }

@@ -42,92 +42,34 @@ from .algebra import (
 )
 
 # ---------------------------------------------------------------------------
-# values of the form  num / N^npow,  N = sqrt(3 - sqrt 3)
+# the normalization N = sqrt(3 - sqrt 3)
 # ---------------------------------------------------------------------------
 
 # N itself generates a non-abelian extension and is *not* cyclotomic, but
-# N^2 = 3 - sqrt 3 is, so any identity whose terms share the parity of npow
-# can be cleared to pure cyclotomic arithmetic.
+# N^2 = 3 - sqrt 3 is.  An exact vector (a target, or a decomposition's
+# coefficients) is a list of cyclotomic numerators over one power N^npow, so
+# two vectors whose powers share a parity compare in pure cyclotomic
+# arithmetic once both are put over the larger power.
 
 _N_SQUARED = CycloNumber.from_rational(3) - sqrt3()
 _N_FLOAT = float(np.sqrt(3.0 - np.sqrt(3.0)))
 
 
-class ScaledCyclo:
-    """Exact number num / N^npow with num cyclotomic and N = sqrt(3 - sqrt 3)."""
+def n_squared_factor(npow: int, d: int) -> CycloNumber:
+    """(N^2)^((d - npow)/2), which puts a numerator over N^npow over N^d.
 
-    __slots__ = ("num", "npow")
+    The power difference must be even and non-negative.
+    """
+    diff = d - npow
+    if diff < 0 or diff % 2:
+        raise ValueError("cannot clear N power %d to N power %d" % (npow, d))
+    return _N_SQUARED ** (diff // 2)
 
-    def __init__(self, num: CycloNumber, npow: int = 0) -> None:
-        if npow < 0:
-            raise ValueError("npow must be non-negative")
-        self.num = num
-        self.npow = int(npow) if not num.is_zero() else 0
 
-    @classmethod
-    def wrap(cls, value) -> "ScaledCyclo":
-        if isinstance(value, ScaledCyclo):
-            return value
-        if isinstance(value, (int, Fraction)):
-            value = CycloNumber.from_rational(value)
-        return cls(value, 0)
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __mul__(self, other) -> "ScaledCyclo":
-        if isinstance(other, ScaledCyclo):
-            return ScaledCyclo(self.num * other.num, self.npow + other.npow)
-        return ScaledCyclo(self.num * other, self.npow)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "ScaledCyclo":
-        return ScaledCyclo(-self.num, self.npow)
-
-    def _cleared_pair(self, other: "ScaledCyclo") -> tuple[CycloNumber, CycloNumber, int]:
-        d = max(self.npow, other.npow)
-        return self.cleared(d), other.cleared(d), d
-
-    def __add__(self, other) -> "ScaledCyclo":
-        other = ScaledCyclo.wrap(other)
-        a, b, d = self._cleared_pair(other)
-        return ScaledCyclo(a + b, d)
-
-    def __sub__(self, other) -> "ScaledCyclo":
-        return self + (-ScaledCyclo.wrap(other))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (ScaledCyclo, CycloNumber, int, Fraction)):
-            return NotImplemented
-        other = ScaledCyclo.wrap(other)
-        a, b, _ = self._cleared_pair(other)
-        return a == b
-
-    def __hash__(self) -> int:
-        raise TypeError("ScaledCyclo is unhashable; compare cleared numerators")
-
-    def cleared(self, d: int) -> CycloNumber:
-        """num * N^(d - npow), requiring the power difference to be even."""
-        diff = d - self.npow
-        if self.num.is_zero():
-            return self.num
-        if diff < 0 or diff % 2:
-            raise ValueError(
-                "cannot clear npow %d to denominator power %d" % (self.npow, d)
-            )
-        return self.num * _N_SQUARED ** (diff // 2)
-
-    def conjugate(self) -> "ScaledCyclo":
-        return ScaledCyclo(self.num.conjugate(), self.npow)
-
-    def to_complex(self) -> complex:
-        return self.num.to_complex() / _N_FLOAT**self.npow
-
-    def __repr__(self) -> str:
-        if self.npow == 0:
-            return repr(self.num)
-        return "(%r) / N^%d" % (self.num, self.npow)
+def n_scaled_complex(nums: list[CycloNumber], npow: int) -> np.ndarray:
+    """The complex values num / N^npow of numerators over one N power."""
+    scale = _N_FLOAT**npow
+    return np.array([a.to_complex() / scale for a in nums], dtype=np.complex128)
 
 
 # ---------------------------------------------------------------------------
@@ -623,40 +565,42 @@ def build_catalog(p: int, n: int) -> Catalog:
 MAGIC_NAMES = ("S", "N", "H3", "T3", "H", "T")
 
 
-def _single_leg_amps(name: str) -> tuple[int, list[ScaledCyclo]]:
+def _single_leg_amps(name: str) -> tuple[int, int, list[CycloNumber]]:
+    """(p, npow, numerators) of one copy of a named magic state."""
     one = CycloNumber.one()
     if name == "S":
         r2 = sqrt2() / 2
-        return 3, [ScaledCyclo.wrap(0), ScaledCyclo(r2), ScaledCyclo(-r2)]
+        return 3, 0, [CycloNumber.zero(), r2, -r2]
     if name == "N":
         r6 = sqrt6() / 6
-        return 3, [ScaledCyclo(r6), ScaledCyclo(r6), ScaledCyclo(-2 * r6)]
+        return 3, 0, [r6, r6, -2 * r6]
     if name == "H3":
         c = (sqrt3() - one) / 2
-        return 3, [ScaledCyclo(one, 1), ScaledCyclo(c, 1), ScaledCyclo(c, 1)]
+        return 3, 1, [one, c, c]
     if name == "T3":
         r3 = (sqrt3() / 3).lift(72)
         w9 = omega9()
-        return 3, [ScaledCyclo(r3), ScaledCyclo(r3 * w9), ScaledCyclo(r3 * w9 * w9)]
+        return 3, 0, [r3, r3 * w9, r3 * w9 * w9]
     if name == "H":
         r2 = sqrt2() / 2
-        return 2, [ScaledCyclo(r2), ScaledCyclo(r2 * CycloNumber.zeta_pow(24, 3))]
+        return 2, 0, [r2, r2 * CycloNumber.zeta_pow(24, 3)]
     raise ValueError("unknown magic state %r" % (name,))
 
 
 class TargetState:
-    """An m-fold magic-state tensor power with exact and float amplitudes."""
+    """An m-fold magic-state tensor power: exact amplitudes amps / N^npow, and their floats."""
 
-    __slots__ = ("name", "p", "n", "amps")
+    __slots__ = ("name", "p", "n", "amps", "npow")
 
-    def __init__(self, name: str, p: int, n: int, amps: list[ScaledCyclo]) -> None:
+    def __init__(self, name: str, p: int, n: int, amps: list[CycloNumber], npow: int = 0) -> None:
         self.name = name
         self.p = p
         self.n = n
         self.amps = amps
+        self.npow = npow
 
     def complex_vector(self) -> np.ndarray:
-        return np.array([a.to_complex() for a in self.amps], dtype=np.complex128)
+        return n_scaled_complex(self.amps, self.npow)
 
     def __repr__(self) -> str:
         return "TargetState(%s, p=%d, n=%d)" % (self.name, self.p, self.n)
@@ -675,14 +619,14 @@ def _qubit_t_power(m: int) -> TargetState:
     cos2 = CycloNumber.from_rational(half) + sqrt3() / 6
     sin2 = CycloNumber.from_rational(half) - sqrt3() / 6
     cossin = sqrt6() / 6
-    amps: list[ScaledCyclo] = []
+    amps: list[CycloNumber] = []
     for idx in range(2**m):
         w = bin(idx).count("1")
         if w % 2 == 0:
             mag = cos2 ** ((m - w) // 2) * sin2 ** (w // 2)
         else:
             mag = cossin * cos2 ** ((m - w - 1) // 2) * sin2 ** ((w - 1) // 2)
-        amps.append(ScaledCyclo(mag * CycloNumber.zeta_pow(24, 3 * w)))
+        amps.append(mag * CycloNumber.zeta_pow(24, 3 * w))
     return TargetState("T", 2, m, amps)
 
 
@@ -690,11 +634,11 @@ def magic_power(name: str, m: int) -> TargetState:
     """The m-fold tensor power of a named magic state, exact amplitudes."""
     if name == "T":
         return _qubit_t_power(m)
-    p, leg = _single_leg_amps(name)
-    amps = [ScaledCyclo.wrap(1)]
+    p, npow, leg = _single_leg_amps(name)
+    amps = [CycloNumber.one()]
     for _ in range(m):
         amps = [a * l for a in amps for l in leg]
-    return TargetState(name, p, m, amps)
+    return TargetState(name, p, m, amps, npow * m)
 
 
 def magic_state(name: str) -> TargetState:

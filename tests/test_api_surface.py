@@ -1,11 +1,12 @@
-"""Every function and method in ``src/stabdecomp`` has a caller.
+"""Every function and method in ``src/stabdecomp`` has a caller, and every
+public module-level class and constant a reader.
 
-A caller of a public one is a reference in ``src/`` or ``bench/`` (a name or
-an attribute; in ``bench/`` also a dotted string, such as a tracer hook), or
-an entry in the README's "Library API" list, which names the operations the
-library offers without calling them itself.  A caller of a private one is a
-reference in ``src/``.  Tests do not count: code that only tests reach
-belongs in the tests.
+A caller of a public one is a reference in ``src/`` or ``bench/`` (a name
+read or an attribute; in ``bench/`` also a dotted string, such as a tracer
+hook), or an entry in the README's "Library API" list, which names the
+operations the library offers without calling them itself.  A caller of a
+private function is a reference in ``src/``.  Tests do not count: code and
+data that only tests reach belong in the tests.
 """
 
 from __future__ import annotations
@@ -31,9 +32,25 @@ def _definitions():
                         yield "%s.%s.%s" % (module, node.name, item.name), item.name
 
 
+def _module_names():
+    """(qualified name, name) of each module-level class and constant (an assigned name)."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = path.stem
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef):
+                yield "%s.%s" % (module, node.name), node.name
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    for name in ast.walk(target):
+                        if isinstance(name, ast.Name):
+                            yield "%s.%s" % (module, name.id), name.id
+
+
 def _public_definitions():
-    """(qualified name, name) of each public top-level function and public method."""
-    return [(qualified, name) for qualified, name in _definitions() if not name.startswith("_")]
+    """(qualified name, name) of each public function, method, class and constant."""
+    everything = [*_definitions(), *_module_names()]
+    return [(qualified, name) for qualified, name in everything if not name.startswith("_")]
 
 
 def _referenced_names(tops=("src", "bench")) -> set[str]:
@@ -41,7 +58,7 @@ def _referenced_names(tops=("src", "bench")) -> set[str]:
     for top in tops:
         for path in sorted((ROOT / top).rglob("*.py")):
             for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Name):
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                     names.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     names.add(node.attr)
@@ -73,15 +90,15 @@ def test_every_public_function_has_a_caller_or_is_documented():
         if name not in referenced and qualified not in api
     ]
     assert not orphans, (
-        "public functions with no caller in src/ or bench/ and no entry in the "
-        "README's Library API list: %s" % ", ".join(orphans)
+        "public functions, classes or constants with no reference in src/ or bench/ "
+        "and no entry in the README's Library API list: %s" % ", ".join(orphans)
     )
 
 
 def test_readme_api_names_exist():
     defined = {qualified for qualified, _ in _public_definitions()}
     missing = sorted(_readme_api() - defined)
-    assert not missing, "README Library API names no such function: %s" % ", ".join(missing)
+    assert not missing, "README Library API names nothing defined: %s" % ", ".join(missing)
 
 
 def test_every_private_function_has_a_caller_in_src():

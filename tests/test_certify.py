@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -18,7 +19,6 @@ from stabdecomp.certify import (
 from stabdecomp.decomposition import best_fit
 from stabdecomp.stabilizer import (
     Catalog,
-    ScaledCyclo,
     TargetState,
     build_catalog,
     magic_power,
@@ -174,7 +174,7 @@ def test_completeness_against_projective_equality(cat1):
     # with the target equal to a catalog state, r=1 witnesses are exactly it
     for idx in (0, 7, 11):
         st = cat1.get(idx)
-        target = TargetState("fixture", 3, 1, [ScaledCyclo.wrap(a) for a in st.state_vector()])
+        target = TargetState("fixture", 3, 1, list(st.state_vector()))
         cert = certify_rank(target, 1, cat1)
         assert cert.witnesses == [(idx,)]
 
@@ -412,3 +412,40 @@ def test_certificate_round_trip(tmp_path, cat1):
     loaded = Certificate.load(str(path))
     assert loaded == cert
     assert target_fingerprint(magic_state("T3")) == cert.target_hash
+
+
+# (name, copies): (target_fingerprint, sha256 of complex_vector().tobytes()).
+# Every version-1 certificate carries the first as its target_hash; the second
+# pins the float amplitudes bit for bit, signed zeros included.
+TARGET_PINS = {
+    ("S", 1): ("bc1c712017d91fb6fa6100c17df278ed02ddf084b4b603bd5c0c4b62923bf5a2", "50281e77085a701997586d87c290a72144fff3f414769972c78230920fea058e"),
+    ("S", 2): ("b86d7b27f1fe8a99a0a8653c8b9138f33fdb2b5bed1040f90c15394e1b4a1e0a", "36ce2f6b23bae4f6d38b4d186ab7f41d06f3f3b5f000405537dab9e6abd90721"),
+    ("S", 3): ("a2c1605a015ce5a1ade2359a4f84abc7a5f88cedd2bc31f3f0c97d10c60a4a7e", "4ad3d5491396b4ea9872fb0c2d3b8e76266ef105c8bdb567927e205981f5577b"),
+    ("S", 4): ("81ef00aa1e83fa53df35f836a18baf07a6951f4435496a075d6da80555929c83", "82f205466b1995fc937efb0db40c72d224641f681210a334f11f247cfa87e815"),
+    ("N", 1): ("8abac90998eec771d2d68770cafcd2871a2a81a724ef08d10e01f3f663e1f99e", "f66a49b142d03cdce4b3ed08301dd9ea03c444ec6741f06eaeb796701151cb36"),
+    ("N", 2): ("3cd8a9a563135368a3b606232a1f3fcad0452bdd7194edfe2da517fb323b7da3", "daffe5c3133f8dd27f32f8a098ce36f19a7edb40b538df5a9bc78186c59c9017"),
+    ("N", 3): ("92c9231fb3fe0d1385e339c6687c3d63de2eec230887846b13e0193f45b54463", "52929245befe565db261a13ac4ca430449cf7c728d1fe35642f3240896199fc9"),
+    ("N", 4): ("4dbd4028abddd5c74f9f14b96d0c89b17d9c3e8a765b105b6028f8fb4adc732c", "5ae7a8afc3196cca4cae0292f1f79171a65474fb7057119d24040531efc6f175"),
+    ("H3", 1): ("424f31d3041128734053308fe70665058dd733b9cd9509978a10263d916e5227", "d959b0b55133745671e289e4dcd6a1796ca0c99504279865df2bf9951fea70fb"),
+    ("H3", 2): ("f537fc78f484e1d6ccbd81982e30a44aab3b38edb6a9de57d602d48b15972a9f", "975338a54fc7222b6de674133b6b04ef2c5df577c403af4e37e96d781150e758"),
+    ("H3", 3): ("87ace4efcf3e2224ec8cf177d1a52f4b44b800ae670dbbf2d73fcf2250464e44", "ac0ab30247f7bfba81a25fdfcacd7eec83e5161f3dc2cd70601914490043574a"),
+    ("H3", 4): ("84b41e2347e2d9b623cf1b0e86c2dae18949a0773065873d55f72090586b3082", "a5660b27d7b9ae1d0b3e95a21456c92eaeb75ee9b776c3434671b03f64ea8f5f"),
+    ("T3", 1): ("eea4b6c0d78edce61cb1662fb3171d8ec326aa73fd277292a2f8b2d92f03ec82", "2771d5db1a1f353126f93ceb4dd7b0bbc6ea0e5432725ea8a14dfa1459cae56d"),
+    ("T3", 2): ("4b3c5b73b94f2bbe3a1666f727f58a51540f59edbe3093d88546dc842b75d5b3", "0b9d0dcdff7154a1c89c5e1ad6dc472a0c33e64f33b77c4579e2d3cac0319707"),
+    ("T3", 3): ("4a008bab2a6fcb471ce27f8b1798a9f4e9cdaea46253e14f30c987d7ffe8bced", "faa20b014dde908db5b5d054ab1351746792a916d5cb9b448148e46bf3008ff0"),
+    ("T3", 4): ("43c7b33e5a23c45f1eea96285ba364277eb554b4aea6a190e62d2017938dbf5a", "20779e092cdd773c45c26f14065df35d6acb19d62509608c2040592ffa71f935"),
+    ("H", 1): ("febf1be836f86a102d3632dcd7d9cde4e8fdacc02e5d5a173a3ec47926b58a06", "c6474c19add71b24ca64b4e5d0d1260002bc38083b4511f4d5874a889cce95c9"),
+    ("H", 2): ("9190e190d8120f2c6c4ad81db7d83ccc4e8621a780c22be275c5ac60c6d2d37e", "c96b2852ddb7d8375138b14da948e739ec12718be6b9a7b1de24ffa23b779362"),
+    ("H", 3): ("79a456e378ea9871e173f60ffe9886fe7aae6335838c72a77b6eb3bc55f54128", "eae40399fe18cb0e369f896074500785c955c605a9377186783795a2524c113c"),
+    ("H", 4): ("c859456b567f0440083097b95f6384ac7393f3e9d2f8cb48d861e75926a2d800", "f28513aaa3292fba471bf1f7f337a9a255a62e53c6103911b2dc97f0b1f383c6"),
+    ("T", 2): ("58b80aee16890aeaa103c5a135f4f06755d25b5eccd998d3f8795b713cfd21bd", "460022a0adca0f8de1f3b373449e914683e2802f37046fe1ace06fa660fed16f"),
+    ("T", 4): ("88ce1a3de2cce88b681f254faefc71c7f7206ea8d4dc68bb2998638217f89e98", "be3ff34ce8af0c36a89e114f52ffde12bb872192acb1b97f3b3f2f83ed677d02"),
+}
+
+
+@pytest.mark.parametrize("name, m", sorted(TARGET_PINS))
+def test_exact_targets_are_pinned(name, m):
+    t = magic_power(name, m)
+    fingerprint, floats = TARGET_PINS[name, m]
+    assert target_fingerprint(t) == fingerprint
+    assert hashlib.sha256(t.complex_vector().tobytes()).hexdigest() == floats

@@ -51,7 +51,7 @@ def test_verify_file_roundtrip_and_failure(tmp_path):
     dec.save(str(good))
     assert main(["verify", "--file", str(good), "--exact", "--out", str(tmp_path / "a.json")]) == 0
 
-    bad = Decomposition(dec.target, dec.states[:1], dec.coeffs[:1])
+    bad = Decomposition(dec.target, dec.states[:1], dec.coeffs[:1], dec.npow)
     bad_path = tmp_path / "bad.json"
     bad.save(str(bad_path))
     assert main(["verify", "--file", str(bad_path), "--out", str(tmp_path / "b.json")]) == 1
@@ -102,6 +102,35 @@ def test_verify_unreadable_file_usage_error(tmp_path, capsys, monkeypatch):
         bad.write_text(json.dumps({k: v for k, v in payload.items() if k != field}))
         assert main(["verify", "--all-fixtures", "--file", str(bad), "--out", str(out)]) == 2
         assert capsys.readouterr().err == "decomposition lacks the field %r\n" % field
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "fixture, n_power, message",
+    [
+        ("norrell_m2", 1, "decomposition n_power 1 and the N power 0 of its target (N, 2 copies) differ in parity"),
+        ("h3_m3", 2, "decomposition n_power 2 and the N power 3 of its target (H3, 3 copies) differ in parity"),
+        ("h3_m3", -1, "decomposition n_power must be at least 0, got -1"),
+    ],
+    ids=["odd-over-even", "even-over-odd", "negative"],
+)
+def test_verify_refuses_an_n_power_off_the_target_parity(tmp_path, capsys, monkeypatch, fixture, n_power, message):
+    # coefficients over N^1 never sum to a target over N^0: N is not cyclotomic.
+    # Such a file used to pass to the numeric check and then fail the exact one
+    # with "cannot clear npow 0 to denominator power 1"; it is refused on loading
+    payload = known.FIXTURES[fixture]().to_payload()
+    _fixtures_must_not_run(monkeypatch)
+
+    def no_check(self):
+        raise AssertionError("a decomposition was checked after loading")
+
+    monkeypatch.setattr(Decomposition, "verify_numeric", no_check)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(payload, n_power=n_power)))
+    out = tmp_path / "r.json"
+    capsys.readouterr()
+    assert main(["verify", "--all-fixtures", "--file", str(bad), "--exact", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == message + "\n"
     assert not out.exists()
 
 
@@ -446,6 +475,24 @@ def test_certify_refuses_before_building_the_catalog(tmp_path, monkeypatch):
     assert not out.exists()
 
 
+def _no_target(monkeypatch, command):
+    def no_target(*args, **kwargs):
+        raise AssertionError("a target built for a request %s refuses" % command)
+
+    monkeypatch.setattr(cli, "magic_power", no_target)
+    monkeypatch.setattr(cli, "build_catalog", no_target)
+
+
+def test_certify_refuses_many_copies_before_building_the_target(tmp_path, capsys, monkeypatch):
+    # N at 12 copies has 531,441 exact amplitudes, once built before the refusal
+    _no_target(monkeypatch, "certify")
+    out = tmp_path / "c.json"
+    capsys.readouterr()
+    assert main(["certify", "--target", "N", "--m", "12", "--r", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "531441 basis states exceed the 63 bits of a support mask\n"
+    assert not out.exists()
+
+
 def test_certify_rank_above_the_catalog_usage_error(tmp_path, capsys, monkeypatch):
     # one qutrit has 12 stabilizer states: r = 13 leaves no tuple to test
     def no_catalog(*args, **kwargs):
@@ -552,6 +599,17 @@ def test_audit_refuses_a_certificate_off_its_target(tmp_path, capsys, monkeypatc
     capsys.readouterr()
     assert main(["audit", "--cert", str(out), "--out", str(tmp_path / "a.json")]) == 2
     assert capsys.readouterr().err == message + "\n"
+    assert not (tmp_path / "a.json").exists()
+
+
+def test_audit_refuses_many_copies_before_building_the_target(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "cert.json"
+    assert main(["certify", "--target", "T3", "--m", "1", "--r", "2", "--out", str(out)]) == 0
+    out.write_text(json.dumps(dict(read_json(out), copies=12, n=12)))
+    _no_target(monkeypatch, "audit")
+    capsys.readouterr()
+    assert main(["audit", "--cert", str(out), "--out", str(tmp_path / "a.json")]) == 2
+    assert capsys.readouterr().err == "531441 basis states exceed the 63 bits of a support mask\n"
     assert not (tmp_path / "a.json").exists()
 
 

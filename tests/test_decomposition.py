@@ -3,8 +3,20 @@ import pytest
 
 from stabdecomp.algebra import CycloNumber, i_unit, sqrt2, sqrt6, xi
 from stabdecomp.decomposition import Decomposition, best_fit, exact_coefficients
-from stabdecomp.known import FIXTURE_RANKS, FIXTURES
-from stabdecomp.stabilizer import ScaledCyclo, build_catalog, ket, magic_power
+from stabdecomp.known import FIXTURES
+from stabdecomp.stabilizer import build_catalog, ket, magic_power, n_scaled_complex
+
+# the rank of each bundled decomposition (the table in stabdecomp.known)
+FIXTURE_RANKS = {
+    "strange_m2": 2,
+    "strange_m3": 4,
+    "h3_m2": 3,
+    "h3_m3": 4,
+    "norrell_m2": 3,
+    "norrell_m3": 4,
+    "norrell_m4": 7,
+    "qubit_t_m4": 3,
+}
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
@@ -20,6 +32,7 @@ def test_fixture_round_trip(name):
     dec = FIXTURES[name]()
     back = Decomposition.from_payload(dec.to_payload())
     assert back.verify_exact() == []
+    assert back.npow == dec.npow
     for a, b in zip(dec.coeffs, back.coeffs):
         assert a == b
     for sa, sb in zip(dec.states, back.states):
@@ -63,15 +76,16 @@ def test_norrell_m4_target_value_classes():
     vals = {}
     for idx, amp in enumerate(t.amps):
         digits = [(idx // 3**j) % 3 for j in range(4)]
-        vals.setdefault(digits.count(2), set()).add(amp.num.coeffs)
+        vals.setdefault(digits.count(2), set()).add(amp.coeffs)
     assert set(vals) == {0, 1, 2, 3, 4}
     for n2, seen in vals.items():
         assert len(seen) == 1
-    assert [t.amps[0].to_complex().real] == [pytest.approx(1 / 36)]
+    vec = t.complex_vector()
+    assert t.npow == 0 and [vec[0].real] == [pytest.approx(1 / 36)]
     want = {0: 1 / 36, 1: -1 / 18, 2: 1 / 9, 3: -2 / 9, 4: 4 / 9}
-    for idx, amp in enumerate(t.amps):
+    for idx, amp in enumerate(vec):
         digits = [(idx // 3**j) % 3 for j in range(4)]
-        assert amp.to_complex() == pytest.approx(want[digits.count(2)])
+        assert amp == pytest.approx(want[digits.count(2)])
 
 
 def test_tensor_composition():
@@ -92,8 +106,8 @@ def test_best_fit_recovers_fixture_coefficients():
         A = np.stack([st.complex_vector() for st in dec.states], axis=1)
         sol, res = best_fit(A, dec.target.complex_vector())
         assert res < 1e-13
-        for got, want in zip(sol, dec.coeffs):
-            assert abs(got - want.to_complex()) < 1e-10
+        for got, want in zip(sol, n_scaled_complex(dec.coeffs, dec.npow)):
+            assert abs(got - want) < 1e-10
 
 
 def test_best_fit_rank_deficient_and_insufficient():
@@ -114,7 +128,9 @@ def test_exact_solver_recovers_coefficients():
         dec = FIXTURES[name]()
         coeffs = exact_coefficients(dec.states, dec.target)
         assert coeffs is not None
-        rebuilt = Decomposition(dec.target, dec.states, coeffs)
+        # these fixtures carry the target's own N power (h3_m2: N^2)
+        assert dec.npow == dec.target.npow
+        rebuilt = Decomposition(dec.target, dec.states, coeffs, dec.target.npow)
         assert rebuilt.verify_exact() == []
         for a, b in zip(coeffs, dec.coeffs):
             assert a == b
@@ -134,5 +150,5 @@ def test_single_copy_strange_rank_two():
     assert coeffs is not None
     dec = Decomposition(target, states, coeffs)
     assert dec.verify_exact() == []
-    assert dec.coeffs[0] == ScaledCyclo(sqrt2() / 2)
-    assert dec.coeffs[1] == ScaledCyclo(-sqrt2() / 2)
+    assert dec.coeffs[0] == sqrt2() / 2
+    assert dec.coeffs[1] == -sqrt2() / 2

@@ -7,12 +7,13 @@ from stabdecomp.algebra import CycloNumber, QuadraticForm, Z4Phase, sqrt3
 from stabdecomp.stabilizer import (
     CanonicalStabilizer,
     Catalog,
-    ScaledCyclo,
     basis_index,
     build_catalog,
     ket,
     magic_power,
     magic_state,
+    n_scaled_complex,
+    n_squared_factor,
     plus_state,
 )
 
@@ -211,10 +212,11 @@ def test_magic_single_copies():
 
 
 def exact_target_norm(target):
-    total = ScaledCyclo.wrap(0)
+    """The exact squared norm of the target: its numerators' squared norm over N^(2 npow)."""
+    total = CycloNumber.zero()
     for a in target.amps:
         total = total + a * a.conjugate()
-    return total
+    return total / n_squared_factor(0, 2 * target.npow)
 
 
 @pytest.mark.parametrize("name", ["S", "N", "H3", "T3", "H"])
@@ -233,7 +235,8 @@ def test_magic_powers_exact_norm(name):
 
 def test_h3_n_power_bookkeeping():
     t = magic_power("H3", 3)
-    assert all(a.npow == 3 for a in t.amps)
+    assert t.npow == 3
+    assert [magic_power(name, 3).npow for name in ("S", "N", "T3", "H")] == [0, 0, 0, 0]
     # c = (sqrt3-1)/2 satisfies 1 + 2 c^2 = 3 - sqrt3 exactly
     c = (sqrt3() - CycloNumber.one()) / 2
     assert CycloNumber.one() + 2 * c * c == CycloNumber.from_rational(3) - sqrt3()
@@ -252,14 +255,16 @@ def test_qubit_t_even_powers():
         magic_power("T", 3)
 
 
-def test_scaled_cyclo_arithmetic():
+def test_n_squared_factor_clears_even_differences():
     one = CycloNumber.one()
-    a = ScaledCyclo(one, 1)
     n2 = CycloNumber.from_rational(3) - sqrt3()
-    # (1/N) * (1/N) == (3 - sqrt3)^{-1} ... cross-check by clearing
-    assert (a * a).cleared(2) == one
-    assert (a * ScaledCyclo(n2, 2)) == a  # N^2/N^3 == 1/N
-    with pytest.raises(ValueError):
-        a.cleared(2)  # odd parity difference
-    assert ScaledCyclo(one, 1) + ScaledCyclo(one, 3) == ScaledCyclo(one + n2, 3)
-    assert abs(a.to_complex() - 1 / np.sqrt(3 - np.sqrt(3))) < 1e-15
+    assert n_squared_factor(1, 1) == one and n_squared_factor(0, 0) == one
+    assert n_squared_factor(1, 3) == n2  # 1/N == N^2/N^3
+    assert n_squared_factor(0, 4) == n2 * n2
+    for npow, d in ((1, 2), (0, 3), (3, 1), (2, 0)):  # odd or negative differences
+        with pytest.raises(ValueError, match="cannot clear N power %d to N power %d" % (npow, d)):
+            n_squared_factor(npow, d)
+    # the floats divide each numerator by N^npow
+    (inv_n,) = n_scaled_complex([one], 1)
+    assert abs(inv_n - 1 / np.sqrt(3 - np.sqrt(3))) < 1e-15
+    assert n_scaled_complex([n2, one], 2) == pytest.approx([1.0, 1 / (3 - np.sqrt(3))], abs=1e-15)
