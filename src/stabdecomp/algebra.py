@@ -2,12 +2,11 @@
 
 Two layers live here:
 
-* small dense linear algebra over the prime fields F_2 and F_3 (numpy int
-  arrays plus a column-style reduced echelon form used to canonicalize
-  subspaces), and
 * :class:`CycloNumber`, exact elements of the cyclotomic fields Q(zeta_24)
   and Q(zeta_72): integer coefficients over the power basis and one common
-  denominator.
+  denominator, with an exact linear solver over them, and
+* :class:`QuadraticForm`, the phase exponent of a canonical stabilizer
+  state, one class for qubits and qutrits.
 
 Q(zeta_24) contains every constant the qutrit/qubit decompositions need
 (omega = e^{2 pi i/3}, i, e^{i pi/6}, sqrt 2, sqrt 3, sqrt 6, e^{i pi/12});
@@ -22,70 +21,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import numpy as np
-
-# ---------------------------------------------------------------------------
-# F_p linear algebra
-# ---------------------------------------------------------------------------
-
-
-def fp_inv(a: int, p: int) -> int:
-    """Multiplicative inverse of a nonzero scalar mod p (p prime)."""
-    a %= p
-    if a == 0:
-        raise ZeroDivisionError("no inverse of 0 mod %d" % p)
-    return pow(a, p - 2, p)
-
-
-def rref_rows(mat: np.ndarray, p: int) -> tuple[np.ndarray, int, list[int]]:
-    """Reduced row echelon form over F_p.
-
-    Returns (R, rank, pivot_columns); R has the same shape as the input with
-    the nonzero rows on top.
-    """
-    R = np.array(mat, dtype=np.int64) % p
-    nrows, ncols = R.shape
-    pivots: list[int] = []
-    row = 0
-    for col in range(ncols):
-        if row >= nrows:
-            break
-        sub = R[row:, col]
-        nz = np.nonzero(sub)[0]
-        if len(nz) == 0:
-            continue
-        piv = row + int(nz[0])
-        if piv != row:
-            R[[row, piv]] = R[[piv, row]]
-        R[row] = (R[row] * fp_inv(int(R[row, col]), p)) % p
-        for r in range(nrows):
-            if r != row and R[r, col] != 0:
-                R[r] = (R[r] - R[r, col] * R[row]) % p
-        pivots.append(col)
-        row += 1
-    return R, row, pivots
-
-
-def rref_columns(mat: np.ndarray, p: int) -> tuple[np.ndarray, int]:
-    """Reduced column echelon basis of the column space of ``mat`` over F_p.
-
-    Returns (E, rank) where E is n x rank: pivot rows strictly increase with
-    the column index, pivot entries are 1, and each pivot row is zero in all
-    other columns.  E depends only on the column span of the input.
-    """
-    mat = np.atleast_2d(np.asarray(mat, dtype=np.int64))
-    R, rank, _ = rref_rows(mat.T, p)
-    return R[:rank].T.copy(), rank
-
-
-def reduce_coset_rep(E: np.ndarray, x0: np.ndarray, p: int) -> np.ndarray:
-    """Canonical representative of x0 + col(E): zero at the pivot rows of E."""
-    x = np.asarray(x0, dtype=np.int64) % p
-    E = np.atleast_2d(E)
-    for j in range(E.shape[1]):
-        piv = int(np.nonzero(E[:, j])[0][0])
-        x = (x - int(x[piv]) * E[:, j]) % p
-    return x
-
 
 # ---------------------------------------------------------------------------
 # Cyclotomic numbers
@@ -436,29 +371,37 @@ def cyclo_solve(
 
 
 class QuadraticForm:
-    """Q(y) = y^T A y + b . y + c over F_p with p odd (here p = 3).
+    """The phase exponent e(y) = y^T A y + b . y + c of a canonical stabilizer state.
 
-    A is symmetric; the coefficient of the monomial y_i y_j (i < j) is
-    2 A_ij, and of y_i^2 is A_ii.  Values are used as exponents of
-    omega_p, so ``phase_order`` is p.
+    One form for every prime p (Hostens, Dehaene & De Moor, PRA 71, 042315
+    (2005)).  Values are exponents of a primitive ``phase_order``-th root of
+    unity: omega_p for odd p, i for p = 2.  A is symmetric; the coefficient
+    of the monomial y_i y_j (i < j) is 2 A_ij, and of y_i^2 is A_ii.
+
+    * Odd p: A, b and c are mod p, and ``phase_order`` is p.
+    * p = 2: b and c are mod 4, and ``phase_order`` is 4.  A = B + B^T is a
+      0/1 matrix with zero diagonal, B strictly upper triangular, so
+      y^T A y = 2 y^T B y and e(y) = b . y + c + 2 y^T B y mod 4.  The
+      payload keeps the qubit layout {"a": b, "B": B, "c": c}.
     """
 
     __slots__ = ("p", "k", "A", "b", "c")
 
     def __init__(self, p: int, k: int, A, b, c: int = 0) -> None:
-        if p % 2 == 0:
-            raise ValueError("QuadraticForm needs odd p; use Z4Phase for qubits")
         self.p = p
         self.k = k
         self.A = np.asarray(A, dtype=np.int64).reshape(k, k) % p
         if not np.array_equal(self.A, self.A.T):
             raise ValueError("A must be symmetric")
-        self.b = np.asarray(b, dtype=np.int64).reshape(k) % p
-        self.c = int(c) % p
+        if p == 2 and self.A.diagonal().any():
+            raise ValueError("a qubit A must have a zero diagonal")
+        order = self.phase_order
+        self.b = np.asarray(b, dtype=np.int64).reshape(k) % order
+        self.c = int(c) % order
 
     @property
     def phase_order(self) -> int:
-        return self.p
+        return 4 if self.p == 2 else self.p
 
     @classmethod
     def zero(cls, p: int, k: int) -> "QuadraticForm":
@@ -466,9 +409,11 @@ class QuadraticForm:
 
     @classmethod
     def from_monomials(cls, p: int, k: int, quad: dict | None = None, lin=None, const: int = 0) -> "QuadraticForm":
-        """Build from monomial coefficients: quad[(i, j)] multiplies y_i y_j (i <= j)."""
+        """Build from monomial coefficients over F_p, p odd: quad[(i, j)] multiplies y_i y_j (i <= j)."""
+        if p == 2:
+            raise ValueError("from_monomials needs odd p")
         A = np.zeros((k, k), dtype=np.int64)
-        inv2 = fp_inv(2, p)
+        inv2 = (p + 1) // 2
         for (i, j), coeff in (quad or {}).items():
             if i == j:
                 A[i, i] = (A[i, i] + coeff) % p
@@ -487,28 +432,35 @@ class QuadraticForm:
             if self.A[i, i]:
                 out[(i, i)] = int(self.A[i, i])
             for j in range(i + 1, self.k):
-                cij = (2 * int(self.A[i, j])) % self.p
+                cij = (2 * int(self.A[i, j])) % self.phase_order
                 if cij:
                     out[(i, j)] = cij
         return out
 
     def eval(self, y) -> int:
         y = np.asarray(y, dtype=np.int64)
-        return int((y @ self.A @ y + self.b @ y + self.c) % self.p)
+        return int((y @ self.A @ y + self.b @ y + self.c) % self.phase_order)
 
     def eval_batch(self, Y: np.ndarray) -> np.ndarray:
         """Exponents for a batch of points, Y of shape (M, k)."""
         Y = np.asarray(Y, dtype=np.int64)
         if self.k == 0:
-            return np.full(len(Y), self.c, dtype=np.int64) % self.p
+            return np.full(len(Y), self.c, dtype=np.int64)
         quad = np.einsum("mi,ij,mj->m", Y, self.A, Y)
-        return (quad + Y @ self.b + self.c) % self.p
+        return (quad + Y @ self.b + self.c) % self.phase_order
 
     def to_payload(self) -> dict:
+        if self.p == 2:
+            return {"a": self.b.tolist(), "B": np.triu(self.A, 1).tolist(), "c": self.c}
         return {"A": self.A.tolist(), "b": self.b.tolist(), "c": self.c}
 
     @classmethod
     def from_payload(cls, p: int, k: int, payload: dict) -> "QuadraticForm":
+        if p == 2:
+            B = np.asarray(payload["B"], dtype=np.int64).reshape(k, k) % 2
+            if np.tril(B).any():
+                raise ValueError("B must be strictly upper triangular")
+            return cls(2, k, B + B.T, payload["a"], payload.get("c", 0))
         return cls(p, k, payload["A"], payload["b"], payload.get("c", 0))
 
     def __repr__(self) -> str:
@@ -519,53 +471,3 @@ class QuadraticForm:
             self.b.tolist(),
             self.c,
         )
-
-
-class Z4Phase:
-    """Qubit phase function i^(a.y + c) * (-1)^(y^T B y).
-
-    ``a`` is Z_4-valued linear, ``B`` is a strictly upper triangular F_2
-    bilinear part, ``c`` a Z_4 constant; exponents live in Z_4 (powers of i),
-    so ``phase_order`` is 4.
-    """
-
-    __slots__ = ("k", "a", "B", "c")
-
-    p = 2
-
-    def __init__(self, k: int, a, B, c: int = 0) -> None:
-        self.k = k
-        self.a = np.asarray(a, dtype=np.int64).reshape(k) % 4
-        self.B = np.asarray(B, dtype=np.int64).reshape(k, k) % 2
-        if np.any(np.tril(self.B) != 0):
-            raise ValueError("B must be strictly upper triangular")
-        self.c = int(c) % 4
-
-    @property
-    def phase_order(self) -> int:
-        return 4
-
-    @classmethod
-    def zero(cls, k: int) -> "Z4Phase":
-        return cls(k, np.zeros(k, dtype=np.int64), np.zeros((k, k), dtype=np.int64), 0)
-
-    def eval(self, y) -> int:
-        y = np.asarray(y, dtype=np.int64)
-        return int((self.a @ y + self.c + 2 * (y @ self.B @ y)) % 4)
-
-    def eval_batch(self, Y: np.ndarray) -> np.ndarray:
-        Y = np.asarray(Y, dtype=np.int64)
-        if self.k == 0:
-            return np.full(len(Y), self.c, dtype=np.int64) % 4
-        quad = np.einsum("mi,ij,mj->m", Y, self.B, Y)
-        return (Y @ self.a + self.c + 2 * quad) % 4
-
-    def to_payload(self) -> dict:
-        return {"a": self.a.tolist(), "B": self.B.tolist(), "c": self.c}
-
-    @classmethod
-    def from_payload(cls, k: int, payload: dict) -> "Z4Phase":
-        return cls(k, payload["a"], payload["B"], payload.get("c", 0))
-
-    def __repr__(self) -> str:
-        return "Z4Phase(k=%d, a=%s, B=%s, c=%d)" % (self.k, self.a.tolist(), self.B.tolist(), self.c)

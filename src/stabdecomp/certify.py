@@ -233,10 +233,10 @@ class Certificate:
     def from_payload(cls, d: dict) -> "Certificate":
         """The certificate of a payload.
 
-        A ValueError names a missing or mistyped field, a rank r outside
-        [1, catalog_count], a tol outside the range certify accepts, a shard
-        that runs past total_tuples, a witness that is not an r-tuple of
-        catalog indices, or an unknown catalog_mode.
+        A ValueError names a missing or mistyped field, a version other
+        than 1, a rank r outside [1, catalog_count], a tol outside the range
+        certify accepts, a shard that runs past total_tuples, a witness that
+        is not an r-tuple of catalog indices, or an unknown catalog_mode.
         """
         if not isinstance(d, dict) or d.get("format") != _FORMAT:
             raise ValueError("not a certificate payload")
@@ -245,6 +245,8 @@ class Certificate:
         if mode not in (CATALOG_LABEL, "dedupe"):
             raise ValueError("unknown catalog_mode %r" % (mode,))
         f = {attr: _field("certificate", d, key, kind) for key, attr, kind in _FIELDS if attr is not None}
+        if f["version"] != 1:
+            raise ValueError("certificate field 'version' = %d is not 1" % f["version"])
         _check_tol(f["tol"], "certificate field 'tol' =")
         if not 1 <= f["r"] <= f["catalog_count"]:
             raise ValueError(

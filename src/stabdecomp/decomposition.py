@@ -76,6 +76,9 @@ def _field(what: str, d: dict, key: str, kind, label: str | None = None):
     return _typed(what, label, d[key], kind)
 
 
+_FORMAT = "stabdecomp-decomposition"
+
+
 class Decomposition:
     """An asserted rank-r stabilizer decomposition of a magic-state power,
     with coefficients coeffs / N^npow."""
@@ -150,7 +153,7 @@ class Decomposition:
 
     def to_payload(self) -> dict:
         return {
-            "format": "stabdecomp-decomposition",
+            "format": _FORMAT,
             "version": 1,
             "target": self.target.name,
             "copies": self.target.n,
@@ -167,16 +170,27 @@ class Decomposition:
     def from_payload(cls, payload: dict) -> "Decomposition":
         """The decomposition of a payload.
 
-        A ValueError names a missing or mistyped field, or says that a state's
-        dimensions differ from the target's, or that n_power cannot match the
-        target's N power; the states are checked before the m-copy target is built.
+        A ValueError names a missing or mistyped field, a format other than
+        this class's, a version other than 1, a p other than the target's or a
+        rank other than the number of terms, or says that a state's dimensions
+        differ from the target's, or that n_power cannot match the target's N
+        power; the states are checked before the m-copy target is built.
         """
         if not isinstance(payload, dict):
             got = _KIND_NAMES.get(type(payload), type(payload).__name__)
             raise ValueError("a decomposition payload must be an object, not %s" % got)
         what = "decomposition"
+        fmt = _field(what, payload, "format", str)
+        if fmt != _FORMAT:
+            raise ValueError("decomposition field 'format' = %r is not %r" % (fmt, _FORMAT))
+        version = _field(what, payload, "version", int)
+        if version != 1:
+            raise ValueError("decomposition field 'version' = %d is not 1" % version)
         name, copies = _field(what, payload, "target", str), _field(what, payload, "copies", int)
         p = magic_power(name, 0).p  # the zero-copy power: the state's p, without building the m-copy target
+        stated_p = _field(what, payload, "p", int)
+        if stated_p != p:
+            raise ValueError("decomposition field 'p' = %d is not %d, the p of its target %s" % (stated_p, p, name))
         npow = _typed(what, "n_power", payload.get("n_power", 0), int)
         states, coeffs = [], []
         for j, term in enumerate(_field(what, payload, "terms", list)):
@@ -192,6 +206,9 @@ class Decomposition:
                 raise ValueError("decomposition field %r is malformed (%s)" % (label, reason)) from None
             if (states[-1].p, states[-1].n) != (p, copies):
                 raise ValueError("state dimensions must match the target")
+        rank = _field(what, payload, "rank", int)
+        if rank != len(states):
+            raise ValueError("decomposition field 'rank' = %d is not the number of terms, %d" % (rank, len(states)))
         return cls(magic_power(name, copies), states, coeffs, npow)
 
     def save(self, path: str) -> None:

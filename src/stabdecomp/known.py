@@ -27,7 +27,6 @@ import numpy as np
 from .algebra import (
     CycloNumber,
     QuadraticForm,
-    Z4Phase,
     i_unit,
     omega,
     sqrt2,
@@ -161,11 +160,12 @@ def norrell_m4() -> Decomposition:
 
 def qubit_t_m4() -> Decomposition:
     def qb(W, a, bpairs):
+        # e(y) = a.y + 2 sum_(i,j) y_i y_j mod 4, as A = B + B^T
         k = W.shape[1]
-        B = np.zeros((k, k), dtype=np.int64)
+        A = np.zeros((k, k), dtype=np.int64)
         for i, j in bpairs:
-            B[i, j] = 1
-        return CanonicalStabilizer(2, 4, [0] * 4, W, Z4Phase(k, a, B))
+            A[i, j] = A[j, i] = 1
+        return CanonicalStabilizer(2, 4, [0] * 4, W, QuadraticForm(2, k, A, a))
 
     s1 = qb(_W(4, [0, 2], [1], [3]), [1, 0, 0], [(1, 2)])
     s2 = qb(np.eye(4, dtype=np.int64), [0, 1, 0, 1], [(0, 2), (1, 3)])

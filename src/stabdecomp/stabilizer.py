@@ -6,11 +6,11 @@ A canonical stabilizer state on n qudits (p = 2 or 3) is
 
 where W is an n x k reduced column-echelon matrix over F_p, x0 is the
 canonical coset representative (zero at the pivot rows of W), and phase is a
-:class:`~stabdecomp.algebra.QuadraticForm` (qutrits, values in powers of
-omega) or :class:`~stabdecomp.algebra.Z4Phase` (qubits, powers of i) with
-zero constant term.  One tuple (k, W, x0, phase) per projective stabilizer
-state; the catalog enumerates them in a fixed lexicographic order so that
-integer indices are stable across runs and machines.
+:class:`~stabdecomp.algebra.QuadraticForm` with zero constant term, whose
+values are powers of omega (qutrits) or of i (qubits).  One tuple
+(k, W, x0, phase) per projective stabilizer state; the catalog enumerates
+them in a fixed lexicographic order so that integer indices are stable
+across runs and machines.
 
 Basis indexing is big-endian: qudit 0 is the most significant digit, matching
 ``numpy.kron`` composition order.
@@ -31,11 +31,8 @@ import numpy as np
 from .algebra import (
     CycloNumber,
     QuadraticForm,
-    Z4Phase,
     inv_sqrt,
     omega9,
-    rref_columns,
-    reduce_coset_rep,
     sqrt2,
     sqrt3,
     sqrt6,
@@ -117,23 +114,20 @@ class CanonicalStabilizer:
             self._validate()
 
     def _validate(self) -> None:
-        E, r = rref_columns(self.W, self.p) if self.k else (self.W, 0)
-        if r != self.k or (self.k and not np.array_equal(E, self.W)):
-            raise ValueError("W must be a reduced column-echelon basis")
-        if not np.array_equal(reduce_coset_rep(self.W, self.x0, self.p), self.x0):
-            raise ValueError("x0 must be the canonical coset representative")
-        if self.p == 3:
-            if not isinstance(self.phase, QuadraticForm) or self.phase.k != self.k:
-                raise ValueError("qutrit states need a QuadraticForm on k variables")
-            if self.phase.c != 0:
-                raise ValueError("phase constant must be zero (global phase fixed)")
-        elif self.p == 2:
-            if not isinstance(self.phase, Z4Phase) or self.phase.k != self.k:
-                raise ValueError("qubit states need a Z4Phase on k variables")
-            if self.phase.c != 0:
-                raise ValueError("phase constant must be zero (global phase fixed)")
-        else:
+        """W is reduced column-echelon exactly when each column's first nonzero
+        row (its pivot) lies strictly below the previous column's and the pivot
+        rows of W are the identity; x0 is then canonical when it is zero there."""
+        if self.p not in (2, 3):
             raise ValueError("p must be 2 or 3")
+        pivots = (self.W != 0).argmax(axis=0) if self.k else []
+        if (np.diff(pivots) <= 0).any() or not np.array_equal(self.W[pivots], np.eye(self.k, dtype=np.int64)):
+            raise ValueError("W must be a reduced column-echelon basis")
+        if self.x0[pivots].any():
+            raise ValueError("x0 must be the canonical coset representative")
+        if not isinstance(self.phase, QuadraticForm) or (self.phase.p, self.phase.k) != (self.p, self.k):
+            raise ValueError("the phase must be a QuadraticForm over F_p on k variables")
+        if self.phase.c != 0:
+            raise ValueError("phase constant must be zero (global phase fixed)")
 
     # -- support and amplitudes ------------------------------------------------
 
@@ -173,18 +167,11 @@ class CanonicalStabilizer:
         W = np.zeros((n, self.k + other.k), dtype=np.int64)
         W[: self.n, : self.k] = self.W
         W[self.n :, self.k :] = other.W
-        if self.p == 3:
-            A = np.zeros((self.k + other.k,) * 2, dtype=np.int64)
-            A[: self.k, : self.k] = self.phase.A
-            A[self.k :, self.k :] = other.phase.A
-            b = np.concatenate([self.phase.b, other.phase.b])
-            phase = QuadraticForm(3, self.k + other.k, A, b, 0)
-        else:
-            B = np.zeros((self.k + other.k,) * 2, dtype=np.int64)
-            B[: self.k, : self.k] = self.phase.B
-            B[self.k :, self.k :] = other.phase.B
-            a = np.concatenate([self.phase.a, other.phase.a])
-            phase = Z4Phase(self.k + other.k, a, B, 0)
+        A = np.zeros((self.k + other.k,) * 2, dtype=np.int64)
+        A[: self.k, : self.k] = self.phase.A
+        A[self.k :, self.k :] = other.phase.A
+        b = np.concatenate([self.phase.b, other.phase.b])
+        phase = QuadraticForm(self.p, self.k + other.k, A, b, 0)
         return CanonicalStabilizer(self.p, n, x0, W, phase, check=False)
 
     def record(self) -> dict:
@@ -200,10 +187,7 @@ class CanonicalStabilizer:
     @classmethod
     def from_record(cls, rec: dict) -> "CanonicalStabilizer":
         p, n, k = int(rec["p"]), int(rec["n"]), int(rec["k"])
-        if p == 3:
-            phase = QuadraticForm.from_payload(3, k, rec["phase"])
-        else:
-            phase = Z4Phase.from_payload(k, rec["phase"])
+        phase = QuadraticForm.from_payload(p, k, rec["phase"])
         W = np.asarray(rec["W"], dtype=np.int64).reshape(n, k)
         return cls(p, n, rec["x0"], W, phase)
 
@@ -220,14 +204,12 @@ def ket(p: int, digits) -> CanonicalStabilizer:
     """Computational basis state |digits>."""
     digits = np.asarray(digits, dtype=np.int64)
     n = len(digits)
-    phase = QuadraticForm.zero(3, 0) if p == 3 else Z4Phase.zero(0)
-    return CanonicalStabilizer(p, n, digits, np.zeros((n, 0), dtype=np.int64), phase)
+    return CanonicalStabilizer(p, n, digits, np.zeros((n, 0), dtype=np.int64), QuadraticForm.zero(p, 0))
 
 
 def plus_state(p: int, n: int = 1) -> CanonicalStabilizer:
     """Uniform superposition |+>^n."""
-    phase = QuadraticForm.zero(3, n) if p == 3 else Z4Phase.zero(n)
-    return CanonicalStabilizer(p, n, np.zeros(n, dtype=np.int64), np.eye(n, dtype=np.int64), phase)
+    return CanonicalStabilizer(p, n, np.zeros(n, dtype=np.int64), np.eye(n, dtype=np.int64), QuadraticForm.zero(p, n))
 
 
 # ---------------------------------------------------------------------------
@@ -290,17 +272,19 @@ class _FormTables:
     later radices, and ``nforms`` is the product of them all.
     ``tuple(digits[slots])`` fills the ``%d`` fields of ``template``, the JSON
     of the form's phase payload as ``record`` gives it; ``Catalog.get`` reads
-    the same coefficients off ``digits[slots]``.  ``decode`` maps the exponents
-    at every y (y-lex order) to the form digits once divided by ``scale``; it
-    reads only y = e_i, 2 e_i (qutrits) and e_i + e_j.  ``monomials`` maps
-    digits back to the exponents at every y.  ``amps[e]`` is the amplitude
+    the same coefficients off ``digits[slots]``: the quadratic ones (A, or
+    B's upper entries) go to the flat positions ``cells`` of the form's A and
+    to their mirror images ``mirror``, and the last k are b.  ``decode`` maps
+    the exponents at every y (y-lex order) to the form digits once divided by
+    ``scale``; it reads only y = e_i, 2 e_i (qutrits) and e_i + e_j.
+    ``monomials`` maps digits back to the exponents at every y.  ``amps[e]`` is the amplitude
     with phase exponent e mod ``order``, as ``complex_vector`` computes it,
     for every exponent sum the monomials can reach, so the block decoder reads
     it without reducing mod ``order``.
     """
 
     __slots__ = ("nforms", "order", "decode", "scale", "monomials", "place", "radix", "amps",
-                 "template", "slots")
+                 "template", "slots", "cells", "mirror")
 
     def __init__(self, p: int, k: int) -> None:
         Y = _all_points(p, k)
@@ -330,21 +314,22 @@ class _FormTables:
             order = 3
             scale = [1] * len(dec)
             payload = {"A": [["%d"] * k] * k, "b": ["%d"] * k, "c": 0}
-            slots = [digit[i, j] for i in range(k) for j in range(k)] + [len(dec) - k + i for i in range(k)]
+            cells = [(i, j) for i in range(k) for j in range(k)]
+            slots = [digit[i, j] for i, j in cells] + [len(dec) - k + i for i in range(k)]
         else:
             # e(y) = a.y + 2 y^T B y mod 4; digits a (Z_4), then B (i < j, F_2)
-            pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+            cells = [(i, j) for i in range(k) for j in range(i + 1, k)]
             for i in range(k):
                 dec.append(row((1, unit[i])))
                 mono.append(Y[:, i])
-            for i, j in pairs:
+            for i, j in cells:
                 digit[i, j] = len(dec)
                 dec.append(row((1, unit[i] + unit[j]), (-1, unit[i]), (-1, unit[j])))
                 mono.append(2 * Y[:, i] * Y[:, j])
             order = 4
-            scale = [1] * k + [2] * len(pairs)
+            scale = [1] * k + [2] * len(cells)
             payload = {"B": [["%d" if j > i else 0 for j in range(k)] for i in range(k)], "a": ["%d"] * k, "c": 0}
-            slots = [digit[i, j] for i, j in pairs] + list(range(k))
+            slots = [digit[i, j] for i, j in cells] + list(range(k))
         # the two maps hold small integers as floats: exact, and products run through BLAS
         ndig = len(dec)
         radix = [order // s for s in scale]
@@ -361,6 +346,8 @@ class _FormTables:
         self.amps = amps[np.arange(top + 1) % order]
         self.template = _json(payload).replace('"%d"', "%d")
         self.slots = np.array(slots, dtype=np.int64)
+        self.cells = np.array([i * k + j for i, j in cells], dtype=np.intp)
+        self.mirror = np.array([j * k + i for i, j in cells], dtype=np.intp)
 
 
 class Catalog:
@@ -426,13 +413,9 @@ class Catalog:
         k = blk.k
         tables = self._forms[k]
         coeffs = self._digits(blk, np.array([i - blk.start]))[0, tables.slots]
-        # the payload's fields in JSON order: A (k x k) then b, or B's upper entries (row-major) then a
-        if self.p == 3:
-            phase = QuadraticForm(3, k, coeffs[: k * k], coeffs[k * k :], 0)
-        else:
-            B = np.zeros(k * k, dtype=np.int64)
-            B[[r * k + c for r in range(k) for c in range(r + 1, k)]] = coeffs[: coeffs.size - k]
-            phase = Z4Phase(k, coeffs[coeffs.size - k :], B, 0)
+        A = np.zeros(k * k, dtype=np.int64)
+        A[tables.cells] = A[tables.mirror] = coeffs[: coeffs.size - k]
+        phase = QuadraticForm(self.p, k, A, coeffs[coeffs.size - k :], 0)
         return CanonicalStabilizer(self.p, self.n, blk.x0, blk.W, phase, check=False)
 
     def _block_forms(self):

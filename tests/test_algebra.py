@@ -9,15 +9,11 @@ from hypothesis import strategies as st
 from stabdecomp.algebra import (
     CycloNumber,
     QuadraticForm,
-    Z4Phase,
     cyclo_solve,
-    fp_inv,
     i_unit,
     inv_sqrt,
     omega,
     omega9,
-    reduce_coset_rep,
-    rref_columns,
     sqrt2,
     sqrt3,
     sqrt6,
@@ -200,92 +196,6 @@ def test_cyclo_solve_overdetermined_and_inconsistent():
 
 
 # ---------------------------------------------------------------------------
-# F_p linear algebra
-# ---------------------------------------------------------------------------
-
-
-def test_fp_inv():
-    for p in (2, 3):
-        for a in range(1, p):
-            assert (a * fp_inv(a, p)) % p == 1
-
-
-def is_reduced_column_echelon(E, p):
-    if E.shape[1] == 0:
-        return True
-    prev = -1
-    for j in range(E.shape[1]):
-        nz = np.nonzero(E[:, j])[0]
-        if len(nz) == 0:
-            return False
-        piv = nz[0]
-        if piv <= prev or E[piv, j] != 1:
-            return False
-        if np.count_nonzero(E[piv, :]) != 1:
-            return False
-        prev = piv
-    return True
-
-
-def span_mod_p(E, p):
-    """All vectors in the column span (small cases only)."""
-    n, r = E.shape
-    pts = set()
-    for idx in range(p**r):
-        y = np.array([(idx // p**t) % p for t in range(r)], dtype=np.int64)
-        pts.add(tuple((E @ y) % p))
-    return pts
-
-
-def test_rref_columns_random():
-    rng = np.random.default_rng(29)
-    for p in (2, 3):
-        for _ in range(60):
-            n = int(rng.integers(1, 5))
-            m = int(rng.integers(0, 5))
-            M = rng.integers(0, p, size=(n, m))
-            E, r = rref_columns(M, p)
-            assert is_reduced_column_echelon(E, p)
-            assert E.shape == (n, r)
-            assert span_mod_p(E, p) == span_mod_p(M, p)
-            # canonicalization is idempotent and basis-independent
-            E2, r2 = rref_columns(E, p)
-            assert r2 == r and np.array_equal(E2, E)
-            if m:
-                shuffled = M[:, rng.permutation(m)]
-                E3, _ = rref_columns(shuffled, p)
-                assert np.array_equal(E3, E)
-
-
-def column_span_contains(E: np.ndarray, v: np.ndarray, p: int) -> bool:
-    """Whether v lies in the span of the reduced-echelon columns E."""
-    E = np.atleast_2d(E)
-    if E.shape[1] == 0:
-        return bool(np.all(np.asarray(v) % p == 0))
-    aug = np.concatenate([E, np.asarray(v).reshape(-1, 1)], axis=1)
-    _, r = rref_columns(aug, p)
-    return r == E.shape[1]
-
-
-def test_coset_reduction():
-    rng = np.random.default_rng(31)
-    for p in (2, 3):
-        for _ in range(60):
-            n = int(rng.integers(1, 5))
-            M = rng.integers(0, p, size=(n, int(rng.integers(0, n + 1))))
-            E, r = rref_columns(M, p)
-            x0 = rng.integers(0, p, size=n)
-            red = reduce_coset_rep(E, x0, p)
-            # representative is in the same coset
-            assert column_span_contains(E, (red - x0) % p, p)
-            # and canonical: reducing any other member gives the same answer
-            if r:
-                y = rng.integers(0, p, size=r)
-                other = (x0 + E @ y) % p
-                assert np.array_equal(reduce_coset_rep(E, other, p), red)
-
-
-# ---------------------------------------------------------------------------
 # phase functions
 # ---------------------------------------------------------------------------
 
@@ -329,21 +239,42 @@ def test_fp3_linear_identities():
         assert (2 * y + y * y) % 3 == (2 if y == 2 else 0)
 
 
+def z4_oracle(a, B, c, y):
+    """i^(a.y + c) (-1)^(y^T B y) as a power of i."""
+    return (a @ y + c + 2 * (y @ B @ y)) % 4
+
+
 def test_z4_phase():
+    # the qubit form: A = B + B^T with B strictly upper, b = a and c over Z_4
     rng = np.random.default_rng(41)
     for _ in range(40):
         k = int(rng.integers(0, 5))
         B = np.triu(rng.integers(0, 2, size=(k, k)), 1)
-        ph = Z4Phase(k, rng.integers(0, 4, size=k), B, int(rng.integers(0, 4)))
+        a, c = rng.integers(0, 4, size=k), int(rng.integers(0, 4))
+        ph = QuadraticForm(2, k, B + B.T, a, c)
+        assert ph.phase_order == 4
         Y = all_points(2, k)
         batch = ph.eval_batch(Y)
         for idx in range(len(Y)):
             y = Y[idx]
-            want = (ph.a @ y + ph.c + 2 * (y @ ph.B @ y)) % 4
-            assert batch[idx] == ph.eval(y) == want
-        assert Z4Phase.from_payload(k, ph.to_payload()).to_payload() == ph.to_payload()
-    with pytest.raises(ValueError):
-        Z4Phase(2, [0, 0], [[0, 0], [1, 0]])
+            assert batch[idx] == ph.eval(y) == z4_oracle(a, B, c, y)
+        payload = ph.to_payload()
+        assert list(payload) == ["a", "B", "c"]
+        assert payload == {"a": a.tolist(), "B": B.tolist(), "c": c}
+        assert QuadraticForm.from_payload(2, k, payload).to_payload() == payload
+
+
+def test_qubit_form_refuses_a_nonzero_diagonal():
+    with pytest.raises(ValueError, match="zero diagonal"):
+        QuadraticForm(2, 2, [[1, 0], [0, 0]], [0, 0])
+    with pytest.raises(ValueError, match="symmetric"):
+        QuadraticForm(2, 2, [[0, 1], [0, 0]], [0, 0])
+
+
+def test_qubit_payload_refuses_b_on_or_below_the_diagonal():
+    for B in ([[0, 0], [1, 0]], [[1, 0], [0, 0]]):
+        with pytest.raises(ValueError, match="strictly upper triangular"):
+            QuadraticForm.from_payload(2, 2, {"a": [0, 0], "B": B, "c": 0})
 
 
 def test_z4_phase_determined_by_values():
@@ -354,8 +285,10 @@ def test_z4_phase_determined_by_values():
     for _ in range(200):
         k = 3
         B = np.triu(rng.integers(0, 2, size=(k, k)), 1)
-        ph = Z4Phase(k, rng.integers(0, 4, size=k), B, 0)
+        a = rng.integers(0, 4, size=k)
+        ph = QuadraticForm(2, k, B + B.T, a, 0)
         vals = tuple(ph.eval_batch(all_points(2, k)))
+        assert vals == tuple(z4_oracle(a, B, 0, y) for y in all_points(2, k))
         if vals in seen:
             assert seen[vals] == ph.to_payload()
         seen[vals] = ph.to_payload()

@@ -12,7 +12,10 @@ data that only tests reach belong in the tests.
 from __future__ import annotations
 
 import ast
+import importlib
+import inspect
 import re
+import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -105,3 +108,35 @@ def test_every_private_function_has_a_caller_in_src():
     referenced = _referenced_names(("src",))
     orphans = [qualified for qualified, name in _definitions() if name.startswith("_") and name not in referenced]
     assert not orphans, "private functions with no caller in src/: %s" % ", ".join(orphans)
+
+
+# a hook CHANGES.md records as dead: its method is gone and its span reads 0 s
+_DEAD_HOOKS = {"stabdecomp.gadget.SweepResult.to_json"}
+
+
+def _bench_hooks():
+    """The ``HOOKS`` tuple of ``bench/tracer.py``, read from its source."""
+    tree = ast.parse((ROOT / "bench" / "tracer.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["HOOKS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/tracer.py defines no HOOKS tuple")
+
+
+def test_every_bench_hook_resolves():
+    # the tracer lists a hook it cannot find as absent and records nothing for
+    # it, so a renamed function would silently zero its per-layer metric
+    absent = []
+    for module_name, path, _ in _bench_hooks():
+        owner = importlib.import_module(module_name)
+        *parents, attr = path.split(".")
+        for part in parents:
+            owner = getattr(owner, part, None)
+        if attr.endswith("[*]"):
+            table = getattr(owner, attr[:-3], None)
+            found = isinstance(table, dict) and all(callable(fn) for fn in table.values())
+        else:
+            found = isinstance(inspect.getattr_static(owner, attr, None), types.FunctionType)
+        if not found:
+            absent.append("%s.%s" % (module_name, path))
+    assert not set(absent) - _DEAD_HOOKS, "bench/tracer.py hooks that resolve to nothing: %s" % ", ".join(absent)

@@ -134,6 +134,29 @@ def test_verify_refuses_an_n_power_off_the_target_parity(tmp_path, capsys, monke
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("format", "stabdecomp-certificate",
+         "decomposition field 'format' = 'stabdecomp-certificate' is not 'stabdecomp-decomposition'"),
+        ("version", 7, "decomposition field 'version' = 7 is not 1"),
+        ("rank", 9, "decomposition field 'rank' = 9 is not the number of terms, 3"),
+        ("p", 2, "decomposition field 'p' = 2 is not 3, the p of its target N"),
+    ],
+)
+def test_verify_refuses_a_file_whose_header_is_false(tmp_path, capsys, monkeypatch, field, value, message):
+    # each of these used to load as the rank-3 decomposition of the terms and verify exactly
+    payload = known.FIXTURES["norrell_m2"]().to_payload()
+    _fixtures_must_not_run(monkeypatch)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(payload, **{field: value})))
+    out = tmp_path / "r.json"
+    capsys.readouterr()
+    assert main(["verify", "--all-fixtures", "--file", str(bad), "--exact", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == message + "\n"
+    assert not out.exists()
+
+
 def test_verify_mistyped_file_usage_error(tmp_path, capsys, monkeypatch):
     # a payload of the wrong JSON type is refused before any fixture runs, with no report
     payload = known.FIXTURES["strange_m2"]().to_payload()
@@ -422,6 +445,8 @@ _TOL_RANGE = "is not between the witness floor 1e-12 and the exact re-score thre
         # NaN passes every comparison the audit makes
         ("min_nonwitness_residual", math.nan, "certificate field 'min_nonwitness_residual' must be a number, not NaN"),
         ("wall_time", math.nan, "certificate field 'wall_time' must be a number, not NaN"),
+        # a later format version may change what the fields mean
+        ("version", 7, "certificate field 'version' = 7 is not 1"),
     ],
 )
 def test_bad_certificate_field_usage_error(tmp_path, capsys, field, value, message):

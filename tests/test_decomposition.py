@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -37,6 +40,27 @@ def test_fixture_round_trip(name):
         assert a == b
     for sa, sb in zip(dec.states, back.states):
         assert sa.record() == sb.record()
+
+
+# sha256 of json.dumps(to_payload(), indent=1): the insertion-order layout a
+# `search` artifact embeds, which pins the key order of every phase payload
+# (qutrit {"A", "b", "c"}, qubit {"a", "B", "c"}) as well as its values
+FIXTURE_PAYLOAD_HASHES = {
+    "strange_m2": "0981f8467a23f20dec9a91ba5abcd7861ad0335e8366a8dc02d636416ddf5475",
+    "strange_m3": "21f941fa9a934bec044280b80b78e6855f0cf1f9ffa91b98ac2f36807e5f16d8",
+    "h3_m2": "15aa8d9c6ff59275858e8231602ca936dc5f4c3240da9260c8dab8a1112455b9",
+    "h3_m3": "123f0122b248376505bb0906dc5cd2ff3af4d06d465ea94c85f4627f2c6e9354",
+    "norrell_m2": "c791f4f6d907e9dc43b77b80ade888d04bbdd005ea4cf16cb916185566f9c965",
+    "norrell_m3": "d26e00756f5b0197d56f2b9b64764209805e80587d201dfa401b9fcfee6c6c9f",
+    "norrell_m4": "120bbdd38a75e2d2f410e4305ed8fda367d2bb583eafba755af5a9d180daf45a",
+    "qubit_t_m4": "b6eea514b45307c77dc04acb61e69bd37842a1017861b8fbaa07ca07278e6a17",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_fixture_payload_is_pinned(name):
+    text = json.dumps(FIXTURES[name]().to_payload(), indent=1)
+    assert hashlib.sha256(text.encode()).hexdigest() == FIXTURE_PAYLOAD_HASHES[name]
 
 
 def test_save_load(tmp_path):

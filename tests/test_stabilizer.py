@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from stabdecomp.algebra import CycloNumber, QuadraticForm, Z4Phase, sqrt3
+from stabdecomp.algebra import CycloNumber, QuadraticForm, sqrt3
 from stabdecomp.stabilizer import (
     CanonicalStabilizer,
     Catalog,
+    _all_points,
+    _echelon_bases,
     basis_index,
     build_catalog,
     ket,
@@ -74,6 +76,52 @@ def test_validation_rejects_noncanonical():
         CanonicalStabilizer(3, 1, [0], [[1]], QuadraticForm(3, 1, [[0]], [0], 1))
     with pytest.raises(ValueError):
         CanonicalStabilizer(2, 1, [0], [[1]], QuadraticForm.zero(3, 1))
+
+
+def is_reduced_column_echelon(E):
+    """Pivot rows strictly increase, pivot entries are 1, and each pivot row is zero in the other columns."""
+    prev = -1
+    for j in range(E.shape[1]):
+        nz = np.nonzero(E[:, j])[0]
+        if len(nz) == 0 or nz[0] <= prev or E[nz[0], j] != 1 or np.count_nonzero(E[nz[0], :]) != 1:
+            return False
+        prev = nz[0]
+    return True
+
+
+def _accepts(p, n, x0, W):
+    try:
+        CanonicalStabilizer(p, n, x0, W, QuadraticForm.zero(p, W.shape[1]))
+    except ValueError:
+        return False
+    return True
+
+
+def _check_canonical_pairs(p, n, k, Ws, x0s):
+    """CanonicalStabilizer accepts (W, x0) exactly when W is one of the matrices
+    ``_echelon_bases`` enumerates and x0 is zero at its pivot rows."""
+    pivots_of = {W.tobytes(): pivots for pivots, W in _echelon_bases(p, n, k)}
+    for W in Ws:
+        W = W.reshape(n, k)
+        pivots = pivots_of.get(W.tobytes())
+        assert (pivots is not None) == is_reduced_column_echelon(W)
+        for x0 in x0s:
+            assert _accepts(p, n, x0, W) == (pivots is not None and not x0[list(pivots)].any())
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+def test_canonical_pairs_are_the_enumerated_ones(p, n):
+    # every n x k matrix over F_p and every x0
+    for k in range(n + 1):
+        _check_canonical_pairs(p, n, k, _all_points(p, n * k), _all_points(p, n))
+
+
+def test_canonical_pairs_three_qutrits_sampled():
+    rng = np.random.default_rng(47)
+    for k in range(4):
+        enumerated = [W.ravel() for _, W in _echelon_bases(3, 3, k)]
+        sample = list(rng.integers(0, 3, size=(300, 3 * k)))
+        _check_canonical_pairs(3, 3, k, enumerated + sample, _all_points(3, 3))
 
 
 def test_record_round_trip():
