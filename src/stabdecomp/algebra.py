@@ -399,6 +399,16 @@ class QuadraticForm:
         self.b = np.asarray(b, dtype=np.int64).reshape(k) % order
         self.c = int(c) % order
 
+    @classmethod
+    def _trusted(cls, p: int, k: int, A: np.ndarray, b: np.ndarray) -> "QuadraticForm":
+        """The form with c = 0 and the int64 arrays A (k x k) and b (k) as they
+        are, unchecked: for a caller that lays them out as the constructor
+        would leave them, A symmetric and reduced mod p with a zero diagonal
+        for qubits, and b reduced mod ``phase_order``."""
+        form = cls.__new__(cls)
+        form.p, form.k, form.A, form.b, form.c = p, k, A, b, 0
+        return form
+
     @property
     def phase_order(self) -> int:
         return 4 if self.p == 2 else self.p

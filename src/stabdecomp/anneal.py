@@ -16,12 +16,21 @@ A step solves no linear system.  For each position the chain keeps the
 :class:`~stabdecomp.decomposition.SpanProjection` of the other r - 1
 members, the projection certify scores its blocks with, and scores a
 proposal there in closed form; a residual below its floating-point floor is
-re-scored exactly with ``best_fit``.  The projections are rebuilt only after
-an accepted move.  A Weyl neighbour is computed from two small tables (the
-index of x + a, and b.x mod p), and whether it is already a member is read
-from its overlaps with the members: 1 for the same state, at most 1/sqrt(p)
-between distinct ones.  ``Catalog.index_of`` locates, and so validates, a
-neighbour only once its move is accepted.
+re-scored exactly with ``best_fit``.  An accepted move at one position
+invalidates the projections of the others only.  A Weyl neighbour is
+computed from two small tables (the index of x + a, and omega^(b.x - c)),
+and whether it is already a member is read from its overlaps with the
+members: 1 for the same state, at most 1/sqrt(p) between distinct ones.
+``Catalog.index_of`` locates, and so validates, a neighbour only once its
+move is accepted.
+
+A step is a few dozen calls on vectors of p^n entries, so the per-call
+overhead, not the arithmetic, sets its cost, and the step is written for
+few calls: one-vector scoring that ends in Python floats, Weyl table
+indices as Python ints, ``ndarray.dot`` rather than the ``@`` ufunc, and a
+one-index catalog decode for uniform moves above the dense limit.  The
+arithmetic is the batched forms' own, operation for operation, so seeded
+search results are pinned in the tests to the bit.
 """
 
 from __future__ import annotations
@@ -92,37 +101,43 @@ class _WeylNeighbours:
         self._p = p
         self._n = n
         digits = _all_points(p, n)
-        self._weights = p ** np.arange(n - 1, -1, -1, dtype=np.int64)
+        weights = p ** np.arange(n - 1, -1, -1, dtype=np.int64)
         # tables indexed by basis indices: sub[a, x] is the index of x - a, and
-        # exps[c, b, x] = b.x - c mod p, the exponent of omega in the phase at x
-        self._sub = ((digits[None, :, :] - digits[:, None, :]) % p) @ self._weights
-        self._exps = (((digits @ digits.T)[None] - np.arange(p)[:, None, None]) % p).astype(np.uint8)
-        self._roots = np.exp(2j * np.pi * np.arange(p) / p)
+        # phases[c, b, x] = omega^(b.x - c), the phase at x
+        self._sub = ((digits[None, :, :] - digits[:, None, :]) % p) @ weights
+        exps = ((digits @ digits.T)[None] - np.arange(p)[:, None, None]) % p
+        self._phases = np.exp(2j * np.pi * np.arange(p) / p)[exps]
         tau = -np.exp(1j * np.pi / p)
         self._tau_pows = [tau**k for k in range(n * (p - 1) ** 2 + 1)]  # a.b runs over 0..n(p-1)^2
 
-    def project(self, v: np.ndarray, ab: np.ndarray, c: int) -> np.ndarray:
-        """Pi_c v for the Weyl operator with exponent vector ab = (a, b)."""
-        n = self._n
-        a, b = ab[:n], ab[n:]
-        src = self._sub[int(a @ self._weights)]
-        # P |x> = tau^(a.b) omega^(b.x) |x + a>, times omega^-c: (P v)[y] = phase[y - a] v[y - a]
-        phase = (self._tau_pows[int(a @ b)] * self._roots[self._exps[c, int(b @ self._weights)]])[src]
-        out = v.copy()
-        term = v
-        for _ in range(self._p - 1):
-            term = phase * term[src]
+    def project(self, v: np.ndarray, ab, c: int) -> np.ndarray:
+        """Pi_c v for the Weyl operator with exponent vector ab = (a, b), 2n ints."""
+        p, n = self._p, self._n
+        # the basis indices of a and b, and a.b, in integer arithmetic
+        ia = ib = adotb = 0
+        for ai, bi in zip(ab[:n], ab[n:]):
+            ia = ia * p + ai
+            ib = ib * p + bi
+            adotb += ai * bi
+        src = self._sub[ia]
+        # P |x> = tau^(a.b) omega^(b.x) |x + a>, times omega^-c: (P v)[y] = (phase v)[y - a]
+        phase = self._tau_pows[adotb] * self._phases[c, ib]
+        term = (phase * v)[src]
+        out = v + term
+        for _ in range(p - 2):
+            term = (phase * term)[src]
             out += term
-        return out / self._p
+        out /= p
+        return out
 
     def propose(self, rng, subset: "_Subset"):
         """(position, vector) of a neighbour of a random member that is not a member."""
         p, n = self._p, self._n
         while True:
             pos = int(rng.integers(len(subset.indices)))
-            ab = rng.integers(p, size=2 * n)
+            ab = rng.integers(p, size=2 * n).tolist()
             c = int(rng.integers(p))
-            if not ab.any():
+            if not any(ab):
                 continue
             u = self.project(subset.V[pos], ab, c)
             norm2 = float(np.vdot(u, u).real)
@@ -142,15 +157,15 @@ class _WeylNeighbours:
 
 # |<member, u>|^2 is 1 when u is that member and at most 1/2 between distinct
 # stabilizer states, so a proposal above this overlap with a member is that member
-_MEMBER_OVERLAP2 = 0.75
+_MEMBER_OVERLAP = math.sqrt(0.75)
 
 
 class _Subset:
     """One chain's members and the projections that score a swap into them.
 
     ``_proj[pos]`` is the :class:`SpanProjection` of the members other than
-    ``pos``; it is built when ``pos`` is first scored after a swap, so an
-    accepted move costs at most r SVDs and a rejected one none.
+    ``pos``; it is built when ``pos`` is first scored after a swap elsewhere,
+    so an accepted move costs at most r - 1 SVDs and a rejected one none.
     """
 
     def __init__(self, indices: list[int], V: np.ndarray, t: np.ndarray):
@@ -163,8 +178,7 @@ class _Subset:
 
     def holds(self, u: np.ndarray) -> bool:
         """Whether the unit stabilizer vector u is a member, up to phase."""
-        ov = self.V @ u.conj()
-        return bool((ov.real**2 + ov.imag**2).max() > _MEMBER_OVERLAP2)
+        return max(map(abs, self.V.dot(u.conj()).tolist())) > _MEMBER_OVERLAP
 
     def energy(self, pos: int, v: np.ndarray) -> float:
         """The residual of the subset with member ``pos`` replaced by the unit vector v.
@@ -175,7 +189,7 @@ class _Subset:
         proj = self._proj[pos]
         if proj is None:
             proj = self._proj[pos] = SpanProjection(np.delete(self.V, pos, axis=0), self.t, self._tnorm2)
-        res2 = float(proj.residual2(v[None], np.vdot(v, self.t))[0])
+        res2 = proj.residual2(v, np.vdot(v, self.t))
         if res2 > CANDIDATE_RES2:
             return math.sqrt(res2)
         A = self.V.T.copy()
@@ -187,7 +201,10 @@ class _Subset:
         self.members.add(j)
         self.indices[pos] = j
         self.V[pos] = v
+        # only the projection that leaves out pos still spans the right members
+        kept = self._proj[pos]
         self._proj = [None] * len(self.indices)
+        self._proj[pos] = kept
 
 
 _MOVES = ("uniform", "weyl")
@@ -202,16 +219,21 @@ def _run_chain(cfg: AnnealConfig, vec_of, neighbours, target_vec, rng, count):
     best_energy = energy
     trace = [energy]
 
+    integers = rng.integers
+    members = subset.members
+    energy_of = subset.energy
+
     def propose():
-        # the two moves in a fixed 1:1 mix; a neighbour's index is found on acceptance
-        if rng.integers(2):
+        # the two moves in a fixed 1:1 mix, as their index in _MOVES; a
+        # neighbour's catalog index is found on acceptance
+        if integers(2):
             pos, u = neighbours.propose(rng, subset)
-            return "weyl", pos, None, u
-        pos = int(rng.integers(r))
+            return 1, pos, None, u
+        pos = int(integers(r))
         while True:
-            j = int(rng.integers(count))
-            if j not in subset.members:
-                return "uniform", pos, j, vec_of(j)
+            j = int(integers(count))
+            if j not in members:
+                return 0, pos, j, vec_of(j)
 
     if cfg.t_initial is not None:
         temp = cfg.t_initial
@@ -220,36 +242,35 @@ def _run_chain(cfg: AnnealConfig, vec_of, neighbours, target_vec, rng, count):
         uphill = []
         for _ in range(100):
             _, pos, _, vec = propose()
-            delta = subset.energy(pos, vec) - energy
+            delta = energy_of(pos, vec) - energy
             if delta > 0:
                 uphill.append(delta)
         temp = float(np.median(uphill)) / math.log(2) if uphill else 0.1
 
     temp_at_best = temp
-    proposed = dict.fromkeys(_MOVES, 0)
-    taken = dict.fromkeys(_MOVES, 0)
-    steps_run = 0
-    for _ in range(cfg.steps):
-        steps_run += 1
-        kind, pos, j, vec = propose()
-        proposed[kind] += 1
-        new_energy = subset.energy(pos, vec)
+    proposed = [0] * len(_MOVES)
+    taken = [0] * len(_MOVES)
+    random, cooling, tol = rng.random, cfg.cooling, cfg.tol
+    for steps_run in range(1, cfg.steps + 1):
+        move, pos, j, vec = propose()
+        proposed[move] += 1
+        new_energy = energy_of(pos, vec)
         delta = new_energy - energy
-        if delta <= 0 or (temp > 0 and rng.random() < math.exp(max(-delta / temp, -745.0))):
+        if delta <= 0 or (temp > 0 and random() < math.exp(max(-delta / temp, -745.0))):
             if j is None:
-                j = neighbours.locate(vec, subset.members)
+                j = neighbours.locate(vec, members)
             subset.swap(pos, j, vec)
             energy = new_energy
-            taken[kind] += 1
+            taken[move] += 1
             if energy < best_energy:
                 best_energy = energy
                 best_subset = tuple(subset.indices)
                 temp_at_best = temp
                 trace.append(energy)
-                if best_energy <= cfg.tol:
+                if best_energy <= tol:
                     break
-        temp *= cfg.cooling
-    moves = {kind: {"proposed": proposed[kind], "accepted": taken[kind]} for kind in _MOVES}
+        temp *= cooling
+    moves = {kind: {"proposed": proposed[m], "accepted": taken[m]} for m, kind in enumerate(_MOVES)}
     return best_subset, best_energy, temp_at_best, trace, steps_run, moves
 
 

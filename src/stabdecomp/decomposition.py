@@ -298,11 +298,18 @@ class SpanProjection:
         a_conj = (Vx @ self.Q_conj).conj()  # rows conj(Q^dagger v), with no (B, dim) temporary
         return 1.0 - (a_conj.real**2 + a_conj.imag**2).sum(axis=1), t_ov - a_conj @ self.q_t
 
-    def residual2(self, Vx: np.ndarray, t_ov: np.ndarray) -> np.ndarray:
-        """Squared residual of each row v of Vx; t_ov holds the <v, t>."""
-        denom, overlap = self.outside(Vx, t_ov)
-        denom[denom <= DEPENDENT_RES2] = np.inf
-        return np.maximum(self.t_perp2 - (overlap.real**2 + overlap.imag**2) / denom, 0.0)
+    def residual2(self, v: np.ndarray, t_ov: complex) -> float:
+        """Squared residual of one unit vector v; t_ov is <v, t>.
+
+        The arithmetic of ``outside`` for one row, so bitwise the value a batch
+        of rows would give it, with the floor and the clamp on Python floats.
+        """
+        a = v.dot(self.Q_conj)  # Q^dagger v
+        denom = 1.0 - float((a.real**2 + a.imag**2).sum())
+        if denom <= DEPENDENT_RES2:
+            return max(self.t_perp2, 0.0)
+        overlap = complex(t_ov - np.vdot(a, self.q_t))
+        return max(self.t_perp2 - (overlap.real * overlap.real + overlap.imag * overlap.imag) / denom, 0.0)
 
 
 def exact_coefficients(

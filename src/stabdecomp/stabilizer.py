@@ -412,28 +412,30 @@ class Catalog:
         blk = self._block_of(i)
         k = blk.k
         tables = self._forms[k]
-        coeffs = self._digits(blk, np.array([i - blk.start]))[0, tables.slots]
+        coeffs = self._digits(blk, i - blk.start)[tables.slots]
         A = np.zeros(k * k, dtype=np.int64)
         A[tables.cells] = A[tables.mirror] = coeffs[: coeffs.size - k]
-        phase = QuadraticForm(self.p, k, A, coeffs[coeffs.size - k :], 0)
+        # the digits lay A out symmetric and reduced, with a zero qubit diagonal, and b reduced
+        phase = QuadraticForm._trusted(self.p, k, A.reshape(k, k), coeffs[coeffs.size - k :])
         return CanonicalStabilizer(self.p, self.n, blk.x0, blk.W, phase, check=False)
 
     def _block_forms(self):
-        """(block, form indices) in catalog order, at most ``_FORM_CHUNK`` forms at a time."""
+        """(block, form indices as a column) in catalog order, at most ``_FORM_CHUNK`` forms at a time."""
         for blk in self._blocks:
             for lo in range(0, blk.nforms, _FORM_CHUNK):
-                yield blk, np.arange(lo, min(lo + _FORM_CHUNK, blk.nforms), dtype=np.int64)
+                yield blk, np.arange(lo, min(lo + _FORM_CHUNK, blk.nforms), dtype=np.int64)[:, None]
 
-    def _digits(self, blk: _Block, forms: np.ndarray) -> np.ndarray:
-        """Form digits, one row per form index of the block."""
+    def _digits(self, blk: _Block, forms) -> np.ndarray:
+        """Form digits of the block: one row per form for a column of form indices, one 1-D row for an int."""
         tables = self._forms[blk.k]
-        return forms[:, None] // tables.place % tables.radix
+        return forms // tables.place % tables.radix
 
-    def _decode_into(self, out: np.ndarray, blk: _Block, forms: np.ndarray) -> None:
-        """Write the vectors of the block's forms into the zeroed rows ``out``."""
+    def _decode_into(self, out: np.ndarray, blk: _Block, forms) -> None:
+        """Write the vectors of the block's forms into the zeroed rows ``out``: a
+        (forms, dim) block for a column of form indices, one row for an int."""
         tables = self._forms[blk.k]
-        exps = (self._digits(blk, forms) @ tables.monomials.T).astype(np.intp)
-        out[:, blk.points] = tables.amps[exps]
+        exps = self._digits(blk, forms).dot(tables.monomials.T).astype(np.intp)
+        out.T[blk.points] = tables.amps[exps].T  # the points index the last axis of a block and of a row alike
 
     def vectors(self, indices=None) -> np.ndarray:
         """Complex amplitude vectors, one row per index: bitwise ``get(i).complex_vector()``.
@@ -442,6 +444,8 @@ class Catalog:
         array; otherwise the given indices only, in the given order.  Decodes a
         block at a time: a block's support points are computed once, and the
         phase exponents of its forms come from one product with the monomials.
+        Given indices are decoded one at a time, by the same formula on a 1-D
+        row of digits, so one index costs a few small calls.
         """
         dim = self.p**self.n
         if indices is None:
@@ -451,11 +455,11 @@ class Catalog:
                 self._decode_into(out[row : row + forms.size], blk, forms)
                 row += forms.size
             return out
-        indices = np.asarray(indices, dtype=np.int64).reshape(-1)
-        out = np.zeros((indices.size, dim), dtype=np.complex128)
-        for row, i in enumerate(indices.tolist()):
+        indices = np.asarray(indices, dtype=np.int64).reshape(-1).tolist()
+        out = np.zeros((len(indices), dim), dtype=np.complex128)
+        for row, i in enumerate(indices):
             blk = self._block_of(i)
-            self._decode_into(out[row : row + 1], blk, np.array([i - blk.start]))
+            self._decode_into(out[row], blk, i - blk.start)
         return out
 
     # -- inverse lookup ------------------------------------------------------------

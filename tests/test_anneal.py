@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -141,7 +144,7 @@ def test_scorer_witness_goes_through_the_exact_rescore(cat2):
     assert found.success
     subset = _subset(cat2, target, found.subset)
     subset.energy(0, subset.V[0])
-    closed = subset._proj[0].residual2(subset.V[0][None], np.vdot(subset.V[0], subset.t))[0]
+    closed = subset._proj[0].residual2(subset.V[0], np.vdot(subset.V[0], subset.t))
     assert closed <= CANDIDATE_RES2  # the closed form alone sits at its rounding floor
     for pos in range(2):
         res = subset.energy(pos, subset.V[pos])
@@ -228,3 +231,30 @@ def test_temperature_at_best_is_the_temperature_of_the_last_improvement(cat2):
     for steps, trace in ((k, chain["trace"][:-1]), (k + 1, chain["trace"])):
         cut = AnnealConfig(target=target, rank=2, catalog=cat2, seed=1, chains=1, t_initial=t0, cooling=cooling, steps=steps)
         assert anneal_search(cut).chain_traces[0]["trace"] == trace
+
+
+# sha256 of json.dumps({subset, residual, chain_traces, decomposition payload},
+# sort_keys=True) per search spec: every RNG draw and every float a chain
+# produces, pinned so that a change to the step's arithmetic must keep them
+SEARCH_PINS = [
+    # the benchmark's witness search: N⊗3 at rank 4, seed 18, default chains (2,163 steps)
+    (("N", 3, 4, dict(seed=18)), "46c185886e3057d98c6ceceb017a55e1c2cee4053e5a8fd0a3cc323f59dbd187"),
+    # the benchmark's large-catalog chain: (3,4) decoded one state at a time, witness at step 14,046
+    (("N", 4, 7, dict(seed=0, chains=1, steps=20_000)), "fb8b6e657f2d03fa0c29caf82da8dedb45e391722d14c9cac58438a004f871cf"),
+    (("H", 4, 3, dict(seed=0, chains=2, steps=2_000)), "d2d967f02e22328ee88ed97b2dd56d721274e8589078cd588e51c253f0f414a5"),
+    (("T3", 2, 2, dict(seed=1, chains=2, steps=2_000)), "317e275abb235a2701c9d70b5093d09919367962a6058581ac0acbafde5e7ee4"),
+]
+
+
+@pytest.mark.parametrize("spec,digest", SEARCH_PINS, ids=["N3-r4", "N4-r7", "H4-r3", "T3x2-r2"])
+def test_search_results_are_pinned(spec, digest):
+    name, m, r, kwargs = spec
+    target = magic_power(name, m)
+    res = anneal_search(AnnealConfig(target=target, rank=r, catalog=build_catalog(target.p, target.n), **kwargs))
+    blob = {
+        "subset": list(res.subset),
+        "residual": res.residual,
+        "chain_traces": res.chain_traces,
+        "decomposition": res.decomposition.to_payload() if res.decomposition else None,
+    }
+    assert hashlib.sha256(json.dumps(blob, sort_keys=True).encode()).hexdigest() == digest

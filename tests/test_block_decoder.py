@@ -9,8 +9,9 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from stabdecomp.algebra import QuadraticForm
 from stabdecomp.certify import _SearchContext
-from stabdecomp.stabilizer import _FormTables, build_catalog, magic_power
+from stabdecomp.stabilizer import CanonicalStabilizer, _FormTables, build_catalog, magic_power
 
 # the ids end in the catalog's artifact label, "raw"
 CASES = [
@@ -81,6 +82,52 @@ def test_vectors_of_a_four_qutrit_sample():
     ref = np.array([cat.get(int(i)).complex_vector() for i in picks])
     assert cat.vectors(picks).tobytes() == ref.tobytes()
     assert cat.vectors([len(cat) - 1]).tobytes() == cat.get(len(cat) - 1).complex_vector().tobytes()
+
+
+@pytest.mark.parametrize("p,n", [(3, 4), (2, 5)])
+def test_one_index_decode_at_every_k(p, n):
+    # catalogs above the dense limit are only ever decoded one index at a time
+    cat = build_catalog(p, n)
+    firsts = {}
+    for blk in cat._blocks:
+        firsts.setdefault(blk.k, blk.start)
+    bounds = [firsts[k] for k in range(n + 1)] + [len(cat)]
+    rng = np.random.default_rng(29)
+    for k in range(n + 1):
+        lo, hi = bounds[k], bounds[k + 1]
+        picks = [lo, hi - 1, *rng.integers(lo, hi, size=40).tolist()]
+        ref = np.array([cat.get(i).complex_vector() for i in picks])
+        assert {cat.get(i).k for i in picks} == {k}
+        for i, want in zip(picks, ref):
+            assert cat.vectors([i]).tobytes() == want[None].tobytes()
+        assert cat.vectors(picks).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("p,n", [(3, 3), (2, 4)])
+def test_get_builds_what_the_checked_constructors_accept(p, n):
+    # get builds its phase form unchecked: the checked constructors must accept
+    # every such state and leave its form as it is
+    cat = _catalog(p, n)
+    for i in np.random.default_rng(31).integers(0, len(cat), size=300).tolist():
+        st = cat.get(i)
+        form = QuadraticForm(p, st.k, st.phase.A, st.phase.b, st.phase.c)
+        for got, want in ((st.phase.A, form.A), (st.phase.b, form.b)):
+            assert got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want)
+        assert st.phase.c == form.c == 0
+        CanonicalStabilizer(p, n, st.x0, st.W, st.phase)
+
+
+# sha256 of the dense decode's bytes: the one-index path shares its formula,
+# so these pin that the dense decode itself stays as it was
+DENSE_SHA256 = {
+    (3, 3): "2facc1f24cc1293bd6621e25e84e92bf795217d0c65106c8b48a185d0a28c3d0",
+    (2, 4): "68462d9f2be3f9cee7e8a951f70ddf1e6ca9b204a61532eb056a873d55248900",
+}
+
+
+@pytest.mark.parametrize("p,n", sorted(DENSE_SHA256))
+def test_dense_decode_is_pinned(p, n):
+    assert hashlib.sha256(_catalog(p, n).vectors().tobytes()).hexdigest() == DENSE_SHA256[p, n]
 
 
 def test_vectors_rejects_out_of_range_indices():

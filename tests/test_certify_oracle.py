@@ -2,7 +2,8 @@
 
 ``_svd_score_block`` below is the kernel's earlier scorer, kept here as a
 reference: one :class:`SpanProjection` (an SVD of the suffix states) per
-block and one projection per x.  ``_score_run`` scores the same block from
+block and one projection per x, scored in a batch by ``_residual2`` over
+``SpanProjection.outside``.  ``_score_run`` scores the same block from
 one projection of the tail, one unit vector per s1 and one overlap product per
 tile.  Block by block the two must give the same pruned count and the same
 witnesses, and minimum residuals within 1e-12.
@@ -27,6 +28,13 @@ def _context(name, m):
     return _SearchContext(target, build_catalog(target.p, target.n))
 
 
+def _residual2(proj, Vx, t_ov):
+    """Squared residual of each row v of Vx over span(S + {v}); t_ov holds the <v, t>."""
+    denom, overlap = proj.outside(Vx, t_ov)
+    denom[denom <= DEPENDENT_RES2] = np.inf
+    return np.maximum(proj.t_perp2 - (overlap.real**2 + overlap.imag**2) / denom, 0.0)
+
+
 def _svd_score_block(ctx, x_lo, x_hi, suffix, tol):
     """(pruned, min residual, witnesses) of the tuples (x, *suffix), x_lo <= x < x_hi."""
     needed = ctx.target_mask
@@ -44,7 +52,7 @@ def _svd_score_block(ctx, x_lo, x_hi, suffix, tol):
     if not xs.size:
         return pruned, min_res, witnesses
     proj = SpanProjection(ctx.V[list(suffix)], ctx.t, ctx.tnorm2)
-    res2 = proj.residual2(ctx.V[xs], ctx.t_ov[xs])
+    res2 = _residual2(proj, ctx.V[xs], ctx.t_ov[xs])
     for row in np.flatnonzero(res2 <= CANDIDATE_RES2):
         tup = (int(xs[row]), *suffix)
         _, res = best_fit(np.column_stack([ctx.V[i] for i in tup]), ctx.t)
