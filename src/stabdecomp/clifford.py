@@ -31,11 +31,7 @@ GATE_ORDER = {"X": 3, "Z": 3, "S": 3, "H": 4, "SUM": 3}
 
 
 def _embed_single(gate: np.ndarray, n: int, leg: int) -> np.ndarray:
-    ops = [gate if i == leg else np.eye(3) for i in range(n)]
-    out = ops[0]
-    for op in ops[1:]:
-        out = np.kron(out, op)
-    return out
+    return functools.reduce(np.kron, [gate if i == leg else np.eye(3) for i in range(n)])
 
 
 def _sum_matrix(n: int, control: int, target: int) -> np.ndarray:
@@ -135,17 +131,19 @@ def symplectic_form(n: int) -> np.ndarray:
 
 
 @functools.cache
-def _row_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _row_tables(n: int) -> tuple[np.ndarray, ...]:
     """Rows over F_3 of 2n entries as keys sum_j r_j 3^j below 3^(2n): the
-    digits (keys, 2n) and the add and negate tables of the keys, read-only."""
+    digits (keys, 2n), the add and negate tables of the keys, and the
+    symplectic form x.J.y = sum_i x_i y_(n+i) - x_(n+i) y_i of two keys, all read-only."""
     weights = 3 ** np.arange(2 * n)
     digits = (np.arange(3 ** (2 * n))[:, None] // weights % 3).astype(np.int8)
     dtype = np.min_scalar_type(3 ** (2 * n) - 1)
     add = (((digits[:, None] + digits[None]) % 3) @ weights).astype(dtype)
     neg = ((-digits % 3) @ weights).astype(dtype)
-    for table in (digits, add, neg):
+    form = (digits[:, :n] @ digits[:, n:].T - digits[:, n:] @ digits[:, :n].T) % 3
+    for table in (digits, add, neg, form):
         table.flags.writeable = False
-    return digits, add, neg
+    return digits, add, neg, form
 
 
 def _row_op(rows: np.ndarray, name: str, n: int, legs: tuple[int, ...], power: int = 1) -> None:
@@ -153,7 +151,7 @@ def _row_op(rows: np.ndarray, name: str, n: int, legs: tuple[int, ...], power: i
     keys of row r of every matrix: the gate's F_3 row operations."""
     if name not in GATE_ORDER:
         raise ValueError(name)
-    _, add, neg = _row_tables(n)
+    _, add, neg, _ = _row_tables(n)
     for _ in range(power % GATE_ORDER[name]):  # X and Z leave symplectic labels alone
         if name == "S":  # row n+i += row i
             i = legs[0]
@@ -179,7 +177,7 @@ def enumerate_symplectic(n: int) -> np.ndarray:
     gens = [("S", (i,)) for i in range(n)] + [("H", (i,)) for i in range(n)]
     gens += [("SUM", (c, t)) for c in range(n) for t in range(n) if c != t]
     weights = 3 ** (2 * n * np.arange(2 * n, dtype=np.int64))
-    digits, add, _ = _row_tables(n)
+    digits, add, _, _ = _row_tables(n)
     frontier = (3 ** np.arange(2 * n)).astype(add.dtype)[:, None]  # the identity's row keys
     levels = [frontier]
     seen = weights @ frontier  # sorted
@@ -237,14 +235,14 @@ def synthesize(M: np.ndarray):
     own entries (power 0 skips the gate); the gate runs as its F_3 row
     operations on the row keys of the matrices that take it.
     """
-    M = np.asarray(M, dtype=np.int64) % 3
+    M = np.asarray(M, dtype=np.int64)
+    M = M % 3 if ((M < 0) | (M > 2)).any() else M  # a whole-stack % 3 costs more than this test
     n = M.shape[-1] // 2
-    stack = M.reshape(-1, 2 * n, 2 * n)
-    J = symplectic_form(n)
-    if not ((stack.transpose(0, 2, 1) @ J @ stack) % 3 == J).all():
+    digits, add, _, form = _row_tables(n)
+    work = (M.reshape(-1, 2 * n, 2 * n) @ 3 ** np.arange(2 * n)).T.astype(add.dtype)  # work[r]: the keys of row r
+    r, s = np.triu_indices(2 * n, 1)  # M is symplectic exactly when its rows pair as J's do
+    if not (form[work[r], work[s]] == symplectic_form(n)[r, s, None]).all():
         raise ValueError("not a symplectic matrix")
-    digits, add, _ = _row_tables(n)
-    work = (stack @ 3 ** np.arange(2 * n)).T.astype(add.dtype)  # work[r]: the keys of row r
     slots: list[tuple] = []
     applied: list[np.ndarray] = []
 

@@ -9,7 +9,8 @@ the image of the branch operator
 with probability equal to the squared branch norm.  Weyl prefactors only
 permute k and add phases (``check_reduction``), so exhaustive sweeps run
 over the 51,840 symplectic classes of Sp(4, 3) with one synthesized unitary
-per class.
+per class.  The unitaries stream through the sweeps a chunk of rows at a time
+(``_table_chunks``); no sweep holds the whole 67 MB table.
 
 Protocol words (fixed by reproducing the published branch outputs):
 subscript 1 is the data leg (most significant tensor factor), subscript 2
@@ -203,25 +204,24 @@ class SweepResult:
         ``extra``.  "hits" holds one object per report of ``hits``, with the
         report's fields in slot order and complex entries as [re, im] pairs.
         Each hit fills one template with the json text of its values; each
-        distinct value is formatted once.
+        distinct value of a chunk is formatted once.
         """
         head, tail = json.dumps({**self._header(), "hits": [], **extra}, indent=1).split('"hits": []')
-        proto, fields = self._hit_layout()
-        if not len(fields):
+        n = len(self.columns["clifford"])
+        if not n:
             yield head + '"hits": []' + tail + "\n"
             return
-        hit = ",\n  " + _template(proto, 2)
         yield head + '"hits": ['
-        for lo in range(0, len(fields), _HIT_CHUNK):
-            rows = fields[lo : lo + _HIT_CHUNK]
-            text = hit * len(rows) % tuple(rows.ravel().tolist())
+        for lo in range(0, n, _HIT_CHUNK):
+            proto, fields = self._hit_layout(slice(lo, lo + _HIT_CHUNK))
+            text = (",\n  " + _template(proto, 2)) * len(fields) % tuple(fields.ravel().tolist())
             yield text[1:] if lo == 0 else text
         yield "\n ]" + tail + "\n"
 
-    def _hit_layout(self) -> tuple[dict, np.ndarray]:
+    def _hit_layout(self, rows: slice) -> tuple[dict, np.ndarray]:
         """One hit's JSON object, "@" standing for each json value the columns
-        fill, and the (hits, slots) object array of those values' text."""
-        c = self.columns
+        fill, and the (rows, slots) object array of those values' text."""
+        c = {key: col[rows] for key, col in self.columns.items()}
         n = len(c["clifford"])
         if self.kind == "injection":
             ints = _json_texts(np.column_stack([c["clifford"], c["k_star"]]))
@@ -318,22 +318,20 @@ _TABLE_CHUNK = 4096
 
 
 @functools.cache
-def _symplectic_unitaries():
-    """All Sp(4,3) elements with one synthesized unitary each (cached, ~67 MB).
+def _table_plan():
+    """The Sp(4,3) gate words, each slot's gate powers as matrices, and the row
+    order of the products: lexicographic in the slot powers (cached, ~2 MB)."""
+    words = synthesize(enumerate_symplectic(2))
+    gates = [[gate_matrix(name, 2, legs, p) for p in range(GATE_ORDER[name])] for name, legs in words.slots]
+    return words, gates, np.lexsort(words.powers.T[::-1])  # slot 0 the primary key
 
-    Row e is the operator product of word e, left to right.  Rows are taken
-    in lexicographic order of their slot powers, and in each chunk every
-    distinct word prefix is multiplied once, onto its parent prefix.
-    """
-    sp = enumerate_symplectic(2)
-    words = synthesize(sp)
-    gates = [
-        [gate_matrix(name, 2, legs, p) for p in range(GATE_ORDER[name])]
-        for name, legs in words.slots
-    ]
-    U = np.empty((len(sp), 9, 9), dtype=np.complex128)
-    order = np.lexsort(words.powers.T[::-1])  # slot 0 the primary key
-    for lo in range(0, len(sp), _TABLE_CHUNK):
+
+def _table_chunks():
+    """Yield (rows, U) over all of Sp(4,3), ``_TABLE_CHUNK`` rows at a time: U[i] is
+    the operator product of word rows[i], left to right.  In each chunk every
+    distinct word prefix is multiplied once, onto its parent prefix."""
+    words, gates, order = _table_plan()
+    for lo in range(0, len(order), _TABLE_CHUNK):
         rows = order[lo : lo + _TABLE_CHUNK]
         P = np.eye(9, dtype=np.complex128)[None]  # the distinct prefixes so far
         pid = np.zeros(len(rows), dtype=np.int64)  # each row's prefix in P
@@ -345,8 +343,7 @@ def _symplectic_unitaries():
             for p in range(1, len(mats)):
                 a, b = np.searchsorted(keys, [p * n, (p + 1) * n])
                 P[a:b] = (P[a:b].reshape(-1, 9) @ mats[p]).reshape(-1, 9, 9)
-        U[rows] = P[pid]
-    return sp, U
+        yield rows[np.argsort(pid)], P  # the rows are distinct words, so pid is a permutation
 
 
 def sweep_two_copy(magic: str) -> SweepResult:
@@ -356,10 +353,10 @@ def sweep_two_copy(magic: str) -> SweepResult:
     branch-reduction identity, so the symplectic classes are exhaustive.
     """
     m = magic_state(magic).complex_vector()
-    sp, U = _symplectic_unitaries()
-    T = U.reshape(-1, 3, 3, 3, 3)
-    # v[e, k, i] = sum_{j,m} C[(i,k),(j,m)] M_j M_m
-    V = np.einsum("eikjm,j,m->eki", T, m, m, optimize=True)
+    V = np.empty((len(_table_plan()[2]), 3, 3), dtype=np.complex128)
+    for rows, U in _table_chunks():
+        # v[e, k, i] = sum_{j,m} C[(i,k),(j,m)] M_j M_m
+        V[rows] = np.einsum("eikjm,j,m->eki", U.reshape(-1, 3, 3, 3, 3), m, m, optimize=True)
     es, ks, rel, noncliff, norm2 = _classify(V)
     counts = {
         CLASS_NONCLIFFORD: int(noncliff.sum()),
@@ -424,40 +421,43 @@ def sweep_injection(magic: str) -> SweepResult:
     composed with that unitary (atol 1e-5).
     """
     m = magic_state(magic).complex_vector()
-    sp, U = _symplectic_unitaries()
-    T = U.reshape(-1, 3, 3, 3, 3)
-    # E[e, k] = branch operator, shape (E, 3, 3, 3)
-    E = np.einsum("eikjm,m->ekij", T, m, optimize=True)
-    G = np.einsum("ekji,ekjl->ekil", E.conj(), E, optimize=True)  # E^dag E
-    tr = np.einsum("ekii->ek", G).real / 3.0
-    dev = G - tr[..., None, None] * np.eye(3)
-    unitary_mask = (np.abs(dev).max(axis=(2, 3)) <= ATOL_UNITARY) & (tr > 1e-12)
+    parts, total = [], 0
+    for rows, U in _table_chunks():
+        E = np.einsum("eikjm,m->ekij", U.reshape(-1, 3, 3, 3, 3), m, optimize=True)  # E[e, k]: (rows, 3, 3, 3)
+        G = np.einsum("ekji,ekjl->ekil", E.conj(), E, optimize=True)  # E^dag E
+        tr = np.einsum("ekii->ek", G).real / 3.0
+        unitary = (np.abs(G - tr[..., None, None] * np.eye(3)).max(axis=(2, 3)) <= ATOL_UNITARY) & (tr > 1e-12)
+        kept = unitary.any(axis=1)  # only the rows with a unitary branch are kept
+        parts.append((rows[kept], E[kept], tr[kept], unitary[kept]))
+        total += 3 * len(rows)
+    rows, E, tr, unitary_mask = (np.concatenate(col) for col in zip(*parts))
+    del parts  # the chunk copies go before the screens
     group = generate_clifford_group()
-    es, ks = np.nonzero(unitary_mask)  # (e, k*) in sweep order
-    Ug = E[es, ks] / np.sqrt(tr[es, ks])[:, None, None]
+    held, ks = np.nonzero(unitary_mask)  # (held row, k*) in table order
+    Ug = E[held, ks] / np.sqrt(tr[held, ks])[:, None, None]
     # the injected gate must be non-Clifford
     keep = _proportional_to_clifford(Ug, group) < 0
-    es, ks, Ug = es[keep], ks[keep], Ug[keep]
+    held, ks, Ug = held[keep], ks[keep], Ug[keep]
     # every other branch k must be a Clifford correction of Ug, or never occur
     absent = np.linalg.norm(E, axis=(2, 3)) < 1e-10
-    fixes = np.full((len(es), 3), -1, dtype=np.int64)
+    fixes = np.full((len(held), 3), -1, dtype=np.int64)
     for k in range(3):
-        rows = np.nonzero((ks != k) & ~absent[es, k])[0]
-        fixes[rows, k] = _proportional_to_clifford(
-            E[es[rows], k] @ Ug[rows].conj().transpose(0, 2, 1), group
-        )
-    ok = ((fixes >= 0) | absent[es] | (ks[:, None] == np.arange(3))).all(axis=1)
-    phases, known = _pauli_diagonal_phases(Ug[ok])
+        sel = np.nonzero((ks != k) & ~absent[held, k])[0]
+        fixes[sel, k] = _proportional_to_clifford(E[held[sel], k] @ Ug[sel].conj().transpose(0, 2, 1), group)
+    ok = ((fixes >= 0) | absent[held] | (ks[:, None] == np.arange(3))).all(axis=1)
+    gadgets = np.flatnonzero(ok)
+    gadgets = gadgets[np.argsort(rows[held[gadgets]] * 3 + ks[gadgets], kind="stable")]  # (e, k*) order
+    phases, known = _pauli_diagonal_phases(Ug[gadgets])
     columns = {
-        "clifford": es[ok],
-        "k_star": ks[ok],
-        "gate": Ug[ok],
+        "clifford": rows[held[gadgets]],
+        "k_star": ks[gadgets],
+        "gate": Ug[gadgets],
         "diagonal_phases": phases,
         "diagonal_known": known,
-        "corrections": fixes[ok],  # -1 exactly where a branch k != k* never occurs
+        "corrections": fixes[gadgets],  # -1 exactly where a branch k != k* never occurs
     }
-    counts = {"unitary-branches": int(unitary_mask.sum()), "gadgets": int(ok.sum())}
-    return SweepResult(magic, "injection", columns, counts, E.shape[0] * 3)
+    counts = {"unitary-branches": int(unitary_mask.sum()), "gadgets": len(gadgets)}
+    return SweepResult(magic, "injection", columns, counts, total)
 
 
 def replay_protocol(word, magic: str, k: int) -> ProtocolReport:

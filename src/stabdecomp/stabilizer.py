@@ -98,17 +98,22 @@ def _all_points(p: int, k: int) -> np.ndarray:
 
 
 class CanonicalStabilizer:
-    """One canonical stabilizer state; immutable once constructed."""
+    """One canonical stabilizer state; immutable once constructed.
+
+    With ``check=False`` the caller vouches that x0 and W are canonical int64
+    arrays of shapes (n,) and (n, k), and they are taken as they are.
+    """
 
     __slots__ = ("p", "n", "k", "x0", "W", "phase")
 
     def __init__(self, p: int, n: int, x0, W, phase, check: bool = True) -> None:
         self.p = int(p)
         self.n = int(n)
-        self.x0 = np.asarray(x0, dtype=np.int64).reshape(n) % p
-        W = np.asarray(W, dtype=np.int64) % p
-        self.W = W.reshape(n, W.size // n if n else 0)
-        self.k = self.W.shape[1]
+        if check:
+            x0 = np.asarray(x0, dtype=np.int64).reshape(n) % p
+            W = np.asarray(W, dtype=np.int64) % p
+            W = W.reshape(n, W.size // n if n else 0)
+        self.x0, self.W, self.k = x0, W, W.shape[1]
         self.phase = phase
         if check:
             self._validate()
@@ -235,7 +240,8 @@ class _Block:
     """A contiguous catalog range sharing (k, W, x0); forms vary within.
 
     ``points`` is the support x0 + span(W) as basis indices, in the y-lex
-    order of the phase function.
+    order of the phase function.  The arrays are read-only: every state that
+    ``Catalog.get`` decodes from the block shares its W and x0.
     """
 
     __slots__ = ("start", "nforms", "k", "W", "x0", "points")
@@ -247,6 +253,8 @@ class _Block:
         self.W = W
         self.x0 = x0
         self.points = points
+        for array in (W, x0, points):
+            array.flags.writeable = False
 
 
 # relative tolerance on amplitudes when ``Catalog.index_of`` reads a vector

@@ -105,8 +105,9 @@ def test_one_index_decode_at_every_k(p, n):
 
 @pytest.mark.parametrize("p,n", [(3, 3), (2, 4)])
 def test_get_builds_what_the_checked_constructors_accept(p, n):
-    # get builds its phase form unchecked: the checked constructors must accept
-    # every such state and leave its form as it is
+    # get builds its phase form unchecked and takes its block's x0 and W as they
+    # are: the checked constructors must accept every such state and leave its
+    # form, x0 and W as they are
     cat = _catalog(p, n)
     for i in np.random.default_rng(31).integers(0, len(cat), size=300).tolist():
         st = cat.get(i)
@@ -114,7 +115,10 @@ def test_get_builds_what_the_checked_constructors_accept(p, n):
         for got, want in ((st.phase.A, form.A), (st.phase.b, form.b)):
             assert got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want)
         assert st.phase.c == form.c == 0
-        CanonicalStabilizer(p, n, st.x0, st.W, st.phase)
+        checked = CanonicalStabilizer(p, n, st.x0, st.W, st.phase)
+        for got, want in ((st.x0, checked.x0), (st.W, checked.W)):
+            assert got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want)
+            assert not got.flags.writeable  # shared by every state of the block
 
 
 # sha256 of the dense decode's bytes: the one-index path shares its formula,

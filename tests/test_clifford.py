@@ -352,10 +352,14 @@ def test_synthesize_stack_rejects_any_non_symplectic_member(sp4):
 
 
 @pytest.fixture(scope="module")
-def table():
-    from stabdecomp.gadget import _symplectic_unitaries
+def table(sp4):
+    # the whole table, assembled from the chunks the sweeps stream through
+    from stabdecomp.gadget import _table_chunks
 
-    return _symplectic_unitaries()
+    U = np.empty((len(sp4), 9, 9), dtype=np.complex128)
+    for rows, chunk in _table_chunks():
+        U[rows] = chunk
+    return sp4, U
 
 
 def test_table_rows_are_synthesized_words(table):

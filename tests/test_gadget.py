@@ -360,6 +360,21 @@ def test_sweep_counts_pinned(kind, name):
         assert res.hits[-1].clifford == 51825
 
 
+def test_sweeps_stream_the_table_in_bounded_memory():
+    # the sweeps hold one 4,096-row chunk of unitaries at a time, never the 67 MB table
+    import tracemalloc
+
+    sweep_injection("S")  # warm-up: the words, the gate matrices and the group are cached
+    tracemalloc.start()
+    try:
+        for sweep, name in ((sweep_injection, "S"), (sweep_injection, "T3"), (sweep_two_copy, "N")):
+            tracemalloc.reset_peak()
+            sweep(name)
+            assert tracemalloc.get_traced_memory()[1] < 40e6, name
+    finally:
+        tracemalloc.stop()
+
+
 def test_proportional_to_clifford_batched():
     group = generate_clifford_group()
     rng = np.random.default_rng(103)
@@ -435,7 +450,7 @@ def test_sweep_injection_branch_that_never_occurs(monkeypatch):
     Q, _ = np.linalg.qr(np.column_stack([m, np.eye(3)[:, 1:]]))
     D = np.diag(np.exp(2j * np.pi * np.arange(3) / 9))
     table = np.stack([np.kron(D, Q.conj().T), np.eye(9)])
-    monkeypatch.setattr(gadget, "_symplectic_unitaries", lambda: (None, table))
+    monkeypatch.setattr(gadget, "_table_chunks", lambda: iter([(np.arange(2), table)]))
     res = sweep_injection("T3")
     assert res.counts == {"unitary-branches": 4, "gadgets": 1}
     (g,) = res.hits
@@ -503,7 +518,7 @@ def test_json_chunks_never_occurring_branch(monkeypatch):
     Q, _ = np.linalg.qr(np.column_stack([m, np.eye(3)[:, 1:]]))
     D = np.diag(np.exp(2j * np.pi * np.arange(3) / 9))
     table = np.stack([np.kron(D, Q.conj().T), np.eye(9)])
-    monkeypatch.setattr(gadget, "_symplectic_unitaries", lambda: (None, table))
+    monkeypatch.setattr(gadget, "_table_chunks", lambda: iter([(np.arange(2), table)]))
     res = sweep_injection("T3")
     (g,) = res.hits
     assert g.corrections == {1: None, 2: None} and g.diagonal_phases is not None
@@ -648,8 +663,8 @@ def test_pauli_diagonal_phases_matches_the_loop():
         assert tuple(row.tolist()) == w
 
 
-def test_lazy_hits_equal_per_branch_reports():
-    _, table = gadget._symplectic_unitaries()
+def test_lazy_hits_equal_per_branch_reports(sp4_words):
+    # row e of the table is the operator product of word e
     group = generate_clifford_group()
     rng = np.random.default_rng(113)
     res = sweep_injection("T3")
@@ -658,7 +673,7 @@ def test_lazy_hits_equal_per_branch_reports():
     for i in rng.choice(len(res.hits), size=60, replace=False):
         g = res.hits[i]
         assert (type(g.clifford), type(g.k_star), g.magic) == (int, int, "T3")
-        E = [branch_operator(table[g.clifford], m, k) for k in range(3)]
+        E = [branch_operator(word_to_matrix(sp4_words[g.clifford], 2), m, k) for k in range(3)]
         Ug = E[g.k_star] / np.sqrt(np.trace(E[g.k_star].conj().T @ E[g.k_star]).real / 3)
         assert np.allclose(g.gate, Ug, atol=1e-12)
         assert np.array_equal(g.gate, res.columns["gate"][i])
@@ -680,7 +695,7 @@ def test_lazy_hits_equal_per_branch_reports():
         m = magic_state(name).complex_vector()
         for i in rng.choice(len(res.hits), size=40, replace=False):
             r = res.hits[i]
-            v = branch_operator(table[r.clifford], m, r.k) @ m
+            v = branch_operator(word_to_matrix(sp4_words[r.clifford], 2), m, r.k) @ m
             cls, phases, norm2 = classify_branch(v)
             assert (r.magic, r.classification) == (name, cls)
             assert (type(r.clifford), type(r.k), type(r.probability)) == (int, int, float)
@@ -719,7 +734,6 @@ def test_replay_agrees_with_the_sweep(name, sp4_words):
     res = sweep_two_copy(name)
     c = res.columns
     hit_of = {(e, k): i for i, (e, k) in enumerate(zip(c["clifford"].tolist(), c["k"].tolist()))}
-    _, table = gadget._symplectic_unitaries()
     m = magic_state(name).complex_vector()
     rng = np.random.default_rng(131)
     rows = np.concatenate([rng.choice(np.unique(c["clifford"]), size=12, replace=False), rng.integers(0, 51840, size=12)])
@@ -730,7 +744,7 @@ def test_replay_agrees_with_the_sweep(name, sp4_words):
             i = hit_of.get((e, k))
             if i is None:
                 assert (rep.classification, rep.phases) == (CLASS_NONE, None)
-                want = float(np.linalg.norm(branch_operator(table[e], m, k) @ m) ** 2)
+                want = float(np.linalg.norm(branch_operator(word_to_matrix(sp4_words[e], 2), m, k) @ m) ** 2)
             else:
                 assert rep.classification == (CLASS_NONCLIFFORD if c["nonclifford"][i] else CLASS_CLIFFORD)
                 want = c["probability"][i]
