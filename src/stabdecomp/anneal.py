@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import CANDIDATE_RES2, Decomposition, SpanProjection, best_fit, exact_coefficients
+from .decomposition import CANDIDATE_RES2, WITNESS_TOL, Decomposition, SpanProjection, best_fit, exact_coefficients
 from .stabilizer import Catalog, TargetState, _all_points
 
 __all__ = ["AnnealConfig", "AnnealResult", "anneal_search"]
@@ -55,7 +55,7 @@ class AnnealConfig:
     chains: int = 32
     t_initial: float | None = None
     cooling: float = 0.995
-    tol: float = 1e-10
+    tol: float = WITNESS_TOL
     seed: int = 0
 
     def __post_init__(self):

@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .decomposition import CANDIDATE_RES2, DEPENDENT_RES2, WITNESS_TOL_FLOOR, SpanProjection, best_fit
+from .decomposition import CANDIDATE_RES2, DEPENDENT_RES2, WITNESS_TOL, WITNESS_TOL_FLOOR, SpanProjection, best_fit
 from .decomposition import _NUMBER, _OPTIONAL_INT, _field, _read_json, _typed
 from .stabilizer import CATALOG_LABEL, Catalog, TargetState
 
@@ -72,6 +72,9 @@ _MASK_ROWS = 4096
 # (block, x) pairs tested for coverage at once when a run is screened: the
 # int64 temporary stays near 1 MB
 _COVER_PAIRS = 1 << 17
+
+# the pair positions a walk step takes, about a second unpruned, so a long window reports progress
+_STEP_PAIRS = 1 << 25
 
 
 # ---------------------------------------------------------------------------
@@ -519,20 +522,22 @@ def _ruled_out(ctx: _SearchContext, missed: int, s1s: np.ndarray, xend: np.ndarr
 
 
 def _certify_range(ctx, lo, hi, r, tol, progress=None):
-    """Stream ranks [lo, hi) through the run scorer, one step per tail.
+    """Stream ranks [lo, hi) through the run scorer, one step per tail (more for a long tail).
 
     The tuples (x, s1, *tail) of one tail have the consecutive ranks
     base + C(s1, 2) + x, so a step takes the window of pair positions
     C(s1, 2) + x that its ranks cover and sends every block of it, the
     partial first and last blocks included, to ``_score_run`` in one call;
-    for r = 1 the window is x itself.  ``progress`` is called once before
-    the walk and once after each tail.
+    for r = 1 the window is x itself.  A window of over ``_STEP_PAIRS``
+    positions is cut, at a block s1 that is a multiple of ``_TILE_ROWS`` (a
+    cut inside a tile row would score it twice), into steps of about that many.
+    ``progress`` is called once before the walk and once after each step.
     """
     pruned = 0
     min_res = math.inf
     witnesses: list[tuple[int, ...]] = []
-    if progress is not None:
-        progress(0)
+    progress = progress or (lambda done: None)
+    progress(0)
     done = lo
     while done < hi:
         x, *suffix = unrank_tuple(done, r)
@@ -540,6 +545,9 @@ def _certify_range(ctx, lo, hi, r, tol, progress=None):
             s1, tail = suffix[0], tuple(suffix[1:])
             base = done - math.comb(s1, 2) - x
             w_lo, w_hi = done - base, min(hi, base + math.comb(tail[0] if tail else ctx.count, 2)) - base
+            if w_hi - w_lo > _STEP_PAIRS:
+                end = max(_largest_with_binomial_leq(w_lo + _STEP_PAIRS, 2), s1 + 1)  # in blocks
+                w_hi = min(w_hi, math.comb(end + -end % _TILE_ROWS, 2))
             s1s = np.arange(s1, _largest_with_binomial_leq(w_hi - 1, 2) + 1)  # the blocks of the window
         else:
             s1s, tail, base, w_lo, w_hi = None, (), 0, done, hi
@@ -548,8 +556,7 @@ def _certify_range(ctx, lo, hi, r, tol, progress=None):
         min_res = min(min_res, m)
         witnesses.extend(w)
         done = base + w_hi
-        if progress is not None:
-            progress(done - lo)
+        progress(done - lo)
     return done - lo, pruned, min_res, witnesses
 
 
@@ -580,7 +587,7 @@ def certify_rank(
     r: int,
     catalog: Catalog,
     shard: ShardSpec | None = None,
-    tol: float = 1e-10,
+    tol: float = WITNESS_TOL,
     progress=None,
 ) -> Certificate:
     """Exhaustively test every r-tuple in the shard against the target.
@@ -590,7 +597,7 @@ def certify_rank(
     a larger tol is refused.  An interrupted shard is re-run; to keep the
     cost of that small, split the space into more shards and ``merge`` them.
     ``progress`` gets the count of tuples done: 0 before the walk, then the
-    count after each tail.
+    count after each step of the walk.
     """
     check_request(target.p, target.n, r, tol)
     count = len(catalog)

@@ -20,19 +20,16 @@ from .anneal import AnnealConfig, anneal_search
 from .asymptotics import exp_subsequence, find_ratio_witness, moulton_bound
 from .certify import Certificate, ShardSpec, audit, certify_rank, check_request, merge_certificates
 from .clifford import generate_clifford_group, orbit_closure
-from .decomposition import Decomposition, exponent_from_bound
+from .decomposition import WITNESS_TOL, Decomposition, exponent_from_bound
 from .gadget import CLASS_NONCLIFFORD, sweep_injection, sweep_two_copy
 from . import known
-from .stabilizer import CATALOG_LABEL, MAGIC_NAMES, Catalog, build_catalog, magic_power, magic_state
+from .stabilizer import CATALOG_LABEL, MAGIC_STATES, Catalog, build_catalog, magic_p, magic_power, magic_state
 
 VERIFY_TOL = 1e-13
-WITNESS_TOL = 1e-10
 # the largest catalog `catalog` writes: (3,4) has 7,439,040 states, (3,5) 5.4e9
 CATALOG_MAX_STATES = 10**7
 # the most digits `bound --state` writes: m+1 coordinates of m digits, about 7 MB at m = 999
 SUBSEQUENCE_MAX_DIGITS = 10**6
-
-_QUTRIT = ("S", "N", "H3", "T3")
 
 
 def _payload(kind: str, **fields) -> dict:
@@ -53,8 +50,8 @@ def _out_path(args, default_name: str) -> str:
     return path
 
 
-def _write(path: str, body) -> str:
-    """Write an artifact to path (from ``_out_path``) and return the path.
+def _write(path: str, body) -> None:
+    """Write an artifact to path (from ``_out_path``).
 
     body is a payload, written as indented JSON, or the text chunks of the file.
     """
@@ -65,21 +62,20 @@ def _write(path: str, body) -> str:
             fh.writelines(body)
     except OSError as exc:
         raise ValueError("cannot write %s: %s" % (path, exc.strerror or exc)) from None
-    return path
 
 
 def _check_target(name: str, m: int) -> int:
     """Check a magic-state name and a copy count m without building the m copies; return their qudit dimension p."""
-    if name not in MAGIC_NAMES:
-        raise ValueError("unknown magic state %r (choose from %s)" % (name, ", ".join(MAGIC_NAMES)))
+    p = magic_p(name)
     if m < 1:
         raise ValueError("--m must be at least 1 copy, got %d" % m)
-    return 3 if name in _QUTRIT else 2
+    return p
 
 
 def _check_qutrit(state: str, what: str) -> None:
-    if state not in _QUTRIT:
-        raise ValueError("%s the qutrit states: %s" % (what, ", ".join(_QUTRIT)))
+    qutrits = [name for name in MAGIC_STATES if magic_p(name) == 3]
+    if state not in qutrits:
+        raise ValueError("%s the qutrit states: %s" % (what, ", ".join(qutrits)))
 
 
 def _parse_shard(text: str) -> tuple[int, int]:
@@ -104,8 +100,9 @@ def cmd_catalog(args) -> int:
             "catalog p=%d n=%d has %d states, above the %d that catalog writes"
             % (args.p, args.n, count, CATALOG_MAX_STATES)
         )
+    path = _out_path(args, "catalog-p%dn%d-%s.jsonl" % (args.p, args.n, CATALOG_LABEL))
     cat = build_catalog(args.p, args.n)
-    path = _write(_out_path(args, "catalog-p%dn%d-%s.jsonl" % (args.p, args.n, CATALOG_LABEL)), cat.jsonl_chunks())
+    _write(path, cat.jsonl_chunks())
     print("catalog p=%d n=%d: %d states" % (args.p, args.n, len(cat)))
     print("sha256 %s" % cat.content_hash())
     print("wrote %s" % path)
@@ -124,12 +121,13 @@ def cmd_verify(args) -> int:
         raise ValueError("need --fixture, --all-fixtures, or --file")
     # read before any fixture runs: an unreadable file is a usage error
     loaded = Decomposition.load(args.file) if args.file else None
+    path = _out_path(args, "verify-report.json")
 
     rows = [_verify_one(name, known.FIXTURES[name](), args.exact, args.tol) for name in jobs]
     if args.file:
         rows.append(_verify_one(os.path.basename(args.file), loaded, args.exact, args.tol))
 
-    path = _write(_out_path(args, "verify-report.json"), _payload("verify", tol=args.tol, exact=args.exact, results=rows))
+    _write(path, _payload("verify", tol=args.tol, exact=args.exact, results=rows))
     for row in rows:
         print(
             "%-14s rank %-2d residual %.2e %s"
@@ -170,6 +168,7 @@ def cmd_search(args) -> int:
         tol=args.tol,
         seed=args.seed,
     )
+    path = _out_path(args, "search-%s-r%d-seed%d.json" % (target.name, args.r, args.seed))
     t0 = time.perf_counter()
     res = anneal_search(cfg)
     wall = time.perf_counter() - t0
@@ -193,7 +192,7 @@ def cmd_search(args) -> int:
         decomposition=res.decomposition.to_payload() if res.decomposition else None,
         wall_time=wall,
     )
-    path = _write(_out_path(args, "search-%s-r%d-seed%d.json" % (target.name, args.r, args.seed)), payload)
+    _write(path, payload)
     steps = sum(t["steps"] for t in res.chain_traces)
     print(
         "search %s r=%d: %s (residual %.2e, %d chains, %d steps, %.0f steps/s, %.1fs)"
@@ -259,11 +258,14 @@ def cmd_certify(args) -> int:
 def cmd_merge(args) -> int:
     try:
         certs = [Certificate.load(p) for p in args.certs]
+    except ValueError as exc:
+        raise ValueError("merge failed: %s" % exc) from None
+    path = _out_path(args, "cert-merged.json")
+    try:
         merged = merge_certificates(certs)
     except ValueError as exc:
-        print("merge failed: %s" % exc, file=sys.stderr)
-        return 2
-    path = _write(_out_path(args, "cert-merged.json"), merged.to_payload())
+        raise ValueError("merge failed: %s" % exc) from None
+    _write(path, merged.to_payload())
     print(
         "merged %d certificates: %d tuples, %d witnesses, coverage %s"
         % (len(certs), merged.tuples_tested, len(merged.witnesses), "full" if merged.full_coverage else "partial")
@@ -283,6 +285,7 @@ def cmd_audit(args) -> int:
             % (cert.p, cert.n, cert.target_name, p, cert.copies)
         )
     check_request(p, cert.n, cert.r, cert.tol)  # before the p^n amplitudes of the target are built
+    path = _out_path(args, "audit-report.json")
     target = magic_power(cert.target_name, cert.copies)
     catalog = build_catalog(cert.p, cert.n)
     report = audit(cert, catalog, target, samples=args.samples, seed=args.seed)
@@ -294,7 +297,7 @@ def cmd_audit(args) -> int:
         samples_tested=report.samples_tested,
         min_sample_residual=report.min_sample_residual if math.isfinite(report.min_sample_residual) else None,
     )
-    path = _write(_out_path(args, "audit-report.json"), payload)
+    _write(path, payload)
     if report.passed:
         print("audit passed (%d samples, min sample residual %.3g)" % (report.samples_tested, report.min_sample_residual))
     else:
@@ -326,12 +329,13 @@ def cmd_sweep(args) -> int:
 
 def cmd_orbit(args) -> int:
     _check_qutrit(args.state, "orbits cover")
+    path = _out_path(args, "orbit-%s.json" % args.state)
     vec = magic_state(args.state).complex_vector()
     group = generate_clifford_group()
     orbit = orbit_closure(vec, group)
     elements = [[[float(z.real), float(z.imag)] for z in v] for v in orbit]
     payload = _payload("orbit", state=args.state, group_order=len(group), size=len(orbit), elements=elements)
-    path = _write(_out_path(args, "orbit-%s.json" % args.state), payload)
+    _write(path, payload)
     print("orbit of %s under the single-qutrit Clifford group: %d states" % (args.state, len(orbit)))
     print("wrote %s" % path)
     return 0
@@ -346,7 +350,10 @@ def cmd_bound(args) -> int:
     payload = _payload("bound", m=args.m, value=moulton_bound(args.m))
     if args.state:
         _check_qutrit(args.state, "witness check covers")
-        wit = find_ratio_witness(magic_state(args.state).complex_vector())
+    path = _out_path(args, "bound-m%d.json" % args.m)
+    if args.state:
+        vec = magic_state(args.state).complex_vector()
+        wit = find_ratio_witness(vec)
         payload["state"] = args.state
         payload["applicable"] = wit is not None
         payload["witness"] = (
@@ -355,11 +362,11 @@ def cmd_bound(args) -> int:
             else None
         )
         if wit:
-            seq = exp_subsequence(magic_state(args.state).complex_vector(), args.m)
+            seq = exp_subsequence(vec, args.m)
             payload["subsequence"] = [
                 {"coordinate": list(c), "modulus": mod} for c, mod in seq
             ]
-    path = _write(_out_path(args, "bound-m%d.json" % args.m), payload)
+    _write(path, payload)
     print("counting bound at m=%d copies: %.6f" % (args.m, payload["value"]))
     if args.state:
         print(
@@ -372,8 +379,8 @@ def cmd_bound(args) -> int:
 
 def cmd_exponent(args) -> int:
     value = exponent_from_bound(args.r, args.m, args.p)
-    payload = _payload("exponent", r=args.r, m=args.m, p=args.p, exponent=value)
-    path = _write(_out_path(args, "exponent-r%dm%dp%d.json" % (args.r, args.m, args.p)), payload)
+    path = _out_path(args, "exponent-r%dm%dp%d.json" % (args.r, args.m, args.p))
+    _write(path, _payload("exponent", r=args.r, m=args.m, p=args.p, exponent=value))
     print("rank %d at %d copies (p=%d) gives exponent %.6f" % (args.r, args.m, args.p, value))
     print("wrote %s" % path)
     return 0

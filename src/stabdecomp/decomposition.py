@@ -20,6 +20,7 @@ from .algebra import CycloNumber, cyclo_solve
 from .stabilizer import (
     CanonicalStabilizer,
     TargetState,
+    magic_p,
     magic_power,
     n_scaled_complex,
     n_squared_factor,
@@ -115,15 +116,14 @@ class Decomposition:
 
     def verify_exact(self) -> list[int]:
         """Indices where sum_i c_i sigma_i(x) != target(x); empty means exact."""
-        vecs = [st.state_vector() for st in self.states]
         d = max(self.npow, self.target.npow)
         scale, target_scale = n_squared_factor(self.npow, d), n_squared_factor(self.target.npow, d)
         bad = []
-        for x, amp in enumerate(self.target.amps):
+        for x, (row, amp) in enumerate(zip(_exact_rows(self.states, self.target), self.target.amps)):
             lhs = CycloNumber.zero()
-            for c, vec in zip(self.coeffs, vecs):
-                if not vec[x].is_zero():
-                    lhs = lhs + c * vec[x]
+            for c, v in zip(self.coeffs, row):
+                if not v.is_zero():
+                    lhs = lhs + c * v
             if lhs * scale != amp * target_scale:
                 bad.append(x)
         return bad
@@ -187,7 +187,7 @@ class Decomposition:
         if version != 1:
             raise ValueError("decomposition field 'version' = %d is not 1" % version)
         name, copies = _field(what, payload, "target", str), _field(what, payload, "copies", int)
-        p = magic_power(name, 0).p  # the zero-copy power: the state's p, without building the m-copy target
+        p = magic_p(name)
         stated_p = _field(what, payload, "p", int)
         if stated_p != p:
             raise ValueError("decomposition field 'p' = %d is not %d, the p of its target %s" % (stated_p, p, name))
@@ -262,6 +262,9 @@ def best_fit(vectors: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, float
 # this squared threshold is re-scored exactly with ``best_fit``.
 CANDIDATE_RES2 = 1e-12
 
+# The default witness tolerance of certify and search: the largest least-squares residual of a witness.
+WITNESS_TOL = 1e-10
+
 # The smallest witness tolerance certify accepts.  Exact witnesses score up to
 # a few 1e-16 in floating point, so a tol below that would rule out a rank
 # that has a witness.
@@ -312,6 +315,12 @@ class SpanProjection:
         return max(self.t_perp2 - (overlap.real * overlap.real + overlap.imag * overlap.imag) / denom, 0.0)
 
 
+def _exact_rows(states: list[CanonicalStabilizer], target: TargetState) -> list[list[CycloNumber]]:
+    """The states' exact amplitudes, one row per basis state of the target and one column per state."""
+    vecs = [st.state_vector() for st in states]
+    return [[vec[x] for vec in vecs] for x in range(target.p**target.n)]
+
+
 def exact_coefficients(
     states: list[CanonicalStabilizer], target: TargetState
 ) -> list[CycloNumber] | None:
@@ -321,10 +330,4 @@ def exact_coefficients(
     target's numerators, entirely inside a cyclotomic field, so a returned
     solution certifies the decomposition with no floating point involved.
     """
-    dim = target.p**target.n
-    matrix = [[CycloNumber.zero() for _ in states] for _ in range(dim)]
-    for j, st in enumerate(states):
-        vec = st.state_vector()
-        for x in range(dim):
-            matrix[x][j] = vec[x]
-    return cyclo_solve(matrix, list(target.amps))
+    return cyclo_solve(_exact_rows(states, target), list(target.amps))

@@ -23,7 +23,6 @@ import hashlib
 import json
 import math
 from bisect import bisect_right
-from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -557,29 +556,34 @@ def build_catalog(p: int, n: int) -> Catalog:
 # magic-state targets
 # ---------------------------------------------------------------------------
 
-MAGIC_NAMES = ("S", "N", "H3", "T3", "H", "T")
 
-
-def _single_leg_amps(name: str) -> tuple[int, int, list[CycloNumber]]:
-    """(p, npow, numerators) of one copy of a named magic state."""
+def _magic_states() -> dict[str, tuple[int, int, int, tuple[CycloNumber, ...]]]:
+    """name -> (p, copies, npow, numerators over N^npow) of the state's fewest copies with
+    cyclotomic amplitudes: one, but two for the qubit T state cos(beta)|0> + e^{i pi/4} sin(beta)|1>,
+    cos^2(beta) = 1/2 + sqrt3/6, whose cos and sin are cyclotomic only in products of two."""
     one = CycloNumber.one()
-    if name == "S":
-        r2 = sqrt2() / 2
-        return 3, 0, [CycloNumber.zero(), r2, -r2]
-    if name == "N":
-        r6 = sqrt6() / 6
-        return 3, 0, [r6, r6, -2 * r6]
-    if name == "H3":
-        c = (sqrt3() - one) / 2
-        return 3, 1, [one, c, c]
-    if name == "T3":
-        r3 = (sqrt3() / 3).lift(72)
-        w9 = omega9()
-        return 3, 0, [r3, r3 * w9, r3 * w9 * w9]
-    if name == "H":
-        r2 = sqrt2() / 2
-        return 2, 0, [r2, r2 * CycloNumber.zeta_pow(24, 3)]
-    raise ValueError("unknown magic state %r" % (name,))
+    r2, r6, c = sqrt2() / 2, sqrt6() / 6, (sqrt3() - one) / 2
+    r3, w9 = (sqrt3() / 3).lift(72), omega9()
+    cos2, sin2 = one / 2 + sqrt3() / 6, one / 2 - sqrt3() / 6
+    e8 = CycloNumber.zeta_pow(24, 3)  # e^{i pi/4}
+    return {
+        "S": (3, 1, 0, (CycloNumber.zero(), r2, -r2)),
+        "N": (3, 1, 0, (r6, r6, -2 * r6)),
+        "H3": (3, 1, 1, (one, c, c)),
+        "T3": (3, 1, 0, (r3, r3 * w9, r3 * w9 * w9)),
+        "H": (2, 1, 0, (r2, r2 * e8)),
+        "T": (2, 2, 0, (cos2, r6 * e8, r6 * e8, sin2 * e8 * e8)),
+    }
+
+
+MAGIC_STATES = _magic_states()
+
+
+def magic_p(name: str) -> int:
+    """The qudit dimension p of a named magic state: the one place an unknown name is refused."""
+    if name not in MAGIC_STATES:
+        raise ValueError("unknown magic state %r (choose from %s)" % (name, ", ".join(MAGIC_STATES)))
+    return MAGIC_STATES[name][0]
 
 
 class TargetState:
@@ -601,39 +605,17 @@ class TargetState:
         return "TargetState(%s, p=%d, n=%d)" % (self.name, self.p, self.n)
 
 
-def _qubit_t_power(m: int) -> TargetState:
-    """|T>^m for the qubit T state, exact for even m.
-
-    Single-copy amplitudes are cos(beta)|0> + e^{i pi/4} sin(beta)|1> with
-    cos^2 = 1/2 + sqrt3/6; only even products of cos/sin are cyclotomic, so
-    odd powers are refused rather than approximated.
-    """
-    if m % 2:
-        raise ValueError("qubit T tensor powers are exact only for even m")
-    half = Fraction(1, 2)
-    cos2 = CycloNumber.from_rational(half) + sqrt3() / 6
-    sin2 = CycloNumber.from_rational(half) - sqrt3() / 6
-    cossin = sqrt6() / 6
-    amps: list[CycloNumber] = []
-    for idx in range(2**m):
-        w = bin(idx).count("1")
-        if w % 2 == 0:
-            mag = cos2 ** ((m - w) // 2) * sin2 ** (w // 2)
-        else:
-            mag = cossin * cos2 ** ((m - w - 1) // 2) * sin2 ** ((w - 1) // 2)
-        amps.append(mag * CycloNumber.zeta_pow(24, 3 * w))
-    return TargetState("T", 2, m, amps)
-
-
 def magic_power(name: str, m: int) -> TargetState:
-    """The m-fold tensor power of a named magic state, exact amplitudes."""
-    if name == "T":
-        return _qubit_t_power(m)
-    p, npow, leg = _single_leg_amps(name)
+    """The m-fold tensor power of a named magic state, exact amplitudes: a power of the state's
+    ``MAGIC_STATES`` block of copies, so odd powers of the qubit T state are refused, not approximated."""
+    p = magic_p(name)
+    _, copies, npow, block = MAGIC_STATES[name]
+    if m % copies:
+        raise ValueError("qubit T tensor powers are exact only for even m")
     amps = [CycloNumber.one()]
-    for _ in range(m):
-        amps = [a * l for a in amps for l in leg]
-    return TargetState(name, p, m, amps, npow * m)
+    for _ in range(m // copies):
+        amps = [a * b for a in amps for b in block]
+    return TargetState(name, p, m, amps, npow * m // copies)
 
 
 def magic_state(name: str) -> TargetState:

@@ -440,6 +440,7 @@ TARGET_PINS = {
     ("H", 4): ("c859456b567f0440083097b95f6384ac7393f3e9d2f8cb48d861e75926a2d800", "f28513aaa3292fba471bf1f7f337a9a255a62e53c6103911b2dc97f0b1f383c6"),
     ("T", 2): ("58b80aee16890aeaa103c5a135f4f06755d25b5eccd998d3f8795b713cfd21bd", "460022a0adca0f8de1f3b373449e914683e2802f37046fe1ace06fa660fed16f"),
     ("T", 4): ("88ce1a3de2cce88b681f254faefc71c7f7206ea8d4dc68bb2998638217f89e98", "be3ff34ce8af0c36a89e114f52ffde12bb872192acb1b97f3b3f2f83ed677d02"),
+    ("T", 6): ("82010ae582e263dda395595e797e25bcb82d9ee1abe809bfaa3c4cc92959c42e", "67ed6b2facfb5e292011847f98215ff629ccbb41d3b55d298752e1139459a569"),
 }
 
 

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from stabdecomp.certify import (
+    _TILE_ROWS,
     ShardSpec,
     _certify_range,
     _covered_below,
@@ -363,3 +364,23 @@ def test_progress_and_certificate_across_shards_that_split_runs():
     merged = merge_certificates(parts)
     assert replace(merged, wall_time=0.0) == replace(straight, wall_time=0.0)
     assert straight.tuples_tested == hi - lo < total
+
+
+@pytest.mark.parametrize("r, lo, hi", [(2, 0, math.comb(360, 2)), (3, math.comb(359, 3), math.comb(360, 3))], ids=["r2", "one-tail-r3"])
+def test_progress_inside_a_long_window(monkeypatch, r, lo, hi):
+    # a window over the step cap ends at tile-row boundaries: more progress
+    # calls, and the same certificate as the uncut walk (the tail s2 = 359
+    # holds 12 of the 48 rank-3 witnesses)
+    target = magic_power("N", 2)
+    catalog = _catalog(3, 2)
+    whole = certify_rank(target, r, catalog, shard=ShardSpec(lo, hi))
+    monkeypatch.setattr("stabdecomp.certify._STEP_PAIRS", 997)
+    seen, progress = _recording()
+    cut = certify_rank(target, r, catalog, shard=ShardSpec(lo, hi), progress=progress)
+    assert len(seen) > 2
+    assert all(a < b for a, b in zip(seen, seen[1:])) and seen[-1] == hi - lo
+    for done in seen[1:-1]:  # each cut starts a block s1 at a multiple of _TILE_ROWS
+        x, s1 = unrank_tuple(lo + done, r)[:2]
+        assert x == 0 and s1 % _TILE_ROWS == 0
+    assert replace(cut, wall_time=0.0) == replace(whole, wall_time=0.0)
+    assert len(whole.witnesses) == (0 if r == 2 else 12)

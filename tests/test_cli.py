@@ -9,6 +9,7 @@ from stabdecomp import cli, decomposition, known
 from stabdecomp.certify import Certificate
 from stabdecomp.cli import main
 from stabdecomp.decomposition import Decomposition, exponent_from_bound
+from stabdecomp.stabilizer import MAGIC_STATES, magic_p, magic_power
 
 
 def read_json(path):
@@ -185,24 +186,36 @@ def test_verify_mistyped_file_usage_error(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, work",
     [
-        ["exponent", "--r", "7", "--m", "6"],
-        ["sweep", "injection", "--state", "S"],
-        ["certify", "--target", "T3", "--m", "1", "--r", "2"],
+        (["catalog", "--p", "3", "--n", "1"], "build_catalog"),
+        (["verify", "--file", "{decomposition}"], "_verify_one"),
+        (["search", "--target", "S", "--m", "2", "--r", "2", "--chains", "1", "--steps", "10"], "anneal_search"),
+        (["certify", "--target", "T3", "--m", "1", "--r", "2"], "certify_rank"),
+        (["merge", "{certificate}", "{certificate}"], "merge_certificates"),
+        (["audit", "--cert", "{certificate}"], "audit"),
+        (["sweep", "injection", "--state", "S"], "sweep_injection"),
+        (["orbit", "--state", "N"], "generate_clifford_group"),
+        (["bound", "--m", "3", "--state", "N"], "find_ratio_witness"),
+        (["exponent", "--r", "7", "--m", "6"], None),  # its only work is the checked formula
     ],
-    ids=["exponent", "sweep", "certify"],
+    ids=["catalog", "verify", "search", "certify", "merge", "audit", "sweep", "orbit", "bound", "exponent"],
 )
-def test_unwritable_out_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, monkeypatch, argv, work):
     # --out under a regular file, and --out naming a directory: one stderr line, exit 2,
-    # and sweep and certify refuse the path before their work
+    # and every command refuses the path after reading its inputs and before its work
+    known.FIXTURES["strange_m2"]().save(str(tmp_path / "dec.json"))
+    assert main(["certify", "--target", "T3", "--m", "1", "--r", "2", "--out", str(tmp_path / "cert.json")]) == 0
+    argv = [a.format(decomposition=tmp_path / "dec.json", certificate=tmp_path / "cert.json") for a in argv]
+
     def no_work(*args, **kwargs):
         raise AssertionError("the work ran before --out was checked")
 
-    monkeypatch.setattr(cli, "sweep_injection", no_work)
-    monkeypatch.setattr(cli, "certify_rank", no_work)
+    if work:
+        monkeypatch.setattr(cli, work, no_work)
     blocker = tmp_path / "F"
     blocker.write_text("")
+    capsys.readouterr()
     for path, reason in ((blocker / "x.json", "File exists"), (tmp_path, "Is a directory")):
         assert main(argv + ["--out", str(path)]) == 2
         captured = capsys.readouterr()
@@ -789,6 +802,33 @@ def test_exponent_refuses_p_below_two(tmp_path, capsys, p):
     assert not out.exists()
     with pytest.raises(ValueError, match="p must be at least 2, got %s" % p):
         exponent_from_bound(2, 1, int(p))
+
+
+def test_one_table_names_every_magic_state(tmp_path, capsys):
+    # magic_p reads p from the table that magic_power builds from; the qubit T
+    # state is built from its two-copy block, so only its even powers exist
+    for name in MAGIC_STATES:
+        for m in range(4):
+            if name == "T" and m % 2:
+                with pytest.raises(ValueError, match="^qubit T tensor powers are exact only for even m$"):
+                    magic_power(name, m)
+            else:
+                assert magic_p(name) == magic_power(name, m).p
+    assert [magic_p(name) for name in MAGIC_STATES] == [3, 3, 3, 3, 2, 2]
+    # one lookup refuses an unknown name, with one message wherever it comes from
+    message = "unknown magic state 'X' (choose from S, N, H3, T3, H, T)"
+    with pytest.raises(ValueError) as exc:
+        magic_power("X", 1)
+    assert str(exc.value) == message
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    assert main(["search", "--target", "X", "--m", "1", "--r", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == message + "\n"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(known.FIXTURES["strange_m2"]().to_payload(), target="X")))
+    assert main(["verify", "--file", str(bad), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == message + "\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
