@@ -40,10 +40,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import CANDIDATE_RES2, WITNESS_TOL, Decomposition, SpanProjection, best_fit, exact_coefficients
+from .decomposition import CANDIDATE_RES2, WITNESS_TOL, Decomposition, SpanProjection, best_fit, check_tol, exact_coefficients
 from .stabilizer import Catalog, TargetState, _all_points
 
-__all__ = ["AnnealConfig", "AnnealResult", "anneal_search"]
+__all__ = ["AnnealConfig", "AnnealResult", "anneal_search", "check_search"]
 
 
 @dataclass(frozen=True)
@@ -59,16 +59,28 @@ class AnnealConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.rank < 1:
-            raise ValueError("rank must be >= 1")
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
-        if self.chains < 1:
-            raise ValueError("chains must be >= 1")
-        if not 0.0 < self.cooling < 1.0:
-            raise ValueError("cooling factor must lie in (0, 1)")
-        if self.rank >= len(self.catalog):
-            raise ValueError("rank must be smaller than the catalog")
+        check_search(self.rank, len(self.catalog), self.steps, self.chains, self.cooling, self.tol)
+
+
+def check_search(rank: int, count: int, steps: int, chains: int, cooling: float, tol: float) -> None:
+    """Raise ValueError for a search of rank ``rank`` over a catalog of ``count``
+    states that the chains cannot run.
+
+    Needs no catalog and no target, so callers can refuse before building either.
+    A tol outside the range ``check_tol`` allows is refused as certify refuses
+    it: a chain re-scores exactly only below sqrt(CANDIDATE_RES2).
+    """
+    if rank < 1:
+        raise ValueError("rank must be >= 1")
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    if chains < 1:
+        raise ValueError("chains must be >= 1")
+    if not 0.0 < cooling < 1.0:
+        raise ValueError("cooling factor must lie in (0, 1)")
+    check_tol(tol, "tol")
+    if rank >= count:
+        raise ValueError("rank must be smaller than the catalog")
 
 
 # catalogs up to this size are decoded once, densely; larger ones one state per use

@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .decomposition import CANDIDATE_RES2, DEPENDENT_RES2, WITNESS_TOL, WITNESS_TOL_FLOOR, SpanProjection, best_fit
+from .decomposition import CANDIDATE_RES2, DEPENDENT_RES2, WITNESS_TOL, SpanProjection, best_fit, check_tol
 from .decomposition import _NUMBER, _OPTIONAL_INT, _field, _read_json, _typed
 from .stabilizer import CATALOG_LABEL, Catalog, TargetState
 
@@ -250,7 +250,7 @@ class Certificate:
         f = {attr: _field("certificate", d, key, kind) for key, attr, kind in _FIELDS if attr is not None}
         if f["version"] != 1:
             raise ValueError("certificate field 'version' = %d is not 1" % f["version"])
-        _check_tol(f["tol"], "certificate field 'tol' =")
+        check_tol(f["tol"], "certificate field 'tol' =")
         if not 1 <= f["r"] <= f["catalog_count"]:
             raise ValueError(
                 "certificate rank r = %d is not between 1 and catalog_count %d" % (f["r"], f["catalog_count"])
@@ -560,15 +560,6 @@ def _certify_range(ctx, lo, hi, r, tol, progress=None):
     return done - lo, pruned, min_res, witnesses
 
 
-def _check_tol(tol: float, label: str) -> None:
-    """Raise ValueError unless WITNESS_TOL_FLOOR <= tol <= sqrt(CANDIDATE_RES2); NaN fails too."""
-    if not WITNESS_TOL_FLOOR <= tol <= math.sqrt(CANDIDATE_RES2):
-        raise ValueError(
-            "%s %g is not between the witness floor %g and the exact re-score threshold %g"
-            % (label, tol, WITNESS_TOL_FLOOR, math.sqrt(CANDIDATE_RES2))
-        )
-
-
 def check_request(p: int, n: int, r: int, tol: float) -> None:
     """Raise ValueError for a request to certify rank r of an n-qudit target that the kernel cannot run.
 
@@ -577,7 +568,7 @@ def check_request(p: int, n: int, r: int, tol: float) -> None:
     count = Catalog.expected_count(p, n)
     if not 1 <= r <= count:  # above the catalog there is no r-tuple to test
         raise ValueError("r = %d is not between 1 and the %d catalog states" % (r, count))
-    _check_tol(tol, "tol")
+    check_tol(tol, "tol")
     if p**n > _MASK_BITS:
         raise ValueError("%d basis states exceed the %d bits of a support mask" % (p**n, _MASK_BITS))
 

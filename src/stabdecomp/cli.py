@@ -16,7 +16,7 @@ import os
 import sys
 import time
 
-from .anneal import AnnealConfig, anneal_search
+from .anneal import AnnealConfig, anneal_search, check_search
 from .asymptotics import exp_subsequence, find_ratio_witness, moulton_bound
 from .certify import Certificate, ShardSpec, audit, certify_rank, check_request, merge_certificates
 from .clifford import generate_clifford_group, orbit_closure
@@ -119,6 +119,8 @@ def cmd_verify(args) -> int:
         jobs = [args.fixture]
     elif not args.file:
         raise ValueError("need --fixture, --all-fixtures, or --file")
+    if not args.tol >= 0:  # NaN too
+        raise ValueError("--tol must be at least 0, got %g" % args.tol)
     # read before any fixture runs: an unreadable file is a usage error
     loaded = Decomposition.load(args.file) if args.file else None
     path = _out_path(args, "verify-report.json")
@@ -154,7 +156,9 @@ def _verify_one(name, dec, exact, tol) -> dict:
 
 
 def cmd_search(args) -> int:
-    _check_target(args.target, args.m)
+    p = _check_target(args.target, args.m)
+    # before the p^m amplitudes of the target and the catalog are built
+    check_search(args.r, Catalog.expected_count(p, args.m), args.steps, args.chains, args.cooling, args.tol)
     target = magic_power(args.target, args.m)
     catalog = build_catalog(target.p, target.n)
     cfg = AnnealConfig(

@@ -265,10 +265,24 @@ CANDIDATE_RES2 = 1e-12
 # The default witness tolerance of certify and search: the largest least-squares residual of a witness.
 WITNESS_TOL = 1e-10
 
-# The smallest witness tolerance certify accepts.  Exact witnesses score up to
-# a few 1e-16 in floating point, so a tol below that would rule out a rank
-# that has a witness.
+# The smallest witness tolerance certify and search accept.  Exact witnesses
+# score up to a few 1e-16 in floating point, so a tol below that would rule out
+# a rank that has a witness.
 WITNESS_TOL_FLOOR = 1e-12
+
+
+def check_tol(tol: float, label: str) -> None:
+    """Raise ValueError unless WITNESS_TOL_FLOOR <= tol <= sqrt(CANDIDATE_RES2); NaN fails too.
+
+    Above sqrt(CANDIDATE_RES2) a candidate skips the exact re-score, so its
+    floating-point residual, not its exact one, would decide a witness.
+    """
+    if not WITNESS_TOL_FLOOR <= tol <= math.sqrt(CANDIDATE_RES2):
+        raise ValueError(
+            "%s %g is not between the witness floor %g and the exact re-score threshold %g"
+            % (label, tol, WITNESS_TOL_FLOOR, math.sqrt(CANDIDATE_RES2))
+        )
+
 
 # A state whose squared distance from the span of the others is below this
 # (relative to the largest direction) counts as dependent on them.  Distinct

@@ -96,18 +96,18 @@ def _classify(V: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# reports
+# results
 # ---------------------------------------------------------------------------
 
 
 class ProtocolReport:
-    """One (Clifford, branch) outcome of a protocol on a magic state."""
+    """One replayed protocol word on a magic state: the data state of one ancilla outcome."""
 
     __slots__ = ("magic", "clifford", "k", "vector", "probability", "phases", "classification")
 
     def __init__(self, magic, clifford, k, vector, probability, phases, classification):
         self.magic = magic
-        self.clifford = clifford  # symplectic index or gate-word string
+        self.clifford = clifford  # the gate word, formatted
         self.k = int(k)
         self.vector = np.asarray(vector, dtype=np.complex128)
         self.probability = float(probability)
@@ -127,14 +127,14 @@ class ProtocolReport:
 class SweepResult:
     """Hits plus aggregate counts from an exhaustive protocol sweep.
 
-    The hits are kept as columns, one row per hit in sweep order; ``hits``
-    builds the report objects from them on first read.  Injection columns:
-    ``clifford`` and ``k_star`` (int), ``gate`` (n, 3, 3), ``diagonal_phases``
-    (n, 2) with the mask ``diagonal_known`` (False where the report holds
-    None), and ``corrections`` (n, 3), -1 marking a branch that never occurs
-    (the k_star entry is not read).  Two-copy columns: ``clifford`` and ``k``
-    (int), ``vector`` (n, 3), ``probability`` (n,), ``phases`` (n, 2) and
-    ``nonclifford`` (bool).
+    The hits are columns, one row per hit in sweep order; ``json_chunks``
+    writes the artifact from them.  Injection columns: ``clifford`` and
+    ``k_star`` (int), ``gate`` (n, 3, 3), ``diagonal_phases`` (n, 2) with the
+    mask ``diagonal_known`` (False where the gate is not a Weyl operator times
+    a diagonal, and the artifact writes null), and ``corrections`` (n, 3), -1
+    marking a branch that never occurs (the k_star entry is not read).
+    Two-copy columns: ``clifford`` and ``k`` (int), ``vector`` (n, 3),
+    ``probability`` (n,), ``phases`` (n, 2) and ``nonclifford`` (bool).
     """
 
     def __init__(self, magic: str, kind: str, columns: dict, counts: dict, total: int):
@@ -144,55 +144,6 @@ class SweepResult:
         self.counts = counts
         self.total = total
 
-    @functools.cached_property
-    def hits(self) -> list:
-        """GadgetReport or ProtocolReport objects, one per hit, built from the columns once."""
-        return self._reports(slice(None))
-
-    def nonclifford_hits(self) -> list:
-        """The hits that give a non-Clifford gate, built from the columns: the
-        ``nonclifford`` rows of a two-copy sweep, every gadget of an injection
-        sweep (a gadget's gate is non-Clifford by construction)."""
-        if self.kind == "injection":
-            return self._reports(slice(None))
-        return self._reports(np.flatnonzero(self.columns["nonclifford"]))
-
-    def _reports(self, rows) -> list:
-        """The report objects of the given hit rows (an index array or a slice), in order."""
-        c = {key: col[rows] for key, col in self.columns.items()}
-        if self.kind == "injection":
-            return [
-                GadgetReport(
-                    self.magic,
-                    e,
-                    k_star,
-                    gate,
-                    tuple(phases) if known else None,
-                    {k: (None if fix[k] < 0 else fix[k]) for k in range(3) if k != k_star},
-                )
-                for e, k_star, gate, phases, known, fix in zip(
-                    c["clifford"].tolist(),
-                    c["k_star"].tolist(),
-                    c["gate"],
-                    c["diagonal_phases"].tolist(),
-                    c["diagonal_known"].tolist(),
-                    c["corrections"].tolist(),
-                )
-            ]
-        return [
-            ProtocolReport(
-                self.magic, e, k, vector, p, tuple(phases), CLASS_NONCLIFFORD if nc else CLASS_CLIFFORD
-            )
-            for e, k, vector, p, phases, nc in zip(
-                c["clifford"].tolist(),
-                c["k"].tolist(),
-                c["vector"],
-                c["probability"].tolist(),
-                c["phases"].tolist(),
-                c["nonclifford"].tolist(),
-            )
-        ]
-
     def _header(self) -> dict:
         return {"magic": self.magic, "kind": self.kind, "total": self.total, "counts": self.counts}
 
@@ -201,10 +152,12 @@ class SweepResult:
         it, straight from the columns, ``_HIT_CHUNK`` hits per chunk.
 
         The payload holds magic, kind, total and counts, then "hits", then
-        ``extra``.  "hits" holds one object per report of ``hits``, with the
-        report's fields in slot order and complex entries as [re, im] pairs.
-        Each hit fills one template with the json text of its values; each
-        distinct value of a chunk is formatted once.
+        ``extra``.  "hits" holds one object per hit row: magic, then the
+        columns in the order above, complex entries as [re, im] pairs.  An
+        injection hit writes its corrections as {branch: index or null} over
+        the branches other than k_star; a two-copy hit writes ``nonclifford``
+        as its classification.  Each hit fills one template with the json text
+        of its values; each distinct value of a chunk is formatted once.
         """
         head, tail = json.dumps({**self._header(), "hits": [], **extra}, indent=1).split('"hits": []')
         n = len(self.columns["clifford"])
@@ -292,21 +245,6 @@ def _template(value, depth: int) -> str:
     document, each "@" or "@@" string in it (key or value) made a %s slot."""
     text = json.dumps(value, indent=1).replace("%", "%%").replace("\n", "\n" + " " * depth)
     return re.sub(r'"@@?"', "%s", text)
-
-
-class GadgetReport:
-    """A deterministic injection gadget: one non-Clifford unitary branch,
-    every other branch a Clifford correction of it."""
-
-    __slots__ = ("magic", "clifford", "k_star", "gate", "diagonal_phases", "corrections")
-
-    def __init__(self, magic, clifford, k_star, gate, diagonal_phases, corrections):
-        self.magic = magic
-        self.clifford = clifford
-        self.k_star = int(k_star)
-        self.gate = np.asarray(gate, dtype=np.complex128)
-        self.diagonal_phases = diagonal_phases  # set when gate is Pauli x diagonal
-        self.corrections = corrections  # branch -> index into the 216 group
 
 
 # ---------------------------------------------------------------------------

@@ -24,12 +24,7 @@ from stabdecomp.certify import (
 )
 from stabdecomp.clifford import generate_clifford_group, orbit_closure, weyl_matrix, word_to_matrix
 from stabdecomp.decomposition import exponent_from_bound
-from stabdecomp.gadget import (
-    CLASS_NONCLIFFORD,
-    check_reduction,
-    sweep_injection,
-    sweep_two_copy,
-)
+from stabdecomp.gadget import check_reduction, sweep_injection, sweep_two_copy
 from stabdecomp.stabilizer import build_catalog, magic_power, magic_state
 
 WITNESS_TOL = 1e-10
@@ -129,57 +124,41 @@ def test_rank_exponents():
 def test_two_copy_sweep_h3():
     res = sweep_two_copy("H3")
     assert res.total == 51_840 * 3
-    hits = res.nonclifford_hits()
-    assert hits
-    for r in hits:
-        assert abs(r.probability - 3 / 8) < 1e-10
-    exact = [
-        r
-        for r in hits
-        if abs(r.phases[0] - np.pi / 2) < 1e-8 and abs(r.phases[1] - np.pi / 3) < 1e-8
-    ]
-    assert exact
+    nc = res.columns["nonclifford"]
+    assert nc.any()
+    assert (np.abs(res.columns["probability"][nc] - 3 / 8) < 1e-10).all()
+    phases = res.columns["phases"][nc]
+    assert ((np.abs(phases[:, 0] - np.pi / 2) < 1e-8) & (np.abs(phases[:, 1] - np.pi / 3) < 1e-8)).any()
 
 
 def test_two_copy_sweep_norrell():
     res = sweep_two_copy("N")
-    hits = res.nonclifford_hits()
-    assert hits
-    for r in hits:
-        assert abs(r.probability - 1 / 4) < 1e-10
-    exact = [
-        r
-        for r in hits
-        if abs(abs(r.phases[0]) - np.pi) < 1e-8 and abs(abs(r.phases[1]) - np.pi) < 1e-8
-    ]
-    assert exact
+    nc = res.columns["nonclifford"]
+    assert nc.any()
+    assert (np.abs(res.columns["probability"][nc] - 1 / 4) < 1e-10).all()
+    assert (np.abs(np.abs(res.columns["phases"][nc]) - np.pi) < 1e-8).all(axis=1).any()
 
 
 def test_two_copy_sweep_strange_yields_nothing():
     res = sweep_two_copy("S")
     assert res.total == 51_840 * 3
-    assert res.nonclifford_hits() == []
+    assert not res.columns["nonclifford"].any()
 
 
 # -- 5. deterministic injection gadgets --------------------------------------------
 
 
 def test_injection_sweep_t3_positive_control():
-    res = sweep_injection("T3")
-    assert res.hits
-    canonical = [
-        g
-        for g in res.hits
-        if g.diagonal_phases is not None
-        and abs(g.diagonal_phases[0] - 2 * np.pi / 9) < 1e-8
-        and abs(g.diagonal_phases[1] - 4 * np.pi / 9) < 1e-8
-    ]
-    assert canonical, "the diag(1, w9, w9^2) gadget must appear"
+    c = sweep_injection("T3").columns
+    assert len(c["clifford"])
+    want = (2 * np.pi / 9, 4 * np.pi / 9)
+    canonical = c["diagonal_known"] & (np.abs(c["diagonal_phases"] - want) < 1e-8).all(axis=1)
+    assert canonical.any(), "the diag(1, w9, w9^2) gadget must appear"
 
 
 @pytest.mark.parametrize("name", ["S", "H3", "N"])
 def test_injection_sweep_other_orbits_empty(name):
-    assert sweep_injection(name).hits == []
+    assert len(sweep_injection(name).columns["clifford"]) == 0
 
 
 # -- 6. rigidity of the strange orbit ----------------------------------------------

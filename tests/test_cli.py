@@ -566,12 +566,16 @@ def test_certify_at_the_witness_floor_finds_the_witnesses(tmp_path):
     assert main(["audit", "--cert", str(out), "--out", str(tmp_path / "a.json")]) == 0
 
 
-@pytest.mark.parametrize("command", ["certify", "search"])
-def test_zero_copies_usage_error(tmp_path, capsys, monkeypatch, command):
+def _no_catalog(monkeypatch):
     def no_catalog(*args, **kwargs):
         raise AssertionError("build_catalog called for a request the CLI refuses")
 
     monkeypatch.setattr(cli, "build_catalog", no_catalog)
+
+
+@pytest.mark.parametrize("command", ["certify", "search"])
+def test_zero_copies_usage_error(tmp_path, capsys, monkeypatch, command):
+    _no_catalog(monkeypatch)
     out = tmp_path / "out.json"
     capsys.readouterr()
     for m in ("0", "-1"):
@@ -693,6 +697,48 @@ def test_search_zero_chains_usage_error(tmp_path, capsys):
     capsys.readouterr()
     assert main(["search", "--target", "S", "--m", "1", "--r", "1", "--chains", "0", "--out", str(out)]) == 2
     assert capsys.readouterr().err == "chains must be >= 1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["0", "0.9", "nan"])
+def test_search_refuses_a_tol_the_exact_rescore_cannot_support(tmp_path, capsys, monkeypatch, tol):
+    # the message and range of certify: a chain re-scores exactly only below 1e-6
+    _no_catalog(monkeypatch)
+    out = tmp_path / "search.json"
+    capsys.readouterr()
+    assert main(["search", "--target", "N", "--m", "2", "--r", "2", "--tol", tol, "--out", str(out)]) == 2
+    want = "tol %g is not between the witness floor 1e-12 and the exact re-score threshold 1e-06\n" % float(tol)
+    assert capsys.readouterr().err == want
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "extra,message",
+    [
+        (["--r", "0"], "rank must be >= 1"),
+        (["--r", "2", "--steps", "0"], "steps must be >= 1"),
+        (["--r", "2", "--cooling", "1"], "cooling factor must lie in (0, 1)"),
+        (["--r", "7439040"], "rank must be smaller than the catalog"),
+    ],
+)
+def test_search_refuses_before_it_builds_the_catalog(tmp_path, capsys, monkeypatch, extra, message):
+    # N at 4 copies: the (3,4) catalog has 7,439,040 states, counted without building it
+    _no_catalog(monkeypatch)
+    monkeypatch.setattr(cli, "magic_power", lambda *args: pytest.fail("target built for a refused search"))
+    out = tmp_path / "search.json"
+    capsys.readouterr()
+    assert main(["search", "--target", "N", "--m", "4", *extra, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == message + "\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_verify_refuses_a_nan_or_negative_tol(tmp_path, capsys, monkeypatch, tol):
+    _fixtures_must_not_run(monkeypatch)
+    out = tmp_path / "r.json"
+    capsys.readouterr()
+    assert main(["verify", "--all-fixtures", "--exact", "--tol", tol, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "--tol must be at least 0, got %g\n" % float(tol)
     assert not out.exists()
 
 

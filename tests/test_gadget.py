@@ -21,7 +21,6 @@ from stabdecomp.gadget import (
     CLASS_CLIFFORD,
     CLASS_NONCLIFFORD,
     CLASS_NONE,
-    GadgetReport,
     branch_operator,
     check_reduction,
     replay_protocol,
@@ -275,62 +274,55 @@ def test_replay_empty_word():
 # ---------------------------------------------------------------------------
 
 
+def nonclifford_rows(res) -> dict:
+    """The columns of a two-copy sweep's hits classified non-Clifford."""
+    nc = res.columns["nonclifford"]
+    return {key: col[nc] for key, col in res.columns.items()}
+
+
 def test_sweep_two_copy_h3():
     res = sweep_two_copy("H3")
     assert res.total == 51840 * 3
-    nc = res.nonclifford_hits()
-    assert nc, "H3 must admit two-copy conversion protocols"
-    for r in nc:
-        assert abs(r.probability - 3 / 8) < 1e-10
-    exact = [
-        r
-        for r in nc
-        if abs(r.phases[0] - np.pi / 2) < 1e-8 and abs(r.phases[1] - np.pi / 3) < 1e-8
-    ]
-    assert exact, "the canonical (pi/2, pi/3) output must appear in the sweep"
+    nc = nonclifford_rows(res)
+    assert len(nc["clifford"]), "H3 must admit two-copy conversion protocols"
+    assert (np.abs(nc["probability"] - 3 / 8) < 1e-10).all()
+    phases = nc["phases"]
+    exact = (np.abs(phases[:, 0] - np.pi / 2) < 1e-8) & (np.abs(phases[:, 1] - np.pi / 3) < 1e-8)
+    assert exact.any(), "the canonical (pi/2, pi/3) output must appear in the sweep"
 
 
 def test_sweep_two_copy_norrell():
     res = sweep_two_copy("N")
-    nc = res.nonclifford_hits()
-    assert nc
-    for r in nc:
-        assert abs(r.probability - 1 / 4) < 1e-10
-    exact = [
-        r
-        for r in nc
-        if abs(abs(r.phases[0]) - np.pi) < 1e-8 and abs(abs(r.phases[1]) - np.pi) < 1e-8
-    ]
-    assert exact
+    nc = nonclifford_rows(res)
+    assert len(nc["clifford"])
+    assert (np.abs(nc["probability"] - 1 / 4) < 1e-10).all()
+    assert (np.abs(np.abs(nc["phases"]) - np.pi) < 1e-8).all(axis=1).any()
 
 
 def test_sweep_two_copy_strange_has_no_nonclifford_hits():
     res = sweep_two_copy("S")
-    assert res.nonclifford_hits() == []
+    assert not res.columns["nonclifford"].any()
     # S x S does reach phase states, but they all inject Clifford gates
     assert res.counts[CLASS_CLIFFORD] > 0
 
 
 def test_sweep_injection_t3_positive_control():
     res = sweep_injection("T3")
-    assert res.hits, "T3 admits a deterministic injection gadget"
+    c = res.columns
+    assert len(c["clifford"]), "T3 admits a deterministic injection gadget"
     want = (2 * np.pi / 9, 4 * np.pi / 9)
-    canonical = [
-        g
-        for g in res.hits
-        if g.diagonal_phases is not None
-        and abs(g.diagonal_phases[0] - want[0]) < 1e-8
-        and abs(g.diagonal_phases[1] - want[1]) < 1e-8
-    ]
-    assert canonical, "diag(1, w9, w9^2) must be recovered"
-    g = canonical[0]
-    assert set(g.corrections) == {k for k in range(3)} - {g.k_star}
+    canonical = c["diagonal_known"] & (np.abs(c["diagonal_phases"] - want) < 1e-8).all(axis=1)
+    assert canonical.any(), "diag(1, w9, w9^2) must be recovered"
+    i = np.flatnonzero(canonical)[0]
+    # every branch other than k* is a Clifford correction (an index into the 216 group) or never occurs
+    others = [k for k in range(3) if k != c["k_star"][i]]
+    assert ((c["corrections"][i, others] >= -1) & (c["corrections"][i, others] < 216)).all()
 
 
 @pytest.mark.parametrize("name", ["S", "H3", "N"])
 def test_sweep_injection_other_states_have_no_gadget(name):
     res = sweep_injection(name)
-    assert res.hits == []
+    assert len(res.columns["clifford"]) == 0
 
 
 SWEEP_COUNTS = {
@@ -350,14 +342,18 @@ def test_sweep_counts_pinned(kind, name):
     res = (sweep_injection if kind == "injection" else sweep_two_copy)(name)
     assert res.total == 51840 * 3
     assert res.counts == SWEEP_COUNTS[kind, name]
+    c = res.columns
     if kind == "injection":
-        assert len(res.hits) == res.counts["gadgets"]
-        ks = [(g.clifford, g.k_star) for g in res.hits]
+        assert len(c["clifford"]) == res.counts["gadgets"]
+        ks = list(zip(c["clifford"].tolist(), c["k_star"].tolist()))
         assert ks == sorted(ks)
+    else:
+        assert int(c["nonclifford"].sum()) == res.counts[CLASS_NONCLIFFORD]
+        assert len(c["clifford"]) == res.counts[CLASS_NONCLIFFORD] + res.counts[CLASS_CLIFFORD]
     if (kind, name) == ("injection", "T3"):
-        first = [(g.clifford, g.k_star, g.corrections) for g in res.hits[:3]]
+        first = [(g["clifford"], g["k_star"], g["corrections"]) for g in hit_objects(res)[:3]]
         assert first == [(5, 0, {1: 69, 2: 27}), (5, 1, {0: 10, 2: 13}), (5, 2, {0: 30, 1: 3})]
-        assert res.hits[-1].clifford == 51825
+        assert c["clifford"][-1] == 51825
 
 
 def test_sweeps_stream_the_table_in_bounded_memory():
@@ -453,9 +449,9 @@ def test_sweep_injection_branch_that_never_occurs(monkeypatch):
     monkeypatch.setattr(gadget, "_table_chunks", lambda: iter([(np.arange(2), table)]))
     res = sweep_injection("T3")
     assert res.counts == {"unitary-branches": 4, "gadgets": 1}
-    (g,) = res.hits
-    assert (g.clifford, g.k_star, g.corrections) == (0, 0, {1: None, 2: None})
-    assert g.diagonal_phases == pytest.approx((2 * np.pi / 9, 4 * np.pi / 9), abs=1e-12)
+    (g,) = hit_objects(res)
+    assert (g["clifford"], g["k_star"], g["corrections"]) == (0, 0, {1: None, 2: None})
+    assert g["diagonal_phases"] == pytest.approx([2 * np.pi / 9, 4 * np.pi / 9], abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -466,32 +462,43 @@ def test_sweep_injection_branch_that_never_occurs(monkeypatch):
 T3_INJECTION_SHA256 = "24379653eb87d5aa247b0de8d2443f761103337760821c00113ad87e1fc2aa09"
 
 
-def hit_json(r) -> dict:
-    """The artifact object of one GadgetReport or ProtocolReport."""
-    if isinstance(r, GadgetReport):
-        return {
-            "magic": r.magic,
-            "clifford": r.clifford,
-            "k_star": r.k_star,
-            "gate": [[[float(z.real), float(z.imag)] for z in row] for row in r.gate],
-            "diagonal_phases": list(r.diagonal_phases) if r.diagonal_phases is not None else None,
-            "corrections": r.corrections,
+def hit_objects(res) -> list[dict]:
+    """The artifact object of each hit, built one row at a time from the columns."""
+    c = {key: col.tolist() for key, col in res.columns.items()}
+    if res.kind == "injection":
+        return [
+            {
+                "magic": res.magic,
+                "clifford": e,
+                "k_star": k_star,
+                "gate": [[[z.real, z.imag] for z in row] for row in gate],
+                "diagonal_phases": phases if known else None,
+                "corrections": {k: (None if fix[k] < 0 else fix[k]) for k in range(3) if k != k_star},
+            }
+            for e, k_star, gate, phases, known, fix in zip(
+                c["clifford"], c["k_star"], c["gate"], c["diagonal_phases"], c["diagonal_known"], c["corrections"]
+            )
+        ]
+    return [
+        {
+            "magic": res.magic,
+            "clifford": e,
+            "k": k,
+            "vector": [[z.real, z.imag] for z in vector],
+            "probability": p,
+            "phases": phases,
+            "classification": CLASS_NONCLIFFORD if nc else CLASS_CLIFFORD,
         }
-    return {
-        "magic": r.magic,
-        "clifford": r.clifford,
-        "k": r.k,
-        "vector": [[float(z.real), float(z.imag)] for z in r.vector],
-        "probability": r.probability,
-        "phases": list(r.phases) if r.phases is not None else None,
-        "classification": r.classification,
-    }
+        for e, k, vector, p, phases, nc in zip(
+            c["clifford"], c["k"], c["vector"], c["probability"], c["phases"], c["nonclifford"]
+        )
+    ]
 
 
 def sweep_json(res) -> dict:
-    """The artifact payload, one report object per hit: the reference for ``json_chunks``."""
+    """The artifact payload, one object per hit: the reference for ``json_chunks``."""
     header = {"magic": res.magic, "kind": res.kind, "total": res.total, "counts": res.counts}
-    return {**header, "hits": [hit_json(r) for r in res.hits]}
+    return {**header, "hits": hit_objects(res)}
 
 
 def _assert_writes_reference(res, **extra):
@@ -520,9 +527,9 @@ def test_json_chunks_never_occurring_branch(monkeypatch):
     table = np.stack([np.kron(D, Q.conj().T), np.eye(9)])
     monkeypatch.setattr(gadget, "_table_chunks", lambda: iter([(np.arange(2), table)]))
     res = sweep_injection("T3")
-    (g,) = res.hits
-    assert g.corrections == {1: None, 2: None} and g.diagonal_phases is not None
-    _assert_writes_reference(res, wall_time=2.0)
+    text = _assert_writes_reference(res, wall_time=2.0)
+    (g,) = json.loads(text)["hits"]
+    assert g["corrections"] == {"1": None, "2": None} and g["diagonal_phases"] is not None
 
 
 # -0.0 next to 0.0, the smallest subnormal and every non-finite float
@@ -551,10 +558,11 @@ def test_json_chunks_edge_values_injection():
     res = gadget.SweepResult("T3", "injection", columns, {"unitary-branches": 9, "gadgets": n}, 155520)
     text = _assert_writes_reference(res, wall_time=-0.0)
     assert all(word in text for word in ("-0.0", "5e-324", "NaN", "-Infinity", "null"))
-    assert res.hits[0].diagonal_phases == (0.0, -0.0)
-    assert [g.diagonal_phases is None for g in res.hits] == [False, True, False, False, True, False]
-    assert res.hits[0].corrections == {1: 5, 2: None}
-    assert res.hits[1].corrections == {0: 215, 2: 0}
+    hits = json.loads(text)["hits"]
+    assert [str(t) for t in hits[0]["diagonal_phases"]] == ["0.0", "-0.0"]
+    assert [g["diagonal_phases"] is None for g in hits] == [False, True, False, False, True, False]
+    assert hits[0]["corrections"] == {"1": 5, "2": None}
+    assert hits[1]["corrections"] == {"0": 215, "2": 0}
 
 
 def test_json_chunks_edge_values_two_copy():
@@ -572,8 +580,7 @@ def test_json_chunks_edge_values_two_copy():
     res = gadget.SweepResult("N", "two-copy", columns, counts, 12)
     _assert_writes_reference(res, wall_time=np.inf)
     empty = gadget.SweepResult("N", "two-copy", {key: col[:0] for key, col in columns.items()}, counts, 12)
-    assert empty.hits == []
-    _assert_writes_reference(empty, wall_time=1.0)
+    assert json.loads(_assert_writes_reference(empty, wall_time=1.0))["hits"] == []
 
 
 def test_json_texts_are_the_json_module():
@@ -663,63 +670,39 @@ def test_pauli_diagonal_phases_matches_the_loop():
         assert tuple(row.tolist()) == w
 
 
-def test_lazy_hits_equal_per_branch_reports(sp4_words):
+def test_hit_columns_equal_per_branch_recomputation(sp4_words):
     # row e of the table is the operator product of word e
     group = generate_clifford_group()
     rng = np.random.default_rng(113)
     res = sweep_injection("T3")
-    assert res.hits is res.hits
+    c = res.columns
     m = magic_state("T3").complex_vector()
-    for i in rng.choice(len(res.hits), size=60, replace=False):
-        g = res.hits[i]
-        assert (type(g.clifford), type(g.k_star), g.magic) == (int, int, "T3")
-        E = [branch_operator(word_to_matrix(sp4_words[g.clifford], 2), m, k) for k in range(3)]
-        Ug = E[g.k_star] / np.sqrt(np.trace(E[g.k_star].conj().T @ E[g.k_star]).real / 3)
-        assert np.allclose(g.gate, Ug, atol=1e-12)
-        assert np.array_equal(g.gate, res.columns["gate"][i])
-        want = _pauli_diagonal_phases_loop(g.gate)
-        assert g.diagonal_phases == want
-        assert g.diagonal_phases is None or all(type(t) is float for t in g.diagonal_phases)
-        fixes = {
-            k: None
-            if np.linalg.norm(E[k]) < 1e-10
-            else int(gadget._proportional_to_clifford((E[k] @ Ug.conj().T)[None], group)[0])
-            for k in range(3)
-            if k != g.k_star
-        }
-        assert g.corrections == fixes
-        assert all(type(v) is int for v in g.corrections.values() if v is not None)
+    for i in rng.choice(len(c["clifford"]), size=60, replace=False):
+        e, k_star, gate = int(c["clifford"][i]), int(c["k_star"][i]), c["gate"][i]
+        E = [branch_operator(word_to_matrix(sp4_words[e], 2), m, k) for k in range(3)]
+        Ug = E[k_star] / np.sqrt(np.trace(E[k_star].conj().T @ E[k_star]).real / 3)
+        assert np.allclose(gate, Ug, atol=1e-12)
+        want = _pauli_diagonal_phases_loop(gate)
+        assert bool(c["diagonal_known"][i]) == (want is not None)
+        assert want is None or tuple(c["diagonal_phases"][i].tolist()) == want
+        for k in range(3):
+            if k != k_star:
+                absent = np.linalg.norm(E[k]) < 1e-10
+                fix = -1 if absent else gadget._proportional_to_clifford((E[k] @ Ug.conj().T)[None], group)[0]
+                assert c["corrections"][i, k] == fix
 
     for name in ("N", "H3"):
         res = sweep_two_copy(name)
+        c = res.columns
         m = magic_state(name).complex_vector()
-        for i in rng.choice(len(res.hits), size=40, replace=False):
-            r = res.hits[i]
-            v = branch_operator(word_to_matrix(sp4_words[r.clifford], 2), m, r.k) @ m
+        for i in rng.choice(len(c["clifford"]), size=40, replace=False):
+            e, k = int(c["clifford"][i]), int(c["k"][i])
+            v = branch_operator(word_to_matrix(sp4_words[e], 2), m, k) @ m
             cls, phases, norm2 = classify_branch(v)
-            assert (r.magic, r.classification) == (name, cls)
-            assert (type(r.clifford), type(r.k), type(r.probability)) == (int, int, float)
-            assert np.allclose(r.vector, v, atol=1e-12)
-            assert r.probability == pytest.approx(norm2, abs=1e-12)
-            assert r.phases == pytest.approx(phases, abs=1e-9)
-            assert all(type(t) is float for t in r.phases)
-
-
-def test_nonclifford_hits_injection_and_two_copy():
-    # every injection gadget injects a non-Clifford gate by construction
-    res = sweep_injection("T3")
-    nc = res.nonclifford_hits()
-    assert len(nc) == 31104 == res.counts["gadgets"]
-    assert "hits" not in vars(res)  # read from the columns, not from the cached full list
-    assert [hit_json(g) for g in nc[::97]] == [hit_json(g) for g in res.hits[::97]]
-    # two-copy: exactly the hits classified non-Clifford, in sweep order, and only those are built
-    for name in ("N", "H3", "S"):
-        res = sweep_two_copy(name)
-        nc = res.nonclifford_hits()
-        assert "hits" not in vars(res)
-        assert len(nc) == res.counts[CLASS_NONCLIFFORD]
-        want = [r for r in res.hits if r.classification == CLASS_NONCLIFFORD]
-        assert [hit_json(r) for r in nc] == [hit_json(r) for r in want]
+            assert (CLASS_NONCLIFFORD if c["nonclifford"][i] else CLASS_CLIFFORD) == cls
+            assert np.allclose(c["vector"][i], v, atol=1e-12)
+            assert c["probability"][i] == pytest.approx(norm2, abs=1e-12)
+            assert tuple(c["phases"][i].tolist()) == pytest.approx(phases, abs=1e-9)
 
 
 @pytest.fixture(scope="module")
