@@ -371,23 +371,25 @@ def cyclo_solve(
 
 
 class QuadraticForm:
-    """The phase exponent e(y) = y^T A y + b . y + c of a canonical stabilizer state.
+    """The phase exponent e(y) = y^T A y + b . y of a canonical stabilizer state
+    (no constant term: the global phase is fixed).
 
     One form for every prime p (Hostens, Dehaene & De Moor, PRA 71, 042315
     (2005)).  Values are exponents of a primitive ``phase_order``-th root of
     unity: omega_p for odd p, i for p = 2.  A is symmetric; the coefficient
     of the monomial y_i y_j (i < j) is 2 A_ij, and of y_i^2 is A_ii.
 
-    * Odd p: A, b and c are mod p, and ``phase_order`` is p.
-    * p = 2: b and c are mod 4, and ``phase_order`` is 4.  A = B + B^T is a
+    * Odd p: A and b are mod p, and ``phase_order`` is p.
+    * p = 2: b is mod 4, and ``phase_order`` is 4.  A = B + B^T is a
       0/1 matrix with zero diagonal, B strictly upper triangular, so
-      y^T A y = 2 y^T B y and e(y) = b . y + c + 2 y^T B y mod 4.  The
-      payload keeps the qubit layout {"a": b, "B": B, "c": c}.
+      y^T A y = 2 y^T B y and e(y) = b . y + 2 y^T B y mod 4.  The
+      payload keeps the qubit layout {"a": b, "B": B, "c": 0}; every payload
+      writes "c": 0, and ``from_payload`` refuses any other value.
     """
 
-    __slots__ = ("p", "k", "A", "b", "c")
+    __slots__ = ("p", "k", "A", "b")
 
-    def __init__(self, p: int, k: int, A, b, c: int = 0) -> None:
+    def __init__(self, p: int, k: int, A, b) -> None:
         self.p = p
         self.k = k
         self.A = np.asarray(A, dtype=np.int64).reshape(k, k) % p
@@ -395,18 +397,16 @@ class QuadraticForm:
             raise ValueError("A must be symmetric")
         if p == 2 and self.A.diagonal().any():
             raise ValueError("a qubit A must have a zero diagonal")
-        order = self.phase_order
-        self.b = np.asarray(b, dtype=np.int64).reshape(k) % order
-        self.c = int(c) % order
+        self.b = np.asarray(b, dtype=np.int64).reshape(k) % self.phase_order
 
     @classmethod
     def _trusted(cls, p: int, k: int, A: np.ndarray, b: np.ndarray) -> "QuadraticForm":
-        """The form with c = 0 and the int64 arrays A (k x k) and b (k) as they
-        are, unchecked: for a caller that lays them out as the constructor
+        """The form with the int64 arrays A (k x k) and b (k) as they are,
+        unchecked: for a caller that lays them out as the constructor
         would leave them, A symmetric and reduced mod p with a zero diagonal
         for qubits, and b reduced mod ``phase_order``."""
         form = cls.__new__(cls)
-        form.p, form.k, form.A, form.b, form.c = p, k, A, b, 0
+        form.p, form.k, form.A, form.b = p, k, A, b
         return form
 
     @property
@@ -415,10 +415,10 @@ class QuadraticForm:
 
     @classmethod
     def zero(cls, p: int, k: int) -> "QuadraticForm":
-        return cls(p, k, np.zeros((k, k), dtype=np.int64), np.zeros(k, dtype=np.int64), 0)
+        return cls(p, k, np.zeros((k, k), dtype=np.int64), np.zeros(k, dtype=np.int64))
 
     @classmethod
-    def from_monomials(cls, p: int, k: int, quad: dict | None = None, lin=None, const: int = 0) -> "QuadraticForm":
+    def from_monomials(cls, p: int, k: int, quad: dict | None = None, lin=None) -> "QuadraticForm":
         """Build from monomial coefficients over F_p, p odd: quad[(i, j)] multiplies y_i y_j (i <= j)."""
         if p == 2:
             raise ValueError("from_monomials needs odd p")
@@ -434,7 +434,7 @@ class QuadraticForm:
         b = np.zeros(k, dtype=np.int64)
         if lin is not None:
             b = np.asarray(lin, dtype=np.int64) % p
-        return cls(p, k, A, b, const)
+        return cls(p, k, A, b)
 
     def monomial_coeffs(self) -> dict:
         out = {}
@@ -449,35 +449,31 @@ class QuadraticForm:
 
     def eval(self, y) -> int:
         y = np.asarray(y, dtype=np.int64)
-        return int((y @ self.A @ y + self.b @ y + self.c) % self.phase_order)
+        return int((y @ self.A @ y + self.b @ y) % self.phase_order)
 
     def eval_batch(self, Y: np.ndarray) -> np.ndarray:
         """Exponents for a batch of points, Y of shape (M, k)."""
         Y = np.asarray(Y, dtype=np.int64)
         if self.k == 0:
-            return np.full(len(Y), self.c, dtype=np.int64)
+            return np.zeros(len(Y), dtype=np.int64)
         quad = np.einsum("mi,ij,mj->m", Y, self.A, Y)
-        return (quad + Y @ self.b + self.c) % self.phase_order
+        return (quad + Y @ self.b) % self.phase_order
 
     def to_payload(self) -> dict:
         if self.p == 2:
-            return {"a": self.b.tolist(), "B": np.triu(self.A, 1).tolist(), "c": self.c}
-        return {"A": self.A.tolist(), "b": self.b.tolist(), "c": self.c}
+            return {"a": self.b.tolist(), "B": np.triu(self.A, 1).tolist(), "c": 0}
+        return {"A": self.A.tolist(), "b": self.b.tolist(), "c": 0}
 
     @classmethod
     def from_payload(cls, p: int, k: int, payload: dict) -> "QuadraticForm":
+        if payload.get("c", 0) != 0:
+            raise ValueError("phase constant must be zero (global phase fixed)")
         if p == 2:
             B = np.asarray(payload["B"], dtype=np.int64).reshape(k, k) % 2
             if np.tril(B).any():
                 raise ValueError("B must be strictly upper triangular")
-            return cls(2, k, B + B.T, payload["a"], payload.get("c", 0))
-        return cls(p, k, payload["A"], payload["b"], payload.get("c", 0))
+            return cls(2, k, B + B.T, payload["a"])
+        return cls(p, k, payload["A"], payload["b"])
 
     def __repr__(self) -> str:
-        return "QuadraticForm(p=%d, k=%d, %s + %s.y + %d)" % (
-            self.p,
-            self.k,
-            self.monomial_coeffs(),
-            self.b.tolist(),
-            self.c,
-        )
+        return "QuadraticForm(p=%d, k=%d, %s + %s.y)" % (self.p, self.k, self.monomial_coeffs(), self.b.tolist())

@@ -59,16 +59,23 @@ class AnnealConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_search(self.rank, len(self.catalog), self.steps, self.chains, self.cooling, self.tol)
+        p, n = self.catalog.p, self.catalog.n
+        check_search(self.rank, p, n, self.steps, self.chains, self.cooling, self.t_initial, self.tol)
 
 
-def check_search(rank: int, count: int, steps: int, chains: int, cooling: float, tol: float) -> None:
-    """Raise ValueError for a search of rank ``rank`` over a catalog of ``count``
-    states that the chains cannot run.
+# the largest p^n a search lays out its catalog for: (3,5) has 53,968 blocks and
+# (2,7) 387,987, while (3,6) has 1,996,024 and ran out of memory under 1.5 GB
+SEARCH_MAX_DIM = 3**5
+
+
+def check_search(rank: int, p: int, n: int, steps: int, chains: int, cooling: float, t_initial, tol: float) -> None:
+    """Raise ValueError for a search of rank ``rank`` over the (p, n) catalog
+    that the chains cannot run.
 
     Needs no catalog and no target, so callers can refuse before building either.
     A tol outside the range ``check_tol`` allows is refused as certify refuses
-    it: a chain re-scores exactly only below sqrt(CANDIDATE_RES2).
+    it: a chain re-scores exactly only below sqrt(CANDIDATE_RES2).  A
+    ``t_initial`` of None is calibrated from the chain's first moves.
     """
     if rank < 1:
         raise ValueError("rank must be >= 1")
@@ -78,8 +85,12 @@ def check_search(rank: int, count: int, steps: int, chains: int, cooling: float,
         raise ValueError("chains must be >= 1")
     if not 0.0 < cooling < 1.0:
         raise ValueError("cooling factor must lie in (0, 1)")
+    if t_initial is not None and not 0.0 < t_initial < math.inf:  # NaN too
+        raise ValueError("initial temperature must be finite and above 0, got %g" % t_initial)
     check_tol(tol, "tol")
-    if rank >= count:
+    if p**n > SEARCH_MAX_DIM:
+        raise ValueError("%d basis states exceed the %d of the largest search catalog" % (p**n, SEARCH_MAX_DIM))
+    if rank >= Catalog.expected_count(p, n):
         raise ValueError("rank must be smaller than the catalog")
 
 

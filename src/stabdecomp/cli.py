@@ -158,7 +158,7 @@ def _verify_one(name, dec, exact, tol) -> dict:
 def cmd_search(args) -> int:
     p = _check_target(args.target, args.m)
     # before the p^m amplitudes of the target and the catalog are built
-    check_search(args.r, Catalog.expected_count(p, args.m), args.steps, args.chains, args.cooling, args.tol)
+    check_search(args.r, p, args.m, args.steps, args.chains, args.cooling, args.t0, args.tol)
     target = magic_power(args.target, args.m)
     catalog = build_catalog(target.p, target.n)
     cfg = AnnealConfig(
@@ -186,6 +186,7 @@ def cmd_search(args) -> int:
         steps=args.steps,
         chains=args.chains,
         cooling=args.cooling,
+        t0=args.t0,  # null when calibrated
         tol=args.tol,
         seed=args.seed,
         success=res.success,

@@ -10,7 +10,9 @@ matrix over F_3 (coordinates ordered a_1..a_n, b_1..b_n).  Generator images:
 ``synthesize`` inverts the story: given any M in Sp(2n, 3) it emits a
 deterministic H/S/SUM gate word whose unitary realizes M.  Gate words are
 lists of (name, legs, power) in operator-product order (index 0 is the
-leftmost matrix factor, i.e. the gate applied last).
+leftmost matrix factor, i.e. the gate applied last); this is the one word
+convention of the library, and ``format_word`` and ``parse_word`` write and
+read words as text in the same order.
 """
 
 from __future__ import annotations
@@ -80,8 +82,10 @@ def format_word(word) -> str:
 def parse_word(text: str, n: int) -> list:
     """Parse 'H1 SUM12 S2^2' into gate-word tuples; legs are 1-based digits.
 
-    'SUM' with no digits on two qutrits means SUM12.
+    The inverse of ``format_word``: 'I' is the empty word.
     """
+    if text.split() == ["I"]:
+        return []
     word = []
     for token in text.split():
         if "^" in token:
@@ -93,15 +97,8 @@ def parse_word(text: str, n: int) -> list:
         digits = [int(ch) - 1 for ch in token if ch.isdigit()]
         if name not in GATE_ORDER:
             raise ValueError("unknown gate %r" % token)
-        if name == "SUM":
-            if not digits:
-                if n != 2:
-                    raise ValueError("SUM needs explicit legs on %d qutrits" % n)
-                digits = [0, 1]
-            if len(digits) != 2:
-                raise ValueError("SUM takes two legs: %r" % token)
-        elif len(digits) != 1:
-            raise ValueError("%s takes one leg: %r" % (name, token))
+        if len(digits) != (2 if name == "SUM" else 1):
+            raise ValueError("wrong number of legs in %r" % token)
         if any(not 0 <= d < n for d in digits):
             raise ValueError("leg out of range in %r" % token)
         word.append((name, tuple(digits), power))
@@ -290,9 +287,8 @@ def synthesize(M: np.ndarray):
     assert (work == 3 ** np.arange(2 * n)[:, None]).all()  # the identity's row keys
     # work = img(g_K) ... img(g_1) M = I, so M = img(g_1^-1) ... img(g_K^-1):
     # the word lists the inverse gates in the order they were applied
-    orders = np.array([GATE_ORDER[name] for name, _ in slots])
-    powers = (-np.stack(applied, axis=1) % orders).astype(np.int8)
-    words = GateWords(slots, powers)
+    orders = np.array([GATE_ORDER[name] for name, _ in slots], dtype=np.int8)
+    words = GateWords(slots, -np.stack(applied, axis=1) % orders)  # int8 throughout: every power is below 4
     return words[0] if M.ndim == 2 else words
 
 

@@ -12,11 +12,8 @@ over the 51,840 symplectic classes of Sp(4, 3) with one synthesized unitary
 per class.  The unitaries stream through the sweeps a chunk of rows at a time
 (``_table_chunks``); no sweep holds the whole 67 MB table.
 
-Protocol words (fixed by reproducing the published branch outputs):
-subscript 1 is the data leg (most significant tensor factor), subscript 2
-the ancilla, and a protocol word reads chronologically, leftmost gate
-applied first.  ``replay_protocol`` reverses it into the one gate-word
-convention of the library, the operator product of ``clifford.word_to_matrix``.
+In a protocol word subscript 1 is the data leg (most significant tensor
+factor) and subscript 2 the ancilla.
 """
 
 from __future__ import annotations
@@ -115,13 +112,8 @@ class ProtocolReport:
         self.classification = classification
 
     def __repr__(self) -> str:
-        return "ProtocolReport(%s, C=%s, k=%d, p=%.6f, %s)" % (
-            self.magic,
-            self.clifford,
-            self.k,
-            self.probability,
-            self.classification,
-        )
+        fields = (self.magic, self.clifford, self.k, self.probability, self.classification)
+        return "ProtocolReport(%s, C=%s, k=%d, p=%.6f, %s)" % fields
 
 
 class SweepResult:
@@ -399,9 +391,10 @@ def sweep_injection(magic: str) -> SweepResult:
 
 
 def replay_protocol(word, magic: str, k: int) -> ProtocolReport:
-    """Run a named protocol word on M x M and project ancilla outcome k."""
+    """Run a protocol word on M x M and project ancilla outcome k; the word is
+    an operator product, as ``word_to_matrix`` reads it."""
     parsed = parse_word(word, 2) if isinstance(word, str) else word
-    C = word_to_matrix(parsed[::-1], 2)
+    C = word_to_matrix(parsed, 2)
     m = magic_state(magic).complex_vector()
     v = branch_operator(C, m, k) @ m
     hit, _, rel, noncliff, norm2 = _classify(v[None, None])

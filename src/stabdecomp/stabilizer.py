@@ -6,7 +6,7 @@ A canonical stabilizer state on n qudits (p = 2 or 3) is
 
 where W is an n x k reduced column-echelon matrix over F_p, x0 is the
 canonical coset representative (zero at the pivot rows of W), and phase is a
-:class:`~stabdecomp.algebra.QuadraticForm` with zero constant term, whose
+:class:`~stabdecomp.algebra.QuadraticForm` (no constant term), whose
 values are powers of omega (qutrits) or of i (qubits).  One tuple
 (k, W, x0, phase) per projective stabilizer state; the catalog enumerates
 them in a fixed lexicographic order so that integer indices are stable
@@ -130,8 +130,6 @@ class CanonicalStabilizer:
             raise ValueError("x0 must be the canonical coset representative")
         if not isinstance(self.phase, QuadraticForm) or (self.phase.p, self.phase.k) != (self.p, self.k):
             raise ValueError("the phase must be a QuadraticForm over F_p on k variables")
-        if self.phase.c != 0:
-            raise ValueError("phase constant must be zero (global phase fixed)")
 
     # -- support and amplitudes ------------------------------------------------
 
@@ -175,7 +173,7 @@ class CanonicalStabilizer:
         A[: self.k, : self.k] = self.phase.A
         A[self.k :, self.k :] = other.phase.A
         b = np.concatenate([self.phase.b, other.phase.b])
-        phase = QuadraticForm(self.p, self.k + other.k, A, b, 0)
+        phase = QuadraticForm(self.p, self.k + other.k, A, b)
         return CanonicalStabilizer(self.p, n, x0, W, phase, check=False)
 
     def record(self) -> dict:

@@ -222,7 +222,7 @@ def test_quadratic_form_batch_matches_scalar():
         k = int(rng.integers(0, 4))
         A = rng.integers(0, 3, size=(k, k))
         A = (A + A.T) % 3
-        q = QuadraticForm(3, k, A, rng.integers(0, 3, size=k), int(rng.integers(0, 3)))
+        q = QuadraticForm(3, k, A, rng.integers(0, 3, size=k))
         Y = all_points(3, k)
         batch = q.eval_batch(Y)
         for idx in range(len(Y)):
@@ -239,28 +239,28 @@ def test_fp3_linear_identities():
         assert (2 * y + y * y) % 3 == (2 if y == 2 else 0)
 
 
-def z4_oracle(a, B, c, y):
-    """i^(a.y + c) (-1)^(y^T B y) as a power of i."""
-    return (a @ y + c + 2 * (y @ B @ y)) % 4
+def z4_oracle(a, B, y):
+    """i^(a.y) (-1)^(y^T B y) as a power of i."""
+    return (a @ y + 2 * (y @ B @ y)) % 4
 
 
 def test_z4_phase():
-    # the qubit form: A = B + B^T with B strictly upper, b = a and c over Z_4
+    # the qubit form: A = B + B^T with B strictly upper and b = a over Z_4
     rng = np.random.default_rng(41)
     for _ in range(40):
         k = int(rng.integers(0, 5))
         B = np.triu(rng.integers(0, 2, size=(k, k)), 1)
-        a, c = rng.integers(0, 4, size=k), int(rng.integers(0, 4))
-        ph = QuadraticForm(2, k, B + B.T, a, c)
+        a = rng.integers(0, 4, size=k)
+        ph = QuadraticForm(2, k, B + B.T, a)
         assert ph.phase_order == 4
         Y = all_points(2, k)
         batch = ph.eval_batch(Y)
         for idx in range(len(Y)):
             y = Y[idx]
-            assert batch[idx] == ph.eval(y) == z4_oracle(a, B, c, y)
+            assert batch[idx] == ph.eval(y) == z4_oracle(a, B, y)
         payload = ph.to_payload()
         assert list(payload) == ["a", "B", "c"]
-        assert payload == {"a": a.tolist(), "B": B.tolist(), "c": c}
+        assert payload == {"a": a.tolist(), "B": B.tolist(), "c": 0}
         assert QuadraticForm.from_payload(2, k, payload).to_payload() == payload
 
 
@@ -278,7 +278,7 @@ def test_qubit_payload_refuses_b_on_or_below_the_diagonal():
 
 
 def test_z4_phase_determined_by_values():
-    # the (a, B, c) parameters are recoverable from pointwise values, so
+    # the (a, B) parameters are recoverable from pointwise values, so
     # distinct parameters give distinct qubit stabilizer phase patterns
     rng = np.random.default_rng(43)
     seen = {}
@@ -286,9 +286,9 @@ def test_z4_phase_determined_by_values():
         k = 3
         B = np.triu(rng.integers(0, 2, size=(k, k)), 1)
         a = rng.integers(0, 4, size=k)
-        ph = QuadraticForm(2, k, B + B.T, a, 0)
+        ph = QuadraticForm(2, k, B + B.T, a)
         vals = tuple(ph.eval_batch(all_points(2, k)))
-        assert vals == tuple(z4_oracle(a, B, 0, y) for y in all_points(2, k))
+        assert vals == tuple(z4_oracle(a, B, y) for y in all_points(2, k))
         if vals in seen:
             assert seen[vals] == ph.to_payload()
         seen[vals] = ph.to_payload()

@@ -31,6 +31,10 @@ def test_config_validation(cat2):
             AnnealConfig(target=t, rank=2, catalog=cat2, tol=tol)
     for tol in (1e-12, np.sqrt(CANDIDATE_RES2)):
         assert AnnealConfig(target=t, rank=2, catalog=cat2, tol=tol).tol == tol
+    for t0 in (float("nan"), -1.0, 0.0, float("inf")):
+        with pytest.raises(ValueError, match="initial temperature must be finite and above 0"):
+            AnnealConfig(target=t, rank=2, catalog=cat2, t_initial=t0)
+    assert AnnealConfig(target=t, rank=2, catalog=cat2, t_initial=0.5).t_initial == 0.5
 
 
 def test_rediscovers_strange_m2(cat2):

@@ -111,10 +111,9 @@ def test_get_builds_what_the_checked_constructors_accept(p, n):
     cat = _catalog(p, n)
     for i in np.random.default_rng(31).integers(0, len(cat), size=300).tolist():
         st = cat.get(i)
-        form = QuadraticForm(p, st.k, st.phase.A, st.phase.b, st.phase.c)
+        form = QuadraticForm(p, st.k, st.phase.A, st.phase.b)
         for got, want in ((st.phase.A, form.A), (st.phase.b, form.b)):
             assert got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want)
-        assert st.phase.c == form.c == 0
         checked = CanonicalStabilizer(p, n, st.x0, st.W, st.phase)
         for got, want in ((st.x0, checked.x0), (st.W, checked.W)):
             assert got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want)

@@ -75,6 +75,17 @@ def test_verify_file_checks_state_dimensions_before_the_target(tmp_path, capsys,
     assert 10 not in built and not (tmp_path / "r.json").exists()
 
 
+def test_verify_file_refuses_a_phase_constant(tmp_path, capsys):
+    payload = known.FIXTURES["strange_m2"]().to_payload()
+    payload["terms"][1]["state"]["phase"]["c"] = 1
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["verify", "--file", str(bad), "--out", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err == "phase constant must be zero (global phase fixed)\n"
+    assert not (tmp_path / "r.json").exists()
+
+
 def _fixtures_must_not_run(monkeypatch):
     def no_fixture():
         raise AssertionError("a fixture ran before the file was read")
@@ -719,6 +730,10 @@ def test_search_refuses_a_tol_the_exact_rescore_cannot_support(tmp_path, capsys,
         (["--r", "2", "--steps", "0"], "steps must be >= 1"),
         (["--r", "2", "--cooling", "1"], "cooling factor must lie in (0, 1)"),
         (["--r", "7439040"], "rank must be smaller than the catalog"),
+        *[
+            (["--r", "2", "--t0", t0], "initial temperature must be finite and above 0, got " + t0)
+            for t0 in ("nan", "-1", "0", "inf")
+        ],
     ],
 )
 def test_search_refuses_before_it_builds_the_catalog(tmp_path, capsys, monkeypatch, extra, message):
@@ -730,6 +745,27 @@ def test_search_refuses_before_it_builds_the_catalog(tmp_path, capsys, monkeypat
     assert main(["search", "--target", "N", "--m", "4", *extra, "--out", str(out)]) == 2
     assert capsys.readouterr().err == message + "\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("target,m,dim", [("N", "6", 729), ("N", "8", 6561), ("H", "8", 256)])
+def test_search_refuses_a_catalog_it_cannot_lay_out(tmp_path, capsys, monkeypatch, target, m, dim):
+    # the (3,5) and (2,7) catalogs are the largest a search builds
+    _no_catalog(monkeypatch)
+    monkeypatch.setattr(cli, "magic_power", lambda *args: pytest.fail("target built for a refused search"))
+    out = tmp_path / "search.json"
+    capsys.readouterr()
+    assert main(["search", "--target", target, "--m", m, "--r", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "%d basis states exceed the 243 of the largest search catalog\n" % dim
+    assert not out.exists()
+
+
+def test_search_records_t0(tmp_path):
+    # null when the chains calibrate their temperature, so an artifact repeats its run
+    for extra, want in (([], None), (["--t0", "0.5"], 0.5)):
+        out = tmp_path / "search.json"
+        args = ["search", "--target", "H3", "--m", "2", "--r", "2", "--chains", "1", "--steps", "50", *extra]
+        main([*args, "--out", str(out)])
+        assert read_json(out)["t0"] == want
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1"])

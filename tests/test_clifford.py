@@ -161,12 +161,22 @@ def test_word_parse_format_round_trip():
         ("SUM", (1, 0), 1),
     ]
     assert parse_word(format_word(word), 2) == word
-    # bare SUM on two qutrits
-    assert parse_word("SUM", 2) == [("SUM", (0, 1), 1)]
     with pytest.raises(ValueError):
         parse_word("Q1", 2)
     with pytest.raises(ValueError):
         parse_word("H3", 2)
+
+
+def test_parse_word_reads_every_word_format_word_writes(sp4):
+    # the empty word prints as I, and a SUM always prints its two legs
+    assert format_word([]) == "I" and parse_word("I", 2) == []
+    with pytest.raises(ValueError, match="legs"):
+        parse_word("SUM", 2)
+    words = synthesize(sp4)
+    picks = np.concatenate([[0], np.random.default_rng(29).choice(len(words), size=4000, replace=False)])
+    assert words[0] == []  # the identity
+    for e in picks.tolist():
+        assert parse_word(format_word(words[e]), 2) == words[e]
 
 
 def test_weyl_decompose():

@@ -29,8 +29,9 @@ from stabdecomp.gadget import (
 )
 from stabdecomp.stabilizer import magic_state
 
-H3_WORD = "H1 SUM H1 SUM H1 S2 SUM H1 H2^2"
-N_WORD = "H1 H2 SUM H1^3 H2 SUM H1"
+# operator products, as format_word prints them: the rightmost gate acts first
+H3_WORD = "H2^2 H1 SUM12 S2 H1 SUM12 H1 SUM12 H1"
+N_WORD = "H1 SUM12 H2 H1^3 SUM12 H2 H1"
 
 
 def rand_word(rng, n, length):
@@ -230,7 +231,7 @@ def test_norrell_fourier_component_vanishes():
     for j, want in ((0, CycloNumber.zero()), (1, -3 * w * w), (2, -3 * w)):
         got = sum((c[y] * w ** (j * y) for y in range(3)), CycloNumber.zero())
         assert got == want
-    # numerically: after the first gate of the N protocol (H on the data leg)
+    # numerically: after the first gate of the N protocol (its rightmost, H on the data leg)
     # the data-digit-0 block of the two-copy state vanishes
     m = magic_state("N").complex_vector()
     state = word_to_matrix(parse_word("H1", 2), 2) @ np.kron(m, m)
@@ -244,6 +245,7 @@ def test_norrell_fourier_component_vanishes():
 
 def test_replay_h3_protocol():
     rep = replay_protocol(H3_WORD, "H3", 1)
+    assert rep.clifford == H3_WORD
     assert rep.classification == CLASS_NONCLIFFORD
     assert rep.probability == pytest.approx(3 / 8, abs=1e-12)
     assert rep.phases == pytest.approx((np.pi / 2, np.pi / 3), abs=1e-12)
@@ -367,6 +369,20 @@ def test_sweeps_stream_the_table_in_bounded_memory():
             tracemalloc.reset_peak()
             sweep(name)
             assert tracemalloc.get_traced_memory()[1] < 40e6, name
+    finally:
+        tracemalloc.stop()
+
+
+def test_table_words_build_in_bounded_memory():
+    # the gate powers stay int8 from the row reduction to the words: an int64
+    # power stack and its negation raise the peak from about 10 MB to 17 MB
+    import tracemalloc
+
+    synthesize(enumerate_symplectic(2))  # warm-up: the row tables are cached
+    tracemalloc.start()
+    try:
+        synthesize(enumerate_symplectic(2))
+        assert tracemalloc.get_traced_memory()[1] < 12e6
     finally:
         tracemalloc.stop()
 
@@ -712,8 +728,8 @@ def sp4_words():
 
 @pytest.mark.parametrize("name", ["S", "N", "H3", "T3"])
 def test_replay_agrees_with_the_sweep(name, sp4_words):
-    # replay_protocol reads a word chronologically and reverses it into an operator
-    # product, so the reversed gate word of Sp(4,3) element e replays sweep row e
+    # replay_protocol reads a word as the operator product word_to_matrix does,
+    # so the gate word of Sp(4,3) element e replays sweep row e
     res = sweep_two_copy(name)
     c = res.columns
     hit_of = {(e, k): i for i, (e, k) in enumerate(zip(c["clifford"].tolist(), c["k"].tolist()))}
@@ -723,7 +739,7 @@ def test_replay_agrees_with_the_sweep(name, sp4_words):
     seen = set()
     for e in rows.tolist():
         for k in range(3):
-            rep = replay_protocol(sp4_words[e][::-1], name, k)
+            rep = replay_protocol(sp4_words[e], name, k)
             i = hit_of.get((e, k))
             if i is None:
                 assert (rep.classification, rep.phases) == (CLASS_NONE, None)

@@ -71,9 +71,10 @@ def test_validation_rejects_noncanonical():
     with pytest.raises(ValueError):
         # x0 not reduced (nonzero at pivot row)
         CanonicalStabilizer(3, 2, [1, 0], [[1], [0]], QuadraticForm.zero(3, 1))
-    with pytest.raises(ValueError):
-        # nonzero constant term
-        CanonicalStabilizer(3, 1, [0], [[1]], QuadraticForm(3, 1, [[0]], [0], 1))
+    with pytest.raises(ValueError, match="phase constant must be zero"):
+        # nonzero constant term: the form has none, and a record is refused
+        phase = {"A": [[0]], "b": [0], "c": 1}
+        CanonicalStabilizer.from_record({"p": 3, "n": 1, "k": 1, "x0": [0], "W": [[1]], "phase": phase})
     with pytest.raises(ValueError):
         CanonicalStabilizer(2, 1, [0], [[1]], QuadraticForm.zero(3, 1))
 
@@ -130,8 +131,11 @@ def test_record_round_trip():
         cat = build_catalog(p, n)
         for i in rng.integers(0, len(cat), size=20):
             st = cat.get(int(i))
-            back = CanonicalStabilizer.from_record(json.loads(json.dumps(st.record())))
-            assert back.record() == st.record()
+            rec = json.loads(json.dumps(st.record()))
+            assert CanonicalStabilizer.from_record(rec).record() == st.record()
+            # the global phase is fixed: a missing phase constant reads as 0
+            del rec["phase"]["c"]
+            assert CanonicalStabilizer.from_record(rec).record() == st.record()
 
 
 # ---------------------------------------------------------------------------
