@@ -88,10 +88,10 @@ def check_search(rank: int, p: int, n: int, steps: int, chains: int, cooling: fl
     if t_initial is not None and not 0.0 < t_initial < math.inf:  # NaN too
         raise ValueError("initial temperature must be finite and above 0, got %g" % t_initial)
     check_tol(tol, "tol")
+    if rank >= Catalog.expected_count(p, n):  # first: it refuses an n whose p^n has too many digits to print
+        raise ValueError("rank must be smaller than the catalog")
     if p**n > SEARCH_MAX_DIM:
         raise ValueError("%d basis states exceed the %d of the largest search catalog" % (p**n, SEARCH_MAX_DIM))
-    if rank >= Catalog.expected_count(p, n):
-        raise ValueError("rank must be smaller than the catalog")
 
 
 # catalogs up to this size are decoded once, densely; larger ones one state per use

@@ -18,9 +18,9 @@ and no x < s1 contains it, all the block's tuples are pruned, each with
 residual at least the prune bound.  The run scorer owns a run: it screens
 the run's blocks for this in one vectorized pass, testing the x below the
 end of each block's window, and counts the tuples of a block ruled out
-whole without scoring them.  It takes the other blocks of the run together:
-it projects the tail out of every x once and gets the overlaps of each s1
-with every x from one product per tile.
+whole without scoring them.  It scores the other blocks one row tile of s1
+at a time, projects the tail out of each column tile of x once per run and
+gets the overlaps of each s1 with every x from one product per tile.
 """
 
 from __future__ import annotations
@@ -61,9 +61,6 @@ _MASK_BITS = 63
 # takes the gemv path).
 _TILE_ROWS = 32
 _TILE_COLS = 128
-
-# row tiles whose s1 side is held at once (about 0.1 MB at dimension 27)
-_GROUP_TILES = 8
 
 # catalog rows whose support bits are packed at once: a whole-catalog boolean
 # temporary would raise the certify peak RSS by about 0.5 MB at (2,4)
@@ -350,8 +347,8 @@ class _RowTile:
         self.prunes = bool(needed.any())
 
     @classmethod
-    def of(cls, ctx, proj, Q_T, t_out, r0, s1s, xlo, xend, missed):
-        """The tile at r0 for the scored s1s and x windows xlo, xend; Q_T is the tail's basis as rows, t_out is t'."""
+    def of(cls, ctx, proj, Q_T, t_out, r0, s1s, xlo, xend, needed):
+        """The tile at r0 for the scored s1s and their xlo, xend, needed; Q_T: the tail's basis as rows, t_out: t'."""
         r1 = min(r0 + _TILE_ROWS, ctx.count)
         V = ctx.V[r0:r1]
         W = V - (V @ proj.Q_conj) @ Q_T
@@ -367,7 +364,7 @@ class _RowTile:
         if keep is not None:
             ut = ut[keep]
         t2 = proj.t_perp2 - (ut.real**2 + ut.imag**2)
-        return cls(uc, keep, s1, r1, ut.conj(), t2, xlo[lo:hi], xend[lo:hi], missed & ~ctx.masks[s1])
+        return cls(uc, keep, s1, r1, ut.conj(), t2, xlo[lo:hi], xend[lo:hi], needed[lo:hi])
 
     def residuals(self, Vx, nx2, ov):
         """Squared residuals, one row per scored s1 and one column per row v_x of Vx.
@@ -397,8 +394,10 @@ def _score_run(ctx: _SearchContext, tail: tuple[int, ...], s1s, w_lo: int, w_hi:
     screens the blocks first: the tuples of a block it rules out are all
     pruned, each with residual at least ``prune_bound``, and are counted
     unscored.  The tail's :class:`SpanProjection` is built once, for the
-    other blocks, and each x gets |v'_x|^2 and <v'_x, t'> from it (' is the
-    part outside span(tail)).  One product per tile gives g = <u, v_x> for
+    other blocks, which are scored one row tile of s1 at a time.  Each
+    column tile of x gets |v'_x|^2 and <v'_x, t'> from it (' is the part
+    outside span(tail)) the first time a row tile reaches it, and keeps them
+    for the rest of the run.  One product per tile gives g = <u, v_x> for
     every s1 of the tile, and each tuple's residual follows in closed form:
 
         res^2 = t'' - |<v'_x, t'> - conj(g) <u, t'>|^2 / (|v'_x|^2 - |g|^2),
@@ -419,68 +418,59 @@ def _score_run(ctx: _SearchContext, tail: tuple[int, ...], s1s, w_lo: int, w_hi:
     if s1s is not None:
         pairs = s1s * (s1s - 1) // 2
         xlo, xend = np.maximum(w_lo - pairs, 0), np.minimum(w_hi - pairs, s1s)
-        ruled = _ruled_out(ctx, missed, s1s, xend)
+        needed = np.int64(missed) & ~masks[s1s]
+        ruled = _ruled_out(ctx, needed, xend)
         if ruled.any():
             pruned = int((xend - xlo)[ruled].sum())
             if ruled.all():
                 return pruned, ctx.prune_bound, []
-            s1s, xlo, xend = s1s[~ruled], xlo[~ruled], xend[~ruled]
+            s1s, xlo, xend, needed = s1s[~ruled], xlo[~ruled], xend[~ruled], needed[~ruled]
     proj = SpanProjection(V[list(tail)], ctx.t, ctx.tnorm2)
     if s1s is None:
-        none = _RowTile(np.zeros((1, len(ctx.t))), None, None, count, np.zeros(1), np.array([proj.t_perp2]),
-                        np.array([w_lo]), np.array([w_hi]), np.array([missed]))
-        groups = [[none]]
+        rows = [_RowTile(np.zeros((1, len(ctx.t))), None, None, count, np.zeros(1), np.array([proj.t_perp2]),
+                         np.array([w_lo]), np.array([w_hi]), np.array([missed]))]
     else:
         Q_T = proj.Q_conj.conj().T
         t_out = ctx.t - proj.q_t @ Q_T
-        starts = list(dict.fromkeys((s1s - s1s % _TILE_ROWS).tolist()))  # np.unique would import numpy.ma
-        groups = (
-            [_RowTile.of(ctx, proj, Q_T, t_out, r0, s1s, xlo, xend, missed) for r0 in starts[g : g + _GROUP_TILES]]
-            for g in range(0, len(starts), _GROUP_TILES)
-        )
+        starts = dict.fromkeys((s1s - s1s % _TILE_ROWS).tolist())  # np.unique would import numpy.ma
+        rows = (_RowTile.of(ctx, proj, Q_T, t_out, r0, s1s, xlo, xend, needed) for r0 in starts)
+    cols = {}  # column tile c0 -> (|v'_x|^2, conj <v'_x, t'>), kept for the later row tiles
     best = math.inf  # the smallest non-witness squared residual
     witnesses: list[tuple[int, ...]] = []
-    for rows in groups:
-        start = min(row.lo_min for row in rows)
-        for c0 in range(start - start % _TILE_COLS, max(row.end_max for row in rows), _TILE_COLS):
+    for row in rows:
+        for c0 in range(row.lo_min - row.lo_min % _TILE_COLS, row.end_max, _TILE_COLS):
             c1 = min(c0 + _TILE_COLS, count)
-            Vx = V[c0:c1]
-            nx2, ov = proj.outside(Vx, ctx.t_ov[c0:c1])
-            ov = ov.conj()
-            for row in rows:
-                if row.end_max <= c0 or row.lo_min >= c1:
+            if c0 not in cols:
+                nx2, ov = proj.outside(V[c0:c1], ctx.t_ov[c0:c1])
+                cols[c0] = nx2, ov.conj()
+            nx2, ov = cols[c0]
+            m = min(c1, row.r1) - c0
+            valid = None  # None: every tuple of the tile
+            if c0 < row.lo_max or c0 + m > row.end_min:
+                x = np.arange(c0, c0 + m)
+                valid = (x >= row.xlo[:, None]) & (x < row.xend[:, None])
+            if row.prunes:
+                need = row.needed[:, None]
+                cover = (masks[c0 : c0 + m] & need) == need
+                pruned += int(np.count_nonzero(~cover if valid is None else valid & ~cover))
+                valid = cover if valid is None else valid & cover
+                if not valid.any():
                     continue
-                m = min(c1, row.r1) - c0
-                valid = None  # None: every tuple of the tile
-                if c0 < row.lo_max or c0 + m > row.end_min:
-                    x = np.arange(c0, c0 + m)
-                    valid = (x >= row.xlo[:, None]) & (x < row.xend[:, None])
-                if row.prunes:
-                    need = row.needed[:, None]
-                    cover = (masks[c0 : c0 + m] & need) == need
-                    if valid is None:
-                        valid = cover
-                        pruned += cover.size - int(np.count_nonzero(cover))
+            res2 = row.residuals(V[c0 : c0 + m], nx2[:m], ov[:m])
+            if valid is not None:
+                res2[~valid] = np.inf
+            if res2.min() <= CANDIDATE_RES2:
+                # exact re-score below the projection floating-point floor
+                for k in np.flatnonzero(res2 <= CANDIDATE_RES2).tolist():
+                    i, j = divmod(k, m)
+                    tup = (c0 + j,) + (() if row.s1 is None else (int(row.s1[i]),)) + tail
+                    _, res = best_fit(np.column_stack([V[s] for s in tup]), ctx.t)
+                    if res <= tol:
+                        witnesses.append(tup)
+                        res2.flat[k] = math.inf  # exclude from the non-witness minimum
                     else:
-                        pruned += int(np.count_nonzero(valid & ~cover))
-                        valid &= cover
-                    if not valid.any():
-                        continue
-                res2 = row.residuals(Vx[:m], nx2[:m], ov[:m])
-                if valid is not None:
-                    res2[~valid] = np.inf
-                if res2.min() <= CANDIDATE_RES2:
-                    # exact re-score below the projection floating-point floor
-                    for k in np.flatnonzero(res2 <= CANDIDATE_RES2).tolist():
-                        i, j = divmod(k, m)
-                        tup = (c0 + j,) + (() if row.s1 is None else (int(row.s1[i]),)) + tail
-                        _, res = best_fit(np.column_stack([V[s] for s in tup]), ctx.t)
-                        if res <= tol:
-                            witnesses.append(tup)
-                            res2.flat[k] = math.inf  # exclude from the non-witness minimum
-                        else:
-                            res2.flat[k] = res**2
-                best = min(best, float(res2.min()))
+                        res2.flat[k] = res**2
+            best = min(best, float(res2.min()))
     min_res = math.sqrt(best) if best < math.inf else math.inf
     if pruned:
         min_res = min(min_res, ctx.prune_bound)
@@ -502,19 +492,18 @@ def _covered_below(masks: np.ndarray, needed: np.ndarray, end: np.ndarray) -> np
     return covered
 
 
-def _ruled_out(ctx: _SearchContext, missed: int, s1s: np.ndarray, xend: np.ndarray) -> np.ndarray:
-    """For the blocks of suffixes (s1, *tail), s1 in s1s: True where no x < xend covers.
+def _ruled_out(ctx: _SearchContext, needed: np.ndarray, xend: np.ndarray) -> np.ndarray:
+    """For the blocks of suffixes (s1, *tail): True where no x < xend covers.
 
-    missed is the part of the target's support that the tail misses, and
-    needed[i] the part that s1s[i] misses too.  When it is nonzero and no
-    x < xend[i] has a support containing it, every tuple of the block's
-    window is pruned.  A support with fewer points than needed cannot
-    contain it, which decides most blocks from ``cover_max`` alone; the rest
-    are tested against every x < xend[i].
+    needed[i] is the part of the target's support that the tail and the
+    block's s1 miss.  When it is nonzero and no x < xend[i] has a support
+    containing it, every tuple of the block's window is pruned.  A support
+    with fewer points than needed cannot contain it, which decides most
+    blocks from ``cover_max`` alone; the rest are tested against every
+    x < xend[i].
     """
-    needed = np.int64(missed) & ~ctx.masks[s1s]
     # np.bitwise_count counts the bits of |x| (-1 gives 1, not 64); needed never has its
-    # sign bit set, since missed comes from a mask of at most _MASK_BITS = 63 bits
+    # sign bit set, since it comes from a mask of at most _MASK_BITS = 63 bits
     ruled = np.bitwise_count(needed) > ctx.cover_max[xend - 1]
     check = np.flatnonzero(~ruled & (needed != 0))
     ruled[check] = ~_covered_below(ctx.masks, needed[check], xend[check])
@@ -634,7 +623,10 @@ _search_key = operator.attrgetter(
 
 
 def merge_certificates(certs: list[Certificate]) -> Certificate:
-    """Union of disjoint shards of one search into a single certificate."""
+    """Union of disjoint shards of one search into a single certificate.
+
+    Its wall_time is the sum of the shards' times, not the elapsed time of a parallel run.
+    """
     if not certs:
         raise ValueError("nothing to merge")
     head = certs[0]

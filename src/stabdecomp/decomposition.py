@@ -197,11 +197,13 @@ class Decomposition:
             label = "terms[%d]" % j
             term = _typed(what, label, term, dict)
             state = _field(what, term, "state", dict, label + ".state")
+            for key in ("p", "n", "k"):
+                _field(what, state, key, int, "%s.state.%s" % (label, key))
             coeff = _field(what, term, "coeff", dict, label + ".coeff")
             try:
                 states.append(CanonicalStabilizer.from_record(state))
                 coeffs.append(CycloNumber.from_payload(coeff))
-            except (KeyError, TypeError) as exc:
+            except (KeyError, TypeError, AttributeError, ArithmeticError) as exc:  # ArithmeticError: 1/0, 1e400
                 reason = "%s: %s" % (type(exc).__name__, exc)
                 raise ValueError("decomposition field %r is malformed (%s)" % (label, reason)) from None
             if (states[-1].p, states[-1].n) != (p, copies):

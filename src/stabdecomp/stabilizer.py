@@ -188,7 +188,7 @@ class CanonicalStabilizer:
 
     @classmethod
     def from_record(cls, rec: dict) -> "CanonicalStabilizer":
-        p, n, k = int(rec["p"]), int(rec["n"]), int(rec["k"])
+        p, n, k = rec["p"], rec["n"], rec["k"]
         phase = QuadraticForm.from_payload(p, k, rec["phase"])
         W = np.asarray(rec["W"], dtype=np.int64).reshape(n, k)
         return cls(p, n, rec["x0"], W, phase)
@@ -263,6 +263,9 @@ _FORM_CHUNK = 256
 # the catalog's name in every artifact: the catalog JSONL header ("mode"), and
 # the search and certificate payloads ("catalog_mode")
 CATALOG_LABEL = "raw"
+
+# the most qudits a catalog is counted for: p^64 is above every size limit, and n = 10,000 ran past 30 s
+_COUNT_MAX_QUDITS = 64
 
 
 def _json(value) -> str:
@@ -400,7 +403,9 @@ class Catalog:
 
     @staticmethod
     def expected_count(p: int, n: int) -> int:
-        """Number of projective stabilizer states: p^n * prod_{j<=n} (p^j + 1)."""
+        """Number of projective stabilizer states: p^n * prod_{j<=n} (p^j + 1), for n up to _COUNT_MAX_QUDITS."""
+        if n > _COUNT_MAX_QUDITS:
+            raise ValueError("the p=%d n=%d catalog is too large to count (n above %d)" % (p, n, _COUNT_MAX_QUDITS))
         out = p**n
         for j in range(1, n + 1):
             out *= p**j + 1

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from stabdecomp.certify import (
+    _TILE_COLS,
     _TILE_ROWS,
     ShardSpec,
     _certify_range,
@@ -32,6 +33,7 @@ from stabdecomp.certify import (
     rank_tuple,
     unrank_tuple,
 )
+from stabdecomp.decomposition import SpanProjection
 from stabdecomp.stabilizer import build_catalog, magic_power
 from test_certify_oracle import _blocks, _svd_score_block
 
@@ -57,8 +59,8 @@ def _score_block(ctx, x_lo, x_hi, suffix, tol):
     return _score_run(ctx, suffix[1:], np.array(suffix[:1]), pairs + x_lo, pairs + x_hi, tol)
 
 
-def _rule_nothing(ctx, missed, s1s, xend):
-    return np.zeros(len(s1s), dtype=bool)
+def _rule_nothing(ctx, needed, xend):
+    return np.zeros(len(xend), dtype=bool)
 
 
 def _per_block(ctx, lo, hi, r, tol):
@@ -217,9 +219,9 @@ def test_partial_edge_blocks_ruled_out(monkeypatch, name, m, first, last):
     # pruned count comes from the x windows alone, with nothing projected
     screened = []
 
-    def recording(ctx, missed, s1s, xend):
-        screened.append((s1s, xend, _ruled_out(ctx, missed, s1s, xend)))
-        return screened[-1][2]
+    def recording(ctx, needed, xend):
+        screened.append((xend, _ruled_out(ctx, needed, xend)))
+        return screened[-1][1]
 
     def no_projection(*args):
         raise AssertionError("a ruled-out block reached the projection")
@@ -238,9 +240,10 @@ def test_partial_edge_blocks_ruled_out(monkeypatch, name, m, first, last):
     assert min_res == ctx.prune_bound and not witnesses
     # every block is ruled out: the first window starts past x = 0 (above),
     # and the last window ends before its block's s1
-    assert all(ruled.all() for _, _, ruled in screened)
-    s1s, xend, _ = screened[-1]
-    assert s1s[-1] == last[1] and xend[-1] == last[0] + 1 < last[1]
+    assert all(ruled.all() for _, ruled in screened)
+    xend, _ = screened[-1]
+    first_s1 = first[1] if first[2] == last[2] else 1  # the last tail's blocks start at s1 = 1
+    assert len(xend) == last[1] - first_s1 + 1 and xend[-1] == last[0] + 1 < last[1]
     assert len(screened) == last[2] - first[2] + 1  # one screen per tail
 
 
@@ -252,6 +255,8 @@ def test_partial_edge_blocks_ruled_out(monkeypatch, name, m, first, last):
         ("H", 2, 4, 5, 15_000),
         # the benchmark's seed-0 run: blocks of about 20,340 tuples over several row tiles
         ("S", 3, 3, rank_tuple((0, 20_338, 24_001)) + 11, rank_tuple((0, 20_460, 24_001)) + 17),
+        # 600 blocks over 19 row tiles, with column tiles that many row tiles share
+        ("S", 3, 3, rank_tuple((0, 20_000, 24_001)), rank_tuple((0, 20_600, 24_001))),
     ],
 )
 def test_whole_range_equals_merged_random_sub_shards(name, m, r, lo, hi):
@@ -267,6 +272,25 @@ def test_whole_range_equals_merged_random_sub_shards(name, m, r, lo, hi):
     parts = [certify_rank(target, r, catalog, shard=ShardSpec(a, b)) for a, b in zip(edges, edges[1:])]
     whole = certify_rank(target, r, catalog, shard=ShardSpec(lo, hi))
     assert replace(merge_certificates(parts), wall_time=0.0) == replace(whole, wall_time=0.0)
+
+
+def test_each_column_tile_projected_once_per_run(monkeypatch):
+    # the window of the 19-row-tile run above: every row tile reaches the low
+    # column tiles, and the tail is projected out of each of them once
+    calls = []
+    outside = SpanProjection.outside
+
+    def recording(proj, Vx, t_ov):
+        calls.append(len(Vx))
+        return outside(proj, Vx, t_ov)
+
+    ctx = _context("S", 3)
+    lo, hi = rank_tuple((0, 20_000, 24_001)), rank_tuple((0, 20_600, 24_001))
+    monkeypatch.setattr(SpanProjection, "outside", recording)
+    tested, pruned, _, _ = _certify_range(ctx, lo, hi, 3, TOL)
+    assert tested == hi - lo == 12_179_700 and pruned == 0
+    assert len(calls) == math.ceil(20_599 / _TILE_COLS) == 161
+    assert calls == [_TILE_COLS] * 161
 
 
 def test_single_state_range():

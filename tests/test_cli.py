@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -186,8 +189,20 @@ def test_verify_mistyped_file_usage_error(tmp_path, capsys, monkeypatch):
         (dict(payload, terms=[payload["terms"][0], {"state": [], "coeff": {}}]),
          "decomposition field 'terms[1].state' must be an object, not an array"),
     ]
-    broken = dict(payload["terms"][0], coeff=dict(payload["terms"][0]["coeff"], coeffs=5))
-    cases.append((dict(payload, terms=[broken]), "decomposition field 'terms[0]' is malformed (TypeError: "))
+    term = payload["terms"][0]
+    coeffs, state = term["coeff"]["coeffs"], term["state"]
+    for broken, error in [
+        (dict(term, coeff=dict(term["coeff"], coeffs=5)), "TypeError"),
+        (dict(term, coeff=dict(term["coeff"], coeffs=["1/0", *coeffs[1:]])), "ZeroDivisionError"),
+        (dict(term, coeff=dict(term["coeff"], coeffs=[1e400, *coeffs[1:]])), "OverflowError"),
+        (dict(term, state=dict(state, phase=dict(state["phase"], A=[[1e400, 0], [0, 0]]))), "OverflowError"),
+        (dict(term, state=dict(state, x0=[10**30, 0])), "OverflowError"),
+        (dict(term, state=dict(state, phase=[1])), "AttributeError"),
+    ]:
+        cases.append((dict(payload, terms=[broken]), "decomposition field 'terms[0]' is malformed (%s: " % error))
+    # a state's p, n and k are JSON integers: a string p no longer verifies
+    cases.append((dict(payload, terms=[dict(term, state=dict(state, p="3"))]),
+                  "decomposition field 'terms[0].state.p' must be an integer, not a string"))
     for body, message in cases:
         bad.write_text(json.dumps(body))
         assert main(["verify", "--all-fixtures", "--file", str(bad), "--out", str(out)]) == 2
@@ -664,6 +679,32 @@ def test_audit_refuses_many_copies_before_building_the_target(tmp_path, capsys, 
     assert main(["audit", "--cert", str(out), "--out", str(tmp_path / "a.json")]) == 2
     assert capsys.readouterr().err == "531441 basis states exceed the 63 bits of a support mask\n"
     assert not (tmp_path / "a.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv,n",
+    [
+        (["certify", "--target", "N", "--m", "10000", "--r", "2"], 10_000),
+        (["catalog", "--p", "3", "--n", "5000"], 5_000),
+        (["search", "--target", "N", "--m", "10000", "--r", "2"], 10_000),
+        (["search", "--target", "N", "--m", "3000", "--r", "2"], 3_000),
+        (["audit", "--cert", "{certificate}"], 10_000),
+    ],
+    ids=["certify", "catalog", "search", "search-m3000", "audit"],
+)
+def test_huge_copy_count_refused_at_once(tmp_path, argv, n):
+    # the catalog count of 10,000 qudits ran for minutes, and the digits of
+    # 3^10000 are past what Python prints; each size check refuses such an n first
+    cert = tmp_path / "cert.json"
+    assert main(["certify", "--target", "T3", "--m", "1", "--r", "2", "--out", str(cert)]) == 0
+    cert.write_text(json.dumps(dict(read_json(cert), copies=10_000, n=10_000)))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src, STABDECOMP_OUTDIR=str(tmp_path / "out"))
+    argv = [a.format(certificate=cert) for a in argv]
+    done = subprocess.run([sys.executable, "-m", "stabdecomp.cli", *argv], capture_output=True, text=True, env=env, timeout=10)
+    assert done.returncode == 2
+    assert done.stderr == "the p=3 n=%d catalog is too large to count (n above 64)\n" % n
+    assert not (tmp_path / "out").exists()
 
 
 def test_audit_detects_tampering(tmp_path):
