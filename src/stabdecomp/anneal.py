@@ -27,10 +27,11 @@ move is accepted.
 A step is a few dozen calls on vectors of p^n entries, so the per-call
 overhead, not the arithmetic, sets its cost, and the step is written for
 few calls: one-vector scoring that ends in Python floats, Weyl table
-indices as Python ints, ``ndarray.dot`` rather than the ``@`` ufunc, and a
-one-index catalog decode for uniform moves above the dense limit.  The
-arithmetic is the batched forms' own, operation for operation, so seeded
-search results are pinned in the tests to the bit.
+indices as Python ints, ``ndarray.dot`` rather than the ``@`` ufunc, and
+``Catalog.vector`` for the one state a uniform move draws, so no search
+holds a dense copy of its catalog.  The arithmetic is the batched forms'
+own, operation for operation, so seeded search results are pinned in the
+tests to the bit.
 """
 
 from __future__ import annotations
@@ -92,10 +93,6 @@ def check_search(rank: int, p: int, n: int, steps: int, chains: int, cooling: fl
         raise ValueError("rank must be smaller than the catalog")
     if p**n > SEARCH_MAX_DIM:
         raise ValueError("%d basis states exceed the %d of the largest search catalog" % (p**n, SEARCH_MAX_DIM))
-
-
-# catalogs up to this size are decoded once, densely; larger ones one state per use
-_DENSE_LIMIT = 100_000
 
 
 @dataclass
@@ -306,11 +303,6 @@ def anneal_search(cfg: AnnealConfig) -> AnnealResult:
     """
     catalog = cfg.catalog
     count = len(catalog)
-    if count <= _DENSE_LIMIT:
-        vec_of = catalog.vectors().__getitem__
-    else:
-        def vec_of(i):
-            return catalog.vectors([i])[0]
     neighbours = _WeylNeighbours(catalog)
     target_vec = cfg.target.complex_vector()
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.chains)
@@ -321,7 +313,7 @@ def anneal_search(cfg: AnnealConfig) -> AnnealResult:
     for c in range(cfg.chains):
         rng = np.random.default_rng(seeds[c])
         subset, energy, temp_at_best, trace, steps_run, moves = _run_chain(
-            cfg, vec_of, neighbours, target_vec, rng, count
+            cfg, catalog.vector, neighbours, target_vec, rng, count
         )
         traces.append(
             {
@@ -342,7 +334,7 @@ def anneal_search(cfg: AnnealConfig) -> AnnealResult:
 
     subset = tuple(sorted(best_subset))
     states = [catalog.get(i) for i in subset]
-    A = np.column_stack([vec_of(i) for i in subset])
+    A = np.column_stack([catalog.vector(i) for i in subset])
     _, residual = best_fit(A, target_vec)
     success = residual <= cfg.tol
 

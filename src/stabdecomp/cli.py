@@ -64,11 +64,11 @@ def _write(path: str, body) -> None:
         raise ValueError("cannot write %s: %s" % (path, exc.strerror or exc)) from None
 
 
-def _check_target(name: str, m: int) -> int:
-    """Check a magic-state name and a copy count m without building the m copies; return their qudit dimension p."""
+def _check_target(name: str, m: int, m_from: str = "--m") -> int:
+    """Check a magic-state name and a copy count m, named m_from in a refusal, without building the m copies; return p."""
     p = magic_p(name)
     if m < 1:
-        raise ValueError("--m must be at least 1 copy, got %d" % m)
+        raise ValueError("%s must be at least 1 copy, got %d" % (m_from, m))
     return p
 
 
@@ -96,9 +96,10 @@ def cmd_catalog(args) -> int:
         raise ValueError("--n must be at least 1 qudit, got %d" % args.n)
     count = Catalog.expected_count(args.p, args.n)
     if count > CATALOG_MAX_STATES:
+        digits = str(count)  # above 15 digits, the leading three and the exponent: a float overflows from (3,35) on
+        size = digits if len(digits) <= 15 else "about %s.%se%d" % (digits[0], digits[1:3], len(digits) - 1)
         raise ValueError(
-            "catalog p=%d n=%d has %d states, above the %d that catalog writes"
-            % (args.p, args.n, count, CATALOG_MAX_STATES)
+            "catalog p=%d n=%d has %s states, above the %d that catalog writes" % (args.p, args.n, size, CATALOG_MAX_STATES)
         )
     path = _out_path(args, "catalog-p%dn%d-%s.jsonl" % (args.p, args.n, CATALOG_LABEL))
     cat = build_catalog(args.p, args.n)
@@ -283,7 +284,7 @@ def cmd_audit(args) -> int:
     if args.samples < 0:
         raise ValueError("--samples must be at least 0, got %d" % args.samples)
     cert = Certificate.load(args.cert)
-    p = _check_target(cert.target_name, cert.copies)
+    p = _check_target(cert.target_name, cert.copies, "certificate field 'copies'")
     if (cert.p, cert.n) != (p, cert.copies):
         raise ValueError(
             "certificate p=%d n=%d does not match its target %s (p=%d n=%d)"

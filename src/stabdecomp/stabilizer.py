@@ -440,36 +440,42 @@ class Catalog:
         tables = self._forms[blk.k]
         return forms // tables.place % tables.radix
 
-    def _decode_into(self, out: np.ndarray, blk: _Block, forms) -> None:
-        """Write the vectors of the block's forms into the zeroed rows ``out``: a
-        (forms, dim) block for a column of form indices, one row for an int."""
+    def vector(self, i: int) -> np.ndarray:
+        """The complex amplitude vector of entry i: bitwise ``get(i).complex_vector()``.
+
+        The dense decoder's formula on one 1-D row of digits, so one index
+        costs a few small calls and no more memory than its vector.
+        """
+        blk = self._block_of(i)
         tables = self._forms[blk.k]
-        exps = self._digits(blk, forms).dot(tables.monomials.T).astype(np.intp)
-        out.T[blk.points] = tables.amps[exps].T  # the points index the last axis of a block and of a row alike
+        exps = ((i - blk.start) // tables.place % tables.radix).dot(tables.monomials.T).astype(np.intp)
+        out = np.zeros(self.p**self.n, dtype=np.complex128)
+        out[blk.points] = tables.amps[exps]
+        return out
 
     def vectors(self, indices=None) -> np.ndarray:
         """Complex amplitude vectors, one row per index: bitwise ``get(i).complex_vector()``.
 
         With no indices, every entry in catalog order, as a dense (len, p^n)
-        array; otherwise the given indices only, in the given order.  Decodes a
-        block at a time: a block's support points are computed once, and the
-        phase exponents of its forms come from one product with the monomials.
-        Given indices are decoded one at a time, by the same formula on a 1-D
-        row of digits, so one index costs a few small calls.
+        array; otherwise the given indices only, in the given order, each
+        decoded by :meth:`vector`.  The dense decode takes a block at a time:
+        a block's support points are computed once, and the phase exponents
+        of its forms come from one product with the monomials.
         """
         dim = self.p**self.n
-        if indices is None:
-            out = np.zeros((len(self), dim), dtype=np.complex128)
-            row = 0
-            for blk, forms in self._block_forms():
-                self._decode_into(out[row : row + forms.size], blk, forms)
-                row += forms.size
+        if indices is not None:
+            indices = np.asarray(indices, dtype=np.int64).reshape(-1).tolist()
+            out = np.zeros((len(indices), dim), dtype=np.complex128)
+            for row, i in enumerate(indices):
+                out[row] = self.vector(i)
             return out
-        indices = np.asarray(indices, dtype=np.int64).reshape(-1).tolist()
-        out = np.zeros((len(indices), dim), dtype=np.complex128)
-        for row, i in enumerate(indices):
-            blk = self._block_of(i)
-            self._decode_into(out[row], blk, i - blk.start)
+        out = np.zeros((len(self), dim), dtype=np.complex128)
+        row = 0
+        for blk, forms in self._block_forms():
+            tables = self._forms[blk.k]
+            exps = self._digits(blk, forms).dot(tables.monomials.T).astype(np.intp)
+            out[row : row + forms.size, blk.points] = tables.amps[exps]
+            row += forms.size
         return out
 
     # -- inverse lookup ------------------------------------------------------------

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from stabdecomp.anneal import AnnealConfig, _Subset, _WeylNeighbours, anneal_search
 from stabdecomp.clifford import weyl_matrix
 from stabdecomp.decomposition import CANDIDATE_RES2, best_fit
-from stabdecomp.stabilizer import build_catalog, magic_power
+from stabdecomp.stabilizer import Catalog, build_catalog, magic_power
 
 
 @pytest.fixture(scope="module")
@@ -218,8 +219,8 @@ def test_overlap_membership_agrees_with_index_of(p, n):
 
 
 def test_large_catalog_chain_is_deterministic():
-    # (3,4) is above the dense-decode limit: uniform moves decode one state at
-    # a time, and every accepted neighbour is located with index_of
+    # at (3,4), 7.4 M states, uniform moves decode one state at a time, and
+    # every accepted neighbour is located with index_of
     cat = build_catalog(3, 4)
     cfg = AnnealConfig(target=magic_power("N", 4), rank=7, catalog=cat, seed=4, chains=2, steps=200)
     a, b = anneal_search(cfg), anneal_search(cfg)
@@ -245,11 +246,12 @@ def test_temperature_at_best_is_the_temperature_of_the_last_improvement(cat2):
 
 # sha256 of json.dumps({subset, residual, chain_traces, decomposition payload},
 # sort_keys=True) per search spec: every RNG draw and every float a chain
-# produces, pinned so that a change to the step's arithmetic must keep them
+# produces, pinned so that a change to the step's arithmetic, or to the
+# one-index decode every catalog size goes through, must keep them
 SEARCH_PINS = [
     # the benchmark's witness search: N⊗3 at rank 4, seed 18, default chains (2,163 steps)
     (("N", 3, 4, dict(seed=18)), "46c185886e3057d98c6ceceb017a55e1c2cee4053e5a8fd0a3cc323f59dbd187"),
-    # the benchmark's large-catalog chain: (3,4) decoded one state at a time, witness at step 14,046
+    # the benchmark's large-catalog chain at (3,4), witness at step 14,046
     (("N", 4, 7, dict(seed=0, chains=1, steps=20_000)), "fb8b6e657f2d03fa0c29caf82da8dedb45e391722d14c9cac58438a004f871cf"),
     (("H", 4, 3, dict(seed=0, chains=2, steps=2_000)), "d2d967f02e22328ee88ed97b2dd56d721274e8589078cd588e51c253f0f414a5"),
     (("T3", 2, 2, dict(seed=1, chains=2, steps=2_000)), "317e275abb235a2701c9d70b5093d09919367962a6058581ac0acbafde5e7ee4"),
@@ -268,3 +270,26 @@ def test_search_results_are_pinned(spec, digest):
         "decomposition": res.decomposition.to_payload() if res.decomposition else None,
     }
     assert hashlib.sha256(json.dumps(blob, sort_keys=True).encode()).hexdigest() == digest
+
+
+def test_search_holds_no_dense_catalog(monkeypatch):
+    # the benchmark's witness search, N⊗3 r=4 seed 18: a dense (3,3) decode is
+    # 12.5 MB, and the search without one peaks near 2 MB
+    target = magic_power("N", 3)
+    cfg = AnnealConfig(target=target, rank=4, catalog=build_catalog(3, 3), seed=18)
+    decode = Catalog.vectors
+
+    def vectors(self, indices=None):
+        assert indices is not None, "a dense catalog decode"
+        return decode(self, indices)
+
+    monkeypatch.setattr(Catalog, "vectors", vectors)
+    assert anneal_search(cfg).success
+    monkeypatch.undo()
+    tracemalloc.start()
+    try:
+        assert anneal_search(cfg).success
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, peak

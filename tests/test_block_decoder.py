@@ -1,6 +1,7 @@
-"""The block decoder (``Catalog.vectors``), the block line generator behind
-``content_hash`` and ``jsonl_chunks``, and the search context built from them,
-each checked against the per-index reference path."""
+"""The block decoder (``Catalog.vectors``), the one-index decode
+(``Catalog.vector``), the block line generator behind ``content_hash`` and
+``jsonl_chunks``, and the search context built from them, each checked
+against the per-index reference path."""
 
 import hashlib
 import json
@@ -64,6 +65,22 @@ def test_vectors_bitwise_equal_to_complex_vector(p, n):
 
 
 @pytest.mark.parametrize("p,n", CASES)
+def test_vector_is_the_dense_row(p, n):
+    # bytes, not values: a lost sign bit on a zero amplitude shows
+    cat = _catalog(p, n)
+    V = cat.vectors()
+    for i in range(len(cat)):
+        assert cat.vector(i).tobytes() == V[i].tobytes()
+
+
+@pytest.mark.parametrize("p,n", [(3, 4), (2, 5)])
+def test_vector_of_a_large_catalog_sample(p, n):
+    cat = build_catalog(p, n)
+    for i in np.random.default_rng(41).integers(0, len(cat), size=2000).tolist():
+        assert cat.vector(i).tobytes() == cat.get(i).complex_vector().tobytes()
+
+
+@pytest.mark.parametrize("p,n", CASES)
 def test_block_lines_equal_entry_lines(p, n):
     cat = _catalog(p, n)
     # entry i's line, serialized from its record
@@ -86,7 +103,7 @@ def test_vectors_of_a_four_qutrit_sample():
 
 @pytest.mark.parametrize("p,n", [(3, 4), (2, 5)])
 def test_one_index_decode_at_every_k(p, n):
-    # catalogs above the dense limit are only ever decoded one index at a time
+    # the annealer decodes every catalog one index at a time; here at every k of the largest
     cat = build_catalog(p, n)
     firsts = {}
     for blk in cat._blocks:
@@ -138,6 +155,8 @@ def test_vectors_rejects_out_of_range_indices():
     for bad in (-1, len(cat)):
         with pytest.raises(IndexError):
             cat.vectors([0, bad])
+        with pytest.raises(IndexError):
+            cat.vector(bad)
     assert cat.vectors([]).shape == (0, 3)
 
 

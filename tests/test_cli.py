@@ -267,6 +267,9 @@ def test_catalog_writes_jsonl(tmp_path):
         (3, -1, "--n must be at least 1 qudit, got -1"),
         (3, 5, "catalog p=3 n=5 has 5445377280 states, above the 10000000 that catalog writes"),
         (2, 6, "catalog p=2 n=6 has 315057600 states, above the 10000000 that catalog writes"),
+        # counts past 15 digits are given by their leading digits: 3^40 has no float
+        (3, 40, "catalog p=3 n=40 has about 3.30e410 states, above the 10000000 that catalog writes"),
+        (3, 64, "catalog p=3 n=64 has about 1.38e1023 states, above the 10000000 that catalog writes"),
     ],
 )
 def test_catalog_refuses_bad_sizes_before_any_work(tmp_path, capsys, monkeypatch, p, n, message):
@@ -279,6 +282,17 @@ def test_catalog_refuses_bad_sizes_before_any_work(tmp_path, capsys, monkeypatch
     assert main(["catalog", "--p", str(p), "--n", str(n), "--out", str(out)]) == 2
     assert capsys.readouterr().err == message + "\n"
     assert not out.exists()
+
+
+def test_catalog_size_refusal_is_one_short_line(tmp_path, capsys, monkeypatch):
+    # the whole count made the line grow with n: 480 characters at (3,40)
+    _no_catalog(monkeypatch)
+    for p in (2, 3):
+        for n in range(6, 65):
+            capsys.readouterr()
+            assert main(["catalog", "--p", str(p), "--n", str(n), "--out", str(tmp_path / "cat.jsonl")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("catalog p=%d n=%d has " % (p, n)) and err.count("\n") == 1 and len(err) < 200, err
 
 
 def test_catalog_limit_passes_the_largest_catalogs(monkeypatch):
@@ -608,6 +622,18 @@ def test_zero_copies_usage_error(tmp_path, capsys, monkeypatch, command):
         assert main([command, "--target", "S", "--m", m, "--r", "1", "--out", str(out)]) == 2
         assert capsys.readouterr().err == "--m must be at least 1 copy, got %s\n" % m
     assert not out.exists()
+
+
+def test_audit_names_the_certificate_field_of_zero_copies(tmp_path, capsys, monkeypatch):
+    # audit has no --m: its refusal names the field the copy count came from
+    out = tmp_path / "cert.json"
+    assert main(["certify", "--target", "T3", "--m", "1", "--r", "2", "--out", str(out)]) == 0
+    out.write_text(json.dumps(dict(read_json(out), copies=0, n=0)))
+    _no_catalog(monkeypatch)
+    capsys.readouterr()
+    assert main(["audit", "--cert", str(out), "--out", str(tmp_path / "a.json")]) == 2
+    assert capsys.readouterr().err == "certificate field 'copies' must be at least 1 copy, got 0\n"
+    assert not (tmp_path / "a.json").exists()
 
 
 def test_full_coverage_certificate_with_a_forged_minimum_or_pruned_count(tmp_path, capsys):
