@@ -58,7 +58,11 @@ _MASK_BITS = 63
 # absolute catalog indices, so a tuple's residual comes from products of the
 # same shapes however a range, a run or a block is split: BLAS rounds the
 # entries of products of different shapes differently (a one-row product
-# takes the gemv path).
+# takes the gemv path).  A certify run decodes only the catalog prefix its
+# shard reaches, ended at a multiple of _TILE_COLS (itself a multiple of
+# _TILE_ROWS) or at the catalog's end, so every tile keeps the shape it has
+# in the whole catalog: min(r0 + _TILE_ROWS, count) and min(c0 + _TILE_COLS,
+# count) do not change.
 _TILE_ROWS = 32
 _TILE_COLS = 128
 
@@ -305,12 +309,19 @@ def _support_masks(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _SearchContext:
-    """Shared per-catalog precomputation for one certify run."""
+    """Shared precomputation for one certify run, over the catalog prefix it scores.
 
-    def __init__(self, target: TargetState, catalog: Catalog):
+    ``V``, ``masks``, ``cover_max`` and ``t_ov`` cover the entries
+    0 <= i < count, where count is ``reach`` (the whole catalog when reach
+    is None).  Every row is bitwise the whole catalog's, so tuples whose
+    indices all lie below count score as they would over the whole
+    catalog, provided count keeps the tile shapes (see ``_TILE_ROWS``).
+    """
+
+    def __init__(self, target: TargetState, catalog: Catalog, reach: int | None = None):
         if (catalog.p, catalog.n) != (target.p, target.n):
             raise ValueError("catalog does not match the target dimensions")
-        self.V = catalog.vectors()
+        self.V = catalog.vectors(stop=reach)
         self.count = len(self.V)
         self.masks, sizes = _support_masks(self.V)
         # cover_max[i]: the largest support among states 0..i
@@ -562,6 +573,15 @@ def check_request(p: int, n: int, r: int, tol: float) -> None:
         raise ValueError("%d basis states exceed the %d bits of a support mask" % (p**n, _MASK_BITS))
 
 
+def _prefix_end(lo: int, hi: int, r: int, count: int) -> int:
+    """How many catalog states ranks [lo, hi) reach: one past their largest index, up to a whole column tile, at most count.
+
+    0 for an empty range.  The rounding keeps the tile shapes (see ``_TILE_ROWS``).
+    """
+    reach = unrank_tuple(hi - 1, r)[-1] + 1 if hi > lo else 0
+    return min(reach + -reach % _TILE_COLS, count)
+
+
 def certify_rank(
     target: TargetState,
     r: int,
@@ -578,6 +598,13 @@ def certify_rank(
     cost of that small, split the space into more shards and ``merge`` them.
     ``progress`` gets the count of tuples done: 0 before the walk, then the
     count after each step of the walk.
+
+    In colex order a tuple's largest index never falls as its rank grows,
+    so the shard holds no index above the largest of its last tuple,
+    ``unrank_tuple(hi - 1, r)[-1]``.  The search context decodes the catalog
+    up to there, rounded up to a multiple of ``_TILE_COLS`` and capped at the
+    catalog's end; an empty shard decodes nothing.  A run's memory thus
+    follows the largest index its shard reaches, not the catalog's size.
     """
     check_request(target.p, target.n, r, tol)
     count = len(catalog)
@@ -587,7 +614,7 @@ def certify_rank(
     if shard.hi > total:
         raise ValueError("shard range exceeds the tuple space")
 
-    ctx = _SearchContext(target, catalog)
+    ctx = _SearchContext(target, catalog, _prefix_end(shard.lo, shard.hi, r, count))
     t_start = time.perf_counter()
     tested, pruned, min_res, witnesses = _certify_range(ctx, shard.lo, shard.hi, r, tol, progress)
     return Certificate(

@@ -453,25 +453,36 @@ class Catalog:
         out[blk.points] = tables.amps[exps]
         return out
 
-    def vectors(self, indices=None) -> np.ndarray:
+    def vectors(self, indices=None, *, stop: int | None = None) -> np.ndarray:
         """Complex amplitude vectors, one row per index: bitwise ``get(i).complex_vector()``.
 
-        With no indices, every entry in catalog order, as a dense (len, p^n)
-        array; otherwise the given indices only, in the given order, each
-        decoded by :meth:`vector`.  The dense decode takes a block at a time:
-        a block's support points are computed once, and the phase exponents
-        of its forms come from one product with the monomials.
+        With no indices, the entries 0 <= i < stop (every entry when stop is
+        None) in catalog order, as a dense (stop, p^n) array; otherwise the
+        given indices only, in the given order, each decoded by
+        :meth:`vector`.  The dense decode takes a block at a time and stops
+        after row stop - 1: a block's support points are computed once, and
+        the phase exponents of its forms come from one product with the
+        monomials.  Each amplitude is a lookup in ``amps``, so a prefix is
+        bitwise the head of the whole decode.
         """
         dim = self.p**self.n
         if indices is not None:
+            if stop is not None:
+                raise ValueError("vectors takes indices or stop, not both")
             indices = np.asarray(indices, dtype=np.int64).reshape(-1).tolist()
             out = np.zeros((len(indices), dim), dtype=np.complex128)
             for row, i in enumerate(indices):
                 out[row] = self.vector(i)
             return out
-        out = np.zeros((len(self), dim), dtype=np.complex128)
+        stop = len(self) if stop is None else stop
+        if not 0 <= stop <= len(self):
+            raise ValueError("stop = %d is not between 0 and the %d catalog entries" % (stop, len(self)))
+        out = np.zeros((stop, dim), dtype=np.complex128)
         row = 0
         for blk, forms in self._block_forms():
+            if row == stop:
+                break
+            forms = forms[: stop - row]
             tables = self._forms[blk.k]
             exps = self._digits(blk, forms).dot(tables.monomials.T).astype(np.intp)
             out[row : row + forms.size, blk.points] = tables.amps[exps]

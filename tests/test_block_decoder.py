@@ -150,6 +150,30 @@ def test_dense_decode_is_pinned(p, n):
     assert hashlib.sha256(_catalog(p, n).vectors().tobytes()).hexdigest() == DENSE_SHA256[p, n]
 
 
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3)])
+def test_vectors_prefix_is_the_dense_head(p, n):
+    # certify decodes only the prefix its shard reaches: the same block
+    # writer, stopped after stop rows, must give the whole decode's rows
+    cat = _catalog(p, n)
+    V = cat.vectors()
+    last = cat._blocks[-1]
+    stops = [0, 1, last.start, last.start + last.nforms // 2, len(cat)]
+    assert 0 < last.start < stops[3] < len(cat)  # a block boundary, then a point inside the block
+    for stop in stops:
+        head = cat.vectors(stop=stop)
+        assert head.shape == (stop, p**n)
+        assert head.tobytes() == V[:stop].tobytes()
+
+
+def test_vectors_refuses_a_stop_outside_the_catalog():
+    cat = build_catalog(2, 1)
+    for bad in (-1, len(cat) + 1):
+        with pytest.raises(ValueError, match=r"^stop = %d is not between 0 and the 6 catalog entries$" % bad):
+            cat.vectors(stop=bad)
+    with pytest.raises(ValueError, match="indices or stop, not both"):
+        cat.vectors([0], stop=1)
+
+
 def test_vectors_rejects_out_of_range_indices():
     cat = build_catalog(3, 1)
     for bad in (-1, len(cat)):

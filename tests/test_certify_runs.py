@@ -25,6 +25,7 @@ from stabdecomp.certify import (
     ShardSpec,
     _certify_range,
     _covered_below,
+    _prefix_end,
     _ruled_out,
     _score_run,
     _SearchContext,
@@ -34,7 +35,7 @@ from stabdecomp.certify import (
     unrank_tuple,
 )
 from stabdecomp.decomposition import SpanProjection
-from stabdecomp.stabilizer import build_catalog, magic_power
+from stabdecomp.stabilizer import Catalog, build_catalog, magic_power
 from test_certify_oracle import _blocks, _svd_score_block
 
 TOL = 1e-10
@@ -338,6 +339,86 @@ def test_cover_test_sees_only_open_blocks(monkeypatch):
     sizes = [bin(v).count("1") for v in needed.tolist()]
     assert (np.array(sizes) <= ctx.cover_max[end - 1]).all()
     assert (np.array(sizes) == ctx.cover_max[end - 1]).any()
+
+
+# ---------------------------------------------------------------------------
+# the catalog prefix a shard reaches
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("largest", [127, 128, 129, 359], ids=["below-tile", "at-tile", "past-tile", "catalog-end"])
+def test_prefix_context_scores_as_the_whole_catalog(r, largest):
+    # the last tuple's largest index sits around the 128-column tile edge,
+    # or is the catalog's last state; the context ends at the next tile edge
+    target = magic_power("N", 2)
+    catalog = _catalog(3, 2)
+    count = len(catalog)
+    if largest == count - 1:
+        hi = math.comb(count, r)
+    else:
+        hi = rank_tuple({1: (largest,), 2: (largest // 2, largest), 3: (5, largest - 3, largest)}[r]) + 1
+    lo = max(0, hi - 40_000)
+    assert unrank_tuple(hi - 1, r)[-1] == largest
+    end = _prefix_end(lo, hi, r, count)
+    assert end == {127: 128, 128: 256, 129: 256, 359: count}[largest]
+    prefix = _SearchContext(target, catalog, end)
+    assert prefix.count == end
+    got = _certify_range(prefix, lo, hi, r, TOL)
+    want = _certify_range(_context("N", 2), lo, hi, r, TOL)
+    assert got[:2] == want[:2]
+    assert got[2] == want[2]  # the same floats, not merely close ones
+    assert got[3] == want[3]
+    if r == 3 and largest == count - 1:
+        assert got[3]  # the s2 = 359 tail holds 12 of the 48 witnesses
+
+
+def _decoded_rows(monkeypatch):
+    """The row counts of every ``Catalog.vectors`` call from here on."""
+    rows = []
+    decode = Catalog.vectors
+
+    def spy(self, indices=None, **kwargs):
+        out = decode(self, indices, **kwargs)
+        rows.append(len(out))
+        return out
+
+    monkeypatch.setattr(Catalog, "vectors", spy)
+    return rows
+
+
+@pytest.mark.parametrize("count,largest,tiles", [(200_000, 628, 5), (math.comb(36_720, 3), 2, 1)], ids=["pruned", "probe"])
+def test_benchmark_shards_decode_their_column_tiles(monkeypatch, count, largest, tiles):
+    # the benchmark's pruned H⊗4 shard, whose tuples reach index 628 of the
+    # 36,720 four-qubit states, and its one-tuple probe (0, 1, 2)
+    target = magic_power("H", 4)
+    catalog = _catalog(2, 4)
+    shard = ShardSpec.of(0, count, math.comb(len(catalog), 3))
+    assert unrank_tuple(shard.hi - 1, 3)[-1] == largest
+    rows = _decoded_rows(monkeypatch)
+    cert = certify_rank(target, 3, catalog, shard=shard)
+    assert rows == [tiles * _TILE_COLS]
+    assert cert.tuples_pruned == cert.tuples_tested == shard.hi - shard.lo
+
+
+def _whole_catalog_context(target, catalog, reach=None):
+    return _SearchContext(target, catalog)
+
+
+@pytest.mark.parametrize("at", [0, 1_000_003, math.comb(360, 3)], ids=["start", "middle", "end"])
+def test_empty_shard_decodes_nothing(monkeypatch, at):
+    target = magic_power("N", 2)
+    catalog = _catalog(3, 2)
+    rows = _decoded_rows(monkeypatch)
+    cert = certify_rank(target, 3, catalog, shard=ShardSpec(at, at))
+    assert rows == [0]
+    # the certificate of a context over the whole catalog
+    monkeypatch.setattr("stabdecomp.certify._SearchContext", _whole_catalog_context)
+    whole = certify_rank(target, 3, catalog, shard=ShardSpec(at, at))
+    assert rows == [0, len(catalog)]
+    assert replace(cert, wall_time=0.0) == replace(whole, wall_time=0.0)
+    assert cert.tuples_tested == cert.tuples_pruned == 0
+    assert cert.min_nonwitness_residual == math.inf and not cert.witnesses
 
 
 # ---------------------------------------------------------------------------
