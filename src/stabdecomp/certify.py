@@ -18,9 +18,10 @@ and no x < s1 contains it, all the block's tuples are pruned, each with
 residual at least the prune bound.  The run scorer owns a run: it screens
 the run's blocks for this in one vectorized pass, testing the x below the
 end of each block's window, and counts the tuples of a block ruled out
-whole without scoring them.  It scores the other blocks one row tile of s1
-at a time, projects the tail out of each column tile of x once per run and
-gets the overlaps of each s1 with every x from one product per tile.
+whole without scoring them.  It scores the other blocks one column tile of
+x at a time: it expands the tile from the catalog's one-byte amplitude
+codes and projects the tail out of it once per run, then gets the overlaps
+of every row tile of s1 that reaches it from one product per tile.
 """
 
 from __future__ import annotations
@@ -66,9 +67,11 @@ _MASK_BITS = 63
 _TILE_ROWS = 32
 _TILE_COLS = 128
 
-# catalog rows whose support bits are packed at once: a whole-catalog boolean
-# temporary would raise the certify peak RSS by about 0.5 MB at (2,4)
-_MASK_ROWS = 4096
+# catalog rows whose support masks and target overlaps are built at once from
+# their codes: a chunk's expanded complex rows and their int64 indices stay
+# near 0.4 MB, which keeps the certify child of certify-unpruned below its
+# audit child (1,024 rows raised its peak RSS by 0.3 MB)
+_MASK_ROWS = 512
 
 # (block, x) pairs tested for coverage at once when a run is screened: the
 # int64 temporary stays near 1 MB
@@ -296,44 +299,57 @@ def target_fingerprint(target: TargetState) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _support_masks(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Support masks of the rows of A as int64 (bit j set when A[:, j] is nonzero), and their sizes as int8."""
-    packed = np.zeros((len(A), 8), dtype=np.uint8)
-    sizes = np.empty(len(A), dtype=np.int8)
-    for lo in range(0, len(A), _MASK_ROWS):
-        support = A[lo : lo + _MASK_ROWS] != 0
-        bits = np.packbits(support, axis=1, bitorder="little")
-        packed[lo : lo + _MASK_ROWS, : bits.shape[1]] = bits
-        sizes[lo : lo + _MASK_ROWS] = support.sum(axis=1)
-    return packed.view("<i8").reshape(-1).astype(np.int64, copy=False), sizes
+def _support_masks(support: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Support masks of the rows of a boolean array as int64 (bit j set when support[:, j]), and their sizes as int8."""
+    packed = np.zeros((len(support), 8), dtype=np.uint8)
+    bits = np.packbits(support, axis=1, bitorder="little")
+    packed[:, : bits.shape[1]] = bits
+    return packed.view("<i8").reshape(-1).astype(np.int64, copy=False), support.sum(axis=1).astype(np.int8)
 
 
 class _SearchContext:
     """Shared precomputation for one certify run, over the catalog prefix it scores.
 
-    ``V``, ``masks``, ``cover_max`` and ``t_ov`` cover the entries
-    0 <= i < count, where count is ``reach`` (the whole catalog when reach
-    is None).  Every row is bitwise the whole catalog's, so tuples whose
-    indices all lie below count score as they would over the whole
-    catalog, provided count keeps the tile shapes (see ``_TILE_ROWS``).
+    The entries 0 <= i < count, where count is ``reach`` (the whole catalog
+    when reach is None), are held as ``codes``: one uint8 row per entry into
+    the catalog's amplitude ``table``, 1/16 of the memory of complex rows.
+    :meth:`rows` expands rows only where the kernel reads them: a row tile,
+    a column tile, a tail and a re-scored tuple.  ``masks``, ``cover_max``
+    and ``t_ov`` are built ``_MASK_ROWS`` entries at a time, the masks from
+    the codes that are not the zero code and ``t_ov`` from the chunk's
+    expanded rows.  Every expanded row is bitwise the whole catalog's, so
+    tuples whose indices all lie below count score as they would over the
+    whole catalog, provided count keeps the tile shapes (see ``_TILE_ROWS``).
     """
 
     def __init__(self, target: TargetState, catalog: Catalog, reach: int | None = None):
         if (catalog.p, catalog.n) != (target.p, target.n):
             raise ValueError("catalog does not match the target dimensions")
-        self.V = catalog.vectors(stop=reach)
-        self.count = len(self.V)
-        self.masks, sizes = _support_masks(self.V)
-        # cover_max[i]: the largest support among states 0..i
-        self.cover_max = np.maximum.accumulate(sizes)
+        self.codes = catalog.codes(stop=reach)
+        self.table = catalog.amplitude_table()
+        self.count = len(self.codes)
         self.t = target.complex_vector()
         self.tnorm2 = float(np.linalg.norm(self.t) ** 2)
-        self.t_ov = (self.V @ self.t.conj()).conj()  # <v_x, t>, with no conjugated copy of V
-        self.target_mask = int(_support_masks(self.t[None])[0][0])
+        self.masks = np.empty(self.count, dtype=np.int64)
+        sizes = np.empty(self.count, dtype=np.int8)
+        self.t_ov = np.empty(self.count, dtype=np.complex128)
+        zero = len(self.table) - 1
+        t_conj = self.t.conj()
+        for lo in range(0, self.count, _MASK_ROWS):
+            chunk = slice(lo, lo + _MASK_ROWS)
+            self.masks[chunk], sizes[chunk] = _support_masks(self.codes[chunk] != zero)
+            self.t_ov[chunk] = (self.rows(chunk) @ t_conj).conj()  # <v_x, t>, with no conjugated copy of the rows
+        # cover_max[i]: the largest support among states 0..i
+        self.cover_max = np.maximum.accumulate(sizes)
+        self.target_mask = int(_support_masks(self.t[None] != 0)[0][0])
         nonzero = np.abs(self.t[np.abs(self.t) > 0])
         # a pruned tuple misses at least one support point, so its residual
         # is at least the smallest amplitude sitting there
         self.prune_bound = float(nonzero.min()) if nonzero.size else 0.0
+
+    def rows(self, index) -> np.ndarray:
+        """The amplitude vectors of the entries at index (a slice, or a list or array of indices), one row each."""
+        return self.table.take(self.codes[index])  # take: about twice as fast as indexing with uint8 codes
 
 
 class _RowTile:
@@ -361,7 +377,7 @@ class _RowTile:
     def of(cls, ctx, proj, Q_T, t_out, r0, s1s, xlo, xend, needed):
         """The tile at r0 for the scored s1s and their xlo, xend, needed; Q_T: the tail's basis as rows, t_out: t'."""
         r1 = min(r0 + _TILE_ROWS, ctx.count)
-        V = ctx.V[r0:r1]
+        V = ctx.rows(slice(r0, r1))
         W = V - (V @ proj.Q_conj) @ Q_T
         w2 = (W.real**2 + W.imag**2).sum(axis=1)
         scale = np.zeros(len(W))
@@ -405,11 +421,13 @@ def _score_run(ctx: _SearchContext, tail: tuple[int, ...], s1s, w_lo: int, w_hi:
     screens the blocks first: the tuples of a block it rules out are all
     pruned, each with residual at least ``prune_bound``, and are counted
     unscored.  The tail's :class:`SpanProjection` is built once, for the
-    other blocks, which are scored one row tile of s1 at a time.  Each
-    column tile of x gets |v'_x|^2 and <v'_x, t'> from it (' is the part
-    outside span(tail)) the first time a row tile reaches it, and keeps them
-    for the rest of the run.  One product per tile gives g = <u, v_x> for
-    every s1 of the tile, and each tuple's residual follows in closed form:
+    other blocks, and so are their row tiles of s1.  The walk takes the
+    column tiles of x in its outer loop and the row tiles that reach each
+    one inside, so a column tile is expanded from its codes, and gets
+    |v'_x|^2 and <v'_x, t'> (' is the part outside span(tail)), once per
+    run, when the first row tile scores it.  One product per tile gives
+    g = <u, v_x> for every s1 of the tile, and each tuple's residual
+    follows in closed form:
 
         res^2 = t'' - |<v'_x, t'> - conj(g) <u, t'>|^2 / (|v'_x|^2 - |g|^2),
 
@@ -421,7 +439,7 @@ def _score_run(ctx: _SearchContext, tail: tuple[int, ...], s1s, w_lo: int, w_hi:
     Returns (pruned_count, min_nonwitness_residual, witness_list), the
     witnesses in colex order.
     """
-    V, masks, count = ctx.V, ctx.masks, ctx.count
+    masks, count = ctx.masks, ctx.count
     missed = ctx.target_mask
     for s in tail:
         missed &= ~int(masks[s])
@@ -436,7 +454,7 @@ def _score_run(ctx: _SearchContext, tail: tuple[int, ...], s1s, w_lo: int, w_hi:
             if ruled.all():
                 return pruned, ctx.prune_bound, []
             s1s, xlo, xend, needed = s1s[~ruled], xlo[~ruled], xend[~ruled], needed[~ruled]
-    proj = SpanProjection(V[list(tail)], ctx.t, ctx.tnorm2)
+    proj = SpanProjection(ctx.rows(list(tail)), ctx.t, ctx.tnorm2)
     if s1s is None:
         rows = [_RowTile(np.zeros((1, len(ctx.t))), None, None, count, np.zeros(1), np.array([proj.t_perp2]),
                          np.array([w_lo]), np.array([w_hi]), np.array([missed]))]
@@ -444,17 +462,16 @@ def _score_run(ctx: _SearchContext, tail: tuple[int, ...], s1s, w_lo: int, w_hi:
         Q_T = proj.Q_conj.conj().T
         t_out = ctx.t - proj.q_t @ Q_T
         starts = dict.fromkeys((s1s - s1s % _TILE_ROWS).tolist())  # np.unique would import numpy.ma
-        rows = (_RowTile.of(ctx, proj, Q_T, t_out, r0, s1s, xlo, xend, needed) for r0 in starts)
-    cols = {}  # column tile c0 -> (|v'_x|^2, conj <v'_x, t'>), kept for the later row tiles
+        rows = [_RowTile.of(ctx, proj, Q_T, t_out, r0, s1s, xlo, xend, needed) for r0 in starts]
     best = math.inf  # the smallest non-witness squared residual
     witnesses: list[tuple[int, ...]] = []
-    for row in rows:
-        for c0 in range(row.lo_min - row.lo_min % _TILE_COLS, row.end_max, _TILE_COLS):
-            c1 = min(c0 + _TILE_COLS, count)
-            if c0 not in cols:
-                nx2, ov = proj.outside(V[c0:c1], ctx.t_ov[c0:c1])
-                cols[c0] = nx2, ov.conj()
-            nx2, ov = cols[c0]
+    first = min(row.lo_min for row in rows)
+    for c0 in range(first - first % _TILE_COLS, max(row.end_max for row in rows), _TILE_COLS):
+        c1 = min(c0 + _TILE_COLS, count)
+        Vx = None  # the tile's rows v_x, expanded and projected when a row tile first scores them
+        for row in rows:
+            if row.lo_min >= c0 + _TILE_COLS or row.end_max <= c0:  # a tile of x the row tile does not reach
+                continue
             m = min(c1, row.r1) - c0
             valid = None  # None: every tuple of the tile
             if c0 < row.lo_max or c0 + m > row.end_min:
@@ -467,7 +484,11 @@ def _score_run(ctx: _SearchContext, tail: tuple[int, ...], s1s, w_lo: int, w_hi:
                 valid = cover if valid is None else valid & cover
                 if not valid.any():
                     continue
-            res2 = row.residuals(V[c0 : c0 + m], nx2[:m], ov[:m])
+            if Vx is None:
+                Vx = ctx.rows(slice(c0, c1))
+                nx2, ov = proj.outside(Vx, ctx.t_ov[c0:c1])
+                ov = ov.conj()
+            res2 = row.residuals(Vx[:m], nx2[:m], ov[:m])
             if valid is not None:
                 res2[~valid] = np.inf
             if res2.min() <= CANDIDATE_RES2:
@@ -475,7 +496,7 @@ def _score_run(ctx: _SearchContext, tail: tuple[int, ...], s1s, w_lo: int, w_hi:
                 for k in np.flatnonzero(res2 <= CANDIDATE_RES2).tolist():
                     i, j = divmod(k, m)
                     tup = (c0 + j,) + (() if row.s1 is None else (int(row.s1[i]),)) + tail
-                    _, res = best_fit(np.column_stack([V[s] for s in tup]), ctx.t)
+                    _, res = best_fit(ctx.rows(list(tup)).T.copy(), ctx.t)  # C order: BLAS rounds by layout
                     if res <= tol:
                         witnesses.append(tup)
                         res2.flat[k] = math.inf  # exclude from the non-witness minimum
@@ -603,8 +624,11 @@ def certify_rank(
     so the shard holds no index above the largest of its last tuple,
     ``unrank_tuple(hi - 1, r)[-1]``.  The search context decodes the catalog
     up to there, rounded up to a multiple of ``_TILE_COLS`` and capped at the
-    catalog's end; an empty shard decodes nothing.  A run's memory thus
-    follows the largest index its shard reaches, not the catalog's size.
+    catalog's end; an empty shard decodes nothing.  It holds that prefix as
+    one-byte amplitude codes, so a run's memory follows the largest index
+    its shard reaches at one byte per amplitude.  The certificate's
+    ``wall_time`` is the walk's: it excludes the search context and the
+    catalog hash.
     """
     check_request(target.p, target.n, r, tol)
     count = len(catalog)
@@ -617,6 +641,7 @@ def certify_rank(
     ctx = _SearchContext(target, catalog, _prefix_end(shard.lo, shard.hi, r, count))
     t_start = time.perf_counter()
     tested, pruned, min_res, witnesses = _certify_range(ctx, shard.lo, shard.hi, r, tol, progress)
+    wall_time = time.perf_counter() - t_start  # the walk alone: the catalog hash below is not part of it
     return Certificate(
         target_name=target.name,
         copies=target.n,
@@ -633,7 +658,7 @@ def certify_rank(
         tuples_pruned=pruned,
         witnesses=sorted(witnesses),
         min_nonwitness_residual=min_res,
-        wall_time=time.perf_counter() - t_start,
+        wall_time=wall_time,
         full_coverage=(shard.lo == 0 and shard.hi == total),
     )
 
@@ -704,13 +729,14 @@ def audit(
     Witnesses and samples are deliberately re-decoded one state at a time
     through :class:`CanonicalStabilizer`, which computes the support points
     from (x0, W) and evaluates the phase polynomial at every point,
-    independently of the block decoder (``Catalog.vectors``) that
-    ``certify_rank`` scores with.  The split of a form index into phase
-    coefficients is shared with the block decoder; the catalog hashes pinned
-    in ``tests/test_block_decoder.py`` fix it.  Each distinct index is re-decoded once, the first time a witness
-    or sample holds it, and its vector is then compared bit for bit with the
-    block decoder's, so a mismatch is reported at the first tuple that holds
-    the index.
+    independently of the block decoder (``Catalog.codes`` into
+    ``Catalog.amplitude_table``) that ``certify_rank`` scores with.  The
+    split of a form index into phase coefficients is shared with the block
+    decoder; the catalog hashes pinned in ``tests/test_block_decoder.py``
+    fix it.  Each distinct index is re-decoded once, the first time a
+    witness or sample holds it, and its vector is then compared with the
+    row that certify expands from the block decoder's codes, so a mismatch
+    is reported at the first tuple that holds the index.
 
     A negative ``samples`` raises ValueError.
     """
@@ -740,14 +766,17 @@ def audit(
         failures.append("residual-gap")
 
     t = target.complex_vector()
+    table = catalog.amplitude_table()
     decoded: dict[int, np.ndarray] = {}
 
     def residual_of(tup):
         new = [i for i in tup if i not in decoded]
         if new:
             ref = np.array([catalog.get(i).complex_vector() for i in new])
-            if "block-decoder" not in failures and not np.array_equal(ref, catalog.vectors(new)):
-                failures.append("block-decoder")
+            if "block-decoder" not in failures:
+                scored = table[np.concatenate([catalog.codes(i, i + 1) for i in new])]
+                if not np.array_equal(ref, scored):
+                    failures.append("block-decoder")
             decoded.update(zip(new, ref))
         _, res = best_fit(np.column_stack([decoded[i] for i in tup]), t)
         return res

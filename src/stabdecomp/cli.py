@@ -218,11 +218,14 @@ def cmd_search(args) -> int:
 
 
 def _progress_printer(total: int):
+    """A certify progress callback that prints at most every 2 s; its rate counts the walk only."""
     state = {"t": time.perf_counter(), "start": time.perf_counter()}
 
     def cb(done: int):
         now = time.perf_counter()
-        if done and now - state["t"] >= 2.0:  # certify calls back at 0 before its walk
+        if not done:  # certify calls back at 0 just before its walk, after building its search context
+            state["t"] = state["start"] = now
+        elif now - state["t"] >= 2.0:
             state["t"] = now
             rate = done / max(now - state["start"], 1e-9)
             print(

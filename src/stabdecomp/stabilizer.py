@@ -23,7 +23,7 @@ import hashlib
 import json
 import math
 from bisect import bisect_right
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -285,13 +285,14 @@ class _FormTables:
     to their mirror images ``mirror``, and the last k are b.  ``decode`` maps
     the exponents at every y (y-lex order) to the form digits once divided by
     ``scale``; it reads only y = e_i, 2 e_i (qutrits) and e_i + e_j.
-    ``monomials`` maps digits back to the exponents at every y.  ``amps[e]`` is the amplitude
-    with phase exponent e mod ``order``, as ``complex_vector`` computes it,
-    for every exponent sum the monomials can reach, so the block decoder reads
-    it without reducing mod ``order``.
+    ``monomials`` maps digits back to the exponents at every y.  ``phases[e]``
+    is the amplitude with phase exponent e < ``order``, as ``complex_vector``
+    computes it, and ``amps[e]`` is ``phases[e % order]`` for every exponent
+    sum the monomials can reach, so the one-index decoder reads it without
+    reducing mod ``order``.
     """
 
-    __slots__ = ("nforms", "order", "decode", "scale", "monomials", "place", "radix", "amps",
+    __slots__ = ("nforms", "order", "decode", "scale", "monomials", "place", "radix", "phases", "amps",
                  "template", "slots", "cells", "mirror")
 
     def __init__(self, p: int, k: int) -> None:
@@ -350,8 +351,8 @@ class _FormTables:
         self.radix = np.array(radix, dtype=np.int64)
         # digits and monomials are non-negative, so no exponent sum exceeds top
         top = int((self.radix - 1) @ self.monomials.max(axis=0, initial=0))
-        amps = np.exp(2j * np.pi * np.arange(order) / order) * p ** (-k / 2)
-        self.amps = amps[np.arange(top + 1) % order]
+        self.phases = np.exp(2j * np.pi * np.arange(order) / order) * p ** (-k / 2)
+        self.amps = self.phases[np.arange(top + 1) % order]
         self.template = _json(payload).replace('"%d"', "%d")
         self.slots = np.array(slots, dtype=np.int64)
         self.cells = np.array([i * k + j for i, j in cells], dtype=np.intp)
@@ -429,11 +430,16 @@ class Catalog:
         phase = QuadraticForm._trusted(self.p, k, A.reshape(k, k), coeffs[coeffs.size - k :])
         return CanonicalStabilizer(self.p, self.n, blk.x0, blk.W, phase, check=False)
 
-    def _block_forms(self):
-        """(block, form indices as a column) in catalog order, at most ``_FORM_CHUNK`` forms at a time."""
-        for blk in self._blocks:
-            for lo in range(0, blk.nforms, _FORM_CHUNK):
-                yield blk, np.arange(lo, min(lo + _FORM_CHUNK, blk.nforms), dtype=np.int64)[:, None]
+    def _block_forms(self, start: int = 0, stop: int | None = None):
+        """(block, form indices as a column) for the entries start <= i < stop in catalog order,
+        at most ``_FORM_CHUNK`` forms at a time, each block's chunks at multiples of it from ``start``."""
+        stop = self._total if stop is None else stop
+        for blk in islice(self._blocks, bisect_right(self._starts, start) - 1, None):
+            if blk.start >= stop:
+                break
+            hi = min(stop - blk.start, blk.nforms)
+            for lo in range(max(start - blk.start, 0), hi, _FORM_CHUNK):
+                yield blk, np.arange(lo, min(lo + _FORM_CHUNK, hi), dtype=np.int64)[:, None]
 
     def _digits(self, blk: _Block, forms) -> np.ndarray:
         """Form digits of the block: one row per form for a column of form indices, one 1-D row for an int."""
@@ -443,8 +449,9 @@ class Catalog:
     def vector(self, i: int) -> np.ndarray:
         """The complex amplitude vector of entry i: bitwise ``get(i).complex_vector()``.
 
-        The dense decoder's formula on one 1-D row of digits, so one index
-        costs a few small calls and no more memory than its vector.
+        The code decoder's formula on one 1-D row of digits, with the
+        amplitude looked up directly, so one index costs a few small calls
+        and no more memory than its vector.
         """
         blk = self._block_of(i)
         tables = self._forms[blk.k]
@@ -453,39 +460,36 @@ class Catalog:
         out[blk.points] = tables.amps[exps]
         return out
 
-    def vectors(self, indices=None, *, stop: int | None = None) -> np.ndarray:
-        """Complex amplitude vectors, one row per index: bitwise ``get(i).complex_vector()``.
+    def amplitude_table(self) -> np.ndarray:
+        """The amplitude of each code of :meth:`codes`: p^(-k/2) w^e at code
+        k * order + e, for every support dimension k and phase exponent
+        e < order (``_FormTables.phases``), then 0 at the last code."""
+        return np.concatenate([tables.phases for tables in self._forms] + [np.zeros(1, dtype=np.complex128)])
 
-        With no indices, the entries 0 <= i < stop (every entry when stop is
-        None) in catalog order, as a dense (stop, p^n) array; otherwise the
-        given indices only, in the given order, each decoded by
-        :meth:`vector`.  The dense decode takes a block at a time and stops
-        after row stop - 1: a block's support points are computed once, and
-        the phase exponents of its forms come from one product with the
-        monomials.  Each amplitude is a lookup in ``amps``, so a prefix is
-        bitwise the head of the whole decode.
+    def codes(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """The entries start <= i < stop (to the catalog's end when stop is
+        None), one row each, as uint8 codes into :meth:`amplitude_table`.
+
+        ``amplitude_table()[codes(start, stop)]`` is bitwise the rows
+        ``get(i).complex_vector()``, in 1/16 of their memory: the table has
+        (n + 1) * order + 1 entries, at most 256 for every catalog small enough
+        to enumerate.  The decode takes a block at a time: a block's support
+        points are computed once, and the phase exponents of its forms come
+        from one product with the monomials.  Codes are exact integers, so a
+        range is the same bytes however it is split.
         """
-        dim = self.p**self.n
-        if indices is not None:
-            if stop is not None:
-                raise ValueError("vectors takes indices or stop, not both")
-            indices = np.asarray(indices, dtype=np.int64).reshape(-1).tolist()
-            out = np.zeros((len(indices), dim), dtype=np.complex128)
-            for row, i in enumerate(indices):
-                out[row] = self.vector(i)
-            return out
-        stop = len(self) if stop is None else stop
-        if not 0 <= stop <= len(self):
-            raise ValueError("stop = %d is not between 0 and the %d catalog entries" % (stop, len(self)))
-        out = np.zeros((stop, dim), dtype=np.complex128)
+        if stop is None:
+            stop = len(self)
+        if not 0 <= start <= stop <= len(self):
+            raise ValueError(
+                "codes(start=%d, stop=%d) is not a range of the %d catalog entries" % (start, stop, len(self))
+            )
+        out = np.full((stop - start, self.p**self.n), (self.n + 1) * self._forms[0].order, dtype=np.uint8)
         row = 0
-        for blk, forms in self._block_forms():
-            if row == stop:
-                break
-            forms = forms[: stop - row]
+        for blk, forms in self._block_forms(start, stop):
             tables = self._forms[blk.k]
             exps = self._digits(blk, forms).dot(tables.monomials.T).astype(np.intp)
-            out[row : row + forms.size, blk.points] = tables.amps[exps]
+            out[row : row + forms.size, blk.points] = exps % tables.order + blk.k * tables.order
             row += forms.size
         return out
 
@@ -527,28 +531,35 @@ class Catalog:
     # -- hashing / export --------------------------------------------------------
 
     def _text_chunks(self):
-        """The serialization of every entry in index order, one per line, joined
-        per ``_block_forms`` step: entry i's line is ``_json(get(i).record())``.
+        """The serialization of every entry in index order as ASCII bytes, one
+        line each, joined per ``_block_forms`` step: entry i's line is
+        ``_json(get(i).record())``.
 
-        Each block's line template is formatted once, and each step fills the
-        digits of all its forms into the repeated template at once.
+        Every field that varies within a block is one form digit, so a block's
+        lines share one layout: its line is formatted once with those digits
+        at 0, and each step tiles it once per form and writes the digits of
+        all its forms into their columns at once.
         """
         last = None
         for blk, forms in self._block_forms():
             tables = self._forms[blk.k]
             if blk is not last:
                 last = blk
-                template = '{"W":%s,"k":%d,"n":%d,"p":%d,"phase":%s,"x0":%s}\n' % (
+                parts = ('{"W":%s,"k":%d,"n":%d,"p":%d,"phase":%s,"x0":%s}\n' % (
                     _json(blk.W.tolist()), blk.k, self.n, self.p, tables.template, _json(blk.x0.tolist()),
-                )
-            yield template * forms.size % tuple(self._digits(blk, forms)[:, tables.slots].ravel().tolist())
+                )).split("%d")
+                line = np.frombuffer("0".join(parts).encode(), dtype=np.uint8)
+                columns = np.cumsum([len(part) + 1 for part in parts[:-1]], dtype=np.intp) - 1
+            text = np.tile(line, (forms.size, 1))
+            text[:, columns] += self._digits(blk, forms)[:, tables.slots].astype(np.uint8)
+            yield text.tobytes()
 
     def content_hash(self) -> str:
-        """SHA-256 of the text of ``_text_chunks``: every entry's line, in order (computed lazily)."""
+        """SHA-256 of the bytes of ``_text_chunks``: every entry's line, in order (computed lazily)."""
         if self._hash is None:
             h = hashlib.sha256()
             for text in self._text_chunks():
-                h.update(text.encode())
+                h.update(text)
             self._hash = h.hexdigest()
         return self._hash
 
@@ -564,7 +575,8 @@ class Catalog:
             "sha256": self.content_hash(),
         }
         yield json.dumps(header, sort_keys=True) + "\n"
-        yield from self._text_chunks()
+        for text in self._text_chunks():
+            yield text.decode("ascii")
 
 
 def build_catalog(p: int, n: int) -> Catalog:

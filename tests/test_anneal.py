@@ -101,7 +101,7 @@ def test_traces_nonincreasing_and_residual_recomputed(cat2):
 
 
 def _subset(cat, target, indices):
-    return _Subset(list(indices), cat.vectors(indices), target.complex_vector())
+    return _Subset(list(indices), np.array([cat.vector(int(i)) for i in indices]), target.complex_vector())
 
 
 def _fit(subset, pos, v):
@@ -120,7 +120,7 @@ def test_scorer_energy_equals_best_fit(p, n, name):
         for _ in range(20):
             pos = int(rng.integers(r))
             j = int(rng.integers(len(cat)))
-            v = cat.vectors([j])[0]
+            v = cat.vector(j)
             assert subset.energy(pos, v) == pytest.approx(_fit(subset, pos, v), abs=1e-12)
             # a second score at the same position reuses the projection
             assert subset.energy(pos, subset.V[pos]) == pytest.approx(_fit(subset, pos, subset.V[pos]), abs=1e-12)
@@ -137,7 +137,7 @@ def test_scorer_dependent_proposal_keeps_t_perp(p, n, name):
     dim = p**n
     line = list(range(p))
     basis = [cat.index_of(np.eye(dim)[x]) for x in line]
-    plus = cat.vectors([cat.index_of(np.eye(dim)[line].sum(axis=0))])[0]
+    plus = cat.vector(cat.index_of(np.eye(dim)[line].sum(axis=0)))
     subset = _subset(cat, target, [*basis, len(cat) - 1])  # and one full-support state
     pos = len(basis)
     res = subset.energy(pos, plus)
@@ -200,7 +200,7 @@ def test_overlap_membership_agrees_with_index_of(p, n):
     for _ in range(40):
         # a member, one of its neighbours, and two random states
         src = int(rng.integers(len(cat)))
-        _, u = moves.propose(rng, _Subset([src], cat.vectors([src]), target.complex_vector()))
+        _, u = moves.propose(rng, _Subset([src], cat.vector(src)[None], target.complex_vector()))
         nb = moves.locate(u, {src})
         others = [int(i) for i in rng.choice(len(cat), size=4) if int(i) not in (src, nb)][:2]
         subset = _subset(cat, target, [src, nb, *others])
@@ -277,13 +277,10 @@ def test_search_holds_no_dense_catalog(monkeypatch):
     # 12.5 MB, and the search without one peaks near 2 MB
     target = magic_power("N", 3)
     cfg = AnnealConfig(target=target, rank=4, catalog=build_catalog(3, 3), seed=18)
-    decode = Catalog.vectors
+    def codes(self, *args, **kwargs):
+        raise AssertionError("a dense catalog decode")
 
-    def vectors(self, indices=None):
-        assert indices is not None, "a dense catalog decode"
-        return decode(self, indices)
-
-    monkeypatch.setattr(Catalog, "vectors", vectors)
+    monkeypatch.setattr(Catalog, "codes", codes)
     assert anneal_search(cfg).success
     monkeypatch.undo()
     tracemalloc.start()

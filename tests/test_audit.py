@@ -21,7 +21,7 @@ from stabdecomp.stabilizer import Catalog, _all_points, build_catalog, magic_pow
 
 def reference_audit(cert, catalog, target, samples=1000, seed=0):
     """The audit with every member of every tuple decoded afresh and the whole
-    tuple compared with the block decoder; also returns the tuples it scored, in order."""
+    tuple compared with the block decoder's codes; also returns the tuples it scored, in order."""
     failures = []
     if target_fingerprint(target) != cert.target_hash:
         failures.append("target-hash")
@@ -47,7 +47,8 @@ def reference_audit(cert, catalog, target, samples=1000, seed=0):
     def residual_of(tup):
         scored.append(tup)
         A = np.column_stack([catalog.get(i).complex_vector() for i in tup])
-        if "block-decoder" not in failures and not np.array_equal(A.T, catalog.vectors(tup)):
+        coded = catalog.amplitude_table()[np.concatenate([catalog.codes(i, i + 1) for i in tup])]
+        if "block-decoder" not in failures and not np.array_equal(A.T, coded):
             failures.append("block-decoder")
         return best_fit(A, t)[1]
 
@@ -136,19 +137,20 @@ def test_audit_decodes_each_index_once_with_unchanged_reports(cat1, cat2, cat3, 
 
 
 def _flip_block_decoder(monkeypatch, index):
-    """Make Catalog.vectors negate the first nonzero amplitude of one index."""
-    decode = Catalog.vectors
+    """Make Catalog.codes turn the phase of the first nonzero amplitude of one index by one step."""
+    decode = Catalog.codes
 
-    def vectors(self, indices=None):
-        out = decode(self, indices)
-        rows = range(len(self)) if indices is None else indices
-        for row, i in enumerate(rows):
-            if i == index:
-                col = np.flatnonzero(out[row])[0]
-                out[row, col] = -out[row, col]
+    def codes(self, start=0, stop=None):
+        out = decode(self, start, stop)
+        if start <= index < start + len(out):
+            row = out[index - start]
+            col = np.flatnonzero(row != len(self.amplitude_table()) - 1)[0]
+            order = {2: 4, 3: 3}[self.p]  # the phases are powers of i (qubits) or of omega (qutrits)
+            code = int(row[col])  # k * order + e becomes k * order + (e + 1) % order
+            row[col] = code - code % order + (code + 1) % order
         return out
 
-    monkeypatch.setattr(Catalog, "vectors", vectors)
+    monkeypatch.setattr(Catalog, "codes", codes)
 
 
 def test_block_decoder_mismatch_in_a_witness(cat2, s2_pairs, monkeypatch):

@@ -1,10 +1,11 @@
-"""The block decoder (``Catalog.vectors``), the one-index decode
-(``Catalog.vector``), the block line generator behind ``content_hash`` and
-``jsonl_chunks``, and the search context built from them, each checked
-against the per-index reference path."""
+"""The block decoder (``Catalog.codes`` into ``Catalog.amplitude_table``),
+the one-index decode (``Catalog.vector``), the block line generator behind
+``content_hash`` and ``jsonl_chunks``, and the search context built from
+them, each checked against the per-index reference path."""
 
 import hashlib
 import json
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -24,6 +25,18 @@ CASES = [
 @lru_cache(maxsize=None)
 def _catalog(p, n):
     return build_catalog(p, n)
+
+
+@lru_cache(maxsize=None)
+def _reference(p, n):
+    """Every entry's ``complex_vector``, one row each."""
+    cat = _catalog(p, n)
+    return np.array([cat.get(i).complex_vector() for i in range(len(cat))])
+
+
+def _dense(cat, start=0, stop=None):
+    """The complex rows the block decoder's codes stand for."""
+    return cat.amplitude_table()[cat.codes(start, stop)]
 
 # The catalog order: every entry's line, hashed in index order.  `get`, the
 # block decoder and the JSONL text share one form-index layout (`_FormTables`),
@@ -55,20 +68,22 @@ def test_form_count_is_the_number_of_phase_functions(k):
 @pytest.mark.parametrize("p,n", CASES)
 def test_vectors_bitwise_equal_to_complex_vector(p, n):
     cat = _catalog(p, n)
-    ref = np.array([cat.get(i).complex_vector() for i in range(len(cat))])
-    V = cat.vectors()
-    assert V.shape == (len(cat), p**n)
+    ref = _reference(p, n)
+    codes = cat.codes()
+    assert codes.dtype == np.uint8 and codes.shape == (len(cat), p**n)
+    assert len(cat.amplitude_table()) == (n + 1) * {2: 4, 3: 3}[p] + 1
+    V = _dense(cat)
     assert np.array_equal(V, ref)
     assert V.tobytes() == ref.tobytes()
-    picks = np.random.default_rng(5).integers(0, len(cat), size=40)
-    assert cat.vectors(picks).tobytes() == ref[picks].tobytes()
+    for i in np.random.default_rng(5).integers(0, len(cat), size=40).tolist():
+        assert cat.codes(i, i + 1).tobytes() == codes[i : i + 1].tobytes()
 
 
 @pytest.mark.parametrize("p,n", CASES)
 def test_vector_is_the_dense_row(p, n):
     # bytes, not values: a lost sign bit on a zero amplitude shows
     cat = _catalog(p, n)
-    V = cat.vectors()
+    V = _dense(cat)
     for i in range(len(cat)):
         assert cat.vector(i).tobytes() == V[i].tobytes()
 
@@ -85,7 +100,7 @@ def test_block_lines_equal_entry_lines(p, n):
     cat = _catalog(p, n)
     # entry i's line, serialized from its record
     want = [json.dumps(cat.get(i).record(), sort_keys=True, separators=(",", ":")) for i in range(len(cat))]
-    assert "".join(cat._text_chunks()).splitlines() == want
+    assert b"".join(cat._text_chunks()).decode("ascii").splitlines() == want
     h = hashlib.sha256()
     for line in want:
         h.update(line.encode())
@@ -97,8 +112,9 @@ def test_vectors_of_a_four_qutrit_sample():
     cat = build_catalog(3, 4)
     picks = np.random.default_rng(17).integers(0, len(cat), size=2000)
     ref = np.array([cat.get(int(i)).complex_vector() for i in picks])
-    assert cat.vectors(picks).tobytes() == ref.tobytes()
-    assert cat.vectors([len(cat) - 1]).tobytes() == cat.get(len(cat) - 1).complex_vector().tobytes()
+    assert np.array([cat.vector(int(i)) for i in picks]).tobytes() == ref.tobytes()
+    for i in picks[:200].tolist() + [len(cat) - 1]:
+        assert _dense(cat, i, i + 1).tobytes() == cat.get(i).complex_vector()[None].tobytes()
 
 
 @pytest.mark.parametrize("p,n", [(3, 4), (2, 5)])
@@ -116,8 +132,8 @@ def test_one_index_decode_at_every_k(p, n):
         ref = np.array([cat.get(i).complex_vector() for i in picks])
         assert {cat.get(i).k for i in picks} == {k}
         for i, want in zip(picks, ref):
-            assert cat.vectors([i]).tobytes() == want[None].tobytes()
-        assert cat.vectors(picks).tobytes() == ref.tobytes()
+            assert cat.vector(i).tobytes() == want.tobytes()
+            assert _dense(cat, i, i + 1).tobytes() == want[None].tobytes()
 
 
 @pytest.mark.parametrize("p,n", [(3, 3), (2, 4)])
@@ -137,8 +153,8 @@ def test_get_builds_what_the_checked_constructors_accept(p, n):
             assert not got.flags.writeable  # shared by every state of the block
 
 
-# sha256 of the dense decode's bytes: the one-index path shares its formula,
-# so these pin that the dense decode itself stays as it was
+# sha256 of the bytes of the complex rows the codes stand for: the one-index
+# path shares their formula, so these pin that the block decoder stays as it was
 DENSE_SHA256 = {
     (3, 3): "2facc1f24cc1293bd6621e25e84e92bf795217d0c65106c8b48a185d0a28c3d0",
     (2, 4): "68462d9f2be3f9cee7e8a951f70ddf1e6ca9b204a61532eb056a873d55248900",
@@ -147,41 +163,41 @@ DENSE_SHA256 = {
 
 @pytest.mark.parametrize("p,n", sorted(DENSE_SHA256))
 def test_dense_decode_is_pinned(p, n):
-    assert hashlib.sha256(_catalog(p, n).vectors().tobytes()).hexdigest() == DENSE_SHA256[p, n]
+    assert hashlib.sha256(_dense(_catalog(p, n)).tobytes()).hexdigest() == DENSE_SHA256[p, n]
 
 
 @pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3)])
 def test_vectors_prefix_is_the_dense_head(p, n):
     # certify decodes only the prefix its shard reaches: the same block
-    # writer, stopped after stop rows, must give the whole decode's rows
+    # writer, stopped after stop rows, must give the reference rows
     cat = _catalog(p, n)
-    V = cat.vectors()
+    ref = _reference(p, n)
     last = cat._blocks[-1]
     stops = [0, 1, last.start, last.start + last.nforms // 2, len(cat)]
     assert 0 < last.start < stops[3] < len(cat)  # a block boundary, then a point inside the block
     for stop in stops:
-        head = cat.vectors(stop=stop)
+        head = _dense(cat, stop=stop)
         assert head.shape == (stop, p**n)
-        assert head.tobytes() == V[:stop].tobytes()
+        assert head.tobytes() == ref[:stop].tobytes()
+    # and a range that starts one past a block's first entry and stops inside the last block
+    start = cat._blocks[-2].start + 1
+    assert _dense(cat, start, stops[3]).tobytes() == ref[start : stops[3]].tobytes()
 
 
 def test_vectors_refuses_a_stop_outside_the_catalog():
     cat = build_catalog(2, 1)
-    for bad in (-1, len(cat) + 1):
-        with pytest.raises(ValueError, match=r"^stop = %d is not between 0 and the 6 catalog entries$" % bad):
-            cat.vectors(stop=bad)
-    with pytest.raises(ValueError, match="indices or stop, not both"):
-        cat.vectors([0], stop=1)
+    for start, stop in ((0, -1), (0, len(cat) + 1), (-1, 2), (3, 2)):
+        with pytest.raises(ValueError, match=r"^codes\(start=%d, stop=%d\) is not a range of the 6 catalog entries$"
+                           % (start, stop)):
+            cat.codes(start, stop)
 
 
 def test_vectors_rejects_out_of_range_indices():
     cat = build_catalog(3, 1)
     for bad in (-1, len(cat)):
         with pytest.raises(IndexError):
-            cat.vectors([0, bad])
-        with pytest.raises(IndexError):
             cat.vector(bad)
-    assert cat.vectors([]).shape == (0, 3)
+    assert cat.codes(len(cat)).shape == (0, 3)
 
 
 @pytest.mark.parametrize("name,m", [("S", 3), ("H", 4), ("T3", 2)])
@@ -189,6 +205,7 @@ def test_search_context_masks_match_support_bits(name, m):
     target = magic_power(name, m)
     cat = _catalog(target.p, target.n)
     ctx = _SearchContext(target, cat)
+    assert ctx.codes.dtype == np.uint8 and ctx.codes.shape == (len(cat), target.p**target.n)
     want = np.empty(len(cat), dtype=np.int64)
     for i in range(len(cat)):
         bits = 0
@@ -196,4 +213,22 @@ def test_search_context_masks_match_support_bits(name, m):
             bits |= 1 << int(idx)
         want[i] = bits
     assert np.array_equal(ctx.masks, want)
-    assert np.array_equal(ctx.t_ov, ctx.V.conj() @ ctx.t)
+    assert np.array_equal(ctx.t_ov, ctx.rows(slice(None)).conj() @ ctx.t)
+
+
+def test_search_context_holds_codes_not_complex_rows():
+    # the whole (2,4) catalog: 36,720 rows of 16 amplitudes are 9.4 MB as
+    # complex vectors and 0.6 MB as codes
+    target = magic_power("H", 4)
+    cat = _catalog(2, 4)
+    tracemalloc.start()
+    try:
+        ctx = _SearchContext(target, cat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ctx.count == len(cat) == 36_720
+    assert ctx.codes.dtype == np.uint8 and ctx.codes.shape == (36_720, 16)
+    arrays = [value for value in vars(ctx).values() if isinstance(value, np.ndarray)]
+    assert not [a for a in arrays if a.ndim == 2 and np.iscomplexobj(a)]
+    assert peak < 3e6, peak

@@ -235,7 +235,7 @@ def test_dimension_above_mask_bits_rejected(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("decoded a catalog")
 
-    monkeypatch.setattr(Catalog, "vectors", refuse)
+    monkeypatch.setattr(Catalog, "codes", refuse)
     for name, m, p in (("N", 4, 3), ("H", 6, 2)):
         with pytest.raises(ValueError, match="support mask"):
             certify_rank(magic_power(name, m), 1, build_catalog(p, m))
@@ -245,8 +245,15 @@ def test_audit_detects_a_block_decoder_mismatch(cat1, monkeypatch):
     t3 = magic_state("T3")
     cert = certify_rank(t3, 2, cat1)
     assert audit(cert, cat1, t3).passed
-    decode = Catalog.vectors
-    monkeypatch.setattr(Catalog, "vectors", lambda self, indices=None: -decode(self, indices))
+    decode, order = Catalog.codes, 3
+    zero = len(cat1.amplitude_table()) - 1
+
+    def turned(self, *args, **kwargs):
+        # every amplitude's phase turned by one step: code k * order + e becomes k * order + (e + 1) % order
+        codes = decode(self, *args, **kwargs)
+        return np.where(codes == zero, codes, codes - codes % order + (codes + 1) % order).astype(np.uint8)
+
+    monkeypatch.setattr(Catalog, "codes", turned)
     report = audit(cert, cat1, t3)
     assert report.failures == ["block-decoder"]
     assert report.samples_tested == 1

@@ -51,11 +51,11 @@ def _svd_score_block(ctx, x_lo, x_hi, suffix, tol):
     witnesses = []
     if not xs.size:
         return pruned, min_res, witnesses
-    proj = SpanProjection(ctx.V[list(suffix)], ctx.t, ctx.tnorm2)
-    res2 = _residual2(proj, ctx.V[xs], ctx.t_ov[xs])
+    proj = SpanProjection(ctx.rows(list(suffix)), ctx.t, ctx.tnorm2)
+    res2 = _residual2(proj, ctx.rows(xs), ctx.t_ov[xs])
     for row in np.flatnonzero(res2 <= CANDIDATE_RES2):
         tup = (int(xs[row]), *suffix)
-        _, res = best_fit(np.column_stack([ctx.V[i] for i in tup]), ctx.t)
+        _, res = best_fit(np.column_stack([ctx.rows(i) for i in tup]), ctx.t)
         if res <= tol:
             witnesses.append(tup)
             res2[row] = math.inf
@@ -89,8 +89,8 @@ def _s1_in_tail_span(ctx, suffix):
     """Whether s1 lies in the span of the rest of the suffix."""
     if len(suffix) < 2:
         return False
-    proj = SpanProjection(ctx.V[list(suffix[1:])], ctx.t, ctx.tnorm2)
-    v = ctx.V[suffix[0]]
+    proj = SpanProjection(ctx.rows(list(suffix[1:])), ctx.t, ctx.tnorm2)
+    v = ctx.rows(suffix[0])
     a = proj.Q_conj.T @ v
     return 1.0 - float(np.vdot(a, a).real) <= DEPENDENT_RES2
 

@@ -12,6 +12,7 @@ test of ``test_certify_oracle``, which needs no projection at all.
 
 import itertools
 import math
+import time
 from dataclasses import replace
 from functools import lru_cache
 from unittest import mock
@@ -374,16 +375,16 @@ def test_prefix_context_scores_as_the_whole_catalog(r, largest):
 
 
 def _decoded_rows(monkeypatch):
-    """The row counts of every ``Catalog.vectors`` call from here on."""
+    """The row counts of every ``Catalog.codes`` call from here on."""
     rows = []
-    decode = Catalog.vectors
+    decode = Catalog.codes
 
-    def spy(self, indices=None, **kwargs):
-        out = decode(self, indices, **kwargs)
+    def spy(self, *args, **kwargs):
+        out = decode(self, *args, **kwargs)
         rows.append(len(out))
         return out
 
-    monkeypatch.setattr(Catalog, "vectors", spy)
+    monkeypatch.setattr(Catalog, "codes", spy)
     return rows
 
 
@@ -445,6 +446,23 @@ def test_progress_once_per_run_on_a_pruned_shard():
     # one call before the walk, then one per largest index s2 (one tail each, its partial blocks included)
     runs = unrank_tuple(shard.hi - 1, 3)[2] - unrank_tuple(shard.lo, 3)[2] + 1
     assert len(seen) == runs + 1
+
+
+def test_wall_time_excludes_the_catalog_hash(monkeypatch):
+    # the clock stops when the walk returns, before the certificate reads the catalog hash
+    target = magic_power("N", 2)
+    catalog = _catalog(3, 2)
+    content_hash = Catalog.content_hash
+
+    def slow(self):
+        time.sleep(0.2)
+        return content_hash(self)
+
+    monkeypatch.setattr(Catalog, "content_hash", slow)
+    cert = certify_rank(target, 2, catalog, shard=ShardSpec(0, 1_000))
+    assert cert.tuples_tested == 1_000
+    assert cert.catalog_hash == content_hash(catalog)
+    assert cert.wall_time < 0.2
 
 
 def test_progress_and_certificate_across_shards_that_split_runs():

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -325,6 +326,20 @@ def test_certify_deterministic_apart_from_walltime(tmp_path):
     pa, pb = read_json(a), read_json(b)
     pa.pop("wall_time"), pb.pop("wall_time")
     assert pa == pb
+
+
+def test_certify_progress_rate_counts_the_walk_only(monkeypatch, capsys):
+    # certify calls back at 0 after building its search context: the rate restarts there
+    now = [0.0]
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: now[0]))
+    progress = cli._progress_printer(6_000_000)
+    now[0] = 100.0  # the search context took 100 s
+    progress(0)
+    now[0] = 101.0
+    progress(1_000_000)  # within 2 s of the walk's start: no line
+    now[0] = 103.0
+    progress(3_000_000)
+    assert capsys.readouterr().err == "  3000000 / 6000000 tuples (50.0%, 1.00M/s)\n"
 
 
 def _t3_shards(tmp_path):

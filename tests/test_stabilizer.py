@@ -158,7 +158,7 @@ def _assert_one_entry_per_projective_state(p, n):
     and no two of them the same state up to global phase."""
     cat = build_catalog(p, n)
     assert len(cat) == Catalog.expected_count(p, n)
-    V = cat.vectors()
+    V = cat.amplitude_table()[cat.codes()]
     first = V[np.arange(len(V)), np.argmax(np.abs(V) > 1e-9, axis=1)]
     rows = np.round(V * (np.abs(first) / first)[:, None], 9) + 0.0  # + 0.0 turns -0.0 into 0.0
     assert len(np.unique(rows.view(np.float64), axis=0)) == len(cat)
