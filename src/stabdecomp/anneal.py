@@ -230,8 +230,9 @@ class _Subset:
 _MOVES = ("uniform", "weyl")
 
 
-def _run_chain(cfg: AnnealConfig, vec_of, neighbours, target_vec, rng, count):
+def _run_chain(cfg: AnnealConfig, neighbours, target_vec, rng):
     r = cfg.rank
+    vec_of, count = cfg.catalog.vector, len(cfg.catalog)
     start = [int(i) for i in rng.choice(count, size=r, replace=False)]
     subset = _Subset(start, np.array([vec_of(i) for i in start]), target_vec)
     energy = subset.energy(0, subset.V[0])
@@ -302,7 +303,6 @@ def anneal_search(cfg: AnnealConfig) -> AnnealResult:
     with the least-squares fitter on the final subset.
     """
     catalog = cfg.catalog
-    count = len(catalog)
     neighbours = _WeylNeighbours(catalog)
     target_vec = cfg.target.complex_vector()
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.chains)
@@ -312,9 +312,7 @@ def anneal_search(cfg: AnnealConfig) -> AnnealResult:
     traces: list[dict] = []
     for c in range(cfg.chains):
         rng = np.random.default_rng(seeds[c])
-        subset, energy, temp_at_best, trace, steps_run, moves = _run_chain(
-            cfg, catalog.vector, neighbours, target_vec, rng, count
-        )
+        subset, energy, temp_at_best, trace, steps_run, moves = _run_chain(cfg, neighbours, target_vec, rng)
         traces.append(
             {
                 "chain": c,

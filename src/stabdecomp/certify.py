@@ -314,12 +314,11 @@ class _SearchContext:
     when reach is None), are held as ``codes``: one uint8 row per entry into
     the catalog's amplitude ``table``, 1/16 of the memory of complex rows.
     :meth:`rows` expands rows only where the kernel reads them: a row tile,
-    a column tile, a tail and a re-scored tuple.  ``masks``, ``cover_max``
-    and ``t_ov`` are built ``_MASK_ROWS`` entries at a time, the masks from
-    the codes that are not the zero code and ``t_ov`` from the chunk's
-    expanded rows.  Every expanded row is bitwise the whole catalog's, so
-    tuples whose indices all lie below count score as they would over the
-    whole catalog, provided count keeps the tile shapes (see ``_TILE_ROWS``).
+    a column tile, a tail and a re-scored tuple, and ``_MASK_ROWS`` at a time
+    to build ``masks`` (from the nonzero amplitudes), ``cover_max`` and
+    ``t_ov``.  Every expanded row is bitwise the whole catalog's, so tuples
+    whose indices all lie below count score as they would over the whole
+    catalog, provided count keeps the tile shapes (see ``_TILE_ROWS``).
     """
 
     def __init__(self, target: TargetState, catalog: Catalog, reach: int | None = None):
@@ -333,12 +332,12 @@ class _SearchContext:
         self.masks = np.empty(self.count, dtype=np.int64)
         sizes = np.empty(self.count, dtype=np.int8)
         self.t_ov = np.empty(self.count, dtype=np.complex128)
-        zero = len(self.table) - 1
         t_conj = self.t.conj()
         for lo in range(0, self.count, _MASK_ROWS):
             chunk = slice(lo, lo + _MASK_ROWS)
-            self.masks[chunk], sizes[chunk] = _support_masks(self.codes[chunk] != zero)
-            self.t_ov[chunk] = (self.rows(chunk) @ t_conj).conj()  # <v_x, t>, with no conjugated copy of the rows
+            rows = self.rows(chunk)
+            self.masks[chunk], sizes[chunk] = _support_masks(rows != 0)
+            self.t_ov[chunk] = (rows @ t_conj).conj()  # <v_x, t>, with no conjugated copy of the rows
         # cover_max[i]: the largest support among states 0..i
         self.cover_max = np.maximum.accumulate(sizes)
         self.target_mask = int(_support_masks(self.t[None] != 0)[0][0])

@@ -23,7 +23,7 @@ import hashlib
 import json
 import math
 from bisect import bisect_right
-from itertools import combinations, islice
+from itertools import combinations
 
 import numpy as np
 
@@ -237,8 +237,10 @@ class _Block:
     """A contiguous catalog range sharing (k, W, x0); forms vary within.
 
     ``points`` is the support x0 + span(W) as basis indices, in the y-lex
-    order of the phase function.  The arrays are read-only: every state that
-    ``Catalog.get`` decodes from the block shares its W and x0.
+    order of the phase function, which is ascending: x's digit at W's j-th
+    pivot row is y_j, and its digits above that row depend only on earlier y.
+    The arrays are read-only: every state that ``Catalog.get`` decodes from
+    the block shares its W and x0.
     """
 
     __slots__ = ("start", "nforms", "k", "W", "x0", "points")
@@ -285,14 +287,11 @@ class _FormTables:
     to their mirror images ``mirror``, and the last k are b.  ``decode`` maps
     the exponents at every y (y-lex order) to the form digits once divided by
     ``scale``; it reads only y = e_i, 2 e_i (qutrits) and e_i + e_j.
-    ``monomials`` maps digits back to the exponents at every y.  ``phases[e]``
-    is the amplitude with phase exponent e < ``order``, as ``complex_vector``
-    computes it, and ``amps[e]`` is ``phases[e % order]`` for every exponent
-    sum the monomials can reach, so the one-index decoder reads it without
-    reducing mod ``order``.
+    ``monomials`` maps digits back to the exponents at every y, which
+    ``Catalog._codes_of`` reduces mod ``order`` into amplitude codes.
     """
 
-    __slots__ = ("nforms", "order", "decode", "scale", "monomials", "place", "radix", "phases", "amps",
+    __slots__ = ("nforms", "order", "decode", "scale", "monomials", "place", "radix",
                  "template", "slots", "cells", "mirror")
 
     def __init__(self, p: int, k: int) -> None:
@@ -349,10 +348,6 @@ class _FormTables:
         self.monomials = np.array(mono, dtype=np.float64).reshape(ndig, len(Y)).T.copy()
         self.place = np.array([math.prod(radix[t + 1 :]) for t in range(ndig)], dtype=np.int64)
         self.radix = np.array(radix, dtype=np.int64)
-        # digits and monomials are non-negative, so no exponent sum exceeds top
-        top = int((self.radix - 1) @ self.monomials.max(axis=0, initial=0))
-        self.phases = np.exp(2j * np.pi * np.arange(order) / order) * p ** (-k / 2)
-        self.amps = self.phases[np.arange(top + 1) % order]
         self.template = _json(payload).replace('"%d"', "%d")
         self.slots = np.array(slots, dtype=np.int64)
         self.cells = np.array([i * k + j for i, j in cells], dtype=np.intp)
@@ -365,11 +360,11 @@ class Catalog:
     There is one entry per projective stabilizer state, ``expected_count(p, n)``
     of them: distinct canonical tuples are distinct states, so the enumeration
     needs no deduplication pass.  Construction lays out the blocks (one per
-    (k, W, x0), with its support points), the coset lookup of ``index_of`` and
-    one ``_FormTables`` per k; entries are decoded on demand from (block, form
-    index), so the 4-qutrit catalog (7,439,040 states) costs no more memory
-    than its ~2500 blocks.  Order: k ascending, then pivot rows, then W free
-    entries, then x0, then phase coefficients, each lexicographic.
+    (k, W, x0), with its support points), the coset lookup of ``index_of``,
+    one ``_FormTables`` per k and the amplitude table; entries are decoded on
+    demand from (block, form index), so the 4-qutrit catalog (7,439,040
+    states) costs no more memory than its ~2500 blocks.  Order: k ascending,
+    then pivot rows, W free entries, x0, phase coefficients, each lexicographic.
     """
 
     def __init__(self, p: int, n: int) -> None:
@@ -378,7 +373,7 @@ class Catalog:
         self._forms = [_FormTables(p, k) for k in range(n + 1)]
         self._blocks: list[_Block] = []
         self._starts: list[int] = []
-        # a block's support x0 + span(W) determines the block
+        # a block's support x0 + span(W), ascending, determines the block
         self._cosets: dict[bytes, _Block] = {}
         weights = p ** np.arange(n - 1, -1, -1, dtype=np.int64)
         total = 0
@@ -392,9 +387,12 @@ class Catalog:
                     blk = _Block(total, tables.nforms, W, x0, ((x0 + span) % p) @ weights)
                     self._blocks.append(blk)
                     self._starts.append(total)
-                    self._cosets[np.sort(blk.points).tobytes()] = blk
+                    self._cosets[blk.points.tobytes()] = blk
                     total += tables.nforms
         self._total = total
+        amps = [np.exp(2j * np.pi * np.arange(t.order) / t.order) * p ** (-k / 2) for k, t in enumerate(self._forms)]
+        self._table = np.concatenate(amps + [np.zeros(1, dtype=np.complex128)])
+        self._table.flags.writeable = False
         self._hash: str | None = None
 
     # -- sizing -----------------------------------------------------------------
@@ -434,7 +432,8 @@ class Catalog:
         """(block, form indices as a column) for the entries start <= i < stop in catalog order,
         at most ``_FORM_CHUNK`` forms at a time, each block's chunks at multiples of it from ``start``."""
         stop = self._total if stop is None else stop
-        for blk in islice(self._blocks, bisect_right(self._starts, start) - 1, None):
+        for b in range(bisect_right(self._starts, start) - 1, len(self._blocks)):
+            blk = self._blocks[b]
             if blk.start >= stop:
                 break
             hi = min(stop - blk.start, blk.nforms)
@@ -446,25 +445,30 @@ class Catalog:
         tables = self._forms[blk.k]
         return forms // tables.place % tables.radix
 
+    def _codes_of(self, blk: _Block, forms) -> np.ndarray:
+        """The code formula of :meth:`codes` and :meth:`vector`: k * order + (phase exponent mod order)
+        at each support point, one row per form for a column of form indices, one 1-D row for an int."""
+        tables = self._forms[blk.k]
+        exps = self._digits(blk, forms).dot(tables.monomials.T).astype(np.intp)
+        return exps % tables.order + blk.k * tables.order
+
     def vector(self, i: int) -> np.ndarray:
         """The complex amplitude vector of entry i: bitwise ``get(i).complex_vector()``.
 
-        The code decoder's formula on one 1-D row of digits, with the
-        amplitude looked up directly, so one index costs a few small calls
-        and no more memory than its vector.
+        Entry i's codes, by the formula :meth:`codes` uses, expanded through
+        :meth:`amplitude_table`: one 1-D row of digits costs a few small calls
+        and no more memory than the vector.
         """
         blk = self._block_of(i)
-        tables = self._forms[blk.k]
-        exps = ((i - blk.start) // tables.place % tables.radix).dot(tables.monomials.T).astype(np.intp)
         out = np.zeros(self.p**self.n, dtype=np.complex128)
-        out[blk.points] = tables.amps[exps]
+        out[blk.points] = self._table[self._codes_of(blk, i - blk.start)]
         return out
 
     def amplitude_table(self) -> np.ndarray:
-        """The amplitude of each code of :meth:`codes`: p^(-k/2) w^e at code
-        k * order + e, for every support dimension k and phase exponent
-        e < order (``_FormTables.phases``), then 0 at the last code."""
-        return np.concatenate([tables.phases for tables in self._forms] + [np.zeros(1, dtype=np.complex128)])
+        """The amplitude of each code of :meth:`codes` and :meth:`vector`, built once and read-only:
+        p^(-k/2) w^e (as ``complex_vector`` computes it) at code k * order + e for each support
+        dimension k and phase exponent e < order, then 0 at the last code."""
+        return self._table
 
     def codes(self, start: int = 0, stop: int | None = None) -> np.ndarray:
         """The entries start <= i < stop (to the catalog's end when stop is
@@ -474,9 +478,9 @@ class Catalog:
         ``get(i).complex_vector()``, in 1/16 of their memory: the table has
         (n + 1) * order + 1 entries, at most 256 for every catalog small enough
         to enumerate.  The decode takes a block at a time: a block's support
-        points are computed once, and the phase exponents of its forms come
-        from one product with the monomials.  Codes are exact integers, so a
-        range is the same bytes however it is split.
+        points are computed once, and the codes of its forms come from one
+        product with the monomials (``_codes_of``, shared with :meth:`vector`).
+        Codes are exact integers, so a range is the same bytes however it is split.
         """
         if stop is None:
             stop = len(self)
@@ -484,12 +488,10 @@ class Catalog:
             raise ValueError(
                 "codes(start=%d, stop=%d) is not a range of the %d catalog entries" % (start, stop, len(self))
             )
-        out = np.full((stop - start, self.p**self.n), (self.n + 1) * self._forms[0].order, dtype=np.uint8)
+        out = np.full((stop - start, self.p**self.n), len(self._table) - 1, dtype=np.uint8)
         row = 0
         for blk, forms in self._block_forms(start, stop):
-            tables = self._forms[blk.k]
-            exps = self._digits(blk, forms).dot(tables.monomials.T).astype(np.intp)
-            out[row : row + forms.size, blk.points] = exps % tables.order + blk.k * tables.order
+            out[row : row + forms.size, blk.points] = self._codes_of(blk, forms)
             row += forms.size
         return out
 

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from stabdecomp.algebra import QuadraticForm
-from stabdecomp.certify import _SearchContext
-from stabdecomp.stabilizer import CanonicalStabilizer, _FormTables, build_catalog, magic_power
+from stabdecomp.certify import _SearchContext, audit, certify_rank
+from stabdecomp.stabilizer import Catalog, CanonicalStabilizer, _FormTables, build_catalog, magic_power
 
 # the ids end in the catalog's artifact label, "raw"
 CASES = [
@@ -86,6 +86,37 @@ def test_vector_is_the_dense_row(p, n):
     V = _dense(cat)
     for i in range(len(cat)):
         assert cat.vector(i).tobytes() == V[i].tobytes()
+
+
+def test_vector_and_the_audit_read_the_one_code_formula(monkeypatch):
+    # the annealer (vector) and certify (codes) expand codes of one formula
+    # through one table, and the audit's block-decoder check sees that formula
+    target = magic_power("T3", 1)
+    cat = build_catalog(3, 1)
+    table = cat.amplitude_table()
+    assert table is cat.amplitude_table()
+    with pytest.raises(ValueError):
+        table[0] = 0
+    cert = certify_rank(target, 2, cat)
+    assert audit(cert, cat, target).passed
+    formula, order = Catalog._codes_of, 3
+
+    def turned(self, blk, forms):
+        # every phase turned by one step: code k * order + e becomes k * order + (e + 1) % order
+        codes = formula(self, blk, forms)
+        return codes - codes % order + (codes + 1) % order
+
+    monkeypatch.setattr(Catalog, "_codes_of", turned)
+    for i in range(len(cat)):
+        assert cat.vector(i).tobytes() != cat.get(i).complex_vector().tobytes()
+    assert audit(cert, cat, target).failures == ["block-decoder"]
+
+
+@pytest.mark.parametrize("p,n", CASES)
+def test_block_points_ascend(p, n):
+    # y-lex order is basis-index order, so index_of finds a block by its support as flatnonzero gives it
+    for blk in _catalog(p, n)._blocks:
+        assert (np.diff(blk.points) > 0).all()
 
 
 @pytest.mark.parametrize("p,n", [(3, 4), (2, 5)])
