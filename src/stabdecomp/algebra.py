@@ -122,12 +122,11 @@ class CycloNumber:
         return cls._make(conductor, _reduce(poly, conductor), 1)
 
     @classmethod
-    def root_of_unity(cls, order: int, power: int = 1, conductor: int | None = None) -> "CycloNumber":
-        """Primitive ``order``-th root of unity raised to ``power``."""
-        if conductor is None:
-            conductor = 24 if 24 % order == 0 else 72
-        if conductor % order != 0:
-            raise ValueError("order %d does not divide conductor %d" % (order, conductor))
+    def root_of_unity(cls, order: int, power: int = 1) -> "CycloNumber":
+        """Primitive ``order``-th root of unity raised to ``power``, in conductor 24 when order divides 24, else 72."""
+        conductor = 24 if 24 % order == 0 else 72
+        if conductor % order:
+            raise ValueError("order %d divides neither 24 nor 72" % order)
         return cls.zeta_pow(conductor, (conductor // order) * power)
 
     # -- structure ----------------------------------------------------------

@@ -7,8 +7,8 @@ member, half the time by a uniform draw from the catalog and half the time by
 a neighbour: the member's projection onto an eigenspace of a random Weyl
 operator, the move used in stabilizer-rank searches (Bravyi, Smith & Smolin,
 PRX 6, 021043 (2016); Bravyi et al., Quantum 3, 181 (2019)).  Chains are
-independent, seeded from one master seed, and the first chain to reach the
-residual tolerance short-circuits the rest.  A successful subset is
+independent, seeded from one master seed, and the first chain to reach
+``WITNESS_TOL`` short-circuits the rest.  A successful subset is
 snapped to exact cyclotomic coefficients when possible; search output is a
 candidate only and is always replayed through the independent verifiers.
 
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import CANDIDATE_RES2, WITNESS_TOL, Decomposition, SpanProjection, best_fit, check_tol, exact_coefficients
+from .decomposition import CANDIDATE_RES2, WITNESS_TOL, Decomposition, SpanProjection, best_fit, exact_coefficients
 from .stabilizer import Catalog, TargetState, _all_points
 
 __all__ = ["AnnealConfig", "AnnealResult", "anneal_search", "check_search"]
@@ -56,12 +56,11 @@ class AnnealConfig:
     chains: int = 32
     t_initial: float | None = None
     cooling: float = 0.995
-    tol: float = WITNESS_TOL
     seed: int = 0
 
     def __post_init__(self):
         p, n = self.catalog.p, self.catalog.n
-        check_search(self.rank, p, n, self.steps, self.chains, self.cooling, self.t_initial, self.tol)
+        check_search(self.rank, p, n, self.steps, self.chains, self.cooling, self.t_initial)
 
 
 # the largest p^n a search lays out its catalog for: (3,5) has 53,968 blocks and
@@ -69,14 +68,12 @@ class AnnealConfig:
 SEARCH_MAX_DIM = 3**5
 
 
-def check_search(rank: int, p: int, n: int, steps: int, chains: int, cooling: float, t_initial, tol: float) -> None:
+def check_search(rank: int, p: int, n: int, steps: int, chains: int, cooling: float, t_initial) -> None:
     """Raise ValueError for a search of rank ``rank`` over the (p, n) catalog
     that the chains cannot run.
 
     Needs no catalog and no target, so callers can refuse before building either.
-    A tol outside the range ``check_tol`` allows is refused as certify refuses
-    it: a chain re-scores exactly only below sqrt(CANDIDATE_RES2).  A
-    ``t_initial`` of None is calibrated from the chain's first moves.
+    A ``t_initial`` of None is calibrated from the chain's first moves.
     """
     if rank < 1:
         raise ValueError("rank must be >= 1")
@@ -88,7 +85,6 @@ def check_search(rank: int, p: int, n: int, steps: int, chains: int, cooling: fl
         raise ValueError("cooling factor must lie in (0, 1)")
     if t_initial is not None and not 0.0 < t_initial < math.inf:  # NaN too
         raise ValueError("initial temperature must be finite and above 0, got %g" % t_initial)
-    check_tol(tol, "tol")
     if rank >= Catalog.expected_count(p, n):  # first: it refuses an n whose p^n has too many digits to print
         raise ValueError("rank must be smaller than the catalog")
     if p**n > SEARCH_MAX_DIM:
@@ -271,7 +267,7 @@ def _run_chain(cfg: AnnealConfig, neighbours, target_vec, rng):
     temp_at_best = temp
     proposed = [0] * len(_MOVES)
     taken = [0] * len(_MOVES)
-    random, cooling, tol = rng.random, cfg.cooling, cfg.tol
+    random, cooling = rng.random, cfg.cooling
     for steps_run in range(1, cfg.steps + 1):
         move, pos, j, vec = propose()
         proposed[move] += 1
@@ -288,7 +284,7 @@ def _run_chain(cfg: AnnealConfig, neighbours, target_vec, rng):
                 best_subset = tuple(subset.indices)
                 temp_at_best = temp
                 trace.append(energy)
-                if best_energy <= tol:
+                if best_energy <= WITNESS_TOL:
                     break
         temp *= cooling
     moves = {kind: {"proposed": proposed[m], "accepted": taken[m]} for m, kind in enumerate(_MOVES)}
@@ -299,7 +295,7 @@ def anneal_search(cfg: AnnealConfig) -> AnnealResult:
     """Run independent annealing chains and report the best subset found.
 
     Deterministic given (config, seed, catalog); stops early once a chain
-    reaches the residual tolerance.  The reported residual is recomputed
+    reaches ``WITNESS_TOL``.  The reported residual is recomputed
     with the least-squares fitter on the final subset.
     """
     catalog = cfg.catalog
@@ -327,14 +323,14 @@ def anneal_search(cfg: AnnealConfig) -> AnnealResult:
         if energy < best_energy:
             best_energy = energy
             best_subset = subset
-        if best_energy <= cfg.tol:
+        if best_energy <= WITNESS_TOL:
             break
 
     subset = tuple(sorted(best_subset))
     states = [catalog.get(i) for i in subset]
     A = np.column_stack([catalog.vector(i) for i in subset])
     _, residual = best_fit(A, target_vec)
-    success = residual <= cfg.tol
+    success = residual <= WITNESS_TOL
 
     decomposition = None
     if success:

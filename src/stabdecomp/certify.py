@@ -27,7 +27,6 @@ of every row tile of s1 that reaches it from one product per tile.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import operator
 import time
@@ -35,9 +34,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .decomposition import CANDIDATE_RES2, DEPENDENT_RES2, WITNESS_TOL, SpanProjection, best_fit, check_tol
+from .decomposition import CANDIDATE_RES2, DEPENDENT_RES2, WITNESS_TOL, SpanProjection, best_fit
 from .decomposition import _NUMBER, _OPTIONAL_INT, _field, _read_json, _typed
-from .stabilizer import CATALOG_LABEL, Catalog, TargetState
+from .stabilizer import CATALOG_LABEL, Catalog, TargetState, _json
 
 __all__ = [
     "ShardSpec",
@@ -134,8 +133,8 @@ def unrank_tuple(rank: int, r: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 # The certificate payload in file order: (payload key, Certificate attribute,
-# JSON type).  "format" and "catalog_mode" are the same in every certificate
-# and have no attribute.
+# JSON type).  "format", "tol" and "catalog_mode" are the same in every
+# certificate and have no attribute.
 _FIELDS = (
     ("format", None, str),
     ("version", "version", int),
@@ -144,7 +143,7 @@ _FIELDS = (
     ("p", "p", int),
     ("n", "n", int),
     ("r", "r", int),
-    ("tol", "tol", _NUMBER),
+    ("tol", None, _NUMBER),
     ("target_hash", "target_hash", str),
     ("catalog_hash", "catalog_hash", str),
     ("catalog_mode", None, str),
@@ -211,7 +210,6 @@ class Certificate:
     p: int
     n: int
     r: int
-    tol: float
     target_hash: str
     catalog_hash: str
     catalog_count: int
@@ -230,7 +228,7 @@ class Certificate:
         return self.full_coverage and not self.witnesses
 
     def to_payload(self) -> dict:
-        fixed = {"format": _FORMAT, "catalog_mode": CATALOG_LABEL}
+        fixed = {"format": _FORMAT, "tol": WITNESS_TOL, "catalog_mode": CATALOG_LABEL}
         payload = {key: fixed[key] if attr is None else getattr(self, attr) for key, attr, _ in _FIELDS}
         payload["shard"] = self.shard.to_payload()
         payload["witnesses"] = [list(w) for w in self.witnesses]
@@ -241,9 +239,9 @@ class Certificate:
         """The certificate of a payload.
 
         A ValueError names a missing or mistyped field, a version other
-        than 1, a rank r outside [1, catalog_count], a tol outside the range
-        certify accepts, a shard that runs past total_tuples, a witness that
-        is not an r-tuple of catalog indices, or an unknown catalog_mode.
+        than 1, a tol other than ``WITNESS_TOL``, a rank r outside
+        [1, catalog_count], a shard that runs past total_tuples, a witness
+        that is not an r-tuple of catalog indices, or an unknown catalog_mode.
         """
         if not isinstance(d, dict) or d.get("format") != _FORMAT:
             raise ValueError("not a certificate payload")
@@ -254,7 +252,9 @@ class Certificate:
         f = {attr: _field("certificate", d, key, kind) for key, attr, kind in _FIELDS if attr is not None}
         if f["version"] != 1:
             raise ValueError("certificate field 'version' = %d is not 1" % f["version"])
-        check_tol(f["tol"], "certificate field 'tol' =")
+        tol = _field("certificate", d, "tol", _NUMBER)
+        if tol != WITNESS_TOL:
+            raise ValueError("certificate field 'tol' = %g is not %g" % (tol, WITNESS_TOL))
         if not 1 <= f["r"] <= f["catalog_count"]:
             raise ValueError(
                 "certificate rank r = %d is not between 1 and catalog_count %d" % (f["r"], f["catalog_count"])
@@ -286,11 +286,7 @@ def target_fingerprint(target: TargetState) -> str:
     Each amplitude is recorded with the target's N power, a zero one with
     power 0, as in every version-1 certificate's target_hash.
     """
-    body = json.dumps(
-        [{"npow": 0 if a.is_zero() else target.npow, "num": a.to_payload()} for a in target.amps],
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    body = _json([{"npow": 0 if a.is_zero() else target.npow, "num": a.to_payload()} for a in target.amps])
     return hashlib.sha256(body.encode()).hexdigest()
 
 
@@ -411,7 +407,7 @@ class _RowTile:
         return np.subtract(self.t2[:, None], res2, out=res2)
 
 
-def _score_run(ctx: _SearchContext, tail: tuple[int, ...], s1s, w_lo: int, w_hi: int, tol: float):
+def _score_run(ctx: _SearchContext, tail: tuple[int, ...], s1s, w_lo: int, w_hi: int):
     """Residuals of the tuples (x, s1, *tail) with s1 in s1s and pair position C(s1, 2) + x in [w_lo, w_hi).
 
     s1s is an ascending array, and each s1 takes the x with
@@ -496,7 +492,7 @@ def _score_run(ctx: _SearchContext, tail: tuple[int, ...], s1s, w_lo: int, w_hi:
                     i, j = divmod(k, m)
                     tup = (c0 + j,) + (() if row.s1 is None else (int(row.s1[i]),)) + tail
                     _, res = best_fit(ctx.rows(list(tup)).T.copy(), ctx.t)  # C order: BLAS rounds by layout
-                    if res <= tol:
+                    if res <= WITNESS_TOL:
                         witnesses.append(tup)
                         res2.flat[k] = math.inf  # exclude from the non-witness minimum
                     else:
@@ -541,7 +537,7 @@ def _ruled_out(ctx: _SearchContext, needed: np.ndarray, xend: np.ndarray) -> np.
     return ruled
 
 
-def _certify_range(ctx, lo, hi, r, tol, progress=None):
+def _certify_range(ctx, lo, hi, r, progress=None):
     """Stream ranks [lo, hi) through the run scorer, one step per tail (more for a long tail).
 
     The tuples (x, s1, *tail) of one tail have the consecutive ranks
@@ -571,7 +567,7 @@ def _certify_range(ctx, lo, hi, r, tol, progress=None):
             s1s = np.arange(s1, _largest_with_binomial_leq(w_hi - 1, 2) + 1)  # the blocks of the window
         else:
             s1s, tail, base, w_lo, w_hi = None, (), 0, done, hi
-        p, m, w = _score_run(ctx, tail, s1s, w_lo, w_hi, tol)
+        p, m, w = _score_run(ctx, tail, s1s, w_lo, w_hi)
         pruned += p
         min_res = min(min_res, m)
         witnesses.extend(w)
@@ -580,7 +576,7 @@ def _certify_range(ctx, lo, hi, r, tol, progress=None):
     return done - lo, pruned, min_res, witnesses
 
 
-def check_request(p: int, n: int, r: int, tol: float) -> None:
+def check_request(p: int, n: int, r: int) -> None:
     """Raise ValueError for a request to certify rank r of an n-qudit target that the kernel cannot run.
 
     Needs no catalog and no target, so callers can refuse before building either.
@@ -588,7 +584,6 @@ def check_request(p: int, n: int, r: int, tol: float) -> None:
     count = Catalog.expected_count(p, n)
     if not 1 <= r <= count:  # above the catalog there is no r-tuple to test
         raise ValueError("r = %d is not between 1 and the %d catalog states" % (r, count))
-    check_tol(tol, "tol")
     if p**n > _MASK_BITS:
         raise ValueError("%d basis states exceed the %d bits of a support mask" % (p**n, _MASK_BITS))
 
@@ -607,14 +602,13 @@ def certify_rank(
     r: int,
     catalog: Catalog,
     shard: ShardSpec | None = None,
-    tol: float = WITNESS_TOL,
     progress=None,
 ) -> Certificate:
     """Exhaustively test every r-tuple in the shard against the target.
 
-    A tuple is a witness when its least-squares residual is at most tol.
-    Only tuples scored below sqrt(CANDIDATE_RES2) are re-scored exactly, so
-    a larger tol is refused.  An interrupted shard is re-run; to keep the
+    A tuple is a witness when its exact least-squares residual, re-scored
+    with ``best_fit`` once the kernel scores it below sqrt(CANDIDATE_RES2),
+    is at most ``WITNESS_TOL``.  An interrupted shard is re-run; to keep the
     cost of that small, split the space into more shards and ``merge`` them.
     ``progress`` gets the count of tuples done: 0 before the walk, then the
     count after each step of the walk.
@@ -629,7 +623,7 @@ def certify_rank(
     ``wall_time`` is the walk's: it excludes the search context and the
     catalog hash.
     """
-    check_request(target.p, target.n, r, tol)
+    check_request(target.p, target.n, r)
     count = len(catalog)
     total = math.comb(count, r)
     if shard is None:
@@ -639,7 +633,7 @@ def certify_rank(
 
     ctx = _SearchContext(target, catalog, _prefix_end(shard.lo, shard.hi, r, count))
     t_start = time.perf_counter()
-    tested, pruned, min_res, witnesses = _certify_range(ctx, shard.lo, shard.hi, r, tol, progress)
+    tested, pruned, min_res, witnesses = _certify_range(ctx, shard.lo, shard.hi, r, progress)
     wall_time = time.perf_counter() - t_start  # the walk alone: the catalog hash below is not part of it
     return Certificate(
         target_name=target.name,
@@ -647,7 +641,6 @@ def certify_rank(
         p=target.p,
         n=target.n,
         r=r,
-        tol=tol,
         target_hash=target_fingerprint(target),
         catalog_hash=catalog.content_hash(),
         catalog_count=count,
@@ -669,7 +662,7 @@ def certify_rank(
 
 # the fields that name one search: shards merge only when they all agree
 _search_key = operator.attrgetter(
-    "target_name", "copies", "r", "tol", "target_hash", "catalog_hash", "catalog_count", "total_tuples", "version"
+    "target_name", "copies", "r", "target_hash", "catalog_hash", "catalog_count", "total_tuples", "version"
 )
 
 
@@ -761,7 +754,7 @@ def audit(
     ):
         failures.append("coverage-arithmetic")
 
-    if not cert.min_nonwitness_residual >= cert.tol * 1e3:  # NaN fails too
+    if not cert.min_nonwitness_residual >= WITNESS_TOL * 1e3:  # NaN fails too
         failures.append("residual-gap")
 
     t = target.complex_vector()
@@ -784,7 +777,7 @@ def audit(
     if not failures:
         for w in cert.witnesses:
             rank = rank_tuple(w) if _is_witness(w, cert.r, cert.catalog_count) else -1
-            if not cert.shard.lo <= rank < cert.shard.hi or rank in witness_ranks or residual_of(w) > cert.tol:
+            if not cert.shard.lo <= rank < cert.shard.hi or rank in witness_ranks or residual_of(w) > WITNESS_TOL:
                 failures.append("witness-replay")
                 break
             witness_ranks.add(rank)
@@ -804,7 +797,7 @@ def audit(
         tested += 1
         if failures:  # the block decoder disagreed
             break
-        if res <= cert.tol:
+        if res <= WITNESS_TOL:
             failures.append("sample-below-tolerance")
             break
         if res < cert.min_nonwitness_residual - 1e-9:

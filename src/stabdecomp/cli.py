@@ -25,6 +25,7 @@ from .gadget import CLASS_NONCLIFFORD, sweep_injection, sweep_two_copy
 from . import known
 from .stabilizer import CATALOG_LABEL, MAGIC_STATES, Catalog, build_catalog, magic_p, magic_power, magic_state
 
+# the largest numeric residual of a decomposition that verify passes
 VERIFY_TOL = 1e-13
 # the largest catalog `catalog` writes: (3,4) has 7,439,040 states, (3,5) 5.4e9
 CATALOG_MAX_STATES = 10**7
@@ -120,17 +121,15 @@ def cmd_verify(args) -> int:
         jobs = [args.fixture]
     elif not args.file:
         raise ValueError("need --fixture, --all-fixtures, or --file")
-    if not args.tol >= 0:  # NaN too
-        raise ValueError("--tol must be at least 0, got %g" % args.tol)
     # read before any fixture runs: an unreadable file is a usage error
     loaded = Decomposition.load(args.file) if args.file else None
     path = _out_path(args, "verify-report.json")
 
-    rows = [_verify_one(name, known.FIXTURES[name](), args.exact, args.tol) for name in jobs]
+    rows = [_verify_one(name, known.FIXTURES[name](), args.exact) for name in jobs]
     if args.file:
-        rows.append(_verify_one(os.path.basename(args.file), loaded, args.exact, args.tol))
+        rows.append(_verify_one(os.path.basename(args.file), loaded, args.exact))
 
-    _write(path, _payload("verify", tol=args.tol, exact=args.exact, results=rows))
+    _write(path, _payload("verify", tol=VERIFY_TOL, exact=args.exact, results=rows))
     for row in rows:
         print(
             "%-14s rank %-2d residual %.2e %s"
@@ -140,14 +139,14 @@ def cmd_verify(args) -> int:
     return 0 if all(row["passed"] for row in rows) else 1
 
 
-def _verify_one(name, dec, exact, tol) -> dict:
+def _verify_one(name, dec, exact) -> dict:
     residual = dec.verify_numeric()
     row = {
         "name": name,
         "target": dec.target.name,
         "rank": dec.rank,
         "residual": residual,
-        "passed": residual <= tol,
+        "passed": residual <= VERIFY_TOL,
     }
     if exact:
         mismatches = dec.verify_exact()
@@ -159,7 +158,7 @@ def _verify_one(name, dec, exact, tol) -> dict:
 def cmd_search(args) -> int:
     p = _check_target(args.target, args.m)
     # before the p^m amplitudes of the target and the catalog are built
-    check_search(args.r, p, args.m, args.steps, args.chains, args.cooling, args.t0, args.tol)
+    check_search(args.r, p, args.m, args.steps, args.chains, args.cooling, args.t0)
     target = magic_power(args.target, args.m)
     catalog = build_catalog(target.p, target.n)
     cfg = AnnealConfig(
@@ -170,7 +169,6 @@ def cmd_search(args) -> int:
         chains=args.chains,
         t_initial=args.t0,
         cooling=args.cooling,
-        tol=args.tol,
         seed=args.seed,
     )
     path = _out_path(args, "search-%s-r%d-seed%d.json" % (target.name, args.r, args.seed))
@@ -188,7 +186,7 @@ def cmd_search(args) -> int:
         chains=args.chains,
         cooling=args.cooling,
         t0=args.t0,  # null when calibrated
-        tol=args.tol,
+        tol=WITNESS_TOL,
         seed=args.seed,
         success=res.success,
         residual=res.residual,
@@ -239,7 +237,7 @@ def _progress_printer(total: int):
 
 def cmd_certify(args) -> int:
     p = _check_target(args.target, args.m)
-    check_request(p, args.m, args.r, args.tol)  # before the p^m amplitudes of the target are built
+    check_request(p, args.m, args.r)  # before the p^m amplitudes of the target are built
     idx, cnt = _parse_shard(args.shard)
     shard = ShardSpec.of(idx, cnt, math.comb(Catalog.expected_count(p, args.m), args.r))
     path = _out_path(args, "cert-%s-r%d-shard%dof%d.json" % (args.target, args.r, idx, cnt))
@@ -250,7 +248,6 @@ def cmd_certify(args) -> int:
         args.r,
         catalog,
         shard=shard,
-        tol=args.tol,
         progress=_progress_printer(shard.hi - shard.lo),
     )
     _write(path, cert.to_payload())
@@ -293,7 +290,7 @@ def cmd_audit(args) -> int:
             "certificate p=%d n=%d does not match its target %s (p=%d n=%d)"
             % (cert.p, cert.n, cert.target_name, p, cert.copies)
         )
-    check_request(p, cert.n, cert.r, cert.tol)  # before the p^n amplitudes of the target are built
+    check_request(p, cert.n, cert.r)  # before the p^n amplitudes of the target are built
     path = _out_path(args, "audit-report.json")
     target = magic_power(cert.target_name, cert.copies)
     catalog = build_catalog(cert.p, cert.n)
@@ -418,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all-fixtures", action="store_true")
     p.add_argument("--file")
     p.add_argument("--exact", action="store_true", help="also run the exact cyclotomic check")
-    p.add_argument("--tol", type=float, default=VERIFY_TOL)
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify)
 
@@ -430,7 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chains", type=int, default=32)
     p.add_argument("--cooling", type=float, default=0.995)
     p.add_argument("--t0", type=float, default=None)
-    p.add_argument("--tol", type=float, default=WITNESS_TOL)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_search)
@@ -440,7 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--shard", default="0/1", help="shard i/N of the tuple space")
-    p.add_argument("--tol", type=float, default=WITNESS_TOL)
     p.add_argument("--out")
     p.set_defaults(func=cmd_certify)
 

@@ -264,26 +264,11 @@ def best_fit(vectors: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, float
 # this squared threshold is re-scored exactly with ``best_fit``.
 CANDIDATE_RES2 = 1e-12
 
-# The default witness tolerance of certify and search: the largest least-squares residual of a witness.
+# The witness tolerance of certify, search and audit: the largest least-squares
+# residual of a witness.  Exact witnesses re-score below 1e-13 and non-witnesses
+# at 0.06 or more, so any threshold in between decides the same; it stays below
+# sqrt(CANDIDATE_RES2), so the exact re-score, not the projection, decides.
 WITNESS_TOL = 1e-10
-
-# The smallest witness tolerance certify and search accept.  Exact witnesses
-# score up to a few 1e-16 in floating point, so a tol below that would rule out
-# a rank that has a witness.
-WITNESS_TOL_FLOOR = 1e-12
-
-
-def check_tol(tol: float, label: str) -> None:
-    """Raise ValueError unless WITNESS_TOL_FLOOR <= tol <= sqrt(CANDIDATE_RES2); NaN fails too.
-
-    Above sqrt(CANDIDATE_RES2) a candidate skips the exact re-score, so its
-    floating-point residual, not its exact one, would decide a witness.
-    """
-    if not WITNESS_TOL_FLOOR <= tol <= math.sqrt(CANDIDATE_RES2):
-        raise ValueError(
-            "%s %g is not between the witness floor %g and the exact re-score threshold %g"
-            % (label, tol, WITNESS_TOL_FLOOR, math.sqrt(CANDIDATE_RES2))
-        )
 
 
 # A state whose squared distance from the span of the others is below this

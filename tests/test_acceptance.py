@@ -56,10 +56,10 @@ def cat2():
 def desk_certs(cat1, cat2):
     """The four small full-coverage certificates behind the desk-scale ranks."""
     return {
-        "T3-r2": certify_rank(magic_power("T3", 1), 2, cat1, tol=WITNESS_TOL),
-        "S2-r1": certify_rank(magic_power("S", 2), 1, cat2, tol=WITNESS_TOL),
-        "H32-r2": certify_rank(magic_power("H3", 2), 2, cat2, tol=WITNESS_TOL),
-        "N2-r2": certify_rank(magic_power("N", 2), 2, cat2, tol=WITNESS_TOL),
+        "T3-r2": certify_rank(magic_power("T3", 1), 2, cat1),
+        "S2-r1": certify_rank(magic_power("S", 2), 1, cat2),
+        "H32-r2": certify_rank(magic_power("H3", 2), 2, cat2),
+        "N2-r2": certify_rank(magic_power("N", 2), 2, cat2),
     }
 
 
@@ -259,7 +259,7 @@ def test_merge_and_coverage_arithmetic_on_full_certificate(cat1):
     target = magic_power("T3", 1)
     total = math.comb(len(cat1), 2)
     parts = [
-        certify_rank(target, 2, cat1, shard=ShardSpec.of(i, 3, total), tol=WITNESS_TOL)
+        certify_rank(target, 2, cat1, shard=ShardSpec.of(i, 3, total))
         for i in range(3)
     ]
     merged = merge_certificates(parts)
@@ -267,7 +267,7 @@ def test_merge_and_coverage_arithmetic_on_full_certificate(cat1):
     assert merged.tuples_pruned == sum(p.tuples_pruned for p in parts)
     assert merged.full_coverage
     assert merged.rules_out()
-    whole = certify_rank(target, 2, cat1, tol=WITNESS_TOL)
+    whole = certify_rank(target, 2, cat1)
     assert merged.witnesses == whole.witnesses
     assert merged.min_nonwitness_residual == pytest.approx(
         whole.min_nonwitness_residual, abs=1e-12
@@ -281,7 +281,7 @@ def test_qutrit_triple_shard_certificates(name):
     total = math.comb(len(catalog), 3)
     shard = ShardSpec.of(0, 40_000, total)
     assert shard.hi - shard.lo >= 10**8
-    cert = certify_rank(target, 3, catalog, shard=shard, tol=WITNESS_TOL)
+    cert = certify_rank(target, 3, catalog, shard=shard)
     assert cert.tuples_tested == shard.hi - shard.lo
     assert cert.witnesses == []
     report = audit(cert, catalog, target, samples=200, seed=0)
@@ -299,7 +299,7 @@ def test_qutrit_triple_unpruned_range_certificate():
     shard = ShardSpec(lo, lo + 10**6)
     largest = unrank_tuple(shard.lo, 3)[2]
     assert largest >= 10_557 and catalog.get(largest).k == 3
-    cert = certify_rank(target, 3, catalog, shard=shard, tol=WITNESS_TOL)
+    cert = certify_rank(target, 3, catalog, shard=shard)
     assert cert.tuples_tested == 10**6
     assert cert.tuples_pruned == 0
     assert cert.witnesses == []
@@ -314,7 +314,7 @@ def test_qubit_quadruple_shard_certificate():
     total = math.comb(len(catalog), 3)
     shard = ShardSpec.of(0, 80_000, total)
     assert shard.hi - shard.lo >= 10**8
-    cert = certify_rank(target, 3, catalog, shard=shard, tol=WITNESS_TOL)
+    cert = certify_rank(target, 3, catalog, shard=shard)
     assert cert.tuples_tested == shard.hi - shard.lo
     assert cert.witnesses == []
     report = audit(cert, catalog, target, samples=200, seed=0)

@@ -68,6 +68,14 @@ def test_constant_identities_exact():
     assert sqrt3() * xi() + omega() * omega() == CycloNumber.one()
 
 
+def test_root_of_unity():
+    assert CycloNumber.root_of_unity(9, 1) == omega9()
+    assert CycloNumber.root_of_unity(3, 2) == omega() ** 2
+    assert CycloNumber.root_of_unity(3, 1).conductor == 24
+    with pytest.raises(ValueError, match="order 5 divides neither 24 nor 72"):
+        CycloNumber.root_of_unity(5, 1)
+
+
 def test_zeta_pow_negative_and_wraparound():
     z = CycloNumber.zeta_pow
     for e in range(-30, 60):

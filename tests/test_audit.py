@@ -15,7 +15,7 @@ from stabdecomp.certify import (
     target_fingerprint,
     unrank_tuple,
 )
-from stabdecomp.decomposition import best_fit
+from stabdecomp.decomposition import WITNESS_TOL, best_fit
 from stabdecomp.stabilizer import Catalog, _all_points, build_catalog, magic_power
 
 
@@ -38,7 +38,7 @@ def reference_audit(cert, catalog, target, samples=1000, seed=0):
         or cert.full_coverage != (cert.shard.lo == 0 and cert.shard.hi == total)
     ):
         failures.append("coverage-arithmetic")
-    if not cert.min_nonwitness_residual >= cert.tol * 1e3:
+    if not cert.min_nonwitness_residual >= WITNESS_TOL * 1e3:
         failures.append("residual-gap")
 
     t = target.complex_vector()
@@ -54,7 +54,7 @@ def reference_audit(cert, catalog, target, samples=1000, seed=0):
 
     if not failures:
         for w in cert.witnesses:
-            if residual_of(w) > cert.tol:
+            if residual_of(w) > WITNESS_TOL:
                 failures.append("witness-replay")
                 break
     witness_ranks = {rank_tuple(w) for w in cert.witnesses}
@@ -73,7 +73,7 @@ def reference_audit(cert, catalog, target, samples=1000, seed=0):
         tested += 1
         if failures:
             break
-        if res <= cert.tol:
+        if res <= WITNESS_TOL:
             failures.append("sample-below-tolerance")
             break
         if res < cert.min_nonwitness_residual - 1e-9:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from stabdecomp import certify
 from stabdecomp.certify import (
     AuditReport,
     Certificate,
@@ -16,7 +17,7 @@ from stabdecomp.certify import (
     target_fingerprint,
     unrank_tuple,
 )
-from stabdecomp.decomposition import best_fit
+from stabdecomp.decomposition import CANDIDATE_RES2, WITNESS_TOL, best_fit
 from stabdecomp.stabilizer import (
     Catalog,
     TargetState,
@@ -222,12 +223,28 @@ def test_rank_deficient_suffix_in_larger_space():
     _assert_matches_direct_lstsq(cert, catalog, target)
 
 
-def test_tol_above_rescore_threshold_rejected(cat1):
-    # a residual in (1e-6, tol] would skip the exact re-score and be
-    # recorded as a non-witness: 18 pairs sit at or below 0.282 here
-    with pytest.raises(ValueError, match="re-score threshold"):
-        certify_rank(magic_power("T3", 1), 2, cat1, tol=0.282)
-    assert certify_rank(magic_power("T3", 1), 2, cat1, tol=1e-6).rules_out()
+@pytest.mark.parametrize("name, witnesses", [("S", 5640), ("N", 48), ("H", 846), ("T", 1243)])
+def test_one_witness_tolerance_sits_in_a_wide_gap(monkeypatch, name, witnesses):
+    # every tuple certify re-scores exactly is an exact witness near rounding
+    # error, and every other tuple scores far above, so no threshold between
+    # them changes a certificate: WITNESS_TOL is the only one
+    assert WITNESS_TOL <= math.sqrt(CANDIDATE_RES2)
+    rescored = []
+
+    def recording(A, t):
+        sol, res = best_fit(A, t)
+        rescored.append(res)
+        return sol, res
+
+    monkeypatch.setattr(certify, "best_fit", recording)
+    target = magic_power(name, 2)
+    cert = certify_rank(target, 3, build_catalog(target.p, target.n))
+    assert len(cert.witnesses) == witnesses
+    # a witness is a re-scored tuple and no tuple is re-scored twice, so equal
+    # counts make every re-scored tuple a listed witness
+    assert len(rescored) == witnesses
+    assert max(rescored) <= 1e-13
+    assert cert.min_nonwitness_residual >= 0.06
 
 
 def test_dimension_above_mask_bits_rejected(monkeypatch):
@@ -290,8 +307,8 @@ def test_merge_rejects_bad_unions(cat1):
         merge_certificates([parts[0], parts[0]])
     with pytest.raises(ValueError):
         merge_certificates([parts[0], parts[2]])
-    other = certify_rank(t3, 2, cat1, shard=ShardSpec.of(1, 3, 66), tol=1e-9)
-    with pytest.raises(ValueError):
+    other = certify_rank(magic_state("H3"), 2, cat1, shard=ShardSpec.of(1, 3, 66))
+    with pytest.raises(ValueError, match="different searches"):
         merge_certificates([parts[0], other])
 
 

@@ -35,7 +35,7 @@ def _residual2(proj, Vx, t_ov):
     return np.maximum(proj.t_perp2 - (overlap.real**2 + overlap.imag**2) / denom, 0.0)
 
 
-def _svd_score_block(ctx, x_lo, x_hi, suffix, tol):
+def _svd_score_block(ctx, x_lo, x_hi, suffix):
     """(pruned, min residual, witnesses) of the tuples (x, *suffix), x_lo <= x < x_hi."""
     needed = ctx.target_mask
     for s in suffix:
@@ -56,7 +56,7 @@ def _svd_score_block(ctx, x_lo, x_hi, suffix, tol):
     for row in np.flatnonzero(res2 <= CANDIDATE_RES2):
         tup = (int(xs[row]), *suffix)
         _, res = best_fit(np.column_stack([ctx.rows(i) for i in tup]), ctx.t)
-        if res <= tol:
+        if res <= TOL:
             witnesses.append(tup)
             res2[row] = math.inf
         else:
@@ -77,12 +77,12 @@ def _blocks(ctx, lo, hi, r):
         done += x_hi - x_lo
 
 
-def _score_block(ctx, x_lo, x_hi, suffix, tol):
+def _score_block(ctx, x_lo, x_hi, suffix):
     """``_score_run`` on the tuples (x, *suffix), x_lo <= x < x_hi, addressed by their pair positions C(s1, 2) + x."""
     if not suffix:
-        return _score_run(ctx, (), None, x_lo, x_hi, tol)
+        return _score_run(ctx, (), None, x_lo, x_hi)
     pairs = math.comb(suffix[0], 2)
-    return _score_run(ctx, suffix[1:], np.array(suffix[:1]), pairs + x_lo, pairs + x_hi, tol)
+    return _score_run(ctx, suffix[1:], np.array(suffix[:1]), pairs + x_lo, pairs + x_hi)
 
 
 def _s1_in_tail_span(ctx, suffix):
@@ -100,8 +100,8 @@ def _assert_blocks_agree(name, m, blocks):
     ctx = _context(name, m)
     pruned = witnesses = dependent = 0
     for x_lo, x_hi, suffix in blocks:
-        want = _svd_score_block(ctx, x_lo, x_hi, suffix, TOL)
-        got = _score_block(ctx, x_lo, x_hi, suffix, TOL)
+        want = _svd_score_block(ctx, x_lo, x_hi, suffix)
+        got = _score_block(ctx, x_lo, x_hi, suffix)
         where = (name, m, x_lo, x_hi, suffix)
         assert got[0] == want[0], where
         assert got[2] == want[2], where

@@ -39,8 +39,6 @@ from stabdecomp.decomposition import SpanProjection
 from stabdecomp.stabilizer import Catalog, build_catalog, magic_power
 from test_certify_oracle import _blocks, _svd_score_block
 
-TOL = 1e-10
-
 
 @lru_cache(maxsize=None)
 def _catalog(p, n):
@@ -53,26 +51,26 @@ def _context(name, m):
     return _SearchContext(target, _catalog(target.p, target.n))
 
 
-def _score_block(ctx, x_lo, x_hi, suffix, tol):
+def _score_block(ctx, x_lo, x_hi, suffix):
     """``_score_run`` on the tuples (x, *suffix), x_lo <= x < x_hi, addressed by their pair positions C(s1, 2) + x."""
     if not suffix:
-        return _score_run(ctx, (), None, x_lo, x_hi, tol)
+        return _score_run(ctx, (), None, x_lo, x_hi)
     pairs = math.comb(suffix[0], 2)
-    return _score_run(ctx, suffix[1:], np.array(suffix[:1]), pairs + x_lo, pairs + x_hi, tol)
+    return _score_run(ctx, suffix[1:], np.array(suffix[:1]), pairs + x_lo, pairs + x_hi)
 
 
 def _rule_nothing(ctx, needed, xend):
     return np.zeros(len(xend), dtype=bool)
 
 
-def _per_block(ctx, lo, hi, r, tol):
+def _per_block(ctx, lo, hi, r):
     """Ranks [lo, hi) one colex block at a time, each through ``_score_run`` with the screen off."""
     pruned = 0
     min_res = math.inf
     witnesses = []
     with mock.patch("stabdecomp.certify._ruled_out", _rule_nothing):
         for x_lo, x_hi, suffix in _blocks(ctx, lo, hi, r):
-            p, m, w = _score_block(ctx, x_lo, x_hi, suffix, tol)
+            p, m, w = _score_block(ctx, x_lo, x_hi, suffix)
             pruned += p
             min_res = min(min_res, m)
             witnesses.extend(w)
@@ -81,8 +79,8 @@ def _per_block(ctx, lo, hi, r, tol):
 
 def _assert_same(name, m, r, lo, hi):
     ctx = _context(name, m)
-    got = _certify_range(ctx, lo, hi, r, TOL)
-    want = _per_block(ctx, lo, hi, r, TOL)
+    got = _certify_range(ctx, lo, hi, r)
+    want = _per_block(ctx, lo, hi, r)
     assert got[:2] == want[:2]
     assert got[2] == want[2]  # the same floats, not merely close ones
     assert got[3] == want[3]
@@ -193,9 +191,9 @@ def test_low_support_prefixes():
     # test_certify_oracle returns from its support test, before any projection
     for name, m in (("S", 3), ("H", 4)):
         ctx = _context(name, m)
-        got = _certify_range(ctx, 3, 5_000_003, 3, TOL)
+        got = _certify_range(ctx, 3, 5_000_003, 3)
         blocks = list(_blocks(ctx, 3, 5_000_003, 3))
-        scores = [_svd_score_block(ctx, *block, TOL) for block in blocks]
+        scores = [_svd_score_block(ctx, *block) for block in blocks]
         want = (
             sum(x_hi - x_lo for x_lo, x_hi, _ in blocks),
             sum(p for p, _, _ in scores),
@@ -234,8 +232,8 @@ def test_partial_edge_blocks_ruled_out(monkeypatch, name, m, first, last):
     with monkeypatch.context() as patched:
         patched.setattr("stabdecomp.certify._ruled_out", recording)
         patched.setattr("stabdecomp.certify.SpanProjection", no_projection)
-        got = _certify_range(ctx, lo, hi, 3, TOL)
-    want = _per_block(ctx, lo, hi, 3, TOL)
+        got = _certify_range(ctx, lo, hi, 3)
+    want = _per_block(ctx, lo, hi, 3)
     assert got[:2] == want[:2] and got[2] == want[2] and got[3] == want[3]
     tested, pruned, min_res, witnesses = got
     assert tested == pruned == hi - lo
@@ -289,7 +287,7 @@ def test_each_column_tile_projected_once_per_run(monkeypatch):
     ctx = _context("S", 3)
     lo, hi = rank_tuple((0, 20_000, 24_001)), rank_tuple((0, 20_600, 24_001))
     monkeypatch.setattr(SpanProjection, "outside", recording)
-    tested, pruned, _, _ = _certify_range(ctx, lo, hi, 3, TOL)
+    tested, pruned, _, _ = _certify_range(ctx, lo, hi, 3)
     assert tested == hi - lo == 12_179_700 and pruned == 0
     assert len(calls) == math.ceil(20_599 / _TILE_COLS) == 161
     assert calls == [_TILE_COLS] * 161
@@ -365,8 +363,8 @@ def test_prefix_context_scores_as_the_whole_catalog(r, largest):
     assert end == {127: 128, 128: 256, 129: 256, 359: count}[largest]
     prefix = _SearchContext(target, catalog, end)
     assert prefix.count == end
-    got = _certify_range(prefix, lo, hi, r, TOL)
-    want = _certify_range(_context("N", 2), lo, hi, r, TOL)
+    got = _certify_range(prefix, lo, hi, r)
+    want = _certify_range(_context("N", 2), lo, hi, r)
     assert got[:2] == want[:2]
     assert got[2] == want[2]  # the same floats, not merely close ones
     assert got[3] == want[3]

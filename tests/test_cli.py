@@ -1,11 +1,14 @@
 """End-to-end tests for the command-line interface."""
 
+import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -478,7 +481,6 @@ def test_unreadable_certificate_usage_error(tmp_path, capsys):
 
 
 _T3_PAIR = "must be 2 increasing indices below catalog_count 12"
-_TOL_RANGE = "is not between the witness floor 1e-12 and the exact re-score threshold 1e-06"
 
 
 @pytest.mark.parametrize(
@@ -505,11 +507,12 @@ _TOL_RANGE = "is not between the witness floor 1e-12 and the exact re-score thre
         # a rank above the catalog has no tuple to test, so "ruled out" would be vacuous
         ("r", 13, "certificate rank r = 13 is not between 1 and catalog_count 12"),
         ("r", 0, "certificate rank r = 0 is not between 1 and catalog_count 12"),
-        # below the floor an exact witness scores above tol; above the range a candidate skips the re-score
-        ("tol", 0, "certificate field 'tol' = 0 " + _TOL_RANGE),
-        ("tol", -1e-10, "certificate field 'tol' = -1e-10 " + _TOL_RANGE),
-        ("tol", 1e-17, "certificate field 'tol' = 1e-17 " + _TOL_RANGE),
-        ("tol", 0.3, "certificate field 'tol' = 0.3 " + _TOL_RANGE),
+        # every witness is decided at WITNESS_TOL: a certificate that records another tol is refused
+        ("tol", 1e-9, "certificate field 'tol' = 1e-09 is not 1e-10"),
+        ("tol", 0, "certificate field 'tol' = 0 is not 1e-10"),
+        ("tol", -1e-10, "certificate field 'tol' = -1e-10 is not 1e-10"),
+        ("tol", 1e-17, "certificate field 'tol' = 1e-17 is not 1e-10"),
+        ("tol", 0.3, "certificate field 'tol' = 0.3 is not 1e-10"),
         # NaN passes every comparison the audit makes
         ("min_nonwitness_residual", math.nan, "certificate field 'min_nonwitness_residual' must be a number, not NaN"),
         ("wall_time", math.nan, "certificate field 'wall_time' must be a number, not NaN"),
@@ -545,9 +548,23 @@ def test_bench_certify_pruned_commands(tmp_path):
     assert out["samples_tested"] == 1000
 
 
-def test_certify_tol_above_rescore_threshold_usage_error(tmp_path):
-    out = tmp_path / "c.json"
-    assert main(["certify", "--target", "T3", "--m", "1", "--r", "2", "--tol", "0.3", "--out", str(out)]) == 2
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["certify", "--target", "T3", "--m", "1", "--r", "2"],
+        ["search", "--target", "N", "--m", "2", "--r", "2"],
+        ["verify", "--all-fixtures"],
+    ],
+    ids=["certify", "search", "verify"],
+)
+def test_tol_is_not_an_option(tmp_path, capsys, args):
+    # every witness is decided at WITNESS_TOL, and verify checks at VERIFY_TOL
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main([*args, "--tol", "1e-9", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol 1e-9" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -563,8 +580,7 @@ def test_certify_refuses_before_building_the_catalog(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "build_catalog", no_catalog)
     out = tmp_path / "c.json"
-    for extra in (["--target", "N", "--m", "4", "--r", "1"], ["--target", "S", "--m", "3", "--r", "2", "--tol", "0.3"]):
-        assert main(["certify", *extra, "--out", str(out)]) == 2
+    assert main(["certify", "--target", "N", "--m", "4", "--r", "1", "--out", str(out)]) == 2
     assert not out.exists()
 
 
@@ -599,26 +615,6 @@ def test_certify_rank_above_the_catalog_usage_error(tmp_path, capsys, monkeypatc
     assert captured.err == "r = 13 is not between 1 and the 12 catalog states\n"
     assert "ruled out" not in captured.out
     assert not out.exists()
-
-
-@pytest.mark.parametrize("tol", ["0", "-1", "1e-17", "nan"])
-def test_certify_tol_below_witness_floor_usage_error(tmp_path, capsys, tol):
-    # S^2 has rank 2 (strange_m2), and its exact witnesses score about 1.5e-16:
-    # a tol below that would rule the rank out over the full tuple space
-    out = tmp_path / "c.json"
-    capsys.readouterr()
-    assert main(["certify", "--target", "S", "--m", "2", "--r", "2", "--tol", tol, "--out", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert captured.err == "tol %s %s\n" % (tol, _TOL_RANGE)
-    assert "ruled out" not in captured.out
-    assert not out.exists()
-
-
-def test_certify_at_the_witness_floor_finds_the_witnesses(tmp_path):
-    out = tmp_path / "c.json"
-    assert main(["certify", "--target", "S", "--m", "2", "--r", "2", "--tol", "1e-12", "--out", str(out)]) == 0
-    assert read_json(out)["witnesses"]
-    assert main(["audit", "--cert", str(out), "--out", str(tmp_path / "a.json")]) == 0
 
 
 def _no_catalog(monkeypatch):
@@ -793,18 +789,6 @@ def test_search_zero_chains_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("tol", ["0", "0.9", "nan"])
-def test_search_refuses_a_tol_the_exact_rescore_cannot_support(tmp_path, capsys, monkeypatch, tol):
-    # the message and range of certify: a chain re-scores exactly only below 1e-6
-    _no_catalog(monkeypatch)
-    out = tmp_path / "search.json"
-    capsys.readouterr()
-    assert main(["search", "--target", "N", "--m", "2", "--r", "2", "--tol", tol, "--out", str(out)]) == 2
-    want = "tol %g is not between the witness floor 1e-12 and the exact re-score threshold 1e-06\n" % float(tol)
-    assert capsys.readouterr().err == want
-    assert not out.exists()
-
-
 @pytest.mark.parametrize(
     "extra,message",
     [
@@ -848,16 +832,6 @@ def test_search_records_t0(tmp_path):
         args = ["search", "--target", "H3", "--m", "2", "--r", "2", "--chains", "1", "--steps", "50", *extra]
         main([*args, "--out", str(out)])
         assert read_json(out)["t0"] == want
-
-
-@pytest.mark.parametrize("tol", ["nan", "-1"])
-def test_verify_refuses_a_nan_or_negative_tol(tmp_path, capsys, monkeypatch, tol):
-    _fixtures_must_not_run(monkeypatch)
-    out = tmp_path / "r.json"
-    capsys.readouterr()
-    assert main(["verify", "--all-fixtures", "--exact", "--tol", tol, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "--tol must be at least 0, got %g\n" % float(tol)
-    assert not out.exists()
 
 
 def test_search_cli_summary_reports_steps(tmp_path, capsys):
@@ -1009,3 +983,20 @@ def test_non_qutrit_state_usage_error(tmp_path, capsys, argv, message):
     assert main(argv + ["--out", str(out)]) == 2
     assert capsys.readouterr().err == message + "\n"
     assert not out.exists()
+
+
+def test_readme_names_every_option_and_only_those():
+    # a renamed or deleted option must leave the README's CLI section with it
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = re.search(r"^## Command-line interface$(.*?)(?=^## |\Z)", text, re.M | re.S)
+    assert section, "README.md has no '## Command-line interface' section"
+    documented = set(re.findall(r"--[a-z][a-z0-9-]*", section.group(1)))
+    (commands,) = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    defined = {
+        option
+        for parser in commands.choices.values()
+        for action in parser._actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--help"
+    }
+    assert documented == defined
