@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from stabdecomp.anneal import AnnealConfig, _Subset, _WeylNeighbours, anneal_search
+from stabdecomp import anneal
+from stabdecomp.anneal import AnnealConfig, _Draws, _Subset, _WeylNeighbours, anneal_search
 from stabdecomp.clifford import weyl_matrix
 from stabdecomp.decomposition import CANDIDATE_RES2, best_fit
 from stabdecomp.stabilizer import Catalog, build_catalog, magic_power
@@ -236,6 +237,62 @@ def test_temperature_at_best_is_the_temperature_of_the_last_improvement(cat2):
     for steps, trace in ((k, chain["trace"][:-1]), (k + 1, chain["trace"])):
         cut = AnnealConfig(target=target, rank=2, catalog=cat2, seed=1, chains=1, t_initial=t0, cooling=cooling, steps=steps)
         assert anneal_search(cut).chain_traces[0]["trace"] == trace
+
+
+# -- the raw-word draws: numpy's own integers(high) and random(), bit for bit
+
+# 1 draws nothing; up to 2**32 a 32-bit draw over half-words, 2**32 itself
+# the bare half-word; above it a 64-bit draw, as for the (3,5) catalog's count
+DRAW_HIGHS = (1, 2, 3, 7, 30_240, 7_439_040, 2**31 + 5, 2**32, 5_445_377_280)
+
+
+@pytest.mark.parametrize("count,r,buffered", [(30_240, 4, 1), (5_445_377_280, 3, 0)])
+def test_raw_word_draws_equal_the_generator(count, r, buffered):
+    # from a chain's start draw on, which may leave a half-word buffered
+    want, got = np.random.default_rng(0), np.random.default_rng(0)
+    for rng in (want, got):
+        rng.choice(count, size=r, replace=False)
+    assert got.bit_generator.state["has_uint32"] == buffered
+    draws = _Draws(got)
+    for i, k in enumerate(np.random.default_rng(r).integers(len(DRAW_HIGHS) + 1, size=60_000).tolist()):
+        if k == len(DRAW_HIGHS):
+            what, a, b = "random()", want.random(), draws.random()
+        else:
+            what, a, b = "integers(%d)" % DRAW_HIGHS[k], int(want.integers(DRAW_HIGHS[k])), draws.integers(DRAW_HIGHS[k])
+        assert a == b, "draw %d, %s: %r from numpy %s's Generator, %r from the raw words" % (i, what, a, np.__version__, b)
+
+
+class _GeneratorDraws:
+    """The numpy Generator's own scalar draws, as Python numbers."""
+
+    def __init__(self, rng):
+        self._rng = rng
+
+    def integers(self, high):
+        return int(self._rng.integers(high))
+
+    def random(self):
+        return self._rng.random()
+
+
+@pytest.mark.parametrize(
+    "name,m,r,seed,steps", [("N", 3, 4, 18, 2_000), ("H", 4, 3, 0, 2_000), ("N", 5, 3, 0, 300)], ids=["N3-r4", "H4-r3", "N5-r3"]
+)
+def test_chain_is_the_same_with_the_generator_draws(monkeypatch, name, m, r, seed, steps):
+    target = magic_power(name, m)
+    cat = build_catalog(target.p, target.n)
+    cfg = AnnealConfig(target=target, rank=r, catalog=cat, seed=seed, chains=1, steps=steps)
+    neighbours = _WeylNeighbours(cat)
+
+    def chain():
+        return anneal._run_chain(cfg, neighbours, target.complex_vector(), np.random.default_rng(seed))
+
+    raw = chain()
+    monkeypatch.setattr(anneal, "_Draws", _GeneratorDraws)
+    assert chain() == raw  # subset, residual, temperature, trace, steps and move counts
+    assert all(kind["accepted"] > 0 for kind in raw[5].values())
+    if len(cat) > 2**32:  # (3,5): a uniform move takes the 64-bit draw
+        assert raw[5]["uniform"]["proposed"] > 0
 
 
 # sha256 of json.dumps({subset, residual, chain_traces, decomposition payload},

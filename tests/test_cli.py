@@ -850,6 +850,43 @@ def test_search_cli_summary_reports_steps(tmp_path, capsys):
     assert all(set(t) == keys for t in payload["chain_traces"])
 
 
+def _cli_env(tmp_path):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return dict(os.environ, PYTHONPATH=src, STABDECOMP_OUTDIR=str(tmp_path))
+
+
+def test_search_leaves_numpy_ma_unloaded(tmp_path):
+    # np.median imports numpy.ma, about 1.3 MB and 12 ms of every search
+    argv = ["search", "--target", "N", "--m", "3", "--r", "4", "--chains", "1", "--steps", "1"]
+    code = "import sys; from stabdecomp import cli; cli.main(%r); print('numpy.ma' in sys.modules)" % argv
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_cli_env(tmp_path), timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["search", "--target", "S", "--m", "2", "--r", "2"], ["verify", "--all-fixtures"]],
+    ids=["search", "verify"],
+)
+def test_closed_stdout_exits_one_without_a_traceback(tmp_path, argv):
+    # `stabdecomp ... | true`, with stdout buffered and unbuffered; both
+    # commands exit 0 on an open stdout
+    for unbuffered in (False, True):
+        env = _cli_env(tmp_path)
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "stabdecomp.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        )
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert err == b""
+
+
 def test_sweep_twocopy_strange_cli(tmp_path):
     out = tmp_path / "sweep.json"
     assert main(["sweep", "twocopy", "--state", "S", "--out", str(out)]) == 0
