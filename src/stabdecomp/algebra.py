@@ -446,10 +446,6 @@ class QuadraticForm:
                     out[(i, j)] = cij
         return out
 
-    def eval(self, y) -> int:
-        y = np.asarray(y, dtype=np.int64)
-        return int((y @ self.A @ y + self.b @ y) % self.phase_order)
-
     def eval_batch(self, Y: np.ndarray) -> np.ndarray:
         """Exponents for a batch of points, Y of shape (M, k)."""
         Y = np.asarray(Y, dtype=np.int64)

@@ -57,13 +57,15 @@ class AnnealConfig:
     catalog: Catalog
     steps: int = 20_000
     chains: int = 32
-    t_initial: float | None = None
-    cooling: float = 0.995
     seed: int = 0
 
     def __post_init__(self):
-        p, n = self.catalog.p, self.catalog.n
-        check_search(self.rank, p, n, self.steps, self.chains, self.cooling, self.t_initial)
+        check_search(self.rank, self.catalog.p, self.catalog.n, self.steps, self.chains)
+
+
+# every chain calibrates its start temperature from its first moves, then
+# multiplies it by this factor after each step
+_COOLING = 0.995
 
 
 # the largest p^n a search lays out its catalog for: (3,5) has 53,968 blocks and
@@ -71,12 +73,11 @@ class AnnealConfig:
 SEARCH_MAX_DIM = 3**5
 
 
-def check_search(rank: int, p: int, n: int, steps: int, chains: int, cooling: float, t_initial) -> None:
+def check_search(rank: int, p: int, n: int, steps: int, chains: int) -> None:
     """Raise ValueError for a search of rank ``rank`` over the (p, n) catalog
     that the chains cannot run.
 
     Needs no catalog and no target, so callers can refuse before building either.
-    A ``t_initial`` of None is calibrated from the chain's first moves.
     """
     if rank < 1:
         raise ValueError("rank must be >= 1")
@@ -84,10 +85,6 @@ def check_search(rank: int, p: int, n: int, steps: int, chains: int, cooling: fl
         raise ValueError("steps must be >= 1")
     if chains < 1:
         raise ValueError("chains must be >= 1")
-    if not 0.0 < cooling < 1.0:
-        raise ValueError("cooling factor must lie in (0, 1)")
-    if t_initial is not None and not 0.0 < t_initial < math.inf:  # NaN too
-        raise ValueError("initial temperature must be finite and above 0, got %g" % t_initial)
     if rank >= Catalog.expected_count(p, n):  # first: it refuses an n whose p^n has too many digits to print
         raise ValueError("rank must be smaller than the catalog")
     if p**n > SEARCH_MAX_DIM:
@@ -327,28 +324,25 @@ def _run_chain(cfg: AnnealConfig, neighbours, target_vec, rng):
             if j not in members:
                 return 0, pos, j, vec_of(j)
 
-    if cfg.t_initial is not None:
-        temp = cfg.t_initial
-    else:
-        # calibrate so the median uphill move is accepted with probability 1/2
-        uphill = []
-        for _ in range(100):
-            _, pos, _, vec = propose()
-            delta = energy_of(pos, vec) - energy
-            if delta > 0:
-                uphill.append(delta)
-        temp = 0.1
-        if uphill:
-            # np.median's value; np.median imports numpy.ma, and statistics is
-            # one more module for every command that imports this one
-            uphill.sort()
-            mid = len(uphill) // 2
-            temp = (uphill[mid] if len(uphill) % 2 else (uphill[mid - 1] + uphill[mid]) / 2) / math.log(2)
+    # calibrate so the median uphill move is accepted with probability 1/2
+    uphill = []
+    for _ in range(100):
+        _, pos, _, vec = propose()
+        delta = energy_of(pos, vec) - energy
+        if delta > 0:
+            uphill.append(delta)
+    temp = 0.1
+    if uphill:
+        # np.median's value; np.median imports numpy.ma, and statistics is
+        # one more module for every command that imports this one
+        uphill.sort()
+        mid = len(uphill) // 2
+        temp = (uphill[mid] if len(uphill) % 2 else (uphill[mid - 1] + uphill[mid]) / 2) / math.log(2)
 
     temp_at_best = temp
     proposed = [0] * len(_MOVES)
     taken = [0] * len(_MOVES)
-    random, cooling = draws.random, cfg.cooling
+    random = draws.random
     for steps_run in range(1, cfg.steps + 1):
         move, pos, j, vec = propose()
         proposed[move] += 1
@@ -367,7 +361,7 @@ def _run_chain(cfg: AnnealConfig, neighbours, target_vec, rng):
                 trace.append(energy)
                 if best_energy <= WITNESS_TOL:
                     break
-        temp *= cooling
+        temp *= _COOLING
     moves = {kind: {"proposed": proposed[m], "accepted": taken[m]} for m, kind in enumerate(_MOVES)}
     return best_subset, best_energy, temp_at_best, trace, steps_run, moves
 

@@ -16,14 +16,14 @@ import os
 import sys
 import time
 
-from .anneal import AnnealConfig, anneal_search, check_search
+from .anneal import _COOLING, AnnealConfig, anneal_search, check_search
 from .asymptotics import exp_subsequence, find_ratio_witness, moulton_bound
 from .certify import Certificate, ShardSpec, audit, certify_rank, check_request, merge_certificates
 from .clifford import generate_clifford_group, orbit_closure
 from .decomposition import WITNESS_TOL, Decomposition, exponent_from_bound
 from .gadget import CLASS_NONCLIFFORD, sweep_injection, sweep_two_copy
 from . import known
-from .stabilizer import CATALOG_LABEL, MAGIC_STATES, Catalog, build_catalog, magic_p, magic_power, magic_state
+from .stabilizer import CATALOG_LABEL, MAGIC_STATES, Catalog, _check_copies, build_catalog, magic_p, magic_power, magic_state
 
 # the largest numeric residual of a decomposition that verify passes
 VERIFY_TOL = 1e-13
@@ -70,6 +70,7 @@ def _check_target(name: str, m: int, m_from: str = "--m") -> int:
     p = magic_p(name)
     if m < 1:
         raise ValueError("%s must be at least 1 copy, got %d" % (m_from, m))
+    _check_copies(name, m)
     return p
 
 
@@ -158,19 +159,10 @@ def _verify_one(name, dec, exact) -> dict:
 def cmd_search(args) -> int:
     p = _check_target(args.target, args.m)
     # before the p^m amplitudes of the target and the catalog are built
-    check_search(args.r, p, args.m, args.steps, args.chains, args.cooling, args.t0)
+    check_search(args.r, p, args.m, args.steps, args.chains)
     target = magic_power(args.target, args.m)
     catalog = build_catalog(target.p, target.n)
-    cfg = AnnealConfig(
-        target=target,
-        rank=args.r,
-        catalog=catalog,
-        steps=args.steps,
-        chains=args.chains,
-        t_initial=args.t0,
-        cooling=args.cooling,
-        seed=args.seed,
-    )
+    cfg = AnnealConfig(target=target, rank=args.r, catalog=catalog, steps=args.steps, chains=args.chains, seed=args.seed)
     path = _out_path(args, "search-%s-r%d-seed%d.json" % (target.name, args.r, args.seed))
     t0 = time.perf_counter()
     res = anneal_search(cfg)
@@ -184,8 +176,7 @@ def cmd_search(args) -> int:
         catalog_mode=CATALOG_LABEL,
         steps=args.steps,
         chains=args.chains,
-        cooling=args.cooling,
-        t0=args.t0,  # null when calibrated
+        cooling=_COOLING,
         tol=WITNESS_TOL,
         seed=args.seed,
         success=res.success,
@@ -424,8 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--steps", type=int, default=20_000)
     p.add_argument("--chains", type=int, default=32)
-    p.add_argument("--cooling", type=float, default=0.995)
-    p.add_argument("--t0", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_search)

@@ -137,19 +137,27 @@ class SweepResult:
         self.total = total
 
     def _header(self) -> dict:
-        return {"magic": self.magic, "kind": self.kind, "total": self.total, "counts": self.counts}
+        return {
+            "format": "stabdecomp-sweep",
+            "version": 1,
+            "magic": self.magic,
+            "kind": self.kind,
+            "total": self.total,
+            "counts": self.counts,
+        }
 
     def json_chunks(self, **extra):
         """The sweep artifact as ``json.dumps(payload, indent=1) + "\\n"`` writes
         it, straight from the columns, ``_HIT_CHUNK`` hits per chunk.
 
-        The payload holds magic, kind, total and counts, then "hits", then
-        ``extra``.  "hits" holds one object per hit row: magic, then the
-        columns in the order above, complex entries as [re, im] pairs.  An
-        injection hit writes its corrections as {branch: index or null} over
-        the branches other than k_star; a two-copy hit writes ``nonclifford``
-        as its classification.  Each hit fills one template with the json text
-        of its values; each distinct value of a chunk is formatted once.
+        The payload holds format, version, magic, kind, total and counts,
+        then "hits", then ``extra``.  "hits" holds one object per hit row:
+        magic, then the columns in the order above, complex entries as
+        [re, im] pairs.  An injection hit writes its corrections as
+        {branch: index or null} over the branches other than k_star; a
+        two-copy hit writes ``nonclifford`` as its classification.  Each hit
+        fills one template with the json text of its values; each distinct
+        value of a chunk is formatted once.
         """
         head, tail = json.dumps({**self._header(), "hits": [], **extra}, indent=1).split('"hits": []')
         n = len(self.columns["clifford"])

@@ -576,7 +576,7 @@ class Catalog:
             "count": len(self),
             "sha256": self.content_hash(),
         }
-        yield json.dumps(header, sort_keys=True) + "\n"
+        yield json.dumps(header) + "\n"
         for text in self._text_chunks():
             yield text.decode("ascii")
 
@@ -639,13 +639,19 @@ class TargetState:
         return "TargetState(%s, p=%d, n=%d)" % (self.name, self.p, self.n)
 
 
+def _check_copies(name: str, m: int) -> None:
+    """Refuse an m that is not a whole number of the named state's ``MAGIC_STATES`` block
+    of copies: odd powers of the qubit T state are refused, not approximated."""
+    if m % MAGIC_STATES[name][1]:
+        raise ValueError("qubit T tensor powers are exact only for even m")
+
+
 def magic_power(name: str, m: int) -> TargetState:
     """The m-fold tensor power of a named magic state, exact amplitudes: a power of the state's
-    ``MAGIC_STATES`` block of copies, so odd powers of the qubit T state are refused, not approximated."""
+    ``MAGIC_STATES`` block of copies (see ``_check_copies``)."""
     p = magic_p(name)
+    _check_copies(name, m)
     _, copies, npow, block = MAGIC_STATES[name]
-    if m % copies:
-        raise ValueError("qubit T tensor powers are exact only for even m")
     amps = [CycloNumber.one()]
     for _ in range(m // copies):
         amps = [a * b for a in amps for b in block]

@@ -220,7 +220,7 @@ def test_quadratic_form_monomials_round_trip():
     q = QuadraticForm.from_monomials(3, 2, quad={(0, 0): 1, (0, 1): 1, (1, 1): 1})
     for y0 in range(3):
         for y1 in range(3):
-            assert q.eval([y0, y1]) == (y0 * y0 + y0 * y1 + y1 * y1) % 3
+            assert q.eval_batch(np.array([[y0, y1]]))[0] == (y0 * y0 + y0 * y1 + y1 * y1) % 3
     assert q.monomial_coeffs() == {(0, 0): 1, (0, 1): 1, (1, 1): 1}
 
 
@@ -230,11 +230,12 @@ def test_quadratic_form_batch_matches_scalar():
         k = int(rng.integers(0, 4))
         A = rng.integers(0, 3, size=(k, k))
         A = (A + A.T) % 3
-        q = QuadraticForm(3, k, A, rng.integers(0, 3, size=k))
+        b = rng.integers(0, 3, size=k)
+        q = QuadraticForm(3, k, A, b)
         Y = all_points(3, k)
         batch = q.eval_batch(Y)
-        for idx in range(len(Y)):
-            assert batch[idx] == q.eval(Y[idx])
+        for y, exponent in zip(Y, batch):
+            assert exponent == q.eval_batch(np.array([y]))[0] == (y @ A @ y + b @ y) % 3
         q2 = QuadraticForm.from_payload(3, k, q.to_payload())
         assert q2.to_payload() == q.to_payload()
 
@@ -265,7 +266,7 @@ def test_z4_phase():
         batch = ph.eval_batch(Y)
         for idx in range(len(Y)):
             y = Y[idx]
-            assert batch[idx] == ph.eval(y) == z4_oracle(a, B, y)
+            assert batch[idx] == ph.eval_batch(np.array([y]))[0] == z4_oracle(a, B, y)
         payload = ph.to_payload()
         assert list(payload) == ["a", "B", "c"]
         assert payload == {"a": a.tolist(), "B": B.tolist(), "c": 0}

@@ -24,13 +24,7 @@ def test_config_validation(cat2):
     with pytest.raises(ValueError):
         AnnealConfig(target=t, rank=2, catalog=cat2, steps=0)
     with pytest.raises(ValueError):
-        AnnealConfig(target=t, rank=2, catalog=cat2, cooling=1.0)
-    with pytest.raises(ValueError):
         AnnealConfig(target=t, rank=len(cat2), catalog=cat2)
-    for t0 in (float("nan"), -1.0, 0.0, float("inf")):
-        with pytest.raises(ValueError, match="initial temperature must be finite and above 0"):
-            AnnealConfig(target=t, rank=2, catalog=cat2, t_initial=t0)
-    assert AnnealConfig(target=t, rank=2, catalog=cat2, t_initial=0.5).t_initial == 0.5
 
 
 def test_rediscovers_strange_m2(cat2):
@@ -226,17 +220,19 @@ def test_large_catalog_chain_is_deterministic():
 
 
 def test_temperature_at_best_is_the_temperature_of_the_last_improvement(cat2):
-    t0, cooling = 0.5, 0.99
-    target = magic_power("H3", 2)
-    cfg = AnnealConfig(target=target, rank=2, catalog=cat2, seed=1, chains=1, t_initial=t0, cooling=cooling)
-    (chain,) = anneal_search(cfg).chain_traces
-    assert len(chain["trace"]) > 1
-    # the temperature after k cooling steps: the last improvement was made at step k
-    k = round(np.log(chain["temperature_at_best"] / t0) / np.log(cooling))
-    assert k > 0 and chain["temperature_at_best"] == pytest.approx(t0 * cooling**k, rel=1e-9)
-    for steps, trace in ((k, chain["trace"][:-1]), (k + 1, chain["trace"])):
-        cut = AnnealConfig(target=target, rank=2, catalog=cat2, seed=1, chains=1, t_initial=t0, cooling=cooling, steps=steps)
-        assert anneal_search(cut).chain_traces[0]["trace"] == trace
+    def chain(steps):
+        cfg = AnnealConfig(target=magic_power("H3", 2), rank=2, catalog=cat2, seed=1, chains=1, steps=steps)
+        return anneal_search(cfg).chain_traces[0]
+
+    # the chain calibrates before step 1, so a 1-step run is at its start temperature throughout
+    t0, cooling = chain(1)["temperature_at_best"], anneal._COOLING
+    full = chain(20_000)
+    assert len(full["trace"]) > 1
+    # the temperature after k cooling steps: the last improvement was made at step k + 1
+    k = round(np.log(full["temperature_at_best"] / t0) / np.log(cooling))
+    assert k > 0 and full["temperature_at_best"] == pytest.approx(t0 * cooling**k, rel=1e-9)
+    assert chain(k)["trace"] == full["trace"][:-1]
+    assert chain(k + 1)["trace"] == full["trace"]
 
 
 # -- the raw-word draws: numpy's own integers(high) and random(), bit for bit

@@ -548,23 +548,29 @@ def test_bench_certify_pruned_commands(tmp_path):
     assert out["samples_tested"] == 1000
 
 
+SEARCH_N2 = ["search", "--target", "N", "--m", "2", "--r", "2"]
+
+
 @pytest.mark.parametrize(
-    "args",
+    "args,option",
     [
-        ["certify", "--target", "T3", "--m", "1", "--r", "2"],
-        ["search", "--target", "N", "--m", "2", "--r", "2"],
-        ["verify", "--all-fixtures"],
+        (["certify", "--target", "T3", "--m", "1", "--r", "2"], ["--tol", "1e-9"]),
+        (SEARCH_N2, ["--tol", "1e-9"]),
+        (["verify", "--all-fixtures"], ["--tol", "1e-9"]),
+        (SEARCH_N2, ["--t0", "0.5"]),
+        (SEARCH_N2, ["--cooling", "0.9"]),
     ],
-    ids=["certify", "search", "verify"],
+    ids=["certify", "search", "verify", "search-t0", "search-cooling"],
 )
-def test_tol_is_not_an_option(tmp_path, capsys, args):
-    # every witness is decided at WITNESS_TOL, and verify checks at VERIFY_TOL
+def test_tol_is_not_an_option(tmp_path, capsys, args, option):
+    # every witness is decided at WITNESS_TOL, and verify checks at VERIFY_TOL;
+    # every chain calibrates its start temperature and cools at one factor
     out = tmp_path / "out.json"
     capsys.readouterr()
     with pytest.raises(SystemExit) as exc:
-        main([*args, "--tol", "1e-9", "--out", str(out)])
+        main([*args, *option, "--out", str(out)])
     assert exc.value.code == 2
-    assert "unrecognized arguments: --tol 1e-9" in capsys.readouterr().err
+    assert "unrecognized arguments: %s %s" % tuple(option) in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -645,6 +651,22 @@ def test_audit_names_the_certificate_field_of_zero_copies(tmp_path, capsys, monk
     assert main(["audit", "--cert", str(out), "--out", str(tmp_path / "a.json")]) == 2
     assert capsys.readouterr().err == "certificate field 'copies' must be at least 1 copy, got 0\n"
     assert not (tmp_path / "a.json").exists()
+
+
+@pytest.mark.parametrize("command", ["certify", "audit"])
+def test_odd_qubit_t_copies_refused_before_the_out_directory(tmp_path, capsys, command):
+    # the T state is built from its two-copy block, so 3 copies has no exact target
+    if command == "certify":
+        argv = ["certify", "--target", "T", "--m", "3", "--r", "2"]
+    else:
+        cert = tmp_path / "cert.json"
+        assert main(["certify", "--target", "T", "--m", "2", "--r", "2", "--out", str(cert)]) == 0
+        cert.write_text(json.dumps(dict(read_json(cert), copies=3, n=3)))
+        argv = ["audit", "--cert", str(cert)]
+    capsys.readouterr()
+    assert main([*argv, "--out", str(tmp_path / "new" / "out.json")]) == 2
+    assert capsys.readouterr().err == "qubit T tensor powers are exact only for even m\n"
+    assert not (tmp_path / "new").exists()
 
 
 def test_full_coverage_certificate_with_a_forged_minimum_or_pruned_count(tmp_path, capsys):
@@ -794,12 +816,8 @@ def test_search_zero_chains_usage_error(tmp_path, capsys):
     [
         (["--r", "0"], "rank must be >= 1"),
         (["--r", "2", "--steps", "0"], "steps must be >= 1"),
-        (["--r", "2", "--cooling", "1"], "cooling factor must lie in (0, 1)"),
+        (["--r", "2", "--chains", "0"], "chains must be >= 1"),
         (["--r", "7439040"], "rank must be smaller than the catalog"),
-        *[
-            (["--r", "2", "--t0", t0], "initial temperature must be finite and above 0, got " + t0)
-            for t0 in ("nan", "-1", "0", "inf")
-        ],
     ],
 )
 def test_search_refuses_before_it_builds_the_catalog(tmp_path, capsys, monkeypatch, extra, message):
@@ -823,15 +841,6 @@ def test_search_refuses_a_catalog_it_cannot_lay_out(tmp_path, capsys, monkeypatc
     assert main(["search", "--target", target, "--m", m, "--r", "2", "--out", str(out)]) == 2
     assert capsys.readouterr().err == "%d basis states exceed the 243 of the largest search catalog\n" % dim
     assert not out.exists()
-
-
-def test_search_records_t0(tmp_path):
-    # null when the chains calibrate their temperature, so an artifact repeats its run
-    for extra, want in (([], None), (["--t0", "0.5"], 0.5)):
-        out = tmp_path / "search.json"
-        args = ["search", "--target", "H3", "--m", "2", "--r", "2", "--chains", "1", "--steps", "50", *extra]
-        main([*args, "--out", str(out)])
-        assert read_json(out)["t0"] == want
 
 
 def test_search_cli_summary_reports_steps(tmp_path, capsys):
@@ -956,6 +965,35 @@ def test_outdir_env_default(tmp_path, monkeypatch):
     monkeypatch.setenv("STABDECOMP_OUTDIR", str(tmp_path))
     assert main(["exponent", "--r", "2", "--m", "2", "--p", "3"]) == 0
     assert (tmp_path / "exponent-r2m2p3.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["catalog", "--p", "3", "--n", "1"],
+        ["verify", "--fixture", "strange_m2"],
+        ["search", "--target", "S", "--m", "2", "--r", "2", "--chains", "1", "--steps", "10"],
+        ["certify", "--target", "T3", "--m", "1", "--r", "2"],
+        ["merge", "{cert}"],
+        ["audit", "--cert", "{cert}", "--samples", "10"],
+        ["sweep", "injection", "--state", "S"],
+        ["orbit", "--state", "S"],
+        ["bound", "--m", "3"],
+        ["exponent", "--r", "2", "--m", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_every_artifact_opens_with_its_format_and_version(tmp_path, argv):
+    # a reader tells an artifact's type and schema from its first two keys;
+    # the catalog's are on its header line
+    kind = {"certify": "certificate", "merge": "certificate"}.get(argv[0], argv[0])
+    cert = tmp_path / "cert.json"
+    assert main(["certify", "--target", "T3", "--m", "1", "--r", "2", "--out", str(cert)]) == 0
+    out = tmp_path / "out.json"
+    assert main([a.format(cert=cert) for a in argv] + ["--out", str(out)]) in (0, 1)
+    with open(out) as fh:
+        header = json.loads(fh.readline() if kind == "catalog" else fh.read())
+    assert list(header.items())[:2] == [("format", "stabdecomp-" + kind), ("version", 1)]
 
 
 def test_unknown_target_usage_error(tmp_path):

@@ -475,7 +475,7 @@ def test_sweep_injection_branch_that_never_occurs(monkeypatch):
 # ---------------------------------------------------------------------------
 
 # sha256 of the `sweep injection --state T3` artifact without its wall_time line
-T3_INJECTION_SHA256 = "24379653eb87d5aa247b0de8d2443f761103337760821c00113ad87e1fc2aa09"
+T3_INJECTION_SHA256 = "422ea87e421e10a3fc8fa88db37e692d80153ab2fe38f225157b1ea4096a2a7c"
 
 
 def hit_objects(res) -> list[dict]:
@@ -513,8 +513,8 @@ def hit_objects(res) -> list[dict]:
 
 def sweep_json(res) -> dict:
     """The artifact payload, one object per hit: the reference for ``json_chunks``."""
-    header = {"magic": res.magic, "kind": res.kind, "total": res.total, "counts": res.counts}
-    return {**header, "hits": hit_objects(res)}
+    header = {"format": "stabdecomp-sweep", "version": 1, "magic": res.magic, "kind": res.kind}
+    return {**header, "total": res.total, "counts": res.counts, "hits": hit_objects(res)}
 
 
 def _assert_writes_reference(res, **extra):
@@ -612,13 +612,13 @@ def test_json_texts_are_the_json_module():
 
 # sha256 of each `sweep KIND --state NAME` artifact without its wall_time line
 SWEEP_SHA256 = {
-    ("twocopy", "S"): "a4bb02c42e4efabdf4ce4a2fd062890a5165d6c420c5746e44803571a181e60b",
-    ("twocopy", "N"): "03083f3e63c28a36453dd6392ff5e7b4c99d131ee641e28d498702d40443a850",
-    ("twocopy", "H3"): "84c276ffff1f0d979ca4b1af4ace67b6657b737846a217aa84b77057cd20c784",
-    ("twocopy", "T3"): "2dd9065cf361b67b1a025a6c63b48830f4fe70333b0d44b743d8f720d9c66176",
-    ("injection", "S"): "ce1f3785130e5eb30eaf991e7226a6d8c85086bfa6991ff8c8cde1274b99904d",
-    ("injection", "N"): "7f0f78b8a8df72e860ef48e937c7217fb1d17e350f721d3d854dac469aaed661",
-    ("injection", "H3"): "6f5a0f90ebbd7784472a44ebf68fa57aa1782bea4b4a0e24ae9e117b1fc11758",
+    ("twocopy", "S"): "4f4308302d434e5a424a38eb59a860843f919245a06ab76a8a73b6b9d50d144a",
+    ("twocopy", "N"): "adbb2b2d9875e810ecacc09a567e6c0959ba72e4ab0a46dea8dac1dc1ba83325",
+    ("twocopy", "H3"): "4ee355f2857f8dbb628a0b315051054530f6a5cf189414663259c9a220ea3a39",
+    ("twocopy", "T3"): "d564f4df0059d950d911f6d1e363a8f9d146649d5680e6dd63075563a40b6156",
+    ("injection", "S"): "9077ca315787c90e0f11eb85fca269f1c4ed6103a0ff689d0b3d0e17605f7353",
+    ("injection", "N"): "2d9b47c91e33ef2b1813db8d06f5fda65e0e34dd6f534826f44b904a68e3a161",
+    ("injection", "H3"): "33e0ec4b1acc0fa175c505d36b143473c3d6760f127d31eb42cc1e399062b4d6",
     ("injection", "T3"): T3_INJECTION_SHA256,
 }
 
