@@ -35,8 +35,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .decomposition import CANDIDATE_RES2, DEPENDENT_RES2, WITNESS_TOL, SpanProjection, best_fit
-from .decomposition import _NUMBER, _OPTIONAL_INT, _field, _read_json, _typed
-from .stabilizer import CATALOG_LABEL, Catalog, TargetState, _json
+from .decomposition import _NUMBER, _OPTIONAL_INT, _check_header, _field, _read_json, _typed
+from .stabilizer import CATALOG_LABEL, Catalog, TargetState, _json, _payload, check_target
 
 __all__ = [
     "ShardSpec",
@@ -157,7 +157,6 @@ _FIELDS = (
     ("full_coverage", "full_coverage", bool),
     ("wall_time", "wall_time", _NUMBER),
 )
-_FORMAT = "stabdecomp-certificate"
 
 
 def _is_witness(w: tuple[int, ...], r: int, catalog_count: int) -> bool:
@@ -228,7 +227,7 @@ class Certificate:
         return self.full_coverage and not self.witnesses
 
     def to_payload(self) -> dict:
-        fixed = {"format": _FORMAT, "tol": WITNESS_TOL, "catalog_mode": CATALOG_LABEL}
+        fixed = _payload("certificate", tol=WITNESS_TOL, catalog_mode=CATALOG_LABEL)
         payload = {key: fixed[key] if attr is None else getattr(self, attr) for key, attr, _ in _FIELDS}
         payload["shard"] = self.shard.to_payload()
         payload["witnesses"] = [list(w) for w in self.witnesses]
@@ -236,22 +235,24 @@ class Certificate:
 
     @classmethod
     def from_payload(cls, d: dict) -> "Certificate":
-        """The certificate of a payload.
+        """The certificate of a payload: the one place a certificate's consistency is checked.
 
-        A ValueError names a missing or mistyped field, a version other
-        than 1, a tol other than ``WITNESS_TOL``, a rank r outside
-        [1, catalog_count], a shard that runs past total_tuples, a witness
-        that is not an r-tuple of catalog indices, or an unknown catalog_mode.
+        A ValueError names a payload that is not an object, a missing or
+        mistyped field, a format other than ``stabdecomp-certificate``, a
+        version other than 1, an unknown catalog_mode, a tol other than
+        ``WITNESS_TOL``, a rank r outside [1, catalog_count], a witness that
+        is not an r-tuple of catalog indices, a shard that runs past
+        total_tuples, a target that ``check_target`` refuses (an unknown
+        name, or copies below 1 or not a whole number of the state's block),
+        a p or n other than the target's, or a request that ``check_request``
+        refuses.  None of these checks builds the target or the catalog.
         """
-        if not isinstance(d, dict) or d.get("format") != _FORMAT:
-            raise ValueError("not a certificate payload")
+        _check_header("certificate", d)
         # "dedupe" is the legacy label of the same catalog: catalog_hash proves it
         mode = _field("certificate", d, "catalog_mode", str)
         if mode not in (CATALOG_LABEL, "dedupe"):
             raise ValueError("unknown catalog_mode %r" % (mode,))
         f = {attr: _field("certificate", d, key, kind) for key, attr, kind in _FIELDS if attr is not None}
-        if f["version"] != 1:
-            raise ValueError("certificate field 'version' = %d is not 1" % f["version"])
         tol = _field("certificate", d, "tol", _NUMBER)
         if tol != WITNESS_TOL:
             raise ValueError("certificate field 'tol' = %g is not %g" % (tol, WITNESS_TOL))
@@ -272,6 +273,13 @@ class Certificate:
         shard, total = ShardSpec.from_payload(f["shard"]), f["total_tuples"]
         if shard.hi > total:
             raise ValueError("certificate field 'shard.hi' = %d is above total_tuples %d" % (shard.hi, total))
+        name, copies = f["target_name"], f["copies"]
+        p = check_target(name, copies, "certificate field 'copies'")
+        if (f["p"], f["n"]) != (p, copies):
+            raise ValueError(
+                "certificate p=%d n=%d does not match its target %s (p=%d n=%d)" % (f["p"], f["n"], name, p, copies)
+            )
+        check_request(p, copies, f["r"])
         return cls(**dict(f, shard=shard, witnesses=witnesses))
 
     @classmethod

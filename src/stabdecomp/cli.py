@@ -23,7 +23,7 @@ from .clifford import generate_clifford_group, orbit_closure
 from .decomposition import WITNESS_TOL, Decomposition, exponent_from_bound
 from .gadget import CLASS_NONCLIFFORD, sweep_injection, sweep_two_copy
 from . import known
-from .stabilizer import CATALOG_LABEL, MAGIC_STATES, Catalog, _check_copies, build_catalog, magic_p, magic_power, magic_state
+from .stabilizer import CATALOG_LABEL, MAGIC_STATES, Catalog, _payload, build_catalog, check_target, magic_p, magic_power, magic_state
 
 # the largest numeric residual of a decomposition that verify passes
 VERIFY_TOL = 1e-13
@@ -31,11 +31,6 @@ VERIFY_TOL = 1e-13
 CATALOG_MAX_STATES = 10**7
 # the most digits `bound --state` writes: m+1 coordinates of m digits, about 7 MB at m = 999
 SUBSEQUENCE_MAX_DIGITS = 10**6
-
-
-def _payload(kind: str, **fields) -> dict:
-    """The payload of a ``stabdecomp-<kind>`` artifact: its format and version, then fields."""
-    return {"format": "stabdecomp-" + kind, "version": 1, **fields}
 
 
 def _out_path(args, default_name: str) -> str:
@@ -63,15 +58,6 @@ def _write(path: str, body) -> None:
             fh.writelines(body)
     except OSError as exc:
         raise ValueError("cannot write %s: %s" % (path, exc.strerror or exc)) from None
-
-
-def _check_target(name: str, m: int, m_from: str = "--m") -> int:
-    """Check a magic-state name and a copy count m, named m_from in a refusal, without building the m copies; return p."""
-    p = magic_p(name)
-    if m < 1:
-        raise ValueError("%s must be at least 1 copy, got %d" % (m_from, m))
-    _check_copies(name, m)
-    return p
 
 
 def _check_qutrit(state: str, what: str) -> None:
@@ -157,7 +143,7 @@ def _verify_one(name, dec, exact) -> dict:
 
 
 def cmd_search(args) -> int:
-    p = _check_target(args.target, args.m)
+    p = check_target(args.target, args.m, "--m")
     # before the p^m amplitudes of the target and the catalog are built
     check_search(args.r, p, args.m, args.steps, args.chains)
     target = magic_power(args.target, args.m)
@@ -227,7 +213,7 @@ def _progress_printer(total: int):
 
 
 def cmd_certify(args) -> int:
-    p = _check_target(args.target, args.m)
+    p = check_target(args.target, args.m, "--m")
     check_request(p, args.m, args.r)  # before the p^m amplitudes of the target are built
     idx, cnt = _parse_shard(args.shard)
     shard = ShardSpec.of(idx, cnt, math.comb(Catalog.expected_count(p, args.m), args.r))
@@ -274,14 +260,7 @@ def cmd_merge(args) -> int:
 def cmd_audit(args) -> int:
     if args.samples < 0:
         raise ValueError("--samples must be at least 0, got %d" % args.samples)
-    cert = Certificate.load(args.cert)
-    p = _check_target(cert.target_name, cert.copies, "certificate field 'copies'")
-    if (cert.p, cert.n) != (p, cert.copies):
-        raise ValueError(
-            "certificate p=%d n=%d does not match its target %s (p=%d n=%d)"
-            % (cert.p, cert.n, cert.target_name, p, cert.copies)
-        )
-    check_request(p, cert.n, cert.r)  # before the p^n amplitudes of the target are built
+    cert = Certificate.load(args.cert)  # refuses a target or request it cannot run before any is built
     path = _out_path(args, "audit-report.json")
     target = magic_power(cert.target_name, cert.copies)
     catalog = build_catalog(cert.p, cert.n)

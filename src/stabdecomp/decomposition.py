@@ -20,7 +20,8 @@ from .algebra import CycloNumber, cyclo_solve
 from .stabilizer import (
     CanonicalStabilizer,
     TargetState,
-    magic_p,
+    _payload,
+    check_target,
     magic_power,
     n_scaled_complex,
     n_squared_factor,
@@ -77,7 +78,16 @@ def _field(what: str, d: dict, key: str, kind, label: str | None = None):
     return _typed(what, label, d[key], kind)
 
 
-_FORMAT = "stabdecomp-decomposition"
+def _check_header(what: str, d) -> None:
+    """Refuse a d that is not an object opening with the format and version
+    ``stabilizer._payload`` writes for a ``what`` artifact."""
+    if not isinstance(d, dict):
+        got = _KIND_NAMES.get(type(d), type(d).__name__)
+        raise ValueError("a %s payload must be an object, not %s" % (what, got))
+    for key, expected in _payload(what).items():
+        value = _field(what, d, key, type(expected))
+        if value != expected:
+            raise ValueError("%s field %r = %r is not %r" % (what, key, value, expected))
 
 
 class Decomposition:
@@ -152,42 +162,34 @@ class Decomposition:
     # -- serialization -------------------------------------------------------------
 
     def to_payload(self) -> dict:
-        return {
-            "format": _FORMAT,
-            "version": 1,
-            "target": self.target.name,
-            "copies": self.target.n,
-            "p": self.target.p,
-            "rank": self.rank,
-            "n_power": self.npow,
-            "terms": [
-                {"coeff": c.to_payload(), "state": st.record()}
-                for c, st in zip(self.coeffs, self.states)
-            ],
-        }
+        return _payload(
+            "decomposition",
+            target=self.target.name,
+            copies=self.target.n,
+            p=self.target.p,
+            rank=self.rank,
+            n_power=self.npow,
+            terms=[{"coeff": c.to_payload(), "state": st.record()} for c, st in zip(self.coeffs, self.states)],
+        )
 
     @classmethod
     def from_payload(cls, payload: dict) -> "Decomposition":
         """The decomposition of a payload.
 
-        A ValueError names a missing or mistyped field, a format other than
-        this class's, a version other than 1, a p other than the target's or a
-        rank other than the number of terms, or says that a state's dimensions
-        differ from the target's, or that n_power cannot match the target's N
-        power; the states are checked before the m-copy target is built.
+        A ValueError names a payload that is not an object, a missing or
+        mistyped field, a format other than ``stabdecomp-decomposition``, a
+        version other than 1, a target that ``check_target`` refuses (an
+        unknown name, or copies below 1 or not a whole number of the state's
+        block), a p other than the target's or a rank other than the number of
+        terms, or says that a state's dimensions differ from the target's, or
+        that n_power cannot match the target's N power.  The target request is
+        checked before any term is parsed, and the states before the m-copy
+        target is built.
         """
-        if not isinstance(payload, dict):
-            got = _KIND_NAMES.get(type(payload), type(payload).__name__)
-            raise ValueError("a decomposition payload must be an object, not %s" % got)
         what = "decomposition"
-        fmt = _field(what, payload, "format", str)
-        if fmt != _FORMAT:
-            raise ValueError("decomposition field 'format' = %r is not %r" % (fmt, _FORMAT))
-        version = _field(what, payload, "version", int)
-        if version != 1:
-            raise ValueError("decomposition field 'version' = %d is not 1" % version)
+        _check_header(what, payload)
         name, copies = _field(what, payload, "target", str), _field(what, payload, "copies", int)
-        p = magic_p(name)
+        p = check_target(name, copies, "decomposition field 'copies'")
         stated_p = _field(what, payload, "p", int)
         if stated_p != p:
             raise ValueError("decomposition field 'p' = %d is not %d, the p of its target %s" % (stated_p, p, name))
@@ -214,9 +216,9 @@ class Decomposition:
         return cls(magic_power(name, copies), states, coeffs, npow)
 
     def save(self, path: str) -> None:
+        """Write ``to_payload()`` to path as indented JSON in its field order, format and version first."""
         with open(path, "w") as fh:
-            json.dump(self.to_payload(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(self.to_payload(), indent=1) + "\n")
 
     @classmethod
     def load(cls, path: str) -> "Decomposition":

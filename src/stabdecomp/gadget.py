@@ -35,7 +35,7 @@ from .clifford import (
     weyl_matrix,
     word_to_matrix,
 )
-from .stabilizer import magic_state
+from .stabilizer import _payload, magic_state
 
 ATOL_UNITARY = 1e-8
 ATOL_CLIFFORD = 1e-5
@@ -137,14 +137,7 @@ class SweepResult:
         self.total = total
 
     def _header(self) -> dict:
-        return {
-            "format": "stabdecomp-sweep",
-            "version": 1,
-            "magic": self.magic,
-            "kind": self.kind,
-            "total": self.total,
-            "counts": self.counts,
-        }
+        return _payload("sweep", magic=self.magic, kind=self.kind, total=self.total, counts=self.counts)
 
     def json_chunks(self, **extra):
         """The sweep artifact as ``json.dumps(payload, indent=1) + "\\n"`` writes

@@ -274,6 +274,11 @@ def _json(value) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
+def _payload(kind: str, /, **fields) -> dict:
+    """The payload of a ``stabdecomp-<kind>`` artifact: its format and version, then fields."""
+    return {"format": "stabdecomp-" + kind, "version": 1, **fields}
+
+
 class _FormTables:
     """Phase-function tables for one k: the one place that knows the form-index layout.
 
@@ -567,15 +572,7 @@ class Catalog:
 
     def jsonl_chunks(self):
         """The catalog's JSONL text: a header line with the content hash, then ``_text_chunks``."""
-        header = {
-            "format": "stabdecomp-catalog",
-            "version": 1,
-            "p": self.p,
-            "n": self.n,
-            "mode": CATALOG_LABEL,
-            "count": len(self),
-            "sha256": self.content_hash(),
-        }
+        header = _payload("catalog", p=self.p, n=self.n, mode=CATALOG_LABEL, count=len(self), sha256=self.content_hash())
         yield json.dumps(header) + "\n"
         for text in self._text_chunks():
             yield text.decode("ascii")
@@ -639,18 +636,30 @@ class TargetState:
         return "TargetState(%s, p=%d, n=%d)" % (self.name, self.p, self.n)
 
 
-def _check_copies(name: str, m: int) -> None:
-    """Refuse an m that is not a whole number of the named state's ``MAGIC_STATES`` block
-    of copies: odd powers of the qubit T state are refused, not approximated."""
+def check_target(name: str, m: int, label: str) -> int:
+    """The p of a request for m copies of the named magic state, without building them.
+
+    A ValueError refuses an unknown name (``magic_p``), an m below 1, named
+    label in the message, or an m that is not a whole number of the state's
+    ``MAGIC_STATES`` block of copies: odd powers of the qubit T state are
+    refused, not approximated.
+    """
+    p = magic_p(name)
+    if m < 1:
+        raise ValueError("%s must be at least 1 copy, got %d" % (label, m))
     if m % MAGIC_STATES[name][1]:
         raise ValueError("qubit T tensor powers are exact only for even m")
+    return p
 
 
 def magic_power(name: str, m: int) -> TargetState:
-    """The m-fold tensor power of a named magic state, exact amplitudes: a power of the state's
-    ``MAGIC_STATES`` block of copies (see ``_check_copies``)."""
-    p = magic_p(name)
-    _check_copies(name, m)
+    """The m-fold tensor power of a named magic state, exact amplitudes.
+
+    ``check_target`` refuses the request first: an unknown name, an m below 1,
+    or an m that is not a whole number of the state's ``MAGIC_STATES`` block
+    of copies.
+    """
+    p = check_target(name, m, "m")
     _, copies, npow, block = MAGIC_STATES[name]
     amps = [CycloNumber.one()]
     for _ in range(m // copies):

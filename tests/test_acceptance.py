@@ -54,12 +54,13 @@ def cat2():
 
 @pytest.fixture(scope="module")
 def desk_certs(cat1, cat2):
-    """The four small full-coverage certificates behind the desk-scale ranks."""
+    """The five small full-coverage certificates behind the desk-scale ranks."""
     return {
         "T3-r2": certify_rank(magic_power("T3", 1), 2, cat1),
         "S2-r1": certify_rank(magic_power("S", 2), 1, cat2),
         "H32-r2": certify_rank(magic_power("H3", 2), 2, cat2),
         "N2-r2": certify_rank(magic_power("N", 2), 2, cat2),
+        "T32-r2": certify_rank(magic_power("T3", 2), 2, cat2),
     }
 
 
@@ -106,6 +107,17 @@ def test_h3_and_norrell_pairs_rank_three(desk_certs):
         witness = known.FIXTURES[fixture]()
         assert witness.rank == 3
         assert witness.verify_numeric() <= 1e-13
+
+
+def test_t3_pair_rank_at_least_three(desk_certs):
+    # no pair of two-qutrit stabilizer states spans T3 x T3; 6,786 pairs miss its
+    # support, each at a residual of at least the prune bound 1/3
+    cert = desk_certs["T32-r2"]
+    assert cert.total_tuples == cert.tuples_tested == math.comb(360, 2) == 64_620
+    assert cert.tuples_pruned == 6_786
+    assert cert.witnesses == []
+    assert cert.rules_out()
+    assert cert.min_nonwitness_residual == pytest.approx(1 / 3, abs=1e-12)
 
 
 # -- 3. asymptotic exponents -------------------------------------------------------

@@ -176,6 +176,24 @@ def test_verify_refuses_a_file_whose_header_is_false(tmp_path, capsys, monkeypat
     assert not out.exists()
 
 
+@pytest.mark.parametrize("terms", ["kept", "none"])
+@pytest.mark.parametrize("copies", [0, -1])
+def test_verify_refuses_a_file_of_fewer_than_one_copy(tmp_path, capsys, monkeypatch, copies, terms):
+    # with no terms, 0 copies used to verify as FAIL and -1 to die in numpy with a
+    # traceback; with terms, the target request is refused before any term is parsed
+    payload = known.FIXTURES["strange_m2"]().to_payload()
+    if terms == "none":
+        payload = dict(payload, rank=0, terms=[])
+    _fixtures_must_not_run(monkeypatch)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(payload, copies=copies)))
+    out = tmp_path / "r.json"
+    capsys.readouterr()
+    assert main(["verify", "--all-fixtures", "--file", str(bad), "--exact", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "decomposition field 'copies' must be at least 1 copy, got %d\n" % copies
+    assert not out.exists()
+
+
 def test_verify_mistyped_file_usage_error(tmp_path, capsys, monkeypatch):
     # a payload of the wrong JSON type is refused before any fixture runs, with no report
     payload = known.FIXTURES["strange_m2"]().to_payload()
@@ -448,7 +466,7 @@ def test_malformed_certificate_usage_error(tmp_path, capsys):
 
     bad.write_text("[]")
     assert main(["audit", "--cert", str(bad), "--out", str(tmp_path / "a.json")]) == 2
-    assert "not a certificate payload" in capsys.readouterr().err
+    assert capsys.readouterr().err == "a certificate payload must be an object, not an array\n"
 
     for field in ("target", "witnesses"):
         bad.write_text(json.dumps({k: v for k, v in payloads[1].items() if k != field}))
@@ -667,6 +685,28 @@ def test_odd_qubit_t_copies_refused_before_the_out_directory(tmp_path, capsys, c
     assert main([*argv, "--out", str(tmp_path / "new" / "out.json")]) == 2
     assert capsys.readouterr().err == "qubit T tensor powers are exact only for even m\n"
     assert not (tmp_path / "new").exists()
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("target", "X", "unknown magic state 'X' (choose from S, N, H3, T3, H, T)"),
+        ("p", 2, "certificate p=2 n=1 does not match its target T3 (p=3 n=1)"),
+        ("copies", 0, "certificate field 'copies' must be at least 1 copy, got 0"),
+    ],
+)
+def test_merge_refuses_the_certificates_audit_refuses(tmp_path, capsys, monkeypatch, field, value, message):
+    # merge used to write a merged certificate of each of these, which audit then refused
+    cert = tmp_path / "cert.json"
+    assert main(["certify", "--target", "T3", "--m", "1", "--r", "2", "--out", str(cert)]) == 0
+    cert.write_text(json.dumps(dict(read_json(cert), **{field: value})))
+    _no_catalog(monkeypatch)
+    capsys.readouterr()
+    assert main(["audit", "--cert", str(cert), "--out", str(tmp_path / "a.json")]) == 2
+    assert capsys.readouterr().err == message + "\n"
+    assert main(["merge", str(cert), "--out", str(tmp_path / "m.json")]) == 2
+    assert capsys.readouterr().err == "merge failed: " + message + "\n"
+    assert not (tmp_path / "a.json").exists() and not (tmp_path / "m.json").exists()
 
 
 def test_full_coverage_certificate_with_a_forged_minimum_or_pruned_count(tmp_path, capsys):
@@ -1019,10 +1059,14 @@ def test_exponent_refuses_p_below_two(tmp_path, capsys, p):
 
 def test_one_table_names_every_magic_state(tmp_path, capsys):
     # magic_p reads p from the table that magic_power builds from; the qubit T
-    # state is built from its two-copy block, so only its even powers exist
+    # state is built from its two-copy block, so only its even powers exist, and
+    # no state has a power below 1 (m = -1 used to give a target with n = -1)
     for name in MAGIC_STATES:
-        for m in range(4):
-            if name == "T" and m % 2:
+        for m in range(-1, 4):
+            if m < 1:
+                with pytest.raises(ValueError, match="^m must be at least 1 copy, got %d$" % m):
+                    magic_power(name, m)
+            elif name == "T" and m % 2:
                 with pytest.raises(ValueError, match="^qubit T tensor powers are exact only for even m$"):
                     magic_power(name, m)
             else:

@@ -70,6 +70,9 @@ def test_save_load(tmp_path):
     back = Decomposition.load(str(path))
     assert back.verify_exact() == []
     assert back.to_payload() == dec.to_payload()
+    # the file is the payload in its own field order, as the CLI writes an artifact
+    assert path.read_text() == json.dumps(dec.to_payload(), indent=1) + "\n"
+    assert list(json.loads(path.read_text()))[:2] == ["format", "version"]
 
 
 def test_perturbed_coefficient_fails_both_ways():
