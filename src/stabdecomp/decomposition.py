@@ -28,6 +28,13 @@ from .stabilizer import (
 )
 
 
+# the most basis states a loaded decomposition may have: its exact target (p^copies
+# amplitudes) is built in the time and memory of the interpreter's start-up up to
+# 3^8, and each further qutrit copy triples both (3^10 took 1 s and 51 MB); 3^8 is
+# also the square of the largest fixture, norrell_m4
+DECOMPOSITION_MAX_STATES = 3**8
+
+
 def _read_json(path: str, what: str):
     """The JSON value in the file at path; a ValueError names the file as a ``what``
     and says why it cannot be read."""
@@ -180,9 +187,10 @@ class Decomposition:
         mistyped field, a format other than ``stabdecomp-decomposition``, a
         version other than 1, a target that ``check_target`` refuses (an
         unknown name, or copies below 1 or not a whole number of the state's
-        block), a p other than the target's or a rank other than the number of
-        terms, or says that a state's dimensions differ from the target's, or
-        that n_power cannot match the target's N power.  The target request is
+        block), p^copies above ``DECOMPOSITION_MAX_STATES``, a p other than the
+        target's or a rank other than the number of terms, or says that a
+        state's dimensions differ from the target's, or that n_power cannot
+        match the target's N power.  The target request is
         checked before any term is parsed, and the states before the m-copy
         target is built.
         """
@@ -190,6 +198,11 @@ class Decomposition:
         _check_header(what, payload)
         name, copies = _field(what, payload, "target", str), _field(what, payload, "copies", int)
         p = check_target(name, copies, "decomposition field 'copies'")
+        if p ** min(copies, 64) > DECOMPOSITION_MAX_STATES:  # min: no huge power of p is computed
+            raise ValueError(
+                "decomposition field 'copies' = %d gives %d^%d basis states, above the %d a decomposition may have"
+                % (copies, p, copies, DECOMPOSITION_MAX_STATES)
+            )
         stated_p = _field(what, payload, "p", int)
         if stated_p != p:
             raise ValueError("decomposition field 'p' = %d is not %d, the p of its target %s" % (stated_p, p, name))

@@ -149,8 +149,8 @@ class SweepResult:
         [re, im] pairs.  An injection hit writes its corrections as
         {branch: index or null} over the branches other than k_star; a
         two-copy hit writes ``nonclifford`` as its classification.  Each hit
-        fills one template with the json text of its values; each distinct
-        value of a chunk is formatted once.
+        fills one template with the json text of its values, each distinct
+        value formatted once per artifact (``_json_texts``).
         """
         head, tail = json.dumps({**self._header(), "hits": [], **extra}, indent=1).split('"hits": []')
         n = len(self.columns["clifford"])
@@ -158,31 +158,40 @@ class SweepResult:
             yield head + '"hits": []' + tail + "\n"
             return
         yield head + '"hits": ['
+        proto, fill = self._hit_layout()
+        template = ",\n  " + _template(proto, 2)
         for lo in range(0, n, _HIT_CHUNK):
-            proto, fields = self._hit_layout(slice(lo, lo + _HIT_CHUNK))
-            text = (",\n  " + _template(proto, 2)) * len(fields) % tuple(fields.ravel().tolist())
+            fields = fill(slice(lo, lo + _HIT_CHUNK))
+            text = template * len(fields) % tuple(fields.ravel().tolist())
             yield text[1:] if lo == 0 else text
         yield "\n ]" + tail + "\n"
 
-    def _hit_layout(self, rows: slice) -> tuple[dict, np.ndarray]:
+    def _hit_layout(self):
         """One hit's JSON object, "@" standing for each json value the columns
-        fill, and the (rows, slots) object array of those values' text."""
-        c = {key: col[rows] for key, col in self.columns.items()}
-        n = len(c["clifford"])
+        fill, and the function giving the (rows, slots) object array of those
+        values' text for a slice of the hits."""
+        c = self.columns
         if self.kind == "injection":
-            ints = _json_texts(np.column_stack([c["clifford"], c["k_star"]]))
-            floats = _json_texts(np.concatenate([_re_im(c["gate"]).reshape(n, 18), c["diagonal_phases"]], axis=1))
+            known = c["diagonal_known"]
+            ints = _json_texts(np.concatenate([c["clifford"], c["k_star"], c["corrections"].ravel()]))
+            gate, diagonal = _json_texts(_floats(c["gate"])), _json_texts(c["diagonal_phases"][known])
             # diagonal_phases is a list two levels below the hit, or null
             pre, mid, post = _template(["@", "@"], 3).split("%s")
-            phases = np.full((n, 1), "null", dtype=object)
-            known = c["diagonal_known"]
-            phases[known, 0] = pre + floats[known, 18] + mid + floats[known, 19] + post
-            # the corrections dict: the branches other than k_star, ascending
-            others = _OTHER_BRANCHES[c["k_star"]]
-            fixes = np.take_along_axis(c["corrections"], others, axis=1)
-            fix_text = np.where(fixes < 0, "null", _json_texts(fixes))
-            keys = np.array([json.dumps(str(k)) for k in range(3)], dtype=object)[others]
-            corrections = np.stack([keys[:, 0], fix_text[:, 0], keys[:, 1], fix_text[:, 1]], axis=1)
+            keys = np.array([json.dumps(str(k)) for k in range(3)], dtype=object)
+
+            def fill(rows: slice) -> np.ndarray:
+                k_star, is_known = c["k_star"][rows], known[rows]
+                phases = np.full((len(k_star), 1), "null", dtype=object)
+                texts = diagonal(c["diagonal_phases"][rows][is_known])
+                phases[is_known, 0] = pre + texts[:, 0] + mid + texts[:, 1] + post
+                # the corrections dict: the branches other than k_star, ascending
+                others = _OTHER_BRANCHES[k_star]
+                fixes = np.take_along_axis(c["corrections"][rows], others, axis=1)
+                fix_text = np.where(fixes < 0, "null", ints(fixes))
+                corrections = np.stack([keys[others[:, 0]], fix_text[:, 0], keys[others[:, 1]], fix_text[:, 1]], axis=1)
+                ids = ints(np.column_stack([c["clifford"][rows], k_star]))
+                return np.concatenate([ids, gate(_floats(c["gate"][rows])), phases, corrections], axis=1)
+
             proto = {
                 "magic": self.magic,
                 "clifford": "@",
@@ -191,12 +200,17 @@ class SweepResult:
                 "diagonal_phases": "@",
                 "corrections": {"@": "@", "@@": "@"},
             }
-            return proto, np.concatenate([ints, floats[:, :18], phases, corrections], axis=1)
-        ints = _json_texts(np.column_stack([c["clifford"], c["k"]]))
-        floats = _json_texts(
-            np.concatenate([_re_im(c["vector"]).reshape(n, 6), c["probability"][:, None], c["phases"]], axis=1)
-        )
+            return proto, fill
+        ints = _json_texts(np.concatenate([c["clifford"], c["k"]]))
+        values = np.concatenate([_floats(c["vector"]), c["probability"][:, None], c["phases"]], axis=1)
+        floats = _json_texts(values)
         classes = np.array([json.dumps(CLASS_CLIFFORD), json.dumps(CLASS_NONCLIFFORD)], dtype=object)
+
+        def fill(rows: slice) -> np.ndarray:
+            ids = ints(np.column_stack([c["clifford"][rows], c["k"][rows]]))
+            kinds = classes[c["nonclifford"][rows].astype(np.int64)][:, None]
+            return np.concatenate([ids, floats(values[rows]), kinds], axis=1)
+
         proto = {
             "magic": self.magic,
             "clifford": "@",
@@ -206,7 +220,7 @@ class SweepResult:
             "phases": ["@", "@"],
             "classification": "@",
         }
-        return proto, np.concatenate([ints, floats, classes[c["nonclifford"].astype(np.int64)][:, None]], axis=1)
+        return proto, fill
 
 
 # hits per template fill in SweepResult.json_chunks: a few MB of text per chunk
@@ -215,22 +229,39 @@ _HIT_CHUNK = 2048
 _OTHER_BRANCHES = np.array([[1, 2], [0, 2], [0, 1]])
 
 
-def _re_im(z: np.ndarray) -> np.ndarray:
-    return np.stack([z.real, z.imag], axis=-1)
+def _floats(z: np.ndarray) -> np.ndarray:
+    """The complex stack z as (rows, [re, im, re, im, ...]), a view where z allows one."""
+    z = np.ascontiguousarray(z)
+    return z.view(np.float64).reshape(len(z), -1)
 
 
-def _json_texts(x: np.ndarray) -> np.ndarray:
-    """``json.dumps`` of every element of x, as an object array of x's shape.
+def _bits(x: np.ndarray) -> np.ndarray:
+    """x itself, or the bits of a float64 x."""
+    return x.view(np.uint64) if x.dtype == np.float64 else x
 
-    Each distinct value is formatted once, all of them in one ``json.dumps``
-    of their list; floats are told apart by their bits, so -0.0 keeps its sign.
+
+def _json_texts(values: np.ndarray):
+    """The function giving ``json.dumps`` of each element of an array of values
+    drawn from ``values``, as an object array of its shape.
+
+    Each distinct value of ``values`` is formatted once, all in one
+    ``json.dumps`` of their list; floats are told apart by their bits, so
+    -0.0 keeps its sign.  The writer makes one per column group (the
+    integers; the floats, the injection gates and diagonal phases apart), so
+    each chunk of hits only looks its values' text up.
     """
-    x = np.asarray(x)
-    flat = x.ravel()
-    keys = flat.view(np.uint64) if flat.dtype == np.float64 else flat
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    texts = np.array(json.dumps(uniq.view(flat.dtype).tolist())[1:-1].split(", "), dtype=object)
-    return texts[inverse.reshape(-1)].reshape(x.shape)
+    values = np.asarray(values)
+    flat = np.sort(_bits(values.ravel()))  # sorting beats np.unique's hash table here
+    first = np.ones(len(flat), dtype=bool)
+    first[1:] = flat[1:] != flat[:-1]
+    uniq = flat[first]
+    texts = np.array(json.dumps(uniq.view(values.dtype).tolist())[1:-1].split(", "), dtype=object)
+
+    def lookup(x: np.ndarray) -> np.ndarray:
+        distinct, at = np.unique(_bits(np.asarray(x)), return_inverse=True)
+        return texts[np.searchsorted(uniq, distinct)][at.reshape(np.shape(x))]
+
+    return lookup
 
 
 def _template(value, depth: int) -> str:
@@ -305,25 +336,57 @@ def sweep_two_copy(magic: str) -> SweepResult:
     return SweepResult(magic, "two-copy", columns, counts, V.shape[0] * 3)
 
 
-# operators screened against the 216 group per product: keeps the overlaps at ~3.5 MB
-_OVERLAP_CHUNK = 1024
+# operators keyed per step: keeps the key temporaries near 1 MB
+_KEY_CHUNK = 4096
+# normalised entries are rounded to multiples of 1/_KEY_GRID before they are keyed
+_KEY_GRID = 8
+# a rounded entry is at most sqrt(3) * _KEY_GRID < 14.5 in modulus: one balanced base-29 digit
+_KEY_DIGITS = np.array([pow(29, j, 2**64) for j in range(18)], dtype=np.uint64)
+
+
+def _projective_keys(M: np.ndarray) -> np.ndarray:
+    """A uint64 key of each operator of the stack M, up to a scalar: each is
+    divided by the phase of its first entry above ||M||_F / 6 and scaled to
+    ||M||_F = sqrt(3), and its 18 reals, rounded to multiples of 1/_KEY_GRID,
+    are read as balanced base-29 digits modulo 2^64.  Zero keys as 0."""
+    flat = M.reshape(len(M), 9).astype(np.complex128, copy=False)
+    fro = np.linalg.norm(flat, axis=1)
+    pivot = flat[np.arange(len(flat)), (np.abs(flat) > fro[:, None] / 6).argmax(axis=1)]
+    scale = np.zeros(len(flat), dtype=np.complex128)
+    np.divide(np.sqrt(3) * pivot.conj(), np.abs(pivot) * fro, out=scale, where=fro > 0)
+    z = flat * scale[:, None]
+    grid = np.rint(np.concatenate([z.real, z.imag], axis=1) * _KEY_GRID).astype(np.int64)
+    return grid.view(np.uint64) @ _KEY_DIGITS  # two's complement: the digits modulo 2^64
 
 
 def _proportional_to_clifford(M: np.ndarray, group: np.ndarray) -> np.ndarray:
     """For each operator of the stack M, the index of a 216-group element G
-    with M = scalar * G, or -1 when there is none."""
+    with M = scalar * G, or -1 when there is none.
+
+    The one candidate is the element of M's key (``_projective_keys``), and
+    it passes when |tr(G^dag M)| is within 1e-3 of sqrt(3) ||M||_F and M - mu G,
+    mu = tr(G^dag M) / 3, is within ATOL_CLIFFORD * max(1, |mu|) entrywise.
+    Distinct projective Cliffords overlap at most 1/sqrt(3), so at most one
+    element passes, the one of largest |tr(G^dag M)|: the lookup can miss but
+    never names another element.  It misses no M of ||M||_F > 7.3e-3, whose
+    normalised entries sit nearer G's than the group's 0.01485 margin to a
+    rounding boundary (``test_key_lookup_margin_covers_every_screened_norm``
+    derives the bound); the sweeps screen norms of 1 or more.
+    """
+    keys = _projective_keys(group)
+    order = np.argsort(keys)
+    keys = keys[order]
+    assert (np.diff(keys) > 0).all(), "the group's keys must be distinct"
     out = np.full(len(M), -1, dtype=np.int64)
-    fro = np.linalg.norm(M, axis=(1, 2))
-    group_dag = group.reshape(len(group), -1).conj().T
-    for lo in range(0, len(M), _OVERLAP_CHUNK):
-        Mc, fc = M[lo : lo + _OVERLAP_CHUNK], fro[lo : lo + _OVERLAP_CHUNK]
-        # |tr(G^dag M)| = sqrt(3) * ||M||_F exactly when M is proportional to G, and then
-        # every other element overlaps M at most 1/sqrt(3) as much: screen only the largest
-        overlaps = Mc.reshape(len(Mc), -1) @ group_dag
-        gs = (overlaps.real**2 + overlaps.imag**2).argmax(axis=1)
-        top = overlaps[np.arange(len(Mc)), gs]
+    for lo in range(0, len(M), _KEY_CHUNK):
+        Mc = M[lo : lo + _KEY_CHUNK]
+        key = _projective_keys(Mc)
+        at = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+        gs = order[at]
+        fc = np.linalg.norm(Mc, axis=(1, 2))
+        top = np.einsum("eij,eij->e", group[gs].conj(), Mc)  # tr(G^dag M)
         with np.errstate(divide="ignore", invalid="ignore"):
-            ok = (np.abs(np.abs(top) / (np.sqrt(3) * fc) - 1) < 1e-3) & (fc >= 1e-12)
+            ok = (keys[at] == key) & (np.abs(np.abs(top) / (np.sqrt(3) * fc) - 1) < 1e-3) & (fc >= 1e-12)
         mu = top / 3.0
         err = np.abs(Mc - mu[:, None, None] * group[gs]).max(axis=(1, 2))
         ok &= err <= ATOL_CLIFFORD * np.maximum(1.0, np.abs(mu))

@@ -69,17 +69,18 @@ def test_verify_file_roundtrip_and_failure(tmp_path):
 
 
 def test_verify_file_checks_state_dimensions_before_the_target(tmp_path, capsys, monkeypatch):
-    # N at copies 10 has 59,049 exact amplitudes: they used to be built before the 2-qutrit states were refused
+    # N at copies 8 has 6,561 exact amplitudes, the most a decomposition may have: they
+    # used to be built before the 2-qutrit states were refused
     payload = known.FIXTURES["norrell_m2"]().to_payload()
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(dict(payload, copies=10)))
+    bad.write_text(json.dumps(dict(payload, copies=8)))
     built = []
     real = decomposition.magic_power
     monkeypatch.setattr(decomposition, "magic_power", lambda name, m: built.append(m) or real(name, m))
     capsys.readouterr()
     assert main(["verify", "--file", str(bad), "--out", str(tmp_path / "r.json")]) == 2
     assert capsys.readouterr().err == "state dimensions must match the target\n"
-    assert 10 not in built and not (tmp_path / "r.json").exists()
+    assert 8 not in built and not (tmp_path / "r.json").exists()
 
 
 def test_verify_file_refuses_a_phase_constant(tmp_path, capsys):
@@ -1119,3 +1120,36 @@ def test_readme_names_every_option_and_only_those():
         if option.startswith("--") and option != "--help"
     }
     assert documented == defined
+
+
+@pytest.mark.parametrize("copies", [9, 11, 30, 10**9])
+def test_verify_refuses_a_file_of_too_many_copies(tmp_path, capsys, monkeypatch, copies):
+    # 11 copies of S used to build 177,147 exact amplitudes (1.5 s, 81 MB) before it
+    # printed FAIL, and nothing refused 30
+    payload = dict(known.FIXTURES["strange_m2"]().to_payload(), rank=0, terms=[])
+    _fixtures_must_not_run(monkeypatch)
+    monkeypatch.setattr(decomposition, "magic_power", lambda *a: pytest.fail("the target was built"))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(payload, copies=copies)))
+    out = tmp_path / "r.json"
+    capsys.readouterr()
+    assert main(["verify", "--all-fixtures", "--file", str(bad), "--out", str(out)]) == 2
+    want = "decomposition field 'copies' = %d gives 3^%d basis states, above the 6561 a decomposition may have\n"
+    assert capsys.readouterr().err == want % (copies, copies)
+    assert not out.exists()
+
+
+def test_the_largest_decompositions_load():
+    # every fixture, the tensor products of test_decomposition, and the limit itself
+    dec = Decomposition
+    for name, build in known.FIXTURES.items():
+        assert dec.from_payload(build().to_payload()).to_payload() == build().to_payload(), name
+    s2, s3 = known.FIXTURES["strange_m2"](), known.FIXTURES["strange_m3"]()
+    for product in (s2.tensor(s2), s2.tensor(s3)):
+        assert dec.from_payload(product.to_payload()).rank == product.rank
+    n4 = known.FIXTURES["norrell_m4"]().to_payload()
+    assert dec.from_payload(dict(n4, copies=8, rank=0, terms=[])).target.n == 8
+    t4 = known.FIXTURES["qubit_t_m4"]().to_payload()
+    assert dec.from_payload(dict(t4, copies=12, rank=0, terms=[])).target.n == 12
+    with pytest.raises(ValueError, match="2\\^14 basis states"):
+        dec.from_payload(dict(t4, copies=14, rank=0, terms=[]))

@@ -425,20 +425,76 @@ def _screen_all_216(M, group):
     return out
 
 
-def test_one_candidate_screen_equals_the_216_screen_on_t3(monkeypatch):
-    # the T3 sweep screens its unitary branches, then one stack of correction products per branch k
+# per state: the sizes of the stacks the injection sweep screens (its unitary branches,
+# then the correction products of branch k = 0, 1, 2), and how many of each are Clifford
+SCREEN_INPUTS = {
+    "S": ([10368, 0, 0, 0], [10368, 0, 0, 0]),
+    "N": ([14256, 0, 0, 0], [14256, 0, 0, 0]),
+    "H3": ([15552, 0, 0, 0], [15552, 0, 0, 0]),
+    "T3": ([46656, 20736, 20736, 20736], [15552, 20736, 20736, 20736]),
+}
+
+
+def _screen_inputs(monkeypatch, name):
+    """The stacks ``sweep_injection(name)`` hands ``_proportional_to_clifford``, in call order."""
     screen, inputs = gadget._proportional_to_clifford, []
     monkeypatch.setattr(gadget, "_proportional_to_clifford", lambda M, group: inputs.append(M) or screen(M, group))
-    sweep_injection("T3")
-    assert [len(M) for M in inputs] == [46656, 20736, 20736, 20736]
+    sweep_injection(name)
+    monkeypatch.setattr(gadget, "_proportional_to_clifford", screen)
+    return inputs
+
+
+@pytest.mark.parametrize("name", sorted(SCREEN_INPUTS))
+def test_one_candidate_screen_equals_the_216_screen(monkeypatch, name):
+    inputs = _screen_inputs(monkeypatch, name)
+    sizes, clifford = SCREEN_INPUTS[name]
+    assert [len(M) for M in inputs] == sizes
     group = generate_clifford_group()
     found = []
     for M in inputs:
-        got = screen(M, group)
+        got = gadget._proportional_to_clifford(M, group)
         assert np.array_equal(got, _screen_all_216(M, group))
         found.append(int((got >= 0).sum()))
-    # a third of the unitary branches are Clifford; every correction product is
-    assert found == [15552, 20736, 20736, 20736]
+    # S, N and H3 have no non-Clifford unitary branch; for T3 a third of them are
+    # Clifford, and every correction product is
+    assert found == clifford
+
+
+def test_key_lookup_margin_covers_every_screened_norm(monkeypatch):
+    # The norm above which _proportional_to_clifford's key lookup misses no passing
+    # operator.  Write a passing M as mu G + D, |D_ij| <= d = ATOL_CLIFFORD * max(1, |mu|),
+    # and t = d / |mu|.  Then ||D||_F <= 3d, so ||M||_F is within a factor 1 +- sqrt(3) t
+    # of sqrt(3) |mu|; for t < 1/(3 sqrt(3)) the entries above ||M||_F / 6 are those where
+    # G is nonzero (modulus 1/sqrt(3) or 1), so the pivot is G's; its phase moves by at most
+    # 2 sqrt(3) t, as |u/|u| - v/|v|| <= 2 |u - v| / |v|; so each normalised entry moves by
+    # at most (3 sqrt(3) + 1) t / (1 - sqrt(3) t).  That stays below the group's margin m to
+    # a rounding boundary for t < t* = m / (3 sqrt(3) + 1 + sqrt(3) m).  For |mu| >= 1,
+    # t = ATOL_CLIFFORD; below, t = ATOL_CLIFFORD / |mu| and ||M||_F <= sqrt(3) |mu| +
+    # 3 ATOL_CLIFFORD, so t < t* once ||M||_F > sqrt(3) ATOL_CLIFFORD / t* + 3 ATOL_CLIFFORD.
+    group = generate_clifford_group()
+    flat = group.reshape(216, 9)
+    pivot = flat[np.arange(216), (np.abs(flat) > np.sqrt(3) / 6).argmax(axis=1)]
+    z = flat * (pivot.conj() / np.abs(pivot))[:, None]
+    x = np.concatenate([z.real, z.imag], axis=1) * gadget._KEY_GRID
+    margin = np.abs(x - np.floor(x) - 0.5).min() / gadget._KEY_GRID
+    assert margin > 0.01485
+    t_star = margin / (3 * np.sqrt(3) + 1 + np.sqrt(3) * margin)
+    norm_bound = np.sqrt(3) * ATOL_CLIFFORD / t_star + 3 * ATOL_CLIFFORD
+    assert 2.38e-3 < t_star < 2.39e-3 and 7.2e-3 < norm_bound < 7.3e-3
+    # the sweeps screen nothing near it: every stack holds norms of 1 or more
+    inputs = _screen_inputs(monkeypatch, "T3")
+    assert min(np.linalg.norm(M, axis=(1, 2)).min() for M in inputs) > 1 - 1e-12 > norm_bound
+    # just above it, operators off a Clifford by up to ATOL_CLIFFORD per entry are keyed to it
+    rng = np.random.default_rng(131)
+    count = 4000
+    picks = rng.integers(0, 216, size=count)
+    mu = norm_bound / np.sqrt(3) * rng.uniform(1.01, 3, size=count) * np.exp(2j * np.pi * rng.random(count))
+    noise = ATOL_CLIFFORD * np.exp(2j * np.pi * rng.random((count, 3, 3))) * rng.uniform(0.5, 1, (count, 3, 3))
+    M = mu[:, None, None] * group[picks] + noise
+    got = gadget._proportional_to_clifford(M, group)
+    assert np.array_equal(got, _screen_all_216(M, group))
+    assert (got >= 0).sum() > count // 2 and np.array_equal(got[got >= 0], picks[got >= 0])
+    assert np.array_equal(gadget._proportional_to_clifford(np.zeros((2, 3, 3)), group), [-1, -1])
 
 
 def test_one_candidate_screen_near_the_tolerance():
@@ -536,6 +592,44 @@ def test_json_chunks_equal_the_json_module(kind, name):
     assert len(list(res.json_chunks(wall_time=1.0))) == (2 + -(-hits // gadget._HIT_CHUNK) if hits else 1)
 
 
+def test_json_chunks_format_each_distinct_value_once(monkeypatch):
+    # one json.dumps per column group over the whole artifact: the T3 chunks used to
+    # format 106,078 floats between them, one list per chunk
+    res = sweep_injection("T3")
+    c = res.columns
+    bits = lambda x: len(np.unique(np.ascontiguousarray(x).view(np.uint64)))  # noqa: E731
+    ints = len(np.unique(np.concatenate([c["clifford"], c["k_star"], c["corrections"].ravel()])))
+    distinct = ints + bits(c["gate"]) + bits(c["diagonal_phases"][c["diagonal_known"]])
+    dumps, counted = json.dumps, []
+
+    def counting_dumps(obj, **kw):
+        if isinstance(obj, list) and not any(isinstance(v, str) for v in obj):
+            counted.append(len(obj))
+        return dumps(obj, **kw)
+
+    monkeypatch.setattr(json, "dumps", counting_dumps)
+    for _ in res.json_chunks(wall_time=1.0):
+        pass
+    monkeypatch.setattr(json, "dumps", dumps)
+    assert counted == [10427, 16854, 129] and sum(counted) == distinct  # ints, gate floats, diagonal phases
+
+
+def test_json_chunks_hold_one_chunk_of_text_at_a_time():
+    # the T3 artifact is 25 MB of text; consumed a chunk at a time the writer peaked at
+    # 7.7 MB when it formatted each chunk on its own, and holds about 1.7 MB more now,
+    # the text of every distinct value
+    import tracemalloc
+
+    res = sweep_injection("T3")
+    tracemalloc.start()
+    try:
+        for _ in res.json_chunks(wall_time=1.0):
+            pass
+        assert tracemalloc.get_traced_memory()[1] < 11.5e6
+    finally:
+        tracemalloc.stop()
+
+
 def test_json_chunks_never_occurring_branch(monkeypatch):
     m = magic_state("T3").complex_vector()
     Q, _ = np.linalg.qr(np.column_stack([m, np.eye(3)[:, 1:]]))
@@ -604,10 +698,12 @@ def test_json_texts_are_the_json_module():
     ints = np.concatenate([[0, -1, 1, 215, 51839, -(2**63), 2**63 - 1], rng.integers(-(10**12), 10**12, 200)])
     floats = np.concatenate([EDGE_FLOATS, [2.2e-308, -5e-324, 1e16, 0.1 + 0.2], rng.normal(size=200)])
     for x in (ints.reshape(-1, 3), floats.reshape(-1, 3), rng.choice(floats, size=(7, 5, 2))):
-        got = gadget._json_texts(x)
-        assert got.shape == x.shape
-        assert got.ravel().tolist() == [json.dumps(v) for v in x.ravel().tolist()]
-    assert gadget._json_texts(np.zeros((0, 3))).shape == (0, 3)
+        texts = gadget._json_texts(x)
+        for part in (x, x[1:3], x[::-2]):
+            got = texts(part)
+            assert got.shape == part.shape
+            assert got.ravel().tolist() == [json.dumps(v) for v in part.ravel().tolist()]
+    assert gadget._json_texts(np.zeros((0, 3)))(np.zeros((0, 3))).shape == (0, 3)
 
 
 # sha256 of each `sweep KIND --state NAME` artifact without its wall_time line
