@@ -26,6 +26,7 @@ import numpy as np
 
 from .clifford import (
     GATE_ORDER,
+    clifford_candidates,
     enumerate_symplectic,
     format_word,
     gate_matrix,
@@ -53,8 +54,10 @@ def branch_operator(C: np.ndarray, ancilla: np.ndarray, k: int) -> np.ndarray:
     ancilla = np.asarray(ancilla, dtype=np.complex128)
     if ancilla.shape != (3,):
         raise ValueError("ancilla must be a single-qutrit vector")
+    if k not in (0, 1, 2):
+        raise ValueError("ancilla outcome k must be 0, 1 or 2, not %r" % (k,))
     T = C.reshape(3, 3, 3, 3)  # [data_out, anc_out, data_in, anc_in]
-    return np.einsum("ijm,m->ij", T[:, int(k) % 3], ancilla)
+    return np.einsum("ijm,m->ij", T[:, int(k)], ancilla)
 
 
 def check_reduction(D_data: np.ndarray, a: int, b: int, C: np.ndarray, ancilla: np.ndarray) -> bool:
@@ -338,32 +341,11 @@ def sweep_two_copy(magic: str) -> SweepResult:
 
 # operators keyed per step: keeps the key temporaries near 1 MB
 _KEY_CHUNK = 4096
-# normalised entries are rounded to multiples of 1/_KEY_GRID before they are keyed
-_KEY_GRID = 8
-# a rounded entry is at most sqrt(3) * _KEY_GRID < 14.5 in modulus: one balanced base-29 digit
-_KEY_DIGITS = np.array([pow(29, j, 2**64) for j in range(18)], dtype=np.uint64)
-
-
-def _projective_keys(M: np.ndarray) -> np.ndarray:
-    """A uint64 key of each operator of the stack M, up to a scalar: each is
-    divided by the phase of its first entry above ||M||_F / 6 and scaled to
-    ||M||_F = sqrt(3), and its 18 reals, rounded to multiples of 1/_KEY_GRID,
-    are read as balanced base-29 digits modulo 2^64.  Zero keys as 0."""
-    flat = M.reshape(len(M), 9).astype(np.complex128, copy=False)
-    fro = np.linalg.norm(flat, axis=1)
-    pivot = flat[np.arange(len(flat)), (np.abs(flat) > fro[:, None] / 6).argmax(axis=1)]
-    scale = np.zeros(len(flat), dtype=np.complex128)
-    np.divide(np.sqrt(3) * pivot.conj(), np.abs(pivot) * fro, out=scale, where=fro > 0)
-    z = flat * scale[:, None]
-    grid = np.rint(np.concatenate([z.real, z.imag], axis=1) * _KEY_GRID).astype(np.int64)
-    return grid.view(np.uint64) @ _KEY_DIGITS  # two's complement: the digits modulo 2^64
-
-
-def _proportional_to_clifford(M: np.ndarray, group: np.ndarray) -> np.ndarray:
+def _proportional_to_clifford(M: np.ndarray) -> np.ndarray:
     """For each operator of the stack M, the index of a 216-group element G
     with M = scalar * G, or -1 when there is none.
 
-    The one candidate is the element of M's key (``_projective_keys``), and
+    The one candidate is the element of M's key (``clifford_candidates``), and
     it passes when |tr(G^dag M)| is within 1e-3 of sqrt(3) ||M||_F and M - mu G,
     mu = tr(G^dag M) / 3, is within ATOL_CLIFFORD * max(1, |mu|) entrywise.
     Distinct projective Cliffords overlap at most 1/sqrt(3), so at most one
@@ -373,20 +355,15 @@ def _proportional_to_clifford(M: np.ndarray, group: np.ndarray) -> np.ndarray:
     rounding boundary (``test_key_lookup_margin_covers_every_screened_norm``
     derives the bound); the sweeps screen norms of 1 or more.
     """
-    keys = _projective_keys(group)
-    order = np.argsort(keys)
-    keys = keys[order]
-    assert (np.diff(keys) > 0).all(), "the group's keys must be distinct"
+    group = generate_clifford_group()
     out = np.full(len(M), -1, dtype=np.int64)
     for lo in range(0, len(M), _KEY_CHUNK):
         Mc = M[lo : lo + _KEY_CHUNK]
-        key = _projective_keys(Mc)
-        at = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
-        gs = order[at]
+        gs = clifford_candidates(Mc)  # -1 reads the last element, and fails the gs >= 0 test
         fc = np.linalg.norm(Mc, axis=(1, 2))
         top = np.einsum("eij,eij->e", group[gs].conj(), Mc)  # tr(G^dag M)
         with np.errstate(divide="ignore", invalid="ignore"):
-            ok = (keys[at] == key) & (np.abs(np.abs(top) / (np.sqrt(3) * fc) - 1) < 1e-3) & (fc >= 1e-12)
+            ok = (gs >= 0) & (np.abs(np.abs(top) / (np.sqrt(3) * fc) - 1) < 1e-3) & (fc >= 1e-12)
         mu = top / 3.0
         err = np.abs(Mc - mu[:, None, None] * group[gs]).max(axis=(1, 2))
         ok &= err <= ATOL_CLIFFORD * np.maximum(1.0, np.abs(mu))
@@ -426,18 +403,17 @@ def sweep_injection(magic: str) -> SweepResult:
         total += 3 * len(rows)
     rows, E, tr, unitary_mask = (np.concatenate(col) for col in zip(*parts))
     del parts  # the chunk copies go before the screens
-    group = generate_clifford_group()
     held, ks = np.nonzero(unitary_mask)  # (held row, k*) in table order
     Ug = E[held, ks] / np.sqrt(tr[held, ks])[:, None, None]
     # the injected gate must be non-Clifford
-    keep = _proportional_to_clifford(Ug, group) < 0
+    keep = _proportional_to_clifford(Ug) < 0
     held, ks, Ug = held[keep], ks[keep], Ug[keep]
     # every other branch k must be a Clifford correction of Ug, or never occur
     absent = np.linalg.norm(E, axis=(2, 3)) < 1e-10
     fixes = np.full((len(held), 3), -1, dtype=np.int64)
     for k in range(3):
         sel = np.nonzero((ks != k) & ~absent[held, k])[0]
-        fixes[sel, k] = _proportional_to_clifford(E[held[sel], k] @ Ug[sel].conj().transpose(0, 2, 1), group)
+        fixes[sel, k] = _proportional_to_clifford(E[held[sel], k] @ Ug[sel].conj().transpose(0, 2, 1))
     ok = ((fixes >= 0) | absent[held] | (ks[:, None] == np.arange(3))).all(axis=1)
     gadgets = np.flatnonzero(ok)
     gadgets = gadgets[np.argsort(rows[held[gadgets]] * 3 + ks[gadgets], kind="stable")]  # (e, k*) order

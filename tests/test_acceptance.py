@@ -22,7 +22,7 @@ from stabdecomp.certify import (
     rank_tuple,
     unrank_tuple,
 )
-from stabdecomp.clifford import generate_clifford_group, orbit_closure, weyl_matrix, word_to_matrix
+from stabdecomp.clifford import generate_clifford_group, orbit_closure, projective_keys, weyl_matrix, word_to_matrix
 from stabdecomp.decomposition import exponent_from_bound
 from stabdecomp.gadget import check_reduction, sweep_injection, sweep_two_copy
 from stabdecomp.stabilizer import build_catalog, magic_power, magic_state
@@ -173,7 +173,7 @@ def test_injection_sweep_other_orbits_empty(name):
     assert len(sweep_injection(name).columns["clifford"]) == 0
 
 
-# -- 6. rigidity of the strange orbit ----------------------------------------------
+# -- 6. the four orbits, and rigidity of the strange one ---------------------------
 
 
 def test_strange_orbit_rigidity():
@@ -185,6 +185,17 @@ def test_strange_orbit_rigidity():
         assert int(nz.sum()) == 2
         assert np.ptp(mods[nz]) < 1e-12
         assert find_ratio_witness(vec) is None
+
+
+def test_four_orbits_sizes_and_disjointness():
+    group = generate_clifford_group()
+    sizes, keys = {}, {}
+    for name in ("S", "N", "H3", "T3"):
+        orbit = orbit_closure(magic_state(name).complex_vector(), group)
+        sizes[name], keys[name] = len(orbit), set(projective_keys(orbit).tolist())
+    assert sizes == {"S": 9, "N": 36, "H3": 54, "T3": 72}
+    # the four orbits are inequivalent: no state lies in two of them
+    assert len(set().union(*keys.values())) == sum(sizes.values())
 
 
 # -- 7. measurement-branch reduction identity --------------------------------------

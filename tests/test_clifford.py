@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -6,15 +7,17 @@ import pytest
 from stabdecomp.clifford import (
     GATE_ORDER,
     OMEGA,
+    _KEY_GRID,
     _row_op,
     _row_tables,
+    clifford_candidates,
     enumerate_symplectic,
     format_word,
     gate_matrix,
     generate_clifford_group,
     orbit_closure,
     parse_word,
-    projective_key,
+    projective_keys,
     symplectic_form,
     synthesize,
     weyl_matrix,
@@ -165,6 +168,10 @@ def test_word_parse_format_round_trip():
         parse_word("Q1", 2)
     with pytest.raises(ValueError):
         parse_word("H3", 2)
+    # a SUM of one leg onto itself, and a token that is not letters, legs and a power, are named
+    for bad in ("SUM11", "H1^", "H1^x", "S2^2^2", "H1\u00b2"):
+        with pytest.raises(ValueError, match=r"(one leg in|malformed gate) '%s'" % re.escape(bad)):
+            parse_word("H1 " + bad, 2)
 
 
 def test_parse_word_reads_every_word_format_word_writes(sp4):
@@ -271,9 +278,20 @@ def group216():
     return generate_clifford_group()
 
 
+def projective_key(matrix: np.ndarray) -> bytes:
+    """Reference key of a matrix up to global phase: its entries divided by the
+    phase of its first entry above 1e-8, on a 1e-8 grid."""
+    flat = matrix.ravel()
+    idx = np.argmax(np.abs(flat) > 1e-8)
+    grid = np.round(matrix * (abs(flat[idx]) / flat[idx]) / 1e-8)
+    return np.stack([grid.real, grid.imag]).astype(np.int64).tobytes()
+
+
 # sha256 of the group's projective keys in order: injection gadgets name their
 # corrections by index into the group, so its order is part of every sweep artifact
 GROUP_KEYS_SHA256 = "e9083af4a5f9e553dce5e9ad8dcc697c2bbd75d670f759b87784a5fd59203090"
+# sha256 of the group's bits, which the orbit artifacts are products of
+GROUP_BYTES_SHA256 = "171eb1ccc4f7edb59192b8f3b7acecc3310a049242bdb7b5dda2bdbdf7533269"
 
 
 def test_projective_clifford_group_size(group216):
@@ -281,6 +299,9 @@ def test_projective_clifford_group_size(group216):
     keys = [projective_key(U) for U in group216]
     assert len(set(keys)) == 216
     assert hashlib.sha256(b"".join(keys)).hexdigest() == GROUP_KEYS_SHA256
+    assert hashlib.sha256(group216.tobytes()).hexdigest() == GROUP_BYTES_SHA256
+    # the cached key table names each element by its own key
+    assert np.array_equal(clifford_candidates(group216), np.arange(216))
     assert np.array_equal(group216[0], np.eye(3))
     # one cached array, which no caller can write into
     assert generate_clifford_group() is group216
@@ -302,6 +323,60 @@ def test_group_splits_into_weyl_and_symplectic(group216):
         U = group216[int(idx)]
         V = word_to_matrix(synthesize(symplectic_image(U, 1)), 1)
         assert weyl_decompose(U @ V.conj().T, 1) is not None
+
+
+# per magic state: its orbit's size under the group (the four inequivalent
+# orbits of the abstract), the sha256 of its ``orbit`` artifact, and the
+# smallest distance of its orbit's normalised entries to a key rounding boundary
+ORBITS = {
+    "S": (9, "01f857dabcceb3ad18189361ac5b9d96530cf483dc8b5e4342d1e2fa9ccce30b", 0.0196),
+    "N": (36, "8c14a358369fb15aaa34d9b0a24b81b1deabe59bfca6632603c615c91cf15205", 0.0039),
+    "H3": (54, "aa55cb7b87c6f1337e0017cf5ff4d90c59a2602cebf8870c018c65425ad0a87c", 0.0014),
+    "T3": (72, "1153210a8452ea7fb2eef6be654c66fcadc41d53baaca8f756e04734ee7c3f3e", 0.0047),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORBITS))
+def test_magic_orbit_sizes_and_artifacts(tmp_path, group216, name):
+    from stabdecomp import cli
+
+    size, sha, _ = ORBITS[name]
+    assert orbit_closure(magic_state(name).complex_vector(), group216).shape == (size, 3)
+    out = tmp_path / "orbit.json"
+    assert cli.main(["orbit", "--state", name, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha  # an orbit artifact has no wall_time
+
+
+@pytest.mark.parametrize("name", sorted(ORBITS))
+def test_state_key_margin_covers_the_orbits(group216, name):
+    # The noise below which an orbit state's key does not move.  Write an image
+    # (a unit vector) u and its perturbation w = u + d, |d_i| <= t.  Then ||d|| <= sqrt(3) t
+    # and | ||w|| - 1 | <= sqrt(3) t.  When u's moduli sit p or more from the pivot
+    # threshold ||u|| / 6 and t (1 + sqrt(3) / 6) < p, w's pivot is u's, of modulus at
+    # least 1/6 + p; its phase moves by at most 2 t / (1/6 + p), as |u/|u| - v/|v|| <=
+    # 2 |u - v| / |v|; so each normalised entry moves by at most
+    # t (1 + sqrt(3) + 2 / (1/6 + p)) / (1 - sqrt(3) t).  That stays below the orbit's
+    # margin m to a rounding boundary for t < t* = m / (1 + sqrt(3) + 2 / (1/6 + p) + sqrt(3) m).
+    images = group216 @ magic_state(name).complex_vector()
+    mods = np.abs(images)
+    fro = np.linalg.norm(images, axis=1)
+    assert np.allclose(fro, 1, atol=1e-14)
+    gap = np.abs(mods - fro[:, None] / 6).min()
+    assert gap > 0.1264
+    pivot = images[np.arange(216), (mods > fro[:, None] / 6).argmax(axis=1)]
+    z = images * (pivot.conj() / np.abs(pivot) / fro)[:, None]
+    x = np.concatenate([z.real, z.imag], axis=1) * _KEY_GRID
+    margin = np.abs(x - np.floor(x) - 0.5).min() / _KEY_GRID
+    assert margin > ORBITS[name][2]
+    t_star = margin / (1 + np.sqrt(3) + 2 / (1 / 6 + gap) + np.sqrt(3) * margin)
+    assert t_star * (1 + np.sqrt(3) / 6) < gap and t_star > 1.4e-4
+    # the images are products of a unitary and a unit vector: their rounding error is far below t*
+    # just below it, perturbed and rescaled images keep their keys
+    rng = np.random.default_rng(37)
+    scales = rng.uniform(0.05, 4, size=216) * np.exp(2j * np.pi * rng.random(216))
+    noise = 0.99 * t_star * np.exp(2j * np.pi * rng.random((216, 3)))
+    perturbed = scales[:, None] * (images + noise)
+    assert np.array_equal(projective_keys(perturbed), projective_keys(images))
 
 
 def test_strange_state_orbit_is_nine(group216):

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from stabdecomp import gadget
+from stabdecomp import clifford, gadget
 from stabdecomp.algebra import CycloNumber, omega
 from stabdecomp.clifford import (
     enumerate_symplectic,
@@ -76,6 +76,13 @@ def test_branch_operator_validation():
         branch_operator(np.eye(3), np.zeros(3), 0)
     with pytest.raises(ValueError):
         branch_operator(np.eye(9), np.zeros(9), 0)
+    # an outcome outside F_3 is refused, not read mod 3
+    m = magic_state("H3").complex_vector()
+    for k in (3, -1, 4):
+        with pytest.raises(ValueError, match="outcome k must be 0, 1 or 2"):
+            branch_operator(np.eye(9), m, k)
+    with pytest.raises(ValueError, match="outcome k"):
+        replay_protocol("I", "H3", 3)
 
 
 def test_check_reduction_random():
@@ -397,7 +404,7 @@ def test_proportional_to_clifford_batched():
     # group[0] is the identity; the check allows 1e-5 per entry
     others = np.stack([t9, group[7] @ t9, np.zeros((3, 3)), np.eye(3) + 1e-4 * t9, np.eye(3) + 1e-6 * t9])
     stack = np.concatenate([others, clifford])
-    got = gadget._proportional_to_clifford(stack, group)
+    got = gadget._proportional_to_clifford(stack)
     assert list(got[:5]) == [-1, -1, -1, -1, 0]
     assert np.array_equal(got[5:], picks)
     assert np.array_equal(got, _screen_all_216(stack, group))
@@ -438,7 +445,7 @@ SCREEN_INPUTS = {
 def _screen_inputs(monkeypatch, name):
     """The stacks ``sweep_injection(name)`` hands ``_proportional_to_clifford``, in call order."""
     screen, inputs = gadget._proportional_to_clifford, []
-    monkeypatch.setattr(gadget, "_proportional_to_clifford", lambda M, group: inputs.append(M) or screen(M, group))
+    monkeypatch.setattr(gadget, "_proportional_to_clifford", lambda M: inputs.append(M) or screen(M))
     sweep_injection(name)
     monkeypatch.setattr(gadget, "_proportional_to_clifford", screen)
     return inputs
@@ -452,7 +459,7 @@ def test_one_candidate_screen_equals_the_216_screen(monkeypatch, name):
     group = generate_clifford_group()
     found = []
     for M in inputs:
-        got = gadget._proportional_to_clifford(M, group)
+        got = gadget._proportional_to_clifford(M)
         assert np.array_equal(got, _screen_all_216(M, group))
         found.append(int((got >= 0).sum()))
     # S, N and H3 have no non-Clifford unitary branch; for T3 a third of them are
@@ -475,8 +482,8 @@ def test_key_lookup_margin_covers_every_screened_norm(monkeypatch):
     flat = group.reshape(216, 9)
     pivot = flat[np.arange(216), (np.abs(flat) > np.sqrt(3) / 6).argmax(axis=1)]
     z = flat * (pivot.conj() / np.abs(pivot))[:, None]
-    x = np.concatenate([z.real, z.imag], axis=1) * gadget._KEY_GRID
-    margin = np.abs(x - np.floor(x) - 0.5).min() / gadget._KEY_GRID
+    x = np.concatenate([z.real, z.imag], axis=1) * clifford._KEY_GRID
+    margin = np.abs(x - np.floor(x) - 0.5).min() / clifford._KEY_GRID
     assert margin > 0.01485
     t_star = margin / (3 * np.sqrt(3) + 1 + np.sqrt(3) * margin)
     norm_bound = np.sqrt(3) * ATOL_CLIFFORD / t_star + 3 * ATOL_CLIFFORD
@@ -491,10 +498,10 @@ def test_key_lookup_margin_covers_every_screened_norm(monkeypatch):
     mu = norm_bound / np.sqrt(3) * rng.uniform(1.01, 3, size=count) * np.exp(2j * np.pi * rng.random(count))
     noise = ATOL_CLIFFORD * np.exp(2j * np.pi * rng.random((count, 3, 3))) * rng.uniform(0.5, 1, (count, 3, 3))
     M = mu[:, None, None] * group[picks] + noise
-    got = gadget._proportional_to_clifford(M, group)
+    got = gadget._proportional_to_clifford(M)
     assert np.array_equal(got, _screen_all_216(M, group))
     assert (got >= 0).sum() > count // 2 and np.array_equal(got[got >= 0], picks[got >= 0])
-    assert np.array_equal(gadget._proportional_to_clifford(np.zeros((2, 3, 3)), group), [-1, -1])
+    assert np.array_equal(gadget._proportional_to_clifford(np.zeros((2, 3, 3))), [-1, -1])
 
 
 def test_one_candidate_screen_near_the_tolerance():
@@ -506,7 +513,7 @@ def test_one_candidate_screen_near_the_tolerance():
     noise = rng.normal(size=(count, 3, 3)) + 1j * rng.normal(size=(count, 3, 3))
     amplitude = 10 ** rng.uniform(-7, -3, size=count)
     M = scales[:, None, None] * group[rng.integers(0, 216, size=count)] + amplitude[:, None, None] * noise
-    got = gadget._proportional_to_clifford(M, group)
+    got = gadget._proportional_to_clifford(M)
     assert (got >= 0).sum() > count // 4 and (got < 0).sum() > count // 4
     assert np.array_equal(got, _screen_all_216(M, group))
 
@@ -784,7 +791,6 @@ def test_pauli_diagonal_phases_matches_the_loop():
 
 def test_hit_columns_equal_per_branch_recomputation(sp4_words):
     # row e of the table is the operator product of word e
-    group = generate_clifford_group()
     rng = np.random.default_rng(113)
     res = sweep_injection("T3")
     c = res.columns
@@ -800,7 +806,7 @@ def test_hit_columns_equal_per_branch_recomputation(sp4_words):
         for k in range(3):
             if k != k_star:
                 absent = np.linalg.norm(E[k]) < 1e-10
-                fix = -1 if absent else gadget._proportional_to_clifford((E[k] @ Ug.conj().T)[None], group)[0]
+                fix = -1 if absent else gadget._proportional_to_clifford((E[k] @ Ug.conj().T)[None])[0]
                 assert c["corrections"][i, k] == fix
 
     for name in ("N", "H3"):
